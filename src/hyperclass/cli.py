@@ -384,9 +384,37 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Options whose value is a number literal, which may begin with "-".
+_NUMBER_OPTIONS = frozenset(
+    [f"--{n}" for n in ALL_PARAM_FLAGS] + ["--lambda", "--w", "--from", "--to"])
+_NEGATIVE_LITERAL = re.compile(r"-[0-9.i]")
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Join "--w -0.5,1" into "--w=-0.5,1".
+
+    argparse takes a separate value that starts with "-" for an option
+    unless it is a plain negative number, so "re,im" and "a-bi" literals
+    would be refused.
+    """
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok in _NUMBER_OPTIONS and i + 1 < len(argv) \
+                and _NEGATIVE_LITERAL.match(argv[i + 1]):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -14,6 +14,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
+from operator import add as _add
 from typing import Iterable, Mapping, Sequence, Union
 
 # Fixed, ordered symbol universe.  The first two are working variables, the
@@ -31,16 +34,39 @@ Rationalish = Union[int, Fraction]
 # ---------------------------------------------------------------------------
 
 class GaussRational:
-    """A Gaussian rational a + b*i with exact rational a, b."""
+    """A Gaussian rational a + b*i with exact rational a, b.
 
-    __slots__ = ("re", "im")
+    Stored as one integer triple ``(p, q, d)`` for (p + q*i)/d, with d > 0
+    and gcd(p, q, d) == 1, so that equal values have equal triples and
+    arithmetic needs integer operations and one gcd.  ``re`` and ``im``
+    give the parts as Fractions.
+    """
+
+    __slots__ = ("_t",)
 
     def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            _set_t(self, (re, im, 1))
+            return
+        re = Fraction(re)
+        im = Fraction(im)
+        dr, di = re.denominator, im.denominator
+        d = lcm(dr, di)
+        # over the least common denominator the triple is already reduced
+        _set_t(self, (re.numerator * (d // dr), im.numerator * (d // di), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        p, _, d = self._t
+        return Fraction(p, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, q, d = self._t
+        return Fraction(q, d)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -51,42 +77,52 @@ class GaussRational:
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def is_real(self) -> bool:
-        return self.im == 0
+        t = self._t
+        return t[0] == 0 and t[1] == 0
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
-        other = GaussRational.of(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+        p1, q1, d1 = self._t
+        p2, q2, d2 = _triple(other)
+        if d1 == d2:
+            return _gr(p1 + p2, q1 + q2, d1)
+        return _gr(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        p, q, d = self._t
+        return _reduced(-p, -q, d)
 
     def __sub__(self, other):
-        return self + (-GaussRational.of(other))
+        p1, q1, d1 = self._t
+        p2, q2, d2 = _triple(other)
+        if d1 == d2:
+            return _gr(p1 - p2, q1 - q2, d1)
+        return _gr(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2)
 
     def __rsub__(self, other):
-        return GaussRational.of(other) + (-self)
+        return GaussRational.of(other) - self
 
     def __mul__(self, other):
-        other = GaussRational.of(other)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        p1, q1, d1 = self._t
+        p2, q2, d2 = _triple(other)
+        if q2 == 0:
+            return _gr(p1 * p2, q1 * p2, d1 * d2)
+        if q1 == 0:
+            return _gr(p1 * p2, p1 * q2, d1 * d2)
+        return _gr(p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussRational.of(other)
-        n = other.re * other.re + other.im * other.im
+        p1, q1, d1 = self._t
+        p2, q2, d2 = _triple(other)
+        n = p2 * p2 + q2 * q2
         if n == 0:
             raise ZeroDivisionError("division by zero GaussRational")
-        return self * GaussRational(other.re / n, -other.im / n)
+        # (p1 + q1 i)/d1 * d2 (p2 - q2 i)/n
+        return _gr((p1 * p2 + q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2, d1 * n)
 
     def __rtruediv__(self, other):
         return GaussRational.of(other) / self
@@ -106,28 +142,61 @@ class GaussRational:
         return out
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        p, q, d = self._t
+        return _reduced(p, -q, d)
 
     # -- conversion / comparison ------------------------------------------
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        p, q, d = self._t
+        return complex(p / d, q / d)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, GaussRational):
+            return self._t == other._t
         if isinstance(other, (int, Fraction)):
-            other = GaussRational(other)
-        if not isinstance(other, GaussRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            p, q, d = self._t
+            other = Fraction(other)
+            return q == 0 and p * other.denominator == other.numerator * d
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        return f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        return f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
+
+
+_set_t = GaussRational._t.__set__
+_new = object.__new__
+
+
+def _reduced(p: int, q: int, d: int) -> GaussRational:
+    """(p + q*i)/d from a triple already in lowest terms, d > 0."""
+    z = _new(GaussRational)
+    _set_t(z, (p, q, d))
+    return z
+
+
+def _gr(p: int, q: int, d: int) -> GaussRational:
+    """(p + q*i)/d for integers with d > 0, brought to lowest terms."""
+    g = gcd(p, q, d)
+    if g != 1:
+        return _reduced(p // g, q // g, d // g)
+    return _reduced(p, q, d)
+
+
+def _triple(x) -> tuple:
+    """The (p, q, d) triple of a GaussRational or a rational."""
+    if type(x) is GaussRational:
+        return x._t
+    if type(x) is int:
+        return (x, 0, 1)
+    return GaussRational.of(x)._t
 
 
 GR_ZERO = GaussRational(0)
@@ -192,11 +261,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(e == _ZERO_EXP for e in self.terms)
 
-    def constant_value(self) -> GaussRational:
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.terms.get(_ZERO_EXP, GR_ZERO)
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
@@ -223,17 +287,21 @@ class MultiPoly:
         other = MultiPoly.of(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, GR_ZERO) + c
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+                continue
+            s = s + c
             if s.is_zero():
-                out.pop(e, None)
+                del out[e]
             else:
                 out[e] = s
-        return MultiPoly(out)
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({e: -c for e, c in self.terms.items()})
+        return _poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-MultiPoly.of(other))
@@ -243,16 +311,31 @@ class MultiPoly:
 
     def __mul__(self, other):
         other = MultiPoly.of(other)
-        out: dict[tuple, GaussRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, GR_ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(out)
+        t1, t2 = self.terms, other.terms
+        if len(t2) == 1 and _ZERO_EXP in t2:
+            return self.scale(t2[_ZERO_EXP])
+        if len(t1) == 1 and _ZERO_EXP in t1:
+            return other.scale(t1[_ZERO_EXP])
+        # Gaussian integers over one denominator per factor: the products
+        # and sums below are integer operations, reduced once at the end
+        n1, d1 = _over_common_den(t1)
+        n2, d2 = _over_common_den(t2)
+        acc: dict[tuple, tuple] = {}
+        for e1, p1, q1 in n1:
+            for e2, p2, q2 in n2:
+                e = tuple(map(_add, e1, e2))
+                p = p1 * p2 - q1 * q2
+                q = p1 * q2 + q1 * p2
+                s = acc.get(e)
+                if s is not None:
+                    p += s[0]
+                    q += s[1]
+                    if not (p or q):
+                        del acc[e]
+                        continue
+                acc[e] = (p, q)
+        d = d1 * d2
+        return _poly({e: _gr(p, q, d) for e, (p, q) in acc.items()})
 
     __rmul__ = __mul__
 
@@ -270,7 +353,11 @@ class MultiPoly:
 
     def scale(self, c) -> "MultiPoly":
         c = GaussRational.of(c)
-        return MultiPoly({e: k * c for e, k in self.terms.items()})
+        if c._t == _ONE_T:
+            return self
+        if c.is_zero():
+            return P_ZERO
+        return _poly({e: k * c for e, k in self.terms.items()})
 
     # -- calculus ----------------------------------------------------------
     def deriv(self, name: str) -> "MultiPoly":
@@ -282,7 +369,7 @@ class MultiPoly:
             ne = list(e)
             ne[i] -= 1
             out[tuple(ne)] = c * e[i]
-        return MultiPoly(out)
+        return _poly(out)
 
     # -- substitution / evaluation ----------------------------------------
     def coeffs_in(self, name: str) -> list["MultiPoly"]:
@@ -296,7 +383,7 @@ class MultiPoly:
             k = ne[i]
             ne[i] = 0
             buckets[k][tuple(ne)] = c
-        return [MultiPoly(b) for b in buckets]
+        return [_poly(b) for b in buckets]
 
     def subs_poly(self, name: str, value: "MultiPoly") -> "MultiPoly":
         """Exact substitution of a polynomial for a symbol (Horner)."""
@@ -320,22 +407,9 @@ class MultiPoly:
     def content(self) -> Fraction:
         """Positive rational content: gcd of numerators over lcm of
         denominators of all real/imag coefficient parts."""
-        nums: list[int] = []
-        dens: list[int] = []
-        for c in self.terms.values():
-            for f in (c.re, c.im):
-                if f != 0:
-                    nums.append(abs(f.numerator))
-                    dens.append(f.denominator)
-        if not nums:
+        if not self.terms:
             return Fraction(1)
-        g = 0
-        for n in nums:
-            g = math.gcd(g, n)
-        l = 1
-        for d in dens:
-            l = l * d // math.gcd(l, d)
-        return Fraction(g, l)
+        return Fraction(*_content(self.terms.values()))
 
     # -- comparison / display ---------------------------------------------
     def __eq__(self, other) -> bool:
@@ -365,17 +439,35 @@ class MultiPoly:
         return " + ".join(parts)
 
 
+_set_terms = MultiPoly.terms.__set__
+_ONE_T = (1, 0, 1)
+
+
+def _poly(terms: dict) -> MultiPoly:
+    """MultiPoly that takes `terms` as is: tuple exponents, nonzero
+    GaussRational coefficients, not copied."""
+    p = _new(MultiPoly)
+    _set_terms(p, terms)
+    return p
+
+
+def _over_common_den(terms: Mapping) -> tuple[list, int]:
+    """([(exp, p, q)], D): each coefficient as (p + q*i)/D, one D for all."""
+    ts = [(e, c._t) for e, c in terms.items()]
+    D = lcm(*[t[2] for _, t in ts])
+    return [(e, p * (D // d), q * (D // d)) for e, (p, q, d) in ts], D
+
+
+def _content(coeffs: Iterable[GaussRational]) -> tuple[int, int]:
+    """(g, L) with g/L the content of nonzero `coeffs`: the real and
+    imaginary parts generate the integer multiples of g/L."""
+    ts = [c._t for c in coeffs]
+    L = lcm(*[d for _, _, d in ts])
+    return gcd(*[gcd(p, q) * (L // d) for p, q, d in ts]), L
+
+
 P_ZERO = MultiPoly()
 P_ONE = MultiPoly.const(1)
-
-
-def poly_arith(p: MultiPoly, q: MultiPoly, op: str) -> MultiPoly:
-    """Spec-surface polynomial arithmetic dispatcher."""
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +477,13 @@ def poly_arith(p: MultiPoly, q: MultiPoly, op: str) -> MultiPoly:
 class RatFun:
     """Rational function num/den of MultiPoly.
 
-    No polynomial gcd is taken: only the scalar content is removed, and the
-    denominator's leading coefficient is normalized to 1 for size and
-    display stability.  Equality is decided by cross-multiplication.
+    Normal form: num and den are scaled by the one Gaussian-rational factor
+    that makes the denominator's leading coefficient (graded lex) 1 and
+    then removes the numerator's content.  The numerator thus has content
+    1 and the denominator a positive rational leading coefficient (1 over
+    the content the numerator had once the denominator was monic); zero is
+    0/1.  No polynomial gcd is taken, so equality is decided by
+    cross-multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -401,18 +497,21 @@ class RatFun:
             den = P_ONE
         else:
             _, lead = den.leading_term()
-            num = num.scale(GR_ONE / lead)
-            den = den.scale(GR_ONE / lead)
-            c = num.content()
-            if c != 1:
-                num = num.scale(Fraction(1) / c)
-                den = den.scale(Fraction(1) / c)
-            cd = den.content()
-            if cd != 1:
-                # keep den leading coefficient exactly 1
-                pass
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            p, q, d = lead._t
+            if q == 0:
+                # content(num/lead) = content(num)*d/|p|, so the factor
+                # (1/lead)/content(num/lead) is sign(p)*L/g
+                g, L = _content(num.terms.values())
+                f = _gr(L if p > 0 else -L, 0, g)
+            else:
+                inv = GR_ONE / lead
+                g, L = _content([c * inv for c in num.terms.values()])
+                f = inv * _gr(L, 0, g)
+            if f._t != _ONE_T:
+                num = num.scale(f)
+                den = den.scale(f)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
@@ -432,6 +531,11 @@ class RatFun:
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
         other = RatFun.of(other)
+        # a normal form plus zero is that normal form
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return other
         if self.den == other.den:
             return RatFun(self.num + other.num, self.den)
         return RatFun(self.num * other.den + other.num * self.den,
@@ -481,6 +585,8 @@ class RatFun:
             other = RatFun.of(other)
         if not isinstance(other, RatFun):
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def __hash__(self):
@@ -492,13 +598,11 @@ class RatFun:
         return f"({self.num!r})/({self.den!r})"
 
 
+_set_num = RatFun.num.__set__
+_set_den = RatFun.den.__set__
+
 RF_ZERO = RatFun(P_ZERO)
 RF_ONE = RatFun(P_ONE)
-
-
-def ratfun_equal(r1: RatFun, r2: RatFun) -> bool:
-    """True iff r1 == r2 as rational functions (cross-multiplication)."""
-    return RatFun.of(r1) == RatFun.of(r2)
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +698,43 @@ class DiffOperator:
         return [c.eval_numeric(assign) for c in self.coeffs]
 
 
+def _summed(var: str, columns: Sequence[list]) -> DiffOperator:
+    """The operator whose k-th coefficient is the sum of columns[k].
+
+    Each column is added left to right and the operator is built once, so
+    the result is the one that adding the terms as one-term operators in
+    the same order would give, without renormalizing every coefficient
+    once per term.
+    """
+    return DiffOperator(var, [reduce(_add, col) if col else RF_ZERO
+                              for col in columns])
+
+
+def _columns(ops: Iterable[DiffOperator]) -> list[list]:
+    """The nonzero coefficients of `ops`, gathered by derivative order."""
+    columns: list[list] = []
+    for op in ops:
+        for k, c in enumerate(op.coeffs):
+            if k == len(columns):
+                columns.append([])
+            if not c.is_zero():
+                columns[k].append(c)
+    return columns
+
+
 def op_compose(A: DiffOperator, B: DiffOperator) -> DiffOperator:
     """Operator composition (A o B)f = A(Bf), via the Leibniz rule."""
     if A.var != B.var:
         raise ValueError("operator variable mismatch")
     x = A.var
-    out = DiffOperator(x, [])
-    # derivative powers of each coefficient of B
+    columns: list[list] = [[] for _ in range(len(A.coeffs) + len(B.coeffs))]
+    # derivatives of each coefficient of B, up to the order of A
+    derivs = []
+    for b in B.coeffs:
+        ds = [b]
+        for _ in range(len(A.coeffs) - 1):
+            ds.append(ds[-1].deriv(x))
+        derivs.append(ds)
     for k, a in enumerate(A.coeffs):
         if a.is_zero():
             continue
@@ -608,15 +742,11 @@ def op_compose(A: DiffOperator, B: DiffOperator) -> DiffOperator:
         for j, b in enumerate(B.coeffs):
             if b.is_zero():
                 continue
-            bi = b
             for i in range(k + 1):
-                c = a * bi * math.comb(k, i)
-                term = DiffOperator(x, [RF_ZERO] * (j + k - i) + [c])
-                out = out + term
-                bi = bi.deriv(x)
-        if not B.coeffs:
-            break
-    return out
+                c = a * derivs[j][i] * math.comb(k, i)
+                if not c.is_zero():
+                    columns[j + k - i].append(c)
+    return _summed(x, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -733,11 +863,9 @@ def op_conjugate(F: DiffOperator, m: Multiplier) -> DiffOperator:
         dP = DiffOperator(x, [RF_ZERO] + list(P.coeffs))
         dP = dP + DiffOperator(x, [c.deriv(x) for c in P.coeffs])
         shifted_powers.append(dP + P.scale(g))
-    out = DiffOperator(x, [])
-    for k, c in enumerate(F.coeffs):
-        if not c.is_zero():
-            out = out + shifted_powers[k].scale(c)
-    return out
+    return _summed(x, _columns(shifted_powers[k].scale(c)
+                               for k, c in enumerate(F.coeffs)
+                               if not c.is_zero()))
 
 
 # ---------------------------------------------------------------------------
@@ -802,13 +930,6 @@ class Substitution:
         p, q, r, s = self.data
         return Substitution("moebius", (s, -q, -r, p), self.target, self.source)
 
-    def phi_numeric(self, y: complex) -> complex:
-        if self.kind == "moebius":
-            p, q, r, s = (complex(c) for c in self.data)
-            return (p * y + q) / (r * y + s)
-        c, d = (complex(c) for c in self.data)
-        return c * y * y + d
-
     def __repr__(self):
         if self.kind == "moebius":
             p, q, r, s = self.data
@@ -847,12 +968,9 @@ def op_substitute(F: DiffOperator, s: Substitution) -> DiffOperator:
     powers = [DiffOperator.identity(y)]
     for _ in range(F.order()):
         powers.append(op_compose(D, powers[-1]))
-    out = DiffOperator(y, [])
-    for k, c in enumerate(F.coeffs):
-        if c.is_zero():
-            continue
-        out = out + powers[k].scale(_ratfun_compose(c, F.var, phi))
-    return out
+    return _summed(y, _columns(powers[k].scale(_ratfun_compose(c, F.var, phi))
+                               for k, c in enumerate(F.coeffs)
+                               if not c.is_zero()))
 
 
 # ---------------------------------------------------------------------------
@@ -992,15 +1110,6 @@ class Jet:
 
     def value(self) -> complex:
         return self.coeffs[0]
-
-    def compose_outer(self, outer_coeffs: Sequence[complex]) -> "Jet":
-        """Given Taylor coefficients of g at self.value(), return jet of
-        g(f(z)) at self.center.  outer_coeffs[k] = g^{(k)}(f(z0))/k!."""
-        dz = self - self.value()
-        out = Jet.constant(0.0, self.center, self.order)
-        for c in reversed(list(outer_coeffs[: self.order + 1])):
-            out = out * dz + complex(c)
-        return out
 
     def __repr__(self):
         return f"Jet(center={self.center}, coeffs={list(self.coeffs)})"

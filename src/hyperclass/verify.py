@@ -202,12 +202,17 @@ def _subs_params(op: DiffOperator, family: str,
                          for c in op.coeffs])
 
 
-def check_transmutation_symbolic(family: str, row) -> bool:
+def transmutation_sides(family: str, row) -> tuple:
+    """(A o weight*F_source, weight*F_target o A) of a transmutation row."""
     Fsym = fam.make_operator_expr(family, "w", fam.symbolic_params(family))
     Ftgt = fam.make_operator_expr(family, "w", row.target)
     weight = RatFun(row.weight)
-    lhs = op_compose(row.A, Fsym.scale(weight))
-    rhs = op_compose(Ftgt.scale(weight), row.A)
+    return (op_compose(row.A, Fsym.scale(weight)),
+            op_compose(Ftgt.scale(weight), row.A))
+
+
+def check_transmutation_symbolic(family: str, row) -> bool:
+    lhs, rhs = transmutation_sides(family, row)
     return lhs == rhs
 
 
@@ -282,18 +287,22 @@ def _apply_operator_terms(op: DiffOperator, f_jet: Jet, assign: dict):
 
 
 def transmutation_kernel_residual(family: str, row, params=None,
-                                  w0=None) -> float:
+                                  w0=None, composed=None) -> float:
     """|(weight*F_target)(A f)| / scale for f in the kernel of F_source.
 
     By the intertwining identity this composition annihilates every
     kernel element of the source operator; the residual measures how
-    well the numerically evaluated solution satisfies that.
+    well the numerically evaluated solution satisfies that.  `composed`
+    is (weight*F_target) o A when the caller has built it already (the
+    second of :func:`transmutation_sides`).
     """
     w0 = TRANSMUTATION_POINT[family] if w0 is None else w0
     assign = _param_assign(family, params)
     pvals = tuple(assign[n] for n in fam.PARAM_NAMES[family])
-    Ftgt = fam.make_operator_expr(family, "w", row.target)
-    C = op_compose(Ftgt.scale(RatFun(row.weight)), row.A)
+    C = composed
+    if C is None:
+        Ftgt = fam.make_operator_expr(family, "w", row.target)
+        C = op_compose(Ftgt.scale(RatFun(row.weight)), row.A)
     f = _kernel_function(family)(pvals, Jet.variable(w0, C.order() + 1))
     assign["w"] = w0
     total, scale = _apply_operator_terms(C, f, assign)
@@ -456,12 +465,13 @@ def suite_transmutations(family=None, seed=0, tol=1e-8) -> SuiteReport:
         checks.append(_counts_check(f, "transmutations",
                                     len(cat.transmutations)))
         for row in cat.transmutations:
-            ok = check_transmutation_symbolic(f, row)
+            lhs, rhs = transmutation_sides(f, row)
             checks.append(CheckResult(row.id, row.location, "symbolic",
-                                      "pass" if ok else "fail"))
+                                      "pass" if lhs == rhs else "fail"))
             checks.append(_numeric_check(
                 row.id + ":kernel", row.location,
-                lambda f=f, row=row: transmutation_kernel_residual(f, row),
+                lambda f=f, row=row, rhs=rhs:
+                transmutation_kernel_residual(f, row, composed=rhs),
                 tol))
     return SuiteReport("transmutations", family or "all", seed, checks)
 

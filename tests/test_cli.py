@@ -75,6 +75,26 @@ def test_eval_complex_argument(capsys):
     assert abs(v - N.eval_0F1(0.5, 0.3 + 0.2j)) < 1e-13 * abs(v)
 
 
+@pytest.mark.parametrize("w", ["-0.52,0.10", "-0.52+0.1i", "-0.52"])
+def test_eval_negative_value_as_separate_argument(capsys, w):
+    params = ("--alpha", "0.1", "--beta", "0.2", "--mu", "0.3")
+    code, out, _ = run(capsys, "eval", "2f1", *params, "--w", w)
+    assert code == 0
+    _, joined, _ = run(capsys, "eval", "2f1", *params, f"--w={w}")
+    assert out == joined
+    v = cli.parse_complex(out.splitlines()[0])
+    assert abs(v - N.eval_2F1(0.1, 0.2, 0.3, cli.parse_complex(w))) \
+        < 1e-13 * abs(v)
+
+
+def test_eval_negative_complex_parameter(capsys):
+    code, out, _ = run(capsys, "eval", "0f1", "--alpha", "-0.3,0.1",
+                       "--w", "-0.4,-0.2")
+    assert code == 0
+    v = cli.parse_complex(out.splitlines()[0])
+    assert abs(v - N.eval_0F1(-0.3 + 0.1j, -0.4 - 0.2j)) < 1e-13 * abs(v)
+
+
 def test_eval_hermite_methods_agree(capsys):
     _, out_q, _ = run(capsys, "eval", "hermite", "--lam", "0.3",
                       "--w", "1.2", "--method", "quadrature")
@@ -175,6 +195,15 @@ def test_verify_kummer_custom_params(capsys):
     assert d["failed"] == 0
 
 
+def test_verify_kummer_negative_point(capsys):
+    code, out, _ = run(capsys, "verify", "kummer", "--alpha", "0.21",
+                       "--beta", "0.13", "--mu", "0.34", "--w", "-0.4,0.6")
+    assert code == 0
+    d = json.loads(out)
+    assert len(d["checks"]) == 36
+    assert d["failed"] == 0
+
+
 def test_verify_bad_suite_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nonsense"])
@@ -222,6 +251,16 @@ def test_plotdata_csv(capsys):
     v = N.eval_0F1(0.5, 0.5 + 0.5j)
     assert last[2] == pytest.approx(v.real)
     assert last[3] == pytest.approx(v.imag)
+
+
+def test_plotdata_negative_endpoints(capsys):
+    code, out, _ = run(capsys, "plotdata", "0f1", "--c", "1.5",
+                       "--from", "-0.5,-0.5", "--to", "-0.1-0.2i", "--n", "2")
+    assert code == 0
+    first, last = ([float(x) for x in ln.split(",")]
+                   for ln in out.strip().splitlines())
+    assert first[:2] == [-0.5, -0.5]
+    assert last[:2] == pytest.approx([-0.1, -0.2])
 
 
 def test_plotdata_bad_n(capsys):

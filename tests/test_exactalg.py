@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperclass import families as fam
 from hyperclass.exactalg import (
+    RF_ZERO,
     DiffOperator,
     GaussRational,
     Jet,
@@ -57,6 +59,65 @@ def test_gauss_rational_complex_embedding():
     assert complex(z) == 0.75 - 0.5j
     assert (z ** 2) == z * z
     assert GaussRational(0, 1) ** 2 == GaussRational(-1)
+
+
+def _by_fractions(op, x, y):
+    """op on (re, im) pairs of Fractions, through the public constructor."""
+    a, b, c, d = x.re, x.im, y.re, y.im
+    if op == "+":
+        return GaussRational(a + c, b + d)
+    if op == "-":
+        return GaussRational(a - c, b - d)
+    if op == "*":
+        return GaussRational(a * c - b * d, a * d + b * c)
+    n = c * c + d * d
+    return GaussRational((a * c + b * d) / n, (b * c - a * d) / n)
+
+
+@given(gaussians, gaussians, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_gauss_rational_matches_fraction_arithmetic(x, y, real_y):
+    if real_y:
+        y = GaussRational(y.re)          # the real x Gaussian path
+    assert x + y == _by_fractions("+", x, y)
+    assert x - y == _by_fractions("-", x, y)
+    assert x * y == _by_fractions("*", x, y)
+    assert y * x == _by_fractions("*", y, x)
+    if not y.is_zero():
+        assert x / y == _by_fractions("/", x, y)
+    assert -x == GaussRational(-x.re, -x.im)
+    assert x.conjugate() == GaussRational(x.re, -x.im)
+    for z in (x + y, x * y, -x):
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        assert hash(z) == hash(GaussRational(z.re, z.im))
+
+
+@given(rationals, rationals)
+@settings(max_examples=100, deadline=None)
+def test_gauss_rational_parts_hash_and_equality(a, b):
+    z = GaussRational(a, b)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (a, b)
+    assert hash(z) == hash((Fraction(a), Fraction(b)))
+    assert (z == a) == (b == 0)
+    assert (z == a.numerator) == (b == 0 and a.denominator == 1)
+    assert complex(z) == complex(float(a), float(b))
+
+
+def test_gauss_rational_int_and_fraction_interplay():
+    assert GaussRational(3) == 3 and GaussRational(3, 0) == Fraction(3)
+    assert GaussRational(Fraction(6, 4)) == Fraction(3, 2)
+    assert GaussRational(0, 1) != 0 and GaussRational(1, 1) != 1
+    assert GaussRational(Fraction(1, 2)) != 0.5      # floats never equal
+    assert hash(GaussRational(3)) == hash((Fraction(3), Fraction(0)))
+    assert GaussRational(2) * 3 == 6 and 3 * GaussRational(0, 2) == \
+        GaussRational(0, 6)
+    assert GaussRational(1) - Fraction(1, 3) == Fraction(2, 3)
+    assert 1 / GaussRational(0, 2) == GaussRational(0, Fraction(-1, 2))
+    with pytest.raises(ZeroDivisionError):
+        GaussRational(1) / 0
+    with pytest.raises(AttributeError):
+        GaussRational(1).re = Fraction(2)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +187,79 @@ def test_ratfun_arithmetic():
 
 def _op(var, *coeffs):
     return DiffOperator(var, [RatFun.of(MultiPoly.of(c)) for c in coeffs])
+
+
+def _op_compose_term_by_term(A, B):
+    """Leibniz composition that adds one single-term operator per term:
+    the reference that the single-pass op_compose must reproduce."""
+    x = A.var
+    out = DiffOperator(x, [])
+    for k, a in enumerate(A.coeffs):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(B.coeffs):
+            if b.is_zero():
+                continue
+            bi = b
+            for i in range(k + 1):
+                c = a * bi * math.comb(k, i)
+                term = DiffOperator(x, [RF_ZERO] * (j + k - i) + [c])
+                out = out + term
+                bi = bi.deriv(x)
+        if not B.coeffs:
+            break
+    return out
+
+
+def _assert_same_composition(A, B):
+    got = op_compose(A, B)
+    ref = _op_compose_term_by_term(A, B)
+    assert got == ref
+    # the terms are added in the same order, so even the unreduced
+    # num/den representation (and every float derived from it) agrees
+    assert repr(got) == repr(ref)
+
+
+def _catalog_compositions():
+    for f in ("2f1", "gegenbauer", "1f1", "hermite", "0f1"):
+        cat = fam.catalog(f)
+        Fsym = fam.make_operator_expr(f, "w", fam.symbolic_params(f))
+        for row in cat.transmutations:
+            weight = RatFun(row.weight)
+            Ftgt = fam.make_operator_expr(f, "w", row.target)
+            yield row.id + ":lhs", row.A, Fsym.scale(weight)
+            yield row.id + ":rhs", Ftgt.scale(weight), row.A
+        for row in cat.factorizations:
+            yield row.id, row.left, row.right
+            yield row.id + ":swapped", row.right, row.left
+        for row in cat.recurrences:
+            yield row.id, row.A, Fsym
+
+
+def test_op_compose_matches_term_by_term_on_catalog():
+    n = 0
+    for _label, A, B in _catalog_compositions():
+        _assert_same_composition(A, B)
+        n += 1
+    assert n > 100
+
+
+def _ratfun(num_coeffs, den_coeffs):
+    den = _rand_poly(den_coeffs)
+    return RatFun(_rand_poly(num_coeffs), den if not den.is_zero() else None)
+
+
+ratfuns = st.builds(_ratfun,
+                    st.lists(small_fracs, min_size=0, max_size=4),
+                    st.lists(small_fracs, min_size=1, max_size=3))
+operators = st.builds(lambda cs: DiffOperator("w", cs),
+                      st.lists(ratfuns, min_size=0, max_size=4))
+
+
+@given(operators, operators)
+@settings(max_examples=60, deadline=None)
+def test_op_compose_matches_term_by_term_generated(A, B):
+    _assert_same_composition(A, B)
 
 
 def test_op_compose_product_rule():

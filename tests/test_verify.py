@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hyperclass import families as fam
 from hyperclass import verify as V
 from hyperclass.families import EXPECTED_COUNTS
 
@@ -33,6 +34,22 @@ def test_single_family_filter(family):
     # counts check + one symbolic and one numeric check per row
     n = EXPECTED_COUNTS[family]["transmutations"]
     assert report.passed + report.skipped == 2 * n + 1
+
+
+@pytest.mark.parametrize("family", V.ALL_FAMILIES)
+def test_transmutation_suite_composes_twice_per_row(family, monkeypatch):
+    # the symbolic check and the kernel residual share (weight*F_tgt) o A
+    calls = []
+    compose = V.op_compose
+
+    def counting(A, B):
+        calls.append((A, B))
+        return compose(A, B)
+
+    monkeypatch.setattr(V, "op_compose", counting)
+    report = V.suite_transmutations(family=family)
+    _assert_clean(report)
+    assert len(calls) == 2 * len(fam.catalog(family).transmutations)
 
 
 def test_unknown_suite_and_family():

@@ -6,7 +6,9 @@ failures, 2 usage errors, 3 domain/degeneracy/convergence errors.
 Number format: complex CLI literals are "re" or "re,im"; output uses 15
 significant digits as "re", "re+imi" or "re-imi", all of which re-parse.
 The environment variable HYPERCLASS_TOL scales every default numeric
-tolerance (default 1.0).
+tolerance (default 1.0).  `verify` takes parameter flags and --w only for
+the kummer suite (all three 2F1 parameters); elsewhere they are a usage
+error rather than being ignored.
 """
 
 from __future__ import annotations
@@ -244,34 +246,26 @@ def _report_text(report) -> str:
 
 def cmd_verify(args) -> int:
     scale = _tol_scale()
-    custom_params = None
-    try:
-        custom_params = lie_params_from_args(
-            args.suite if args.suite in FAMILY_CHOICES else "2f1", args)
-    except UsageError:
-        custom_params = None
-    if args.suite == "kummer" and custom_params is not None:
-        # custom parameter/point run of the 36 pairwise checks
-        al, be, mu = custom_params
-        points = (parse_complex(args.w),) if args.w else V.KUMMER_POINTS
-        tol = (args.tol if args.tol is not None
-               else V.DEFAULT_TOLS["kummer"] * scale)
-        checks = []
-        for key in N._KUMMER_ORDER:
-            for r1 in range(4):
-                for r2 in range(r1 + 1, 4):
-                    checks.append(V._numeric_check(
-                        f"kummer:{key}:{r1}{r2}",
-                        f"expressions {r1} and {r2} of the solution {key}",
-                        lambda key=key, r1=r1, r2=r2:
-                        V.kummer_pair_residual(al, be, mu, key, r1, r2,
-                                               points),
-                        tol))
-        report = V.SuiteReport("kummer", args.family or "2f1", args.seed,
-                               checks)
-    else:
+    custom = any(getattr(args, n) is not None for n in ALL_PARAM_FLAGS)
+    if args.suite != "kummer":
+        if custom or args.w is not None:
+            raise UsageError("parameter flags and --w apply only to the "
+                             "kummer suite")
         report = V.run_suite(args.suite, family=args.family, seed=args.seed,
                              tol=args.tol, tol_scale=scale)
+    else:
+        # Kummer's table is a 2F1 table: custom parameters are 2F1 ones
+        params = lie_params_from_args("2f1", args) if custom else None
+        if params is None and args.w is not None:
+            raise UsageError("kummer --w needs the 2f1 parameters as well")
+        if params is not None and args.family not in (None, "all", "2f1"):
+            raise UsageError("kummer parameters are 2f1 parameters, "
+                             f"not {args.family} ones")
+        points = (V.KUMMER_POINTS if args.w is None
+                  else (parse_complex(args.w),))
+        tol = (args.tol if args.tol is not None
+               else V.DEFAULT_TOLS["kummer"] * scale)
+        report = V.suite_kummer(args.family, args.seed, tol, params, points)
     if args.format == "json":
         print(json.dumps(report.to_dict()))
     else:

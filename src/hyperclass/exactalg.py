@@ -258,9 +258,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(e == _ZERO_EXP for e in self.terms)
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
@@ -1115,17 +1112,22 @@ class Jet:
         return f"Jet(center={self.center}, coeffs={list(self.coeffs)})"
 
 
-def jet_apply(F: DiffOperator, f: Jet, assign: Mapping[str, complex]) -> complex:
+def jet_apply(F: DiffOperator, f: Jet, assign: Mapping[str, complex]):
     """Apply a numerically instantiated operator to a function given as a jet.
 
     `assign` supplies the numeric values of the working variable (at the jet
-    center) and the parameter symbols.
+    center) and the parameter symbols.  Returns (value, largest_term): the
+    largest |c_k f^(k)|, at least 1e-300, is the scale against which a
+    residual that should vanish is measured.
     """
     if f.order < F.order():
         raise ValueError("jet order too low for operator order")
     out = 0j
+    largest = 0.0
     for k, c in enumerate(F.coeffs):
         if c.is_zero():
             continue
-        out += c.eval_numeric(assign) * f.derivative_value(k)
-    return out
+        term = c.eval_numeric(assign) * f.derivative_value(k)
+        out += term
+        largest = max(largest, abs(term))
+    return out, max(largest, 1e-300)

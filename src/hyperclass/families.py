@@ -16,7 +16,7 @@ string, interpreted (and checked) by the verify module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -87,9 +87,6 @@ class FamilyParams:
             raise ValueError(f"unknown family {self.family!r}")
         if len(self.values) != len(PARAM_NAMES[self.family]):
             raise ValueError("wrong number of parameters for family")
-
-    def as_dict(self) -> dict:
-        return dict(zip(PARAM_NAMES[self.family], self.values))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .exactalg import Jet
 
@@ -749,91 +749,83 @@ class SolutionDescriptor:
                 f"{self.behavior!r}, {len(self.expressions)} expressions)")
 
 
-def _mk(fn):
-    return fn
-
-
 # --- Kummer's table for 2F1 ------------------------------------------------
 # Each entry: (prefactors, parameter map, argument key) where a prefactor is
 # (base_key, exponent_fn(al, be, mu)) and base_key in {"w", "1-w", "-w"}.
-
-def _e(fn):
-    return fn
-
 
 _KUMMER_TABLE = {
     # ~1 at 0
     "at0_1": [
         ((), lambda al, be, mu: (al, be, mu), "w"),
-        ((("1-w", _e(lambda al, be, mu: -be)),),
+        ((("1-w", lambda al, be, mu: -be),),
          lambda al, be, mu: (al, -be, -mu), "w"),
-        ((("1-w", _e(lambda al, be, mu: (-1 - al - be + mu) / 2)),),
+        ((("1-w", lambda al, be, mu: (-1 - al - be + mu) / 2),),
          lambda al, be, mu: (al, -mu, -be), "w/(w-1)"),
-        ((("1-w", _e(lambda al, be, mu: (-1 - al - be - mu) / 2)),),
+        ((("1-w", lambda al, be, mu: (-1 - al - be - mu) / 2),),
          lambda al, be, mu: (al, mu, be), "w/(w-1)"),
     ],
     # ~w^{-alpha} at 0
     "at0_2": [
-        ((("w", _e(lambda al, be, mu: -al)),),
+        ((("w", lambda al, be, mu: -al),),
          lambda al, be, mu: (-al, be, -mu), "w"),
-        ((("w", _e(lambda al, be, mu: -al)),
-          ("1-w", _e(lambda al, be, mu: -be))),
+        ((("w", lambda al, be, mu: -al),
+          ("1-w", lambda al, be, mu: -be)),
          lambda al, be, mu: (-al, -be, mu), "w"),
-        ((("w", _e(lambda al, be, mu: -al)),
-          ("1-w", _e(lambda al, be, mu: (-1 + al - be + mu) / 2))),
+        ((("w", lambda al, be, mu: -al),
+          ("1-w", lambda al, be, mu: (-1 + al - be + mu) / 2)),
          lambda al, be, mu: (-al, -mu, be), "w/(w-1)"),
-        ((("w", _e(lambda al, be, mu: -al)),
-          ("1-w", _e(lambda al, be, mu: (-1 + al - be - mu) / 2))),
+        ((("w", lambda al, be, mu: -al),
+          ("1-w", lambda al, be, mu: (-1 + al - be - mu) / 2)),
          lambda al, be, mu: (-al, mu, -be), "w/(w-1)"),
     ],
     # ~1 at 1
     "at1_1": [
         ((), lambda al, be, mu: (be, al, mu), "1-w"),
-        ((("w", _e(lambda al, be, mu: -al)),),
+        ((("w", lambda al, be, mu: -al),),
          lambda al, be, mu: (be, -al, -mu), "1-w"),
-        ((("w", _e(lambda al, be, mu: (-1 - al - be + mu) / 2)),),
+        ((("w", lambda al, be, mu: (-1 - al - be + mu) / 2),),
          lambda al, be, mu: (be, -mu, -al), "1-1/w"),
-        ((("w", _e(lambda al, be, mu: (-1 - al - be - mu) / 2)),),
+        ((("w", lambda al, be, mu: (-1 - al - be - mu) / 2),),
          lambda al, be, mu: (be, mu, al), "1-1/w"),
     ],
     # ~(1-w)^{-beta} at 1
     "at1_2": [
-        ((("1-w", _e(lambda al, be, mu: -be)),),
+        ((("1-w", lambda al, be, mu: -be),),
          lambda al, be, mu: (-be, al, -mu), "1-w"),
-        ((("w", _e(lambda al, be, mu: -al)),
-          ("1-w", _e(lambda al, be, mu: -be))),
+        ((("w", lambda al, be, mu: -al),
+          ("1-w", lambda al, be, mu: -be)),
          lambda al, be, mu: (-be, -al, mu), "1-w"),
-        ((("w", _e(lambda al, be, mu: (-1 - al + be - mu) / 2)),
-          ("1-w", _e(lambda al, be, mu: -be))),
+        ((("w", lambda al, be, mu: (-1 - al + be - mu) / 2),
+          ("1-w", lambda al, be, mu: -be)),
          lambda al, be, mu: (-be, mu, -al), "1-1/w"),
-        ((("w", _e(lambda al, be, mu: (-1 - al + be + mu) / 2)),
-          ("1-w", _e(lambda al, be, mu: -be))),
+        ((("w", lambda al, be, mu: (-1 - al + be + mu) / 2),
+          ("1-w", lambda al, be, mu: -be)),
          lambda al, be, mu: (-be, -mu, al), "1-1/w"),
     ],
     # ~w^{-a} at infinity
     "atinf_1": [
-        ((("-w", _e(lambda al, be, mu: (-1 - al - be - mu) / 2)),),
+        ((("-w", lambda al, be, mu: (-1 - al - be - mu) / 2),),
          lambda al, be, mu: (mu, be, al), "1/w"),
-        ((("-w", _e(lambda al, be, mu: (-1 - al + be - mu) / 2)),
-          ("1-w", _e(lambda al, be, mu: -be))),
+        ((("-w", lambda al, be, mu: (-1 - al + be - mu) / 2),
+          ("1-w", lambda al, be, mu: -be)),
          lambda al, be, mu: (mu, -be, -al), "1/w"),
-        ((("1-w", _e(lambda al, be, mu: (-1 - al - be - mu) / 2)),),
+        ((("1-w", lambda al, be, mu: (-1 - al - be - mu) / 2),),
          lambda al, be, mu: (mu, al, be), "1/(1-w)"),
-        ((("-w", _e(lambda al, be, mu: -al)),
-          ("1-w", _e(lambda al, be, mu: (-1 + al - be - mu) / 2))),
+        ((("-w", lambda al, be, mu: -al),
+          ("1-w", lambda al, be, mu: (-1 + al - be - mu) / 2)),
          lambda al, be, mu: (mu, -al, -be), "1/(1-w)"),
     ],
     # ~w^{-b} at infinity
     "atinf_2": [
-        ((("-w", _e(lambda al, be, mu: (-1 - al - be + mu) / 2)),),
+        ((("-w", lambda al, be, mu: (-1 - al - be + mu) / 2),),
          lambda al, be, mu: (-mu, be, -al), "1/w"),
-        ((("-w", _e(lambda al, be, mu: (-1 - al + be + mu) / 2)),
-          ("1-w", _e(lambda al, be, mu: -be))),
+        ((("-w", lambda al, be, mu: (-1 - al + be + mu) / 2),
+          ("1-w", lambda al, be, mu: -be)),
          lambda al, be, mu: (-mu, -be, al), "1/w"),
-        ((("1-w", _e(lambda al, be, mu: (-1 - al - be + mu) / 2)),),
+        ((("1-w", lambda al, be, mu: (-1 - al - be + mu) / 2),),
          lambda al, be, mu: (-mu, al, -be), "1/(1-w)"),
-        ((("-w", _e(lambda al, be, mu: -al)),
-          ("1-w", _e(lambda al, be, mu: (-1 + al - be + mu) / 2))),
+        ((("-w", lambda al, be, mu: -al),
+          ("1-w", lambda al, be, mu: (-1 + al - be + mu) / 2)),
          lambda al, be, mu: (-mu, -al, be), "1/(1-w)"),
     ],
 }

@@ -9,8 +9,16 @@ Engines
 * loop contours around the negative axis (keyhole / double-ray), where the
   branch factor t^gamma collapses the two lips into a sine factor, plus an
   explicitly parametrized circle;
-* a phase-tracked rectangular loop for contours that must encircle several
-  branch points at once.
+* a phase-tracked polyline/arc loop (`path_integral`) for contours that
+  must encircle several branch points at once.
+
+Circles, arcs and polyline pieces use one composite 16-point
+Gauss-Legendre rule (`_gl_rule`), whose nodes come from Newton's method on
+P_16, so the module needs nothing beyond the standard library.
+
+The solution evaluators (`tricomi_solution`, `conf_minus_inf_solution`,
+`hermite_S_solution`, `bessel_tilde_solution`) raise `QuadratureError`
+when the error estimate misses the requested tolerance by a wide margin.
 
 On top of the engines sits the catalog of every printed integral
 representation (`integral_rep_rows`), each row carrying its parameter
@@ -25,10 +33,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .exactalg import Jet
 from . import numerics as N
@@ -105,11 +111,11 @@ def _level_sum(node_fn, f, h: float, only_odd: bool):
                 val = f(*args)
             except (OverflowError, ZeroDivisionError, ValueError):
                 val = None
-            if val is not None and jabs(val) == jabs(val) \
-                    and not math.isinf(jabs(val)):
+            size = math.nan if val is None else jabs(val)
+            if math.isfinite(size):
                 contrib = wgt * val
                 total = contrib + total
-                mag = abs(wgt) * jabs(val)
+                mag = abs(wgt) * size
                 scale = max(scale, mag)
                 if scale > 0 and mag < 1e-18 * scale:
                     misses += 1
@@ -225,16 +231,6 @@ def segment_power_integrand(za, zb, factors, extra: Optional[Callable] = None):
     return EndpointAware(fn)
 
 
-def ray_integral(f: Callable, z0, direction, tol: float = 1e-11,
-                 scale: float = 1.0):
-    """Integral of f along the ray z0 + s * direction, s in (0, inf)."""
-    z0 = complex(z0)
-    direction = complex(direction)
-    return_val, err = exp_sinh(lambda s: f(z0 + s * direction) * direction,
-                               tol, scale=scale)
-    return return_val, err
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Legendre panels (for circles / smooth pieces)
 # ---------------------------------------------------------------------------
@@ -243,33 +239,50 @@ _GL_CACHE = {}
 
 
 def _gl(n: int = 16):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: Newton's
+    method on P_n, evaluated by the three-term recurrence, from the
+    Chebyshev-like guesses cos(pi (i + 3/4) / (n + 1/2)); the negative
+    half mirrors the positive one, so the rule is exactly symmetric."""
     if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (tuple(float(v) for v in x), tuple(float(v) for v in w))
+        half = []
+        for i in range(n // 2, n):
+            x = -math.cos(math.pi * (i + 0.75) / (n + 0.5))
+            for _ in range(100):
+                p0, p1 = 1.0, x
+                for k in range(2, n + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                dp = n * (x * p1 - p0) / (x * x - 1.0)
+                dx = p1 / dp
+                x -= dx
+                if abs(dx) <= 1e-16:
+                    break
+            half.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+        nodes = [(-x, w) for x, w in reversed(half[n % 2:])] + half
+        _GL_CACHE[n] = (tuple(x for x, _ in nodes), tuple(w for _, w in nodes))
     return _GL_CACHE[n]
 
 
-def _gl_panels(f: Callable, a: float, b: float, panels: int):
-    """Composite 16-point Gauss-Legendre of f over real parameter [a, b]."""
+def _gl_rule(a: float, b: float, panels: int):
+    """(x, weight) of the composite 16-point Gauss-Legendre rule on the
+    real interval [a, b] split into equal panels."""
     x, w = _gl(16)
-    total = 0.0j
-    width = (b - a) / panels
+    half = 0.5 * (b - a) / panels
     for p in range(panels):
-        lo = a + p * width
-        mid = lo + 0.5 * width
-        half = 0.5 * width
+        mid = a + (2 * p + 1) * half
         for xi, wi in zip(x, w):
-            total = total + (wi * half) * f(mid + half * xi)
-    return total
+            yield mid + half * xi, wi * half
 
 
 def _gl_doubling(f: Callable, a: float, b: float, panels: int,
                  tol: float, max_doublings: int = 6):
-    value = _gl_panels(f, a, b, panels)
+    def rule(m):
+        return sum(wgt * f(x) for x, wgt in _gl_rule(a, b, m))
+
+    value = rule(panels)
     err = float("inf")
     for _ in range(max_doublings):
         panels *= 2
-        new = _gl_panels(f, a, b, panels)
+        new = rule(panels)
         err = jabs(new - value)
         value = new
         if err <= tol * max(jabs(value), 1e-300):
@@ -297,8 +310,7 @@ def keyhole_0(fn: Callable, gam: complex, rho: float, tol: float = 1e-11):
     """Contour departing 0 along the lower lip of the negative axis,
     encircling 0 counterclockwise at radius rho, returning on the upper
     lip: integral of t^gam fn(t).  fn must vanish fast enough at 0-."""
-    lips, e1 = tanh_sinh(lambda s: (s ** gam if not isinstance(s, complex)
-                                    else s ** gam) * fn(-s), 0.0, rho, tol)
+    lips, e1 = tanh_sinh(lambda s: s ** gam * fn(-s), 0.0, rho, tol)
     lips = 2j * cmath.sin(math.pi * gam) * lips
     circ, e2 = _circle0(fn, gam, rho, tol)
     return lips + circ, abs(e1) * 2 + abs(e2)
@@ -329,36 +341,22 @@ def path_integral(pieces: Sequence, factors: Sequence, exp_fn: Optional[Callable
     """
 
     def nodes_for(mult):
-        x, w = _gl(16)
         out = []
         for piece in pieces:
             if piece[0] == "seg":
                 _, z0, z1 = piece
                 z0 = complex(z0)
-                z1 = complex(z1)
-                length = abs(z1 - z0)
-                m = max(2, int(math.ceil(length * panels_per_unit * mult)))
-                d = (z1 - z0)
-                for p in range(m):
-                    lo = p / m
-                    width = 1.0 / m
-                    mid = lo + 0.5 * width
-                    for xi, wi in zip(x, w):
-                        tau = mid + 0.5 * width * xi
-                        out.append((z0 + d * tau, wi * 0.5 * width * d))
+                d = complex(z1) - z0
+                m = max(2, int(math.ceil(abs(d) * panels_per_unit * mult)))
+                out += [(z0 + d * tau, wgt * d)
+                        for tau, wgt in _gl_rule(0.0, 1.0, m)]
             elif piece[0] == "arc":
                 _, cen, rad, ph0, ph1 = piece
                 m = max(4, int(math.ceil(abs(ph1 - ph0) * rad
                                          * panels_per_unit * mult)) + 4)
-                for p in range(m):
-                    lo = ph0 + (ph1 - ph0) * p / m
-                    width = (ph1 - ph0) / m
-                    mid = lo + 0.5 * width
-                    for xi, wi in zip(x, w):
-                        phi = mid + 0.5 * width * xi
-                        t = cen + rad * cmath.exp(1j * phi)
-                        out.append((t, wi * 0.5 * width * 1j * rad
-                                    * cmath.exp(1j * phi)))
+                for phi, wgt in _gl_rule(ph0, ph1, m):
+                    e = rad * cmath.exp(1j * phi)
+                    out.append((cen + e, wgt * 1j * e))
             else:
                 raise ValueError(piece[0])
         return out
@@ -391,76 +389,22 @@ def path_integral(pieces: Sequence, factors: Sequence, exp_fn: Optional[Callable
 
 
 # ---------------------------------------------------------------------------
-# Public thin wrappers (Contour / IntegrandTemplate / integrate)
+# Solution evaluators used by `numerics` at moderate |w| (jet-capable)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Contour:
-    """kind: segment(z0,z1) | ray(z0,direction) | keyhole0(rho)
-    | double_ray0(rho,R) | loop(pieces)."""
-    kind: str
-    data: tuple
-
-
-@dataclass(frozen=True)
-class IntegrandTemplate:
-    """Product of linear-power factors (c, p, gamma) times exp(exp_fn(t))."""
-    factors: tuple = ()
-    exp_fn: Optional[Callable] = None
-
-    def __call__(self, t):
-        out = 1.0 + 0.0j
-        for c, p, g in self.factors:
-            out = out * jpow(c * (t - p), g)
-        if self.exp_fn is not None:
-            out = out * jexp(self.exp_fn(t))
-        return out
-
-
-def integrate(contour: Contour, f, tol: float = 1e-10):
-    """Integrate a callable or IntegrandTemplate along a contour.
-
-    Returns (value, error_estimate); raises QuadratureError if the
-    estimate exceeds the requested tolerance by a wide margin.
-    """
-    fn = f if callable(f) else IntegrandTemplate(*f)
-    if contour.kind == "segment":
-        value, err = tanh_sinh(fn, *contour.data, tol=tol)
-    elif contour.kind == "ray":
-        value, err = ray_integral(fn, *contour.data, tol=tol)
-    elif contour.kind == "keyhole0":
-        if not isinstance(fn, IntegrandTemplate) or len(fn.factors) != 1:
-            raise ValueError("keyhole0 needs a single-power template")
-        (c, p, g), = fn.factors
-        if c != 1 or p != 0:
-            raise ValueError("keyhole0 factor must be t^gamma")
-        ex = fn.exp_fn or (lambda t: 0.0)
-        value, err = keyhole_0(lambda t: cmath.exp(ex(t)), g,
-                               contour.data[0], tol)
-    elif contour.kind == "double_ray0":
-        (c, p, g), = fn.factors
-        ex = fn.exp_fn or (lambda t: 0.0)
-        value, err = double_ray_0(lambda t: cmath.exp(ex(t)), g,
-                                  contour.data[0], contour.data[1], tol)
-    elif contour.kind == "loop":
-        value, err = path_integral(contour.data[0], fn.factors, fn.exp_fn, tol)
-    else:
-        raise ValueError(f"unknown contour kind {contour.kind!r}")
+def _checked(value, err, tol: float):
+    """The quadrature value, unless its error estimate misses the requested
+    tolerance by a wide margin: then QuadratureError carries both."""
     if err > max(10 * tol * max(jabs(value), 1.0), 1e-6):
         raise QuadratureError("quadrature tolerance unreachable",
                               value=value, estimate=err)
-    return value, err
+    return value
 
-
-# ---------------------------------------------------------------------------
-# Solution evaluators used by `numerics` at moderate |w| (jet-capable)
-# ---------------------------------------------------------------------------
 
 def tricomi_solution(th, al, w, tol: float = 1e-11):
     """w^{(-1-th-al)/2} tilde-F_{th,al}(-1/w) by Laplace-type quadrature."""
     th = complex(th)
     al = complex(al)
-    w0 = jvalue(w)
     # the integrand exponent at 0 must be integrable; use the sign of alpha
     # giving the larger margin (the target function is even in alpha)
     margins = [(1 + th - s * al).real for s in (1, -1)]
@@ -476,8 +420,7 @@ def tricomi_solution(th, al, w, tol: float = 1e-11):
             return 0.0j
         return (s ** p) * math.exp(-s) * jpow(w + s, r)
 
-    val, err = exp_sinh(g, tol)
-    out = val * rgamma((1 + th - a2) / 2)
+    out = _checked(*exp_sinh(g, tol), tol) * rgamma((1 + th - a2) / 2)
     if sgn < 0:
         out = out * jpow(w, -al)
     return out
@@ -500,8 +443,8 @@ def conf_minus_inf_solution(th, al, w, tol: float = 1e-11):
             return 0.0j
         return jpow(s - w, p) * math.exp(-s) * jpow(s, r)
 
-    val, err = exp_sinh(g, tol)
-    out = jexp(w) * val * rgamma((1 - th - a2) / 2)
+    out = jexp(w) * _checked(*exp_sinh(g, tol), tol) \
+        * rgamma((1 - th - a2) / 2)
     if sgn < 0:
         out = out * jpow(-w, -al)
     return out
@@ -531,8 +474,8 @@ def hermite_S_solution(la, w, tol: float = 1e-11):
             return (s ** (la - 0.5)) * jexp(-s * s - 2 * s * w)
         return (s ** (la - 0.5)) * math.exp(ex)
 
-    val, err = exp_sinh(g, tol)
-    return (2 ** (la + 0.5)) * rgamma(la + 0.5) * val
+    return (2 ** (la + 0.5)) * rgamma(la + 0.5) \
+        * _checked(*exp_sinh(g, tol), tol)
 
 
 def bessel_tilde_solution(al, w, tol: float = 1e-11):
@@ -547,7 +490,7 @@ def bessel_tilde_solution(al, w, tol: float = 1e-11):
         return math.exp(-s) * jexp(-w / s) * s ** (-al - 1)
 
     val, err = exp_sinh(g, tol, scale=max(1.0, math.sqrt(abs(w0))))
-    return val / SQRT_PI
+    return _checked(val, err, tol) / SQRT_PI
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +514,19 @@ class RepRow:
     evaluate: Callable
     expected: Callable
     samples: tuple
+
+
+def _row_adder(rows: list, prefix: str, family: str, param_samples):
+    """row(i, desc, cdesc, cfun, ddesc, dfun, ev, exp, ws) appends the
+    RepRow "<prefix>:int:<i>", sampled at every parameter sample times
+    every w in ws."""
+
+    def row(i, desc, cdesc, cfun, ddesc, dfun, ev, exp, ws):
+        samples = tuple((ps, w) for ps in param_samples for w in ws)
+        rows.append(RepRow(f"{prefix}:int:{i:02d}", family, desc, cdesc,
+                           cfun, ddesc, dfun, ev, exp, samples))
+
+    return row
 
 
 def _off_cut(w: complex, *cuts) -> bool:
@@ -603,11 +559,7 @@ _2F1_PARAM_SAMPLES = (
 
 def _build_2f1_rows():
     rows = []
-
-    def row(i, desc, cdesc, cfun, ddesc, dfun, ev, exp, ws):
-        samples = tuple((ps, w) for ps in _2F1_PARAM_SAMPLES for w in ws)
-        rows.append(RepRow(f"2f1:int:{i:02d}", "2f1", desc, cdesc, cfun,
-                           ddesc, dfun, ev, exp, samples))
+    row = _row_adder(rows, "2f1", "2f1", _2F1_PARAM_SAMPLES)
 
     def ev1(params, w, tol):
         al, be, mu = params
@@ -777,11 +729,7 @@ _GEG_PARAM_SAMPLES = (
 
 def _build_geg_rows():
     rows = []
-
-    def row(i, desc, cdesc, cfun, ddesc, dfun, ev, exp, ws):
-        samples = tuple((ps, w) for ps in _GEG_PARAM_SAMPLES for w in ws)
-        rows.append(RepRow(f"geg:int:{i:02d}", "gegenbauer", desc, cdesc,
-                           cfun, ddesc, dfun, ev, exp, samples))
+    row = _row_adder(rows, "geg", "gegenbauer", _GEG_PARAM_SAMPLES)
 
     # type a) integrand: (t^2-1)^{-1/2-la} (w-t)^{-1/2-al+la}
     def a_exps(al, la):
@@ -973,11 +921,7 @@ def _conf_minus_inf_expected(th, al, w):
 
 def _build_conf_rows():
     rows = []
-
-    def row(i, desc, cdesc, cfun, ddesc, dfun, ev, exp, ws):
-        samples = tuple((ps, w) for ps in _CONF_PARAM_SAMPLES for w in ws)
-        rows.append(RepRow(f"1f1:int:{i:02d}", "1f1", desc, cdesc, cfun,
-                           ddesc, dfun, ev, exp, samples))
+    row = _row_adder(rows, "1f1", "1f1", _CONF_PARAM_SAMPLES)
 
     def exps_a(th, al):
         return (-1 + th - al) / 2, (-1 - th - al) / 2
@@ -1145,11 +1089,7 @@ _HERM_PARAM_SAMPLES = ((2 / 7,), (-1 / 7,), (5 / 13,))
 
 def _build_herm_rows():
     rows = []
-
-    def row(i, desc, cdesc, cfun, ddesc, dfun, ev, exp, ws):
-        samples = tuple((ps, w) for ps in _HERM_PARAM_SAMPLES for w in ws)
-        rows.append(RepRow(f"herm:int:{i:02d}", "hermite", desc, cdesc, cfun,
-                           ddesc, dfun, ev, exp, samples))
+    row = _row_adder(rows, "herm", "hermite", _HERM_PARAM_SAMPLES)
 
     def ev1(params, w, tol):
         (la,) = params
@@ -1269,11 +1209,7 @@ def _0f1_tilde_expected(al, w):
 
 def _build_0f1_rows():
     rows = []
-
-    def row(i, desc, cdesc, cfun, ddesc, dfun, ev, exp, ws):
-        samples = tuple((ps, w) for ps in _0F1_PARAM_SAMPLES for w in ws)
-        rows.append(RepRow(f"0f1:int:{i:02d}", "0f1", desc, cdesc, cfun,
-                           ddesc, dfun, ev, exp, samples))
+    row = _row_adder(rows, "0f1", "0f1", _0F1_PARAM_SAMPLES)
 
     def ev1(params, w, tol):
         (al,) = params
@@ -1409,40 +1345,22 @@ def _build_0f1_rows():
     return tuple(rows)
 
 
+_ROW_BUILDERS = {
+    "2f1": _build_2f1_rows,
+    "gegenbauer": _build_geg_rows,
+    "1f1": _build_conf_rows,
+    "hermite": _build_herm_rows,
+    "0f1": _build_0f1_rows,
+}
 _REP_ROWS = {}
 
 
 def integral_rep_rows(family: str):
     if family not in _REP_ROWS:
-        if family == "2f1":
-            _REP_ROWS[family] = _build_2f1_rows()
-        elif family == "gegenbauer":
-            _REP_ROWS[family] = _build_geg_rows()
-        elif family == "1f1":
-            _REP_ROWS[family] = _build_conf_rows()
-        elif family == "hermite":
-            _REP_ROWS[family] = _build_herm_rows()
-        elif family == "0f1":
-            _REP_ROWS[family] = _build_0f1_rows()
-        else:
+        if family not in _ROW_BUILDERS:
             raise ValueError(f"no integral representations for {family!r}")
+        _REP_ROWS[family] = _ROW_BUILDERS[family]()
     return _REP_ROWS[family]
-
-
-def integral_rep(rep_id: str, params, w, tol: float = 1e-9):
-    """Evaluate one catalogued representation; returns (value, estimate)."""
-    family = {"2f1": "2f1", "geg": "gegenbauer", "1f1": "1f1",
-              "herm": "hermite", "0f1": "0f1"}[rep_id.split(":")[0]]
-    for r in integral_rep_rows(family):
-        if r.id == rep_id:
-            params = tuple(float(p) if not isinstance(p, complex) else p
-                           for p in params)
-            if not r.constraint(params):
-                raise N.DomainError(f"constraint violated: {r.constraint_desc}")
-            if not r.domain(complex(w)):
-                raise N.DomainError(f"w outside domain: {r.domain_desc}")
-            return r.evaluate(params, complex(w), tol)
-    raise KeyError(rep_id)
 
 
 # ---------------------------------------------------------------------------

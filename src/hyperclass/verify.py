@@ -273,19 +273,6 @@ def _kernel_function(family: str) -> Callable:
     raise ValueError(family)
 
 
-def _apply_operator_terms(op: DiffOperator, f_jet: Jet, assign: dict):
-    """(value, scale) of op applied to a jet, scale = largest term."""
-    total = 0j
-    scale = 0.0
-    for k, c in enumerate(op.coeffs):
-        if c.is_zero():
-            continue
-        term = c.eval_numeric(assign) * f_jet.derivative_value(k)
-        total += term
-        scale = max(scale, abs(term))
-    return total, max(scale, 1e-300)
-
-
 def transmutation_kernel_residual(family: str, row, params=None,
                                   w0=None, composed=None) -> float:
     """|(weight*F_target)(A f)| / scale for f in the kernel of F_source.
@@ -305,7 +292,7 @@ def transmutation_kernel_residual(family: str, row, params=None,
         C = op_compose(Ftgt.scale(RatFun(row.weight)), row.A)
     f = _kernel_function(family)(pvals, Jet.variable(w0, C.order() + 1))
     assign["w"] = w0
-    total, scale = _apply_operator_terms(C, f, assign)
+    total, scale = jet_apply(C, f, assign)
     return abs(total) / scale
 
 
@@ -327,7 +314,7 @@ def recurrence_residual(family: str, row, params=None, points=None) -> float:
     for w0 in points:
         f = norm(pvals, Jet.variable(w0, max(2, row.A.order() + 1)))
         assign = dict(assign0, w=w0)
-        lhs, scale = _apply_operator_terms(row.A, f, assign)
+        lhs, scale = jet_apply(row.A, f, assign)
         rhs = coeff * norm(tvals, w0)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), scale * 1e-4,
                                                 1e-300))
@@ -377,10 +364,10 @@ def symmetry_algebraic_residual(family: str, row, params=None,
         assign_v = dict(assign0, v=v0)
         for c in exponents:
             ghat = jexp(vjet_of_w * c)          # (g o phi^{-1})(w)
-            lhs, scale_l = _apply_operator_terms(Fsrc, ghat, assign_w)
+            lhs, scale_l = jet_apply(Fsrc, ghat, assign_w)
             # rows encode substitute(F) = sign*pref * m F_target m^{-1}
             sandwich = jexp(vjet * c) / mjet    # m^{-1}(v) g(v)
-            inner, scale_r = _apply_operator_terms(Ftgt, sandwich, assign_v)
+            inner, scale_r = jet_apply(Ftgt, sandwich, assign_v)
             rhs = pref * inner * mjet.value()
             denom = max(abs(lhs), abs(rhs), scale_l * 1e-4, 1e-300)
             worst = max(worst, abs(lhs - rhs) / denom)
@@ -538,10 +525,13 @@ def suite_recurrences(family=None, seed=0, tol=1e-10) -> SuiteReport:
     return SuiteReport("recurrences", family or "all", seed, checks)
 
 
-def suite_kummer(family=None, seed=0, tol=1e-10) -> SuiteReport:
+def suite_kummer(family=None, seed=0, tol=1e-10, params=None,
+                 points=KUMMER_POINTS) -> SuiteReport:
+    """The 36 pairwise checks of Kummer's table at the 2F1 parameters
+    `params` (default NUMERIC_PARAMS["2f1"]) and the sample `points`."""
     checks = []
     if family in (None, "all", "2f1"):
-        al, be, mu = NUMERIC_PARAMS["2f1"]
+        al, be, mu = NUMERIC_PARAMS["2f1"] if params is None else params
         for key in N._KUMMER_ORDER:
             for r1 in range(4):
                 for r2 in range(r1 + 1, 4):
@@ -549,7 +539,8 @@ def suite_kummer(family=None, seed=0, tol=1e-10) -> SuiteReport:
                         f"kummer:{key}:{r1}{r2}",
                         f"expressions {r1} and {r2} of the solution {key}",
                         lambda key=key, r1=r1, r2=r2:
-                        kummer_pair_residual(al, be, mu, key, r1, r2),
+                        kummer_pair_residual(al, be, mu, key, r1, r2,
+                                             points),
                         tol))
     return SuiteReport("kummer", family or "all", seed, checks)
 
@@ -674,7 +665,7 @@ def solution_residual(family: str, d, w0, tol: float = 1e-11) -> float:
     assign = dict(zip(fam.PARAM_NAMES[family], d.params))
     assign["w"] = w0
     f = N.eval_solution(d, Jet.variable(w0, 2), tol=tol)
-    total, scale = _apply_operator_terms(F, f, assign)
+    total, scale = jet_apply(F, f, assign)
     return abs(total) / scale
 
 

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +209,39 @@ def test_verify_kummer_negative_point(capsys):
     assert d["failed"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    # parameter flags and --w belong to the kummer suite only
+    ("verify", "recurrences", "--family", "0f1", "--alpha", "0.3",
+     "--w", "5"),
+    ("verify", "recurrences", "--alpha", "0.3"),
+    ("verify", "all", "--w", "0.4,0.6"),
+    # incomplete or missing Kummer parameters
+    ("verify", "kummer", "--alpha", "0.3"),
+    ("verify", "kummer", "--w", "0.4,0.6"),
+    ("verify", "kummer", "--a", "0.2", "--beta", "0.1", "--mu", "0.3"),
+    # Kummer's table is a 2F1 table
+    ("verify", "kummer", "--family", "1f1", "--alpha", "0.21",
+     "--beta", "0.13", "--mu", "0.34"),
+])
+def test_verify_ignored_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+
+
+def test_verify_kummer_custom_params_without_point(capsys):
+    code, out, _ = run(capsys, "verify", "kummer", "--alpha", "0.21",
+                       "--beta", "0.13", "--mu", "0.34")
+    assert code == 0
+    custom = json.loads(out)
+    _, out, _ = run(capsys, "verify", "kummer")
+    default = json.loads(out)
+    assert len(custom["checks"]) == len(default["checks"]) == 36
+    assert custom["failed"] == 0
+    assert custom["checks"] != default["checks"]
+
+
 def test_verify_bad_suite_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nonsense"])
@@ -267,3 +305,32 @@ def test_plotdata_bad_n(capsys):
     code, _, err = run(capsys, "plotdata", "0f1", "--c", "1.5",
                        "--from", "0", "--to", "1", "--n", "0")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# Standard library only
+# ---------------------------------------------------------------------------
+
+def test_no_third_party_import():
+    # every module, a catalog listing and a quadrature evaluation run
+    # without numpy (or any other third-party package) being imported
+    script = textwrap.dedent("""
+        import importlib, io, pkgutil, sys, contextlib
+        import hyperclass
+        from hyperclass import cli
+        for m in pkgutil.iter_modules(hyperclass.__path__):
+            importlib.import_module("hyperclass." + m.name)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["catalog", "gegenbauer"]) == 0
+            assert cli.main(["eval", "hermite", "--lam", "0.3", "--w", "1.2",
+                             "--method", "quadrature"]) == 0
+        print("numpy" in sys.modules)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -71,7 +71,7 @@ def _annihilation_residual(family, lie, w0, fn):
     assign["w"] = w0
     j = Jet.variable(w0, 2)
     f = fn(j)
-    val = jet_apply(op, f, assign)
+    val = jet_apply(op, f, assign)[0]
     scale = max(abs(c) for c in op.numeric_coeffs(assign)) * abs(f.value())
     return abs(val) / max(scale, 1e-300)
 

@@ -92,11 +92,35 @@ def test_path_integral_closed_loop_residue():
 
 
 def test_integrate_contour_wrapper():
-    c = Q.Contour("segment", (0.0, 1.0))
     f = Q.segment_power_integrand(0.0, 1.0, ((1, 0.0, -0.5), (-1, 1.0, -0.5)))
-    val, est = Q.integrate(c, f)
+    val, est = Q.tanh_sinh(f, 0.0, 1.0, tol=1e-10)
     assert abs(val - math.pi) < 1e-12
     assert est < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre panels
+# ---------------------------------------------------------------------------
+
+def test_gauss_legendre_exactness():
+    x, w = Q._gl(16)
+    assert len(x) == len(w) == 16
+    assert list(x) == sorted(x)
+    assert all(x[i] == -x[15 - i] and w[i] == w[15 - i] for i in range(16))
+    assert abs(sum(w) - 2) < 1e-15
+    # a 16-point rule integrates every polynomial of degree <= 31 exactly
+    for k in range(32):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        got = sum(wi * xi ** k for xi, wi in zip(x, w))
+        assert abs(got - exact) < 1e-15, k
+
+
+def test_gauss_legendre_matches_numpy():
+    np = pytest.importorskip("numpy")
+    x, w = Q._gl(16)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+    assert max(abs(a - float(b)) for a, b in zip(x, ref_x)) < 1e-15
+    assert max(abs(a - float(b)) for a, b in zip(w, ref_w)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +217,13 @@ def test_three_way_split_wrong_half_plane():
 
 def test_quadrature_error_carries_value():
     # an oscillatory non-decaying integrand cannot meet the tolerance
-    c = Q.Contour("segment", (0.0, 1.0))
+    val, est = Q.tanh_sinh(
+        lambda t: cmath.exp(1j / (t + 1e-30)) / (t + 1e-30), 0.0, 1.0,
+        tol=1e-14)
     with pytest.raises(Q.QuadratureError) as exc:
-        Q.integrate(c, lambda t: cmath.exp(1j / (t + 1e-30)) / (t + 1e-30),
-                    tol=1e-14)
-    assert exc.value.estimate > 0
+        Q._checked(val, est, 1e-14)
+    assert exc.value.estimate == est > 0
+    assert exc.value.value == val
+    assert isinstance(exc.value, N.NumericsError)
+    # an estimate within the margin passes the value through unchanged
+    assert Q._checked(val, 1e-15 * abs(val), 1e-14) is val

@@ -266,6 +266,12 @@ def cmd_verify(args) -> int:
         tol = (args.tol if args.tol is not None
                else V.DEFAULT_TOLS["kummer"] * scale)
         report = V.suite_kummer(args.family, args.seed, tol, params, points)
+    if not report.checks and args.suite != "all":
+        covered = [f for f in V.ALL_FAMILIES
+                   if V.run_suite(args.suite, family=f, seed=args.seed).checks]
+        raise UsageError(f"suite {args.suite} has no checks for family "
+                         f"{args.family}; it has checks for "
+                         f"{', '.join(covered)}")
     if args.format == "json":
         print(json.dumps(report.to_dict()))
     else:

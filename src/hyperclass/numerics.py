@@ -82,6 +82,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _as_complex(z: Number) -> complex:
+    if type(z) is complex:
+        return z
     if isinstance(z, Fraction):
         return complex(float(z))
     return complex(z)

@@ -32,6 +32,7 @@ result is a Jet (differentiation under the integral sign).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -75,12 +76,14 @@ def _sech2(v: float) -> float:
     return 4.0 * e / (1.0 + e) ** 2
 
 
+@functools.cache
 def _ts_node(u: float):
     """tanh-sinh abscissa: distance fraction to the NEAR endpoint (so that
     nodes close to an endpoint keep full relative accuracy) and weight.
 
     Returns (near_frac, weight); the node is za + d*near_frac for u <= 0
-    and zb - d*near_frac for u > 0.
+    and zb - d*near_frac for u > 0.  None past the underflow cut.  Cached:
+    the nodes u = k h, |u| <= 6.5, h = 0.5 / 2**level, form a finite set.
     """
     v = 0.5 * math.pi * math.sinh(u)
     if abs(v) > 350.0:
@@ -89,6 +92,17 @@ def _ts_node(u: float):
     # dt/du = (zb-za) * d(frac)/du, d(frac)/du = (pi/4) cosh(u) sech^2(v)
     wgt = 0.25 * math.pi * math.cosh(u) * _sech2(v)
     return near, wgt
+
+
+@functools.cache
+def _es_node(u: float):
+    """The scale-free part of the exp-sinh map at u: (exp(v), cosh(u)) with
+    v = (pi/2) sinh(u), or None past the overflow cut.  Cached like
+    `_ts_node`."""
+    v = 0.5 * math.pi * math.sinh(u)
+    if abs(v) > 690.0:
+        return None
+    return math.exp(v), math.cosh(u)
 
 
 def _level_sum(node_fn, f, h: float, only_odd: bool):
@@ -187,11 +201,12 @@ def exp_sinh(g: Callable, tol: float = 1e-11, max_level: int = 9,
     """
 
     def node_fn(u):
-        v = 0.5 * math.pi * math.sinh(u)
-        if abs(v) > 690.0:
+        got = _es_node(u)
+        if got is None:
             return None
-        s = scale * math.exp(v)
-        wgt = s * 0.5 * math.pi * math.cosh(u)
+        ev, ch = got
+        s = scale * ev
+        wgt = s * 0.5 * math.pi * ch
         return (s,), wgt
 
     return _de_integrate(node_fn, g, tol, max_level)

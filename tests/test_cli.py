@@ -230,6 +230,30 @@ def test_verify_ignored_input_is_usage_error(capsys, argv):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("suite,family,covered", [
+    ("kummer", "gegenbauer", "2f1"),
+    ("kummer", "1f1", "2f1"),
+    ("kummer", "hermite", "2f1"),
+    ("kummer", "0f1", "2f1"),
+    ("connection", "gegenbauer", "2f1, 1f1, 0f1"),
+    ("connection", "hermite", "2f1, 1f1, 0f1"),
+])
+def test_verify_suite_without_checks_is_usage_error(capsys, suite, family,
+                                                    covered):
+    code, out, err = run(capsys, "verify", suite, "--family", family)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+    assert f"it has checks for {covered}" in err
+
+
+def test_verify_all_on_one_family_passes(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--family", "1f1")
+    assert code == 0
+    d = json.loads(out)
+    assert d["checks"] and d["failed"] == 0
+
+
 def test_verify_kummer_custom_params_without_point(capsys):
     code, out, _ = run(capsys, "verify", "kummer", "--alpha", "0.21",
                        "--beta", "0.13", "--mu", "0.34")

@@ -3,6 +3,8 @@ multipliers, substitutions and jets."""
 
 import cmath
 import math
+import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -385,3 +387,185 @@ def test_multiplier_eval_numeric():
     v0 = 2.5
     val = m.eval_numeric(v0, {"alpha": 0.3})
     assert val == pytest.approx((v0 - 1) ** 0.3 * math.exp(v0 / 2))
+
+
+# ---------------------------------------------------------------------------
+# Jet arithmetic against the lift-then-convolve reference
+# ---------------------------------------------------------------------------
+#
+# Jet acts on a scalar operand's coefficients directly.  The reference below
+# is the arithmetic it replaced: lift the scalar to the constant jet
+# (s, 0, ..., 0) and apply the jet-by-jet operation.  Results must agree bit
+# for bit, signs of zero parts and NaN patterns included.
+
+def _ref_lift(s, n):
+    return [complex(s)] + [complex(0.0)] * n
+
+
+def _ref_add(x, y):
+    return [a + b for a, b in zip(x, y)]
+
+
+def _ref_neg(x):
+    return [-a for a in x]
+
+
+def _ref_mul(x, y):
+    n = len(x) - 1
+    out = [0j] * (n + 1)
+    for i, a in enumerate(x):
+        if a == 0:
+            continue
+        for j in range(0, n + 1 - i):
+            out[i + j] += a * y[j]
+    return out
+
+
+def _ref_div(x, y):
+    if y[0] == 0:
+        raise ZeroDivisionError("jet division by zero constant term")
+    n = len(x) - 1
+    out = [0j] * (n + 1)
+    inv0 = 1.0 / y[0]
+    for k in range(n + 1):
+        s = x[k]
+        for j in range(1, k + 1):
+            s -= y[j] * out[k - j]
+        out[k] = s * inv0
+    return out
+
+
+def _ref_exp(x):
+    n = len(x) - 1
+    out = [cmath.exp(x[0])] + [0j] * n
+    for k in range(1, n + 1):
+        s = 0j
+        for j in range(1, k + 1):
+            s += j * x[j] * out[k - j]
+        out[k] = s / k
+    return out
+
+
+def _ref_log(x):
+    if x[0] == 0:
+        raise ValueError("jet log at zero")
+    n = len(x) - 1
+    out = [cmath.log(x[0])] + [0j] * n
+    for k in range(1, n + 1):
+        s = k * x[k]
+        for j in range(1, k):
+            s -= j * out[j] * x[k - j]
+        out[k] = s / (k * x[0])
+    return out
+
+
+def _ref_pow(x, e):
+    n = len(x) - 1
+    if isinstance(e, int):
+        if e >= 0:
+            out = _ref_lift(1.0, n)
+            for _ in range(e):
+                out = _ref_mul(out, x)
+            return out
+        return _ref_div(_ref_lift(1.0, n), _ref_pow(x, -e))
+    return _ref_exp(_ref_mul(_ref_log(x), _ref_lift(e, n)))
+
+
+# (name, Jet operation on (jet, s), reference on (coefficients, lifted s))
+_SCALAR_OPS = [
+    ("j+s", lambda j, s: j + s, lambda x, c: _ref_add(x, c)),
+    ("s+j", lambda j, s: s + j, lambda x, c: _ref_add(x, c)),
+    ("j-s", lambda j, s: j - s, lambda x, c: _ref_add(x, _ref_neg(c))),
+    ("s-j", lambda j, s: s - j, lambda x, c: _ref_add(c, _ref_neg(x))),
+    ("j*s", lambda j, s: j * s, lambda x, c: _ref_mul(x, c)),
+    ("s*j", lambda j, s: s * j, lambda x, c: _ref_mul(x, c)),
+    ("j/s", lambda j, s: j / s, lambda x, c: _ref_div(x, c)),
+    ("s/j", lambda j, s: s / j, lambda x, c: _ref_div(c, x)),
+]
+
+_JET_OPS = [
+    ("j+k", lambda j, k: j + k, _ref_add),
+    ("j-k", lambda j, k: j - k, lambda x, y: _ref_add(x, _ref_neg(y))),
+    ("j*k", lambda j, k: j * k, _ref_mul),
+    ("j/k", lambda j, k: j / k, _ref_div),
+]
+
+_SPECIAL_COEFFS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                   complex(-0.0, -0.0), complex(-1.0, 0.0),
+                   complex(2.5, -0.0), complex(-0.0, -3.0), 1e308 + 1e308j,
+                   complex(math.inf, 0.0), complex(math.nan, 1.0)]
+
+_SCALARS = [3, -2, 0, 0.5, -1.0, -0.0, 1e-300, 1e300, complex(-1.5, 0.0),
+            complex(0.0, -2.0), -0j, complex(-0.0, -0.0), 0.3 - 0.7j,
+            Fraction(-3, 7), Fraction(0), Fraction(5, 2)]
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _outcome(fn, *args):
+    """The coefficients' bit patterns, or the exception type raised."""
+    try:
+        got = fn(*args)
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        return type(exc)
+    coeffs = got.coeffs if isinstance(got, Jet) else got
+    assert all(type(c) is complex for c in coeffs)
+    return [_bits(c) for c in coeffs]
+
+
+def _random_jet(rng, order, special_rate):
+    center = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    coeffs = []
+    for _ in range(order + 1):
+        if rng.random() < special_rate:
+            coeffs.append(rng.choice(_SPECIAL_COEFFS))
+        else:
+            coeffs.append(complex(rng.choice([rng.uniform(-3, 3), 0.0, -0.0]),
+                                  rng.choice([rng.uniform(-3, 3), 0.0, -0.0])))
+    return Jet(center, coeffs)
+
+
+def test_jet_scalar_and_jet_arithmetic_bitwise_match_reference():
+    rng = random.Random(20261018)
+    for trial in range(400):
+        order = trial % 6
+        j = _random_jet(rng, order, special_rate=0.3)
+        k = _random_jet(rng, order, special_rate=0.3)
+        k = Jet(j.center, k.coeffs)
+        scalars = _SCALARS + [rng.uniform(-5, 5),
+                              complex(rng.uniform(-5, 5), rng.uniform(-5, 5))]
+        x = list(j.coeffs)
+        for s in scalars:
+            lifted = _ref_lift(s, order)
+            for name, op, ref in _SCALAR_OPS:
+                assert _outcome(op, j, s) == _outcome(ref, x, lifted), \
+                    (name, j, s)
+        for name, op, ref in _JET_OPS:
+            assert _outcome(op, j, k) == _outcome(ref, x, list(k.coeffs)), \
+                (name, j, k)
+
+
+def test_jet_exp_log_pow_bitwise_match_reference():
+    rng = random.Random(1018)
+    for trial in range(300):
+        j = _random_jet(rng, trial % 6, special_rate=0.15)
+        x = list(j.coeffs)
+        assert _outcome(Jet.exp, j) == _outcome(_ref_exp, x), j
+        assert _outcome(Jet.log, j) == _outcome(_ref_log, x), j
+        for e in (0, 1, 3, -2, 0.5, -0.3 + 0.2j, 2.0):
+            assert _outcome(j.pow, e) == _outcome(_ref_pow, x, e), (j, e)
+
+
+def test_jet_public_constructor_coerces_and_operands_must_match():
+    j = Jet(0, [1, 2])
+    assert type(j.center) is complex
+    assert all(type(c) is complex for c in j.coeffs)
+    other_center = Jet(1, [1, 2])
+    other_order = Jet(0, [1, 2, 3])
+    for op in (lambda a, b: a + b, lambda a, b: a - b,
+               lambda a, b: a * b, lambda a, b: a / b):
+        for bad in (other_center, other_order):
+            with pytest.raises(ValueError):
+                op(j, bad)

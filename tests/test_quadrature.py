@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import struct
 
 import pytest
 
@@ -96,6 +97,48 @@ def test_integrate_contour_wrapper():
     val, est = Q.tanh_sinh(f, 0.0, 1.0, tol=1e-10)
     assert abs(val - math.pi) < 1e-12
     assert est < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Double-exponential node tables
+# ---------------------------------------------------------------------------
+
+NODE_TABLES = (Q._ts_node, Q._es_node)
+
+
+def _node_bits(node):
+    return None if node is None else struct.pack("<dd", *node)
+
+
+def test_node_tables_match_fresh_computation():
+    # every u the doubling trapezoid visits: u = k h, |u| <= 6.5
+    for level in range(10):
+        h = 0.5 / 2 ** level
+        kmax = int(Q._U_MAX_TS / h)
+        for k in range(-kmax, kmax + 1):
+            u = k * h
+            for table in NODE_TABLES:
+                table(u)
+                assert _node_bits(table(u)) == _node_bits(table.__wrapped__(u))
+
+
+def test_node_tables_do_not_grow_with_calls():
+    for table in NODE_TABLES:
+        table.cache_clear()
+
+    def integrate(i):
+        za = complex(0.1 * i, -0.05 * i)
+        zb = za + (1 + 0.3j) * (1 + 0.1 * i)
+        Q.tanh_sinh(lambda t: 1.0, za, zb)
+        scale = 0.5 + 0.1 * i
+        Q.exp_sinh(lambda s: math.exp(-s / scale) / scale, scale=scale)
+
+    integrate(0)
+    sizes = [table.cache_info().currsize for table in NODE_TABLES]
+    assert all(sizes)
+    for i in range(1, 50):
+        integrate(i)
+    assert [table.cache_info().currsize for table in NODE_TABLES] == sizes
 
 
 # ---------------------------------------------------------------------------

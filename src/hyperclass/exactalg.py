@@ -1053,13 +1053,7 @@ class Jet:
         if isinstance(other, Jet):
             return _jet(self.center,
                         _jet_mul(self.coeffs, self._operand(other)))
-        s = complex(other)
-        # Convolving with (s, 0, ..., 0) gives 0j + a_0*0 + ... + a_k*s at
-        # index k; the signed zeros a_i*0 drop out when all is finite.
-        out = [a * s + 0j for a in self.coeffs]
-        if not cmath.isfinite(sum(out)):
-            out = _jet_mul(self.coeffs, self._lifted(s))
-        return _jet(self.center, out)
+        return _jet(self.center, _jet_scale(self.coeffs, complex(other)))
 
     __rmul__ = __mul__
 
@@ -1163,6 +1157,17 @@ def _jet_mul(x: tuple, y: tuple) -> list:
             continue
         for j in range(n - i):
             out[i + j] += a * y[j]
+    return out
+
+
+def _jet_scale(x: tuple, s: complex) -> list:
+    """Coefficient tuple x times the scalar s, rounded as the product with
+    the constant jet (s, 0, ..., 0)."""
+    # Convolving with (s, 0, ..., 0) gives 0j + a_0*0 + ... + a_k*s at
+    # index k; the signed zeros a_i*0 drop out when all is finite.
+    out = [a * s + 0j for a in x]
+    if not cmath.isfinite(sum(out)):
+        out = _jet_mul(x, (s,) + (0j,) * (len(x) - 1))
     return out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exactalg import Jet
+from .exactalg import Jet, _jet, _jet_mul, _jet_scale
 
 Number = Union[int, float, complex, Fraction]
 
@@ -82,8 +82,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _as_complex(z: Number) -> complex:
-    if type(z) is complex:
+    t = type(z)
+    if t is complex:
         return z
+    if t is float or t is int:
+        return complex(z)
     if isinstance(z, Fraction):
         return complex(float(z))
     return complex(z)
@@ -138,20 +141,29 @@ def pochhammer(x: Number, n: int) -> complex:
 # Jet-polymorphic scalar helpers
 # ---------------------------------------------------------------------------
 
+# `type(x) is Jet` and `type(x) is complex` are tested inline: these run
+# once or more per quadrature node and series term.
+
 def is_jet(x) -> bool:
-    return isinstance(x, Jet)
+    return type(x) is Jet
 
 
 def jexp(x):
-    return x.exp() if is_jet(x) else cmath.exp(_as_complex(x))
+    t = type(x)
+    if t is Jet:
+        return x.exp()
+    return cmath.exp(x if t is complex else _as_complex(x))
 
 
 def jpow(x, e):
     """x**e for complex or Jet base and complex exponent (principal branch)."""
-    e = _as_complex(e)
-    if is_jet(x):
+    if type(e) is not complex:
+        e = _as_complex(e)
+    t = type(x)
+    if t is Jet:
         return x.pow(e)
-    x = _as_complex(x)
+    if t is not complex:
+        x = _as_complex(x)
     if x == 0:
         return 0.0j if e.real > 0 else cmath.inf
     return cmath.exp(e * cmath.log(x))
@@ -162,11 +174,17 @@ def jsqrt(x):
 
 
 def jvalue(x) -> complex:
-    return x.value() if is_jet(x) else _as_complex(x)
+    t = type(x)
+    if t is Jet:
+        return x.coeffs[0]
+    return x if t is complex else _as_complex(x)
 
 
 def jabs(x) -> float:
-    return abs(jvalue(x))
+    t = type(x)
+    if t is Jet:
+        return abs(x.coeffs[0])
+    return abs(x if t is complex else _as_complex(x))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +208,9 @@ def pfq_series(num: Sequence[Number], den: Sequence[Number], z,
         if is_nonpositive_integer(q):
             raise GammaPoleError(f"series denominator parameter {q}")
     if is_jet(z):
-        term = Jet.constant(1.0, z.center, z.order)
+        # on coefficient tuples, rounded as the Jet operations round
+        zc = z.coeffs
+        term = (1.0 + 0j,) + (0j,) * z.order
         total = term
         small = 0
         for k in range(max_terms):
@@ -199,16 +219,17 @@ def pfq_series(num: Sequence[Number], den: Sequence[Number], z,
                 fac *= p + k
             for q in den:
                 fac /= q + k
-            term = term * z * (fac / (k + 1))
-            total = total + term
-            scale = max(abs(total.value()), 1e-300)
-            if abs(term.value()) < tol * scale:
+            term = _jet_scale(_jet_mul(term, zc), fac / (k + 1))
+            total = [a + b for a, b in zip(total, term)]
+            scale = max(abs(total[0]), 1e-300)
+            if abs(term[0]) < tol * scale:
                 small += 1
                 if small >= 3:
-                    return total
+                    return _jet(z.center, total)
             else:
                 small = 0
-        raise ConvergenceError("series did not converge", best=total)
+        raise ConvergenceError("series did not converge",
+                               best=_jet(z.center, total))
     z = _as_complex(z)
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j

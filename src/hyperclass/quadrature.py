@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -59,8 +60,7 @@ SQRT_PI = math.sqrt(math.pi)
 # Double-exponential engines
 # ---------------------------------------------------------------------------
 
-_U_MAX_TS = 6.5
-_U_MAX_ES = 6.5
+_U_MAX = 6.5
 
 
 def _sigmoid(v: float) -> float:
@@ -76,14 +76,12 @@ def _sech2(v: float) -> float:
     return 4.0 * e / (1.0 + e) ** 2
 
 
-@functools.cache
 def _ts_node(u: float):
     """tanh-sinh abscissa: distance fraction to the NEAR endpoint (so that
     nodes close to an endpoint keep full relative accuracy) and weight.
 
     Returns (near_frac, weight); the node is za + d*near_frac for u <= 0
-    and zb - d*near_frac for u > 0.  None past the underflow cut.  Cached:
-    the nodes u = k h, |u| <= 6.5, h = 0.5 / 2**level, form a finite set.
+    and zb - d*near_frac for u > 0.  None past the underflow cut.
     """
     v = 0.5 * math.pi * math.sinh(u)
     if abs(v) > 350.0:
@@ -94,64 +92,93 @@ def _ts_node(u: float):
     return near, wgt
 
 
-@functools.cache
 def _es_node(u: float):
     """The scale-free part of the exp-sinh map at u: (exp(v), cosh(u)) with
-    v = (pi/2) sinh(u), or None past the overflow cut.  Cached like
-    `_ts_node`."""
+    v = (pi/2) sinh(u), or None past the overflow cut."""
     v = 0.5 * math.pi * math.sinh(u)
     if abs(v) > 690.0:
         return None
     return math.exp(v), math.cosh(u)
 
 
-def _level_sum(node_fn, f, h: float, only_odd: bool):
-    """Sum of w_k f(*args_k) over u = k h (k odd if requested), both signs."""
-    total = 0.0j
-    scale = 0.0
-    for sign in (1.0, -1.0):
-        k = 1 if only_odd else (0 if sign > 0 else 1)
-        step = 2 if only_odd else 1
-        misses = 0
+@functools.cache
+def _de_level(node, level: int):
+    """The nodes of one doubling level: u = k h, h = 0.5 / 2**level, every
+    k at level 0 and odd k above it.  Two sides, u >= 0 then u < 0, each
+    outward from 0 and cut before the first u with |u| > 6.5 or node(u)
+    None.  A side is an array of doubles, u and the two of node(u) per
+    node (see `_triples`).  Cached: a level's nodes depend on nothing but
+    the map; a full set of levels for both maps takes about 0.6 MB."""
+    h = 0.5 / 2 ** level
+    step = 1 if level == 0 else 2
+    sides = []
+    for sign, k in ((1.0, 0 if level == 0 else 1), (-1.0, 1)):
+        side = array("d")
         while True:
             u = sign * k * h
-            if abs(u) > _U_MAX_TS + 1e-9:
+            if abs(u) > _U_MAX + 1e-9:
                 break
-            got = node_fn(u)
+            got = node(u)
             if got is None:
                 break
-            args, wgt = got
+            side.append(u)
+            side.extend(got)
+            k += step
+        sides.append(side)
+    return tuple(sides)
+
+
+def _triples(side):
+    """(u, a, b) per node of a `_de_level` side, where (a, b) = node(u)."""
+    it = iter(side)
+    return zip(it, it, it)
+
+
+def _level_sum(f, sides):
+    """Sum of w f(*args) over the (args, w) of each side, outward from 0.
+
+    A node where f raises an arithmetic error, returns None or a value
+    that is not finite is skipped; a side ends after four nodes in a row
+    whose |w f| falls below 1e-18 of the largest so far.
+    """
+    total = 0.0j
+    scale = 0.0
+    for side in sides:
+        misses = 0
+        for args, wgt in side:
             try:
                 val = f(*args)
             except (OverflowError, ZeroDivisionError, ValueError):
-                val = None
-            size = math.nan if val is None else jabs(val)
+                continue
+            if val is None:
+                continue
+            size = abs(val.coeffs[0]) if type(val) is Jet else abs(val)
             if math.isfinite(size):
-                contrib = wgt * val
-                total = contrib + total
+                total = wgt * val + total
                 mag = abs(wgt) * size
-                scale = max(scale, mag)
+                if mag > scale:
+                    scale = mag
                 if scale > 0 and mag < 1e-18 * scale:
                     misses += 1
                     if misses >= 4:
                         break
                 else:
                     misses = 0
-            k += step
     return total
 
 
-def _de_integrate(node_fn, f, tol: float, max_level: int = 9):
-    """Generic doubling trapezoid over a double-exponential map."""
+def _de_integrate(level_nodes, f, tol: float, max_level: int = 9):
+    """Generic doubling trapezoid over a double-exponential map;
+    level_nodes(level) gives that level's sides as `_level_sum` takes
+    them."""
     h = 0.5
-    # level 0
-    total = _level_sum(node_fn, f, h, only_odd=False)
+    total = _level_sum(f, level_nodes(0))
     value = total * h
     prev = None
     err = float("inf")
-    for _level in range(1, max_level + 1):
+    for level in range(1, max_level + 1):
         h *= 0.5
-        total = total + _level_sum(node_fn, f, h, only_odd=True)
+        total = total + _level_sum(f, level_nodes(level))
         new_value = total * h
         err = jabs(new_value - value)
         value = new_value
@@ -177,19 +204,19 @@ def tanh_sinh(f: Callable, za, zb, tol: float = 1e-11, max_level: int = 9):
     d = zb - za
     aware = getattr(f, "endpoint_aware", False)
 
-    def node_fn(u):
-        got = _ts_node(u)
-        if got is None:
-            return None
-        near, wgt = got
-        off = d * near
-        side = 1 if u > 0 else 0
-        t = (zb - off) if side else (za + off)
-        if aware:
-            return (t, side, off), wgt * d
-        return (t,), wgt * d
+    def mapped(side):
+        for u, near, wgt in _triples(side):
+            off = d * near
+            if u > 0:
+                t = zb - off
+                yield ((t, 1, off) if aware else (t,)), wgt * d
+            else:
+                t = za + off
+                yield ((t, 0, off) if aware else (t,)), wgt * d
 
-    return _de_integrate(node_fn, f, tol, max_level)
+    return _de_integrate(
+        lambda level: map(mapped, _de_level(_ts_node, level)),
+        f, tol, max_level)
 
 
 def exp_sinh(g: Callable, tol: float = 1e-11, max_level: int = 9,
@@ -200,16 +227,14 @@ def exp_sinh(g: Callable, tol: float = 1e-11, max_level: int = 9,
     the integrand's natural length.  Returns (value, error_estimate).
     """
 
-    def node_fn(u):
-        got = _es_node(u)
-        if got is None:
-            return None
-        ev, ch = got
-        s = scale * ev
-        wgt = s * 0.5 * math.pi * ch
-        return (s,), wgt
+    def mapped(side):
+        for _u, ev, ch in _triples(side):
+            s = scale * ev
+            yield (s,), s * 0.5 * math.pi * ch
 
-    return _de_integrate(node_fn, g, tol, max_level)
+    return _de_integrate(
+        lambda level: map(mapped, _de_level(_es_node, level)),
+        g, tol, max_level)
 
 
 class EndpointAware:
@@ -229,12 +254,14 @@ def segment_power_integrand(za, zb, factors, extra: Optional[Callable] = None):
     from the exact offset (full relative accuracy at the singularity)."""
     za = complex(za)
     zb = complex(zb)
+    # per side (0: za, 1: zb), each factor with whether p_j is that endpoint
+    sided = tuple(tuple((c, p, g, complex(p) == end) for c, p, g in factors)
+                  for end in (za, zb))
 
     def fn(t, side, off):
-        end = zb if side else za
         out = 1.0 + 0.0j
-        for c, p, g in factors:
-            if complex(p) == end:
+        for c, p, g, at_end in sided[1 if side else 0]:
+            if at_end:
                 lv = c * off if side == 0 else -(c * off)
             else:
                 lv = c * (t - p)
@@ -345,6 +372,9 @@ def double_ray_0(fn: Callable, gam: complex, rho: float, R: float,
 # Phase-tracked polyline loop (several branch points encircled at once)
 # ---------------------------------------------------------------------------
 
+_PATH_MAX_MULT = 64
+
+
 def path_integral(pieces: Sequence, factors: Sequence, exp_fn: Optional[Callable],
                   tol: float = 1e-10, panels_per_unit: float = 1.0):
     """Integrate prod_j (c_j (t - p_j))^{gamma_j} * exp(exp_fn(t)) along a
@@ -353,6 +383,10 @@ def path_integral(pieces: Sequence, factors: Sequence, exp_fn: Optional[Callable
 
     pieces: ("seg", z0, z1) or ("arc", center, radius, phi0, phi1).
     factors: sequence of (c_j, p_j, gamma_j).
+
+    The panel counts double until two successive rules agree to
+    tol * max(|value|, 1); returns (value, their difference), or raises
+    QuadratureError once the counts are `_PATH_MAX_MULT` times the first.
     """
 
     def nodes_for(mult):
@@ -398,9 +432,17 @@ def path_integral(pieces: Sequence, factors: Sequence, exp_fn: Optional[Callable
         return total
 
     v1 = run(1)
-    v2 = run(2)
-    err = abs(v2 - v1)
-    return v2, err
+    mult = 2
+    while True:
+        v2 = run(mult)
+        err = abs(v2 - v1)
+        if err <= tol * max(abs(v2), 1.0):
+            return v2, err
+        if mult >= _PATH_MAX_MULT:
+            raise QuadratureError("path integral tolerance unreachable",
+                                  value=v2, estimate=err)
+        v1 = v2
+        mult *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +522,13 @@ def hermite_S_solution(la, w, tol: float = 1e-11):
             return res.value()
         return Jet(w0, res.coeffs[: n + 1])
     w0 = jvalue(w)
+    complex_exp = N.is_jet(w) or w0.imag
 
     def g(s):
         ex = -s * s - 2 * s * w0.real
         if ex < -700.0:
             return 0.0j
-        if N.is_jet(w) or w0.imag:
+        if complex_exp:
             return (s ** (la - 0.5)) * jexp(-s * s - 2 * s * w)
         return (s ** (la - 0.5)) * math.exp(ex)
 

@@ -659,9 +659,10 @@ def _residual_point_sampler(family: str, key: str, rng: random.Random):
     return lambda: draw(0.4, 2.0, upper_lower)
 
 
-def solution_residual(family: str, d, w0, tol: float = 1e-11) -> float:
-    """Relative ODE residual of a standard solution at one point."""
-    F = fam.make_operator_expr(family, "w", fam.symbolic_params(family))
+def solution_residual(family: str, F: DiffOperator, d, w0,
+                      tol: float = 1e-11) -> float:
+    """Relative ODE residual of a standard solution at one point; F is the
+    family operator with symbolic parameters."""
     assign = dict(zip(fam.PARAM_NAMES[family], d.params))
     assign["w"] = w0
     f = N.eval_solution(d, Jet.variable(w0, 2), tol=tol)
@@ -679,10 +680,11 @@ def suite_residuals(family=None, seed=0, tol=1e-9,
             sampler = _residual_point_sampler(f, d.key, rng)
 
             def run(f=f, d=d, sampler=sampler):
+                F = fam.make_operator_expr(f, "w", fam.symbolic_params(f))
                 worst = 0.0
                 for _ in range(points_per_solution):
                     w0 = sampler()
-                    worst = max(worst, solution_residual(f, d, w0))
+                    worst = max(worst, solution_residual(f, F, d, w0))
                 return worst
 
             checks.append(_numeric_check(

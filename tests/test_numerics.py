@@ -3,11 +3,14 @@ solutions and connection data."""
 
 import cmath
 import math
+import random
+import struct
 
 import pytest
 
 from hyperclass import numerics as N
 from hyperclass import quadrature as Q
+from hyperclass.exactalg import Jet
 
 # ---------------------------------------------------------------------------
 # Gamma and friends
@@ -91,6 +94,74 @@ def test_0f1_sine():
 def test_series_divergence_raises():
     with pytest.raises(N.ConvergenceError):
         N.hyp2f1_series(0.3, 0.4, 1.2, 1.5)
+
+
+def _ref_pfq_jet(num, den, z, tol=1e-17, max_terms=N.MAX_SERIES_TERMS):
+    """The Jet branch of pfq_series as a loop over Jet objects, which the
+    coefficient-tuple loop replaced."""
+    num = [complex(p) for p in num]
+    den = [complex(q) for q in den]
+    term = Jet.constant(1.0, z.center, z.order)
+    total = term
+    small = 0
+    for k in range(max_terms):
+        fac = 1.0 + 0.0j
+        for p in num:
+            fac *= p + k
+        for q in den:
+            fac /= q + k
+        term = term * z * (fac / (k + 1))
+        total = total + term
+        scale = max(abs(total.value()), 1e-300)
+        if abs(term.value()) < tol * scale:
+            small += 1
+            if small >= 3:
+                return total
+        else:
+            small = 0
+    raise N.ConvergenceError("series did not converge", best=total)
+
+
+def _jet_outcome(fn, *args, **kwargs):
+    try:
+        got = fn(*args, **kwargs)
+    except N.ConvergenceError as exc:
+        got = exc.best
+        assert isinstance(got, Jet)
+        return "diverged", _jet_bits(got)
+    assert isinstance(got, Jet)
+    return "converged", _jet_bits(got)
+
+
+def _jet_bits(j):
+    return tuple(struct.pack("<dd", c.real, c.imag)
+                 for c in (j.center,) + j.coeffs)
+
+
+_SERIES_SPECIAL = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), -1.0 + 0j,
+                   complex(math.inf, 0.0), complex(math.nan, 1.0),
+                   1e300 + 1e300j]
+
+
+def test_pfq_series_jet_bitwise_matches_jet_object_loop():
+    rng = random.Random(61018)
+    shapes = (((0.3, 0.4), (1.2,)), ((0.7 - 0.2j,), (1.6 + 0.1j,)),
+              ((), (0.45,)), ((-2.0, 0.5), (1.5,)), ((1.1, -0.3j), (2.5,)))
+    for trial in range(150):
+        order = trial % 5
+        num, den = shapes[trial % len(shapes)]
+        z0 = cmath.rect(rng.uniform(0.0, 0.7), rng.uniform(-math.pi, math.pi))
+        coeffs = [z0]
+        for _ in range(order):
+            if rng.random() < 0.2:
+                coeffs.append(rng.choice(_SERIES_SPECIAL))
+            else:
+                coeffs.append(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+        z = Jet(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), coeffs)
+        max_terms = 5 if trial % 7 == 0 else N.MAX_SERIES_TERMS
+        assert _jet_outcome(N.pfq_series, num, den, z, max_terms=max_terms) \
+            == _jet_outcome(_ref_pfq_jet, num, den, z, max_terms=max_terms), \
+            (num, den, z)
 
 
 # ---------------------------------------------------------------------------

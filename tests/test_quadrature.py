@@ -8,6 +8,7 @@ import pytest
 
 from hyperclass import numerics as N
 from hyperclass import quadrature as Q
+from hyperclass.exactalg import Jet
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -92,6 +93,34 @@ def test_path_integral_closed_loop_residue():
     assert abs(val - 2j * math.pi) < 1e-10
 
 
+def _loop_around_0_and_w(w):
+    # the rectangle of 1f1:int:01: t^-0.6 e^t (t-w)^-0.3 encircling 0 and w
+    R = 40.0 + abs(w)
+    pieces = (("seg", complex(-R, -1.0), complex(1.5, -1.0)),
+              ("seg", complex(1.5, -1.0), complex(1.5, 1.5)),
+              ("seg", complex(1.5, 1.5), complex(-R, 1.5)))
+    return pieces, ((1.0, 0.0, -0.6), (1.0, w, -0.3))
+
+
+def test_path_integral_honours_tol():
+    w = 0.5 + 0.5j
+    pieces, factors = _loop_around_0_and_w(w)
+    expected = 2j * math.pi * N.bold_F_1f1(-0.3, -0.1, w)
+    # met by the first comparison of the 1x and 2x panel rules: the value
+    # returned before the tolerance was read, to within an ulp
+    val, err = Q.path_integral(pieces, factors, lambda t: t, 1e-10)
+    assert abs(val - (-1.358549740328545 + 6.805114664826j)) \
+        <= 4e-16 * abs(val)
+    assert err <= 1e-10 * max(abs(val), 1.0)
+    assert abs(val - expected) < 1e-12 * abs(expected)
+    # out of reach of double precision: the panels double up to the cap
+    with pytest.raises(Q.QuadratureError) as exc:
+        Q.path_integral(pieces, factors, lambda t: t, 1e-30)
+    assert exc.value.estimate > 1e-30 * abs(exc.value.value)
+    assert abs(exc.value.value - expected) < 1e-12 * abs(expected)
+    assert isinstance(exc.value, N.NumericsError)
+
+
 def test_integrate_contour_wrapper():
     f = Q.segment_power_integrand(0.0, 1.0, ((1, 0.0, -0.5), (-1, 1.0, -0.5)))
     val, est = Q.tanh_sinh(f, 0.0, 1.0, tol=1e-10)
@@ -103,7 +132,7 @@ def test_integrate_contour_wrapper():
 # Double-exponential node tables
 # ---------------------------------------------------------------------------
 
-NODE_TABLES = (Q._ts_node, Q._es_node)
+NODE_MAPS = (Q._ts_node, Q._es_node)
 
 
 def _node_bits(node):
@@ -111,20 +140,27 @@ def _node_bits(node):
 
 
 def test_node_tables_match_fresh_computation():
-    # every u the doubling trapezoid visits: u = k h, |u| <= 6.5
+    # every u the doubling trapezoid visits: u = k h, |u| <= 6.5, each
+    # level holding the k not visited before (all k at level 0, odd above)
     for level in range(10):
         h = 0.5 / 2 ** level
-        kmax = int(Q._U_MAX_TS / h)
-        for k in range(-kmax, kmax + 1):
-            u = k * h
-            for table in NODE_TABLES:
-                table(u)
-                assert _node_bits(table(u)) == _node_bits(table.__wrapped__(u))
+        step = 1 if level == 0 else 2
+        for node in NODE_MAPS:
+            plus, minus = Q._de_level(node, level)
+            for side, sign, k0 in ((plus, 1.0, 0 if level == 0 else 1),
+                                   (minus, -1.0, 1)):
+                triples = list(Q._triples(side))
+                assert len(side) == 3 * len(triples)
+                for i, (u, a, b) in enumerate(triples):
+                    assert u == sign * (k0 + i * step) * h
+                    assert _node_bits((a, b)) == _node_bits(node(u))
+                # the side ends where |u| passes 6.5 or the map is cut
+                u = sign * (k0 + len(triples) * step) * h
+                assert abs(u) > Q._U_MAX + 1e-9 or node(u) is None
 
 
 def test_node_tables_do_not_grow_with_calls():
-    for table in NODE_TABLES:
-        table.cache_clear()
+    Q._de_level.cache_clear()
 
     def integrate(i):
         za = complex(0.1 * i, -0.05 * i)
@@ -134,11 +170,209 @@ def test_node_tables_do_not_grow_with_calls():
         Q.exp_sinh(lambda s: math.exp(-s / scale) / scale, scale=scale)
 
     integrate(0)
-    sizes = [table.cache_info().currsize for table in NODE_TABLES]
-    assert all(sizes)
+    size = Q._de_level.cache_info().currsize
+    assert size
     for i in range(1, 50):
         integrate(i)
-    assert [table.cache_info().currsize for table in NODE_TABLES] == sizes
+    assert Q._de_level.cache_info().currsize == size
+
+
+# The rules visited every node through a node_fn(u) closure before the
+# per-level tables.  That path is kept here as the reference: tanh_sinh and
+# exp_sinh must agree with it bit for bit, value and error estimate.
+
+def _ref_level_sum(node_fn, f, h, only_odd):
+    total = 0.0j
+    scale = 0.0
+    for sign in (1.0, -1.0):
+        k = 1 if only_odd else (0 if sign > 0 else 1)
+        step = 2 if only_odd else 1
+        misses = 0
+        while True:
+            u = sign * k * h
+            if abs(u) > 6.5 + 1e-9:
+                break
+            got = node_fn(u)
+            if got is None:
+                break
+            args, wgt = got
+            try:
+                val = f(*args)
+            except (OverflowError, ZeroDivisionError, ValueError):
+                val = None
+            if val is None:
+                size = math.nan
+            elif isinstance(val, Jet):
+                size = abs(val.value())
+            else:
+                size = abs(complex(val))
+            if math.isfinite(size):
+                contrib = wgt * val
+                total = contrib + total
+                mag = abs(wgt) * size
+                scale = max(scale, mag)
+                if scale > 0 and mag < 1e-18 * scale:
+                    misses += 1
+                    if misses >= 4:
+                        break
+                else:
+                    misses = 0
+            k += step
+    return total
+
+
+def _ref_de_integrate(node_fn, f, tol, max_level=9):
+    h = 0.5
+    total = _ref_level_sum(node_fn, f, h, only_odd=False)
+    value = total * h
+    prev = None
+    err = float("inf")
+    for _level in range(1, max_level + 1):
+        h *= 0.5
+        total = total + _ref_level_sum(node_fn, f, h, only_odd=True)
+        new_value = total * h
+        err = N.jabs(new_value - value)
+        value = new_value
+        scale = max(N.jabs(value), 1e-300)
+        if err <= tol * scale and prev is not None:
+            return value, err
+        prev = err
+    return value, err
+
+
+def _ref_tanh_sinh(f, za, zb, tol=1e-11, max_level=9):
+    za = complex(za)
+    zb = complex(zb)
+    d = zb - za
+    aware = getattr(f, "endpoint_aware", False)
+
+    def node_fn(u):
+        got = Q._ts_node(u)
+        if got is None:
+            return None
+        near, wgt = got
+        off = d * near
+        side = 1 if u > 0 else 0
+        t = (zb - off) if side else (za + off)
+        if aware:
+            return (t, side, off), wgt * d
+        return (t,), wgt * d
+
+    return _ref_de_integrate(node_fn, f, tol, max_level)
+
+
+def _ref_exp_sinh(g, tol=1e-11, max_level=9, scale=1.0):
+    def node_fn(u):
+        got = Q._es_node(u)
+        if got is None:
+            return None
+        ev, ch = got
+        s = scale * ev
+        return (s,), s * 0.5 * math.pi * ch
+
+    return _ref_de_integrate(node_fn, g, tol, max_level)
+
+
+def _value_bits(v):
+    if isinstance(v, Jet):
+        return ("jet", _bits(v.center), tuple(_bits(c) for c in v.coeffs))
+    return _bits(complex(v))
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _rule_outcome(rule, *args, **kwargs):
+    value, err = rule(*args, **kwargs)
+    return _value_bits(value), struct.pack("<d", err)
+
+
+def _faulty(f):
+    """f, except that at some nodes it raises an arithmetic error or
+    returns None, inf or NaN."""
+    def g(t, *rest):
+        key = int(abs(t) * 1e7) % 11
+        if key == 0:
+            raise ZeroDivisionError
+        if key == 1:
+            raise ValueError
+        if key == 2:
+            raise OverflowError
+        if key == 3:
+            return None
+        if key == 4:
+            return complex(math.inf, 0.0)
+        if key == 5:
+            return complex(math.nan, 1.0)
+        return f(t, *rest)
+    return g
+
+
+def _ts_cases():
+    wj = Jet.variable(0.3 + 0.2j, 3)
+    beta = Q.segment_power_integrand(0.0, 1.0,
+                                     ((1, 0.0, -0.7), (-1, 1.0, -0.4)))
+    jet_beta = Q.segment_power_integrand(
+        0.2 - 0.1j, 1.5 + 0.4j, ((1, 0.2 - 0.1j, -0.3), (-1, 1.5 + 0.4j, 0.6),
+                                 (1, 2.0, 0.25)),
+        extra=lambda t: N.jexp(wj * t))
+    aware_faulty = Q.EndpointAware(_faulty(
+        lambda t, side, off: beta.fn(t, side, off)))
+    # far from 0, so that t - za and zb - t round differently from the
+    # offsets that the endpoint-aware integrand receives
+    za, zb = 1000.1 + 0.3j, 1000.7 - 0.2j
+    skew = Q.segment_power_integrand(za, zb, ((1, za, -0.45), (-1, zb, 0.3)),
+                                     extra=lambda t: cmath.exp(3 * (t - za)))
+    return [
+        # sums that cancel to ~0, so every tail node's bits count
+        (lambda t: t * cmath.exp(-t * t), -1.0, 1.0, {}),
+        (lambda t: cmath.sin(7 * t), -1.3, 1.3, {"tol": 1e-13}),
+        (skew, za, zb, {}),
+        (lambda t: cmath.log(t), za, zb, {}),
+        (lambda t: cmath.exp(t), 0.0, 1.0, {}),
+        (lambda t: t ** -0.5, 0.0, 1.0, {}),
+        (lambda t: t * t, 0.5j, 1 + 0.2j, {"tol": 1e-14}),
+        (lambda t: cmath.exp(1j / (t + 1e-30)) / (t + 1e-30), 0.0, 1.0,
+         {"tol": 1e-14}),
+        (lambda t: 1.0, 2.0, -1 + 3j, {"max_level": 4}),
+        (beta, 0.0, 1.0, {}),
+        (jet_beta, 0.2 - 0.1j, 1.5 + 0.4j, {}),
+        (lambda t: N.jpow(wj - t, -0.3) if t.real > 0.5 else 0.0j,
+         0.0, 2.0, {}),
+        (_faulty(lambda t: cmath.exp(-t) * t ** -0.3), 0.0, 2 + 1j, {}),
+        (aware_faulty, 0.0, 1.0, {"tol": 1e-13}),
+        (_faulty(lambda t: N.jexp(wj * t)), -1.0, 1.0, {}),
+    ]
+
+
+def _es_cases():
+    wj = Jet.variable(2.0 + 1.0j, 2)
+    return [
+        (lambda s: math.exp(-s) - 2 * math.exp(-2 * s), {}),
+        (lambda s: math.exp(-s) * math.sin(3 * s), {"scale": 0.6}),
+        (lambda s: math.exp(-s) * s ** -0.7, {}),
+        (lambda s: math.exp(-s / 100), {"scale": 100.0}),
+        (lambda s: math.exp(-s * s) * s ** 0.3, {"scale": 0.3, "tol": 1e-14}),
+        (lambda s: s ** -0.2 * math.exp(-s) * N.jpow(wj + s, -0.4), {}),
+        (lambda s: 0.0j if s > 30.0 else math.exp(-s) * N.jexp(-wj / s),
+         {"scale": 2.5}),
+        (_faulty(lambda s: cmath.exp(-s) * s ** (-0.5 + 0.2j)), {}),
+        (_faulty(lambda s: N.jpow(s + wj, -2.5)), {"scale": 1.7}),
+        (lambda s: 1.0 / (1.0 + s * s), {"max_level": 9, "tol": 1e-30}),
+    ]
+
+
+def test_tanh_sinh_matches_per_node_reference_bitwise():
+    for f, za, zb, kw in _ts_cases():
+        assert _rule_outcome(Q.tanh_sinh, f, za, zb, **kw) \
+            == _rule_outcome(_ref_tanh_sinh, f, za, zb, **kw), (za, zb, kw)
+
+
+def test_exp_sinh_matches_per_node_reference_bitwise():
+    for g, kw in _es_cases():
+        assert _rule_outcome(Q.exp_sinh, g, **kw) \
+            == _rule_outcome(_ref_exp_sinh, g, **kw), kw
 
 
 # ---------------------------------------------------------------------------

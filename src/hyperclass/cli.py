@@ -135,9 +135,6 @@ def _route_label_2f1(w: complex) -> str:
         return "series"
     if w != 1 and abs(w / (w - 1)) <= N.SERIES_RADIUS:
         return "pfaff"
-    if abs(w) <= N.INNER_RADIUS or (w != 1
-                                    and abs(w / (w - 1)) <= N.INNER_RADIUS):
-        return "series/pfaff"
     return "connection"
 
 

@@ -185,25 +185,6 @@ def symbolic_params(family: str) -> tuple[MultiPoly, ...]:
     return tuple(MultiPoly.var(n) for n in PARAM_NAMES[family])
 
 
-def make_operator(p: FamilyParams, symbolic: bool = False, var: str = "w") -> DiffOperator:
-    """Family operator; symbolic mode leaves the parameters as symbols."""
-    if symbolic:
-        return make_operator_expr(p.family, var, symbolic_params(p.family))
-    exprs = []
-    for val in p.values:
-        if isinstance(val, MultiPoly):
-            exprs.append(val)
-        elif isinstance(val, (int, Fraction)):
-            exprs.append(MultiPoly.const(Fraction(val)))
-        elif isinstance(val, GaussRational):
-            exprs.append(MultiPoly.const(val))
-        else:
-            raise TypeError(
-                "non-rational parameter values require the symbolic operator "
-                "plus a numeric assignment at evaluation time")
-    return make_operator_expr(p.family, var, tuple(exprs))
-
-
 # ---------------------------------------------------------------------------
 # Catalog row types
 # ---------------------------------------------------------------------------

@@ -21,9 +21,15 @@ The solution evaluators (`tricomi_solution`, `conf_minus_inf_solution`,
 when the error estimate misses the requested tolerance by a wide margin.
 
 On top of the engines sits the catalog of every printed integral
-representation (`integral_rep_rows`), each row carrying its parameter
-constraint, admissible domain, quadrature evaluator, and an independent
-expected value computed from series/connection formulas in `numerics`.
+representation (`integral_rep_rows`).  Each family states its integrands
+once, as the points, exponents and extra factor of
+prod (c_j (t - p_j))^{g_j} extra(t).  A row takes one of them over one
+contour, with the signs c_j that pick the branches there: `power_integral`
+sends a segment to `segment_power_integrand` and `tanh_sinh`, a ray to
+`ray_power_integrand` and `exp_sinh`.  The five loop rows keep their own
+evaluators.  Each row also carries its parameter constraint, admissible
+domain and an expected value computed independently from
+series/connection formulas in `numerics`.
 
 All segment/ray integrands may close over a Jet argument, in which case the
 result is a Jet (differentiation under the integral sign).
@@ -251,7 +257,11 @@ class EndpointAware:
 def segment_power_integrand(za, zb, factors, extra: Optional[Callable] = None):
     """Integrand prod (c_j (t - p_j))^{g_j} * extra(t) on the segment
     [za, zb], with factors whose p_j coincides with an endpoint evaluated
-    from the exact offset (full relative accuracy at the singularity)."""
+    from the exact offset (full relative accuracy at the singularity).
+
+    extra runs first: an exact zero from it (an underflow guard) is the
+    node's value, so the node counts as a zero even where a factor would
+    overflow."""
     za = complex(za)
     zb = complex(zb)
     # per side (0: za, 1: zb), each factor with whether p_j is that endpoint
@@ -259,6 +269,10 @@ def segment_power_integrand(za, zb, factors, extra: Optional[Callable] = None):
                   for end in (za, zb))
 
     def fn(t, side, off):
+        if extra is not None:
+            ex = extra(t)
+            if not ex:
+                return ex
         out = 1.0 + 0.0j
         for c, p, g, at_end in sided[1 if side else 0]:
             if at_end:
@@ -266,11 +280,54 @@ def segment_power_integrand(za, zb, factors, extra: Optional[Callable] = None):
             else:
                 lv = c * (t - p)
             out = out * jpow(lv, g)
-        if extra is not None:
-            out = out * extra(t)
-        return out
+        return out if extra is None else out * ex
 
     return EndpointAware(fn)
+
+
+def ray_power_integrand(z0, d, factors, extra: Optional[Callable] = None):
+    """g(s) = prod (c_j (t - p_j))^{g_j} * extra(t) at t = z0 + d s, the ray
+    sibling of `segment_power_integrand`.
+
+    exp_sinh(g) integrates over s in (0, inf) with no Jacobian d, so the
+    ray (-inf, 0] (z0 = 0, d = -1) gives int f(-s) ds.  A factor whose p_j
+    is z0 is evaluated from the exact offset c_j d s.  A complex base is
+    raised by x ** g_j, a Jet base (a Jet p_j) by jpow.  extra runs first,
+    as in `segment_power_integrand`."""
+    z0 = complex(z0)
+    d = complex(d)
+    # each factor with c_j d if p_j is the start z0, else None
+    started = tuple((c * d if type(p) is not Jet and complex(p) == z0
+                     else None, c, p, e) for c, p, e in factors)
+
+    def g(s):
+        t = z0 + d * s
+        if extra is not None:
+            ex = extra(t)
+            if not ex:
+                return ex
+        out = 1.0 + 0.0j
+        for cd, c, p, e in started:
+            lv = c * (t - p) if cd is None else cd * s
+            out = out * (jpow(lv, e) if type(lv) is Jet else lv ** e)
+        return out if extra is None else out * ex
+
+    return g
+
+
+def power_integral(path, factors, tol: float,
+                   extra: Optional[Callable] = None):
+    """Integral of prod (c_j (t - p_j))^{g_j} * extra(t) along path, either
+    ("seg", za, zb) by `tanh_sinh` or ("ray", z0, d) by `exp_sinh` in the
+    convention of `ray_power_integrand`.  Returns (value, error_estimate).
+    """
+    kind, a, b = path
+    if kind == "seg":
+        return tanh_sinh(segment_power_integrand(a, b, factors, extra),
+                         a, b, tol)
+    if kind == "ray":
+        return exp_sinh(ray_power_integrand(a, b, factors, extra), tol)
+    raise ValueError(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +433,7 @@ _PATH_MAX_MULT = 64
 
 
 def path_integral(pieces: Sequence, factors: Sequence, exp_fn: Optional[Callable],
-                  tol: float = 1e-10, panels_per_unit: float = 1.0):
+                  tol: float = 1e-10):
     """Integrate prod_j (c_j (t - p_j))^{gamma_j} * exp(exp_fn(t)) along a
     chain of pieces, with each factor's logarithm continued along the path
     (never re-evaluated on the principal branch mid-contour).
@@ -384,7 +441,9 @@ def path_integral(pieces: Sequence, factors: Sequence, exp_fn: Optional[Callable
     pieces: ("seg", z0, z1) or ("arc", center, radius, phi0, phi1).
     factors: sequence of (c_j, p_j, gamma_j).
 
-    The panel counts double until two successive rules agree to
+    A segment starts with one 16-point panel per unit of length (at least
+    2), an arc with four more than that (at least 8).  The panel counts
+    double until two successive rules agree to
     tol * max(|value|, 1); returns (value, their difference), or raises
     QuadratureError once the counts are `_PATH_MAX_MULT` times the first.
     """
@@ -396,13 +455,12 @@ def path_integral(pieces: Sequence, factors: Sequence, exp_fn: Optional[Callable
                 _, z0, z1 = piece
                 z0 = complex(z0)
                 d = complex(z1) - z0
-                m = max(2, int(math.ceil(abs(d) * panels_per_unit * mult)))
+                m = max(2, int(math.ceil(abs(d) * mult)))
                 out += [(z0 + d * tau, wgt * d)
                         for tau, wgt in _gl_rule(0.0, 1.0, m)]
             elif piece[0] == "arc":
                 _, cen, rad, ph0, ph1 = piece
-                m = max(4, int(math.ceil(abs(ph1 - ph0) * rad
-                                         * panels_per_unit * mult)) + 4)
+                m = max(4, int(math.ceil(abs(ph1 - ph0) * rad * mult)) + 4)
                 for phi, wgt in _gl_rule(ph0, ph1, m):
                     e = rad * cmath.exp(1j * phi)
                     out.append((cen + e, wgt * 1j * e))
@@ -565,9 +623,7 @@ class RepRow:
     id: str
     family: str
     location: str
-    constraint_desc: str
     constraint: Callable
-    domain_desc: str
     domain: Callable
     evaluate: Callable
     expected: Callable
@@ -575,16 +631,35 @@ class RepRow:
 
 
 def _row_adder(rows: list, prefix: str, family: str, param_samples):
-    """row(i, desc, cdesc, cfun, ddesc, dfun, ev, exp, ws) appends the
-    RepRow "<prefix>:int:<i>", sampled at every parameter sample times
-    every w in ws."""
+    """row(i, desc, constraint, domain, ev, exp, ws) appends the RepRow
+    "<prefix>:int:<i>", sampled at every parameter sample times every w in
+    ws."""
 
-    def row(i, desc, cdesc, cfun, ddesc, dfun, ev, exp, ws):
+    def row(i, desc, constraint, domain, ev, exp, ws):
         samples = tuple((ps, w) for ps in param_samples for w in ws)
-        rows.append(RepRow(f"{prefix}:int:{i:02d}", family, desc, cdesc,
-                           cfun, ddesc, dfun, ev, exp, samples))
+        rows.append(RepRow(f"{prefix}:int:{i:02d}", family, desc, constraint,
+                           domain, ev, exp, samples))
 
     return row
+
+
+def _power_row(integrand, path, *signs):
+    """The evaluator of a row whose integrand is prod (c_j (t - p_j))^{g_j}
+    * extra(t): integrand(params, w) gives the points p_j, the exponents g_j
+    and extra (or None), the signs c_j pick each factor's branch on this
+    row's contour, and path(w) is the contour (see `power_integral`)."""
+
+    def evaluate(params, w, tol):
+        points, exps, extra = integrand(params, w)
+        return power_integral(path(w), tuple(zip(signs, points, exps)), tol,
+                              extra)
+
+    return evaluate
+
+
+def _exp0(x):
+    """e^x, or an exact zero once Re x < -700 (an underflow guard)."""
+    return 0.0j if x.real < -700.0 else cmath.exp(x)
 
 
 def _off_cut(w: complex, *cuts) -> bool:
@@ -600,12 +675,13 @@ def _off_cut(w: complex, *cuts) -> bool:
 
 # ---- 2F1 rows -------------------------------------------------------------
 
-def _2f1_exponents(al, be, mu):
-    p = (-1 - al + be + mu) / 2
-    q = (-1 + al - be + mu) / 2
-    r = (-1 - al - be - mu) / 2
-    p01 = (-1 - al + be - mu) / 2
-    return p, q, r, p01
+def _euler_2f1(ps, w):
+    """The Euler integrand (-t)^p (1-t)^q (w-t)^r: points 0, 1, w."""
+    al, be, mu = ps
+    return ((0.0, 1.0, w),
+            ((-1 - al + be + mu) / 2, (-1 + al - be + mu) / 2,
+             (-1 - al - be - mu) / 2),
+            None)
 
 
 _2F1_PARAM_SAMPLES = (
@@ -618,157 +694,80 @@ _2F1_PARAM_SAMPLES = (
 def _build_2f1_rows():
     rows = []
     row = _row_adder(rows, "2f1", "2f1", _2F1_PARAM_SAMPLES)
-
-    def ev1(params, w, tol):
-        al, be, mu = params
-        p, q, r, _ = _2f1_exponents(al, be, mu)
-        return exp_sinh(lambda s: (1 + s) ** p * s ** q
-                        * jpow(1 + s - w, r), tol)
+    euler = functools.partial(_power_row, _euler_2f1)
 
     row(1, "[1,inf) Euler integral -> FI(al,be,mu)(w)",
-        "Re(1+al) > |Re(be-mu)|",
         lambda ps: (1 + ps[0]) > abs(ps[1] - ps[2]),
-        "w off [1,inf)", lambda w: _off_cut(w, ("ge", 1.0)),
-        ev1,
+        lambda w: _off_cut(w, ("ge", 1.0)),
+        euler(lambda w: ("ray", 1.0, 1.0), 1, 1, 1),
         lambda ps, w: N.FI_2f1(ps[0], ps[1], ps[2], w),
         (0.3 + 0.4j, -0.5 + 0.2j, 0.4))
 
-    def ev2(params, w, tol):
-        al, be, mu = params
-        p, q, r, _ = _2f1_exponents(al, be, mu)
-        f = segment_power_integrand(0.0, w, ((1, 0.0, p), (-1, 1.0, q),
-                                             (-1, w, r)))
-        return tanh_sinh(f, 0.0, w, tol)
-
     row(2, "[0,w] integral -> w^-al FI(-al,be,-mu)(w)",
-        "Re(1-al) > |Re(be-mu)|",
         lambda ps: (1 - ps[0]) > abs(ps[1] - ps[2]),
-        "w off (-inf,0] and [1,inf)",
         lambda w: _off_cut(w, ("le", 0.0), ("ge", 1.0)),
-        ev2,
+        euler(lambda w: ("seg", 0.0, w), 1, -1, -1),
         lambda ps, w: jpow(w, -ps[0]) * N.FI_2f1(-ps[0], ps[1], -ps[2], w),
         (0.3 + 0.4j, 0.6 + 0.1j, 0.5))
 
-    def ev3(params, w, tol):
-        al, be, mu = params
-        p, q, r, _ = _2f1_exponents(al, be, mu)
-        f = segment_power_integrand(w, 0.0, ((-1, 0.0, p), (-1, 1.0, q),
-                                             (1, w, r)))
-        return tanh_sinh(f, w, 0.0, tol)
-
     row(3, "[w,0] integral -> (-w)^-al FI(-al,be,-mu)(w)",
-        "Re(1-al) > |Re(be-mu)|",
         lambda ps: (1 - ps[0]) > abs(ps[1] - ps[2]),
-        "w off [0,inf)", lambda w: _off_cut(w, ("ge", 0.0)),
-        ev3,
+        lambda w: _off_cut(w, ("ge", 0.0)),
+        euler(lambda w: ("seg", w, 0.0), -1, -1, 1),
         lambda ps, w: jpow(-w, -ps[0]) * N.FI_2f1(-ps[0], ps[1], -ps[2], w),
         (-0.5, -0.3 + 0.5j, -1.2 + 0.4j))
 
-    def ev4(params, w, tol):
-        al, be, mu = params
-        p, q, r, _ = _2f1_exponents(al, be, mu)
-        return exp_sinh(lambda s: s ** p * (1 + s) ** q
-                        * jpow(w + s, r), tol)
-
     row(4, "(-inf,0] integral -> FI(be,al,mu)(1-w)",
-        "Re(1+be) > |Re(al-mu)|",
         lambda ps: (1 + ps[1]) > abs(ps[0] - ps[2]),
-        "w off (-inf,0]", lambda w: _off_cut(w, ("le", 0.0)),
-        ev4,
+        lambda w: _off_cut(w, ("le", 0.0)),
+        euler(lambda w: ("ray", 0.0, -1.0), -1, -1, -1),
         lambda ps, w: N.FI_2f1(ps[1], ps[0], ps[2], 1 - w),
         (0.4 + 0.3j, 2 + 1j, 0.7))
 
-    def ev5(params, w, tol):
-        al, be, mu = params
-        p, q, r, _ = _2f1_exponents(al, be, mu)
-        f = segment_power_integrand(w, 1.0, ((1, 0.0, p), (-1, 1.0, q),
-                                             (1, w, r)))
-        return tanh_sinh(f, w, 1.0, tol)
-
     row(5, "[w,1] integral -> (1-w)^-be FI(-be,al,-mu)(1-w)",
-        "Re(1-be) > |Re(al+mu)|",
         lambda ps: (1 - ps[1]) > abs(ps[0] + ps[2]),
-        "w off (-inf,0] and [1,inf)",
         lambda w: _off_cut(w, ("le", 0.0), ("ge", 1.0)),
-        ev5,
+        euler(lambda w: ("seg", w, 1.0), 1, -1, 1),
         lambda ps, w: jpow(1 - w, -ps[1])
         * N.FI_2f1(-ps[1], ps[0], -ps[2], 1 - w),
         (0.3 + 0.2j, 0.5, 0.7 + 0.1j))
 
-    def ev6(params, w, tol):
-        al, be, mu = params
-        p, q, r, _ = _2f1_exponents(al, be, mu)
-        f = segment_power_integrand(1.0, w, ((1, 0.0, p), (1, 1.0, q),
-                                             (-1, w, r)))
-        return tanh_sinh(f, 1.0, w, tol)
-
     row(6, "[1,w] integral -> (w-1)^-be FI(-be,al,-mu)(1-w)",
-        "Re(1-be) > |Re(al+mu)|",
         lambda ps: (1 - ps[1]) > abs(ps[0] + ps[2]),
-        "w off (-inf,1]", lambda w: _off_cut(w, ("le", 1.0)),
-        ev6,
+        lambda w: _off_cut(w, ("le", 1.0)),
+        euler(lambda w: ("seg", 1.0, w), 1, 1, -1),
         lambda ps, w: jpow(w - 1, -ps[1])
         * N.FI_2f1(-ps[1], ps[0], -ps[2], 1 - w),
         (1.5 + 0.5j, 2 + 1j, 1.2 + 0.3j))
 
-    def ev7(params, w, tol):
-        al, be, mu = params
-        p, q, r, _ = _2f1_exponents(al, be, mu)
-        return exp_sinh(lambda s: jpow(w + s, p) * jpow(w + s - 1, q)
-                        * s ** r, tol)
-
     row(7, "[w,inf) integral -> w^((-1-al-be+mu)/2) FI(-mu,be,-al)(1/w)",
-        "Re(1-mu) > |Re(al+be)|",
         lambda ps: (1 - ps[2]) > abs(ps[0] + ps[1]),
-        "w off (-inf,1]", lambda w: _off_cut(w, ("le", 1.0)),
-        ev7,
+        lambda w: _off_cut(w, ("le", 1.0)),
+        euler(lambda w: ("ray", w, 1.0), 1, 1, 1),
         lambda ps, w: jpow(w, (-1 - ps[0] - ps[1] + ps[2]) / 2)
         * N.FI_2f1(-ps[2], ps[1], -ps[0], 1 / w),
         (1.5 + 0.5j, 3 + 1j, 2.5))
 
-    def ev8(params, w, tol):
-        al, be, mu = params
-        p, q, r, _ = _2f1_exponents(al, be, mu)
-        return exp_sinh(lambda s: jpow(s - w, p) * jpow(1 - w + s, q)
-                        * s ** r, tol)
-
     row(8, "(-inf,w] integral -> (-w)^((-1-al-be+mu)/2) FI(-mu,be,-al)(1/w)",
-        "Re(1-mu) > |Re(al+be)|",
         lambda ps: (1 - ps[2]) > abs(ps[0] + ps[1]),
-        "w off [0,inf)", lambda w: _off_cut(w, ("ge", 0.0)),
-        ev8,
+        lambda w: _off_cut(w, ("ge", 0.0)),
+        euler(lambda w: ("ray", w, -1.0), -1, -1, -1),
         lambda ps, w: jpow(-w, (-1 - ps[0] - ps[1] + ps[2]) / 2)
         * N.FI_2f1(-ps[2], ps[1], -ps[0], 1 / w),
         (-0.5, -1 + 0.5j, -0.3 + 0.8j))
 
-    def ev9(params, w, tol):
-        al, be, mu = params
-        p, q, r, p01 = _2f1_exponents(al, be, mu)
-        f = segment_power_integrand(0.0, 1.0, ((1, 0.0, p), (-1, 1.0, q),
-                                               (1, w, r)))
-        return tanh_sinh(f, 0.0, 1.0, tol)
-
     row(9, "[0,1] integral -> (-w)^((-1-al-be-mu)/2) FI(mu,be,al)(1/w)",
-        "Re(1+mu) > |Re(al-be)|",
         lambda ps: (1 + ps[2]) > abs(ps[0] - ps[1]),
-        "w off [0,inf)", lambda w: _off_cut(w, ("ge", 0.0)),
-        ev9,
+        lambda w: _off_cut(w, ("ge", 0.0)),
+        euler(lambda w: ("seg", 0.0, 1.0), 1, -1, 1),
         lambda ps, w: jpow(-w, (-1 - ps[0] - ps[1] - ps[2]) / 2)
         * N.FI_2f1(ps[2], ps[1], ps[0], 1 / w),
         (-0.5, -1 + 0.5j, -0.3 + 0.8j))
 
-    def ev10(params, w, tol):
-        al, be, mu = params
-        p, q, r, p01 = _2f1_exponents(al, be, mu)
-        f = segment_power_integrand(0.0, 1.0, ((1, 0.0, p), (-1, 1.0, q),
-                                               (-1, w, r)))
-        return tanh_sinh(f, 0.0, 1.0, tol)
-
     row(10, "[0,1] integral -> w^((-1-al-be-mu)/2) FI(mu,be,al)(1/w)",
-        "Re(1+mu) > |Re(al-be)|",
         lambda ps: (1 + ps[2]) > abs(ps[0] - ps[1]),
-        "w off (-inf,1]", lambda w: _off_cut(w, ("le", 1.0)),
-        ev10,
+        lambda w: _off_cut(w, ("le", 1.0)),
+        euler(lambda w: ("seg", 0.0, 1.0), 1, -1, -1),
         lambda ps, w: jpow(w, (-1 - ps[0] - ps[1] - ps[2]) / 2)
         * N.FI_2f1(ps[2], ps[1], ps[0], 1 / w),
         (1.5 + 0.5j, 3 + 1j, 2.5))
@@ -777,6 +776,37 @@ def _build_2f1_rows():
 
 
 # ---- Gegenbauer rows ------------------------------------------------------
+
+def _geg_a(ps, w):
+    """Type a, (t^2-1)^{-1/2-la} (w-t)^{-1/2-al+la}: points 1, -1, w."""
+    al, la = ps
+    e1 = -0.5 - la
+    return (1.0, -1.0, w), (e1, e1, -0.5 - al + la), None
+
+
+def _geg_roots(w):
+    """The roots sqrt(w^2-1) - w and -sqrt(w^2-1) - w of t^2 + 2tw + 1."""
+    rt = jsqrt(w * w - 1)
+    return rt - w, -rt - w
+
+
+def _geg_b(sign):
+    """Type b, (t^2+2tw+1)^{-al-1/2} (+-t)^{-1/2+al+sign la} with the
+    quadratic factored through its roots: points t1, t2, 0."""
+
+    def integrand(ps, w):
+        al, la = ps
+        eq = -al - 0.5
+        return (*_geg_roots(w), 0.0), (eq, eq, -0.5 + al + sign * la), None
+
+    return integrand
+
+
+def _between_roots(w):
+    """The segment from the lower root of t^2 + 2tw + 1 to the upper one."""
+    t1, t2 = _geg_roots(w)
+    return ("seg", t1, t2) if t1.imag < t2.imag else ("seg", t2, t1)
+
 
 _GEG_PARAM_SAMPLES = (
     (2 / 7, 1 / 11),
@@ -788,157 +818,77 @@ _GEG_PARAM_SAMPLES = (
 def _build_geg_rows():
     rows = []
     row = _row_adder(rows, "geg", "gegenbauer", _GEG_PARAM_SAMPLES)
-
-    # type a) integrand: (t^2-1)^{-1/2-la} (w-t)^{-1/2-al+la}
-    def a_exps(al, la):
-        return -0.5 - la, -0.5 - al + la
-
-    def ev_a1(params, w, tol):
-        al, la = params
-        e1, e2 = a_exps(al, la)
-        # t = -1 - s: t^2-1 = s(s+2)
-        return exp_sinh(lambda s: s ** e1 * (s + 2) ** e1
-                        * jpow(w + 1 + s, e2), tol)
+    a = functools.partial(_power_row, _geg_a)
+    b_plus = functools.partial(_power_row, _geg_b(1))
+    b_minus = functools.partial(_power_row, _geg_b(-1))
 
     row(1, "type a, (-inf,-1] -> SI(al,la)(w)",
-        "1/2 > Re la > -1/2 - Re al",
         lambda ps: 0.5 > ps[1] > -0.5 - ps[0],
-        "w off (-inf,-1]", lambda w: _off_cut(w, ("le", -1.0)),
-        ev_a1,
+        lambda w: _off_cut(w, ("le", -1.0)),
+        a(lambda w: ("ray", -1.0, -1.0), -1, -1, -1),
         lambda ps, w: N.SI_geg(ps[0], ps[1], w),
         (0.5 + 0.5j, 2 + 1j, -0.3 + 0.6j))
 
-    def ev_a2(params, w, tol):
-        al, la = params
-        e1, e2 = a_exps(al, la)
-        f = segment_power_integrand(w, 1.0, ((-1, 1.0, e1), (1, -1.0, e1),
-                                             (1, w, e2)))
-        return tanh_sinh(f, w, 1.0, tol)
-
     row(2, "type a, [w,1] with (t-w)^(-1/2-al+la) -> (1-w^2)^-al SI(-al,la)(w)",
-        "1/2 > Re la > -1/2 + Re al",
         lambda ps: 0.5 > ps[1] > -0.5 + ps[0],
-        "w off (-inf,-1] and [1,inf)",
         lambda w: _off_cut(w, ("le", -1.0), ("ge", 1.0)) and w.imag != 0,
-        ev_a2,
+        a(lambda w: ("seg", w, 1.0), -1, 1, 1),
         lambda ps, w: jpow(1 - w * w, -ps[0]) * N.SI_geg(-ps[0], ps[1], w),
         (0.3 + 0.4j, -0.5 + 0.3j, 0.6 - 0.2j))
 
-    def ev_a3(params, w, tol):
-        al, la = params
-        e1, e2 = a_exps(al, la)
-        f = segment_power_integrand(-1.0, 1.0, ((-1, 1.0, e1), (1, -1.0, e1),
-                                                (-1, w, e2)))
-        return tanh_sinh(f, -1.0, 1.0, tol)
-
     row(3, "type a, [-1,1] -> (w^2-1)^((-1-2al+2la)/4) S0(-la,al)(w/sqrt(w^2-1))",
-        "1/2 > Re la", lambda ps: 0.5 > ps[1],
-        "w off (-inf,1]", lambda w: _off_cut(w, ("le", 1.0)),
-        ev_a3,
+        lambda ps: 0.5 > ps[1],
+        lambda w: _off_cut(w, ("le", 1.0)),
+        a(lambda w: ("seg", -1.0, 1.0), -1, 1, -1),
         lambda ps, w: jpow(w * w - 1, (-1 - 2 * ps[0] + 2 * ps[1]) / 4)
         * N.S0_geg(-ps[1], ps[0], w / jsqrt(w * w - 1)),
         (1.5 + 0.8j, 2 + 0.5j, 2.5))
 
-    def ev_a4(params, w, tol):
-        al, la = params
-        e1, e2 = a_exps(al, la)
-        return exp_sinh(lambda s: jpow(w + s - 1, e1) * jpow(w + s + 1, e1)
-                        * s ** e2, tol)
-
     row(4, "type a, [w,inf) -> (w^2-1)^((-1-2al-2la)/4) SII(la,al)(w/sqrt(w^2-1))",
-        "Re la + 1/2 > |Re al|", lambda ps: ps[1] + 0.5 > abs(ps[0]),
-        "w off (-inf,1]", lambda w: _off_cut(w, ("le", 1.0)),
-        ev_a4,
+        lambda ps: ps[1] + 0.5 > abs(ps[0]),
+        lambda w: _off_cut(w, ("le", 1.0)),
+        a(lambda w: ("ray", w, 1.0), 1, 1, 1),
         lambda ps, w: jpow(w * w - 1, (-1 - 2 * ps[0] - 2 * ps[1]) / 4)
         * N.SII_geg(ps[1], ps[0], w / jsqrt(w * w - 1)),
         (1.5 + 0.8j, 2 + 0.5j, 2.5))
 
-    # type b) integrand: (t^2+2tw+1)^{-al-1/2} (+-t)^{-1/2+al+-la}
-    def ev_b1(params, w, tol):
-        al, la = params
-        eq = -al - 0.5
-        et = -0.5 + al + la
-        return exp_sinh(lambda s: jpow(s * s + 2 * s * w + 1, eq)
-                        * s ** et, tol)
-
     row(5, "type b, [0,inf) -> SII(al,la)(w)",
-        "Re al + 1/2 > |Re la|", lambda ps: ps[0] + 0.5 > abs(ps[1]),
-        "w off (-inf,-1]", lambda w: _off_cut(w, ("le", -1.0)),
-        ev_b1,
+        lambda ps: ps[0] + 0.5 > abs(ps[1]),
+        lambda w: _off_cut(w, ("le", -1.0)),
+        b_plus(lambda w: ("ray", 0.0, 1.0), 1, 1, 1),
         lambda ps, w: N.SII_geg(ps[0], ps[1], w),
         (0.5 + 0.5j, 2 + 1j, 0.8))
 
-    def ev_b2(params, w, tol):
-        al, la = params
-        eq = -al - 0.5
-        et = -0.5 + al + la
-        s_ = jsqrt(1 - w * w)
-        t1 = -1j * s_ - w
-        t2 = 1j * s_ - w
-        # quadratic factored through its roots t1, t2 (the endpoints)
-        f = segment_power_integrand(t1, t2, ((1, t1, eq), (1, t2, eq),
-                                             (-1, 0.0, et)))
-        return tanh_sinh(f, t1, t2, tol)
-
     def _b2_domain(w):
-        if w.imag == 0 or not _off_cut(w, ("le", -1.0), ("ge", 1.0)):
+        # w off the real axis (so Im(t2 - t1) > 0), and the segment between
+        # the roots clear of the branch cut of (-t)^(...), [0, inf)
+        if w.imag == 0:
             return False
-        # the straight segment between the roots must not cross the
-        # branch cut of (-t)^(...), i.e. the positive real axis
-        s_ = cmath.sqrt(1 - w * w)
-        t1 = -1j * s_ - w
-        t2 = 1j * s_ - w
+        _, t1, t2 = _between_roots(w)
         d = t2 - t1
-        if d.imag != 0:
-            tau = -t1.imag / d.imag
-            if 0.0 < tau < 1.0 and (t1 + tau * d).real > 0.0:
-                return False
-        return True
+        tau = -t1.imag / d.imag
+        return not (0.0 < tau < 1.0 and (t1 + tau * d).real > 0.0)
 
     row(6, "type b, between the roots -> i (1-w^2)^-al S0(-al,-la)(w)",
-        "1/2 > Re al", lambda ps: 0.5 > ps[0],
-        "w off (-inf,-1] and [1,inf), segment clear of [0,inf)",
+        lambda ps: 0.5 > ps[0],
         _b2_domain,
-        ev_b2,
+        b_plus(_between_roots, 1, 1, -1),
         lambda ps, w: 1j * jpow(1 - w * w, -ps[0])
         * N.S0_geg(-ps[0], -ps[1], w),
         (0.3 + 0.2j, 0.2 - 0.3j, 0.5 + 0.6j))
 
-    def ev_b3(params, w, tol):
-        al, la = params
-        eq = -al - 0.5
-        et = -0.5 + al - la
-        rt = jsqrt(w * w - 1)
-        t1 = rt - w
-        t2 = -rt - w
-        f = segment_power_integrand(t1, 0.0, ((1, t1, eq), (1, t2, eq),
-                                              (-1, 0.0, et)))
-        return tanh_sinh(f, t1, 0.0, tol)
-
     row(7, "type b, [root,0] -> (w^2-1)^((-1-2al+2la)/4) SI(-la,al)(w/sqrt(w^2-1))",
-        "-Re la + 1/2 > -Re al > -1/2",
         lambda ps: (-ps[1] + 0.5 > -ps[0]) and (-ps[0] > -0.5),
-        "w off (-inf,1]", lambda w: _off_cut(w, ("le", 1.0)),
-        ev_b3,
+        lambda w: _off_cut(w, ("le", 1.0)),
+        b_minus(lambda w: ("seg", _geg_roots(w)[0], 0.0), 1, 1, -1),
         lambda ps, w: jpow(w * w - 1, (-1 - 2 * ps[0] + 2 * ps[1]) / 4)
         * N.SI_geg(-ps[1], ps[0], w / jsqrt(w * w - 1)),
         (1.5 + 0.8j, 2 + 0.5j, 2.5 + 1j))
 
-    def ev_b4(params, w, tol):
-        al, la = params
-        eq = -al - 0.5
-        et = -0.5 + al - la
-        rt = jsqrt(w * w - 1)
-        t2 = -rt - w
-        # t = t2 - s: quadratic = s (s + 2 rt); -t = w + rt + s
-        return exp_sinh(lambda s: s ** eq * jpow(s + 2 * rt, eq)
-                        * jpow(w + rt + s, et), tol)
-
     row(8, "type b, (-inf,-root] -> (w^2-1)^(-1/4-al/2-la/2) SI(la,al)(w/sqrt(w^2-1))",
-        "Re la + 1/2 > -Re al > -1/2",
         lambda ps: (ps[1] + 0.5 > -ps[0]) and (-ps[0] > -0.5),
-        "w off (-inf,1]", lambda w: _off_cut(w, ("le", 1.0)),
-        ev_b4,
+        lambda w: _off_cut(w, ("le", 1.0)),
+        b_minus(lambda w: ("ray", _geg_roots(w)[1], -1.0), -1, -1, -1),
         lambda ps, w: jpow(w * w - 1, -0.25 - ps[0] / 2 - ps[1] / 2)
         * N.SI_geg(ps[1], ps[0], w / jsqrt(w * w - 1)),
         (1.5 + 0.8j, 2 + 0.5j, 2.5 + 1j))
@@ -947,6 +897,18 @@ def _build_geg_rows():
 
 
 # ---- Confluent rows -------------------------------------------------------
+
+def _conf_a(ps, w):
+    """Type a, t^p (t-w)^r e^t: points 0, w."""
+    th, al = ps
+    return (0.0, w), ((-1 + th - al) / 2, (-1 - th - al) / 2), cmath.exp
+
+
+def _conf_b(ps, w):
+    """Type b, t^{-1-al} (1-t)^{(-1-th+al)/2} e^{w/t}: points 0, 1."""
+    th, al = ps
+    return (0.0, 1.0), (-1 - al, (-1 - th + al) / 2), lambda t: _exp0(w / t)
+
 
 _CONF_PARAM_SAMPLES = (
     (1 / 7, 2 / 11),
@@ -960,11 +922,10 @@ def _conf_tricomi_expected(th, al, w):
     (series route; independent of the Laplace quadrature)."""
     th = complex(th)
     al = complex(al)
-    lhs = math.pi * N.bold_F_1f1(th, al, w) \
+    return math.pi * N.bold_F_1f1(th, al, w) \
         / (N.sinpi(-al) * gamma((1 + th - al) / 2)) \
         + math.pi * jpow(w, -al) * N.bold_F_1f1(th, -al, w) \
         / (N.sinpi(al) * gamma((1 + th + al) / 2))
-    return lhs  # equals w^{(-1-th-al)/2} tilde-F_{th,al}(-1/w)
 
 
 def _conf_minus_inf_expected(th, al, w):
@@ -980,13 +941,11 @@ def _conf_minus_inf_expected(th, al, w):
 def _build_conf_rows():
     rows = []
     row = _row_adder(rows, "1f1", "1f1", _CONF_PARAM_SAMPLES)
-
-    def exps_a(th, al):
-        return (-1 + th - al) / 2, (-1 - th - al) / 2
+    a = functools.partial(_power_row, _conf_a)
+    b = functools.partial(_power_row, _conf_b)
 
     def ev1(params, w, tol):
-        th, al = params
-        p, r = exps_a(th, al)
+        _, (p, r), _ = _conf_a(params, w)
         R = 40.0 + abs(w)
         X = max(1.0, w.real + 1.0)
         ylo = max(1.0, -w.imag + 1.0)
@@ -999,140 +958,74 @@ def _build_conf_rows():
         return val / (2j * math.pi), err / (2 * math.pi)
 
     row(1, "loop around 0 and w of t^p e^t (t-w)^r / 2 pi i -> bold-F(th,al)(w)",
-        "none", lambda ps: True,
-        "Im w != 0", lambda w: w.imag != 0,
+        lambda ps: True,
+        lambda w: w.imag != 0,
         ev1,
         lambda ps, w: N.bold_F_1f1(ps[0], ps[1], w),
         (0.5 + 0.8j, 1 + 1j, -0.6 + 0.7j))
 
-    def ev2a(params, w, tol):
-        th, al = params
-        p, r = exps_a(th, al)
-        f = segment_power_integrand(0.0, w, ((1, 0.0, p), (-1, w, r)),
-                                    extra=lambda t: cmath.exp(t))
-        return tanh_sinh(f, 0.0, w, tol)
-
     row(2, "[0,w] -> w^-al FI(th,-al)(w)",
-        "Re(1-al) > |Re th|", lambda ps: 1 - ps[1] > abs(ps[0]),
-        "w off (-inf,0]", lambda w: _off_cut(w, ("le", 0.0)),
-        ev2a,
+        lambda ps: 1 - ps[1] > abs(ps[0]),
+        lambda w: _off_cut(w, ("le", 0.0)),
+        a(lambda w: ("seg", 0.0, w), 1, -1),
         lambda ps, w: jpow(w, -ps[1]) * N.FI_1f1(ps[0], -ps[1], w),
         (0.5, 0.4 + 0.6j, 1 + 0.3j))
 
-    def ev2b(params, w, tol):
-        th, al = params
-        p, r = exps_a(th, al)
-        f = segment_power_integrand(w, 0.0, ((-1, 0.0, p), (1, w, r)),
-                                    extra=lambda t: cmath.exp(t))
-        return tanh_sinh(f, w, 0.0, tol)
-
     row(3, "[w,0] -> (-w)^-al FI(th,-al)(w)",
-        "Re(1-al) > |Re th|", lambda ps: 1 - ps[1] > abs(ps[0]),
-        "w off [0,inf)", lambda w: _off_cut(w, ("ge", 0.0)),
-        ev2b,
+        lambda ps: 1 - ps[1] > abs(ps[0]),
+        lambda w: _off_cut(w, ("ge", 0.0)),
+        a(lambda w: ("seg", w, 0.0), -1, 1),
         lambda ps, w: jpow(-w, -ps[1]) * N.FI_1f1(ps[0], -ps[1], w),
         (-0.5, -0.4 + 0.6j, -1 + 0.5j))
 
-    def ev3(params, w, tol):
-        th, al = params
-        p, r = exps_a(th, al)
-        return exp_sinh(lambda s: s ** p * math.exp(-s)
-                        * jpow(w + s, r), tol)
-
     row(4, "(-inf,0] Laplace -> w^((-1-th-al)/2) tilde-FI(th,al)(-1/w)",
-        "Re(1+th-al) > 0", lambda ps: 1 + ps[0] - ps[1] > 0,
-        "w off (-inf,0]", lambda w: _off_cut(w, ("le", 0.0)),
-        ev3,
+        lambda ps: 1 + ps[0] - ps[1] > 0,
+        lambda w: _off_cut(w, ("le", 0.0)),
+        a(lambda w: ("ray", 0.0, -1.0), -1, -1),
         lambda ps, w: gamma((1 + ps[0] - ps[1]) / 2)
         * _conf_tricomi_expected(ps[0], ps[1], w),
         (0.8, 1.5 + 1j, 0.5 + 0.5j))
 
-    def ev4(params, w, tol):
-        th, al = params
-        p, r = exps_a(th, al)
-        val, err = exp_sinh(lambda s: jpow(s - w, p) * math.exp(-s)
-                            * s ** r, tol)
-        return jexp(w) * val, abs(cmath.exp(complex(w).real)) * err
-
     row(5, "(-inf,w] Laplace -> e^w (-w)^((-1+th-al)/2) tilde-FI(-th,al)(1/w)",
-        "Re(1-th-al) > 0", lambda ps: 1 - ps[0] - ps[1] > 0,
-        "w off [0,inf)", lambda w: _off_cut(w, ("ge", 0.0)),
-        ev4,
+        lambda ps: 1 - ps[0] - ps[1] > 0,
+        lambda w: _off_cut(w, ("ge", 0.0)),
+        a(lambda w: ("ray", w, -1.0), -1, -1),
         lambda ps, w: gamma((1 - ps[0] - ps[1]) / 2)
         * _conf_minus_inf_expected(ps[0], ps[1], w),
         (-0.8, -1 + 1j, -0.5 + 0.5j))
 
-    def exps_b(th, al):
-        return -1 - al, (-1 - th + al) / 2
-
-    def ev5(params, w, tol):
-        th, al = params
-        et, e1 = exps_b(th, al)
-        return exp_sinh(lambda s: jexp(w / (1 + s)) * (1 + s) ** et
-                        * s ** e1, tol)
-
     row(6, "[1,inf) -> FI(th,al)(w)",
-        "Re(1+al) > |Re th|", lambda ps: 1 + ps[1] > abs(ps[0]),
-        "any w", lambda w: True,
-        ev5,
+        lambda ps: 1 + ps[1] > abs(ps[0]),
+        lambda w: True,
+        b(lambda w: ("ray", 1.0, 1.0), 1, 1),
         lambda ps, w: N.FI_1f1(ps[0], ps[1], w),
         (0.7, -1 + 1j, 2 + 0.5j))
 
-    def ev6(params, w, tol):
-        th, al = params
-        et, e1 = exps_b(th, al)
-        rho = 0.7
-        val, err = keyhole_0(lambda t: cmath.exp(w / t)
-                             * (1 - t) ** complex(e1)
-                             if isinstance(t, complex)
-                             else cmath.exp(w / t) * (1 - t) ** e1,
-                             et, rho, tol)
+    def ev7(params, w, tol):
+        _, (et, e1), _ = _conf_b(params, w)
+        val, err = keyhole_0(lambda t: cmath.exp(w / t) * (1 - t) ** e1,
+                             et, 0.7, tol)
         return val / (2j * math.pi), err / (2 * math.pi)
 
     row(7, "keyhole (0-0)^+ -> w^-al bold-F(th,-al)(w)",
-        "none", lambda ps: True,
-        "Re w > 0, |w| < 0.5", lambda w: w.real > 0 and abs(w) < 0.5,
-        ev6,
+        lambda ps: True,
+        lambda w: w.real > 0 and abs(w) < 0.5,
+        ev7,
         lambda ps, w: jpow(w, -ps[1]) * N.bold_F_1f1(ps[0], -ps[1], w),
         (0.3, 0.25 + 0.2j, 0.4 + 0.1j))
 
-    def ev7(params, w, tol):
-        th, al = params
-        et, e1 = exps_b(th, al)
-
-        def g(s):
-            if w.real / s > 700.0:
-                return 0.0j
-            return cmath.exp(-w / s) * s ** et * (1 + s) ** e1
-
-        return exp_sinh(g, tol)
-
     row(8, "(-inf,0] -> w^((-1-th-al)/2) tilde-FI(th,-al)(-1/w)",
-        "Re(1+th+al) > 0", lambda ps: 1 + ps[0] + ps[1] > 0,
-        "Re w > 0", lambda w: w.real > 0,
-        ev7,
+        lambda ps: 1 + ps[0] + ps[1] > 0,
+        lambda w: w.real > 0,
+        b(lambda w: ("ray", 0.0, -1.0), -1, -1),
         lambda ps, w: gamma((1 + ps[0] + ps[1]) / 2)
         * _conf_tricomi_expected(ps[0], ps[1], w),
         (0.8, 1.5 + 1j, 0.5 + 0.5j))
 
-    def ev8(params, w, tol):
-        th, al = params
-        et, e1 = exps_b(th, al)
-
-        def extra(t):
-            ex = w / t
-            if ex.real < -700.0:
-                return 0.0j
-            return cmath.exp(ex)
-
-        f = segment_power_integrand(0.0, 1.0, ((1, 0.0, et), (-1, 1.0, e1)),
-                                    extra=extra)
-        return tanh_sinh(f, 0.0, 1.0, tol)
-
     row(9, "[0,1] -> e^w (-w)^((-1+th-al)/2) tilde-FI(-th,-al)(1/w)",
-        "Re(1-th+al) > 0", lambda ps: 1 - ps[0] + ps[1] > 0,
-        "Re w < 0", lambda w: w.real < 0,
-        ev8,
+        lambda ps: 1 - ps[0] + ps[1] > 0,
+        lambda w: w.real < 0,
+        b(lambda w: ("seg", 0.0, 1.0), 1, -1),
         lambda ps, w: gamma((1 - ps[0] + ps[1]) / 2)
         * _conf_minus_inf_expected(ps[0], ps[1], w),
         (-0.8, -1.5 + 1j, -0.5 + 0.5j))
@@ -1142,93 +1035,66 @@ def _build_conf_rows():
 
 # ---- Hermite rows ---------------------------------------------------------
 
+def _herm_a(ps, w):
+    """e^{t^2} (w-t)^{-la-1/2}: point w."""
+    (la,) = ps
+    return (w,), (-la - 0.5,), lambda t: _exp0(t * t)
+
+
+def _herm_b(ps, w):
+    """e^{-t^2-2tw} t^{la-1/2}: point 0."""
+    (la,) = ps
+    return (0.0,), (la - 0.5,), lambda t: _exp0(-t * t - 2 * t * w)
+
+
 _HERM_PARAM_SAMPLES = ((2 / 7,), (-1 / 7,), (5 / 13,))
 
 
 def _build_herm_rows():
     rows = []
     row = _row_adder(rows, "herm", "hermite", _HERM_PARAM_SAMPLES)
+    a = functools.partial(_power_row, _herm_a)
 
     def ev1(params, w, tol):
-        (la,) = params
+        # upward along Re t = x0, cut where Re t^2 = -45
+        points, exps, extra = _herm_a(params, w)
         x0 = min(w.real - 1.0, 0.5)
-        Y = math.sqrt(45.0 + x0 * x0)
-
-        def f(t):
-            if (t * t).real < -745.0:
-                return 0.0j
-            return cmath.exp(t * t) * jpow(w - t, -la - 0.5)
-
-        val, err = tanh_sinh(f, complex(x0, -Y), complex(x0, Y), tol)
+        y = math.sqrt(45.0 + x0 * x0)
+        val, err = power_integral(("seg", complex(x0, -y), complex(x0, y)),
+                                  tuple(zip((-1,), points, exps)), tol, extra)
         return -1j * val, err
 
     row(1, "vertical line left of w of e^{t^2}(w-t)^{-la-1/2} -> sqrt(pi) S_la(w)",
-        "none", lambda ps: True,
-        "w off (-inf,0], |w| large enough for the asymptotic reference",
+        lambda ps: True,
         lambda w: _off_cut(w, ("le", 0.0)),
         ev1,
         lambda ps, w: SQRT_PI * N.eval_hermite_S(ps[0], w),
         (5 + 1j, 4.5 + 2j, 6 + 0.5j))
 
-    def ev2(params, w, tol):
-        (la,) = params
-
-        def g(s):
-            t = w + 1j * s
-            ex = t * t
-            if ex.real < -745.0:
-                return 0.0j
-            return cmath.exp(ex) * s ** (-la - 0.5)
-
-        return exp_sinh(g, tol)
-
     row(2, "[w, i inf) of e^{t^2}(-i(t-w))^{-la-1/2} -> e^{w^2} S^I_{-la}(-iw)",
-        "Re la < 1/2", lambda ps: ps[0] < 0.5,
-        "w off [0,inf)", lambda w: _off_cut(w, ("ge", 0.0)),
-        ev2,
+        lambda ps: ps[0] < 0.5,
+        lambda w: _off_cut(w, ("ge", 0.0)),
+        a(lambda w: ("ray", w, 1j), -1j),
         lambda ps, w: cmath.exp(w * w)
         * 2 ** (ps[0] - 0.5) * gamma(0.5 - ps[0])
         * N.eval_hermite_S(-ps[0], -1j * w),
         (-3 + 4.5j, 2 + 5j, -5 + 2.5j))
 
-    def ev3(params, w, tol):
-        (la,) = params
-
-        def g(s):
-            ex = -s * s - 2 * s * w.real
-            if ex < -700.0:
-                return 0.0j
-            return cmath.exp(-s * s - 2 * s * w) * s ** (la - 0.5)
-
-        return exp_sinh(g, tol)
-
     row(3, "[0,inf) of e^{-t^2-2tw} t^{la-1/2} -> S^I_la(w)",
-        "Re la > -1/2", lambda ps: ps[0] > -0.5,
-        "w off (-inf,0]", lambda w: _off_cut(w, ("le", 0.0)),
-        ev3,
+        lambda ps: ps[0] > -0.5,
+        lambda w: _off_cut(w, ("le", 0.0)),
+        _power_row(_herm_b, lambda w: ("ray", 0.0, 1.0), 1),
         lambda ps, w: 2 ** (-ps[0] - 0.5) * gamma(ps[0] + 0.5)
         * N.eval_hermite_S(ps[0], w),
         (5 + 1j, 4.7 + 2j, 6 + 0.5j))
 
     def ev4(params, w, tol):
-        (la,) = params
-        g = la - 0.5
+        points, (g,), extra = _herm_b(params, w)
+        factors = ((1j, points[0], g),)     # (it)^{la-1/2}
         X = math.sqrt(45.0) + 2 * abs(w)
         r = 0.5
-
-        def kern(s, phase):
-            ex = -s * s - 2 * s * w * phase
-            if ex.real < -745.0:
-                return 0.0j
-            return cmath.exp(ex) * s ** complex(g)
-
-        # left ray t = -s, arg(it) = -pi/2 ; right ray t = s, arg(it) = +pi/2
-        left, e1 = tanh_sinh(
-            lambda s: cmath.exp(-1j * math.pi * g / 2)
-            * kern(s, -1.0), r, X, tol)
-        right, e2 = tanh_sinh(
-            lambda s: cmath.exp(1j * math.pi * g / 2)
-            * kern(s, 1.0), r, X, tol)
+        left, e1 = power_integral(("seg", -X, -r), factors, tol, extra)
+        right, e2 = power_integral(("seg", r, X), factors, tol, extra)
 
         def arc(phi):
             t = r * cmath.exp(1j * phi)
@@ -1242,8 +1108,7 @@ def _build_herm_rows():
 
     row(4, "real axis bypassing 0 below of e^{-t^2-2tw}(it)^{la-1/2} "
            "-> sqrt(pi) e^{w^2} S_{-la}(-iw)",
-        "none", lambda ps: True,
-        "w off [0,inf), small |Im w|",
+        lambda ps: True,
         lambda w: _off_cut(w, ("ge", 0.0)),
         ev4,
         lambda ps, w: SQRT_PI * cmath.exp(w * w)
@@ -1254,6 +1119,27 @@ def _build_herm_rows():
 
 
 # ---- 0F1 rows -------------------------------------------------------------
+
+def _bessel_0f1(ps, w):
+    """e^t e^{w/t} t^{-al-1}: point 0."""
+    (al,) = ps
+    return (0.0,), (-al - 1,), lambda t: _exp0(t + w / t)
+
+
+def _poisson(ps, w):
+    """Poisson's (1-t^2)^{al-1/2} e^{2t sqrt w}: points 1, -1."""
+    (al,) = ps
+    sq = cmath.sqrt(w)
+    return (1.0, -1.0), (al - 0.5, al - 0.5), lambda t: _exp0(2 * t * sq)
+
+
+def _poisson_w(ps, w):
+    """Poisson's integrand with t scaled by sqrt w,
+    (w-t^2)^{-al-1/2} e^{2t}: points sqrt w, -sqrt w."""
+    (al,) = ps
+    sq = cmath.sqrt(w)
+    return (sq, -sq), (-al - 0.5, -al - 0.5), lambda t: _exp0(2 * t)
+
 
 _0F1_PARAM_SAMPLES = ((2 / 7,), (-3 / 13,), (1 / 11,))
 
@@ -1268,134 +1154,70 @@ def _0f1_tilde_expected(al, w):
 def _build_0f1_rows():
     rows = []
     row = _row_adder(rows, "0f1", "0f1", _0F1_PARAM_SAMPLES)
+    poisson = functools.partial(_power_row, _poisson)
+    poisson_w = functools.partial(_power_row, _poisson_w)
 
     def ev1(params, w, tol):
-        (al,) = params
-        rho = max(1.0, abs(w))
-        R = 40.0 + abs(w)
-        val, err = double_ray_0(
-            lambda t: cmath.exp(t + w / t), -al - 1, rho, R, tol)
+        _, (gam,), extra = _bessel_0f1(params, w)
+        val, err = double_ray_0(extra, gam, max(1.0, abs(w)), 40.0 + abs(w),
+                                tol)
         return val / (2j * math.pi), err / (2 * math.pi)
 
     row(1, "double ray around 0 of e^t e^{w/t} t^{-al-1} / 2 pi i "
            "-> bold-F_al(w)",
-        "none", lambda ps: True,
-        "Re w > 0", lambda w: w.real > 0,
+        lambda ps: True,
+        lambda w: w.real > 0,
         ev1,
         lambda ps, w: N.bold_F_0f1(ps[0], w),
         (0.5, 1 + 0.8j, 2 + 0.5j))
 
     def ev2(params, w, tol):
-        (al,) = params
-        rho = max(1.0, abs(w))
-
-        def fn(t):
-            if (w / t).real < -700.0 or t.real - abs(w) / abs(t) < -700.0:
-                return 0.0j
-            ex = t + w / t
-            if ex.real < -700.0:
-                return 0.0j
-            return cmath.exp(ex)
-
-        val, err = keyhole_0(fn, -al - 1, rho, tol)
+        _, (gam,), extra = _bessel_0f1(params, w)
+        val, err = keyhole_0(extra, gam, max(1.0, abs(w)), tol)
         return val / (2j * math.pi), err / (2 * math.pi)
 
     row(2, "keyhole (0-0)^+ of e^t e^{w/t} t^{-al-1} / 2 pi i "
            "-> w^-al bold-F_{-al}(w)",
-        "none", lambda ps: True,
-        "Re w > 0", lambda w: w.real > 0,
+        lambda ps: True,
+        lambda w: w.real > 0,
         ev2,
         lambda ps, w: jpow(w, -ps[0]) * N.bold_F_0f1(-ps[0], w),
         (0.5, 1 + 0.8j, 2 + 0.5j))
 
-    def ev3(params, w, tol):
-        (al,) = params
-
-        def g(s):
-            if s > 700.0 or (w / s).real > 700.0:
-                return 0.0j
-            return cmath.exp(-s - w / s) * s ** (-al - 1)
-
-        return exp_sinh(g, tol)
-
     row(3, "(-inf,0] of e^t e^{w/t}(-t)^{-al-1} -> sqrt(pi) tilde-F_al(w)",
-        "none", lambda ps: True,
-        "Re w > 0", lambda w: w.real > 0,
-        ev3,
+        lambda ps: True,
+        lambda w: w.real > 0,
+        _power_row(_bessel_0f1, lambda w: ("ray", 0.0, -1.0), -1),
         lambda ps, w: SQRT_PI * _0f1_tilde_expected(ps[0], w),
         (0.5, 1 + 0.5j, 2))
 
-    def ev4(params, w, tol):
-        (al,) = params
-        sq = cmath.sqrt(w)
-        f = segment_power_integrand(
-            -1.0, 1.0, ((-1, 1.0, al - 0.5), (1, -1.0, al - 0.5)),
-            extra=lambda t: cmath.exp(2 * t * sq))
-        return tanh_sinh(f, -1.0, 1.0, tol)
-
     row(4, "Poisson [-1,1] -> Gamma(al+1/2) sqrt(pi) bold-F_al(w)",
-        "Re al > -1/2", lambda ps: ps[0] > -0.5,
-        "w off (-inf,0]", lambda w: _off_cut(w, ("le", 0.0)),
-        ev4,
+        lambda ps: ps[0] > -0.5,
+        lambda w: _off_cut(w, ("le", 0.0)),
+        poisson(lambda w: ("seg", -1.0, 1.0), -1, 1),
         lambda ps, w: gamma(ps[0] + 0.5) * SQRT_PI * N.bold_F_0f1(ps[0], w),
         (0.4, 1 + 1j, 2 + 0.5j))
 
-    def ev5(params, w, tol):
-        (al,) = params
-        sq = cmath.sqrt(w)
-        # w - t^2 = (sq - t)(sq + t), factored through the endpoints
-        f = segment_power_integrand(
-            -sq, sq, ((-1, sq, -al - 0.5), (1, -sq, -al - 0.5)),
-            extra=lambda t: cmath.exp(2 * t))
-        return tanh_sinh(f, -sq, sq, tol)
-
     row(5, "Poisson [-sqrt w, sqrt w] -> Gamma(-al+1/2) sqrt(pi) w^-al "
            "bold-F_{-al}(w)",
-        "Re al < 1/2", lambda ps: ps[0] < 0.5,
-        "w off (-inf,0]", lambda w: _off_cut(w, ("le", 0.0)),
-        ev5,
+        lambda ps: ps[0] < 0.5,
+        lambda w: _off_cut(w, ("le", 0.0)),
+        poisson_w(lambda w: ("seg", -cmath.sqrt(w), cmath.sqrt(w)), -1, 1),
         lambda ps, w: gamma(-ps[0] + 0.5) * SQRT_PI * jpow(w, -ps[0])
         * N.bold_F_0f1(-ps[0], w),
         (0.4, 1 + 1j, 2 + 0.5j))
 
-    def ev6(params, w, tol):
-        (al,) = params
-        sq = cmath.sqrt(w)
-
-        def g(s):
-            # t = -1 - s
-            ex = 2 * (-1 - s) * sq
-            if ex.real < -700.0:
-                return 0.0j
-            return s ** (al - 0.5) * (s + 2) ** (al - 0.5) * cmath.exp(ex)
-
-        return exp_sinh(g, tol)
-
     row(6, "Poisson (-inf,-1] -> (1/2) Gamma(al+1/2) tilde-F_al(w)",
-        "Re al > -1/2", lambda ps: ps[0] > -0.5,
-        "w off (-inf,0]", lambda w: _off_cut(w, ("le", 0.0)),
-        ev6,
+        lambda ps: ps[0] > -0.5,
+        lambda w: _off_cut(w, ("le", 0.0)),
+        poisson(lambda w: ("ray", -1.0, -1.0), -1, -1),
         lambda ps, w: 0.5 * gamma(ps[0] + 0.5) * _0f1_tilde_expected(ps[0], w),
         (0.4, 1 + 1j, 2 + 0.5j))
 
-    def ev7(params, w, tol):
-        (al,) = params
-        sq = cmath.sqrt(w)
-
-        def g(s):
-            # t = -sq - s: t^2 - w = s (s + 2 sq)
-            ex = 2 * (-sq - s)
-            if ex.real < -700.0:
-                return 0.0j
-            return s ** (-al - 0.5) * jpow(s + 2 * sq, -al - 0.5) \
-                * cmath.exp(ex)
-
-        return exp_sinh(g, tol)
-
     row(7, "Poisson (-inf,-sqrt w] -> (1/2) Gamma(-al+1/2) tilde-F_al(w)",
-        "Re al < 1/2", lambda ps: ps[0] < 0.5,
-        "w off (-inf,0]", lambda w: _off_cut(w, ("le", 0.0)),
-        ev7,
+        lambda ps: ps[0] < 0.5,
+        lambda w: _off_cut(w, ("le", 0.0)),
+        poisson_w(lambda w: ("ray", -cmath.sqrt(w), -1.0), -1, -1),
         lambda ps, w: 0.5 * gamma(-ps[0] + 0.5)
         * _0f1_tilde_expected(ps[0], w),
         (0.4, 1 + 1j, 2 + 0.5j))
@@ -1437,20 +1259,16 @@ def three_way_split_residual(al, be, mu, w, sign: int = 1,
     w = complex(w)
     if w.imag >= 0:
         raise N.DomainError("the split is stated for Im w < 0")
-    al = complex(al)
-    be = complex(be)
-    mu = complex(mu)
-    p = (-1 - al + be + sign * mu) / 2
-    q = (-1 + al - be + sign * mu) / 2
-    r = (-1 - al - be - sign * mu) / 2
+    points, exps, _ = _euler_2f1(
+        (complex(al), complex(be), sign * complex(mu)), w)
 
-    i_neg, e1 = exp_sinh(lambda s: s ** p * (1 + s) ** q
-                         * jpow(w + s, r), tol)
-    f_mid = segment_power_integrand(0.0, 1.0, ((1, 0.0, p), (-1, 1.0, q),
-                                               (-1, w, r)))
-    i_mid, e2 = tanh_sinh(f_mid, 0.0, 1.0, tol)
-    i_pos, e3 = exp_sinh(lambda s: (1 + s) ** p * s ** q
-                         * jpow(w - 1 - s, r), tol)
+    def piece(path, *signs):
+        return power_integral(path, tuple(zip(signs, points, exps)), tol)
+
+    i_neg, e1 = piece(("ray", 0.0, -1.0), -1, -1, -1)
+    i_mid, e2 = piece(("seg", 0.0, 1.0), 1, -1, -1)
+    i_pos, e3 = piece(("ray", 1.0, 1.0), 1, 1, -1)
+    p, q, _ = exps
     ph_mid = cmath.exp(-1j * math.pi * p)
     ph_pos = cmath.exp(-1j * math.pi * (p + q))
     total = i_neg + ph_mid * i_mid + ph_pos * i_pos

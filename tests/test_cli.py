@@ -80,6 +80,16 @@ def test_eval_complex_argument(capsys):
     assert abs(v - N.eval_0F1(0.5, 0.3 + 0.2j)) < 1e-13 * abs(v)
 
 
+@pytest.mark.parametrize("w", ["0.7", "0.65,0.1"])
+def test_eval_2f1_route_label_past_series_radius(capsys, w):
+    # 0.6 < |w| <= 0.75: eval_2F1 takes the connection at 1 there, never
+    # the series or Pfaff
+    code, out, _ = run(capsys, "eval", "2f1", "--alpha", "0.2", "--beta",
+                       "0.1", "--mu", "0.3", "--w", w)
+    assert code == 0
+    assert out.splitlines()[1] == "method: connection"
+
+
 @pytest.mark.parametrize("w", ["-0.52,0.10", "-0.52+0.1i", "-0.52"])
 def test_eval_negative_value_as_separate_argument(capsys, w):
     params = ("--alpha", "0.1", "--beta", "0.2", "--mu", "0.3")

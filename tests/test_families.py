@@ -16,7 +16,6 @@ from hyperclass.families import (
     catalog,
     classical_to_lie,
     lie_to_classical,
-    make_operator,
     make_operator_expr,
     quadratic_links,
     symbolic_params,
@@ -116,20 +115,6 @@ def test_operator_annihilates_hermite():
         "hermite", (la,), 0.9 + 0.1j,
         lambda j: N.eval_hermite_S(la, j))
     assert r < 1e-9
-
-
-def test_make_operator_rational_matches_symbolic():
-    p = FamilyParams("2f1", (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)))
-    exact = make_operator(p)
-    sym = make_operator(p, symbolic=True)
-    assign = {"w": 0.4 + 0.2j, "alpha": 1 / 3, "beta": 1 / 5, "mu": 1 / 7}
-    for ce, cs in zip(exact.numeric_coeffs(assign), sym.numeric_coeffs(assign)):
-        assert abs(ce - cs) < 1e-14
-
-
-def test_make_operator_rejects_floats():
-    with pytest.raises(TypeError):
-        make_operator(FamilyParams("0f1", (0.3,)))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,101 @@ def test_exp_sinh_scaled():
     assert abs(val - 100) < 1e-9
 
 
+# ---------------------------------------------------------------------------
+# Power integrands on rays and the segment/ray dispatcher
+# ---------------------------------------------------------------------------
+
+def test_ray_power_integrand_exact_start_offset():
+    # far from 0, so that t - z0 rounds away from the offset s
+    z0, p = 1000.1 + 0.3j, 999.6 - 0.2j
+    g = Q.ray_power_integrand(z0, 1.0, ((1, z0, -0.45), (1, p, 0.3)),
+                              extra=lambda t: cmath.exp(z0 - t))
+
+    def by_hand(s):
+        t = z0 + s
+        return s ** -0.45 * (t - p) ** 0.3 * cmath.exp(z0 - t)
+
+    def naive(s):
+        t = z0 + s
+        return (t - z0) ** -0.45 * (t - p) ** 0.3 * cmath.exp(z0 - t)
+
+    nodes = (1e-12, 3.7e-9, 1e-6, 0.3, 2.0, 7.5)
+    assert [_bits(g(s)) for s in nodes] == [_bits(by_hand(s)) for s in nodes]
+    assert any(_bits(g(s)) != _bits(naive(s)) for s in nodes)
+    got, want = Q.exp_sinh(g), Q.exp_sinh(by_hand)
+    assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
+def test_ray_power_integrand_jet_factor():
+    # d/dw of int_0^inf s^{-0.3} (s+w)^{-0.4} e^{-s} ds under the integral
+    w0, h = 0.8 + 0.5j, 1e-5
+
+    def integral(w):
+        g = Q.ray_power_integrand(0.0, 1.0, ((1, 0.0, -0.3), (1, -w, -0.4)),
+                                  extra=lambda t: cmath.exp(-t))
+        return Q.exp_sinh(g, 1e-13)[0]
+
+    j = integral(Jet.variable(w0, 1))
+    assert isinstance(j, Jet)
+    assert abs(j.value() - integral(w0)) < 1e-14 * abs(j.value())
+    num = (integral(w0 + h) - integral(w0 - h)) / (2 * h)
+    assert abs(j.derivative_value(1) - num) < 1e-7 * abs(num)
+
+
+def test_ray_power_integrand_imaginary_direction():
+    # t = z0 + i s: (-i(t-z0))^{a-1} (-i(t-z0+i))^b e^{i(t-z0)}
+    # = s^{a-1} (1+s)^b e^{-s}, and with b = 0 the integral is Gamma(a)
+    z0, a, b = -0.4 + 2.0j, 0.35, -0.6
+    g = Q.ray_power_integrand(
+        z0, 1j, ((-1j, z0, a - 1), (-1j, z0 - 1j, b)),
+        extra=lambda t: cmath.exp(1j * (t - z0)))
+    val, _ = Q.exp_sinh(g)
+    ref, _ = Q.exp_sinh(lambda s: s ** (a - 1) * (1 + s) ** b * math.exp(-s))
+    assert abs(val - ref) < 1e-13 * abs(ref)
+    gam = Q.ray_power_integrand(z0, 1j, ((-1j, z0, a - 1),),
+                                extra=lambda t: cmath.exp(1j * (t - z0)))
+    assert abs(Q.exp_sinh(gam)[0] - N.gamma(a)) < 1e-12 * abs(N.gamma(a))
+
+
+def test_power_integrands_return_a_guard_zero():
+    # an underflow guard's zero is the node's value, although s^-1.5 would
+    # overflow there: the node counts as a zero instead of being skipped
+    def extra(t):
+        return 0.0j if t.real < 1e-3 else cmath.exp(-1 / t)
+
+    factors = ((1, 0.0, -1.5),)
+    g = Q.ray_power_integrand(0.0, 1.0, factors, extra)
+    f = Q.segment_power_integrand(0.0, 1.0, factors, extra)
+    with pytest.raises(OverflowError):
+        complex(1e-300) ** -1.5
+    assert g(1e-300) == 0 and f(1e-300 + 0j, 0, 1e-300 + 0j) == 0
+    assert abs(g(0.5) - 0.5 ** -1.5 * math.exp(-2)) < 1e-15
+
+
+def test_power_integral_dispatch(monkeypatch):
+    calls = []
+
+    def counted(name):
+        rule = getattr(Q, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return rule(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Q, "tanh_sinh", counted("tanh_sinh"))
+    monkeypatch.setattr(Q, "exp_sinh", counted("exp_sinh"))
+    factors = ((1, 0.0, -0.5),)
+    seg, _ = Q.power_integral(("seg", 0.0, 1.0), factors, 1e-12)
+    assert calls == ["tanh_sinh"] and abs(seg - 2) < 1e-12
+    calls.clear()
+    ray, _ = Q.power_integral(("ray", 0.0, 1.0), factors, 1e-12,
+                              extra=lambda t: cmath.exp(-t))
+    assert calls == ["exp_sinh"] and abs(ray - SQRT_PI) < 1e-12
+    with pytest.raises(ValueError):
+        Q.power_integral(("arc", 0.0, 1.0), factors, 1e-12)
+
+
 def test_double_ray_hankel():
     # (1/2 pi i) oint e^t t^{-z} dt = 1/Gamma(z) on the Hankel contour
     z = 0.7 + 0.3j

@@ -6,22 +6,26 @@ failures, 2 usage errors, 3 domain/degeneracy/convergence errors.
 Number format: complex CLI literals are "re" or "re,im"; output uses 15
 significant digits as "re", "re+imi" or "re-imi", all of which re-parse.
 The environment variable HYPERCLASS_TOL scales every default numeric
-tolerance (default 1.0).  `verify` takes parameter flags and --w only for
-the kummer suite (all three 2F1 parameters); elsewhere they are a usage
-error rather than being ignored.
+tolerance (default 1.0; it must be finite and positive).  `verify` takes
+parameter flags and --w only for the kummer suite (all three 2F1
+parameters); elsewhere they are a usage error rather than being ignored.
+
+Each command imports only the modules it runs: `eval` and `plotdata` load
+`numerics` (and `quadrature` where a route integrates), and reach the
+exact layer (`families`, `exactalg`) only to convert classical parameters;
+`verify` loads `verify`, and `catalog` loads `families`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 
-from . import families as fam
 from . import numerics as N
-from . import verify as V
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -37,8 +41,8 @@ class UsageError(Exception):
 # Number parsing / formatting
 # ---------------------------------------------------------------------------
 
-_IMAG_RE = re.compile(
-    r"^(?P<re>[+-]?[0-9.eE+-]*?)(?P<im>[+-][0-9.eE]+(?:[eE][+-]?[0-9]+)?)i$")
+_DECIMAL = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_IMAG_RE = re.compile(rf"^(?P<re>[+-]?{_DECIMAL})(?P<im>[+-]{_DECIMAL})i$")
 
 
 def parse_complex(s: str) -> complex:
@@ -50,7 +54,7 @@ def parse_complex(s: str) -> complex:
             return complex(float(re_s), float(im_s))
         if s.endswith("i"):
             m = _IMAG_RE.match(s)
-            if m and m.group("re"):
+            if m:
                 return complex(float(m.group("re")), float(m.group("im")))
             body = s[:-1]
             if body in ("", "+"):
@@ -110,6 +114,7 @@ def lie_params_from_args(family: str, args) -> tuple:
     if set(lie) <= given:
         return tuple(parse_complex(getattr(args, n)) for n in lie)
     if set(classical) <= given:
+        from . import families as fam
         values = {n: parse_complex(getattr(args, n)) for n in classical}
         p = fam.classical_to_lie(fam.ClassicalParams(family, values))
         return tuple(p.values)
@@ -121,9 +126,13 @@ def lie_params_from_args(family: str, args) -> tuple:
 def _tol_scale() -> float:
     raw = os.environ.get("HYPERCLASS_TOL", "1.0")
     try:
-        return float(raw)
+        scale = float(raw)
     except ValueError:
-        raise UsageError(f"HYPERCLASS_TOL must be a number, got {raw!r}")
+        scale = math.nan
+    if not 0 < scale < math.inf:
+        raise UsageError("HYPERCLASS_TOL must be a finite number > 0, "
+                         f"got {raw!r}")
+    return scale
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +251,10 @@ def _report_text(report) -> str:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as V
+    if args.suite not in V.SUITES + ("all",):
+        raise UsageError(f"unknown suite {args.suite!r}; the suites are "
+                         f"{', '.join(V.SUITES)} and all")
     scale = _tol_scale()
     custom = any(getattr(args, n) is not None for n in ALL_PARAM_FLAGS)
     if args.suite != "kummer":
@@ -281,6 +294,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _catalog_sections(family: str) -> dict:
+    from . import families as fam
     cat = fam.catalog(family)
     sections = {
         "transmutations": cat.transmutations,
@@ -355,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=cmd_eval)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite", choices=V.SUITES + ("all",))
+    pv.add_argument("suite", help="a verification suite, or all")
     pv.add_argument("--family", default=None,
                     choices=FAMILY_CHOICES + ("all",))
     pv.add_argument("--seed", type=int, default=0)

@@ -9,20 +9,22 @@ coefficients, and normalized variants whose recurrence coefficients are
 polynomial.
 
 All evaluators are jet-polymorphic: the argument may be a complex number
-or an `exactalg.Jet`, in which case derivatives come along for free.
+or a `jet.Jet`, in which case derivatives come along for free.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from .exactalg import Jet, _jet, _jet_mul, _jet_scale
+from .jet import Jet, _jet, _jet_mul, _jet_scale
 
-Number = Union[int, float, complex, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# complex() converts a Fraction through its __float__
+Number = Union[int, float, complex, "Fraction"]
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +84,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _as_complex(z: Number) -> complex:
-    t = type(z)
-    if t is complex:
+    if type(z) is complex:
         return z
-    if t is float or t is int:
-        return complex(z)
-    if isinstance(z, Fraction):
-        return complex(float(z))
     return complex(z)
 
 
@@ -753,8 +750,7 @@ def connection_coeffs_0f1(al):
 # Standard solutions and their alternative expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolutionDescriptor:
+class SolutionDescriptor(NamedTuple):
     """One standard solution with its alternative expressions.
 
     `expressions` is a tuple of callables (params, w, tol) -> value;

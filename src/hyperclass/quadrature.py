@@ -41,10 +41,9 @@ import cmath
 import functools
 import math
 from array import array
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .exactalg import Jet
+from .jet import Jet
 from . import numerics as N
 from .numerics import (jabs, jexp, jpow, jsqrt, jvalue, rgamma, gamma,
                        NumericsError)
@@ -613,8 +612,7 @@ def bessel_tilde_solution(al, w, tol: float = 1e-11):
 # The representation catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RepRow:
+class RepRow(NamedTuple):
     """One printed integral representation.
 
     evaluate(params, w, tol) -> (value, error_estimate) by quadrature;

@@ -27,7 +27,6 @@ from . import families as fam
 from . import numerics as N
 from .exactalg import (
     DiffOperator,
-    Jet,
     MultiPoly,
     RatFun,
     jet_apply,
@@ -35,6 +34,7 @@ from .exactalg import (
     op_conjugate,
     op_substitute,
 )
+from .jet import Jet
 from .numerics import jexp, jpow, jsqrt
 
 SUITES = (

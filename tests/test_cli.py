@@ -39,6 +39,11 @@ def test_parse_forms():
     assert cli.parse_complex("1.5,-2") == 1.5 - 2j
     assert cli.parse_complex("2i") == 2j
     assert cli.parse_complex("-i") == -1j
+    # a signed exponent in a pure imaginary is not a real part's sign
+    assert cli.parse_complex("1e-3i") == 1e-3j
+    assert cli.parse_complex("-1e-3i") == -1e-3j
+    assert cli.parse_complex("-2.5e+2i") == -250j
+    assert cli.parse_complex("1e-3-1e-3i") == 1e-3 - 1e-3j
     with pytest.raises(cli.UsageError):
         cli.parse_complex("one")
 
@@ -149,9 +154,16 @@ def test_eval_gamma_pole_exit_code(capsys):
 
 
 def test_bad_tol_env(capsys, monkeypatch):
-    monkeypatch.setenv("HYPERCLASS_TOL", "abc")
-    code, _, err = run(capsys, "eval", "0f1", "--c", "1.5", "--w", "0.5")
-    assert code == 2
+    # a scale that is no number, or not finite and positive, would make
+    # every check fail (nan, <= 0) or pass (inf) whatever its error
+    for raw in ("abc", "nan", "inf", "-1", "0"):
+        monkeypatch.setenv("HYPERCLASS_TOL", raw)
+        code, _, err = run(capsys, "eval", "0f1", "--c", "1.5", "--w", "0.5")
+        assert code == 2, raw
+        code, out, err = run(capsys, "verify", "recurrences",
+                             "--family", "hermite")
+        assert (code, out) == (2, ""), raw
+        assert "HYPERCLASS_TOL" in err
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +289,11 @@ def test_verify_kummer_custom_params_without_point(capsys):
 
 
 def test_verify_bad_suite_usage(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "nonsense"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, out, err = run(capsys, "verify", "nonsense")
+    assert (code, out) == (2, "")
+    assert "usage error: unknown suite 'nonsense'" in err
+    from hyperclass import verify as V
+    assert all(suite in err for suite in V.SUITES)
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +373,48 @@ def test_no_third_party_import():
                              "--method", "quadrature"]) == 0
         print("numpy" in sys.modules)
     """)
+    assert _python(script) == "False"
+
+
+def _python(script: str, *args: str, flags=()) -> str:
+    """stdout of a fresh interpreter running `script` on the sources."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *flags, "-c", script, *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+# the exact layer and the standard modules only it needs
+EXACT_LAYER = ("hyperclass.exactalg", "hyperclass.families",
+               "hyperclass.verify", "fractions", "dataclasses")
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (None, EXACT_LAYER),                       # cli.build_parser() alone
+    (["eval", "2f1", "--alpha", "0.2", "--beta", "0.1", "--mu", "0.3",
+      "--w", "0.7"], EXACT_LAYER),
+    (["eval", "hermite", "--lam", "0.3", "--w", "1.2",
+      "--method", "quadrature"], EXACT_LAYER),
+    (["catalog", "gegenbauer"], ("hyperclass.verify",)),
+], ids=["build_parser", "eval_2f1", "eval_hermite_quadrature", "catalog"])
+def test_command_loads_only_what_it_runs(argv, absent):
+    # -S: no site hooks, so sys.modules holds what the command imported
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from hyperclass import cli
+        argv = json.loads(sys.argv[1])
+        if argv is None:
+            cli.build_parser()
+        else:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    loaded = json.loads(_python(script, json.dumps(argv), flags=("-S",)))
+    assert "hyperclass.numerics" in loaded
+    assert [m for m in absent if m in loaded] == []

@@ -16,7 +16,6 @@ from hyperclass.exactalg import (
     RF_ZERO,
     DiffOperator,
     GaussRational,
-    Jet,
     LinFactor,
     MultiPoly,
     Multiplier,
@@ -27,6 +26,7 @@ from hyperclass.exactalg import (
     op_conjugate,
     op_substitute,
 )
+from hyperclass.jet import Jet
 
 # ---------------------------------------------------------------------------
 # GaussRational

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hyperclass import numerics as N
-from hyperclass.exactalg import Jet, jet_apply
+from hyperclass.exactalg import jet_apply
 from hyperclass.families import (
     EXPECTED_COUNTS,
     FAMILIES,
@@ -20,6 +20,7 @@ from hyperclass.families import (
     quadratic_links,
     symbolic_params,
 )
+from hyperclass.jet import Jet
 
 CATALOG_FAMILIES = tuple(EXPECTED_COUNTS)
 

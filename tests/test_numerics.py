@@ -10,7 +10,7 @@ import pytest
 
 from hyperclass import numerics as N
 from hyperclass import quadrature as Q
-from hyperclass.exactalg import Jet
+from hyperclass.jet import Jet
 
 # ---------------------------------------------------------------------------
 # Gamma and friends

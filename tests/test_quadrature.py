@@ -8,7 +8,7 @@ import pytest
 
 from hyperclass import numerics as N
 from hyperclass import quadrature as Q
-from hyperclass.exactalg import Jet
+from hyperclass.jet import Jet
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -530,7 +530,6 @@ def test_bessel_tilde_at_half_integer():
 def test_tricomi_solution_jet():
     # jet evaluation: first derivative matches central differences
     th, al, w = 0.23, -0.31, 2.5 + 1.5j
-    from hyperclass.exactalg import Jet
     j = Q.tricomi_solution(th, al, Jet.variable(w, 1), 1e-12)
     h = 1e-5
     num = (Q.tricomi_solution(th, al, w + h, 1e-13)

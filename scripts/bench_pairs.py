@@ -1,21 +1,21 @@
 """Run perfbench from two source checkouts in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload cli \\
-        --first-seed 3301 --pairs 10 --out BENCH_8.json
+    python3 scripts/bench_pairs.py PARENT CHANGE --first-seed 3601 \\
+        --out BENCH_8.json [--workload cli eval verify]
 
 PARENT and CHANGE are directories that each hold a full checkout (``src``
-and ``perfbench``).  Pair i runs ``perfbench/run.py --workload W --seed
-FIRST+i --seconds S --trace 0`` once from each checkout, one run at a time;
-the parent goes first in even pairs and the change first in odd ones, so a
-drift of the host's speed falls on both sides alike.  Each side runs its
-own copy of perfbench, which must therefore be the same code on both.
+and ``perfbench``).  For each workload W (by default every workload in
+BENCHMARK.json), pair i of ten runs ``perfbench/run.py --workload W --seed
+FIRST+i --seconds S --trace 0`` once from each checkout, one run at a time,
+with S the ``run_seconds`` of BENCHMARK.json; the parent goes first in even
+pairs and the change first in odd ones, so a drift of the host's speed
+falls on both sides alike.  Each side runs its own copy of perfbench, which
+must therefore be the same code on both.
 
 The result file holds, per workload and side, every run of each metric
 that BENCHMARK.json bounds with its median and quartiles, the operations
 attempted and failed, and for each metric the number of pairs in which the
-change read better.  Workloads already in an existing result file are kept
-unless they are run again; the file must come from the same two source
-trees.
+change read better.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import subprocess
 import sys
 
 RUN_TIMEOUT_S = 1800
+PAIRS = 10
 
 
 def src_digest(root: str) -> str:
@@ -97,66 +98,56 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: run_seconds of "
-                         "BENCHMARK.json)")
     ap.add_argument("--out", required=True)
+    ap.add_argument("--workload", nargs="+",
+                    help="workloads to run (default: every workload in "
+                         "BENCHMARK.json)")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2 (quartiles need two runs)")
 
-    record = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            record = json.load(fh)
-    digests = (src_digest(args.parent), src_digest(args.change))
-    if record and digests != (record["parent_src_sha256"],
-                              record["change"]["src_sha256"]):
-        raise SystemExit(f"{args.out} holds runs of other sources")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     bounds = {m["name"]: m for m in spec["end_to_end"]}
-    if args.seconds is None:
-        args.seconds = spec["run_seconds"]
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-    runs = {"parent": [], "change": []}
-    for i, seed in enumerate(seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            root = args.parent if side == "parent" else args.change
-            res = run_once(root, args.workload, seed, args.seconds)
-            runs[side].append(res)
-            line = "  ".join(f"{n}={res['metrics'][n]['value']:.6g}"
-                             for n in bounds)
-            print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: {line} "
-                  f"failed={res['failed']}/{res['attempted']}", flush=True)
-
-    record.update({
+    seconds = spec["run_seconds"]
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
+    record = {
         "parent_commit": git_commit(args.parent),
-        "parent_src_sha256": digests[0],
-        "change": {"src_sha256": digests[1],
+        "parent_src_sha256": src_digest(args.parent),
+        "change": {"src_sha256": src_digest(args.change),
                    "note": "sha256 over the relative paths and bytes of "
                            "src/**/*.py, sorted by path"},
         "python": platform.python_version(),
-        "command": "python3 perfbench/run.py --workload W --seed S "
-                   "--seconds T --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {seconds} --trace 0",
         "method": "alternating parent/change pairs, the parent first in "
                   "even pairs, one run at a time, each side from its own "
                   "checkout; quartiles by statistics.quantiles(n=4, "
                   "method='inclusive')",
-    })
-    record.setdefault("workloads", {})[args.workload] = {
-        "seeds": seeds,
-        "pairs": args.pairs,
-        "seconds": args.seconds,
-        "parent": side_record(runs["parent"], list(bounds)),
-        "change": side_record(runs["change"], list(bounds)),
-        "change_better_pairs": better_pairs(runs["parent"], runs["change"],
-                                            bounds),
+        "workloads": {},
     }
+    for workload in workloads:
+        runs = {"parent": [], "change": []}
+        for i, seed in enumerate(seeds):
+            order = (("parent", "change") if i % 2 == 0
+                     else ("change", "parent"))
+            for side in order:
+                root = args.parent if side == "parent" else args.change
+                res = run_once(root, workload, seed, seconds)
+                runs[side].append(res)
+                line = "  ".join(f"{n}={res['metrics'][n]['value']:.6g}"
+                                 for n in bounds)
+                print(f"{workload} pair {i + 1}/{PAIRS} seed {seed} {side}: "
+                      f"{line} failed={res['failed']}/{res['attempted']}",
+                      flush=True)
+        record["workloads"][workload] = {
+            "seeds": seeds,
+            "pairs": PAIRS,
+            "parent": side_record(runs["parent"], list(bounds)),
+            "change": side_record(runs["change"], list(bounds)),
+            "change_better_pairs": better_pairs(runs["parent"],
+                                                runs["change"], bounds),
+        }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

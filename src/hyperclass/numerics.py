@@ -16,15 +16,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .jet import Jet, _jet, _jet_mul, _jet_scale
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-# complex() converts a Fraction through its __float__
-Number = Union[int, float, complex, "Fraction"]
+Number = Union[int, float, complex]
 
 
 # ---------------------------------------------------------------------------

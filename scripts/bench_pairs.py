@@ -10,7 +10,9 @@ FIRST+i --seconds S --trace 0`` once from each checkout, one run at a time,
 with S the ``run_seconds`` of BENCHMARK.json; the parent goes first in even
 pairs and the change first in odd ones, so a drift of the host's speed
 falls on both sides alike.  Each side runs its own copy of perfbench, which
-must therefore be the same code on both.
+must therefore be the same code on both: the script hashes each side's
+``perfbench/`` and ``BENCHMARK.json`` (the workload version) and exits with
+status 2, before any run, if the two differ.
 
 The result file holds, per workload and side, every run of each metric
 that BENCHMARK.json bounds with its median and quartiles, the operations
@@ -33,19 +35,34 @@ RUN_TIMEOUT_S = 1800
 PAIRS = 10
 
 
+def _digest(base: str, paths) -> str:
+    """sha256 over each relative path and the bytes of its file, in the
+    order given."""
+    h = hashlib.sha256()
+    for rel in paths:
+        h.update(rel.encode() + b"\0")
+        with open(os.path.join(base, rel), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
 def src_digest(root: str) -> str:
     """sha256 over the relative paths and bytes of every .py file under
     src/, in sorted order."""
-    h = hashlib.sha256()
     src = os.path.join(root, "src")
-    paths = sorted(
+    return _digest(src, sorted(
         os.path.relpath(os.path.join(d, f), src)
-        for d, _, files in os.walk(src) for f in files if f.endswith(".py"))
-    for rel in paths:
-        h.update(rel.encode() + b"\0")
-        with open(os.path.join(src, rel), "rb") as fh:
-            h.update(fh.read())
-    return h.hexdigest()
+        for d, _, files in os.walk(src) for f in files if f.endswith(".py")))
+
+
+def workload_digest(root: str) -> str:
+    """sha256 over BENCHMARK.json and every file under perfbench/ (not its
+    out/ and __pycache__/ folders), by path relative to the checkout."""
+    paths = ["BENCHMARK.json"]
+    for d, dirs, files in os.walk(os.path.join(root, "perfbench")):
+        dirs[:] = [x for x in dirs if x not in ("out", "__pycache__")]
+        paths += (os.path.relpath(os.path.join(d, f), root) for f in files)
+    return _digest(root, sorted(paths))
 
 
 def git_commit(root: str):
@@ -105,6 +122,13 @@ def main(argv=None) -> int:
                          "BENCHMARK.json)")
     args = ap.parse_args(argv)
 
+    workload = {side: workload_digest(root)
+                for side, root in (("parent", args.parent),
+                                   ("change", args.change))}
+    if workload["parent"] != workload["change"]:
+        print(f"perfbench/ or BENCHMARK.json differ between {args.parent} "
+              f"and {args.change}: {workload}", file=sys.stderr)
+        return 2
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     bounds = {m["name"]: m for m in spec["end_to_end"]}
@@ -117,6 +141,11 @@ def main(argv=None) -> int:
         "change": {"src_sha256": src_digest(args.change),
                    "note": "sha256 over the relative paths and bytes of "
                            "src/**/*.py, sorted by path"},
+        "workload_sha256": workload["change"],
+        "workload_note": "sha256 over the relative paths and bytes of "
+                         "BENCHMARK.json and perfbench/** (not out/ or "
+                         "__pycache__/), sorted by path; equal on both "
+                         "sides",
         "python": platform.python_version(),
         "command": f"python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds} --trace 0",

@@ -4,7 +4,9 @@ Exit codes: 0 success (all checks passed for `verify`), 1 verification
 failures, 2 usage errors, 3 domain/degeneracy/convergence errors.
 
 Number format: complex CLI literals are "re" or "re,im"; output uses 15
-significant digits as "re", "re+imi" or "re-imi", all of which re-parse.
+significant digits as "re", "re+imi" or "re-imi", all of which re-parse,
+inf and nan parts included.  Input may also drop the 1 of a unit
+imaginary part ("1-i").
 The environment variable HYPERCLASS_TOL scales every default numeric
 tolerance (default 1.0; it must be finite and positive).  `verify` takes
 parameter flags and --w only for the kummer suite (all three 2F1
@@ -41,12 +43,14 @@ class UsageError(Exception):
 # Number parsing / formatting
 # ---------------------------------------------------------------------------
 
-_DECIMAL = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_IMAG_RE = re.compile(rf"^(?P<re>[+-]?{_DECIMAL})(?P<im>[+-]{_DECIMAL})i$")
+_NUMBER = r"(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)"
+_IMAG_RE = re.compile(rf"^(?P<re>[+-]?{_NUMBER})(?P<im>[+-]{_NUMBER}?)i$")
 
 
 def parse_complex(s: str) -> complex:
-    """Accepts "a", "a,b" (= a+bi) and the printed "a+bi" / "a-bi" forms."""
+    """Accepts "a", "a,b" (= a+bi) and the printed "a+bi" / "a-bi" forms,
+    where b may be left out for a unit imaginary part ("1-i") and a part
+    may be inf or nan."""
     s = s.strip()
     try:
         if "," in s:
@@ -55,7 +59,9 @@ def parse_complex(s: str) -> complex:
         if s.endswith("i"):
             m = _IMAG_RE.match(s)
             if m:
-                return complex(float(m.group("re")), float(m.group("im")))
+                im = m.group("im")
+                return complex(float(m.group("re")),
+                               float(im + "1" if len(im) == 1 else im))
             body = s[:-1]
             if body in ("", "+"):
                 return 1j
@@ -71,7 +77,7 @@ def fmt_complex(z: complex) -> str:
     z = complex(z)
     if z.imag == 0:
         return f"{z.real:.15g}"
-    sign = "+" if z.imag >= 0 else "-"
+    sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
     return f"{z.real:.15g}{sign}{abs(z.imag):.15g}i"
 
 

@@ -141,7 +141,14 @@ class Jet:
         return _jet(self.center, out)
 
     def pow(self, e: complex) -> "Jet":
-        """Principal-branch complex power."""
+        """Principal-branch complex power.
+
+        An integer e multiplies out.  Any other e takes one pass of the
+        power recurrence x y' = e x' y for y = x^e (Griewank & Walther,
+        *Evaluating Derivatives*, 2nd ed., ch. 13): y_0 = exp(e log x_0),
+        y_k = sum_{j=1..k} ((e+1) j - k) x_j y_{k-j} / (k x_0).  Zero x_j
+        are skipped, so a linear jet costs O(order).
+        """
         if isinstance(e, int):
             if e >= 0:
                 out = Jet.constant(1.0, self.center, self.order)
@@ -149,7 +156,22 @@ class Jet:
                     out = out * self
                 return out
             return 1.0 / self.pow(-e)
-        return (self.log() * complex(e)).exp()
+        x = self.coeffs
+        x0 = x[0]
+        if x0 == 0:
+            raise ValueError("jet log at zero")
+        e = complex(e)
+        e1 = e + 1.0
+        out = [cmath.exp(e * cmath.log(x0))]
+        terms = [(j, xj) for j, xj in enumerate(x) if j and xj != 0]
+        for k in range(1, len(x)):
+            s = 0j
+            for j, xj in terms:
+                if j > k:
+                    break
+                s += (e1 * j - k) * xj * out[k - j]
+            out.append(s / (k * x0))
+        return _jet(self.center, out)
 
     def sqrt(self) -> "Jet":
         return self.pow(0.5)

@@ -18,7 +18,7 @@ import cmath
 import math
 from typing import NamedTuple, Sequence, Union
 
-from .jet import Jet, _jet, _jet_mul, _jet_scale
+from .jet import Jet, _jet
 
 Number = Union[int, float, complex]
 
@@ -180,6 +180,17 @@ def jabs(x) -> float:
     return abs(x if t is complex else _as_complex(x))
 
 
+def require_finite(*args) -> None:
+    """DomainError unless every argument, and every coefficient of a Jet
+    argument, is finite.  The solution evaluators guard with it: their
+    quadrature drops a NaN node as a failed one and would return 0 or NaN
+    without an error."""
+    for x in args:
+        for c in (x.coeffs if type(x) is Jet else (x,)):
+            if not cmath.isfinite(c):
+                raise DomainError(f"non-finite argument {c}")
+
+
 # ---------------------------------------------------------------------------
 # Power series
 # ---------------------------------------------------------------------------
@@ -191,39 +202,61 @@ def pfq_series(num: Sequence[Number], den: Sequence[Number], z,
                tol: float = 1e-17, max_terms: int = MAX_SERIES_TERMS):
     """Generalized hypergeometric series sum_k prod(num)_k / prod(den)_k z^k/k!.
 
-    `z` may be complex or a Jet.  Scalar sums use compensated (Kahan)
-    summation.  Raises ConvergenceError if `max_terms` is hit before three
-    consecutive terms fall below tol * |sum|.
+    Sums use compensated (Kahan) summation.  Raises ConvergenceError if
+    `max_terms` is hit before three consecutive terms fall below
+    tol * |sum|.
+
+    On a Jet `z` the result is always a Jet.  Its Taylor coefficients at
+    z0 come from contiguity, d/dz pFq(a; b; z) = (prod a / prod b)
+    pFq(a+1; b+1; z) (DLMF 16.3.1): c_n = prod (a)_n / prod (b)_n / n!
+    pFq(a+n; b+n; z0), each summed as a scalar series, and the c_n are
+    composed with z - z0 by Horner.  If any of the sums fails to converge,
+    the ConvergenceError's `best` is the Jet composed from their best
+    values.
     """
     num = [_as_complex(p) for p in num]
     den = [_as_complex(q) for q in den]
     for q in den:
         if is_nonpositive_integer(q):
             raise GammaPoleError(f"series denominator parameter {q}")
-    if is_jet(z):
-        # on coefficient tuples, rounded as the Jet operations round
-        zc = z.coeffs
-        term = (1.0 + 0j,) + (0j,) * z.order
-        total = term
-        small = 0
-        for k in range(max_terms):
-            fac = 1.0 + 0.0j
+    if type(z) is not Jet:
+        total, converged = _pfq_sum(num, den, _as_complex(z), tol, max_terms)
+        if not converged:
+            raise ConvergenceError("series did not converge", best=total)
+        return total
+    zc = z.coeffs
+    cs = []
+    converged = True
+    pref = 1.0 + 0.0j
+    for n in range(len(zc)):
+        if n:
             for p in num:
-                fac *= p + k
+                pref *= p + (n - 1)
             for q in den:
-                fac /= q + k
-            term = _jet_scale(_jet_mul(term, zc), fac / (k + 1))
-            total = [a + b for a, b in zip(total, term)]
-            scale = max(abs(total[0]), 1e-300)
-            if abs(term[0]) < tol * scale:
-                small += 1
-                if small >= 3:
-                    return _jet(z.center, total)
-            else:
-                small = 0
-        raise ConvergenceError("series did not converge",
-                               best=_jet(z.center, total))
-    z = _as_complex(z)
+                pref /= q + (n - 1)
+            pref /= n
+        if pref == 0:
+            # a polynomial series: this and every higher derivative vanish
+            cs.append(0j)
+            continue
+        total, ok = _pfq_sum([p + n for p in num], [q + n for q in den],
+                             zc[0], tol, max_terms)
+        converged = converged and ok
+        cs.append(pref * total)
+    # Horner in z - z0, whose coefficients are (0, z_1, ..., z_K)
+    dz = [(j, zj) for j, zj in enumerate(zc) if j and zj != 0]
+    out = [cs[-1]] + [0j] * (len(cs) - 1)
+    for c in reversed(cs[:-1]):
+        out = [c] + [sum((zj * out[k - j] for j, zj in dz if j <= k), 0j)
+                     for k in range(1, len(cs))]
+    out = _jet(z.center, out)
+    if not converged:
+        raise ConvergenceError("series did not converge", best=out)
+    return out
+
+
+def _pfq_sum(num, den, z: complex, tol: float, max_terms: int):
+    """The scalar series of `pfq_series`: (compensated sum, converged)."""
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     comp = 0.0j
@@ -239,13 +272,15 @@ def pfq_series(num: Sequence[Number], den: Sequence[Number], z,
         t = total + y
         comp = (t - total) - y
         total = t
-        if abs(term) < tol * max(abs(total), 1e-300):
+        # max(abs(total), 1e-300) without the call, NaN included
+        a = abs(total)
+        if abs(term) < tol * (1e-300 if a < 1e-300 else a):
             small += 1
             if small >= 3:
-                return total
+                return total, True
         else:
             small = 0
-    raise ConvergenceError("series did not converge", best=total)
+    return total, False
 
 
 def hyp2f1_series(a, b, c, z):
@@ -604,6 +639,7 @@ def _try_asymptotic(value_err, tol, scale=None):
 def eval_tricomi(th, al, w, tol: float = 1e-11):
     """Solution ~ w^{-a} at +infinity of the confluent equation:
     w^{(-1-th-al)/2} tilde-F_{th,al}(-1/w).   Cut: (-inf, 0]."""
+    require_finite(th, al, w)
     th = _as_complex(th)
     al = _as_complex(al)
     w0 = jvalue(w)
@@ -622,6 +658,7 @@ def eval_tricomi(th, al, w, tol: float = 1e-11):
 def eval_conf_minus_inf(th, al, w, tol: float = 1e-11):
     """Solution ~ (-w)^{b-1} e^w at -infinity of the confluent equation:
     e^w (-w)^{(-1+th-al)/2} tilde-F_{-th,al}(1/w).  Cut: [0, +inf)."""
+    require_finite(th, al, w)
     th = _as_complex(th)
     al = _as_complex(al)
     w0 = jvalue(w)
@@ -640,6 +677,7 @@ def eval_conf_minus_inf(th, al, w, tol: float = 1e-11):
 def eval_hermite_S(la, w, tol: float = 1e-11):
     """Hermite solution S_lambda(w) ~ w^{-la-1/2} at +infinity.
     Cut: (-inf, 0]."""
+    require_finite(la, w)
     la = _as_complex(la)
     w0 = jvalue(w)
     if w0.imag == 0 and w0.real <= 0:
@@ -657,6 +695,7 @@ def eval_hermite_S(la, w, tol: float = 1e-11):
 def eval_0f1_tilde(al, w, tol: float = 1e-11):
     """0F1-class solution ~ e^{-2 sqrt(w)} w^{-al/2-1/4} at +infinity.
     Cut: (-inf, 0]."""
+    require_finite(al, w)
     al = _as_complex(al)
     w0 = jvalue(w)
     if w0.imag == 0 and w0.real <= 0:

@@ -43,7 +43,7 @@ import math
 from array import array
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .jet import Jet
+from .jet import Jet, _jet, _jet_scale
 from . import numerics as N
 from .numerics import (jabs, jexp, jpow, jsqrt, jvalue, rgamma, gamma,
                        NumericsError)
@@ -145,8 +145,14 @@ def _level_sum(f, sides):
     A node where f raises an arithmetic error, returns None or a value
     that is not finite is skipped; a side ends after four nodes in a row
     whose |w f| falls below 1e-18 of the largest so far.
+
+    Jet values accumulate into one coefficient list (`acc`), rounded as
+    the sums ``w * val + total`` of Jets would round them; the scalar
+    values before the first Jet sum in `total`.
     """
     total = 0.0j
+    acc = None
+    center = None
     scale = 0.0
     for side in sides:
         misses = 0
@@ -157,19 +163,32 @@ def _level_sum(f, sides):
                 continue
             if val is None:
                 continue
-            size = abs(val.coeffs[0]) if type(val) is Jet else abs(val)
-            if math.isfinite(size):
-                total = wgt * val + total
-                mag = abs(wgt) * size
-                if mag > scale:
-                    scale = mag
-                if scale > 0 and mag < 1e-18 * scale:
-                    misses += 1
-                    if misses >= 4:
-                        break
+            is_jet = type(val) is Jet
+            size = abs(val.coeffs[0]) if is_jet else abs(val)
+            if not math.isfinite(size):
+                continue
+            if is_jet:
+                wc = _jet_scale(val.coeffs, complex(wgt))
+                if acc is None:
+                    center = val.center
+                    acc = [wc[0] + total] + [a + 0j for a in wc[1:]]
                 else:
-                    misses = 0
-    return total
+                    acc = [a + b for a, b in zip(wc, acc)]
+            elif acc is None:
+                total = wgt * val + total
+            else:
+                acc[0] = acc[0] + wgt * val
+                acc[1:] = [a + 0j for a in acc[1:]]
+            mag = abs(wgt) * size
+            if mag > scale:
+                scale = mag
+            if scale > 0 and mag < 1e-18 * scale:
+                misses += 1
+                if misses >= 4:
+                    break
+            else:
+                misses = 0
+    return total if acc is None else _jet(center, acc)
 
 
 def _de_integrate(level_nodes, f, tol: float, max_level: int = 9):
@@ -517,6 +536,7 @@ def _checked(value, err, tol: float):
 
 def tricomi_solution(th, al, w, tol: float = 1e-11):
     """w^{(-1-th-al)/2} tilde-F_{th,al}(-1/w) by Laplace-type quadrature."""
+    N.require_finite(th, al, w)
     th = complex(th)
     al = complex(al)
     # the integrand exponent at 0 must be integrable; use the sign of alpha
@@ -542,6 +562,7 @@ def tricomi_solution(th, al, w, tol: float = 1e-11):
 
 def conf_minus_inf_solution(th, al, w, tol: float = 1e-11):
     """e^w (-w)^{(-1+th-al)/2} tilde-F_{-th,al}(1/w) by quadrature."""
+    N.require_finite(th, al, w)
     th = complex(th)
     al = complex(al)
     margins = [(1 - th - s * al).real for s in (1, -1)]
@@ -567,6 +588,7 @@ def conf_minus_inf_solution(th, al, w, tol: float = 1e-11):
 def hermite_S_solution(la, w, tol: float = 1e-11):
     """S_lambda(w) from the Laplace integral int_0^inf e^{-t^2-2tw}
     t^{lambda-1/2} dt (valid Re lambda > -1/2; else one raising step)."""
+    N.require_finite(la, w)
     la = complex(la)
     if la.real <= -0.49:
         # S_la = -(S'_{la+1} - 2 w S_{la+1}) / 2, via a one-order-higher jet
@@ -596,6 +618,7 @@ def hermite_S_solution(la, w, tol: float = 1e-11):
 def bessel_tilde_solution(al, w, tol: float = 1e-11):
     """tilde-F_alpha(w) from int_{-inf}^0 e^t e^{w/t} (-t)^{-al-1} dt
     = sqrt(pi) tilde-F_alpha(w), Re w > 0."""
+    N.require_finite(al, w)
     al = complex(al)
     w0 = jvalue(w)
 

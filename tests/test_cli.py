@@ -34,6 +34,30 @@ def test_fmt_parse_roundtrip(z):
     assert cli.parse_complex(cli.fmt_complex(z)) == pytest.approx(z, rel=1e-14)
 
 
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("z, printed", [
+    (complex(0.5, -3.25), "0.5-3.25i"),
+    (complex(-0.0, 2.0), "-0+2i"),
+    (complex(-0.0, 0.0), "-0"),
+    (complex(0.0, -0.0), "0"),        # a zero imaginary part is not printed
+    (complex(2.5, -1.0), "2.5-1i"),
+    (complex(1.0, _INF), "1+infi"),
+    (complex(1.0, -_INF), "1-infi"),
+    (complex(-_INF, 0.0), "-inf"),
+    (complex(_NAN, _NAN), "nan+nani"),
+    (complex(_NAN, -_NAN), "nan-nani"),
+    (complex(0.25, _NAN), "0.25+nani"),
+])
+def test_fmt_parse_roundtrip_signed_zero_and_non_finite(z, printed):
+    assert cli.fmt_complex(z) == printed
+    back = cli.parse_complex(printed)
+    for got, want in ((back.real, z.real), (back.imag, z.imag)):
+        assert got == want or (math.isnan(got) and math.isnan(want))
+    assert math.copysign(1.0, back.real) == math.copysign(1.0, z.real)
+
+
 def test_parse_forms():
     assert cli.parse_complex("1.5") == 1.5
     assert cli.parse_complex("1.5,-2") == 1.5 - 2j
@@ -44,6 +68,11 @@ def test_parse_forms():
     assert cli.parse_complex("-1e-3i") == -1e-3j
     assert cli.parse_complex("-2.5e+2i") == -250j
     assert cli.parse_complex("1e-3-1e-3i") == 1e-3 - 1e-3j
+    # a unit imaginary part with a real part
+    assert cli.parse_complex("1+i") == 1 + 1j
+    assert cli.parse_complex("1-i") == 1 - 1j
+    assert cli.parse_complex("2.5-i") == 2.5 - 1j
+    assert cli.parse_complex("-2e-3+i") == -2e-3 + 1j
     with pytest.raises(cli.UsageError):
         cli.parse_complex("one")
 
@@ -151,6 +180,18 @@ def test_eval_gamma_pole_exit_code(capsys):
                        "--c", "-2", "--w", "0.25")
     assert code == 3
     assert "numeric error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hermite", "--lam", "0.3", "--w", "nan"),
+    ("hermite", "--lam", "0.3", "--w", "nan", "--method", "quadrature"),
+    ("hermite", "--lam", "nan", "--w", "1.5"),
+    ("hermite", "--lam", "0.3", "--w", "1,inf"),
+])
+def test_eval_non_finite_solution_input_exit_code(capsys, argv):
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 3, out
+    assert "DomainError" in err
 
 
 def test_bad_tol_env(capsys, monkeypatch):

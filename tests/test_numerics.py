@@ -4,7 +4,6 @@ solutions and connection data."""
 import cmath
 import math
 import random
-import struct
 
 import pytest
 
@@ -97,8 +96,9 @@ def test_series_divergence_raises():
 
 
 def _ref_pfq_jet(num, den, z, tol=1e-17, max_terms=N.MAX_SERIES_TERMS):
-    """The Jet branch of pfq_series as a loop over Jet objects, which the
-    coefficient-tuple loop replaced."""
+    """The series summed term by term as a loop over Jet objects, as the
+    Jet branch of pfq_series did before it took its coefficients from
+    contiguity."""
     num = [complex(p) for p in num]
     den = [complex(q) for q in den]
     term = Jet.constant(1.0, z.center, z.order)
@@ -123,45 +123,87 @@ def _ref_pfq_jet(num, den, z, tol=1e-17, max_terms=N.MAX_SERIES_TERMS):
 
 
 def _jet_outcome(fn, *args, **kwargs):
+    """("converged" or "diverged", the Jet returned or carried as best)."""
     try:
         got = fn(*args, **kwargs)
     except N.ConvergenceError as exc:
         got = exc.best
         assert isinstance(got, Jet)
-        return "diverged", _jet_bits(got)
+        return "diverged", got
     assert isinstance(got, Jet)
-    return "converged", _jet_bits(got)
+    return "converged", got
 
 
-def _jet_bits(j):
-    return tuple(struct.pack("<dd", c.real, c.imag)
-                 for c in (j.center,) + j.coeffs)
-
+_SERIES_SHAPES = (((0.3, 0.4), (1.2,)), ((0.7 - 0.2j,), (1.6 + 0.1j,)),
+                  ((), (0.45,)), ((-2.0, 0.5), (1.5,)),
+                  ((1.1, -0.3j), (2.5,)))
 
 _SERIES_SPECIAL = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), -1.0 + 0j,
                    complex(math.inf, 0.0), complex(math.nan, 1.0),
                    1e300 + 1e300j]
 
 
-def test_pfq_series_jet_bitwise_matches_jet_object_loop():
+def _series_jet(rng, order, special_rate):
+    z0 = cmath.rect(rng.uniform(0.0, 0.7), rng.uniform(-math.pi, math.pi))
+    coeffs = [z0]
+    for _ in range(order):
+        if rng.random() < special_rate:
+            coeffs.append(rng.choice(_SERIES_SPECIAL))
+        else:
+            coeffs.append(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+    return Jet(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), coeffs)
+
+
+def _mp_pfq_jet(mp, num, den, z):
+    """The Taylor coefficients of pFq at z0 = z.coeffs[0], by mpmath's
+    numerical differentiation, composed with z - z0."""
+    zc = [mp.mpc(c) for c in z.coeffs]
+    taylor = mp.taylor(lambda t: mp.hyper(num, den, t), zc[0], z.order)
+    out = [mp.mpc(0)] * len(zc)
+    power = [mp.mpc(1)] + [mp.mpc(0)] * z.order      # (z - z0)^n
+    for c in taylor:
+        out = [a + c * b for a, b in zip(out, power)]
+        power = [sum((zc[j] * power[k - j] for j in range(1, k + 1)),
+                     mp.mpc(0)) for k in range(len(zc))]
+    return out
+
+
+def _normwise(got, ref):
+    return max(abs(g - r) for g, r in zip(got, ref)) / max(map(abs, ref))
+
+
+def test_pfq_series_jet_matches_mpmath_taylor_coefficients():
+    mpmath = pytest.importorskip("mpmath")
     rng = random.Random(61018)
-    shapes = (((0.3, 0.4), (1.2,)), ((0.7 - 0.2j,), (1.6 + 0.1j,)),
-              ((), (0.45,)), ((-2.0, 0.5), (1.5,)), ((1.1, -0.3j), (2.5,)))
+    worst = 0.0
+    with mpmath.workdps(40):
+        for trial in range(60):
+            num, den = _SERIES_SHAPES[trial % len(_SERIES_SHAPES)]
+            z = _series_jet(rng, trial % 5, special_rate=0.0)
+            got = N.pfq_series(num, den, z)
+            assert isinstance(got, Jet) and got.center == z.center
+            ref = _mp_pfq_jet(mpmath, num, den, z)
+            worst = max(worst, float(_normwise(got.coeffs, ref)))
+    assert worst <= 1e-14, worst
+
+
+def test_pfq_series_jet_special_values_match_reference_outcome():
+    rng = random.Random(61018)
     for trial in range(150):
-        order = trial % 5
-        num, den = shapes[trial % len(shapes)]
-        z0 = cmath.rect(rng.uniform(0.0, 0.7), rng.uniform(-math.pi, math.pi))
-        coeffs = [z0]
-        for _ in range(order):
-            if rng.random() < 0.2:
-                coeffs.append(rng.choice(_SERIES_SPECIAL))
-            else:
-                coeffs.append(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
-        z = Jet(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), coeffs)
+        num, den = _SERIES_SHAPES[trial % len(_SERIES_SHAPES)]
+        z = _series_jet(rng, trial % 5, special_rate=0.2)
         max_terms = 5 if trial % 7 == 0 else N.MAX_SERIES_TERMS
-        assert _jet_outcome(N.pfq_series, num, den, z, max_terms=max_terms) \
-            == _jet_outcome(_ref_pfq_jet, num, den, z, max_terms=max_terms), \
-            (num, den, z)
+        got = _jet_outcome(N.pfq_series, num, den, z, max_terms=max_terms)
+        ref = _jet_outcome(_ref_pfq_jet, num, den, z, max_terms=max_terms)
+        assert got[0] == ref[0], (num, den, z)
+        assert got[1].center == z.center and got[1].order == z.order
+
+
+def test_pfq_series_jet_of_order_zero_is_a_jet():
+    z = Jet(0.25 + 0.1j, [0.25 + 0.1j])
+    got = N.pfq_series((0.3, 0.4), (1.2,), z)
+    assert isinstance(got, Jet) and got.order == 0
+    assert got.coeffs[0] == N.pfq_series((0.3, 0.4), (1.2,), 0.25 + 0.1j)
 
 
 # ---------------------------------------------------------------------------

@@ -537,6 +537,36 @@ def test_tricomi_solution_jet():
     assert abs(j.derivative_value(1) - num) < 1e-6 * abs(num)
 
 
+_NON_FINITE = [complex(math.nan, 0.0), complex(1.0, math.nan),
+               complex(math.inf, 1.0), complex(-math.inf, 1.0),
+               complex(1.0, math.inf), complex(1.0, -math.inf)]
+
+# (evaluator, parameters); each also reached through the numerics front end
+_SOLUTIONS = [
+    (Q.tricomi_solution, N.eval_tricomi, (0.3, 0.2)),
+    (Q.conf_minus_inf_solution, N.eval_conf_minus_inf, (0.3, 0.2)),
+    (Q.hermite_S_solution, N.eval_hermite_S, (0.3,)),
+    (Q.hermite_S_solution, N.eval_hermite_S, (-0.8,)),
+    (Q.bessel_tilde_solution, N.eval_0f1_tilde, (0.3,)),
+]
+
+
+@pytest.mark.parametrize("quad, front, params", _SOLUTIONS)
+def test_solutions_refuse_non_finite_input(quad, front, params):
+    # a NaN node is dropped as a failed one, so the quadrature would
+    # return 0 or NaN without an error
+    w = 1.5 - 0.5j
+    for fn in (quad, front):
+        for bad in _NON_FINITE:
+            with pytest.raises(N.DomainError):
+                fn(*params, bad)
+            with pytest.raises(N.DomainError):
+                fn(*params, Jet(w, [w, 1.0, bad]))
+            with pytest.raises(N.DomainError):
+                fn(bad, *params[1:], w)
+        assert cmath.isfinite(fn(*params, w))
+
+
 # ---------------------------------------------------------------------------
 # Integral representation rows
 # ---------------------------------------------------------------------------

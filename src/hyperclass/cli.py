@@ -12,6 +12,13 @@ tolerance (default 1.0; it must be finite and positive).  `verify` takes
 parameter flags and --w only for the kummer suite (all three 2F1
 parameters); elsewhere they are a usage error rather than being ignored.
 
+`eval` prints the value, `method:`, the route the evaluator took (series,
+pfaff, inf, one, taylor, asymptotic, quadrature or normalized(bold|I)), and
+`error:`, a nominal multiple of |value| outside the asymptotic and
+quadrature routes.  A --method other than auto runs that route wherever w
+lies; it is a usage error where the family has no such route or with
+--norm bold|I.
+
 Each command imports only the modules it runs: `eval` and `plotdata` load
 `numerics` (and `quadrature` where a route integrates), and reach the
 exact layer (`families`, `exactalg`) only to convert classical parameters;
@@ -145,77 +152,6 @@ def _tol_scale() -> float:
 # eval
 # ---------------------------------------------------------------------------
 
-def _route_label_2f1(w: complex) -> str:
-    if abs(w) <= N.SERIES_RADIUS:
-        return "series"
-    if w != 1 and abs(w / (w - 1)) <= N.SERIES_RADIUS:
-        return "pfaff"
-    return "connection"
-
-
-def eval_with_method(family: str, lie: tuple, w: complex, method: str,
-                     tol: float):
-    """Return (value, method_used, error_estimate)."""
-    if family == "2f1":
-        al, be, mu = lie
-        if method == "series":
-            a, b, c = (1 + al + be + mu) / 2, (1 + al + be - mu) / 2, 1 + al
-            v = N.hyp2f1_series(a, b, c, w)
-            return v, "series", 1e-15 * abs(v)
-        if method == "auto":
-            v = N.eval_2F1(al, be, mu, w)
-            return v, _route_label_2f1(w), 1e-13 * abs(v)
-    elif family == "gegenbauer":
-        al, la = lie
-        if method in ("auto", "series"):
-            v = N.eval_geg_S(al, la, w)
-            label = _route_label_2f1((1 - w) / 2) if method == "auto" \
-                else "series"
-            return v, label, 1e-13 * abs(v)
-    elif family == "1f1":
-        th, al = lie
-        if method in ("auto", "series"):
-            v = N.eval_1F1(th, al, w)
-            return v, "series", 1e-14 * abs(v)
-    elif family == "hermite":
-        (la,) = lie
-        if method == "asymptotic":
-            got, est = N.eval_2F0_asymptotic(la / 2 + 0.75, la / 2 + 0.25,
-                                             -1 / (w * w), tol)
-            v = w ** (-la - 0.5) * got
-            return v, "asymptotic", est * abs(w ** (-la - 0.5))
-        if method == "quadrature":
-            from . import quadrature
-            v = quadrature.hermite_S_solution(la, w, tol)
-            return v, "quadrature", tol * abs(v)
-        if method == "auto":
-            v = N.eval_hermite_S(la, w, tol)
-            if abs(w) >= N.ASYMPTOTIC_CROSSOVER:
-                _, est = N.eval_2F0_asymptotic(la / 2 + 0.75, la / 2 + 0.25,
-                                               -1 / (w * w), tol)
-                if est <= tol:
-                    return v, "asymptotic", est * abs(v)
-            return v, "quadrature", tol * abs(v)
-    elif family == "0f1":
-        (al,) = lie
-        if method in ("auto", "series"):
-            v = N.eval_0F1(al, w)
-            return v, "series", 1e-15 * abs(v)
-    raise UsageError(f"method {method!r} is not available for {family}")
-
-
-_NORMALIZED = {
-    ("2f1", "bold"): lambda lie, w: N.bold_F_2f1(*lie, w),
-    ("2f1", "I"): lambda lie, w: N.FI_2f1(*lie, w),
-    ("gegenbauer", "bold"): lambda lie, w: N.bold_S_geg(*lie, w),
-    ("gegenbauer", "I"): lambda lie, w: N.SI_geg(*lie, w),
-    ("1f1", "bold"): lambda lie, w: N.bold_F_1f1(*lie, w),
-    ("1f1", "I"): lambda lie, w: N.FI_1f1(*lie, w),
-    ("hermite", "I"): lambda lie, w: N.SI_hermite(*lie, w),
-    ("0f1", "bold"): lambda lie, w: N.bold_F_0f1(*lie, w),
-}
-
-
 def cmd_eval(args) -> int:
     family = args.family
     lie = lie_params_from_args(family, args)
@@ -225,18 +161,25 @@ def cmd_eval(args) -> int:
     tol = 1e-11 * _tol_scale()
     if args.norm != "plain":
         key = (family, args.norm)
-        if key not in _NORMALIZED:
+        if key not in N.NORMALIZED:
             raise UsageError(
                 f"normalization {args.norm!r} is not defined for {family}")
-        v = _NORMALIZED[key](lie, w)
+        if args.method != "auto":
+            raise UsageError(f"--norm {args.norm} evaluates by the auto "
+                             f"method; --method {args.method} does not apply")
+        v = N.NORMALIZED[key](*lie, w)
         print(fmt_complex(v))
         print(f"method: normalized({args.norm})")
         print(f"error: {1e-13 * abs(v):.2e}")
         return EXIT_OK
-    v, method, est = eval_with_method(family, lie, w, args.method, tol)
+    methods = N.EVALUATORS[family]
+    if args.method not in methods:
+        raise UsageError(
+            f"method {args.method!r} is not available for {family}")
+    v, route, err = methods[args.method](lie, w, tol)
     print(fmt_complex(v))
-    print(f"method: {method}")
-    print(f"error: {est:.2e}")
+    print(f"method: {route}")
+    print(f"error: {err:.2e}")
     return EXIT_OK
 
 
@@ -348,8 +291,7 @@ def cmd_plotdata(args) -> int:
     for k in range(n):
         t = 0 if n == 1 else k / (n - 1)
         w = z0 + (z1 - z0) * t
-        v, _method, _est = eval_with_method(family, lie, w, "auto", tol)
-        v = complex(v)
+        v = complex(N.EVALUATORS[family]["auto"](lie, w, tol)[0])
         print(f"{w.real:.15g},{w.imag:.15g},{v.real:.15g},{v.imag:.15g}")
     return EXIT_OK
 

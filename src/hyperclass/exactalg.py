@@ -144,10 +144,6 @@ class GaussRational:
             n >>= 1
         return out
 
-    def conjugate(self) -> "GaussRational":
-        p, q, d = self._t
-        return _reduced(p, -q, d)
-
     # -- conversion / comparison ------------------------------------------
     def __complex__(self) -> complex:
         p, q, d = self._t
@@ -692,10 +688,6 @@ class DiffOperator:
             dpart = f"D{x}^{k}" if k > 1 else (f"D{x}" if k == 1 else "")
             parts.append(f"({c!r})" + (f"*{dpart}" if dpart else ""))
         return " + ".join(parts)
-
-    # -- numeric -----------------------------------------------------------
-    def numeric_coeffs(self, assign: Mapping[str, complex]) -> list[complex]:
-        return [c.eval_numeric(assign) for c in self.coeffs]
 
 
 def _summed(var: str, columns: Sequence[list]) -> DiffOperator:

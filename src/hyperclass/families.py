@@ -232,7 +232,10 @@ class SymmetryRow:
 
 @dataclass(frozen=True)
 class RecurrenceRow:
-    """A applied to the normalized function = coeff * shifted function."""
+    """A applied to the normalized function = coeff * shifted function.
+
+    `normalization` is "plain", "bold" or "I", as in
+    `numerics.NORMALIZED`."""
     id: str
     location: str
     A: DiffOperator
@@ -494,7 +497,7 @@ def _build_2f1() -> IdentityCatalog:
     hm = (AL + BE - MU + 1).scale(HALF)
 
     def r(i, A, coeff, tgt, desc):
-        return RecurrenceRow(f"2f1:rec:{i:02d}", desc, A, coeff, tgt, "FI")
+        return RecurrenceRow(f"2f1:rec:{i:02d}", desc, A, coeff, tgt, "I")
 
     rec = (
         r(1, _first("w", one, MultiPoly()), hp, (AL + 1, BE + 1, MU),
@@ -657,7 +660,7 @@ def _build_gegenbauer() -> IdentityCatalog:
     )
 
     def r(i, A, coeff, tgt, desc):
-        return RecurrenceRow(f"geg:rec:{i:02d}", desc, A, coeff, tgt, "S")
+        return RecurrenceRow(f"geg:rec:{i:02d}", desc, A, coeff, tgt, "bold")
 
     rec = (
         r(1, _first("w", one, MultiPoly()),
@@ -759,7 +762,7 @@ def _build_1f1() -> IdentityCatalog:
     )
 
     def r(i, A, coeff, tgt, desc):
-        return RecurrenceRow(f"1f1:rec:{i:02d}", desc, A, coeff, tgt, "F")
+        return RecurrenceRow(f"1f1:rec:{i:02d}", desc, A, coeff, tgt, "bold")
 
     rec = (
         r(1, _first("w", one, MultiPoly()), (TH + AL + 1).scale(HALF),
@@ -844,7 +847,7 @@ def _build_hermite() -> IdentityCatalog:
     )
 
     def r(i, A, coeff, tgt, desc):
-        return RecurrenceRow(f"herm:rec:{i:02d}", desc, A, coeff, tgt, "S")
+        return RecurrenceRow(f"herm:rec:{i:02d}", desc, A, coeff, tgt, "plain")
 
     rec = (
         r(1, _first("w", one, MultiPoly()), -(C(HALF) + LA), (LA + 1,),
@@ -893,9 +896,9 @@ def _build_0f1() -> IdentityCatalog:
 
     rec = (
         RecurrenceRow("0f1:rec:01", "d_w bF -> bF(a+1)",
-                      _first("w", one, MultiPoly()), one, (AL + 1,), "F"),
+                      _first("w", one, MultiPoly()), one, (AL + 1,), "bold"),
         RecurrenceRow("0f1:rec:02", "(w d+a) bF -> bF(a-1)",
-                      _first("w", w, AL), one, (AL - 1,), "F"),
+                      _first("w", w, AL), one, (AL - 1,), "bold"),
     )
 
     return IdentityCatalog("0f1", trans, fact, sym, rec)

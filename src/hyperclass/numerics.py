@@ -121,15 +121,6 @@ def sinpi(z: Number) -> complex:
     return cmath.sin(math.pi * _as_complex(z))
 
 
-def pochhammer(x: Number, n: int) -> complex:
-    """(x)_n = x (x+1) ... (x+n-1)."""
-    x = _as_complex(x)
-    out = 1.0 + 0.0j
-    for k in range(n):
-        out *= x + k
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Jet-polymorphic scalar helpers
 # ---------------------------------------------------------------------------
@@ -477,25 +468,23 @@ def _eval_2f1_taylor_fallback(al, be, mu, w, order: int = 48):
     raise ConvergenceError("Taylor continuation did not reach the target")
 
 
-def eval_2F1(al, be, mu, w):
-    """Gauss 2F1 in Lie parameters, continued over the cut plane.
-
-    `w` may be complex or a Jet; the cut is [1, +inf) (principal branch).
-    """
+def _eval_2F1_routed(al, be, mu, w):
+    """`eval_2F1` with its route: "series", "pfaff", "inf" (the basis at
+    infinity), "one" (the basis at 1) or "taylor" (Taylor stepping, also
+    the fallback after a degenerate connection)."""
     w0 = jvalue(w)
     a, b, c = _lie_abc(al, be, mu)
     if is_nonpositive_integer(c):
         raise GammaPoleError("lower parameter c is a non-positive integer")
     if abs(w0) <= SERIES_RADIUS:
-        return hyp2f1_series(a, b, c, w)
+        return hyp2f1_series(a, b, c, w), "series"
     if w0 != 1 and abs(w0 / (w0 - 1)) <= SERIES_RADIUS:
-        return _series_or_pfaff(al, be, mu, w)
+        return _series_or_pfaff(al, be, mu, w), "pfaff"
     if abs(w0 - 1) < 1e-13:
         raise DomainError("argument at the singular point 1")
     b_inf = min(1 / abs(w0), 1 / abs(1 - w0))
     b_one = min(abs(1 - w0), abs(1 - w0) / abs(w0))
     routes = sorted((("inf", b_inf), ("one", b_one)), key=lambda kv: kv[1])
-    last_exc = None
     for name, bound in routes:
         if bound > INNER_RADIUS:
             continue
@@ -503,13 +492,21 @@ def eval_2F1(al, be, mu, w):
             if name == "inf":
                 if w0.imag == 0 and w0.real >= 0:
                     raise DomainError("infinity route needs w off [0, inf)")
-                return _eval_2f1_inf_route(al, be, mu, w)
-            return _eval_2f1_one_route(al, be, mu, w)
-        except (DegeneracyError, DomainError) as exc:
-            last_exc = exc
+                return _eval_2f1_inf_route(al, be, mu, w), name
+            return _eval_2f1_one_route(al, be, mu, w), name
+        except (DegeneracyError, DomainError):
+            pass
     # universal fallback: ODE-based Taylor stepping (handles the ring
     # |w| ~ |1-w| ~ 1 and integer-parameter degeneracies alike)
-    return _eval_2f1_taylor_fallback(al, be, mu, w)
+    return _eval_2f1_taylor_fallback(al, be, mu, w), "taylor"
+
+
+def eval_2F1(al, be, mu, w):
+    """Gauss 2F1 in Lie parameters, continued over the cut plane.
+
+    `w` may be complex or a Jet; the cut is [1, +inf) (principal branch).
+    """
+    return _eval_2F1_routed(al, be, mu, w)[0]
 
 
 def hyp2f1(a, b, c, z):
@@ -586,11 +583,16 @@ def bold_F_0f1(al, w):
     return rgamma(1 + _as_complex(al)) * eval_0F1(al, w)
 
 
-def eval_geg_S(al, la, w):
-    """Gegenbauer solution S_{al,la}(w) = F_{al,al,2la}((1-w)/2)."""
+def _geg_2f1_args(al, la, w):
+    """S_{al,la}(w) = F_{al,al,2la}((1-w)/2): the arguments of that F."""
     al = _as_complex(al)
     la = _as_complex(la)
-    return eval_2F1(al, al, 2 * la, (1 - w) / 2)
+    return al, al, 2 * la, (1 - w) / 2
+
+
+def eval_geg_S(al, la, w):
+    """Gegenbauer solution S_{al,la}(w) = F_{al,al,2la}((1-w)/2)."""
+    return eval_2F1(*_geg_2f1_args(al, la, w))
 
 
 def bold_S_geg(al, la, w):
@@ -674,22 +676,32 @@ def eval_conf_minus_inf(th, al, w, tol: float = 1e-11):
     return quadrature.conf_minus_inf_solution(th, al, w, tol)
 
 
-def eval_hermite_S(la, w, tol: float = 1e-11):
-    """Hermite solution S_lambda(w) ~ w^{-la-1/2} at +infinity.
-    Cut: (-inf, 0]."""
+def _hermite_S(la, w, tol, forced: bool):
+    """S_lambda(w) with its route and a relative error estimate.
+
+    The asymptotic route, w^{-la-1/2} 2F0(la/2+3/4, la/2+1/4; -; -1/w^2),
+    is taken at |w| >= ASYMPTOTIC_CROSSOVER when the estimate of its 2F0
+    sum meets `tol` relative to the sum, and everywhere when `forced`.
+    Otherwise the quadrature route runs, which raises unless it meets `tol`.
+    """
     require_finite(la, w)
     la = _as_complex(la)
     w0 = jvalue(w)
     if w0.imag == 0 and w0.real <= 0:
         raise DomainError("S_lambda evaluated on its cut")
-    if abs(w0) >= ASYMPTOTIC_CROSSOVER:
+    if forced or abs(w0) >= ASYMPTOTIC_CROSSOVER:
         got = eval_2F0_asymptotic(la / 2 + 0.75, la / 2 + 0.25,
                                   -1 / (w * w), tol)
-        ok = _try_asymptotic(got, tol)
-        if ok is not None:
-            return jpow(w, -la - 0.5) * ok[0]
+        if forced or _try_asymptotic(got, tol) is not None:
+            return jpow(w, -la - 0.5) * got[0], "asymptotic", got[1]
     from . import quadrature
-    return quadrature.hermite_S_solution(la, w, tol)
+    return quadrature.hermite_S_solution(la, w, tol), "quadrature", tol
+
+
+def eval_hermite_S(la, w, tol: float = 1e-11):
+    """Hermite solution S_lambda(w) ~ w^{-la-1/2} at +infinity.
+    Cut: (-inf, 0]."""
+    return _hermite_S(la, w, tol, False)[0]
 
 
 def eval_0f1_tilde(al, w, tol: float = 1e-11):
@@ -710,6 +722,75 @@ def eval_0f1_tilde(al, w, tol: float = 1e-11):
         raise DomainError("quadrature route needs Re w > 0")
     from . import quadrature
     return quadrature.bessel_tilde_solution(al, w, tol)
+
+
+# ---------------------------------------------------------------------------
+# Evaluators by family: the routes that can be run, and the normalizations
+# ---------------------------------------------------------------------------
+
+def _evaluation(value, route, rel: float):
+    return value, route, rel * abs(value)
+
+
+def _hermite_quadrature(p, w, tol):
+    from . import quadrature
+    return _evaluation(quadrature.hermite_S_solution(*p, w, tol),
+                       "quadrature", tol)
+
+
+def _series_2f1(al, be, mu, w):
+    return hyp2f1_series(*_lie_abc(al, be, mu), w)
+
+
+def _series(fn, rel: float):
+    return lambda p, w, tol: _evaluation(fn(*p, w), "series", rel)
+
+
+# family -> method -> fn(Lie parameters, w, tol) -> (value, route, error).
+# "auto" is the family's own choice of route, which the evaluator reports;
+# any other method forces that route wherever w lies (a forced asymptotic
+# sum reports its estimate rather than raising).  `error` is the 2F0
+# estimate times |value| on the asymptotic route and tol * |value| on the
+# quadrature route; on the other routes it is a nominal multiple of |value|.
+EVALUATORS = {
+    "2f1": {
+        "auto": lambda p, w, tol: _evaluation(*_eval_2F1_routed(*p, w), 1e-13),
+        "series": _series(_series_2f1, 1e-15),
+    },
+    "gegenbauer": {
+        "auto": lambda p, w, tol: _evaluation(
+            *_eval_2F1_routed(*_geg_2f1_args(*p, w)), 1e-13),
+        "series": lambda p, w, tol: _evaluation(
+            _series_2f1(*_geg_2f1_args(*p, w)), "series", 1e-13),
+    },
+    "1f1": dict.fromkeys(("auto", "series"), _series(eval_1F1, 1e-14)),
+    "hermite": {
+        "auto": lambda p, w, tol: _evaluation(*_hermite_S(*p, w, tol, False)),
+        "asymptotic": lambda p, w, tol: _evaluation(
+            *_hermite_S(*p, w, tol, True)),
+        "quadrature": _hermite_quadrature,
+    },
+    "0f1": dict.fromkeys(("auto", "series"), _series(eval_0F1, 1e-15)),
+}
+
+# (family, normalization) -> fn(*Lie parameters, w), jet-capable: "plain" is
+# the family's function, "bold" divides it by Gamma(1+alpha) and "I" is
+# the paper's superscript-I normalization.
+NORMALIZED = {
+    ("2f1", "plain"): eval_2F1,
+    ("2f1", "bold"): bold_F_2f1,
+    ("2f1", "I"): FI_2f1,
+    ("gegenbauer", "plain"): eval_geg_S,
+    ("gegenbauer", "bold"): bold_S_geg,
+    ("gegenbauer", "I"): SI_geg,
+    ("1f1", "plain"): eval_1F1,
+    ("1f1", "bold"): bold_F_1f1,
+    ("1f1", "I"): FI_1f1,
+    ("hermite", "plain"): eval_hermite_S,
+    ("hermite", "I"): SI_hermite,
+    ("0f1", "plain"): eval_0F1,
+    ("0f1", "bold"): bold_F_0f1,
+}
 
 
 # ---------------------------------------------------------------------------

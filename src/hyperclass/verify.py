@@ -21,7 +21,7 @@ import dataclasses
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import families as fam
 from . import numerics as N
@@ -258,21 +258,6 @@ def _param_assign(family: str, params=None) -> dict:
     return dict(zip(fam.PARAM_NAMES[family], params))
 
 
-def _kernel_function(family: str) -> Callable:
-    """A numeric kernel element of the family operator (jet-capable)."""
-    if family == "2f1":
-        return lambda p, w: N.eval_2F1(p[0], p[1], p[2], w)
-    if family == "gegenbauer":
-        return lambda p, w: N.eval_geg_S(p[0], p[1], w)
-    if family == "1f1":
-        return lambda p, w: N.eval_1F1(p[0], p[1], w)
-    if family == "hermite":
-        return lambda p, w: N.eval_hermite_S(p[0], w)
-    if family == "0f1":
-        return lambda p, w: N.eval_0F1(p[0], w)
-    raise ValueError(family)
-
-
 def transmutation_kernel_residual(family: str, row, params=None,
                                   w0=None, composed=None) -> float:
     """|(weight*F_target)(A f)| / scale for f in the kernel of F_source.
@@ -290,7 +275,8 @@ def transmutation_kernel_residual(family: str, row, params=None,
     if C is None:
         Ftgt = fam.make_operator_expr(family, "w", row.target)
         C = op_compose(Ftgt.scale(RatFun(row.weight)), row.A)
-    f = _kernel_function(family)(pvals, Jet.variable(w0, C.order() + 1))
+    f = N.NORMALIZED[family, "plain"](*pvals,
+                                      Jet.variable(w0, C.order() + 1))
     assign["w"] = w0
     total, scale = jet_apply(C, f, assign)
     return abs(total) / scale
@@ -300,22 +286,16 @@ def recurrence_residual(family: str, row, params=None, points=None) -> float:
     """Worst relative error of  A f_norm = coeff * f_norm(shifted)."""
     assign0 = _param_assign(family, params)
     points = RECURRENCE_POINTS[family] if points is None else points
-    norm = {
-        ("2f1", "FI"): lambda p, w: N.FI_2f1(p[0], p[1], p[2], w),
-        ("gegenbauer", "S"): lambda p, w: N.bold_S_geg(p[0], p[1], w),
-        ("1f1", "F"): lambda p, w: N.bold_F_1f1(p[0], p[1], w),
-        ("hermite", "S"): lambda p, w: N.eval_hermite_S(p[0], w),
-        ("0f1", "F"): lambda p, w: N.bold_F_0f1(p[0], w),
-    }[(family, row.normalization)]
+    norm = N.NORMALIZED[family, row.normalization]
     pvals = tuple(assign0[n] for n in fam.PARAM_NAMES[family])
     tvals = tuple(t.eval_numeric(assign0) for t in row.target)
     coeff = row.coeff.eval_numeric(assign0)
     worst = 0.0
     for w0 in points:
-        f = norm(pvals, Jet.variable(w0, max(2, row.A.order() + 1)))
+        f = norm(*pvals, Jet.variable(w0, max(2, row.A.order() + 1)))
         assign = dict(assign0, w=w0)
         lhs, scale = jet_apply(row.A, f, assign)
-        rhs = coeff * norm(tvals, w0)
+        rhs = coeff * norm(*tvals, w0)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), scale * 1e-4,
                                                 1e-300))
     return worst

@@ -121,7 +121,108 @@ def test_eval_2f1_route_label_past_series_radius(capsys, w):
     code, out, _ = run(capsys, "eval", "2f1", "--alpha", "0.2", "--beta",
                        "0.1", "--mu", "0.3", "--w", w)
     assert code == 0
-    assert out.splitlines()[1] == "method: connection"
+    assert out.splitlines()[1] == "method: one"
+
+
+# the numerics function each 2F1 route runs, called by eval_2F1 itself
+_2F1_ROUTE_FUNCTIONS = {
+    "hyp2f1_series": "series",
+    "_series_or_pfaff": "pfaff",
+    "_eval_2f1_inf_route": "inf",
+    "_eval_2f1_one_route": "one",
+    "_eval_2f1_taylor_fallback": "taylor",
+}
+
+
+@pytest.mark.parametrize("mu,w,route", [
+    ("0.3", "0.3", "series"),
+    ("0.3", "-1", "pfaff"),
+    ("0.3", "-3,1", "inf"),
+    ("0.3", "0.7", "one"),
+    ("0.3", "0.5,0.9", "taylor"),
+    ("2", "-3,1", "taylor"),       # the inf route degenerates at integer mu
+])
+def test_eval_2f1_method_names_the_route_that_ran(capsys, monkeypatch, mu,
+                                                   w, route):
+    ran = []
+    depth = [0]
+
+    def wrap(name, fn):
+        def wrapped(*args):
+            depth[0] += 1
+            try:
+                value = fn(*args)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:          # a route, not a step inside one
+                ran.append(_2F1_ROUTE_FUNCTIONS[name])
+            return value
+        return wrapped
+
+    for name in _2F1_ROUTE_FUNCTIONS:
+        monkeypatch.setattr(N, name, wrap(name, getattr(N, name)))
+    code, out, _ = run(capsys, "eval", "2f1", "--alpha", "0.2", "--beta",
+                       "0.1", "--mu", mu, "--w", w)
+    assert code == 0
+    assert ran == [route]
+    assert out.splitlines()[1] == f"method: {route}"
+
+
+def test_eval_hermite_auto_sums_the_asymptotic_series_once(capsys,
+                                                           monkeypatch):
+    calls = []
+    orig = N.eval_2F0_asymptotic
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(N, "eval_2F0_asymptotic", counted)
+    code, out, _ = run(capsys, "eval", "hermite", "--lam", "0.3", "--w", "6")
+    assert code == 0
+    assert out.splitlines()[1] == "method: asymptotic"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("w", ["6", "9,-3", "12,5"])
+def test_eval_hermite_forced_asymptotic_is_the_auto_route(capsys, w):
+    # where auto takes the asymptotic route, forcing it prints the same
+    # value, route and error
+    _, auto, _ = run(capsys, "eval", "hermite", "--lam", "0.3", "--w", w)
+    code, forced, _ = run(capsys, "eval", "hermite", "--lam", "0.3",
+                          "--w", w, "--method", "asymptotic")
+    assert code == 0
+    assert auto.splitlines()[1] == "method: asymptotic"
+    assert forced == auto
+
+
+def test_eval_forced_series_runs_the_series(capsys):
+    # S(5) = F((1 - 5)/2) = F(-2): the series diverges there, where auto
+    # takes a connection
+    argv = ("eval", "gegenbauer", "--alpha", "0.2", "--lam", "0.1",
+            "--w", "5")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1] == "method: inf"
+    code, _, err = run(capsys, *argv, "--method", "series")
+    assert code == 3
+    assert "ConvergenceError" in err
+    code, out, _ = run(capsys, "eval", "gegenbauer", "--alpha", "0.2",
+                       "--lam", "0.1", "--w", "0.3", "--method", "series")
+    assert code == 0
+    assert out.splitlines()[1] == "method: series"
+
+
+@pytest.mark.parametrize("norm,method", [
+    ("bold", "series"), ("I", "series"), ("I", "quadrature"),
+    ("bold", "asymptotic")])
+def test_eval_norm_with_forced_method_usage_error(capsys, norm, method):
+    code, out, err = run(capsys, "eval", "1f1", "--theta", "0.2", "--alpha",
+                         "0.3", "--w", "0.4", "--norm", norm,
+                         "--method", method)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and f"--method {method}" in err
 
 
 @pytest.mark.parametrize("w", ["-0.52,0.10", "-0.52+0.1i", "-0.52"])
@@ -441,8 +542,13 @@ EXACT_LAYER = ("hyperclass.exactalg", "hyperclass.families",
       "--w", "0.7"], EXACT_LAYER),
     (["eval", "hermite", "--lam", "0.3", "--w", "1.2",
       "--method", "quadrature"], EXACT_LAYER),
+    (["eval", "hermite", "--lam", "0.3", "--w", "6"],
+     EXACT_LAYER + ("hyperclass.quadrature",)),
+    (["eval", "gegenbauer", "--alpha", "0.2", "--lam", "0.1", "--w", "0.3",
+      "--method", "series"], EXACT_LAYER + ("hyperclass.quadrature",)),
     (["catalog", "gegenbauer"], ("hyperclass.verify",)),
-], ids=["build_parser", "eval_2f1", "eval_hermite_quadrature", "catalog"])
+], ids=["build_parser", "eval_2f1", "eval_hermite_quadrature",
+        "eval_hermite_asymptotic", "eval_gegenbauer_series", "catalog"])
 def test_command_loads_only_what_it_runs(argv, absent):
     # -S: no site hooks, so sys.modules holds what the command imported
     script = textwrap.dedent("""

@@ -53,7 +53,6 @@ def test_gauss_rational_ring_axioms(x, y, z):
 def test_gauss_rational_inverse(x):
     if not x.is_zero():
         assert x / x == GaussRational(1)
-    assert complex(x * x.conjugate()).imag == pytest.approx(0)
 
 
 def test_gauss_rational_complex_embedding():
@@ -88,7 +87,6 @@ def test_gauss_rational_matches_fraction_arithmetic(x, y, real_y):
     if not y.is_zero():
         assert x / y == _by_fractions("/", x, y)
     assert -x == GaussRational(-x.re, -x.im)
-    assert x.conjugate() == GaussRational(x.re, -x.im)
     for z in (x + y, x * y, -x):
         assert type(z.re) is Fraction and type(z.im) is Fraction
         assert hash(z) == hash(GaussRational(z.re, z.im))

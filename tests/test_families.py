@@ -72,7 +72,7 @@ def _annihilation_residual(family, lie, w0, fn):
     j = Jet.variable(w0, 2)
     f = fn(j)
     val = jet_apply(op, f, assign)[0]
-    scale = max(abs(c) for c in op.numeric_coeffs(assign)) * abs(f.value())
+    scale = max(abs(c.eval_numeric(assign)) for c in op.coeffs) * abs(f.value())
     return abs(val) / max(scale, 1e-300)
 
 

@@ -52,14 +52,6 @@ def test_sinpi():
     assert abs(N.sinpi(z) - cmath.sin(math.pi * z)) < 1e-14
 
 
-def test_pochhammer():
-    assert N.pochhammer(3, 4) == pytest.approx(3 * 4 * 5 * 6)
-    assert N.pochhammer(0.5, 0) == 1
-    x = 0.7 + 0.2j
-    assert abs(N.pochhammer(x, 5)
-               - N.gamma(x + 5) / N.gamma(x)) < 1e-12 * abs(N.gamma(x + 5) / N.gamma(x))
-
-
 # ---------------------------------------------------------------------------
 # Series
 # ---------------------------------------------------------------------------

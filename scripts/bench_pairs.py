@@ -10,9 +10,13 @@ FIRST+i --seconds S --trace 0`` once from each checkout, one run at a time,
 with S the ``run_seconds`` of BENCHMARK.json; the parent goes first in even
 pairs and the change first in odd ones, so a drift of the host's speed
 falls on both sides alike.  Each side runs its own copy of perfbench, which
-must therefore be the same code on both: the script hashes each side's
-``perfbench/`` and ``BENCHMARK.json`` (the workload version) and exits with
-status 2, before any run, if the two differ.
+must therefore be the same code on both.  The verify workload also takes
+its operations from the library: ``verify.SUITES`` x ``verify.ALL_FAMILIES``
+and the checks of ``verify._mutation_candidates()``.  So the script hashes
+each side's ``perfbench/``, ``BENCHMARK.json`` and those two tuples with the
+ordered mutation labels, read from the side's ``src`` in a child process
+(the workload version), and exits with status 2, before any run, if the two
+differ.
 
 The result file holds, per workload and side, every run of each metric
 that BENCHMARK.json bounds with its median and quartiles, the operations
@@ -35,14 +39,22 @@ RUN_TIMEOUT_S = 1800
 PAIRS = 10
 
 
-def _digest(base: str, paths) -> str:
+# the verify workload's operations, as the library of a checkout defines them
+_VERIFY_OPERATIONS = (
+    "import json; from hyperclass import verify; "
+    "print(json.dumps([verify.SUITES, verify.ALL_FAMILIES, "
+    "[label for label, _ in verify._mutation_candidates()]]))")
+
+
+def _digest(base: str, paths, extra: bytes = b"") -> str:
     """sha256 over each relative path and the bytes of its file, in the
-    order given."""
+    order given, then ``extra``."""
     h = hashlib.sha256()
     for rel in paths:
         h.update(rel.encode() + b"\0")
         with open(os.path.join(base, rel), "rb") as fh:
             h.update(fh.read())
+    h.update(extra)
     return h.hexdigest()
 
 
@@ -55,14 +67,30 @@ def src_digest(root: str) -> str:
         for d, _, files in os.walk(src) for f in files if f.endswith(".py")))
 
 
+def verify_operations(root: str) -> bytes:
+    """JSON of [SUITES, ALL_FAMILIES, mutation labels in order] from the
+    ``hyperclass.verify`` of checkout ``root``, read by a child process
+    with PYTHONPATH=src."""
+    proc = subprocess.run([sys.executable, "-c", _VERIFY_OPERATIONS],
+                          cwd=root, env=dict(os.environ, PYTHONPATH="src"),
+                          capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise SystemExit(f"{root}: cannot read the verify operations\n"
+                         f"{proc.stderr[-2000:]}")
+    return proc.stdout.encode()
+
+
 def workload_digest(root: str) -> str:
     """sha256 over BENCHMARK.json and every file under perfbench/ (not its
-    out/ and __pycache__/ folders), by path relative to the checkout."""
+    out/ and __pycache__/ folders), by path relative to the checkout, then
+    the verify operations."""
     paths = ["BENCHMARK.json"]
     for d, dirs, files in os.walk(os.path.join(root, "perfbench")):
         dirs[:] = [x for x in dirs if x not in ("out", "__pycache__")]
         paths += (os.path.relpath(os.path.join(d, f), root) for f in files)
-    return _digest(root, sorted(paths))
+    return _digest(root, sorted(paths),
+                   b"verify operations\0" + verify_operations(root))
 
 
 def git_commit(root: str):
@@ -126,8 +154,9 @@ def main(argv=None) -> int:
                 for side, root in (("parent", args.parent),
                                    ("change", args.change))}
     if workload["parent"] != workload["change"]:
-        print(f"perfbench/ or BENCHMARK.json differ between {args.parent} "
-              f"and {args.change}: {workload}", file=sys.stderr)
+        print(f"perfbench/, BENCHMARK.json or the verify operations "
+              f"differ between {args.parent} and {args.change}: {workload}",
+              file=sys.stderr)
         return 2
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
@@ -144,8 +173,10 @@ def main(argv=None) -> int:
         "workload_sha256": workload["change"],
         "workload_note": "sha256 over the relative paths and bytes of "
                          "BENCHMARK.json and perfbench/** (not out/ or "
-                         "__pycache__/), sorted by path; equal on both "
-                         "sides",
+                         "__pycache__/), sorted by path, then the JSON of "
+                         "verify.SUITES, verify.ALL_FAMILIES and the "
+                         "ordered labels of verify._mutation_candidates(); "
+                         "equal on both sides",
         "python": platform.python_version(),
         "command": f"python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds} --trace 0",

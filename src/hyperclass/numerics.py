@@ -332,6 +332,82 @@ def _lie_abc(al, be, mu):
     return ((1 + al + be + mu) / 2, (1 + al + be - mu) / 2, 1 + al)
 
 
+# --- W(D3): Kummer's 24 solutions -------------------------------------------
+# The discrete symmetries of the 2F1 equation are the Weyl group W(D3), the 24
+# signed permutations of p = (alpha, beta, mu) with an even number of sign
+# changes.  An element lists the slots of p' = sigma(p): +-k puts +-p_k there
+# (1: alpha, 2: beta, 3: mu), so slot j holds +-p_{pi(j)}.  It gives the
+# solution F_p(w) = w^x (1-w)^y F_{p'}(z), where z(w) is the anharmonic map
+# sending the singular point pi(j) to j (slots 0, 1, 2 are the points 0, 1,
+# infinity).  Four per solution, as in Kummer's table (DLMF 15.10(ii)).
+_W_D3 = {
+    "at0_1": ((1, 2, 3), (1, -2, -3), (1, -3, -2), (1, 3, 2)),
+    "at0_2": ((-1, 2, -3), (-1, -2, 3), (-1, -3, 2), (-1, 3, -2)),
+    "at1_1": ((2, 1, 3), (2, -1, -3), (2, -3, -1), (2, 3, 1)),
+    "at1_2": ((-2, 1, -3), (-2, -1, 3), (-2, 3, -1), (-2, -3, 1)),
+    "atinf_1": ((3, 2, 1), (3, -2, -1), (3, 1, 2), (3, -1, -2)),
+    "atinf_2": ((-3, 2, -1), (-3, -2, 1), (-3, 1, -2), (-3, -1, 2)),
+}
+
+# pi, as the points held by slots 0-2 (2 is infinity) -> z(w)
+_MOEBIUS = {
+    (0, 1, 2): lambda w: w,
+    (0, 2, 1): lambda w: w / (w - 1),
+    (1, 0, 2): lambda w: 1 - w,
+    (1, 2, 0): lambda w: 1 - 1 / w,
+    (2, 1, 0): lambda w: 1 / w,
+    (2, 0, 1): lambda w: 1 / (1 - w),
+}
+
+
+def _kummer_element(slots) -> tuple:
+    """(slots, z(w), ((base, d_0, ks), ...)) for a W(D3) element.
+
+    S_j(q), the sum of the local exponents of F_q at the point j, is -alpha,
+    -beta and 1+alpha+beta of q at 0, 1 and infinity.  The prefactor moves
+    it at w = 0 from S_{pi^-1(0)}(p') to S_0(p), and likewise at w = 1, so
+    x = (S_0(p) - S_{pi^-1(0)}(p'))/2 and y = (S_1(p) - S_{pi^-1(1)}(p'))/2.
+    An exponent is held doubled, as the integer d_0 and the signed slots ks
+    of the parameters to add to it, one slot per unit of a coefficient: x =
+    (-1 - al - be + mu)/2 is (-1, (-1, -2, 3)), summed in that order as
+    written, and x = -al is (0, (-1, -1)).  A zero exponent is left out.
+    The base of w^x is -w when pi(0) is infinity."""
+    perm = tuple(abs(k) - 1 for k in slots)
+    al, be, _ = ([k // abs(k) if i == abs(k) else 0 for i in range(4)]
+                 for k in slots)
+    sums = ([-c for c in al], [-c for c in be],
+            [(i == 0) + a + b for i, (a, b) in enumerate(zip(al, be))])
+    bases = ((lambda w: -w) if perm[0] == 2 else (lambda w: w), lambda w: 1 - w)
+    factors = []
+    for j, base in enumerate(bases):
+        d = [-(i == j + 1) - s for i, s in enumerate(sums[perm.index(j)])]
+        if any(d):
+            factors.append((base, d[0], tuple(
+                k if c > 0 else -k for k, c in enumerate(d) if k
+                for _ in range(abs(c)))))
+    return slots, _MOEBIUS[perm], tuple(factors)
+
+
+_KUMMER = {key: tuple(map(_kummer_element, elems))
+           for key, elems in _W_D3.items()}
+
+
+def _kummer_term(key, row, al, be, mu, w, inner, lead=None):
+    """lead * prefactor * inner(*p', z) for the element _KUMMER[key][row],
+    F_p(w) = prefactor * F_{p'}(z); a lead of None is 1."""
+    slots, moebius, factors = _KUMMER[key][row]
+    al, be, mu = _as_complex(al), _as_complex(be), _as_complex(mu)
+    p = (None, al, be, mu, -mu, -be, -al)    # p[k] for a signed slot k
+    for base, e, ks in factors:
+        for k in ks:
+            e = e + p[k]
+        f = jpow(base(w), e / 2)
+        lead = f if lead is None else lead * f
+    a, b, c = slots
+    value = inner(p[a], p[b], p[c], moebius(w))
+    return value if lead is None else lead * value
+
+
 SERIES_RADIUS = 0.6
 INNER_RADIUS = 0.75
 _DEGENERACY_EPS = 1e-6
@@ -345,56 +421,42 @@ def _near_integer(z: complex, eps: float = _DEGENERACY_EPS) -> bool:
 def _series_or_pfaff(al, be, mu, z, radius=INNER_RADIUS):
     """2F1 via direct series or Pfaff, requiring one of the two arguments
     to have modulus <= radius."""
-    a, b, c = _lie_abc(al, be, mu)
     z0 = jvalue(z)
     r_direct = abs(z0)
     r_pfaff = abs(z0 / (z0 - 1)) if z0 != 1 else float("inf")
     if r_direct <= min(r_pfaff, radius):
-        return hyp2f1_series(a, b, c, z)
+        return _series_2f1(al, be, mu, z)
     if r_pfaff <= radius:
-        # F_{al,be,mu}(z) = (1-z)^{(-1-al-be-mu)/2} F_{al,mu,be}(z/(z-1))
-        al_c = _as_complex(al)
-        be_c = _as_complex(be)
-        mu_c = _as_complex(mu)
-        pref = jpow(1 - z, (-1 - al_c - be_c - mu_c) / 2)
-        a2, b2, c2 = _lie_abc(al, mu, be)
-        return pref * hyp2f1_series(a2, b2, c2, z / (z - 1))
+        # Pfaff: F_{al,be,mu}(z) = (1-z)^{(-1-al-be-mu)/2} F_{al,mu,be}(z/(z-1))
+        return _kummer_term("at0_1", 3, al, be, mu, z, _series_2f1)
     raise DomainError(f"inner 2F1 argument {z0} out of range")
 
 
 def _eval_2f1_inf_route(al, be, mu, w):
     """Continuation via the basis at infinity (valid off [0, +inf))."""
-    al = _as_complex(al)
-    be = _as_complex(be)
-    mu = _as_complex(mu)
     if _near_integer(mu):
         raise DegeneracyError("mu is (close to) an integer")
     A = connection_matrix_2f1(al, be, mu)
-    iw = 1 / w
-    f1 = jpow(-w, (-1 - al - be - mu) / 2) * _series_or_pfaff(mu, be, al, iw) \
+    # the first row of the connection identity, on the bold basis at
+    # infinity, gives bold-F_{al,be,mu}(w)
+    f1 = _kummer_term("atinf_1", 0, al, be, mu, w, _series_or_pfaff) \
         * rgamma(1 + mu)
-    f2 = jpow(-w, (-1 - al - be + mu) / 2) * _series_or_pfaff(-mu, be, -al, iw) \
+    f2 = _kummer_term("atinf_2", 0, al, be, mu, w, _series_or_pfaff) \
         * rgamma(1 - mu)
-    # first row of the connection identity gives bold-F_{al,be,mu}(w)
-    bold = A[0][0] * f1 + A[0][1] * f2
-    return bold * gamma(1 + al)
+    return (A[0][0] * f1 + A[0][1] * f2) * gamma(1 + al)
 
 
 def _eval_2f1_one_route(al, be, mu, w):
     """Continuation via the basis at 1 (classical Gauss connection)."""
-    al = _as_complex(al)
-    be = _as_complex(be)
-    mu = _as_complex(mu)
+    al, be, mu = _as_complex(al), _as_complex(be), _as_complex(mu)
     if _near_integer(be):
         raise DegeneracyError("beta is (close to) an integer")
     a, b, c = _lie_abc(al, be, mu)
-    z = 1 - w
     c1 = gamma(c) * gamma(-be) * rgamma((1 + al - be - mu) / 2) \
         * rgamma((1 + al - be + mu) / 2)
     c2 = gamma(c) * gamma(be) * rgamma(a) * rgamma(b)
-    t1 = c1 * _series_or_pfaff(be, al, mu, z)
-    t2 = c2 * jpow(z, -be) * _series_or_pfaff(-be, al, -mu, z)
-    return t1 + t2
+    return _kummer_term("at1_1", 0, al, be, mu, w, _series_or_pfaff, c1) \
+        + _kummer_term("at1_2", 0, al, be, mu, w, _series_or_pfaff, c2)
 
 
 def _taylor_coeffs_2f1(a, b, c, z0, f0, f1, order):
@@ -676,20 +738,22 @@ def eval_conf_minus_inf(th, al, w, tol: float = 1e-11):
     return quadrature.conf_minus_inf_solution(th, al, w, tol)
 
 
-def _hermite_S(la, w, tol, forced: bool):
+def _hermite_S(la, w, tol, forced=None):
     """S_lambda(w) with its route and a relative error estimate.
 
     The asymptotic route, w^{-la-1/2} 2F0(la/2+3/4, la/2+1/4; -; -1/w^2),
     is taken at |w| >= ASYMPTOTIC_CROSSOVER when the estimate of its 2F0
-    sum meets `tol` relative to the sum, and everywhere when `forced`.
-    Otherwise the quadrature route runs, which raises unless it meets `tol`.
+    sum meets `tol` relative to the sum.  Otherwise the quadrature route
+    runs, which raises unless it meets `tol`.  `forced` ("asymptotic" or
+    "quadrature") runs that route wherever w lies off the cut.
     """
     require_finite(la, w)
     la = _as_complex(la)
     w0 = jvalue(w)
     if w0.imag == 0 and w0.real <= 0:
         raise DomainError("S_lambda evaluated on its cut")
-    if forced or abs(w0) >= ASYMPTOTIC_CROSSOVER:
+    if forced == "asymptotic" or (
+            forced is None and abs(w0) >= ASYMPTOTIC_CROSSOVER):
         got = eval_2F0_asymptotic(la / 2 + 0.75, la / 2 + 0.25,
                                   -1 / (w * w), tol)
         if forced or _try_asymptotic(got, tol) is not None:
@@ -701,7 +765,7 @@ def _hermite_S(la, w, tol, forced: bool):
 def eval_hermite_S(la, w, tol: float = 1e-11):
     """Hermite solution S_lambda(w) ~ w^{-la-1/2} at +infinity.
     Cut: (-inf, 0]."""
-    return _hermite_S(la, w, tol, False)[0]
+    return _hermite_S(la, w, tol)[0]
 
 
 def eval_0f1_tilde(al, w, tol: float = 1e-11):
@@ -732,18 +796,16 @@ def _evaluation(value, route, rel: float):
     return value, route, rel * abs(value)
 
 
-def _hermite_quadrature(p, w, tol):
-    from . import quadrature
-    return _evaluation(quadrature.hermite_S_solution(*p, w, tol),
-                       "quadrature", tol)
-
-
 def _series_2f1(al, be, mu, w):
     return hyp2f1_series(*_lie_abc(al, be, mu), w)
 
 
 def _series(fn, rel: float):
     return lambda p, w, tol: _evaluation(fn(*p, w), "series", rel)
+
+
+def _hermite(forced):
+    return lambda p, w, tol: _evaluation(*_hermite_S(*p, w, tol, forced))
 
 
 # family -> method -> fn(Lie parameters, w, tol) -> (value, route, error).
@@ -764,12 +826,8 @@ EVALUATORS = {
             _series_2f1(*_geg_2f1_args(*p, w)), "series", 1e-13),
     },
     "1f1": dict.fromkeys(("auto", "series"), _series(eval_1F1, 1e-14)),
-    "hermite": {
-        "auto": lambda p, w, tol: _evaluation(*_hermite_S(*p, w, tol, False)),
-        "asymptotic": lambda p, w, tol: _evaluation(
-            *_hermite_S(*p, w, tol, True)),
-        "quadrature": _hermite_quadrature,
-    },
+    "hermite": {"auto": _hermite(None), "asymptotic": _hermite("asymptotic"),
+                "quadrature": _hermite("quadrature")},
     "0f1": dict.fromkeys(("auto", "series"), _series(eval_0F1, 1e-15)),
 }
 
@@ -884,88 +942,7 @@ class SolutionDescriptor(NamedTuple):
                 f"{self.behavior!r}, {len(self.expressions)} expressions)")
 
 
-# --- Kummer's table for 2F1 ------------------------------------------------
-# Each entry: (prefactors, parameter map, argument key) where a prefactor is
-# (base_key, exponent_fn(al, be, mu)) and base_key in {"w", "1-w", "-w"}.
-
-_KUMMER_TABLE = {
-    # ~1 at 0
-    "at0_1": [
-        ((), lambda al, be, mu: (al, be, mu), "w"),
-        ((("1-w", lambda al, be, mu: -be),),
-         lambda al, be, mu: (al, -be, -mu), "w"),
-        ((("1-w", lambda al, be, mu: (-1 - al - be + mu) / 2),),
-         lambda al, be, mu: (al, -mu, -be), "w/(w-1)"),
-        ((("1-w", lambda al, be, mu: (-1 - al - be - mu) / 2),),
-         lambda al, be, mu: (al, mu, be), "w/(w-1)"),
-    ],
-    # ~w^{-alpha} at 0
-    "at0_2": [
-        ((("w", lambda al, be, mu: -al),),
-         lambda al, be, mu: (-al, be, -mu), "w"),
-        ((("w", lambda al, be, mu: -al),
-          ("1-w", lambda al, be, mu: -be)),
-         lambda al, be, mu: (-al, -be, mu), "w"),
-        ((("w", lambda al, be, mu: -al),
-          ("1-w", lambda al, be, mu: (-1 + al - be + mu) / 2)),
-         lambda al, be, mu: (-al, -mu, be), "w/(w-1)"),
-        ((("w", lambda al, be, mu: -al),
-          ("1-w", lambda al, be, mu: (-1 + al - be - mu) / 2)),
-         lambda al, be, mu: (-al, mu, -be), "w/(w-1)"),
-    ],
-    # ~1 at 1
-    "at1_1": [
-        ((), lambda al, be, mu: (be, al, mu), "1-w"),
-        ((("w", lambda al, be, mu: -al),),
-         lambda al, be, mu: (be, -al, -mu), "1-w"),
-        ((("w", lambda al, be, mu: (-1 - al - be + mu) / 2),),
-         lambda al, be, mu: (be, -mu, -al), "1-1/w"),
-        ((("w", lambda al, be, mu: (-1 - al - be - mu) / 2),),
-         lambda al, be, mu: (be, mu, al), "1-1/w"),
-    ],
-    # ~(1-w)^{-beta} at 1
-    "at1_2": [
-        ((("1-w", lambda al, be, mu: -be),),
-         lambda al, be, mu: (-be, al, -mu), "1-w"),
-        ((("w", lambda al, be, mu: -al),
-          ("1-w", lambda al, be, mu: -be)),
-         lambda al, be, mu: (-be, -al, mu), "1-w"),
-        ((("w", lambda al, be, mu: (-1 - al + be - mu) / 2),
-          ("1-w", lambda al, be, mu: -be)),
-         lambda al, be, mu: (-be, mu, -al), "1-1/w"),
-        ((("w", lambda al, be, mu: (-1 - al + be + mu) / 2),
-          ("1-w", lambda al, be, mu: -be)),
-         lambda al, be, mu: (-be, -mu, al), "1-1/w"),
-    ],
-    # ~w^{-a} at infinity
-    "atinf_1": [
-        ((("-w", lambda al, be, mu: (-1 - al - be - mu) / 2),),
-         lambda al, be, mu: (mu, be, al), "1/w"),
-        ((("-w", lambda al, be, mu: (-1 - al + be - mu) / 2),
-          ("1-w", lambda al, be, mu: -be)),
-         lambda al, be, mu: (mu, -be, -al), "1/w"),
-        ((("1-w", lambda al, be, mu: (-1 - al - be - mu) / 2),),
-         lambda al, be, mu: (mu, al, be), "1/(1-w)"),
-        ((("-w", lambda al, be, mu: -al),
-          ("1-w", lambda al, be, mu: (-1 + al - be - mu) / 2)),
-         lambda al, be, mu: (mu, -al, -be), "1/(1-w)"),
-    ],
-    # ~w^{-b} at infinity
-    "atinf_2": [
-        ((("-w", lambda al, be, mu: (-1 - al - be + mu) / 2),),
-         lambda al, be, mu: (-mu, be, -al), "1/w"),
-        ((("-w", lambda al, be, mu: (-1 - al + be + mu) / 2),
-          ("1-w", lambda al, be, mu: -be)),
-         lambda al, be, mu: (-mu, -be, al), "1/w"),
-        ((("1-w", lambda al, be, mu: (-1 - al - be + mu) / 2),),
-         lambda al, be, mu: (-mu, al, -be), "1/(1-w)"),
-        ((("-w", lambda al, be, mu: -al),
-          ("1-w", lambda al, be, mu: (-1 + al - be + mu) / 2)),
-         lambda al, be, mu: (-mu, -al, be), "1/(1-w)"),
-    ],
-}
-
-_KUMMER_ORDER = ("at0_1", "at0_2", "at1_1", "at1_2", "atinf_1", "atinf_2")
+# --- Kummer's table for 2F1: the W(D3) elements of _KUMMER -----------------
 
 _BEHAVIOR_2F1 = {
     "at0_1": "~1 at 0",
@@ -977,43 +954,10 @@ _BEHAVIOR_2F1 = {
 }
 
 
-def _kummer_arg(key, w):
-    if key == "w":
-        return w
-    if key == "w/(w-1)":
-        return w / (w - 1)
-    if key == "1-w":
-        return 1 - w
-    if key == "1-1/w":
-        return 1 - 1 / w
-    if key == "1/w":
-        return 1 / w
-    if key == "1/(1-w)":
-        return 1 / (1 - w)
-    raise ValueError(key)
-
-
-def _kummer_base(key, w):
-    if key == "w":
-        return w
-    if key == "1-w":
-        return 1 - w
-    if key == "-w":
-        return -w
-    raise ValueError(key)
-
-
 def eval_kummer_expression(sol_key: str, row: int, al, be, mu, w):
-    """Evaluate row `row` (0-3) of Kummer's table for the given solution."""
-    prefs, pmap, argkey = _KUMMER_TABLE[sol_key][row]
-    al = _as_complex(al)
-    be = _as_complex(be)
-    mu = _as_complex(mu)
-    out = 1.0 + 0.0j
-    for base_key, efn in prefs:
-        out = out * jpow(_kummer_base(base_key, w), efn(al, be, mu))
-    p2 = pmap(al, be, mu)
-    return out * eval_2F1(p2[0], p2[1], p2[2], _kummer_arg(argkey, w))
+    """Evaluate row `row` (0-3) of Kummer's table for the given solution:
+    the W(D3) element _W_D3[sol_key][row] applied to eval_2F1."""
+    return _kummer_term(sol_key, row, al, be, mu, w, eval_2F1)
 
 
 def standard_solutions(family: str, params) -> tuple:
@@ -1025,7 +969,7 @@ def standard_solutions(family: str, params) -> tuple:
     out = []
     if family == "2f1":
         al, be, mu = params
-        for key in _KUMMER_ORDER:
+        for key in _W_D3:
             exprs = tuple(
                 (lambda k, r: lambda w, tol=1e-11:
                  eval_kummer_expression(k, r, al, be, mu, w))(key, r)

@@ -512,7 +512,7 @@ def suite_kummer(family=None, seed=0, tol=1e-10, params=None,
     checks = []
     if family in (None, "all", "2f1"):
         al, be, mu = NUMERIC_PARAMS["2f1"] if params is None else params
-        for key in N._KUMMER_ORDER:
+        for key in N._W_D3:
             for r1 in range(4):
                 for r2 in range(r1 + 1, 4):
                     checks.append(_numeric_check(

@@ -21,9 +21,20 @@ _SPEC = {"run_seconds": 1, "workloads": [{"name": "eval"}],
          "end_to_end": [{"name": "ops_per_ref", "better": "higher"}]}
 
 
-def _checkout(root: Path, run_py: str, spec=_SPEC) -> str:
+_LABELS = ("mut:a:A+1", "mut:b:coeff+1")
+
+
+def _checkout(root: Path, run_py: str, spec=_SPEC, labels=_LABELS) -> str:
     (root / "src" / "pkg").mkdir(parents=True)
     (root / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+    # the verify workload's operations come from the library
+    (root / "src" / "hyperclass").mkdir()
+    (root / "src" / "hyperclass" / "__init__.py").write_text("")
+    (root / "src" / "hyperclass" / "verify.py").write_text(
+        'SUITES = ("kummer", "connection")\n'
+        'ALL_FAMILIES = ("2f1", "1f1")\n\n\n'
+        'def _mutation_candidates():\n'
+        f'    return [(label, None) for label in {labels!r}]\n')
     (root / "perfbench" / "out").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(run_py)
     (root / "BENCHMARK.json").write_text(json.dumps(spec))
@@ -40,7 +51,12 @@ def test_differing_perfbench_exits_before_any_run(bench_pairs, tmp_path,
     for name, change in [
             ("run.py", _checkout(tmp_path / "a", "print(2)\n")),
             ("BENCHMARK.json", _checkout(tmp_path / "b", "print(1)\n",
-                                         dict(_SPEC, run_seconds=2)))]:
+                                         dict(_SPEC, run_seconds=2))),
+            ("mutation label", _checkout(
+                tmp_path / "c", "print(1)\n",
+                labels=(_LABELS[0], "mut:b:const+1"))),
+            ("mutation order", _checkout(
+                tmp_path / "d", "print(1)\n", labels=_LABELS[::-1]))]:
         assert bench_pairs.main([parent, change, "--first-seed", "1",
                                  "--out", str(out)]) == 2, name
     assert not out.exists()
@@ -67,6 +83,8 @@ def test_same_perfbench_records_its_digest(bench_pairs, tmp_path,
     assert len(calls) == 2 * bench_pairs.PAIRS
     record = json.loads(out.read_text())
     assert record["workload_sha256"] == bench_pairs.workload_digest(parent)
+    assert json.loads(bench_pairs.verify_operations(change)) == [
+        ["kummer", "connection"], ["2f1", "1f1"], list(_LABELS)]
     assert record["parent_src_sha256"] != record["change"]["src_sha256"]
     result = record["workloads"]["eval"]
     assert result["change_better_pairs"] == {"ops_per_ref": bench_pairs.PAIRS}

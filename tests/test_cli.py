@@ -12,6 +12,7 @@ import pytest
 
 from hyperclass import cli
 from hyperclass import numerics as N
+from hyperclass import quadrature as Q
 
 
 def run(capsys, *argv, env=None, monkeypatch=None):
@@ -253,6 +254,27 @@ def test_eval_hermite_methods_agree(capsys):
     vq = cli.parse_complex(out_q.splitlines()[0])
     va = cli.parse_complex(out_a.splitlines()[0])
     assert abs(vq - va) < 1e-9 * abs(vq)
+
+
+@pytest.mark.parametrize("method", ["auto", "asymptotic", "quadrature"])
+def test_eval_hermite_every_method_refuses_the_cut(capsys, method):
+    code, out, err = run(capsys, "eval", "hermite", "--lam", "0.3",
+                         "--w", "-1", "--method", method)
+    assert code == 3
+    assert out == ""
+    assert "DomainError: S_lambda evaluated on its cut" in err
+
+
+@pytest.mark.parametrize("w", ["1.2", "0.5,0.7", "6"])
+def test_eval_hermite_forced_quadrature_off_the_cut(capsys, w):
+    # off the cut, forced quadrature prints the quadrature value and
+    # tol * |value|, wherever auto would go
+    code, out, _ = run(capsys, "eval", "hermite", "--lam", "0.3", "--w", w,
+                       "--method", "quadrature")
+    assert code == 0
+    v = Q.hermite_S_solution(0.3 + 0j, cli.parse_complex(w), 1e-11)
+    assert out.splitlines() == [cli.fmt_complex(v), "method: quadrature",
+                                f"error: {1e-11 * abs(v):.2e}"]
 
 
 def test_eval_norm_variant(capsys):

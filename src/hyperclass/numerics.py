@@ -247,7 +247,18 @@ def pfq_series(num: Sequence[Number], den: Sequence[Number], z,
 
 
 def _pfq_sum(num, den, z: complex, tol: float, max_terms: int):
-    """The scalar series of `pfq_series`: (compensated sum, converged)."""
+    """The scalar series of `pfq_series`: (compensated sum, converged).
+
+    The shapes of 2F1, 1F1 and 0F1 run a loop written out for them
+    (`_WRITTEN_OUT`), any other shape the generic loop."""
+    written = _WRITTEN_OUT.get((len(num), len(den)))
+    if written is not None:
+        return written(*num, *den, z, tol, max_terms)
+    return _pfq_sum_generic(num, den, z, tol, max_terms)
+
+
+def _pfq_sum_generic(num, den, z: complex, tol: float, max_terms: int):
+    """`_pfq_sum` for parameter lists of any length."""
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     comp = 0.0j
@@ -272,6 +283,77 @@ def _pfq_sum(num, den, z: complex, tol: float, max_terms: int):
         else:
             small = 0
     return total, False
+
+
+# The loops below are `_pfq_sum_generic` for one shape each, with its
+# operations in its order (fac starts at 1.0 + 0.0j), so each sum is
+# bitwise the generic one.
+
+def _sum_2f1(a, b, c, z, tol, max_terms):
+    term = 1.0 + 0.0j
+    total = 1.0 + 0.0j
+    comp = 0.0j
+    small = 0
+    for k in range(max_terms):
+        term = term * z * ((1.0 + 0.0j) * (a + k) * (b + k) / (c + k)) \
+            / (k + 1)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        m = abs(total)
+        if abs(term) < tol * (1e-300 if m < 1e-300 else m):
+            small += 1
+            if small >= 3:
+                return total, True
+        else:
+            small = 0
+    return total, False
+
+
+def _sum_1f1(a, c, z, tol, max_terms):
+    term = 1.0 + 0.0j
+    total = 1.0 + 0.0j
+    comp = 0.0j
+    small = 0
+    for k in range(max_terms):
+        term = term * z * ((1.0 + 0.0j) * (a + k) / (c + k)) / (k + 1)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        m = abs(total)
+        if abs(term) < tol * (1e-300 if m < 1e-300 else m):
+            small += 1
+            if small >= 3:
+                return total, True
+        else:
+            small = 0
+    return total, False
+
+
+def _sum_0f1(c, z, tol, max_terms):
+    term = 1.0 + 0.0j
+    total = 1.0 + 0.0j
+    comp = 0.0j
+    small = 0
+    for k in range(max_terms):
+        term = term * z * ((1.0 + 0.0j) / (c + k)) / (k + 1)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        m = abs(total)
+        if abs(term) < tol * (1e-300 if m < 1e-300 else m):
+            small += 1
+            if small >= 3:
+                return total, True
+        else:
+            small = 0
+    return total, False
+
+
+_WRITTEN_OUT = {(2, 1): _sum_2f1, (1, 1): _sum_1f1, (0, 1): _sum_0f1}
 
 
 def hyp2f1_series(a, b, c, z):
@@ -741,19 +823,25 @@ def eval_conf_minus_inf(th, al, w, tol: float = 1e-11):
 def _hermite_S(la, w, tol, forced=None):
     """S_lambda(w) with its route and a relative error estimate.
 
-    The asymptotic route, w^{-la-1/2} 2F0(la/2+3/4, la/2+1/4; -; -1/w^2),
-    is taken at |w| >= ASYMPTOTIC_CROSSOVER when the estimate of its 2F0
-    sum meets `tol` relative to the sum.  Otherwise the quadrature route
-    runs, which raises unless it meets `tol`.  `forced` ("asymptotic" or
-    "quadrature") runs that route wherever w lies off the cut.
+    S_lambda is entire: the Hermite equation has no finite singular
+    point.  The asymptotic route, w^{-la-1/2} 2F0(la/2+3/4, la/2+1/4; -;
+    -1/w^2), holds off (-inf, 0] only; it is taken there at
+    |w| >= ASYMPTOTIC_CROSSOVER when the estimate of its 2F0 sum meets
+    `tol` relative to the sum.  Otherwise the quadrature route runs,
+    which raises unless it meets `tol`.  `forced` ("asymptotic" or
+    "quadrature") runs that route wherever it holds: a forced asymptotic
+    sum on (-inf, 0] raises DomainError.
     """
     require_finite(la, w)
     la = _as_complex(la)
     w0 = jvalue(w)
-    if w0.imag == 0 and w0.real <= 0:
-        raise DomainError("S_lambda evaluated on its cut")
+    in_sector = w0.imag != 0 or w0.real > 0
+    if forced == "asymptotic" and not in_sector:
+        raise DomainError("asymptotic sum of S_lambda evaluated on "
+                          "(-inf, 0]")
     if forced == "asymptotic" or (
-            forced is None and abs(w0) >= ASYMPTOTIC_CROSSOVER):
+            forced is None and in_sector
+            and abs(w0) >= ASYMPTOTIC_CROSSOVER):
         got = eval_2F0_asymptotic(la / 2 + 0.75, la / 2 + 0.25,
                                   -1 / (w * w), tol)
         if forced or _try_asymptotic(got, tol) is not None:
@@ -763,8 +851,8 @@ def _hermite_S(la, w, tol, forced=None):
 
 
 def eval_hermite_S(la, w, tol: float = 1e-11):
-    """Hermite solution S_lambda(w) ~ w^{-la-1/2} at +infinity.
-    Cut: (-inf, 0]."""
+    """Hermite solution S_lambda(w) ~ w^{-la-1/2} at +infinity; entire
+    (on (-inf, 0] by quadrature)."""
     return _hermite_S(la, w, tol)[0]
 
 

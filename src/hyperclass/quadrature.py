@@ -18,7 +18,8 @@ P_16, so the module needs nothing beyond the standard library.
 
 The solution evaluators (`tricomi_solution`, `conf_minus_inf_solution`,
 `hermite_S_solution`, `bessel_tilde_solution`) raise `QuadratureError`
-when the error estimate misses the requested tolerance by a wide margin.
+when the value is not finite or the error estimate misses the requested
+tolerance by a wide margin.
 
 On top of the engines sits the catalog of every printed integral
 representation (`integral_rep_rows`).  Each family states its integrands
@@ -113,7 +114,8 @@ def _de_level(node, level: int):
     outward from 0 and cut before the first u with |u| > 6.5 or node(u)
     None.  A side is an array of doubles, u and the two of node(u) per
     node (see `_triples`).  Cached: a level's nodes depend on nothing but
-    the map; a full set of levels for both maps takes about 0.6 MB."""
+    the map.  `tanh_sinh` reads them here, `exp_sinh` through
+    `_es_level`; a full set of levels takes about 0.3 MB for each."""
     h = 0.5 / 2 ** level
     step = 1 if level == 0 else 2
     sides = []
@@ -139,8 +141,23 @@ def _triples(side):
     return zip(it, it, it)
 
 
+@functools.cache
+def _es_level(level: int):
+    """The exp-sinh nodes of one doubling level, those of
+    `_de_level(_es_node, level)`: per side three arrays of doubles, e^v,
+    the weight e^v * 0.5 * pi * cosh(u) of the node at scale 1 (the
+    arithmetic `exp_sinh` does at any scale) and cosh(u).  Cached, about
+    24 bytes a node; the u of `_de_level` are not kept."""
+    sides = []
+    for side in _de_level.__wrapped__(_es_node, level):
+        ev, ch = side[1::3], side[2::3]
+        wgt = array("d", [s * 0.5 * math.pi * c for s, c in zip(ev, ch)])
+        sides.append((ev, wgt, ch))
+    return tuple(sides)
+
+
 def _level_sum(f, sides):
-    """Sum of w f(*args) over the (args, w) of each side, outward from 0.
+    """Sum of w f(x) over the (x, w) of each side, outward from 0.
 
     A node where f raises an arithmetic error, returns None or a value
     that is not finite is skipped; a side ends after four nodes in a row
@@ -154,18 +171,19 @@ def _level_sum(f, sides):
     acc = None
     center = None
     scale = 0.0
+    isfinite = math.isfinite
     for side in sides:
         misses = 0
-        for args, wgt in side:
+        for x, wgt in side:
             try:
-                val = f(*args)
+                val = f(x)
             except (OverflowError, ZeroDivisionError, ValueError):
                 continue
             if val is None:
                 continue
             is_jet = type(val) is Jet
             size = abs(val.coeffs[0]) if is_jet else abs(val)
-            if not math.isfinite(size):
+            if not isfinite(size):
                 continue
             if is_jet:
                 wc = _jet_scale(val.coeffs, complex(wgt))
@@ -233,14 +251,22 @@ def tanh_sinh(f: Callable, za, zb, tol: float = 1e-11, max_level: int = 9):
             off = d * near
             if u > 0:
                 t = zb - off
-                yield ((t, 1, off) if aware else (t,)), wgt * d
+                yield ((t, 1, off) if aware else t), wgt * d
             else:
                 t = za + off
-                yield ((t, 0, off) if aware else (t,)), wgt * d
+                yield ((t, 0, off) if aware else t), wgt * d
 
+    if aware:
+        # call an EndpointAware's function itself: one frame less a node
+        fn = f.fn if type(f) is EndpointAware else f
+
+        def call(args):
+            return fn(*args)
+    else:
+        call = f
     return _de_integrate(
         lambda level: map(mapped, _de_level(_ts_node, level)),
-        f, tol, max_level)
+        call, tol, max_level)
 
 
 def exp_sinh(g: Callable, tol: float = 1e-11, max_level: int = 9,
@@ -248,17 +274,23 @@ def exp_sinh(g: Callable, tol: float = 1e-11, max_level: int = 9,
     """Integral of g over (0, inf); g may be singular at 0 and must decay.
 
     `scale` rescales the abscissas (s -> scale * s) to centre the map on
-    the integrand's natural length.  Returns (value, error_estimate).
+    the integrand's natural length; at scale 1 the (s, weight) pairs are
+    read from the cached `_es_level` tables, at any other scale computed
+    from them per call.  Returns (value, error_estimate).
     """
+    if scale == 1.0:
+        def nodes(side):
+            ev, wgt, _ = side
+            return zip(ev, wgt)
+    else:
+        def nodes(side):
+            ev, _, ch = side
+            for e, c in zip(ev, ch):
+                s = scale * e
+                yield s, s * 0.5 * math.pi * c
 
-    def mapped(side):
-        for _u, ev, ch in _triples(side):
-            s = scale * ev
-            yield (s,), s * 0.5 * math.pi * ch
-
-    return _de_integrate(
-        lambda level: map(mapped, _de_level(_es_node, level)),
-        g, tol, max_level)
+    return _de_integrate(lambda level: map(nodes, _es_level(level)),
+                         g, tol, max_level)
 
 
 class EndpointAware:
@@ -526,12 +558,44 @@ def path_integral(pieces: Sequence, factors: Sequence, exp_fn: Optional[Callable
 # ---------------------------------------------------------------------------
 
 def _checked(value, err, tol: float):
-    """The quadrature value, unless its error estimate misses the requested
-    tolerance by a wide margin: then QuadratureError carries both."""
-    if err > max(10 * tol * max(jabs(value), 1.0), 1e-6):
+    """The quadrature value, unless it is not finite or its error estimate
+    misses the requested tolerance by a wide margin: then QuadratureError
+    carries both."""
+    size = jabs(value)
+    if not (math.isfinite(size) and err <= max(10 * tol * max(size, 1.0),
+                                               1e-6)):
         raise QuadratureError("quadrature tolerance unreachable",
                               value=value, estimate=err)
     return value
+
+
+_EXP_MAX = 709.782712893384   # log of the largest double
+
+
+def _linear_jet(w):
+    """(center, first coefficient, order) of a Jet w with no coefficient
+    past the first, else None."""
+    if type(w) is not Jet or any(w.coeffs[2:]):
+        return None
+    return w.center, (w.coeffs[1] if w.order else 0j), w.order
+
+
+def _exp_linear(center, a: complex, b: complex, order: int) -> Jet:
+    """The Jet of exp(a + b (z - center)): c_k = e^a b^k / k!, by
+    c_k = b c_{k-1} / k in O(order) with no intermediate Jet; `Jet.exp` of
+    the linear jet gives the same c_k by its O(order^2) recurrence."""
+    out = [cmath.exp(a)]
+    for k in range(1, order + 1):
+        out.append(b * out[-1] / k)
+    return _jet(center, out)
+
+
+def _cpow(x, e: complex):
+    """`jpow` for a scalar base: the integrands of the solution evaluators
+    bind it in place of `jpow` once per call when w is not a Jet."""
+    if x == 0:
+        return 0.0j if e.real > 0 else cmath.inf
+    return cmath.exp(e * cmath.log(x))
 
 
 def tricomi_solution(th, al, w, tol: float = 1e-11):
@@ -548,11 +612,12 @@ def tricomi_solution(th, al, w, tol: float = 1e-11):
     a2 = sgn * al
     p = (-1 + th - a2) / 2
     r = (-1 - th - a2) / 2
+    power = jpow if N.is_jet(w) else _cpow
 
     def g(s):
         if s > 700.0:
             return 0.0j
-        return (s ** p) * math.exp(-s) * jpow(w + s, r)
+        return (s ** p) * math.exp(-s) * power(w + s, r)
 
     out = _checked(*exp_sinh(g, tol), tol) * rgamma((1 + th - a2) / 2)
     if sgn < 0:
@@ -572,11 +637,12 @@ def conf_minus_inf_solution(th, al, w, tol: float = 1e-11):
     a2 = sgn * al
     p = (-1 + th - a2) / 2
     r = (-1 - th - a2) / 2
+    power = jpow if N.is_jet(w) else _cpow
 
     def g(s):
         if s > 700.0:
             return 0.0j
-        return jpow(s - w, p) * math.exp(-s) * jpow(s, r)
+        return power(s - w, p) * math.exp(-s) * _cpow(s, r)
 
     out = jexp(w) * _checked(*exp_sinh(g, tol), tol) \
         * rgamma((1 - th - a2) / 2)
@@ -601,15 +667,34 @@ def hermite_S_solution(la, w, tol: float = 1e-11):
             return res.value()
         return Jet(w0, res.coeffs[: n + 1])
     w0 = jvalue(w)
-    complex_exp = N.is_jet(w) or w0.imag
+    xr = w0.real
+    e = la - 0.5
+    lin = _linear_jet(w)
+    if lin is not None:
+        # the exponent is linear in w: its exponential in closed form
+        center, w1, order = lin
+
+        def expo(s):
+            return _exp_linear(center, -s * s - 2 * s * w0, -2 * s * w1,
+                               order)
+    elif N.is_jet(w) or w0.imag:
+        exp = jexp if N.is_jet(w) else cmath.exp
+
+        def expo(s):
+            return exp(-s * s - 2 * s * w)
+    else:
+        expo = None
 
     def g(s):
-        ex = -s * s - 2 * s * w0.real
+        ex = -s * s - 2 * s * xr
         if ex < -700.0:
             return 0.0j
-        if complex_exp:
-            return (s ** (la - 0.5)) * jexp(-s * s - 2 * s * w)
-        return (s ** (la - 0.5)) * math.exp(ex)
+        if ex > _EXP_MAX:
+            raise N.DomainError("S_lambda: the Laplace integrand overflows "
+                                "(Re w too far below 0)")
+        if expo is None:
+            return (s ** e) * math.exp(ex)
+        return (s ** e) * expo(s)
 
     return (2 ** (la + 0.5)) * rgamma(la + 0.5) \
         * _checked(*exp_sinh(g, tol), tol)
@@ -621,11 +706,27 @@ def bessel_tilde_solution(al, w, tol: float = 1e-11):
     N.require_finite(al, w)
     al = complex(al)
     w0 = jvalue(w)
+    xr = w0.real
+    e = -al - 1
+    lin = _linear_jet(w)
+    if lin is not None:
+        # -w / s as Jet division rounds it, then its exponential in closed
+        # form
+        center, w1, order = lin
+
+        def expo(s):
+            inv = 1.0 / complex(s)
+            return _exp_linear(center, -w0 * inv, -w1 * inv, order)
+    else:
+        exp = jexp if N.is_jet(w) else cmath.exp
+
+        def expo(s):
+            return exp(-w / s)
 
     def g(s):
-        if s > 700.0 or w0.real / s > 700.0:
+        if s > 700.0 or xr / s > 700.0:
             return 0.0j
-        return math.exp(-s) * jexp(-w / s) * s ** (-al - 1)
+        return math.exp(-s) * expo(s) * s ** e
 
     val, err = exp_sinh(g, tol, scale=max(1.0, math.sqrt(abs(w0))))
     return _checked(val, err, tol) / SQRT_PI

@@ -257,12 +257,21 @@ def test_eval_hermite_methods_agree(capsys):
 
 
 @pytest.mark.parametrize("method", ["auto", "asymptotic", "quadrature"])
-def test_eval_hermite_every_method_refuses_the_cut(capsys, method):
-    code, out, err = run(capsys, "eval", "hermite", "--lam", "0.3",
-                         "--w", "-1", "--method", method)
-    assert code == 3
-    assert out == ""
-    assert "DomainError: S_lambda evaluated on its cut" in err
+def test_eval_hermite_on_the_negative_axis(capsys, method):
+    # S_lambda is entire: auto and forced quadrature evaluate (-inf, 0] by
+    # quadrature; only the asymptotic sum refuses it
+    for w, printed in (("-1", "6.91059703214958"), ("0", "1.65862459747746"),
+                       ("-3", "17371.4732701544")):
+        code, out, err = run(capsys, "eval", "hermite", "--lam", "0.3",
+                             f"--w={w}", "--method", method)
+        if method == "asymptotic":
+            assert code == 3
+            assert out == ""
+            assert "DomainError: asymptotic sum of S_lambda evaluated on " \
+                "(-inf, 0]" in err
+        else:
+            assert code == 0
+            assert out.splitlines()[:2] == [printed, "method: quadrature"]
 
 
 @pytest.mark.parametrize("w", ["1.2", "0.5,0.7", "6"])

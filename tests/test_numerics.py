@@ -4,6 +4,7 @@ solutions and connection data."""
 import cmath
 import math
 import random
+import struct
 
 import pytest
 
@@ -198,6 +199,49 @@ def test_pfq_series_jet_of_order_zero_is_a_jet():
     assert got.coeffs[0] == N.pfq_series((0.3, 0.4), (1.2,), 0.25 + 0.1j)
 
 
+def _sum_outcome(got):
+    total, converged = got
+    return struct.pack("<dd", total.real, total.imag), converged
+
+
+@pytest.mark.parametrize("n_num", [2, 1, 0])
+def test_written_out_series_match_the_generic_loop_bitwise(n_num):
+    # the (2,1), (1,1) and (0,1) loops of _pfq_sum against the generic one
+    rng = random.Random(1207 + n_num)
+
+    def draw(lo, hi):
+        return complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
+
+    reach = {2: 0.95, 1: 20.0, 0: 40.0}[n_num]
+    cases = []
+    for trial in range(300):
+        num = [draw(-3, 3) for _ in range(n_num)]
+        den = [draw(-3, 3)]
+        z = cmath.rect(rng.uniform(0.0, reach), rng.uniform(-math.pi, math.pi))
+        if trial % 10 == 0:
+            z = rng.choice(_SERIES_SPECIAL)
+        if n_num and trial % 10 == 5:
+            # an infinite upper parameter: both sums turn non-finite alike
+            num[0] = complex(math.inf, rng.uniform(-1, 1))
+        # a few stop at max_terms and return (best, False)
+        max_terms = 6 if trial % 7 == 0 else N.MAX_SERIES_TERMS
+        cases.append((num, den, z, max_terms))
+    if n_num:
+        # a terminating polynomial, also outside the disk of convergence
+        cases.append(([-4 + 0j] + [draw(-3, 3)] * (n_num - 1), [1.5 + 0j],
+                      3.5 - 2j, N.MAX_SERIES_TERMS))
+    outcomes = set()
+    for num, den, z, max_terms in cases:
+        got = N._pfq_sum(num, den, z, 1e-17, max_terms)
+        ref = N._pfq_sum_generic(num, den, z, 1e-17, max_terms)
+        assert _sum_outcome(got) == _sum_outcome(ref), (num, den, z)
+        outcomes.add(got[1])
+    assert outcomes == {True, False}
+    if n_num:
+        poly = N._pfq_sum(*cases[-1][:3], 1e-17, N.MAX_SERIES_TERMS)
+        assert poly[1] and cmath.isfinite(poly[0])
+
+
 # ---------------------------------------------------------------------------
 # Analytic continuation of 2F1
 # ---------------------------------------------------------------------------
@@ -255,6 +299,33 @@ def test_tricomi_dual_route():
     assert abs(a1 - a2) < 1e-10 * abs(a1)
 
 
+def test_hermite_on_the_negative_axis():
+    # S_lambda is entire (the Hermite equation has no finite singular
+    # point); these quadrature values agree with mpmath's
+    # 2^{la+1/2} H_{-la-1/2}(w) to within 6e-16 relative
+    for w, v in ((-1.0, 6.910597032149581), (0.0, 1.6586245974774603),
+                 (-3.0, 17371.473270154413)):
+        assert N.eval_hermite_S(0.3, w) == v
+        assert N._hermite_S(0.3, w, 1e-11, "quadrature")[:2] \
+            == (v, "quadrature")
+        with pytest.raises(N.DomainError):
+            N._hermite_S(0.3, w, 1e-11, "asymptotic")
+    # auto takes quadrature at |w| >= 4 too, where the asymptotic sum is
+    # wrong
+    assert N._hermite_S(0.3, -6.0, 1e-11)[1] == "quadrature"
+
+
+@pytest.mark.parametrize("w", [-30.0, -27.0 + 0j, -30.0 + 1.0j,
+                               Jet.variable(-28.0, 2)])
+def test_hermite_overflowing_integrand_raises(w):
+    # past Re w ~ -26.6 e^{-s^2-2sw} overflows a double at some node: a
+    # typed error, not a sum over the nodes that did not overflow
+    with pytest.raises(N.DomainError, match="overflows"):
+        Q.hermite_S_solution(0.3, w)
+    with pytest.raises(N.DomainError, match="overflows"):
+        N._hermite_S(0.3, w, 1e-11, "quadrature")
+
+
 def test_hermite_dual_route():
     la, w = 0.37, 5.5 + 1.0j
     a1 = N.eval_hermite_S(la, w)
@@ -263,8 +334,7 @@ def test_hermite_dual_route():
 
 
 def test_cut_domain_errors():
-    with pytest.raises(N.DomainError):
-        N.eval_hermite_S(0.3, -1.0)
+    # S_lambda has no cut: see test_hermite_on_the_negative_axis
     with pytest.raises(N.DomainError):
         N.eval_tricomi(0.2, 0.3, -2.0)
     with pytest.raises(N.DomainError):

@@ -470,6 +470,130 @@ def test_exp_sinh_matches_per_node_reference_bitwise():
             == _rule_outcome(_ref_exp_sinh, g, **kw), kw
 
 
+def test_exp_sinh_table_matches_the_node_table():
+    # _es_level keeps e^v and cosh(u) of _de_level(_es_node, level) and
+    # the weight at scale 1 as exp_sinh computes it at any scale
+    for level in range(10):
+        sides = Q._es_level(level)
+        assert len(sides) == 2
+        for (ev, wgt, ch), side in zip(sides, Q._de_level(Q._es_node, level)):
+            triples = list(Q._triples(side))
+            assert len(ev) == len(wgt) == len(ch) == len(triples)
+            for e, w, c, (_u, a, b) in zip(ev, wgt, ch, triples):
+                s = 1.0 * a
+                assert _node_bits((e, c)) == _node_bits((a, b))
+                assert struct.pack("<d", w) \
+                    == struct.pack("<d", s * 0.5 * math.pi * b)
+
+
+# The four Laplace-type solution evaluators as they were before their
+# integrands bound a scalar power per call, hoisted their exponents and
+# took the exponential of a linear jet in closed form: jpow/jexp at every
+# node, summed by the per-node reference rule.
+
+def _ref_tricomi(th, al, w, tol=1e-11):
+    th, al = complex(th), complex(al)
+    margins = [(1 + th - s * al).real for s in (1, -1)]
+    sgn = 1 if margins[0] >= margins[1] else -1
+    a2 = sgn * al
+    p = (-1 + th - a2) / 2
+    r = (-1 - th - a2) / 2
+
+    def g(s):
+        if s > 700.0:
+            return 0.0j
+        return (s ** p) * math.exp(-s) * N.jpow(w + s, r)
+
+    out = Q._checked(*_ref_exp_sinh(g, tol), tol) * N.rgamma((1 + th - a2) / 2)
+    return out * N.jpow(w, -al) if sgn < 0 else out
+
+
+def _ref_conf_minus_inf(th, al, w, tol=1e-11):
+    th, al = complex(th), complex(al)
+    margins = [(1 - th - s * al).real for s in (1, -1)]
+    sgn = 1 if margins[0] >= margins[1] else -1
+    a2 = sgn * al
+    p = (-1 + th - a2) / 2
+    r = (-1 - th - a2) / 2
+
+    def g(s):
+        if s > 700.0:
+            return 0.0j
+        return N.jpow(s - w, p) * math.exp(-s) * N.jpow(s, r)
+
+    out = N.jexp(w) * Q._checked(*_ref_exp_sinh(g, tol), tol) \
+        * N.rgamma((1 - th - a2) / 2)
+    return out * N.jpow(-w, -al) if sgn < 0 else out
+
+
+def _ref_hermite(la, w, tol=1e-11):
+    la = complex(la)
+    w0 = N.jvalue(w)
+    complex_exp = N.is_jet(w) or w0.imag
+
+    def g(s):
+        ex = -s * s - 2 * s * w0.real
+        if ex < -700.0:
+            return 0.0j
+        if complex_exp:
+            return (s ** (la - 0.5)) * N.jexp(-s * s - 2 * s * w)
+        return (s ** (la - 0.5)) * math.exp(ex)
+
+    return (2 ** (la + 0.5)) * N.rgamma(la + 0.5) \
+        * Q._checked(*_ref_exp_sinh(g, tol), tol)
+
+
+def _ref_bessel_tilde(al, w, tol=1e-11):
+    al = complex(al)
+    w0 = N.jvalue(w)
+
+    def g(s):
+        if s > 700.0 or w0.real / s > 700.0:
+            return 0.0j
+        return math.exp(-s) * N.jexp(-w / s) * s ** (-al - 1)
+
+    val, err = _ref_exp_sinh(g, tol, scale=max(1.0, math.sqrt(abs(w0))))
+    return Q._checked(val, err, tol) / SQRT_PI
+
+
+def _arguments(*ws):
+    """Each w as given, as a linear jet of order 3 and as a jet with a
+    second-order coefficient (the Jet.exp path)."""
+    for w in ws:
+        yield w
+        yield Jet.variable(w, 3)
+        yield Jet(w, [w, 1.0, 0.25 - 0.5j])
+
+
+_REFERENCE_SOLUTIONS = [
+    (Q.tricomi_solution, _ref_tricomi, (0.23, -0.31),
+     (2.5 + 1.5j, 1.7, 0.6 - 2.2j)),
+    # margins pick the other sign of alpha: the jpow(w, -al) factor
+    (Q.tricomi_solution, _ref_tricomi, (0.2, 0.3), (1.3 + 0.4j,)),
+    (Q.conf_minus_inf_solution, _ref_conf_minus_inf, (0.23, -0.31),
+     (-1.5 + 0.8j, -2.0, 0.4 - 1.9j)),
+    (Q.conf_minus_inf_solution, _ref_conf_minus_inf, (-0.2, 0.3),
+     (-1.1 - 0.6j,)),
+    (Q.hermite_S_solution, _ref_hermite, (0.3,),
+     (1.2, 0.8 + 1.1j, -1.0, -3.0 + 0.5j)),
+    (Q.hermite_S_solution, _ref_hermite, (0.1 - 0.2j,), (2.4 - 0.7j,)),
+    # |w| < 1 keeps the exp-sinh scale at 1.0, |w| > 1 raises it
+    (Q.bessel_tilde_solution, _ref_bessel_tilde, (0.3,),
+     (0.6 + 0.3j, 0.8, 2.0 + 1.0j, 6.5)),
+    (Q.bessel_tilde_solution, _ref_bessel_tilde, (-0.2 + 0.1j,),
+     (3.0 - 2.0j,)),
+]
+
+
+@pytest.mark.parametrize("quad, ref, params, ws", _REFERENCE_SOLUTIONS,
+                         ids=lambda x: getattr(x, "__name__", None))
+def test_solutions_match_the_per_node_reference_bitwise(quad, ref, params,
+                                                        ws):
+    for w in _arguments(*ws):
+        assert _value_bits(quad(*params, w)) \
+            == _value_bits(ref(*params, w)), (params, w)
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Legendre panels
 # ---------------------------------------------------------------------------
@@ -628,3 +752,9 @@ def test_quadrature_error_carries_value():
     assert isinstance(exc.value, N.NumericsError)
     # an estimate within the margin passes the value through unchanged
     assert Q._checked(val, 1e-15 * abs(val), 1e-14) is val
+    # a value that is not finite raises, whatever the estimate
+    for bad in (complex(math.inf, 0.0), complex(1.0, math.nan)):
+        with pytest.raises(Q.QuadratureError):
+            Q._checked(bad, 0.0, 1e-11)
+        with pytest.raises(Q.QuadratureError):
+            Q._checked(Jet(1.0, [bad, 1.0]), 0.0, 1e-11)

@@ -22,6 +22,12 @@ The result file holds, per workload and side, every run of each metric
 that BENCHMARK.json bounds with its median and quartiles, the operations
 attempted and failed, and for each metric the number of pairs in which the
 change read better.
+
+When the eval workload runs, three traced eval runs per side follow its
+pairs (``--trace 1``, seeds FIRST+10 to FIRST+12, alternating as the
+pairs do), because a single traced run is too noisy for a per-layer
+claim.  The result file holds every per-layer metric of them under
+``traced_eval``, with each side's runs and median.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import sys
 
 RUN_TIMEOUT_S = 1800
 PAIRS = 10
+TRACED_RUNS = 3
 
 
 # the verify workload's operations, as the library of a checkout defines them
@@ -99,10 +106,13 @@ def git_commit(root: str):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result line of one perfbench run from checkout ``root``."""
+def run_once(root: str, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """The JSON result line of one perfbench run from checkout ``root``:
+    the end-to-end metrics, or the per-layer ones with ``trace`` 1."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace",
+           str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
@@ -137,6 +147,42 @@ def better_pairs(parent: list, change: list, bounds: dict) -> dict:
             if sign * (c["metrics"][name]["value"]
                        - p["metrics"][name]["value"]) > 0)
     return out
+
+
+def alternating(i: int) -> tuple:
+    """The order of the two sides in pair ``i``: the parent first in even
+    pairs."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def traced_eval(parent: str, change: str, first_seed: int,
+                seconds: float) -> dict:
+    """``TRACED_RUNS`` traced eval runs per side, alternating, and per
+    per-layer metric each side's runs and median."""
+    seeds = list(range(first_seed, first_seed + TRACED_RUNS))
+    runs = {"parent": [], "change": []}
+    for i, seed in enumerate(seeds):
+        for side in alternating(i):
+            root = parent if side == "parent" else change
+            runs[side].append(run_once(root, "eval", seed, seconds, trace=1))
+            print(f"traced eval {i + 1}/{TRACED_RUNS} seed {seed} {side}",
+                  flush=True)
+    metrics = {}
+    for name, spec in runs["parent"][0]["metrics"].items():
+        got = {side: [r["metrics"][name]["value"] for r in runs[side]]
+               for side in runs}
+        metrics[name] = {"unit": spec["unit"], **got,
+                         "parent_median": statistics.median(got["parent"]),
+                         "change_median": statistics.median(got["change"])}
+    return {
+        "command": f"python3 perfbench/run.py --workload eval --seed S "
+                   f"--seconds {seconds} --trace 1",
+        "seeds": seeds,
+        "method": f"{TRACED_RUNS} traced eval runs per side after the "
+                  f"eval pairs, alternating as they do, each side from its "
+                  f"own checkout",
+        "metrics": metrics,
+    }
 
 
 def main(argv=None) -> int:
@@ -189,9 +235,7 @@ def main(argv=None) -> int:
     for workload in workloads:
         runs = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
-            order = (("parent", "change") if i % 2 == 0
-                     else ("change", "parent"))
-            for side in order:
+            for side in alternating(i):
                 root = args.parent if side == "parent" else args.change
                 res = run_once(root, workload, seed, seconds)
                 runs[side].append(res)
@@ -208,6 +252,9 @@ def main(argv=None) -> int:
             "change_better_pairs": better_pairs(runs["parent"],
                                                 runs["change"], bounds),
         }
+        if workload == "eval":
+            record["traced_eval"] = traced_eval(
+                args.parent, args.change, args.first_seed + PAIRS, seconds)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

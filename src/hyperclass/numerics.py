@@ -253,7 +253,7 @@ def _pfq_sum(num, den, z: complex, tol: float, max_terms: int):
     (`_WRITTEN_OUT`), any other shape the generic loop."""
     written = _WRITTEN_OUT.get((len(num), len(den)))
     if written is not None:
-        return written(*num, *den, z, tol, max_terms)
+        return written(*num, *den, z, tol, max_terms)[:2]
     return _pfq_sum_generic(num, den, z, tol, max_terms)
 
 
@@ -287,7 +287,9 @@ def _pfq_sum_generic(num, den, z: complex, tol: float, max_terms: int):
 
 # The loops below are `_pfq_sum_generic` for one shape each, with its
 # operations in its order (fac starts at 1.0 + 0.0j), so each sum is
-# bitwise the generic one.
+# bitwise the generic one.  The 1F1 and 0F1 loops also return the largest
+# |term|, the first term 1 included, for the estimates of the connection
+# routes (`_series_rounded`).
 
 def _sum_2f1(a, b, c, z, tol, max_terms):
     term = 1.0 + 0.0j
@@ -316,6 +318,7 @@ def _sum_1f1(a, c, z, tol, max_terms):
     total = 1.0 + 0.0j
     comp = 0.0j
     small = 0
+    big = 1.0
     for k in range(max_terms):
         term = term * z * ((1.0 + 0.0j) * (a + k) / (c + k)) / (k + 1)
         y = term - comp
@@ -323,13 +326,16 @@ def _sum_1f1(a, c, z, tol, max_terms):
         comp = (t - total) - y
         total = t
         m = abs(total)
-        if abs(term) < tol * (1e-300 if m < 1e-300 else m):
+        at = abs(term)
+        if at > big:
+            big = at
+        if at < tol * (1e-300 if m < 1e-300 else m):
             small += 1
             if small >= 3:
-                return total, True
+                return total, True, big
         else:
             small = 0
-    return total, False
+    return total, False, big
 
 
 def _sum_0f1(c, z, tol, max_terms):
@@ -337,6 +343,7 @@ def _sum_0f1(c, z, tol, max_terms):
     total = 1.0 + 0.0j
     comp = 0.0j
     small = 0
+    big = 1.0
     for k in range(max_terms):
         term = term * z * ((1.0 + 0.0j) / (c + k)) / (k + 1)
         y = term - comp
@@ -344,13 +351,16 @@ def _sum_0f1(c, z, tol, max_terms):
         comp = (t - total) - y
         total = t
         m = abs(total)
-        if abs(term) < tol * (1e-300 if m < 1e-300 else m):
+        at = abs(term)
+        if at > big:
+            big = at
+        if at < tol * (1e-300 if m < 1e-300 else m):
             small += 1
             if small >= 3:
-                return total, True
+                return total, True, big
         else:
             small = 0
-    return total, False
+    return total, False, big
 
 
 _WRITTEN_OUT = {(2, 1): _sum_2f1, (1, 1): _sum_1f1, (0, 1): _sum_0f1}
@@ -770,10 +780,12 @@ def SI_hermite(la, w, tol: float = 1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Solutions needing asymptotics/quadrature (Tricomi, Hermite, 0F1-tilde)
+# Solutions at infinity: asymptotic sum, connection series or quadrature
+# (Tricomi, -infinity, Hermite, 0F1-tilde)
 # ---------------------------------------------------------------------------
 
 ASYMPTOTIC_CROSSOVER = 4.0
+_EPS = 2.0 ** -52
 
 
 def _try_asymptotic(value_err, tol, scale=None):
@@ -782,42 +794,229 @@ def _try_asymptotic(value_err, tol, scale=None):
     return (value, err) if err <= tol * ref else None
 
 
-def eval_tricomi(th, al, w, tol: float = 1e-11):
-    """Solution ~ w^{-a} at +infinity of the confluent equation:
-    w^{(-1-th-al)/2} tilde-F_{th,al}(-1/w).   Cut: (-inf, 0]."""
+def _sinpi_rounding(z) -> float:
+    """A bound, in units of _EPS, on the relative rounding of sinpi(z):
+    the rounding of pi z, magnified by |pi z cot(pi z)|."""
+    x = math.pi * z
+    return 1 + abs(x * cmath.cos(x) / cmath.sin(x))
+
+
+def _gamma_rounding(z: complex, dz: float) -> float:
+    """A bound, in units of _EPS, on the relative rounding of gamma(z) and
+    rgamma(z) at a z that carries a rounding of dz units itself: 8 + 4|z|
+    for the Lanczos sum, power and exponential (no more than 0.8 of it
+    against mpmath over |z| <= 100), the sine of the reflection, and dz
+    times a bound on |digamma(z)|, log(1 + |z|) + 4 at Re z >= 1/2 and
+    by the reflection digamma(z) = digamma(1-z) - pi cot(pi z) elsewhere."""
+    if z.real < 0.5:
+        x = math.pi * z
+        cot = cmath.cos(x) / cmath.sin(x)
+        return 1 + abs(x * cot) + abs(math.pi * cot) * dz \
+            + _gamma_rounding(1 - z, dz)
+    return 8 + 4 * abs(z) + (math.log1p(abs(z)) + 4) * dz
+
+
+def _pow_rounding(x, e) -> float:
+    """A bound, in units of _EPS, on the relative rounding of jpow(x, e) =
+    exp(e log x) for a scalar x != 0."""
+    return 2 + 2 * abs(e * cmath.log(x))
+
+
+def _series_rounded(num, den, z: complex):
+    """The scalar 1F1 or 0F1 series of `pfq_series`, as (sum, a bound on
+    its rounding in units of _EPS).
+
+    The bound is 2 (1 + k)^1.5 times the largest |term|, k = |z| for 1F1
+    and sqrt|z| for 0F1: the rounding of a term grows by a few units with
+    each step of its recurrence, and the about sqrt(k) largest terms sit
+    near step k.  Against mpmath, from the rounded parameters of the
+    confluent routes, it held by a factor of 1.5 or more for |z| <= 20
+    (1F1) and |z| <= 400 (0F1)."""
+    for q in den:
+        if is_nonpositive_integer(q):
+            raise GammaPoleError(f"series denominator parameter {q}")
+    total, converged, big = _WRITTEN_OUT[len(num), 1](
+        *num, *den, z, 1e-17, MAX_SERIES_TERMS)
+    if not converged:
+        raise ConvergenceError("series did not converge", best=total)
+    k = abs(z) if num else math.sqrt(abs(z))
+    return total, 2 * (1 + k) ** 1.5 * big
+
+
+def _bold_1f1_rounded(th, al, w):
+    """bold_F_1f1(th, al, w) at a scalar w, bitwise, and a bound on its
+    rounding in units of _EPS: that of its series (times |e^w| after the
+    Kummer transformation of `eval_1F1`), scaled by |rgamma(1+al)|, plus
+    the rounding of rgamma and e^w."""
+    th = _as_complex(th)
+    al = _as_complex(al)
+    a = (1 + al + th) / 2
+    c = 1 + al
+    r = rgamma(c)
+    if jvalue(w).real < 0:
+        e = jexp(w)
+        total, bound = _series_rounded((c - a,), (c,), _as_complex(-w))
+        value = r * (e * total)
+        return value, abs(r * e) * bound \
+            + abs(value) * (_gamma_rounding(c, abs(c)) + 1 + abs(w))
+    total, bound = _series_rounded((a,), (c,), _as_complex(w))
+    value = r * total
+    return value, abs(r) * bound + abs(value) * _gamma_rounding(c, abs(c))
+
+
+def _bold_0f1_rounded(al, w):
+    """bold_F_0f1(al, w) at a scalar w, bitwise, and a bound on its
+    rounding in units of _EPS, as `_bold_1f1_rounded`."""
+    c = 1 + _as_complex(al)
+    r = rgamma(c)
+    total, bound = _series_rounded((), (c,), _as_complex(w))
+    value = r * total
+    return value, abs(r) * bound + abs(value) * _gamma_rounding(c, abs(c))
+
+
+def _estimate(value, err: float, al) -> float:
+    """The relative estimate of a connection sum: its rounding `err`, in
+    units of _EPS, over |value|, plus the rounding of the sinpi(al) that
+    divides every term."""
+    if not value:
+        return math.inf
+    return _EPS * (err / abs(value) + _sinpi_rounding(al))
+
+
+def _conf_connection(th, al, w, th_g, base):
+    """pi bold-F_{th,al}(w) / (sin(-pi al) Gamma((1+th_g-al)/2))
+    + pi base^-al bold-F_{th,-al}(w) / (sin(pi al) Gamma((1+th_g+al)/2))
+    at a scalar w, with its relative estimate: the connection formula of
+    the Tricomi solution (th_g = th, base = w; DLMF 13.2.42) and of the
+    solution at -infinity (th_g = -th, base = -w).
+
+    The estimate sums, in units of _EPS, each sum's rounding bound times
+    the |coefficient| it is multiplied by, and each term times the
+    rounding of its gamma, power and the arithmetic, over |value|
+    (Johansson, arXiv:1606.06977), plus the rounding of sinpi(al)."""
+    th = _as_complex(th)
+    al = _as_complex(al)
+    s = sinpi(al)
+    if abs(s) < 1e-300:
+        raise DegeneracyError("sin(pi alpha) = 0")
+    f1, e1 = _bold_1f1_rounded(th, al, w)
+    f2, e2 = _bold_1f1_rounded(th, -al, w)
+    x1 = (1 + th_g - al) / 2
+    x2 = (1 + th_g + al) / 2
+    g1 = gamma(x1)
+    g2 = gamma(x2)
+    p = jpow(base, -al)
+    t1 = math.pi * f1 / (sinpi(-al) * g1)
+    t2 = math.pi * p * f2 / (s * g2)
+    value = t1 + t2
+    # x1 and x2 carry the rounding of two additions
+    d = abs(1 + th_g) / 2
+    err = abs(math.pi / (s * g1)) * e1 + abs(math.pi * p / (s * g2)) * e2 \
+        + abs(t1) * (_gamma_rounding(x1, d + abs(x1)) + 4) \
+        + abs(t2) * (_gamma_rounding(x2, d + abs(x2))
+                     + _pow_rounding(base, -al) + 5)
+    return value, _estimate(value, err, al)
+
+
+def _tricomi_series(th, al, w):
+    """`eval_tricomi` by its connection formula, with its relative
+    estimate (`_conf_connection`)."""
+    return _conf_connection(th, al, w, _as_complex(th), w)
+
+
+def _conf_minus_inf_series(th, al, w):
+    """`eval_conf_minus_inf` by its connection formula, with its relative
+    estimate (`_conf_connection`)."""
+    return _conf_connection(th, al, w, -_as_complex(th), -w)
+
+
+def _0f1_tilde_series(al, w):
+    """`eval_0f1_tilde` by its connection formula (DLMF 10.27.4),
+    c+ bold-F_al(w) + c- w^-al bold-F_{-al}(w) with (c+, c-) =
+    connection_coeffs_0f1(al), at a scalar w, with its relative estimate
+    (as `_conf_connection`)."""
+    cp, cm = connection_coeffs_0f1(al)
+    f1, e1 = _bold_0f1_rounded(al, w)
+    f2, e2 = _bold_0f1_rounded(-al, w)
+    p = jpow(w, -al)
+    t1 = cp * f1
+    t2 = cm * p * f2
+    value = t1 + t2
+    err = abs(cp) * e1 + abs(cm * p) * e2 + abs(t1) * 3 \
+        + abs(t2) * (_pow_rounding(w, -al) + 4)
+    return value, _estimate(value, err, al)
+
+
+def _certified(series, args, w, tol):
+    """(value, "series", relative estimate) of `series(*args)` if its
+    estimate meets `tol`, else None; None at a Jet w too, so that the
+    verify suites, which evaluate on jets, still exercise the quadrature.
+
+    The three solutions at infinity try the asymptotic sum, then this
+    connection series, then their quadrature."""
+    if type(w) is Jet:
+        return None
+    try:
+        value, est = series(*args)
+    except (NumericsError, ArithmeticError):
+        # a degenerate point (sin(pi al) = 0, a gamma pole), or terms that
+        # do not fit a double
+        return None
+    return (value, "series", est) if est <= tol else None
+
+
+def _tricomi(th, al, w, tol):
+    """`eval_tricomi` with its route ("asymptotic", "series" or
+    "quadrature") and relative estimate (`_certified`)."""
     require_finite(th, al, w)
     th = _as_complex(th)
     al = _as_complex(al)
     w0 = jvalue(w)
     if w0.imag == 0 and w0.real <= 0:
         raise DomainError("Tricomi solution evaluated on its cut")
-    pref = jpow(w, (-1 - th - al) / 2)
     if abs(w0) >= ASYMPTOTIC_CROSSOVER:
-        got = tilde_F_2f0(th, al, -1 / w, tol)
-        ok = _try_asymptotic(got, tol)
-        if ok is not None:
-            return pref * ok[0]
+        got = _try_asymptotic(tilde_F_2f0(th, al, -1 / w, tol), tol)
+        if got is not None:
+            return jpow(w, (-1 - th - al) / 2) * got[0], "asymptotic", got[1]
+    got = _certified(_tricomi_series, (th, al, w), w, tol)
+    if got is not None:
+        return got
     from . import quadrature
-    return quadrature.tricomi_solution(th, al, w, tol)
+    return quadrature.tricomi_solution(th, al, w, tol), "quadrature", tol
 
 
-def eval_conf_minus_inf(th, al, w, tol: float = 1e-11):
-    """Solution ~ (-w)^{b-1} e^w at -infinity of the confluent equation:
-    e^w (-w)^{(-1+th-al)/2} tilde-F_{-th,al}(1/w).  Cut: [0, +inf)."""
+def eval_tricomi(th, al, w, tol: float = 1e-11):
+    """Solution ~ w^{-a} at +infinity of the confluent equation:
+    w^{(-1-th-al)/2} tilde-F_{th,al}(-1/w).   Cut: (-inf, 0]."""
+    return _tricomi(th, al, w, tol)[0]
+
+
+def _conf_minus_inf(th, al, w, tol):
+    """`eval_conf_minus_inf` with its route and relative estimate, as
+    `_tricomi`."""
     require_finite(th, al, w)
     th = _as_complex(th)
     al = _as_complex(al)
     w0 = jvalue(w)
     if w0.imag == 0 and w0.real >= 0:
         raise DomainError("solution evaluated on its cut [0, inf)")
-    pref = jexp(w) * jpow(-w, (-1 + th - al) / 2)
     if abs(w0) >= ASYMPTOTIC_CROSSOVER:
-        got = tilde_F_2f0(-th, al, 1 / w, tol)
-        ok = _try_asymptotic(got, tol)
-        if ok is not None:
-            return pref * ok[0]
+        got = _try_asymptotic(tilde_F_2f0(-th, al, 1 / w, tol), tol)
+        if got is not None:
+            return jexp(w) * jpow(-w, (-1 + th - al) / 2) * got[0], \
+                "asymptotic", got[1]
+    got = _certified(_conf_minus_inf_series, (th, al, w), w, tol)
+    if got is not None:
+        return got
     from . import quadrature
-    return quadrature.conf_minus_inf_solution(th, al, w, tol)
+    return quadrature.conf_minus_inf_solution(th, al, w, tol), \
+        "quadrature", tol
+
+
+def eval_conf_minus_inf(th, al, w, tol: float = 1e-11):
+    """Solution ~ (-w)^{b-1} e^w at -infinity of the confluent equation:
+    e^w (-w)^{(-1+th-al)/2} tilde-F_{-th,al}(1/w).  Cut: [0, +inf)."""
+    return _conf_minus_inf(th, al, w, tol)[0]
 
 
 def _hermite_S(la, w, tol, forced=None):
@@ -856,24 +1055,33 @@ def eval_hermite_S(la, w, tol: float = 1e-11):
     return _hermite_S(la, w, tol)[0]
 
 
-def eval_0f1_tilde(al, w, tol: float = 1e-11):
-    """0F1-class solution ~ e^{-2 sqrt(w)} w^{-al/2-1/4} at +infinity.
-    Cut: (-inf, 0]."""
+def _0f1_tilde(al, w, tol):
+    """`eval_0f1_tilde` with its route and relative estimate, as
+    `_tricomi`; the quadrature route needs Re w > 0."""
     require_finite(al, w)
     al = _as_complex(al)
     w0 = jvalue(w)
     if w0.imag == 0 and w0.real <= 0:
         raise DomainError("tilde solution evaluated on its cut")
-    sq = jsqrt(w)
     if 4 * abs(cmath.sqrt(w0)) >= 25.0:
-        got = tilde_F_2f0(0, 2 * al, -1 / (4 * sq), tol)
-        ok = _try_asymptotic(got, tol)
-        if ok is not None:
-            return jexp(-2 * sq) * jpow(w, -al / 2 - 0.25) * ok[0]
+        sq = jsqrt(w)
+        got = _try_asymptotic(tilde_F_2f0(0, 2 * al, -1 / (4 * sq), tol), tol)
+        if got is not None:
+            return jexp(-2 * sq) * jpow(w, -al / 2 - 0.25) * got[0], \
+                "asymptotic", got[1]
+    got = _certified(_0f1_tilde_series, (al, w), w, tol)
+    if got is not None:
+        return got
     if w0.real <= 0:
         raise DomainError("quadrature route needs Re w > 0")
     from . import quadrature
-    return quadrature.bessel_tilde_solution(al, w, tol)
+    return quadrature.bessel_tilde_solution(al, w, tol), "quadrature", tol
+
+
+def eval_0f1_tilde(al, w, tol: float = 1e-11):
+    """0F1-class solution ~ e^{-2 sqrt(w)} w^{-al/2-1/4} at +infinity.
+    Cut: (-inf, 0]."""
+    return _0f1_tilde(al, w, tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -554,7 +554,8 @@ def path_integral(pieces: Sequence, factors: Sequence, exp_fn: Optional[Callable
 
 
 # ---------------------------------------------------------------------------
-# Solution evaluators used by `numerics` at moderate |w| (jet-capable)
+# Solution evaluators used by `numerics` at moderate |w| where its connection
+# series is not certified, and on jets
 # ---------------------------------------------------------------------------
 
 def _checked(value, err, tol: float):
@@ -1039,27 +1040,6 @@ _CONF_PARAM_SAMPLES = (
 )
 
 
-def _conf_tricomi_expected(th, al, w):
-    """w^{(-1-th-al)/2} tilde-FI_{th,al}(-1/w) via the connection formula
-    (series route; independent of the Laplace quadrature)."""
-    th = complex(th)
-    al = complex(al)
-    return math.pi * N.bold_F_1f1(th, al, w) \
-        / (N.sinpi(-al) * gamma((1 + th - al) / 2)) \
-        + math.pi * jpow(w, -al) * N.bold_F_1f1(th, -al, w) \
-        / (N.sinpi(al) * gamma((1 + th + al) / 2))
-
-
-def _conf_minus_inf_expected(th, al, w):
-    """e^w (-w)^{(-1+th-al)/2} tilde-F_{-th,al}(1/w) via the connection."""
-    th = complex(th)
-    al = complex(al)
-    return math.pi * N.bold_F_1f1(th, al, w) \
-        / (N.sinpi(-al) * gamma((1 - th - al) / 2)) \
-        + math.pi * jpow(-w, -al) * N.bold_F_1f1(th, -al, w) \
-        / (N.sinpi(al) * gamma((1 - th + al) / 2))
-
-
 def _build_conf_rows():
     rows = []
     row = _row_adder(rows, "1f1", "1f1", _CONF_PARAM_SAMPLES)
@@ -1105,7 +1085,7 @@ def _build_conf_rows():
         lambda w: _off_cut(w, ("le", 0.0)),
         a(lambda w: ("ray", 0.0, -1.0), -1, -1),
         lambda ps, w: gamma((1 + ps[0] - ps[1]) / 2)
-        * _conf_tricomi_expected(ps[0], ps[1], w),
+        * N._tricomi_series(ps[0], ps[1], w)[0],
         (0.8, 1.5 + 1j, 0.5 + 0.5j))
 
     row(5, "(-inf,w] Laplace -> e^w (-w)^((-1+th-al)/2) tilde-FI(-th,al)(1/w)",
@@ -1113,7 +1093,7 @@ def _build_conf_rows():
         lambda w: _off_cut(w, ("ge", 0.0)),
         a(lambda w: ("ray", w, -1.0), -1, -1),
         lambda ps, w: gamma((1 - ps[0] - ps[1]) / 2)
-        * _conf_minus_inf_expected(ps[0], ps[1], w),
+        * N._conf_minus_inf_series(ps[0], ps[1], w)[0],
         (-0.8, -1 + 1j, -0.5 + 0.5j))
 
     row(6, "[1,inf) -> FI(th,al)(w)",
@@ -1141,7 +1121,7 @@ def _build_conf_rows():
         lambda w: w.real > 0,
         b(lambda w: ("ray", 0.0, -1.0), -1, -1),
         lambda ps, w: gamma((1 + ps[0] + ps[1]) / 2)
-        * _conf_tricomi_expected(ps[0], ps[1], w),
+        * N._tricomi_series(ps[0], ps[1], w)[0],
         (0.8, 1.5 + 1j, 0.5 + 0.5j))
 
     row(9, "[0,1] -> e^w (-w)^((-1+th-al)/2) tilde-FI(-th,-al)(1/w)",
@@ -1149,7 +1129,7 @@ def _build_conf_rows():
         lambda w: w.real < 0,
         b(lambda w: ("seg", 0.0, 1.0), 1, -1),
         lambda ps, w: gamma((1 - ps[0] + ps[1]) / 2)
-        * _conf_minus_inf_expected(ps[0], ps[1], w),
+        * N._conf_minus_inf_series(ps[0], ps[1], w)[0],
         (-0.8, -1.5 + 1j, -0.5 + 0.5j))
 
     return tuple(rows)
@@ -1266,13 +1246,6 @@ def _poisson_w(ps, w):
 _0F1_PARAM_SAMPLES = ((2 / 7,), (-3 / 13,), (1 / 11,))
 
 
-def _0f1_tilde_expected(al, w):
-    """tilde-F_al(w) via the connection formula (series route)."""
-    cp, cm = N.connection_coeffs_0f1(al)
-    return cp * N.bold_F_0f1(al, w) + cm * jpow(w, -al) \
-        * N.bold_F_0f1(-al, w)
-
-
 def _build_0f1_rows():
     rows = []
     row = _row_adder(rows, "0f1", "0f1", _0F1_PARAM_SAMPLES)
@@ -1310,7 +1283,7 @@ def _build_0f1_rows():
         lambda ps: True,
         lambda w: w.real > 0,
         _power_row(_bessel_0f1, lambda w: ("ray", 0.0, -1.0), -1),
-        lambda ps, w: SQRT_PI * _0f1_tilde_expected(ps[0], w),
+        lambda ps, w: SQRT_PI * N._0f1_tilde_series(ps[0], w)[0],
         (0.5, 1 + 0.5j, 2))
 
     row(4, "Poisson [-1,1] -> Gamma(al+1/2) sqrt(pi) bold-F_al(w)",
@@ -1333,7 +1306,8 @@ def _build_0f1_rows():
         lambda ps: ps[0] > -0.5,
         lambda w: _off_cut(w, ("le", 0.0)),
         poisson(lambda w: ("ray", -1.0, -1.0), -1, -1),
-        lambda ps, w: 0.5 * gamma(ps[0] + 0.5) * _0f1_tilde_expected(ps[0], w),
+        lambda ps, w: 0.5 * gamma(ps[0] + 0.5)
+        * N._0f1_tilde_series(ps[0], w)[0],
         (0.4, 1 + 1j, 2 + 0.5j))
 
     row(7, "Poisson (-inf,-sqrt w] -> (1/2) Gamma(-al+1/2) tilde-F_al(w)",
@@ -1341,7 +1315,7 @@ def _build_0f1_rows():
         lambda w: _off_cut(w, ("le", 0.0)),
         poisson_w(lambda w: ("ray", -cmath.sqrt(w), -1.0), -1, -1),
         lambda ps, w: 0.5 * gamma(-ps[0] + 0.5)
-        * _0f1_tilde_expected(ps[0], w),
+        * N._0f1_tilde_series(ps[0], w)[0],
         (0.4, 1 + 1j, 2 + 0.5j))
 
     return tuple(rows)

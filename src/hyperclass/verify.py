@@ -394,10 +394,13 @@ def connection_residual_2f1(al, be, mu, w) -> float:
 
 def connection_residual_1f1(th, al, w) -> float:
     """Recessive solutions at +-infinity versus the matrix times the
-    basis at 0 (second member with the (-iw)^-alpha branch, Im w > 0)."""
+    basis at 0 (second member with the (-iw)^-alpha branch, Im w > 0).
+    The solutions come from their Laplace integrals: the evaluators' own
+    series route is this connection, which would check itself."""
+    from . import quadrature
     A = N.connection_matrix_1f1(th, al)
-    u = [N.eval_tricomi(th, al, w, 1e-12),
-         N.eval_conf_minus_inf(th, al, w, 1e-12)]
+    u = [quadrature.tricomi_solution(th, al, w, 1e-12),
+         quadrature.conf_minus_inf_solution(th, al, w, 1e-12)]
     x = [N.bold_F_1f1(th, al, w),
          jpow(-1j * w, -al) * N.bold_F_1f1(th, -al, w)]
     pred = _mat_vec(A, x)
@@ -406,8 +409,11 @@ def connection_residual_1f1(th, al, w) -> float:
 
 
 def connection_residual_0f1(al, w) -> float:
+    """The decaying solution from its Laplace integral versus the
+    two-term connection (as `connection_residual_1f1`)."""
+    from . import quadrature
     cp, cm = N.connection_coeffs_0f1(al)
-    lhs = N.eval_0f1_tilde(al, w, 1e-12)
+    lhs = quadrature.bessel_tilde_solution(al, w, 1e-12)
     rhs = cp * N.bold_F_0f1(al, w) + cm * jpow(w, -al) * N.bold_F_0f1(-al, w)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 

@@ -62,16 +62,24 @@ def test_differing_perfbench_exits_before_any_run(bench_pairs, tmp_path,
     assert not out.exists()
 
 
+def _fake_run(calls):
+    """A stand-in for run_once: ops_per_ref, or with trace a per-layer
+    metric, 1 from the parent and 2 from the change."""
+    def fake_run(root, workload, seed, seconds, trace=0):
+        calls.append((root, workload, seed, seconds, trace))
+        value = 2.0 if root.endswith("change") else 1.0
+        name = "quadrature.tricomi_us" if trace else "ops_per_ref"
+        return {"metrics": {name: {"value": value + seed / 100,
+                                   "unit": "us" if trace else "1/ref"}},
+                "attempted": 10, "failed": 0, "correct": True}
+    return fake_run
+
+
 def test_same_perfbench_records_its_digest(bench_pairs, tmp_path,
                                            monkeypatch):
     calls = []
 
-    def fake_run(root, workload, seed, seconds):
-        calls.append((root, workload, seed, seconds))
-        value = 2.0 if root.endswith("change") else 1.0
-        return {"metrics": {"ops_per_ref": {"value": value}},
-                "attempted": 10, "failed": 0, "correct": True}
-    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_run(calls))
     parent = _checkout(tmp_path / "parent", "print(1)\n")
     change = _checkout(tmp_path / "change", "print(1)\n")
     # what a run leaves behind is not part of the workload
@@ -80,7 +88,7 @@ def test_same_perfbench_records_its_digest(bench_pairs, tmp_path,
     out = tmp_path / "bench.json"
     assert bench_pairs.main([parent, change, "--first-seed", "5",
                              "--out", str(out)]) == 0
-    assert len(calls) == 2 * bench_pairs.PAIRS
+    assert len(calls) == 2 * (bench_pairs.PAIRS + bench_pairs.TRACED_RUNS)
     record = json.loads(out.read_text())
     assert record["workload_sha256"] == bench_pairs.workload_digest(parent)
     assert json.loads(bench_pairs.verify_operations(change)) == [
@@ -89,3 +97,31 @@ def test_same_perfbench_records_its_digest(bench_pairs, tmp_path,
     result = record["workloads"]["eval"]
     assert result["change_better_pairs"] == {"ops_per_ref": bench_pairs.PAIRS}
     assert result["seeds"] == list(range(5, 5 + bench_pairs.PAIRS))
+
+
+def test_traced_eval_runs_follow_the_eval_pairs(bench_pairs, tmp_path,
+                                                monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_run(calls))
+    parent = _checkout(tmp_path / "parent", "print(1)\n")
+    change = _checkout(tmp_path / "change", "print(1)\n")
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([parent, change, "--first-seed", "5",
+                             "--out", str(out)]) == 0
+    traced = [(root, seed) for root, workload, seed, _, trace in calls
+              if trace]
+    assert all(c[4] == 0 for c in calls[:2 * bench_pairs.PAIRS])
+    first = 5 + bench_pairs.PAIRS
+    # alternating after the pairs, the parent first in even runs
+    assert traced == [(parent, first), (change, first),
+                      (change, first + 1), (parent, first + 1),
+                      (parent, first + 2), (change, first + 2)]
+    record = json.loads(out.read_text())["traced_eval"]
+    assert record["seeds"] == [first, first + 1, first + 2]
+    assert "--trace 1" in record["command"]
+    got = record["metrics"]["quadrature.tricomi_us"]
+    assert got["unit"] == "us"
+    assert got["parent"] == [1.0 + s / 100 for s in record["seeds"]]
+    assert got["change"] == [2.0 + s / 100 for s in record["seeds"]]
+    assert got["parent_median"] == 1.0 + (first + 1) / 100
+    assert got["change_median"] == 2.0 + (first + 1) / 100

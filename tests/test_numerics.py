@@ -242,6 +242,57 @@ def test_written_out_series_match_the_generic_loop_bitwise(n_num):
         assert poly[1] and cmath.isfinite(poly[0])
 
 
+def _generic_terms(num, den, z, tol, max_terms):
+    """The terms of `_pfq_sum_generic`, the first term 1 included, up to
+    where it stops."""
+    terms = [1.0 + 0.0j]
+    total = 1.0 + 0.0j
+    comp = 0.0j
+    small = 0
+    for k in range(max_terms):
+        fac = 1.0 + 0.0j
+        for p in num:
+            fac *= p + k
+        for q in den:
+            fac /= q + k
+        terms.append(terms[-1] * z * fac / (k + 1))
+        y = terms[-1] - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if abs(terms[-1]) < tol * max(abs(total), 1e-300):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+    return terms
+
+
+@pytest.mark.parametrize("n_num", [1, 0])
+def test_written_out_sums_track_the_largest_term(n_num):
+    # the (1,1) and (0,1) loops also return max |term| of their sum
+    rng = random.Random(1313 + n_num)
+    outcomes = set()
+    for trial in range(300):
+        num = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+               for _ in range(n_num)]
+        den = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))]
+        z = cmath.rect(rng.uniform(0.0, 20.0 * (1 + n_num)),
+                       rng.uniform(-math.pi, math.pi))
+        max_terms = 6 if trial % 7 == 0 else N.MAX_SERIES_TERMS
+        if n_num and trial % 10 == 5:
+            num[0] = complex(-rng.randrange(6), 0.0)    # a polynomial
+        total, converged, big = N._WRITTEN_OUT[n_num, 1](
+            *num, *den, z, 1e-17, max_terms)
+        assert (total, converged) == N._pfq_sum(num, den, z, 1e-17,
+                                                max_terms)
+        terms = _generic_terms(num, den, z, 1e-17, max_terms)
+        assert big == max(abs(t) for t in terms), (num, den, z)
+        outcomes.add(converged)
+    assert outcomes == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # Analytic continuation of 2F1
 # ---------------------------------------------------------------------------
@@ -341,6 +392,110 @@ def test_cut_domain_errors():
         N.eval_conf_minus_inf(0.2, 0.3, 2.0)
     with pytest.raises(N.DomainError):
         N.eval_0f1_tilde(0.3, -0.5)
+
+
+def _solution_reference(mp, name, params, w):
+    """mpmath at 30 digits: hyperu for the confluent solutions at +-inf,
+    2/sqrt(pi) w^(-al/2) K_al(2 sqrt w) for 0F1-tilde."""
+    with mp.workdps(30):
+        ps = [mp.mpf(p) for p in params]
+        w = mp.mpc(w)
+        if name == "tricomi":
+            th, al = ps
+            v = mp.hyperu((1 + al + th) / 2, 1 + al, w)
+        elif name == "conf_minus_inf":
+            th, al = ps
+            v = mp.exp(w) * mp.hyperu((1 + al - th) / 2, 1 + al, -w)
+        else:
+            (al,) = ps
+            v = 2 / mp.sqrt(mp.pi) * mp.power(w, -al / 2) \
+                * mp.besselk(al, 2 * mp.sqrt(w))
+        return complex(v)
+
+
+_ROUTED = {"tricomi": N._tricomi, "conf_minus_inf": N._conf_minus_inf,
+           "0f1_tilde": N._0f1_tilde}
+
+
+def _draw_alpha(rng, i):
+    """Generic alpha, or within 1e-8 to 1e-3 of -1, 0 or 1."""
+    if i % 2:
+        return rng.choice((-1, 0, 1)) \
+            + rng.choice((-1, 1)) * 10 ** rng.uniform(-8, -3)
+    return rng.choice((-1, 1)) * rng.uniform(0.05, 0.95)
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTED))
+def test_connection_series_against_mpmath(name):
+    # each series value lies within its own estimate of mpmath; where the
+    # estimate misses tol the evaluator integrates instead, or raises
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(1301 + sorted(_ROUTED).index(name))
+    routes = {}
+    for i in range(200):
+        al = _draw_alpha(rng, i)
+        if name == "0f1_tilde":
+            params = (al,)
+            w = cmath.rect(rng.uniform(0.5, 10.0), rng.uniform(-3.1, 3.1))
+        else:
+            th = rng.uniform(-0.9, 0.9)
+            if i % 5 == 4:
+                # theta at a gamma pole of (1 + theta -+ alpha)/2
+                th = rng.choice((1, -1)) * al - 1
+            params = (th, al)
+            w = cmath.rect(rng.uniform(0.5, 3.5), rng.uniform(-3.1, 3.1))
+            if name == "conf_minus_inf":
+                w = -w
+        try:
+            value, route, est = _ROUTED[name](*params, w, 1e-11)
+        except N.NumericsError:
+            route = "error"
+        routes[route] = routes.get(route, 0) + 1
+        assert route in ("series", "quadrature", "error")
+        if route == "series":
+            ref = _solution_reference(mp, name, params, w)
+            assert abs(value - ref) <= est * abs(ref), (params, w, est)
+            assert est <= 1e-11
+    assert routes.get("series", 0) > 30 and routes.get("quadrature", 0) > 3
+
+
+def test_connection_series_routes():
+    w = 1.2 + 0.7j
+    for name, params, w in (("tricomi", (0.3, 0.2), w),
+                            ("conf_minus_inf", (0.3, 0.2), -w),
+                            ("0f1_tilde", (0.3,), w)):
+        value, route, est = _ROUTED[name](*params, w, 1e-11)
+        assert route == "series" and est < 1e-12
+        # the public evaluators return the routed value
+        assert getattr(N, "eval_" + name)(*params, w) == value
+        # a Jet keeps the quadrature route
+        jet = _ROUTED[name](*params, Jet.variable(w, 2), 1e-11)
+        assert jet[1] == "quadrature"
+        assert abs(jet[0].coeffs[0] - value) < 1e-10 * abs(value)
+        # a degenerate point (sin(pi alpha) = 0) is not taken
+        assert _ROUTED[name](*params[:-1], 0.0, w, 1e-11)[1] == "quadrature"
+
+
+def test_no_integrable_laplace_variant_takes_the_certified_series():
+    # (1 + theta -+ alpha).real <= 0.02 for both signs: no Laplace integral
+    # converges, so only a certified series gives a value
+    mp = pytest.importorskip("mpmath")
+    w = 1.5 + 0.8j
+    for name, params, w in (("tricomi", (-1.0, 0.01), w),
+                            ("tricomi", (-2.5, 0.3), 3 - 0.5j),
+                            ("conf_minus_inf", (1.0, -0.01), -w),
+                            ("conf_minus_inf", (2.2, 0.4), -2 - 1j)):
+        fn = getattr(N, "eval_" + name)
+        value, route, est = _ROUTED[name](*params, w, 1e-11)
+        assert route == "series"
+        ref = _solution_reference(mp, name, params, w)
+        assert abs(value - ref) <= est * abs(ref)
+        assert fn(*params, w) == value
+        # where the series is not certified, the same DomainError as before
+        with pytest.raises(N.DomainError, match="no integrable variant"):
+            fn(*params, w, 1e-17)
+    with pytest.raises(N.DomainError, match="no integrable variant"):
+        N.eval_tricomi(-1.0, 0.0, w)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,32 @@ def test_connection_check_ids():
     assert sum(1 for i in ids if i.startswith("conn:2f1:id:")) == 10
 
 
+def test_connection_suite_is_independent_of_the_series_route(monkeypatch):
+    # the evaluators' series route is the connection formula itself; the
+    # suite's left sides come from the Laplace integrals, so corrupted
+    # connection data cannot cancel out of a residual
+    from hyperclass import numerics as N
+    coeffs, matrix = N.connection_coeffs_0f1, N.connection_matrix_1f1
+
+    def bad_coeffs(al):
+        cp, cm = coeffs(al)
+        return 2 * cp, cm
+
+    def bad_matrix(th, al):
+        A = matrix(th, al)
+        A[0][0] *= 2
+        return A
+
+    monkeypatch.setattr(N, "connection_coeffs_0f1", bad_coeffs)
+    monkeypatch.setattr(N, "connection_matrix_1f1", bad_matrix)
+    checks = V.suite_connection().checks
+    for prefix, count in (("conn:0f1:id:", len(V.CONNECTION_POINTS_0F1)),
+                          ("conn:1f1:id:", len(V.CONNECTION_POINTS_1F1))):
+        got = [c for c in checks if c.id.startswith(prefix)]
+        assert len(got) == count
+        assert all(c.status == "fail" for c in got), prefix
+
+
 # ---------------------------------------------------------------------------
 # Determinism and serialization
 # ---------------------------------------------------------------------------

@@ -788,10 +788,9 @@ ASYMPTOTIC_CROSSOVER = 4.0
 _EPS = 2.0 ** -52
 
 
-def _try_asymptotic(value_err, tol, scale=None):
+def _try_asymptotic(value_err, tol):
     value, err = value_err
-    ref = abs(scale) if scale is not None else max(jabs(value), 1e-300)
-    return (value, err) if err <= tol * ref else None
+    return (value, err) if err <= tol * max(jabs(value), 1e-300) else None
 
 
 def _sinpi_rounding(z) -> float:
@@ -883,12 +882,11 @@ def _estimate(value, err: float, al) -> float:
     return _EPS * (err / abs(value) + _sinpi_rounding(al))
 
 
-def _conf_connection(th, al, w, th_g, base):
-    """pi bold-F_{th,al}(w) / (sin(-pi al) Gamma((1+th_g-al)/2))
-    + pi base^-al bold-F_{th,-al}(w) / (sin(pi al) Gamma((1+th_g+al)/2))
-    at a scalar w, with its relative estimate: the connection formula of
-    the Tricomi solution (th_g = th, base = w; DLMF 13.2.42) and of the
-    solution at -infinity (th_g = -th, base = -w).
+def _tricomi_series(th, al, w):
+    """`eval_tricomi` by its connection formula (DLMF 13.2.42),
+    pi bold-F_{th,al}(w) / (sin(-pi al) Gamma((1+th-al)/2))
+    + pi w^-al bold-F_{th,-al}(w) / (sin(pi al) Gamma((1+th+al)/2)),
+    at a scalar w, with its relative estimate.
 
     The estimate sums, in units of _EPS, each sum's rounding bound times
     the |coefficient| it is multiplied by, and each term times the
@@ -901,40 +899,28 @@ def _conf_connection(th, al, w, th_g, base):
         raise DegeneracyError("sin(pi alpha) = 0")
     f1, e1 = _bold_1f1_rounded(th, al, w)
     f2, e2 = _bold_1f1_rounded(th, -al, w)
-    x1 = (1 + th_g - al) / 2
-    x2 = (1 + th_g + al) / 2
+    x1 = (1 + th - al) / 2
+    x2 = (1 + th + al) / 2
     g1 = gamma(x1)
     g2 = gamma(x2)
-    p = jpow(base, -al)
+    p = jpow(w, -al)
     t1 = math.pi * f1 / (sinpi(-al) * g1)
     t2 = math.pi * p * f2 / (s * g2)
     value = t1 + t2
     # x1 and x2 carry the rounding of two additions
-    d = abs(1 + th_g) / 2
+    d = abs(1 + th) / 2
     err = abs(math.pi / (s * g1)) * e1 + abs(math.pi * p / (s * g2)) * e2 \
         + abs(t1) * (_gamma_rounding(x1, d + abs(x1)) + 4) \
         + abs(t2) * (_gamma_rounding(x2, d + abs(x2))
-                     + _pow_rounding(base, -al) + 5)
+                     + _pow_rounding(w, -al) + 5)
     return value, _estimate(value, err, al)
-
-
-def _tricomi_series(th, al, w):
-    """`eval_tricomi` by its connection formula, with its relative
-    estimate (`_conf_connection`)."""
-    return _conf_connection(th, al, w, _as_complex(th), w)
-
-
-def _conf_minus_inf_series(th, al, w):
-    """`eval_conf_minus_inf` by its connection formula, with its relative
-    estimate (`_conf_connection`)."""
-    return _conf_connection(th, al, w, -_as_complex(th), -w)
 
 
 def _0f1_tilde_series(al, w):
     """`eval_0f1_tilde` by its connection formula (DLMF 10.27.4),
     c+ bold-F_al(w) + c- w^-al bold-F_{-al}(w) with (c+, c-) =
     connection_coeffs_0f1(al), at a scalar w, with its relative estimate
-    (as `_conf_connection`)."""
+    (as `_tricomi_series`)."""
     cp, cm = connection_coeffs_0f1(al)
     f1, e1 = _bold_0f1_rounded(al, w)
     f2, e2 = _bold_0f1_rounded(-al, w)
@@ -952,8 +938,9 @@ def _certified(series, args, w, tol):
     estimate meets `tol`, else None; None at a Jet w too, so that the
     verify suites, which evaluate on jets, still exercise the quadrature.
 
-    The three solutions at infinity try the asymptotic sum, then this
-    connection series, then their quadrature."""
+    The solutions at infinity try the asymptotic sum, then this connection
+    series, then their quadrature (at -infinity, the Tricomi solution's
+    under 1f1:sym:03)."""
     if type(w) is Jet:
         return None
     try:
@@ -992,30 +979,21 @@ def eval_tricomi(th, al, w, tol: float = 1e-11):
 
 
 def _conf_minus_inf(th, al, w, tol):
-    """`eval_conf_minus_inf` with its route and relative estimate, as
-    `_tricomi`."""
+    """`eval_conf_minus_inf` with its route and relative estimate: the
+    image e^w U_{-th,al}(-w) of `_tricomi` under the sign symmetry
+    1f1:sym:03 (w = -v, target (-th, al), multiplier e^-v)."""
     require_finite(th, al, w)
-    th = _as_complex(th)
-    al = _as_complex(al)
     w0 = jvalue(w)
     if w0.imag == 0 and w0.real >= 0:
         raise DomainError("solution evaluated on its cut [0, inf)")
-    if abs(w0) >= ASYMPTOTIC_CROSSOVER:
-        got = _try_asymptotic(tilde_F_2f0(-th, al, 1 / w, tol), tol)
-        if got is not None:
-            return jexp(w) * jpow(-w, (-1 + th - al) / 2) * got[0], \
-                "asymptotic", got[1]
-    got = _certified(_conf_minus_inf_series, (th, al, w), w, tol)
-    if got is not None:
-        return got
-    from . import quadrature
-    return quadrature.conf_minus_inf_solution(th, al, w, tol), \
-        "quadrature", tol
+    value, route, est = _tricomi(-th, al, -w, tol)
+    return jexp(w) * value, route, est
 
 
 def eval_conf_minus_inf(th, al, w, tol: float = 1e-11):
     """Solution ~ (-w)^{b-1} e^w at -infinity of the confluent equation:
-    e^w (-w)^{(-1+th-al)/2} tilde-F_{-th,al}(1/w).  Cut: [0, +inf)."""
+    e^w (-w)^{(-1+th-al)/2} tilde-F_{-th,al}(1/w)
+    = e^w eval_tricomi(-th, al, -w).  Cut: [0, +inf)."""
     return _conf_minus_inf(th, al, w, tol)[0]
 
 

@@ -16,10 +16,10 @@ Circles, arcs and polyline pieces use one composite 16-point
 Gauss-Legendre rule (`_gl_rule`), whose nodes come from Newton's method on
 P_16, so the module needs nothing beyond the standard library.
 
-The solution evaluators (`tricomi_solution`, `conf_minus_inf_solution`,
-`hermite_S_solution`, `bessel_tilde_solution`) raise `QuadratureError`
-when the value is not finite or the error estimate misses the requested
-tolerance by a wide margin.
+The solution evaluators (`tricomi_solution`, `hermite_S_solution`,
+`bessel_tilde_solution`) raise `QuadratureError` when the value is not
+finite or the error estimate misses the requested tolerance by a wide
+margin; the confluent one at -infinity is `tricomi_solution` by 1f1:sym:03.
 
 On top of the engines sits the catalog of every printed integral
 representation (`integral_rep_rows`).  Each family states its integrands
@@ -599,17 +599,36 @@ def _cpow(x, e: complex):
     return cmath.exp(e * cmath.log(x))
 
 
+def _raised(solution, w, step):
+    """A raising step step(f, f', v), f = solution(v) at the variable jet v
+    one order above w (a scalar is order 0), composed with w."""
+    w0 = jvalue(w)
+    n = w.order if N.is_jet(w) else 0
+    v = Jet.variable(w0, n + 1)
+    f = solution(v)
+    res = step(f, f.deriv(), v).coeffs
+    d = w - w0
+    out = res[n]
+    for c in reversed(res[:n]):
+        out = out * d + c
+    return out
+
+
 def tricomi_solution(th, al, w, tol: float = 1e-11):
-    """w^{(-1-th-al)/2} tilde-F_{th,al}(-1/w) by Laplace-type quadrature."""
+    """w^{(-1-th-al)/2} tilde-F_{th,al}(-1/w) by Laplace-type quadrature
+    (valid (1 + th -+ al).real > 0 for one sign; else raising steps)."""
     N.require_finite(th, al, w)
     th = complex(th)
     al = complex(al)
     # the integrand exponent at 0 must be integrable; use the sign of alpha
     # giving the larger margin (the target function is even in alpha)
     margins = [(1 + th - s * al).real for s in (1, -1)]
+    if max(margins) <= 0.02:
+        # U_{th,al} = (w + (1+th-al)/2) U_{th+2,al} - w U'_{th+2,al}
+        # (DLMF 13.3.9, 13.3.10 and 13.3.22)
+        return _raised(lambda v: tricomi_solution(th + 2, al, v, tol), w,
+                       lambda f, df, v: (v + (1 + th - al) / 2) * f - v * df)
     sgn = 1 if margins[0] >= margins[1] else -1
-    if (1 + th - sgn * al).real <= 0.02:
-        raise N.DomainError("no integrable variant of the Laplace integral")
     a2 = sgn * al
     p = (-1 + th - a2) / 2
     r = (-1 - th - a2) / 2
@@ -626,47 +645,15 @@ def tricomi_solution(th, al, w, tol: float = 1e-11):
     return out
 
 
-def conf_minus_inf_solution(th, al, w, tol: float = 1e-11):
-    """e^w (-w)^{(-1+th-al)/2} tilde-F_{-th,al}(1/w) by quadrature."""
-    N.require_finite(th, al, w)
-    th = complex(th)
-    al = complex(al)
-    margins = [(1 - th - s * al).real for s in (1, -1)]
-    sgn = 1 if margins[0] >= margins[1] else -1
-    if (1 - th - sgn * al).real <= 0.02:
-        raise N.DomainError("no integrable variant of the Laplace integral")
-    a2 = sgn * al
-    p = (-1 + th - a2) / 2
-    r = (-1 - th - a2) / 2
-    power = jpow if N.is_jet(w) else _cpow
-
-    def g(s):
-        if s > 700.0:
-            return 0.0j
-        return power(s - w, p) * math.exp(-s) * _cpow(s, r)
-
-    out = jexp(w) * _checked(*exp_sinh(g, tol), tol) \
-        * rgamma((1 - th - a2) / 2)
-    if sgn < 0:
-        out = out * jpow(-w, -al)
-    return out
-
-
 def hermite_S_solution(la, w, tol: float = 1e-11):
     """S_lambda(w) from the Laplace integral int_0^inf e^{-t^2-2tw}
     t^{lambda-1/2} dt (valid Re lambda > -1/2; else one raising step)."""
     N.require_finite(la, w)
     la = complex(la)
     if la.real <= -0.49:
-        # S_la = -(S'_{la+1} - 2 w S_{la+1}) / 2, via a one-order-higher jet
-        w0 = jvalue(w)
-        n = w.order if N.is_jet(w) else 0
-        wj = Jet.variable(w0, n + 1)
-        f = hermite_S_solution(la + 1, wj, tol)
-        res = (-0.5) * (f.deriv() - 2 * wj * f)
-        if n == 0:
-            return res.value()
-        return Jet(w0, res.coeffs[: n + 1])
+        # S_la = -(S'_{la+1} - 2 w S_{la+1}) / 2
+        return _raised(lambda v: hermite_S_solution(la + 1, v, tol), w,
+                       lambda f, df, v: (-0.5) * (df - 2 * v * f))
     w0 = jvalue(w)
     xr = w0.real
     e = la - 0.5
@@ -1093,7 +1080,7 @@ def _build_conf_rows():
         lambda w: _off_cut(w, ("ge", 0.0)),
         a(lambda w: ("ray", w, -1.0), -1, -1),
         lambda ps, w: gamma((1 - ps[0] - ps[1]) / 2)
-        * N._conf_minus_inf_series(ps[0], ps[1], w)[0],
+        * cmath.exp(w) * N._tricomi_series(-ps[0], ps[1], -w)[0],
         (-0.8, -1 + 1j, -0.5 + 0.5j))
 
     row(6, "[1,inf) -> FI(th,al)(w)",
@@ -1129,7 +1116,7 @@ def _build_conf_rows():
         lambda w: w.real < 0,
         b(lambda w: ("seg", 0.0, 1.0), 1, -1),
         lambda ps, w: gamma((1 - ps[0] + ps[1]) / 2)
-        * N._conf_minus_inf_series(ps[0], ps[1], w)[0],
+        * cmath.exp(w) * N._tricomi_series(-ps[0], ps[1], -w)[0],
         (-0.8, -1.5 + 1j, -0.5 + 0.5j))
 
     return tuple(rows)

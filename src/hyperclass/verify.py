@@ -395,12 +395,12 @@ def connection_residual_2f1(al, be, mu, w) -> float:
 def connection_residual_1f1(th, al, w) -> float:
     """Recessive solutions at +-infinity versus the matrix times the
     basis at 0 (second member with the (-iw)^-alpha branch, Im w > 0).
-    The solutions come from their Laplace integrals: the evaluators' own
-    series route is this connection, which would check itself."""
+    Both come from the Tricomi Laplace integral (at -infinity by
+    1f1:sym:03): the evaluators' series route is this very connection."""
     from . import quadrature
     A = N.connection_matrix_1f1(th, al)
     u = [quadrature.tricomi_solution(th, al, w, 1e-12),
-         quadrature.conf_minus_inf_solution(th, al, w, 1e-12)]
+         jexp(w) * quadrature.tricomi_solution(-th, al, -w, 1e-12)]
     x = [N.bold_F_1f1(th, al, w),
          jpow(-1j * w, -al) * N.bold_F_1f1(th, -al, w)]
     pred = _mat_vec(A, x)

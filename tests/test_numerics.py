@@ -478,7 +478,7 @@ def test_connection_series_routes():
 
 def test_no_integrable_laplace_variant_takes_the_certified_series():
     # (1 + theta -+ alpha).real <= 0.02 for both signs: no Laplace integral
-    # converges, so only a certified series gives a value
+    # converges, so a certified series gives the value
     mp = pytest.importorskip("mpmath")
     w = 1.5 + 0.8j
     for name, params, w in (("tricomi", (-1.0, 0.01), w),
@@ -491,11 +491,115 @@ def test_no_integrable_laplace_variant_takes_the_certified_series():
         ref = _solution_reference(mp, name, params, w)
         assert abs(value - ref) <= est * abs(ref)
         assert fn(*params, w) == value
-        # where the series is not certified, the same DomainError as before
-        with pytest.raises(N.DomainError, match="no integrable variant"):
-            fn(*params, w, 1e-17)
-    with pytest.raises(N.DomainError, match="no integrable variant"):
-        N.eval_tricomi(-1.0, 0.0, w)
+        # where the series is not certified, the quadrature after raising
+        # steps in theta
+        value, route, _ = _ROUTED[name](*params, w, 1e-17)
+        assert route == "quadrature"
+        assert abs(value - ref) <= 1e-14 * abs(ref), (name, params)
+
+
+@pytest.mark.parametrize("name, params, w", [
+    ("tricomi", (-0.99, 0.0), 1 + 1j),
+    ("tricomi", (-1.0, 0.0), 1.5 + 0.8j),
+    # two raising steps
+    ("tricomi", (-3.5, 0.0), 2 - 1j),
+    ("conf_minus_inf", (0.99, 0.0), -1 - 1j),
+    ("conf_minus_inf", (1.2, -0.1), -0.7 + 1.3j),
+])
+def test_no_laplace_variant_and_no_series_takes_raising_steps(name, params,
+                                                              w):
+    # alpha = 0 degenerates the connection series, and no Laplace integral
+    # converges: U_{th,al} = (w + (1+th-al)/2) U_{th+2,al} - w U'_{th+2,al}
+    mp = pytest.importorskip("mpmath")
+    value, route, _ = _ROUTED[name](*params, w, 1e-11)
+    if params[1] == 0.0:
+        assert route == "quadrature"
+    ref = _solution_reference(mp, name, params, w)
+    assert abs(value - ref) <= 1e-13 * abs(ref)
+
+
+def test_raising_steps_on_a_jet_follow_the_chain_rule():
+    # d/dz U(a, b, z) = -a U(a+1, b+1, z); the jet w(h) = w + 2h + h^2/2
+    # gives f(w(h)) = f + 2 f' h + (f'/2 + 2 f'') h^2
+    mp = pytest.importorskip("mpmath")
+    th, al, w = -0.99, 0.0, 1 + 1j
+    got = Q.tricomi_solution(th, al, Jet(w, [w, 2.0, 0.5]), 1e-12).coeffs
+    with mp.workdps(30):
+        a, b = (1 + al + th) / 2, 1 + al
+        d1 = complex(-a * mp.hyperu(a + 1, b + 1, w))
+        d2 = complex(a * (a + 1) * mp.hyperu(a + 2, b + 2, w))
+        want = (complex(mp.hyperu(a, b, w)), 2 * d1, d1 / 2 + 2 * d2)
+    for k, (g, r) in enumerate(zip(got, want)):
+        assert abs(g - r) <= 1e-11 * abs(r), k
+    # the same composition in the Hermite raising step
+    la = -0.8
+    lin = Q.hermite_S_solution(la, Jet.variable(w, 2)).coeffs
+    got = Q.hermite_S_solution(la, Jet(w, [w, 2.0, 0.5])).coeffs
+    want = (lin[0], 2 * lin[1], lin[1] / 2 + 4 * lin[2])
+    for k, (g, r) in enumerate(zip(got, want)):
+        assert abs(g - r) <= 1e-14 * abs(r), k
+
+
+# ---------------------------------------------------------------------------
+# The solution at -infinity as the image of the Tricomi solution
+# ---------------------------------------------------------------------------
+
+def test_minus_inf_sign_map_is_the_catalog_row_1f1_sym_03():
+    # substitute(F_{th,al}, w = -v) = -e^-v o F_{-th,al} o e^v: a solution
+    # U of F_{-th,al} in v gives the solution e^-v U(v) at w = -v
+    from fractions import Fraction
+    from hyperclass.exactalg import GaussRational, MultiPoly
+    from hyperclass.families import catalog
+    (row,) = [r for r in catalog("1f1").symmetries if r.id == "1f1:sym:03"]
+    p, q, r, s = row.sub.data
+    for v in (Fraction(2, 7), Fraction(-5, 3), Fraction(9, 4)):
+        assert (p * v + q) / (r * v + s) == GaussRational.of(-v)
+    assert row.target == (-MultiPoly.var("theta"), MultiPoly.var("alpha"))
+    assert row.mult.factors == ()
+    assert row.mult.exp_part == tuple(map(GaussRational.of, (0, -1, 0)))
+    assert row.sign == -1
+    # _conf_minus_inf applies that map to _tricomi, on every route
+    for th, al, w, route in ((0.3, 0.2, -1.2 - 0.7j, "series"),
+                             (-0.4, 0.7, -50 + 20j, "asymptotic"),
+                             (0.3, 0.0, -1.2 - 0.7j, "quadrature")):
+        assign = {"theta": th, "alpha": al}
+        target = [c.eval_numeric(assign) for c in row.target]
+        v = -w
+        u, u_route, u_est = N._tricomi(*target, v, 1e-11)
+        value, got_route, est = N._conf_minus_inf(th, al, w, 1e-11)
+        assert (got_route, est) == (u_route, u_est) and got_route == route
+        assert value == row.mult.eval_numeric(v, assign) * u
+
+
+@pytest.mark.parametrize("params, w, route", [
+    ((0.3, 0.2), -50 + 20j, "asymptotic"),
+    ((-0.4, 0.7), -30 - 60j, "asymptotic"),
+    ((0.6, -0.35), -75 + 5j, "asymptotic"),
+    ((0.3, 0.0), -1.2 - 0.7j, "quadrature"),
+    ((-0.2, 0.0), -0.4 + 2.1j, "quadrature"),
+])
+def test_minus_inf_routes_against_mpmath(params, w, route):
+    mp = pytest.importorskip("mpmath")
+    value, got, est = N._conf_minus_inf(*params, w, 1e-11)
+    assert got == route
+    ref = _solution_reference(mp, "conf_minus_inf", params, w)
+    assert abs(value - ref) <= 1e-11 * abs(ref), (params, w, est)
+
+
+def test_minus_inf_quadrature_on_a_jet_against_mpmath():
+    # d/dw e^w U(a, b, -w) = e^w (U(a, b, -w) + a U(a+1, b+1, -w))
+    mp = pytest.importorskip("mpmath")
+    th, al, w = 0.3, 0.2, -1.2 - 0.7j
+    value, route, _ = N._conf_minus_inf(th, al, Jet.variable(w, 1), 1e-12)
+    assert route == "quadrature"
+    with mp.workdps(30):
+        a, b = (1 + al - th) / 2, 1 + al
+        e = mp.exp(w)
+        want = (complex(e * mp.hyperu(a, b, -w)),
+                complex(e * (mp.hyperu(a, b, -w)
+                             + a * mp.hyperu(a + 1, b + 1, -w))))
+    for k, (g, r) in enumerate(zip(value.coeffs, want)):
+        assert abs(g - r) <= 1e-11 * abs(r), k
 
 
 # ---------------------------------------------------------------------------

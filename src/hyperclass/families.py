@@ -11,14 +11,18 @@ Families (working in the Lie-algebraic parameters):
 
 Catalogs are data: every transmutation, factorization, discrete symmetry,
 recurrence and quadratic link is a record with a self-describing location
-string, interpreted (and checked) by the verify module.
+string, interpreted (and checked) by the verify module.  Each root r of a
+family's symmetry algebra acts by one first-order operator A_r, and the
+transmutation rows are the one transcription of it (operator, weight and
+target p + r).  The recurrence and factorization rows are built from them
+and transcribe only their own coefficient or constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .exactalg import (
     DiffOperator,
@@ -201,7 +205,13 @@ class TransmutationRow:
 
 @dataclass(frozen=True)
 class FactorizationRow:
-    """weight * F = left o right + constant."""
+    """weight * F = left o right + constant.
+
+    Built from the transmutation row j of the right factor, with root r:
+    weight and right are row j's weight and A, left is the A of the row
+    with root -r at row j's target, and the Darboux partner's parameters
+    are row j's target.  The constant and the partner id are the row's own.
+    """
     id: str
     location: str
     weight: MultiPoly
@@ -234,8 +244,9 @@ class SymmetryRow:
 class RecurrenceRow:
     """A applied to the normalized function = coeff * shifted function.
 
-    `normalization` is "plain", "bold" or "I", as in
-    `numerics.NORMALIZED`."""
+    A and target are those of the transmutation row with the same number;
+    coeff is the row's own.  `normalization` is "plain", "bold" or "I", as
+    in `numerics.NORMALIZED`."""
     id: str
     location: str
     A: DiffOperator
@@ -289,6 +300,71 @@ EXPECTED_COUNTS = {
 
 
 # ---------------------------------------------------------------------------
+# Rows built from the transmutation rows
+# ---------------------------------------------------------------------------
+
+def subs_params(op: DiffOperator, family: str,
+                exprs: Sequence[MultiPoly]) -> DiffOperator:
+    """op at the parameters exprs, a shift of the family's parameters.
+
+    The symbols are replaced one after another, which for shifts is the
+    simultaneous substitution; a symbol mapped to itself is skipped."""
+    subs = [(n, e) for n, e in zip(PARAM_NAMES[family], exprs)
+            if e != MultiPoly.var(n)]
+
+    def sub_poly(p):
+        for n, e in subs:
+            p = p.subs_poly(n, e)
+        return p
+
+    return DiffOperator(op.var,
+                        [RatFun(sub_poly(c.num), sub_poly(c.den))
+                         for c in op.coeffs])
+
+
+def _recurrences(trans, normalization: str, rows) -> tuple[RecurrenceRow, ...]:
+    """Recurrence row i applies transmutation row i's operator and target;
+    rows holds each row's own (coeff, location)."""
+    prefix = trans[0].id.split(":")[0]
+    return tuple(
+        RecurrenceRow(f"{prefix}:rec:{i:02d}", loc, t.A, coeff, t.target,
+                      normalization)
+        for i, (t, (coeff, loc)) in enumerate(zip(trans, rows, strict=True), 1))
+
+
+def _factorizations(family: str, trans, rows) -> tuple[FactorizationRow, ...]:
+    """Factorization rows from rows of (j, constant, partner, location).
+
+    With r the root of transmutation row j (its target minus the
+    parameters p), the row reads
+
+        weight_j F_p = A_{-r}(p + r) o A_j(p) + constant,
+
+    where A_{-r} is the operator of the one transmutation row whose root is
+    -r.  The Darboux partner is factorization row `partner` (or None) at
+    the parameters p + r.
+    """
+    prefix = trans[0].id.split(":")[0]
+    params = symbolic_params(family)
+    roots = [tuple(x - p for x, p in zip(t.target, params)) for t in trans]
+    out = []
+    for i, (j, constant, partner, loc) in enumerate(rows, 1):
+        t = trans[j - 1]
+        neg = tuple(-x for x in roots[j - 1])
+        left = [u.A for u, r in zip(trans, roots) if r == neg]
+        if len(left) != 1:
+            raise ValueError(
+                f"{prefix}: {len(left)} transmutation rows have the root "
+                f"({', '.join(map(repr, neg))}), the negative of row {j}'s")
+        pair = None if partner is None \
+            else (f"{prefix}:fact:{partner:02d}", t.target)
+        out.append(FactorizationRow(
+            f"{prefix}:fact:{i:02d}", loc, t.weight,
+            subs_params(left[0], family, t.target), t.A, constant, pair))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # 2F1 catalog
 # ---------------------------------------------------------------------------
 
@@ -331,12 +407,14 @@ def _build_2f1() -> IdentityCatalog:
           "w d_w+a intertwines (a,b,m)->(a-1,b+1,m)"),
         t(5, _first("w", w, s1), w, (AL, BE + 1, MU + 1),
           "w d_w+(a+b+m+1)/2 intertwines w-weighted (a,b,m)->(a,b+1,m+1)"),
-        t(6, _first("w", w * (w - one), (w - one) * s2 + BE), w,
+        # Rows 6 and 8 are the negatives of their location strings, so
+        # that every factorization below has the sign +1.
+        t(6, _first("w", w * (one - w), -((w - one) * s2 + BE)), w,
           (AL, BE - 1, MU - 1),
           "w(w-1)d_w+(w-1)(a+b-m+1)/2+b intertwines w-weighted (a,b,m)->(a,b-1,m-1)"),
         t(7, _first("w", w, s2), w, (AL, BE + 1, MU - 1),
           "w d_w+(a+b-m+1)/2 intertwines w-weighted (a,b,m)->(a,b+1,m-1)"),
-        t(8, _first("w", w * (w - one), -(one - w) * s1 + BE), w,
+        t(8, _first("w", w * (one - w), (one - w) * s1 - BE), w,
           (AL, BE - 1, MU + 1),
           "w(w-1)d_w-(1-w)(a+b+m+1)/2+b intertwines w-weighted (a,b,m)->(a,b-1,m+1)"),
         t(9, _first("w", w - one, s1), one - w, (AL + 1, BE, MU + 1),
@@ -360,71 +438,33 @@ def _build_2f1() -> IdentityCatalog:
     dpm = AL - BE + MU
     dmm = AL - BE - MU
 
-    def f(i, weight, left, right, const, pair, desc):
-        return FactorizationRow(f"2f1:fact:{i:02d}", desc, weight, left, right,
-                                const, pair)
-
+    # (transmutation row of the right factor, constant, Darboux partner
+    # row, location); see _factorizations.
     fact = (
-        f(1, one,
-          _first("w", w * (one - w), (one + AL) * (one - w) - (one + BE) * w),
-          _first("w", one, MultiPoly()),
-          q(apm + 1, amm + 1), None,
-          "F = (w(1-w)d+(1+a)(1-w)-(1+b)w) o d - (a+b+m+1)(a+b-m+1)/4"),
-        f(2, one,
-          _first("w", one, MultiPoly()),
-          _first("w", w * (one - w), AL * (one - w) - BE * w),
-          q(apm - 1, amm - 1), ("2f1:fact:01", (AL - 1, BE - 1, MU)),
-          "F = d o (w(1-w)d+a(1-w)-bw) - (a+b+m-1)(a+b-m-1)/4"),
-        f(3, one,
-          _first("w", w, AL + 1), _first("w", one - w, -BE),
-          q(dpm + 1, dmm + 1), ("2f1:fact:04", (AL + 1, BE - 1, MU)),
-          "F = (w d+a+1) o ((1-w)d-b) - (a-b+m+1)(a-b-m+1)/4"),
-        f(4, one,
-          _first("w", one - w, -BE - 1), _first("w", w, AL),
-          q(dpm - 1, dmm - 1), None,
-          "F = ((1-w)d-b-1) o (w d+a) - (a-b+m-1)(a-b-m-1)/4"),
-        f(5, w,
-          _first("w", w, (apm - 1).scale(HALF)),
-          _first("w", w * (one - w), (one - w) * (amm + 1).scale(HALF) - BE),
-          q(apm - 1, dmm + 1), ("2f1:fact:06", (AL, BE - 1, MU - 1)),
-          "wF = (w d+(a+b+m-1)/2) o (w(1-w)d+(1-w)(a+b-m+1)/2-b) + c"),
-        f(6, w,
-          _first("w", w * (one - w), (one - w) * (amm + 1).scale(HALF) - BE - 1),
-          _first("w", w, (apm + 1).scale(HALF)),
-          q(apm + 1, dmm - 1), None,
-          "wF = (w(1-w)d+(1-w)(a+b-m+1)/2-b-1) o (w d+(a+b+m+1)/2) + c"),
-        f(7, w,
-          _first("w", w, (amm - 1).scale(HALF)),
-          _first("w", w * (one - w), (one - w) * (apm + 1).scale(HALF) - BE),
-          q(amm - 1, dpm + 1), ("2f1:fact:08", (AL, BE - 1, MU + 1)),
-          "wF = (w d+(a+b-m-1)/2) o (w(1-w)d+(1-w)(a+b+m+1)/2-b) + c"),
-        f(8, w,
-          _first("w", w * (one - w), (one - w) * (apm + 1).scale(HALF) - BE - 1),
-          _first("w", w, (amm + 1).scale(HALF)),
-          q(amm + 1, dpm - 1), None,
-          "wF = (w(1-w)d+(1-w)(a+b+m+1)/2-b-1) o (w d+(a+b-m+1)/2) + c"),
-        f(9, one - w,
-          _first("w", w * (w - one), w * (amm + 1).scale(HALF) - AL - 1),
-          _first("w", w - one, (apm + 1).scale(HALF)),
-          ((apm + 1) * (dpm + 1)).scale(Fraction(1, 4)), None,
-          "(1-w)F = (w(w-1)d+w(a+b-m+1)/2-a-1) o ((w-1)d+(a+b+m+1)/2) + (a+b+m+1)(a-b+m+1)/4"),
-        f(10, one - w,
-          _first("w", w - one, (apm - 1).scale(HALF)),
-          _first("w", w * (w - one), w * (amm + 1).scale(HALF) - AL),
-          ((apm - 1) * (dpm - 1)).scale(Fraction(1, 4)),
-          ("2f1:fact:09", (AL - 1, BE, MU - 1)),
-          "(1-w)F = ((w-1)d+(a+b+m-1)/2) o (w(w-1)d+w(a+b-m+1)/2-a) + (a+b+m-1)(a-b+m-1)/4"),
-        f(11, one - w,
-          _first("w", w * (w - one), w * (apm + 1).scale(HALF) - AL - 1),
-          _first("w", w - one, (amm + 1).scale(HALF)),
-          ((amm + 1) * (dmm + 1)).scale(Fraction(1, 4)), None,
-          "(1-w)F = (w(w-1)d+w(a+b+m+1)/2-a-1) o ((w-1)d+(a+b-m+1)/2) + (a+b-m+1)(a-b-m+1)/4"),
-        f(12, one - w,
-          _first("w", w - one, (amm - 1).scale(HALF)),
-          _first("w", w * (w - one), w * (apm + 1).scale(HALF) - AL),
-          ((amm - 1) * (dmm - 1)).scale(Fraction(1, 4)),
-          ("2f1:fact:11", (AL - 1, BE, MU + 1)),
-          "(1-w)F = ((w-1)d+(a+b-m-1)/2) o (w(w-1)d+w(a+b+m+1)/2-a) + (a+b-m-1)(a-b-m-1)/4"),
+        (1, q(apm + 1, amm + 1), None,
+         "F = (w(1-w)d+(1+a)(1-w)-(1+b)w) o d - (a+b+m+1)(a+b-m+1)/4"),
+        (2, q(apm - 1, amm - 1), 1,
+         "F = d o (w(1-w)d+a(1-w)-bw) - (a+b+m-1)(a+b-m-1)/4"),
+        (3, q(dpm + 1, dmm + 1), 4,
+         "F = (w d+a+1) o ((1-w)d-b) - (a-b+m+1)(a-b-m+1)/4"),
+        (4, q(dpm - 1, dmm - 1), None,
+         "F = ((1-w)d-b-1) o (w d+a) - (a-b+m-1)(a-b-m-1)/4"),
+        (6, q(apm - 1, dmm + 1), 6,
+         "wF = (w d+(a+b+m-1)/2) o (w(1-w)d+(1-w)(a+b-m+1)/2-b) + c"),
+        (5, q(apm + 1, dmm - 1), None,
+         "wF = (w(1-w)d+(1-w)(a+b-m+1)/2-b-1) o (w d+(a+b+m+1)/2) + c"),
+        (8, q(amm - 1, dpm + 1), 8,
+         "wF = (w d+(a+b-m-1)/2) o (w(1-w)d+(1-w)(a+b+m+1)/2-b) + c"),
+        (7, q(amm + 1, dpm - 1), None,
+         "wF = (w(1-w)d+(1-w)(a+b+m+1)/2-b-1) o (w d+(a+b-m+1)/2) + c"),
+        (9, ((apm + 1) * (dpm + 1)).scale(Fraction(1, 4)), None,
+         "(1-w)F = (w(w-1)d+w(a+b-m+1)/2-a-1) o ((w-1)d+(a+b+m+1)/2) + (a+b+m+1)(a-b+m+1)/4"),
+        (10, ((apm - 1) * (dpm - 1)).scale(Fraction(1, 4)), 9,
+         "(1-w)F = ((w-1)d+(a+b+m-1)/2) o (w(w-1)d+w(a+b-m+1)/2-a) + (a+b+m-1)(a-b+m-1)/4"),
+        (11, ((amm + 1) * (dmm + 1)).scale(Fraction(1, 4)), None,
+         "(1-w)F = (w(w-1)d+w(a+b+m+1)/2-a-1) o ((w-1)d+(a+b-m+1)/2) + (a+b-m+1)(a-b-m+1)/4"),
+        (12, ((amm - 1) * (dmm - 1)).scale(Fraction(1, 4)), 11,
+         "(1-w)F = ((w-1)d+(a+b-m-1)/2) o (w(w-1)d+w(a+b+m+1)/2-a) + (a+b-m-1)(a-b-m-1)/4"),
     )
 
     ident = Substitution.moebius("w", "v", 1, 0, 0, 1)
@@ -493,49 +533,30 @@ def _build_2f1() -> IdentityCatalog:
           "w=v/(v-1), extra (-v)^-a, (-a,m,-b)"),
     )
 
-    hp = (AL + BE + MU + 1).scale(HALF)
-    hm = (AL + BE - MU + 1).scale(HALF)
-
-    def r(i, A, coeff, tgt, desc):
-        return RecurrenceRow(f"2f1:rec:{i:02d}", desc, A, coeff, tgt, "I")
+    # (coeff, location); A and target are the transmutation row's.  Rows 2,
+    # 4, 7 and 8 apply minus the operator of their location strings, so
+    # their coefficients are negated.
+    mmp = (one - AL - BE + MU).scale(HALF)    # (1-a-b+m)/2
+    pmm = (one + AL - BE - MU).scale(HALF)    # (1+a-b-m)/2
+    mpm = (one - AL + BE - MU).scale(HALF)    # (1-a+b-m)/2
 
     rec = (
-        r(1, _first("w", one, MultiPoly()), hp, (AL + 1, BE + 1, MU),
-          "d_w FI -> ((1+a+b+m)/2) FI(a+1,b+1,m)"),
-        r(2, _first("w", -w * (one - w), -(AL * (one - w) - BE * w)),
-          (MultiPoly.const(1) - AL - BE + MU).scale(HALF), (AL - 1, BE - 1, MU),
-          "-(w(1-w)d+a(1-w)-bw) FI -> ((1-a-b+m)/2) FI(a-1,b-1,m)"),
-        r(3, _first("w", one - w, -BE),
-          (MultiPoly.const(1) + AL - BE - MU).scale(HALF), (AL + 1, BE - 1, MU),
-          "((1-w)d-b) FI -> ((1+a-b-m)/2) FI(a+1,b-1,m)"),
-        r(4, _first("w", -w, -AL),
-          (MultiPoly.const(1) - AL + BE - MU).scale(HALF), (AL - 1, BE + 1, MU),
-          "-(w d+a) FI -> ((1-a+b-m)/2) FI(a-1,b+1,m)"),
-        r(5, _first("w", w, hp), hp, (AL, BE + 1, MU + 1),
-          "(w d+(1+a+b+m)/2) FI -> ((1+a+b+m)/2) FI(a,b+1,m+1)"),
-        r(6, _first("w", -w * (w - one), -(BE + (w - one) * hm)),
-          (MultiPoly.const(1) + AL - BE - MU).scale(HALF), (AL, BE - 1, MU - 1),
-          "-(w(w-1)d+b+(w-1)(1+a+b-m)/2) FI -> ((1+a-b-m)/2) FI(a,b-1,m-1)"),
-        r(7, _first("w", -w, -hm),
-          (MultiPoly.const(1) - AL + BE - MU).scale(HALF), (AL, BE + 1, MU - 1),
-          "-(w d+(1+a+b-m)/2) FI -> ((1-a+b-m)/2) FI(a,b+1,m-1)"),
-        r(8, _first("w", w * (w - one), BE + (w - one) * hp),
-          (MultiPoly.const(1) - AL - BE + MU).scale(HALF), (AL, BE - 1, MU + 1),
-          "(w(w-1)d+b+(w-1)(1+a+b+m)/2) FI -> ((1-a-b+m)/2) FI(a,b-1,m+1)"),
-        r(9, _first("w", w - one, hp), hp, (AL + 1, BE, MU + 1),
-          "((w-1)d+(1+a+b+m)/2) FI -> ((1+a+b+m)/2) FI(a+1,b,m+1)"),
-        r(10, _first("w", w * (w - one), -AL + w * hm),
-           (MultiPoly.const(1) - AL + BE - MU).scale(HALF), (AL - 1, BE, MU - 1),
-           "(w(w-1)d-a+w(1+a+b-m)/2) FI -> ((1-a+b-m)/2) FI(a-1,b,m-1)"),
-        r(11, _first("w", w - one, hm),
-           (MultiPoly.const(1) + AL - BE - MU).scale(HALF), (AL + 1, BE, MU - 1),
-           "((w-1)d+(1+a+b-m)/2) FI -> ((1+a-b-m)/2) FI(a+1,b,m-1)"),
-        r(12, _first("w", w * (w - one), -AL + w * hp),
-           (MultiPoly.const(1) - AL - BE + MU).scale(HALF), (AL - 1, BE, MU + 1),
-           "(w(w-1)d-a+w(1+a+b+m)/2) FI -> ((1-a-b+m)/2) FI(a-1,b,m+1)"),
+        (s1, "d_w FI -> ((1+a+b+m)/2) FI(a+1,b+1,m)"),
+        (-mmp, "-(w(1-w)d+a(1-w)-bw) FI -> ((1-a-b+m)/2) FI(a-1,b-1,m)"),
+        (pmm, "((1-w)d-b) FI -> ((1+a-b-m)/2) FI(a+1,b-1,m)"),
+        (-mpm, "-(w d+a) FI -> ((1-a+b-m)/2) FI(a-1,b+1,m)"),
+        (s1, "(w d+(1+a+b+m)/2) FI -> ((1+a+b+m)/2) FI(a,b+1,m+1)"),
+        (pmm, "-(w(w-1)d+b+(w-1)(1+a+b-m)/2) FI -> ((1+a-b-m)/2) FI(a,b-1,m-1)"),
+        (-mpm, "-(w d+(1+a+b-m)/2) FI -> ((1-a+b-m)/2) FI(a,b+1,m-1)"),
+        (-mmp, "(w(w-1)d+b+(w-1)(1+a+b+m)/2) FI -> ((1-a-b+m)/2) FI(a,b-1,m+1)"),
+        (s1, "((w-1)d+(1+a+b+m)/2) FI -> ((1+a+b+m)/2) FI(a+1,b,m+1)"),
+        (mpm, "(w(w-1)d-a+w(1+a+b-m)/2) FI -> ((1-a+b-m)/2) FI(a-1,b,m-1)"),
+        (pmm, "((w-1)d+(1+a+b-m)/2) FI -> ((1+a-b-m)/2) FI(a+1,b,m-1)"),
+        (mmp, "(w(w-1)d-a+w(1+a+b+m)/2) FI -> ((1-a-b+m)/2) FI(a-1,b,m+1)"),
     )
 
-    return IdentityCatalog("2f1", trans, fact, sym, rec)
+    return IdentityCatalog("2f1", trans, _factorizations("2f1", trans, fact),
+                           sym, _recurrences(trans, "I", rec))
 
 
 # ---------------------------------------------------------------------------
@@ -582,50 +603,23 @@ def _build_gegenbauer() -> IdentityCatalog:
           "(w(1-w^2)d-a-l+1/2-(a-l+1/2)w^2) intertwines w^2-weighted (a,l)->(a-1,l-1)"),
     )
 
-    def f(i, weight, left, right, const, pair, desc):
-        return FactorizationRow(f"geg:fact:{i:02d}", desc, weight, left, right,
-                                const, pair)
-
     fact = (
-        f(1, one, _first("w", one, MultiPoly()),
-          _first("w", omw2, AL.scale(-2) * w),
-          (AL + LA - C(HALF)) * (-AL + LA + C(HALF)),
-          ("geg:fact:02", (AL - 1, LA)),
-          "S = d o ((1-w^2)d-2aw) + (a+l-1/2)(-a+l+1/2)"),
-        f(2, one, _first("w", omw2, (one + AL).scale(-2) * w),
-          _first("w", one, MultiPoly()),
-          (AL + LA + C(HALF)) * (-AL + LA - C(HALF)), None,
-          "S = ((1-w^2)d-2(1+a)w) o d + (a+l+1/2)(-a+l-1/2)"),
-        f(3, omw2, _first("w", omw2, -(AL + LA - C(HALF)) * w),
-          _first("w", omw2, -am_l * w),
-          -(AL + LA - C(HALF)) * am_l, ("geg:fact:04", (AL, LA - 1)),
-          "(1-w^2)S = ((1-w^2)d-(a+l-1/2)w) o ((1-w^2)d-(a-l+1/2)w) - (a+l-1/2)(a-l+1/2)"),
-        f(4, omw2, _first("w", omw2, -(AL - LA - C(HALF)) * w),
-          _first("w", omw2, -ap_l * w),
-          -ap_l * (AL - LA - C(HALF)), None,
-          "(1-w^2)S = ((1-w^2)d-(a-l-1/2)w) o ((1-w^2)d-(a+l+1/2)w) - (a+l+1/2)(a-l-1/2)"),
-        f(5, w2,
-          _first("w", w * omw2, -AL - LA - C(Fraction(3, 2))
-                 + (-AL + LA - C(HALF)) * w2),
-          _first("w", w, ap_l),
-          ap_l * (AL + LA + C(Fraction(3, 2))), None,
-          "w^2 S = (w(1-w^2)d-a-l-3/2+(-a+l-1/2)w^2) o (w d+a+l+1/2) + c"),
-        f(6, w2, _first("w", w, AL + LA - C(Fraction(3, 2))),
-          _first("w", w * omw2, -AL - LA + C(HALF) + (-AL + LA - C(HALF)) * w2),
-          (AL + LA - C(HALF)) * (AL + LA - C(Fraction(3, 2))),
-          ("geg:fact:05", (AL - 1, LA - 1)),
-          "w^2 S = (w d+a+l-3/2) o (w(1-w^2)d-a-l+1/2+(-a+l-1/2)w^2) + c"),
-        f(7, w2,
-          _first("w", w * omw2, -AL + LA - C(Fraction(3, 2))
-                 + (-AL - LA - C(HALF)) * w2),
-          _first("w", w, am_l),
-          am_l * (AL - LA + C(Fraction(3, 2))), None,
-          "w^2 S = (w(1-w^2)d-a+l-3/2+(-a-l-1/2)w^2) o (w d+a-l+1/2) + c"),
-        f(8, w2, _first("w", w, AL - LA - C(Fraction(3, 2))),
-          _first("w", w * omw2, -AL + LA + C(HALF) + (-AL - LA - C(HALF)) * w2),
-          (AL - LA - C(HALF)) * (AL - LA - C(Fraction(3, 2))),
-          ("geg:fact:07", (AL - 1, LA + 1)),
-          "w^2 S = (w d+a-l-3/2) o (w(1-w^2)d-a+l+1/2+(-a-l-1/2)w^2) + c"),
+        (2, (AL + LA - C(HALF)) * (-AL + LA + C(HALF)), 2,
+         "S = d o ((1-w^2)d-2aw) + (a+l-1/2)(-a+l+1/2)"),
+        (1, (AL + LA + C(HALF)) * (-AL + LA - C(HALF)), None,
+         "S = ((1-w^2)d-2(1+a)w) o d + (a+l+1/2)(-a+l-1/2)"),
+        (4, -(AL + LA - C(HALF)) * am_l, 4,
+         "(1-w^2)S = ((1-w^2)d-(a+l-1/2)w) o ((1-w^2)d-(a-l+1/2)w) - (a+l-1/2)(a-l+1/2)"),
+        (3, -ap_l * (AL - LA - C(HALF)), None,
+         "(1-w^2)S = ((1-w^2)d-(a-l-1/2)w) o ((1-w^2)d-(a+l+1/2)w) - (a+l+1/2)(a-l-1/2)"),
+        (7, ap_l * (AL + LA + C(Fraction(3, 2))), None,
+         "w^2 S = (w(1-w^2)d-a-l-3/2+(-a+l-1/2)w^2) o (w d+a+l+1/2) + c"),
+        (8, (AL + LA - C(HALF)) * (AL + LA - C(Fraction(3, 2))), 5,
+         "w^2 S = (w d+a+l-3/2) o (w(1-w^2)d-a-l+1/2+(-a+l-1/2)w^2) + c"),
+        (5, am_l * (AL - LA + C(Fraction(3, 2))), None,
+         "w^2 S = (w(1-w^2)d-a+l-3/2+(-a-l-1/2)w^2) o (w d+a-l+1/2) + c"),
+        (6, (AL - LA - C(HALF)) * (AL - LA - C(Fraction(3, 2))), 7,
+         "w^2 S = (w d+a-l-3/2) o (w(1-w^2)d-a+l+1/2+(-a-l-1/2)w^2) + c"),
     )
 
     ident = Substitution.moebius("w", "v", 1, 0, 0, 1)
@@ -659,34 +653,23 @@ def _build_gegenbauer() -> IdentityCatalog:
                     v2m1, mode="numeric", algebraic_sign=-1),
     )
 
-    def r(i, A, coeff, tgt, desc):
-        return RecurrenceRow(f"geg:rec:{i:02d}", desc, A, coeff, tgt, "bold")
-
     rec = (
-        r(1, _first("w", one, MultiPoly()),
-          (am_l * ap_l).scale(Fraction(-1, 2)), (AL + 1, LA),
-          "d_w S -> -(1/2)(1/2+a-l)(1/2+a+l) S(a+1,l)"),
-        r(2, _first("w", omw2, AL.scale(-2) * w), C(-2), (AL - 1, LA),
-          "((1-w^2)d-2aw) S -> -2 S(a-1,l)"),
-        r(3, _first("w", omw2, -ap_l * w), -ap_l, (AL, LA + 1),
-          "((1-w^2)d-(1/2+a+l)w) S -> -(1/2+a+l) S(a,l+1)"),
-        r(4, _first("w", omw2, -am_l * w), -am_l, (AL, LA - 1),
-          "((1-w^2)d-(1/2+a-l)w) S -> -(1/2+a-l) S(a,l-1)"),
-        r(5, _first("w", w, am_l),
-          (am_l * (am_l + 1)).scale(HALF), (AL + 1, LA - 1),
-          "(w d+1/2+a-l) S -> (1/2)(1/2+a-l)(3/2+a-l) S(a+1,l-1)"),
-        r(6, _first("w", w * omw2, (C(HALF) - AL + LA) * omw2 - AL.scale(2) * w2),
-          C(-2), (AL - 1, LA + 1),
-          "(w(1-w^2)d+(1/2-a+l)(1-w^2)-2aw^2) S -> -2 S(a-1,l+1)"),
-        r(7, _first("w", w, ap_l),
-          (ap_l * (ap_l + 1)).scale(HALF), (AL + 1, LA + 1),
-          "(w d+1/2+a+l) S -> (1/2)(1/2+a+l)(3/2+a+l) S(a+1,l+1)"),
-        r(8, _first("w", w * omw2, (C(HALF) - AL - LA) * omw2 - AL.scale(2) * w2),
-          C(-2), (AL - 1, LA - 1),
-          "(w(1-w^2)d+(1/2-a-l)(1-w^2)-2aw^2) S -> -2 S(a-1,l-1)"),
+        ((am_l * ap_l).scale(Fraction(-1, 2)),
+         "d_w S -> -(1/2)(1/2+a-l)(1/2+a+l) S(a+1,l)"),
+        (C(-2), "((1-w^2)d-2aw) S -> -2 S(a-1,l)"),
+        (-ap_l, "((1-w^2)d-(1/2+a+l)w) S -> -(1/2+a+l) S(a,l+1)"),
+        (-am_l, "((1-w^2)d-(1/2+a-l)w) S -> -(1/2+a-l) S(a,l-1)"),
+        ((am_l * (am_l + 1)).scale(HALF),
+         "(w d+1/2+a-l) S -> (1/2)(1/2+a-l)(3/2+a-l) S(a+1,l-1)"),
+        (C(-2), "(w(1-w^2)d+(1/2-a+l)(1-w^2)-2aw^2) S -> -2 S(a-1,l+1)"),
+        ((ap_l * (ap_l + 1)).scale(HALF),
+         "(w d+1/2+a+l) S -> (1/2)(1/2+a+l)(3/2+a+l) S(a+1,l+1)"),
+        (C(-2), "(w(1-w^2)d+(1/2-a-l)(1-w^2)-2aw^2) S -> -2 S(a-1,l-1)"),
     )
 
-    return IdentityCatalog("gegenbauer", trans, fact, sym, rec)
+    return IdentityCatalog("gegenbauer", trans,
+                           _factorizations("gegenbauer", trans, fact), sym,
+                           _recurrences(trans, "bold", rec))
 
 
 # ---------------------------------------------------------------------------
@@ -715,32 +698,19 @@ def _build_1f1() -> IdentityCatalog:
           "(w d+(-t+a+1)/2-w) intertwines w-weighted (t,a)->(t-2,a)"),
     )
 
-    def f(i, weight, left, right, const, pair, desc):
-        return FactorizationRow(f"1f1:fact:{i:02d}", desc, weight, left, right,
-                                const, pair)
-
     fact = (
-        f(1, one, _first("w", one, C(-1)), _first("w", w, AL),
-          (TH - AL + 1).scale(Fraction(-1, 2)), ("1f1:fact:02", (TH + 1, AL - 1)),
-          "F = (d-1) o (w d+a) - (t-a+1)/2"),
-        f(2, one, _first("w", w, one + AL), _first("w", one, C(-1)),
-          (TH - AL - 1).scale(Fraction(-1, 2)), None,
-          "F = (w d+1+a) o (d-1) - (t-a-1)/2"),
-        f(3, one, _first("w", one, MultiPoly()), _first("w", w, AL - w),
-          (TH + AL - 1).scale(Fraction(-1, 2)), ("1f1:fact:04", (TH - 1, AL - 1)),
-          "F = d o (w d+a-w) - (t+a-1)/2"),
-        f(4, one, _first("w", w, one + AL - w), _first("w", one, MultiPoly()),
-          (TH + AL + 1).scale(Fraction(-1, 2)), None,
-          "F = (w d+1+a-w) o d - (t+a+1)/2"),
-        f(5, w, _first("w", w, (-TH + AL - 1).scale(HALF) - w),
-          _first("w", w, (TH + AL + 1).scale(HALF)),
-          ((-TH + AL - 1) * (TH + AL + 1)).scale(Fraction(-1, 4)),
-          ("1f1:fact:06", (TH + 2, AL)),
-          "wF = (w d+(-t+a-1)/2-w) o (w d+(t+a+1)/2) - (-t+a-1)(t+a+1)/4"),
-        f(6, w, _first("w", w, (TH + AL - 1).scale(HALF)),
-          _first("w", w, (-TH + AL + 1).scale(HALF) - w),
-          ((-TH + AL + 1) * (TH + AL - 1)).scale(Fraction(-1, 4)), None,
-          "wF = (w d+(t+a-1)/2) o (w d+(-t+a+1)/2-w) - (-t+a+1)(t+a-1)/4"),
+        (3, (TH - AL + 1).scale(Fraction(-1, 2)), 2,
+         "F = (d-1) o (w d+a) - (t-a+1)/2"),
+        (4, (TH - AL - 1).scale(Fraction(-1, 2)), None,
+         "F = (w d+1+a) o (d-1) - (t-a-1)/2"),
+        (2, (TH + AL - 1).scale(Fraction(-1, 2)), 4,
+         "F = d o (w d+a-w) - (t+a-1)/2"),
+        (1, (TH + AL + 1).scale(Fraction(-1, 2)), None,
+         "F = (w d+1+a-w) o d - (t+a+1)/2"),
+        (5, ((-TH + AL - 1) * (TH + AL + 1)).scale(Fraction(-1, 4)), 6,
+         "wF = (w d+(-t+a-1)/2-w) o (w d+(t+a+1)/2) - (-t+a-1)(t+a+1)/4"),
+        (6, ((-TH + AL + 1) * (TH + AL - 1)).scale(Fraction(-1, 4)), None,
+         "wF = (w d+(t+a-1)/2) o (w d+(-t+a+1)/2-w) - (-t+a+1)(t+a-1)/4"),
     )
 
     ident = Substitution.moebius("w", "v", 1, 0, 0, 1)
@@ -761,27 +731,19 @@ def _build_1f1() -> IdentityCatalog:
                     (-TH, -AL), e_neg * pow_v, rf1, sign=-1),
     )
 
-    def r(i, A, coeff, tgt, desc):
-        return RecurrenceRow(f"1f1:rec:{i:02d}", desc, A, coeff, tgt, "bold")
-
     rec = (
-        r(1, _first("w", one, MultiPoly()), (TH + AL + 1).scale(HALF),
-          (TH + 1, AL + 1), "d_w bF -> ((1+t+a)/2) bF(t+1,a+1)"),
-        r(2, _first("w", w, AL - w), one, (TH - 1, AL - 1),
-          "(w d+a-w) bF -> bF(t-1,a-1)"),
-        r(3, _first("w", w, AL), one, (TH + 1, AL - 1),
-          "(w d+a) bF -> bF(t+1,a-1)"),
-        r(4, _first("w", one, C(-1)), (TH - AL - 1).scale(HALF),
-          (TH - 1, AL + 1), "(d-1) bF -> ((-1+t-a)/2) bF(t-1,a+1)"),
-        r(5, _first("w", w, (TH + AL + 1).scale(HALF)),
-          (TH + AL + 1).scale(HALF), (TH + 2, AL),
-          "(w d+(1+t+a)/2) bF -> ((1+t+a)/2) bF(t+2,a)"),
-        r(6, _first("w", w, (-TH + AL + 1).scale(HALF) - w),
-          (-TH + AL + 1).scale(HALF), (TH - 2, AL),
-          "(w d+(1-t+a)/2-w) bF -> ((1-t+a)/2) bF(t-2,a)"),
+        ((TH + AL + 1).scale(HALF), "d_w bF -> ((1+t+a)/2) bF(t+1,a+1)"),
+        (one, "(w d+a-w) bF -> bF(t-1,a-1)"),
+        (one, "(w d+a) bF -> bF(t+1,a-1)"),
+        ((TH - AL - 1).scale(HALF), "(d-1) bF -> ((-1+t-a)/2) bF(t-1,a+1)"),
+        ((TH + AL + 1).scale(HALF),
+         "(w d+(1+t+a)/2) bF -> ((1+t+a)/2) bF(t+2,a)"),
+        ((-TH + AL + 1).scale(HALF),
+         "(w d+(1-t+a)/2-w) bF -> ((1-t+a)/2) bF(t-2,a)"),
     )
 
-    return IdentityCatalog("1f1", trans, fact, sym, rec)
+    return IdentityCatalog("1f1", trans, _factorizations("1f1", trans, fact),
+                           sym, _recurrences(trans, "bold", rec))
 
 
 # ---------------------------------------------------------------------------
@@ -807,26 +769,13 @@ def _build_hermite() -> IdentityCatalog:
           "(w d-l+1/2-2w^2) intertwines w^2-weighted l->l-2"),
     )
 
-    def f(i, weight, left, right, const, pair, desc):
-        return FactorizationRow(f"herm:fact:{i:02d}", desc, weight, left, right,
-                                const, pair)
-
     fact = (
-        f(1, one, _first("w", one, w.scale(-2)), _first("w", one, MultiPoly()),
-          LA.scale(-2) - one, ("herm:fact:02", (LA - 1,)),
-          "S = (d-2w) o d - 2l - 1"),
-        f(2, one, _first("w", one, MultiPoly()), _first("w", one, w.scale(-2)),
-          LA.scale(-2) + one, None,
-          "S = d o (d-2w) - 2l + 1"),
-        f(3, w2, _first("w", w, LA - C(Fraction(3, 2))),
-          _first("w", w, -LA + C(HALF) - w2.scale(2)),
-          (LA - C(Fraction(3, 2))) * (LA - C(HALF)), None,
-          "w^2 S = (w d+l-3/2) o (w d-l+1/2-2w^2) + (l-3/2)(l-1/2)"),
-        f(4, w2, _first("w", w, -LA - C(Fraction(3, 2)) - w2.scale(2)),
-          _first("w", w, LA + C(HALF)),
-          (LA + C(Fraction(3, 2))) * (LA + C(HALF)),
-          ("herm:fact:03", (LA + 2,)),
-          "w^2 S = (w d-l-3/2-2w^2) o (w d+l+1/2) + (l+3/2)(l+1/2)"),
+        (1, LA.scale(-2) - one, 2, "S = (d-2w) o d - 2l - 1"),
+        (2, LA.scale(-2) + one, None, "S = d o (d-2w) - 2l + 1"),
+        (4, (LA - C(Fraction(3, 2))) * (LA - C(HALF)), None,
+         "w^2 S = (w d+l-3/2) o (w d-l+1/2-2w^2) + (l-3/2)(l-1/2)"),
+        (3, (LA + C(Fraction(3, 2))) * (LA + C(HALF)), 3,
+         "w^2 S = (w d-l-3/2-2w^2) o (w d+l+1/2) + (l+3/2)(l+1/2)"),
     )
 
     ident = Substitution.moebius("w", "v", 1, 0, 0, 1)
@@ -846,22 +795,17 @@ def _build_hermite() -> IdentityCatalog:
                     (-LA,), e_nv2, rf1, sign=-1),
     )
 
-    def r(i, A, coeff, tgt, desc):
-        return RecurrenceRow(f"herm:rec:{i:02d}", desc, A, coeff, tgt, "plain")
-
     rec = (
-        r(1, _first("w", one, MultiPoly()), -(C(HALF) + LA), (LA + 1,),
-          "d_w S -> -(1/2+l) S(l+1)"),
-        r(2, _first("w", one, w.scale(-2)), C(-2), (LA - 1,),
-          "(d-2w) S -> -2 S(l-1)"),
-        r(3, _first("w", w, C(HALF) + LA),
-          ((C(HALF) + LA) * (C(Fraction(3, 2)) + LA)).scale(HALF), (LA + 2,),
-          "(w d+1/2+l) S -> (1/2)(1/2+l)(3/2+l) S(l+2)"),
-        r(4, _first("w", w, C(HALF) - LA - w2.scale(2)), C(-2), (LA - 2,),
-          "(w d+1/2-l-2w^2) S -> -2 S(l-2)"),
+        (-(C(HALF) + LA), "d_w S -> -(1/2+l) S(l+1)"),
+        (C(-2), "(d-2w) S -> -2 S(l-1)"),
+        (((C(HALF) + LA) * (C(Fraction(3, 2)) + LA)).scale(HALF),
+         "(w d+1/2+l) S -> (1/2)(1/2+l)(3/2+l) S(l+2)"),
+        (C(-2), "(w d+1/2-l-2w^2) S -> -2 S(l-2)"),
     )
 
-    return IdentityCatalog("hermite", trans, fact, sym, rec)
+    return IdentityCatalog("hermite", trans,
+                           _factorizations("hermite", trans, fact), sym,
+                           _recurrences(trans, "plain", rec))
 
 
 # ---------------------------------------------------------------------------
@@ -880,12 +824,8 @@ def _build_0f1() -> IdentityCatalog:
     )
 
     fact = (
-        FactorizationRow("0f1:fact:01", "F = (w d+a+1) o d - 1", one,
-                         _first("w", w, AL + 1), _first("w", one, MultiPoly()),
-                         C(-1), ("0f1:fact:02", (AL + 1,))),
-        FactorizationRow("0f1:fact:02", "F = d o (w d+a) - 1", one,
-                         _first("w", one, MultiPoly()), _first("w", w, AL),
-                         C(-1), None),
+        (1, C(-1), 2, "F = (w d+a+1) o d - 1"),
+        (2, C(-1), None, "F = d o (w d+a) - 1"),
     )
 
     ident = Substitution.moebius("w", "v", 1, 0, 0, 1)
@@ -895,13 +835,12 @@ def _build_0f1() -> IdentityCatalog:
     )
 
     rec = (
-        RecurrenceRow("0f1:rec:01", "d_w bF -> bF(a+1)",
-                      _first("w", one, MultiPoly()), one, (AL + 1,), "bold"),
-        RecurrenceRow("0f1:rec:02", "(w d+a) bF -> bF(a-1)",
-                      _first("w", w, AL), one, (AL - 1,), "bold"),
+        (one, "d_w bF -> bF(a+1)"),
+        (one, "(w d+a) bF -> bF(a-1)"),
     )
 
-    return IdentityCatalog("0f1", trans, fact, sym, rec)
+    return IdentityCatalog("0f1", trans, _factorizations("0f1", trans, fact),
+                           sym, _recurrences(trans, "bold", rec))
 
 
 _CATALOGS: dict[str, IdentityCatalog] = {}

@@ -21,7 +21,7 @@ import dataclasses
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import families as fam
 from . import numerics as N
@@ -187,21 +187,6 @@ def _numeric_check(cid, ref, fn, tol) -> CheckResult:
 # Symbolic building blocks
 # ---------------------------------------------------------------------------
 
-def _subs_params(op: DiffOperator, family: str,
-                 exprs: Sequence[MultiPoly]) -> DiffOperator:
-    """Substitute parameter expressions into an operator's coefficients."""
-    names = fam.PARAM_NAMES[family]
-
-    def sub_poly(p):
-        for n, e in zip(names, exprs):
-            p = p.subs_poly(n, e)
-        return p
-
-    return DiffOperator(op.var,
-                        [RatFun(sub_poly(c.num), sub_poly(c.den))
-                         for c in op.coeffs])
-
-
 def transmutation_sides(family: str, row) -> tuple:
     """(A o weight*F_source, weight*F_target o A) of a transmutation row."""
     Fsym = fam.make_operator_expr(family, "w", fam.symbolic_params(family))
@@ -226,8 +211,8 @@ def check_factorization_symbolic(family: str, row) -> bool:
 def check_darboux_pair(family: str, row, partner) -> bool:
     """The partner's factors at shifted parameters swap into this row's."""
     pid, pexprs = row.pair
-    pl = _subs_params(partner.left, family, pexprs)
-    pr = _subs_params(partner.right, family, pexprs)
+    pl = fam.subs_params(partner.left, family, pexprs)
+    pr = fam.subs_params(partner.right, family, pexprs)
     return pl == row.right and pr == row.left
 
 

@@ -1,6 +1,7 @@
 """Family operators and the identity catalog: counts, parameter maps,
 operator/series consistency."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hyperclass.families import (
     PARAM_NAMES,
     ClassicalParams,
     FamilyParams,
+    _factorizations,
     catalog,
     classical_to_lie,
     lie_to_classical,
@@ -164,3 +166,34 @@ def test_integral_rep_rows_nonempty(family):
     for r in rows:
         assert r.family == family
         assert len(r.samples) >= 3
+
+
+@pytest.mark.parametrize("family", CATALOG_FAMILIES)
+def test_darboux_partner_sits_at_the_right_factors_target(family):
+    cat = catalog(family)
+    for row in cat.factorizations:
+        if row.pair is None:
+            continue
+        (t,) = [t for t in cat.transmutations if t.A == row.right]
+        assert row.pair[1] == t.target, row.id
+
+
+def test_recurrence_rows_take_the_transmutation_rows_operators():
+    for family in CATALOG_FAMILIES:
+        cat = catalog(family)
+        for t, r in zip(cat.transmutations, cat.recurrences, strict=True):
+            assert r.A is t.A and r.target is t.target
+
+
+def test_a_root_without_its_negative_fails_the_build():
+    # 2F1 row 04 (root (-1, 1, 0)) overwritten by a copy of row 03 (root
+    # (1, -1, 0)): the factorization of row 03 has no left factor
+    cat = catalog("2f1")
+    trans = cat.transmutations
+    bad = trans[:3] + (trans[2],) + trans[4:]
+    rows = [([j for j, t in enumerate(trans, 1) if t.A == r.right][0],
+             r.constant, r.pair and int(r.pair[0][-2:]), r.location)
+            for r in cat.factorizations]
+    assert _factorizations("2f1", trans, rows) == cat.factorizations
+    with pytest.raises(ValueError, match=re.escape("root (-1, 1, 0)")):
+        _factorizations("2f1", bad, rows)

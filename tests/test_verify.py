@@ -1,5 +1,6 @@
 """Verification suites: green on the shipped catalog, red under corruption."""
 
+import dataclasses
 import json
 
 import pytest
@@ -172,3 +173,14 @@ def test_mutations_detected(seed):
     assert len(report.checks) == 20
     assert report.failed == 0
     assert report.passed == 20
+
+
+def test_darboux_check_catches_a_wrong_partner_id():
+    # the factors are built from the transmutation rows, so what the
+    # Darboux check still tests is the transcribed partner id
+    f = "2f1"
+    by_id = {r.id: r for r in fam.catalog(f).factorizations}
+    row = by_id["2f1:fact:02"]
+    assert V.check_darboux_pair(f, row, by_id[row.pair[0]])
+    bad = dataclasses.replace(row, pair=("2f1:fact:03", row.pair[1]))
+    assert not V.check_darboux_pair(f, bad, by_id["2f1:fact:03"])

@@ -200,7 +200,6 @@ def _triple(x) -> tuple:
 
 GR_ZERO = GaussRational(0)
 GR_ONE = GaussRational(1)
-GR_I = GaussRational(0, 1)
 HALF = Fraction(1, 2)
 
 

@@ -100,35 +100,6 @@ class ClassicalParams:
     values: dict
 
 
-def lie_to_classical(p: FamilyParams) -> ClassicalParams:
-    f = p.family
-    if f == "2f1":
-        al, be, mu = p.values
-        return ClassicalParams(f, {
-            "a": (1 + al + be + mu) / 2,
-            "b": (1 + al + be - mu) / 2,
-            "c": 1 + al,
-        })
-    if f == "gegenbauer":
-        al, la = p.values
-        return ClassicalParams(f, {"a": Fraction(1, 2) + al - la,
-                                   "b": Fraction(1, 2) + al + la}
-                               if isinstance(al, Fraction) or isinstance(la, Fraction)
-                               else {"a": 0.5 + al - la, "b": 0.5 + al + la})
-    if f in ("1f1", "2f0"):
-        th, al = p.values
-        return ClassicalParams(f, {"a": (1 + al + th) / 2,
-                                   "b": (1 - al + th) / 2,
-                                   "c": 1 + al})
-    if f == "hermite":
-        (la,) = p.values
-        return ClassicalParams(f, {"a": la + (Fraction(1, 2) if isinstance(la, Fraction) else 0.5)})
-    if f == "0f1":
-        (al,) = p.values
-        return ClassicalParams(f, {"c": al + 1})
-    raise ValueError(f)
-
-
 def classical_to_lie(c: ClassicalParams) -> FamilyParams:
     f = c.family
     v = c.values

@@ -8,13 +8,11 @@ Engines
   algebraic singularity at 0 and exponential or algebraic decay;
 * loop contours around the negative axis (keyhole / double-ray), where the
   branch factor t^gamma collapses the two lips into a sine factor, plus an
-  explicitly parametrized circle;
-* a phase-tracked polyline/arc loop (`path_integral`) for contours that
-  must encircle several branch points at once.
+  explicitly parametrized circle.
 
-Circles, arcs and polyline pieces use one composite 16-point
-Gauss-Legendre rule (`_gl_rule`), whose nodes come from Newton's method on
-P_16, so the module needs nothing beyond the standard library.
+Circles and arcs use one composite 16-point Gauss-Legendre rule
+(`_gl_doubling`), whose nodes come from Newton's method on P_16, so the
+module needs nothing beyond the standard library.
 
 The solution evaluators (`tricomi_solution`, `hermite_S_solution`,
 `bessel_tilde_solution`) raise `QuadratureError` when the value is not
@@ -27,10 +25,12 @@ once, as the points, exponents and extra factor of
 prod (c_j (t - p_j))^{g_j} extra(t).  A row takes one of them over one
 contour, with the signs c_j that pick the branches there: `power_integral`
 sends a segment to `segment_power_integrand` and `tanh_sinh`, a ray to
-`ray_power_integrand` and `exp_sinh`.  The five loop rows keep their own
-evaluators.  Each row also carries its parameter constraint, admissible
-domain and an expected value computed independently from
-series/connection formulas in `numerics`.
+`ray_power_integrand` and `exp_sinh`.  The Hankel loop around 0 and w
+(1f1:int:01) is three such pieces: rays from -inf below and above both
+points, joined by a segment right of them.  The four loop rows with a
+circle or arc around 0 keep their own evaluators.  Each row also carries
+its parameter constraint, admissible domain and an expected value computed
+independently from series/connection formulas in `numerics`.
 
 All segment/ray integrands may close over a Jet argument, in which case the
 result is a Jet (differentiation under the integral sign).
@@ -42,7 +42,7 @@ import cmath
 import functools
 import math
 from array import array
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from .jet import Jet, _jet, _jet_scale
 from . import numerics as N
@@ -411,21 +411,17 @@ def _gl(n: int = 16):
     return _GL_CACHE[n]
 
 
-def _gl_rule(a: float, b: float, panels: int):
-    """(x, weight) of the composite 16-point Gauss-Legendre rule on the
-    real interval [a, b] split into equal panels."""
-    x, w = _gl(16)
-    half = 0.5 * (b - a) / panels
-    for p in range(panels):
-        mid = a + (2 * p + 1) * half
-        for xi, wi in zip(x, w):
-            yield mid + half * xi, wi * half
-
-
 def _gl_doubling(f: Callable, a: float, b: float, panels: int,
                  tol: float, max_doublings: int = 6):
+    """Integral of f over the real interval [a, b] by the composite 16-point
+    Gauss-Legendre rule on equal panels, their number doubled until two
+    successive rules agree to tol relative.  Returns (value, difference)."""
+    x, w = _gl(16)
+
     def rule(m):
-        return sum(wgt * f(x) for x, wgt in _gl_rule(a, b, m))
+        half = 0.5 * (b - a) / m
+        return sum(wi * half * f(a + (2 * p + 1) * half + half * xi)
+                   for p in range(m) for xi, wi in zip(x, w))
 
     value = rule(panels)
     err = float("inf")
@@ -473,84 +469,6 @@ def double_ray_0(fn: Callable, gam: complex, rho: float, R: float,
     lips = -2j * cmath.sin(math.pi * gam) * lips
     circ, e2 = _circle0(fn, gam, rho, tol)
     return lips + circ, abs(e1) * 2 + abs(e2)
-
-
-# ---------------------------------------------------------------------------
-# Phase-tracked polyline loop (several branch points encircled at once)
-# ---------------------------------------------------------------------------
-
-_PATH_MAX_MULT = 64
-
-
-def path_integral(pieces: Sequence, factors: Sequence, exp_fn: Optional[Callable],
-                  tol: float = 1e-10):
-    """Integrate prod_j (c_j (t - p_j))^{gamma_j} * exp(exp_fn(t)) along a
-    chain of pieces, with each factor's logarithm continued along the path
-    (never re-evaluated on the principal branch mid-contour).
-
-    pieces: ("seg", z0, z1) or ("arc", center, radius, phi0, phi1).
-    factors: sequence of (c_j, p_j, gamma_j).
-
-    A segment starts with one 16-point panel per unit of length (at least
-    2), an arc with four more than that (at least 8).  The panel counts
-    double until two successive rules agree to
-    tol * max(|value|, 1); returns (value, their difference), or raises
-    QuadratureError once the counts are `_PATH_MAX_MULT` times the first.
-    """
-
-    def nodes_for(mult):
-        out = []
-        for piece in pieces:
-            if piece[0] == "seg":
-                _, z0, z1 = piece
-                z0 = complex(z0)
-                d = complex(z1) - z0
-                m = max(2, int(math.ceil(abs(d) * mult)))
-                out += [(z0 + d * tau, wgt * d)
-                        for tau, wgt in _gl_rule(0.0, 1.0, m)]
-            elif piece[0] == "arc":
-                _, cen, rad, ph0, ph1 = piece
-                m = max(4, int(math.ceil(abs(ph1 - ph0) * rad * mult)) + 4)
-                for phi, wgt in _gl_rule(ph0, ph1, m):
-                    e = rad * cmath.exp(1j * phi)
-                    out.append((cen + e, wgt * 1j * e))
-            else:
-                raise ValueError(piece[0])
-        return out
-
-    def run(mult):
-        nodes = nodes_for(mult)
-        logs = None
-        prev_vals = None
-        total = 0.0j
-        for t, wgt in nodes:
-            vals = [c * (t - p) for (c, p, _g) in factors]
-            if logs is None:
-                logs = [cmath.log(v) for v in vals]
-            else:
-                logs = [lg + cmath.log(v / pv)
-                        for lg, v, pv in zip(logs, vals, prev_vals)]
-            prev_vals = vals
-            expo = sum(g * lg for (_c, _p, g), lg in zip(factors, logs))
-            if exp_fn is not None:
-                expo = expo + exp_fn(t)
-            if expo.real < -745.0:
-                continue
-            total += wgt * cmath.exp(expo)
-        return total
-
-    v1 = run(1)
-    mult = 2
-    while True:
-        v2 = run(mult)
-        err = abs(v2 - v1)
-        if err <= tol * max(abs(v2), 1.0):
-            return v2, err
-        if mult >= _PATH_MAX_MULT:
-            raise QuadratureError("path integral tolerance unreachable",
-                                  value=v2, estimate=err)
-        v1 = v2
-        mult *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -1034,17 +952,18 @@ def _build_conf_rows():
     b = functools.partial(_power_row, _conf_b)
 
     def ev1(params, w, tol):
-        _, (p, r), _ = _conf_a(params, w)
-        R = 40.0 + abs(w)
-        X = max(1.0, w.real + 1.0)
-        ylo = max(1.0, -w.imag + 1.0)
-        yhi = max(1.0, w.imag + 1.0)
-        pieces = (("seg", complex(-R, -ylo), complex(X, -ylo)),
-                  ("seg", complex(X, -ylo), complex(X, yhi)),
-                  ("seg", complex(X, yhi), complex(-R, yhi)))
-        val, err = path_integral(pieces, ((1.0, 0.0, p), (1.0, w, r)),
-                                 lambda t: t, tol)
-        return val / (2j * math.pi), err / (2 * math.pi)
+        # from -inf up to lo below 0 and w, up to hi right of them, back to
+        # -inf (a ray with d = -1 runs from -inf to its start): the cuts of
+        # t^p and (t-w)^r lie between the rays, so principal branches serve
+        points, exps, _ = _conf_a(params, w)
+        factors = tuple(zip((1, 1), points, exps))
+        x = max(1.0, w.real + 1.0)
+        lo = complex(x, -max(1.0, 1.0 - w.imag))
+        hi = complex(x, max(1.0, w.imag + 1.0))
+        pieces = (("ray", lo, -1.0), ("seg", lo, hi), ("ray", hi, -1.0))
+        (v1, e1), (v2, e2), (v3, e3) = (
+            power_integral(path, factors, tol, _exp0) for path in pieces)
+        return (v1 + v2 - v3) / (2j * math.pi), (e1 + e2 + e3) / (2 * math.pi)
 
     row(1, "loop around 0 and w of t^p e^t (t-w)^r / 2 pi i -> bold-F(th,al)(w)",
         lambda ps: True,
@@ -1324,36 +1243,3 @@ def integral_rep_rows(family: str):
             raise ValueError(f"no integral representations for {family!r}")
         _REP_ROWS[family] = _ROW_BUILDERS[family]()
     return _REP_ROWS[family]
-
-
-# ---------------------------------------------------------------------------
-# Contour-deformation consistency: the three-way split
-# ---------------------------------------------------------------------------
-
-def three_way_split_residual(al, be, mu, w, sign: int = 1,
-                             tol: float = 1e-10):
-    """Relative size of I(-inf,0) + phases * (I(0,1) + I(1,inf)) for the
-    integrand (-t)^p (1-t)^q (w-t)^r with Im w < 0, the branches being
-    continued clockwise from the left half-line onto the upper lip.
-
-    Vanishes identically for an exact connection formula; returns
-    |sum| / max |piece|.
-    """
-    w = complex(w)
-    if w.imag >= 0:
-        raise N.DomainError("the split is stated for Im w < 0")
-    points, exps, _ = _euler_2f1(
-        (complex(al), complex(be), sign * complex(mu)), w)
-
-    def piece(path, *signs):
-        return power_integral(path, tuple(zip(signs, points, exps)), tol)
-
-    i_neg, e1 = piece(("ray", 0.0, -1.0), -1, -1, -1)
-    i_mid, e2 = piece(("seg", 0.0, 1.0), 1, -1, -1)
-    i_pos, e3 = piece(("ray", 1.0, 1.0), 1, 1, -1)
-    p, q, _ = exps
-    ph_mid = cmath.exp(-1j * math.pi * p)
-    ph_pos = cmath.exp(-1j * math.pi * (p + q))
-    total = i_neg + ph_mid * i_mid + ph_pos * i_pos
-    scale = max(abs(i_neg), abs(i_mid), abs(i_pos), 1e-300)
-    return abs(total) / scale

@@ -17,7 +17,6 @@ from hyperclass.families import (
     _factorizations,
     catalog,
     classical_to_lie,
-    lie_to_classical,
     make_operator_expr,
     quadratic_links,
     symbolic_params,
@@ -30,6 +29,27 @@ CATALOG_FAMILIES = tuple(EXPECTED_COUNTS)
 # ---------------------------------------------------------------------------
 # Parameter maps
 # ---------------------------------------------------------------------------
+
+def lie_to_classical(p: FamilyParams) -> ClassicalParams:
+    """The classical parameters of exact Lie parameters p, written out
+    independently of `classical_to_lie` so the round trip checks it."""
+    f, v, half = p.family, p.values, Fraction(1, 2)
+    if f == "2f1":
+        al, be, mu = v
+        vals = {"a": (1 + al + be + mu) / 2, "b": (1 + al + be - mu) / 2,
+                "c": 1 + al}
+    elif f == "gegenbauer":
+        al, la = v
+        vals = {"a": half + al - la, "b": half + al + la}
+    elif f in ("1f1", "2f0"):
+        th, al = v
+        vals = {"a": (1 + al + th) / 2, "b": (1 - al + th) / 2, "c": 1 + al}
+    elif f == "hermite":
+        vals = {"a": v[0] + half}
+    else:
+        vals = {"c": v[0] + 1}
+    return ClassicalParams(f, vals)
+
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_param_roundtrip(family):

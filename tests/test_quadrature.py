@@ -179,41 +179,39 @@ def test_keyhole_radius_invariance():
     assert abs(v1 - v2) < 1e-11 * max(abs(v1), 1.0)
 
 
-def test_path_integral_closed_loop_residue():
-    # oint dt/(t - p) around a rectangle containing p = 2 pi i
+def test_power_integral_closed_loop_residue():
+    # oint dt/(t - p) around a rectangle containing p = 2 pi i, as four
+    # power_integral segments
     p = 0.3 + 0.2j
-    pieces = [("seg", -1 - 1j, 1 - 1j), ("seg", 1 - 1j, 1 + 1j),
-              ("seg", 1 + 1j, -1 + 1j), ("seg", -1 + 1j, -1 - 1j)]
-    val, _ = Q.path_integral(pieces, [(1, p, -1)], None)
-    assert abs(val - 2j * math.pi) < 1e-10
+    corners = (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j)
+    val = sum(Q.power_integral(("seg", a, b), ((1, p, -1),), 1e-12)[0]
+              for a, b in zip(corners, corners[1:]))
+    assert abs(val - 2j * math.pi) < 1e-12
 
 
-def _loop_around_0_and_w(w):
-    # the rectangle of 1f1:int:01: t^-0.6 e^t (t-w)^-0.3 encircling 0 and w
-    R = 40.0 + abs(w)
-    pieces = (("seg", complex(-R, -1.0), complex(1.5, -1.0)),
-              ("seg", complex(1.5, -1.0), complex(1.5, 1.5)),
-              ("seg", complex(1.5, 1.5), complex(-R, 1.5)))
-    return pieces, ((1.0, 0.0, -0.6), (1.0, w, -0.3))
-
-
-def test_path_integral_honours_tol():
-    w = 0.5 + 0.5j
-    pieces, factors = _loop_around_0_and_w(w)
-    expected = 2j * math.pi * N.bold_F_1f1(-0.3, -0.1, w)
-    # met by the first comparison of the 1x and 2x panel rules: the value
-    # returned before the tolerance was read, to within an ulp
-    val, err = Q.path_integral(pieces, factors, lambda t: t, 1e-10)
-    assert abs(val - (-1.358549740328545 + 6.805114664826j)) \
-        <= 4e-16 * abs(val)
-    assert err <= 1e-10 * max(abs(val), 1.0)
-    assert abs(val - expected) < 1e-12 * abs(expected)
-    # out of reach of double precision: the panels double up to the cap
-    with pytest.raises(Q.QuadratureError) as exc:
-        Q.path_integral(pieces, factors, lambda t: t, 1e-30)
-    assert exc.value.estimate > 1e-30 * abs(exc.value.value)
-    assert abs(exc.value.value - expected) < 1e-12 * abs(expected)
-    assert isinstance(exc.value, N.NumericsError)
+@pytest.mark.parametrize("ps,w", [
+    ((0.3, 0.2), 0.5 - 0.8j),          # Im w < 0
+    ((0.3, 0.2), 2 - 3j),
+    ((-0.2, 0.4), -5 + 0.5j),          # Re w <= -5
+    ((0.1, -0.3), -8 - 2j),
+    ((0.3, 0.2), -10 + 0.1j),
+    ((0.3, 0.2), 6 + 8j),              # |w| = 10
+    ((0.3, 0.2), -6 - 8j),
+    ((0.3, 0.2), 8 - 6j),
+    ((-0.5, 0.48), 1 + 1j),            # p = -0.99
+    ((-0.5, 0.49), -3 + 2j),           # p = -0.995
+    ((0.5, 0.48), 1 - 1j),             # r = -0.99
+    ((0.5, 0.49), -5 - 1j),            # r = -0.995
+])
+def test_hankel_loop_row_beyond_its_samples(ps, w):
+    # 1f1:int:01, the loop of t^p e^t (t-w)^r / 2 pi i around 0 and w,
+    # away from the row's own samples
+    row = {r.id: r for r in Q.integral_rep_rows("1f1")}["1f1:int:01"]
+    assert row.domain(w)
+    val, est = row.evaluate(ps, w, 1e-11)
+    expected = N.bold_F_1f1(ps[0], ps[1], w)
+    assert abs(val - expected) <= 1e-13 * abs(expected)
+    assert est <= 1e-10 * abs(val)
 
 
 def test_integrate_contour_wrapper():
@@ -709,15 +707,38 @@ def test_rep_row_rejects_inadmissible():
     assert not row.domain(0.5 + 0j)
 
 
+def three_way_split_residual(al, be, mu, w, sign=1, tol=1e-10):
+    """Relative size of I(-inf,0) + phases * (I(0,1) + I(1,inf)) for the
+    integrand (-t)^p (1-t)^q (w-t)^r with Im w < 0, the branches being
+    continued clockwise from the left half-line onto the upper lip: zero
+    for an exact connection formula, so |sum| / max |piece|."""
+    w = complex(w)
+    if w.imag >= 0:
+        raise N.DomainError("the split is stated for Im w < 0")
+    points, exps, _ = Q._euler_2f1(
+        (complex(al), complex(be), sign * complex(mu)), w)
+
+    def piece(path, *signs):
+        return Q.power_integral(path, tuple(zip(signs, points, exps)), tol)[0]
+
+    i_neg = piece(("ray", 0.0, -1.0), -1, -1, -1)
+    i_mid = piece(("seg", 0.0, 1.0), 1, -1, -1)
+    i_pos = piece(("ray", 1.0, 1.0), 1, 1, -1)
+    p, q, _ = exps
+    total = (i_neg + cmath.exp(-1j * math.pi * p) * i_mid
+             + cmath.exp(-1j * math.pi * (p + q)) * i_pos)
+    return abs(total) / max(abs(i_neg), abs(i_mid), abs(i_pos), 1e-300)
+
+
 def test_three_way_split():
     for sign in (1, -1):
-        r = Q.three_way_split_residual(0.21, 0.13, 0.34, 0.4 - 0.5j, sign)
+        r = three_way_split_residual(0.21, 0.13, 0.34, 0.4 - 0.5j, sign)
         assert r < 1e-10
 
 
 def test_three_way_split_wrong_half_plane():
     with pytest.raises(N.DomainError):
-        Q.three_way_split_residual(0.21, 0.13, 0.34, 0.4 + 0.5j)
+        three_way_split_residual(0.21, 0.13, 0.34, 0.4 + 0.5j)
 
 
 def test_quadrature_error_carries_value():

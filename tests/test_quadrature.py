@@ -214,6 +214,21 @@ def test_hankel_loop_row_beyond_its_samples(ps, w):
     assert est <= 1e-10 * abs(val)
 
 
+@pytest.mark.parametrize("w", [10j, -10j])
+def test_hankel_loop_row_on_the_imaginary_axis(w):
+    # at w = +-10i the series behind N.bold_F_1f1 loses about 2e-13 to
+    # cancellation (ROADMAP item 1), so the loop is checked against mpmath
+    mpmath = pytest.importorskip("mpmath")
+    row = {r.id: r for r in Q.integral_rep_rows("1f1")}["1f1:int:01"]
+    th, al = 0.3, 0.2
+    val, est = row.evaluate((th, al), w, 1e-11)
+    with mpmath.workdps(30):
+        expected = complex(mpmath.hyp1f1((1 + al + th) / 2, 1 + al, w)
+                           * mpmath.rgamma(1 + al))
+    assert abs(val - expected) <= 1e-14 * abs(expected)
+    assert est <= 1e-10 * abs(val)
+
+
 def test_integrate_contour_wrapper():
     f = Q.segment_power_integrand(0.0, 1.0, ((1, 0.0, -0.5), (-1, 1.0, -0.5)))
     val, est = Q.tanh_sinh(f, 0.0, 1.0, tol=1e-10)

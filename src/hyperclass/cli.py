@@ -14,10 +14,10 @@ parameters); elsewhere they are a usage error rather than being ignored.
 
 `eval` prints the value, `method:`, the route the evaluator took (series,
 pfaff, inf, one, taylor, asymptotic, quadrature or normalized(bold|I)), and
-`error:`, a nominal multiple of |value| outside the asymptotic and
-quadrature routes.  A --method other than auto runs that route wherever w
-lies; it is a usage error where the family has no such route or with
---norm bold|I.
+`error:`, a nominal multiple of |value| outside the asymptotic, Hermite
+series and quadrature routes.  A --method other than auto runs that route
+wherever w lies; it is a usage error where the family has no such route or
+with --norm bold|I.
 
 Each command imports only the modules it runs: `eval` and `plotdata` load
 `numerics` (and `quadrature` where a route integrates), and reach the

@@ -882,11 +882,13 @@ def _estimate(value, err: float, al) -> float:
     return _EPS * (err / abs(value) + _sinpi_rounding(al))
 
 
-def _tricomi_series(th, al, w):
+def _tricomi_series(th, al, w, power=None):
     """`eval_tricomi` by its connection formula (DLMF 13.2.42),
     pi bold-F_{th,al}(w) / (sin(-pi al) Gamma((1+th-al)/2))
     + pi w^-al bold-F_{th,-al}(w) / (sin(pi al) Gamma((1+th+al)/2)),
-    at a scalar w, with its relative estimate.
+    at a scalar w, with its relative estimate.  Both bold-F are entire,
+    so a `power` given for w^-al, exact and on any branch, gives the
+    solution on that branch (Hermite's S_lambda at w = v^2, power v).
 
     The estimate sums, in units of _EPS, each sum's rounding bound times
     the |coefficient| it is multiplied by, and each term times the
@@ -903,7 +905,11 @@ def _tricomi_series(th, al, w):
     x2 = (1 + th + al) / 2
     g1 = gamma(x1)
     g2 = gamma(x2)
-    p = jpow(w, -al)
+    if power is None:
+        p = jpow(w, -al)
+        dp = _pow_rounding(w, -al)
+    else:
+        p, dp = power, 0
     t1 = math.pi * f1 / (sinpi(-al) * g1)
     t2 = math.pi * p * f2 / (s * g2)
     value = t1 + t2
@@ -911,8 +917,7 @@ def _tricomi_series(th, al, w):
     d = abs(1 + th) / 2
     err = abs(math.pi / (s * g1)) * e1 + abs(math.pi * p / (s * g2)) * e2 \
         + abs(t1) * (_gamma_rounding(x1, d + abs(x1)) + 4) \
-        + abs(t2) * (_gamma_rounding(x2, d + abs(x2))
-                     + _pow_rounding(w, -al) + 5)
+        + abs(t2) * (_gamma_rounding(x2, d + abs(x2)) + dp + 5)
     return value, _estimate(value, err, al)
 
 
@@ -1001,10 +1006,16 @@ def _hermite_S(la, w, tol, forced=None):
     """S_lambda(w) with its route and a relative error estimate.
 
     S_lambda is entire: the Hermite equation has no finite singular
-    point.  The asymptotic route, w^{-la-1/2} 2F0(la/2+3/4, la/2+1/4; -;
-    -1/w^2), holds off (-inf, 0] only; it is taken there at
-    |w| >= ASYMPTOTIC_CROSSOVER when the estimate of its 2F0 sum meets
-    `tol` relative to the sum.  Otherwise the quadrature route runs,
+    point.  Under the quadratic link (link:herm-1f1) it is the Tricomi
+    solution at (theta, alpha) = (lambda, -1/2) and z = w^2, whose
+    connection series (`_tricomi_series`) holds on the whole plane with w
+    standing for (w^2)^{1/2}.  The asymptotic route, w^{-la-1/2}
+    2F0(la/2+3/4, la/2+1/4; -; -1/w^2), holds off (-inf, 0] only; it is
+    taken there at |w| >= ASYMPTOTIC_CROSSOVER when the estimate of its
+    2F0 sum meets `tol` relative to the sum.  Auto tries the sum first at
+    |w| >= ASYMPTOTIC_CROSSOVER and |arg w| <= pi/4, where the series
+    cannot certify, and the series (`_certified`) first everywhere else,
+    then the sum where it holds; then the quadrature route runs,
     which raises unless it meets `tol`.  `forced` ("asymptotic" or
     "quadrature") runs that route wherever it holds: a forced asymptotic
     sum on (-inf, 0] raises DomainError.
@@ -1016,9 +1027,12 @@ def _hermite_S(la, w, tol, forced=None):
     if forced == "asymptotic" and not in_sector:
         raise DomainError("asymptotic sum of S_lambda evaluated on "
                           "(-inf, 0]")
-    if forced == "asymptotic" or (
-            forced is None and in_sector
-            and abs(w0) >= ASYMPTOTIC_CROSSOVER):
+    large = abs(w0) >= ASYMPTOTIC_CROSSOVER
+    if forced is None and not (large and w0.real >= abs(w0.imag)):
+        got = _certified(_tricomi_series, (la, -0.5, w0 * w0, w0), w, tol)
+        if got is not None:
+            return got
+    if forced == "asymptotic" or (forced is None and in_sector and large):
         got = eval_2F0_asymptotic(la / 2 + 0.75, la / 2 + 0.25,
                                   -1 / (w * w), tol)
         if forced or _try_asymptotic(got, tol) is not None:
@@ -1029,7 +1043,7 @@ def _hermite_S(la, w, tol, forced=None):
 
 def eval_hermite_S(la, w, tol: float = 1e-11):
     """Hermite solution S_lambda(w) ~ w^{-la-1/2} at +infinity; entire
-    (on (-inf, 0] by quadrature)."""
+    (on (-inf, 0] by the connection series or quadrature)."""
     return _hermite_S(la, w, tol)[0]
 
 
@@ -1047,9 +1061,16 @@ def _0f1_tilde(al, w, tol):
         if got is not None:
             return jexp(-2 * sq) * jpow(w, -al / 2 - 0.25) * got[0], \
                 "asymptotic", got[1]
-    got = _certified(_0f1_tilde_series, (al, w), w, tol)
-    if got is not None:
-        return got
+    # at Re w > 0 the two terms of the series cancel by about
+    # e^{4 Re sqrt w}; over the perfbench box its estimate was e^{3.2} to
+    # e^{4.7} times _EPS e^{4 Re sqrt w}.  Where _EPS e^{4 Re sqrt w + 3}
+    # misses tol it cannot certify, so integrate (the exponent is capped
+    # below overflow, which a large alpha reaches past the asymptotic sum)
+    if w0.real <= 0 or _EPS * math.exp(
+            min(4 * cmath.sqrt(w0).real + 3, 700.0)) <= tol:
+        got = _certified(_0f1_tilde_series, (al, w), w, tol)
+        if got is not None:
+            return got
     if w0.real <= 0:
         raise DomainError("quadrature route needs Re w > 0")
     from . import quadrature
@@ -1086,7 +1107,8 @@ def _hermite(forced):
 # "auto" is the family's own choice of route, which the evaluator reports;
 # any other method forces that route wherever w lies (a forced asymptotic
 # sum reports its estimate rather than raising).  `error` is the 2F0
-# estimate times |value| on the asymptotic route and tol * |value| on the
+# estimate times |value| on the asymptotic route, the connection series'
+# estimate times |value| on Hermite's series route and tol * |value| on the
 # quadrature route; on the other routes it is a nominal multiple of |value|.
 EVALUATORS = {
     "2f1": {

@@ -258,10 +258,12 @@ def test_eval_hermite_methods_agree(capsys):
 
 @pytest.mark.parametrize("method", ["auto", "asymptotic", "quadrature"])
 def test_eval_hermite_on_the_negative_axis(capsys, method):
-    # S_lambda is entire: auto and forced quadrature evaluate (-inf, 0] by
-    # quadrature; only the asymptotic sum refuses it
-    for w, printed in (("-1", "6.91059703214958"), ("0", "1.65862459747746"),
-                       ("-3", "17371.4732701544")):
+    # S_lambda is entire: forced quadrature evaluates (-inf, 0] by
+    # quadrature and auto by the connection series, within its printed
+    # error of the quadrature value; only the asymptotic sum refuses it
+    for w, printed, v in (("-1", "6.91059703214958", 6.910597032149581),
+                          ("0", "1.65862459747746", 1.6586245974774603),
+                          ("-3", "17371.4732701544", 17371.473270154413)):
         code, out, err = run(capsys, "eval", "hermite", "--lam", "0.3",
                              f"--w={w}", "--method", method)
         if method == "asymptotic":
@@ -269,9 +271,15 @@ def test_eval_hermite_on_the_negative_axis(capsys, method):
             assert out == ""
             assert "DomainError: asymptotic sum of S_lambda evaluated on " \
                 "(-inf, 0]" in err
-        else:
+        elif method == "quadrature":
             assert code == 0
             assert out.splitlines()[:2] == [printed, "method: quadrature"]
+        else:
+            assert code == 0
+            value, route, error = out.splitlines()
+            assert route == "method: series"
+            assert abs(cli.parse_complex(value) - v) \
+                <= float(error.split()[1])
 
 
 @pytest.mark.parametrize("w", ["1.2", "0.5,0.7", "6"])

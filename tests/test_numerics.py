@@ -353,17 +353,20 @@ def test_tricomi_dual_route():
 def test_hermite_on_the_negative_axis():
     # S_lambda is entire (the Hermite equation has no finite singular
     # point); these quadrature values agree with mpmath's
-    # 2^{la+1/2} H_{-la-1/2}(w) to within 6e-16 relative
+    # 2^{la+1/2} H_{-la-1/2}(w) to within 6e-16 relative.  Auto takes the
+    # certified connection series at w^2 there, within its estimate.
     for w, v in ((-1.0, 6.910597032149581), (0.0, 1.6586245974774603),
                  (-3.0, 17371.473270154413)):
-        assert N.eval_hermite_S(0.3, w) == v
         assert N._hermite_S(0.3, w, 1e-11, "quadrature")[:2] \
             == (v, "quadrature")
+        value, route, est = N._hermite_S(0.3, w, 1e-11)
+        assert route == "series" and abs(value - v) <= est * abs(v)
+        assert N.eval_hermite_S(0.3, w) == value
         with pytest.raises(N.DomainError):
             N._hermite_S(0.3, w, 1e-11, "asymptotic")
-    # auto takes quadrature at |w| >= 4 too, where the asymptotic sum is
-    # wrong
-    assert N._hermite_S(0.3, -6.0, 1e-11)[1] == "quadrature"
+    # at |w| >= 4 auto does not take the asymptotic sum, which is wrong
+    # there
+    assert N._hermite_S(0.3, -6.0, 1e-11)[1] != "asymptotic"
 
 
 @pytest.mark.parametrize("w", [-30.0, -27.0 + 0j, -30.0 + 1.0j,
@@ -382,6 +385,95 @@ def test_hermite_dual_route():
     a1 = N.eval_hermite_S(la, w)
     a2 = Q.hermite_S_solution(la, w, 1e-12)
     assert abs(a1 - a2) < 1e-10 * abs(a1)
+
+
+def _hermite_reference(mp, la, w):
+    """2^{la+1/2} H_{-la-1/2}(w) from mpmath at 30 digits.  (w times
+    hyperu(la/2+1/4, 1/2, w^2) is on the wrong sheet at Re w < 0.)"""
+    with mp.workdps(30):
+        return complex(mp.power(2, la + 0.5)
+                       * mp.hermite(-la - 0.5, mp.mpc(w)))
+
+
+def test_hermite_series_route_against_mpmath():
+    # S_lambda(w) = U_{la,-1/2}(w^2) by the connection series with w for
+    # (w^2)^{1/2}: every value it returns lies within its estimate, on the
+    # whole plane
+    mp = pytest.importorskip("mpmath")
+    routes = {}
+    for la in (-0.4, -0.25, -0.1, 0.05, 0.2, 0.35):
+        for r in (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 15.0,
+                  20.0):
+            for k in range(18):
+                w = cmath.rect(r, math.pi * (k / 9 - 1))
+                value, route, est = N._hermite_S(la, w, 1e-11)
+                routes[route] = routes.get(route, 0) + 1
+                if route == "series":
+                    ref = _hermite_reference(mp, la, w)
+                    assert abs(value - ref) <= est * abs(ref), (la, w, est)
+                    assert est <= 1e-11
+    assert routes["series"] > 500 and routes["quadrature"] > 50
+
+
+@pytest.mark.parametrize("w", [-5 + 0.1j, -10 + 1j, -20 + 0.5j, 5j,
+                               0.1 + 5j])
+def test_hermite_past_the_stokes_lines_takes_the_series(w):
+    # the asymptotic sum's estimate misses the e^{w^2} term here: at the
+    # first three points it returned a value off by a relative 1.0, at the
+    # last two by 5e-11 against an estimate of 9e-12
+    mp = pytest.importorskip("mpmath")
+    value, route, est = N._hermite_S(0.3, w, 1e-11)
+    ref = _hermite_reference(mp, 0.3, w)
+    assert route == "series"
+    assert abs(value - ref) <= est * abs(ref)
+
+
+def test_hermite_auto_at_zero_and_far_on_the_negative_axis():
+    assert N._hermite_S(0.3, 0, 1e-11)[1] == "series"
+    assert N.eval_hermite_S(0.3, 0.0) == N._hermite_S(0.3, 0, 1e-11)[0]
+    # the series overflows and the quadrature integrand too: a typed error,
+    # never inf or NaN
+    with pytest.raises(N.DomainError):
+        N.eval_hermite_S(0.3, -30.0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(e): the asymptotic "
+                   "sum's estimate misses the e^{w^2} Stokes term")
+@pytest.mark.parametrize("r, phi", [(7.0, 2.5), (10.0, -2.6), (12.0, 2.8)])
+def test_hermite_asymptotic_sum_in_the_stokes_band(r, phi):
+    # 2.0 < |arg w| < 2.9 at |w| >= 5: the series does not certify and auto
+    # takes the sum, which returns a value off by a relative 1.0
+    mp = pytest.importorskip("mpmath")
+    w = cmath.rect(r, phi)
+    value, route, est = N._hermite_S(0.3, w, 1e-11)
+    ref = _hermite_reference(mp, 0.3, w)
+    assert abs(value - ref) <= est * abs(ref)
+
+
+def test_0f1_tilde_skips_only_series_that_cannot_certify(monkeypatch):
+    # at Re w > 0, where _EPS e^{4 Re sqrt w + 3} misses tol, _0f1_tilde
+    # integrates without the series: over the perfbench 0f1_tilde box no
+    # such point has a series estimate within tol
+    rng = random.Random(1701)
+    tol = 1e-11
+    skipped = []
+    for _ in range(2400):
+        al = rng.choice((-1, 1)) * rng.uniform(0.1, 0.45)
+        w = cmath.rect(rng.uniform(0.5, 10.0), rng.uniform(-1.2, 1.2))
+        est = N._0f1_tilde_series(al, w)[1]
+        if N._EPS * math.exp(4 * cmath.sqrt(w).real + 3) > tol:
+            assert est > tol, (al, w, est)
+            skipped.append((al, w))
+        elif est <= tol:
+            assert N._0f1_tilde(al, w, tol)[1] == "series"
+    assert len(skipped) > 1000
+    # far out, where the asymptotic sum fails at a large alpha, the bound
+    # is past a double's range: it is capped, not an OverflowError
+    assert N._0f1_tilde(100.0, 4e4, tol)[1] == "quadrature"
+    # and such a point does not sum the series at all
+    monkeypatch.setattr(N, "_0f1_tilde_series", None)
+    for al, w in skipped[:3]:
+        assert N._0f1_tilde(al, w, tol)[1] == "quadrature"
 
 
 def test_cut_domain_errors():

@@ -445,7 +445,7 @@ def test_hermite_asymptotic_sum_in_the_stokes_band(r, phi):
     # takes the sum, which returns a value off by a relative 1.0
     mp = pytest.importorskip("mpmath")
     w = cmath.rect(r, phi)
-    value, route, est = N._hermite_S(0.3, w, 1e-11)
+    value, _, est = N._hermite_S(0.3, w, 1e-11)
     ref = _hermite_reference(mp, 0.3, w)
     assert abs(value - ref) <= est * abs(ref)
 

@@ -528,14 +528,15 @@ def _eval_2f1_inf_route(al, be, mu, w):
     """Continuation via the basis at infinity (valid off [0, +inf))."""
     if _near_integer(mu):
         raise DegeneracyError("mu is (close to) an integer")
-    A = connection_matrix_2f1(al, be, mu)
     # the first row of the connection identity, on the bold basis at
     # infinity, gives bold-F_{al,be,mu}(w)
+    a0, a1 = _connection_row_2f1(_as_complex(al), _as_complex(be),
+                                 _as_complex(mu))
     f1 = _kummer_term("atinf_1", 0, al, be, mu, w, _series_or_pfaff) \
         * rgamma(1 + mu)
     f2 = _kummer_term("atinf_2", 0, al, be, mu, w, _series_or_pfaff) \
         * rgamma(1 - mu)
-    return (A[0][0] * f1 + A[0][1] * f2) * gamma(1 + al)
+    return (a0 * f1 + a1 * f2) * gamma(1 + al)
 
 
 def _eval_2f1_one_route(al, be, mu, w):
@@ -780,8 +781,8 @@ def SI_hermite(la, w, tol: float = 1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Solutions at infinity: asymptotic sum, connection series or quadrature
-# (Tricomi, -infinity, Hermite, 0F1-tilde)
+# Solutions at infinity: asymptotic sum, connection series, continued
+# fraction or quadrature (Tricomi, -infinity, Hermite, 0F1-tilde)
 # ---------------------------------------------------------------------------
 
 ASYMPTOTIC_CROSSOVER = 4.0
@@ -938,27 +939,97 @@ def _0f1_tilde_series(al, w):
     return value, _estimate(value, err, al)
 
 
-def _certified(series, args, w, tol):
-    """(value, "series", relative estimate) of `series(*args)` if its
-    estimate meets `tol`, else None; None at a Jet w too, so that the
-    verify suites, which evaluate on jets, still exercise the quadrature.
+def _certified(fn, args, w, tol, route="series"):
+    """(value, route, relative estimate) of `fn(*args)` if its estimate
+    meets `tol`, else None; None at a Jet w too, so that the verify suites,
+    which evaluate on jets, still exercise the quadrature.
 
-    The solutions at infinity try the asymptotic sum, then this connection
-    series, then their quadrature (at -infinity, the Tricomi solution's
-    under 1f1:sym:03)."""
+    The solutions at infinity try the asymptotic sum, then the connection
+    series and Steed's continued fraction (`_tricomi_cf`, route "cf"),
+    each through here, then their quadrature (at -infinity, the Tricomi
+    solution's under 1f1:sym:03)."""
     if type(w) is Jet:
         return None
     try:
-        value, est = series(*args)
+        value, est = fn(*args)
     except (NumericsError, ArithmeticError):
         # a degenerate point (sin(pi al) = 0, a gamma pole), or terms that
         # do not fit a double
         return None
-    return (value, "series", est) if est <= tol else None
+    return (value, route, est) if est <= tol else None
+
+
+_CF_MAX_TERMS = 200
+
+
+def _tricomi_cf(th, al, z):
+    """`eval_tricomi` at a scalar z by Steed's continued fraction, with its
+    relative estimate.
+
+    U(a+n, b, z), a = (1+th+al)/2 and b = 1+al, is the minimal solution of
+    the recurrence DLMF 13.3.7, and sum_n (a)_n (a-b+1)_n / n! U(a+n, b, z)
+    = z^-a (Temme, Numer. Math. 41, 1983).  The loop is CF2 of Numerical
+    Recipes' `bessik` (its K_nu is the case th = 0, al = 2 nu at z = 2x)
+    with the coefficient -(a+i-1)(a-b+i) at step i: it sums s, that series
+    over U(a, b, z), so U = z^-a / s.  It stops once a step moves s by
+    less than _EPS |s|, and raises ConvergenceError where s stops being
+    finite first (the coefficients grow like n!, so at small |z| or near
+    the cut, about 170 steps in) or after _CF_MAX_TERMS steps.  The
+    estimate, in units of _EPS, is (8 + steps) times the sum of the |step|
+    over |s|, plus the rounding of z^-a."""
+    z = _as_complex(z)
+    al = _as_complex(al)
+    a = (1 + al + th) / 2
+    b = 1 + al
+    shift = 2 * a - b
+    bi = z + shift + 2
+    d = 1 / bi
+    dh = d
+    q1 = 0j
+    q2 = 1 + 0j
+    q = c = a * (a - b + 1)
+    ai = -q
+    step = q * dh
+    s = 1 + step
+    moved = 1 + abs(step)
+    for i in range(2, _CF_MAX_TERMS + 1):
+        ai -= 2 * (i - 1) + shift
+        c = -ai * c / i
+        q1, q2 = q2, (q1 - bi * q2) / ai
+        q += c * q2
+        bi += 2
+        d = 1 / (bi + ai * d)
+        dh = (bi * d - 1) * dh
+        step = q * dh
+        s += step
+        m = abs(s)
+        t = abs(step)
+        moved += t
+        if not m < math.inf:
+            raise ConvergenceError(
+                f"continued fraction overflowed after {i} steps")
+        if t < _EPS * m:
+            return jpow(z, -a) / s, _EPS * (
+                (8 + i) * moved / m + _pow_rounding(z, -a))
+    raise ConvergenceError(
+        f"continued fraction did not converge in {_CF_MAX_TERMS} steps")
+
+
+def _0f1_tilde_cf(al, w):
+    """`eval_0f1_tilde` at a scalar w off the cut by `_tricomi_cf` under
+    link:0f1-1f1, 2^{1+2 al} e^{-2 sqrt w} U_{0,2 al}(4 sqrt w) (DLMF
+    13.6.10), with its relative estimate: that of the U, plus the rounding
+    of the power, of the exponential at a rounded argument and of the two
+    products."""
+    x = -2 * cmath.sqrt(w)
+    u, est = _tricomi_cf(0, 2 * al, -2 * x)
+    e = 1 + 2 * al
+    return jpow(2, e) * cmath.exp(x) * u, est + _EPS * (
+        _pow_rounding(2, e) + abs(x) + 3)
 
 
 def _tricomi(th, al, w, tol):
-    """`eval_tricomi` with its route ("asymptotic", "series" or
+    """`eval_tricomi` with its route ("asymptotic", "series", "cf" or
     "quadrature") and relative estimate (`_certified`)."""
     require_finite(th, al, w)
     th = _as_complex(th)
@@ -970,7 +1041,8 @@ def _tricomi(th, al, w, tol):
         got = _try_asymptotic(tilde_F_2f0(th, al, -1 / w, tol), tol)
         if got is not None:
             return jpow(w, (-1 - th - al) / 2) * got[0], "asymptotic", got[1]
-    got = _certified(_tricomi_series, (th, al, w), w, tol)
+    got = _certified(_tricomi_series, (th, al, w), w, tol) \
+        or _certified(_tricomi_cf, (th, al, w0), w, tol, "cf")
     if got is not None:
         return got
     from . import quadrature
@@ -1002,6 +1074,19 @@ def eval_conf_minus_inf(th, al, w, tol: float = 1e-11):
     return _conf_minus_inf(th, al, w, tol)[0]
 
 
+def _hermite_series_fits(la, z) -> bool:
+    """Whether the largest term of the 1F1 series of `_tricomi_series` at
+    (la, -1/2, z) fits a double.  Its log is about |z| + (s Re la/2 - 1/4)
+    log|z|, s the sign of Re z (e^x x^{p-c} for 1F1(p; c; x), on the
+    Kummer-transformed side at Re z < 0); past 715 the series would run to
+    MAX_SERIES_TERMS and could not certify.  Over 14 values of la in
+    [-9.5, 20] and 72 arguments at |w| = 24 to 31, that log was at most
+    713.4 at a certified point (la = 20, w = -25.5)."""
+    x = abs(z)
+    s = 0.5 if z.real >= 0 else -0.5
+    return x <= 1.0 or x + (s * la.real - 0.25) * math.log(x) <= 715.0
+
+
 def _hermite_S(la, w, tol, forced=None):
     """S_lambda(w) with its route and a relative error estimate.
 
@@ -1012,11 +1097,15 @@ def _hermite_S(la, w, tol, forced=None):
     standing for (w^2)^{1/2}.  The asymptotic route, w^{-la-1/2}
     2F0(la/2+3/4, la/2+1/4; -; -1/w^2), holds off (-inf, 0] only; it is
     taken there at |w| >= ASYMPTOTIC_CROSSOVER when the estimate of its
-    2F0 sum meets `tol` relative to the sum.  Auto tries the sum first at
-    |w| >= ASYMPTOTIC_CROSSOVER and |arg w| <= pi/4, where the series
-    cannot certify, and the series (`_certified`) first everywhere else,
-    then the sum where it holds; then the quadrature route runs,
-    which raises unless it meets `tol`.  `forced` ("asymptotic" or
+    2F0 sum meets `tol` relative to the sum.  At Re w > 0, where w^2 is off
+    the cut, Steed's continued fraction (`_tricomi_cf` at z = w^2, route
+    "cf") holds too.  Auto tries the continued fraction first at Re w > 0
+    and 2 <= |w| < ASYMPTOTIC_CROSSOVER, where it is the cheapest; the sum
+    first at |w| >= ASYMPTOTIC_CROSSOVER and |arg w| <= pi/4, where the
+    series cannot certify; and the series (`_certified`) first everywhere
+    else, unless its terms do not fit a double (`_hermite_series_fits`).
+    Then the sum where it holds, the continued fraction at Re w > 0, and
+    the quadrature route, which raises unless it meets `tol`.  `forced` ("asymptotic" or
     "quadrature") runs that route wherever it holds: a forced asymptotic
     sum on (-inf, 0] raises DomainError.
     """
@@ -1027,9 +1116,18 @@ def _hermite_S(la, w, tol, forced=None):
     if forced == "asymptotic" and not in_sector:
         raise DomainError("asymptotic sum of S_lambda evaluated on "
                           "(-inf, 0]")
-    large = abs(w0) >= ASYMPTOTIC_CROSSOVER
-    if forced is None and not (large and w0.real >= abs(w0.imag)):
-        got = _certified(_tricomi_series, (la, -0.5, w0 * w0, w0), w, tol)
+    r = abs(w0)
+    large = r >= ASYMPTOTIC_CROSSOVER
+    z = w0 * w0
+    cf = forced is None and w0.real > 0
+    if cf and r >= 2.0 and not large:
+        got = _certified(_tricomi_cf, (la, -0.5, z), w, tol, "cf")
+        if got is not None:
+            return got
+        cf = False
+    if forced is None and not (large and w0.real >= abs(w0.imag)) \
+            and _hermite_series_fits(la, z):
+        got = _certified(_tricomi_series, (la, -0.5, z, w0), w, tol)
         if got is not None:
             return got
     if forced == "asymptotic" or (forced is None and in_sector and large):
@@ -1037,6 +1135,10 @@ def _hermite_S(la, w, tol, forced=None):
                                   -1 / (w * w), tol)
         if forced or _try_asymptotic(got, tol) is not None:
             return jpow(w, -la - 0.5) * got[0], "asymptotic", got[1]
+    if cf:
+        got = _certified(_tricomi_cf, (la, -0.5, z), w, tol, "cf")
+        if got is not None:
+            return got
     from . import quadrature
     return quadrature.hermite_S_solution(la, w, tol), "quadrature", tol
 
@@ -1049,7 +1151,9 @@ def eval_hermite_S(la, w, tol: float = 1e-11):
 
 def _0f1_tilde(al, w, tol):
     """`eval_0f1_tilde` with its route and relative estimate, as
-    `_tricomi`; the quadrature route needs Re w > 0."""
+    `_tricomi`; the quadrature route needs Re w > 0.  The continued
+    fraction (`_0f1_tilde_cf`) holds on the whole cut plane, because
+    4 sqrt w lies in the right half-plane."""
     require_finite(al, w)
     al = _as_complex(al)
     w0 = jvalue(w)
@@ -1064,13 +1168,16 @@ def _0f1_tilde(al, w, tol):
     # at Re w > 0 the two terms of the series cancel by about
     # e^{4 Re sqrt w}; over the perfbench box its estimate was e^{3.2} to
     # e^{4.7} times _EPS e^{4 Re sqrt w}.  Where _EPS e^{4 Re sqrt w + 3}
-    # misses tol it cannot certify, so integrate (the exponent is capped
+    # misses tol it cannot certify, so skip it (the exponent is capped
     # below overflow, which a large alpha reaches past the asymptotic sum)
     if w0.real <= 0 or _EPS * math.exp(
             min(4 * cmath.sqrt(w0).real + 3, 700.0)) <= tol:
         got = _certified(_0f1_tilde_series, (al, w), w, tol)
         if got is not None:
             return got
+    got = _certified(_0f1_tilde_cf, (al, w0), w, tol, "cf")
+    if got is not None:
+        return got
     if w0.real <= 0:
         raise DomainError("quadrature route needs Re w > 0")
     from . import quadrature
@@ -1107,9 +1214,10 @@ def _hermite(forced):
 # "auto" is the family's own choice of route, which the evaluator reports;
 # any other method forces that route wherever w lies (a forced asymptotic
 # sum reports its estimate rather than raising).  `error` is the 2F0
-# estimate times |value| on the asymptotic route, the connection series'
-# estimate times |value| on Hermite's series route and tol * |value| on the
-# quadrature route; on the other routes it is a nominal multiple of |value|.
+# estimate times |value| on the asymptotic route, the connection series' or
+# the continued fraction's estimate times |value| on Hermite's series and
+# cf routes and tol * |value| on the quadrature route; on the other routes
+# it is a nominal multiple of |value|.
 EVALUATORS = {
     "2f1": {
         "auto": lambda p, w, tol: _evaluation(*_eval_2F1_routed(*p, w), 1e-13),
@@ -1151,21 +1259,23 @@ NORMALIZED = {
 # Connection matrices
 # ---------------------------------------------------------------------------
 
+def _connection_row_2f1(al, be, mu):
+    """Row 0 of connection_matrix_2f1(al, be, mu), complex parameters; row
+    1 is the row at (-al, -be, mu)."""
+    s = sinpi(mu)
+    if abs(s) < 1e-300:
+        raise DegeneracyError("sin(pi mu) = 0")
+    f = math.pi / s
+    return [-f * rgamma((1 + al + be - mu) / 2) * rgamma((1 + al - be - mu) / 2),
+            f * rgamma((1 + al + be + mu) / 2) * rgamma((1 + al - be + mu) / 2)]
+
+
 def connection_matrix_2f1(al, be, mu):
     """2x2 matrix A_{al,be,mu} relating the basis at 0 to the basis at inf."""
     al = _as_complex(al)
     be = _as_complex(be)
     mu = _as_complex(mu)
-    s = sinpi(mu)
-    if abs(s) < 1e-300:
-        raise DegeneracyError("sin(pi mu) = 0")
-    f = math.pi / s
-    return [
-        [-f * rgamma((1 + al + be - mu) / 2) * rgamma((1 + al - be - mu) / 2),
-         f * rgamma((1 + al + be + mu) / 2) * rgamma((1 + al - be + mu) / 2)],
-        [-f * rgamma((1 - al - be - mu) / 2) * rgamma((1 - al + be - mu) / 2),
-         f * rgamma((1 - al - be + mu) / 2) * rgamma((1 - al + be + mu) / 2)],
-    ]
+    return [_connection_row_2f1(al, be, mu), _connection_row_2f1(-al, -be, mu)]
 
 
 def connection_det_2f1(al, be, mu):

@@ -4,6 +4,7 @@ solutions and connection data."""
 import cmath
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -397,8 +398,8 @@ def _hermite_reference(mp, la, w):
 
 def test_hermite_series_route_against_mpmath():
     # S_lambda(w) = U_{la,-1/2}(w^2) by the connection series with w for
-    # (w^2)^{1/2}: every value it returns lies within its estimate, on the
-    # whole plane
+    # (w^2)^{1/2}, or at Re w > 0 by the continued fraction: every value
+    # they return lies within its estimate, on the whole plane
     mp = pytest.importorskip("mpmath")
     routes = {}
     for la in (-0.4, -0.25, -0.1, 0.05, 0.2, 0.35):
@@ -408,11 +409,12 @@ def test_hermite_series_route_against_mpmath():
                 w = cmath.rect(r, math.pi * (k / 9 - 1))
                 value, route, est = N._hermite_S(la, w, 1e-11)
                 routes[route] = routes.get(route, 0) + 1
-                if route == "series":
+                if route in ("series", "cf"):
                     ref = _hermite_reference(mp, la, w)
                     assert abs(value - ref) <= est * abs(ref), (la, w, est)
                     assert est <= 1e-11
-    assert routes["series"] > 500 and routes["quadrature"] > 50
+    assert routes["series"] > 500 and routes["cf"] > 100
+    assert routes["quadrature"] > 20
 
 
 @pytest.mark.parametrize("w", [-5 + 0.1j, -10 + 1j, -20 + 0.5j, 5j,
@@ -470,10 +472,11 @@ def test_0f1_tilde_skips_only_series_that_cannot_certify(monkeypatch):
     # far out, where the asymptotic sum fails at a large alpha, the bound
     # is past a double's range: it is capped, not an OverflowError
     assert N._0f1_tilde(100.0, 4e4, tol)[1] == "quadrature"
-    # and such a point does not sum the series at all
+    # and such a point does not sum the series at all: the continued
+    # fraction gives its value
     monkeypatch.setattr(N, "_0f1_tilde_series", None)
     for al, w in skipped[:3]:
-        assert N._0f1_tilde(al, w, tol)[1] == "quadrature"
+        assert N._0f1_tilde(al, w, tol)[1] == "cf"
 
 
 def test_cut_domain_errors():
@@ -519,8 +522,9 @@ def _draw_alpha(rng, i):
 
 @pytest.mark.parametrize("name", sorted(_ROUTED))
 def test_connection_series_against_mpmath(name):
-    # each series value lies within its own estimate of mpmath; where the
-    # estimate misses tol the evaluator integrates instead, or raises
+    # each series or continued-fraction value lies within its own estimate
+    # of mpmath; where both estimates miss tol the evaluator integrates
+    # instead, or raises
     mp = pytest.importorskip("mpmath")
     rng = random.Random(1301 + sorted(_ROUTED).index(name))
     routes = {}
@@ -543,19 +547,27 @@ def test_connection_series_against_mpmath(name):
         except N.NumericsError:
             route = "error"
         routes[route] = routes.get(route, 0) + 1
-        assert route in ("series", "quadrature", "error")
-        if route == "series":
+        assert route in ("series", "cf", "quadrature", "error")
+        if route in ("series", "cf"):
             ref = _solution_reference(mp, name, params, w)
             assert abs(value - ref) <= est * abs(ref), (params, w, est)
             assert est <= 1e-11
-    assert routes.get("series", 0) > 30 and routes.get("quadrature", 0) > 3
+    assert routes.get("series", 0) > 30 and routes.get("cf", 0) > 3
+    if name == "0f1_tilde":
+        # the continued fraction at 4 sqrt w, in the right half-plane,
+        # certified every point the series did not: none integrates, and
+        # none at Re w <= 0 raises
+        assert "quadrature" not in routes and "error" not in routes
+    else:
+        assert routes.get("quadrature", 0) > 3
 
 
 def test_connection_series_routes():
     w = 1.2 + 0.7j
-    for name, params, w in (("tricomi", (0.3, 0.2), w),
-                            ("conf_minus_inf", (0.3, 0.2), -w),
-                            ("0f1_tilde", (0.3,), w)):
+    for name, params, w, at_zero in (
+            ("tricomi", (0.3, 0.2), w, "quadrature"),
+            ("conf_minus_inf", (0.3, 0.2), -w, "quadrature"),
+            ("0f1_tilde", (0.3,), w, "cf")):
         value, route, est = _ROUTED[name](*params, w, 1e-11)
         assert route == "series" and est < 1e-12
         # the public evaluators return the routed value
@@ -564,8 +576,114 @@ def test_connection_series_routes():
         jet = _ROUTED[name](*params, Jet.variable(w, 2), 1e-11)
         assert jet[1] == "quadrature"
         assert abs(jet[0].coeffs[0] - value) < 1e-10 * abs(value)
-        # a degenerate point (sin(pi alpha) = 0) is not taken
-        assert _ROUTED[name](*params[:-1], 0.0, w, 1e-11)[1] == "quadrature"
+        # a degenerate point (sin(pi alpha) = 0) is not taken; the continued
+        # fraction takes it where it converges (at 4 sqrt w for 0F1-tilde,
+        # not at 1.2 + 0.7i, where it overflows)
+        assert _ROUTED[name](*params[:-1], 0.0, w, 1e-11)[1] == at_zero
+
+
+# ---------------------------------------------------------------------------
+# Steed's continued fraction for the Tricomi solution
+# ---------------------------------------------------------------------------
+
+def _cf_steps(err) -> int:
+    return int(re.search(r"(\d+) steps", str(err)).group(1))
+
+
+def test_tricomi_cf_within_its_estimate_over_a_wide_box():
+    # complex a, b in [-3, 3] x [-2, 2], |z| 0.5 to 60, |arg z| <= 3.1: each
+    # value the continued fraction certifies lies within its estimate of
+    # mpmath, and each failure is a ConvergenceError within the step cap
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(1801)
+    certified = aside = 0
+    for _ in range(300):
+        a = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
+        b = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
+        z = cmath.rect(rng.uniform(0.5, 60.0), rng.uniform(-3.1, 3.1))
+        al = b - 1
+        try:
+            value, est = N._tricomi_cf(2 * a - 1 - al, al, z)
+        except N.ConvergenceError as err:
+            assert _cf_steps(err) <= N._CF_MAX_TERMS
+            aside += 1
+            continue
+        assert cmath.isfinite(value)
+        if est > 1e-11:
+            aside += 1
+            continue
+        certified += 1
+        with mp.workdps(30):
+            ref = complex(mp.hyperu(a, b, z))
+        assert abs(value - ref) <= est * abs(ref), (a, b, z, est)
+    assert certified > 150 and aside > 30
+
+
+@pytest.mark.parametrize("z", [0.5, 0.5j, 1.2 + 0.7j, -9.9 + 1.4j,
+                               -60 - 2.5j])
+def test_tricomi_cf_raises_where_it_cannot_converge(z):
+    # at small |z| and near the cut s overflows before a step falls below
+    # _EPS |s|: a typed error within the step cap, never NaN, and
+    # _certified steps aside
+    with pytest.raises(N.NumericsError) as info:
+        N._tricomi_cf(0.3, 0.2, z)
+    assert _cf_steps(info.value) <= N._CF_MAX_TERMS
+    assert N._certified(N._tricomi_cf, (0.3, 0.2, z), z, 1e-11, "cf") is None
+
+
+def test_tricomi_cf_step_cap_bounds_a_failed_attempt(monkeypatch):
+    # U(0.65, 1.2, 2) takes about 150 steps; a cap of 20 stops it there
+    value, est = N._tricomi_cf(0.3, 0.2, 2.0)
+    assert est <= 1e-11
+    monkeypatch.setattr(N, "_CF_MAX_TERMS", 20)
+    with pytest.raises(N.ConvergenceError, match="in 20 steps"):
+        N._tricomi_cf(0.3, 0.2, 2.0)
+
+
+def test_cf_takes_alpha_zero_and_never_a_jet():
+    # sin(pi alpha) = 0 degenerates the connection series; the continued
+    # fraction has no such point.  A Jet keeps the quadrature.
+    mp = pytest.importorskip("mpmath")
+    for name, params, w in (("0f1_tilde", (0.0,), 1.2 + 0.7j),
+                            ("tricomi", (-3.5, 0.0), 2 - 1j),
+                            ("conf_minus_inf", (0.99, 0.0), -1 - 1j)):
+        value, route, est = _ROUTED[name](*params, w, 1e-11)
+        assert route == "cf" and est <= 1e-11
+        ref = _solution_reference(mp, name, params, w)
+        assert abs(value - ref) <= est * abs(ref)
+        jet = _ROUTED[name](*params, Jet.variable(w, 2), 1e-11)
+        assert jet[1] == "quadrature"
+        assert abs(jet[0].coeffs[0] - value) < 1e-10 * abs(value)
+    # Hermite at 2 <= |w| < 4 takes it first, but not on a Jet
+    w = 2.5 + 0.5j
+    value, route, est = N._hermite_S(0.3, w, 1e-11)
+    assert route == "cf"
+    ref = _hermite_reference(mp, 0.3, w)
+    assert abs(value - ref) <= est * abs(ref)
+    jet = N._hermite_S(0.3, Jet.variable(w, 2), 1e-11)
+    assert jet[1] == "quadrature"
+    assert abs(jet[0].coeffs[0] - value) < 1e-10 * abs(value)
+
+
+@pytest.mark.parametrize("w", [27j, 100j, 300j, 1000j, -40 + 1j])
+def test_hermite_skips_a_series_whose_terms_do_not_fit(monkeypatch, w):
+    # there the 1F1 terms of the connection series overflow and it ran to
+    # MAX_SERIES_TERMS before the next route; now it is not summed at all,
+    # with the same route and value
+    calls = []
+    rounded = N._series_rounded
+
+    def counted(*args):
+        calls.append(args)
+        return rounded(*args)
+
+    monkeypatch.setattr(N, "_series_rounded", counted)
+    got = N._hermite_S(0.3, w, 1e-11)
+    assert calls == []
+    monkeypatch.setattr(N, "_hermite_series_fits", lambda la, z: True)
+    want = N._hermite_S(0.3, w, 1e-11)
+    assert calls
+    assert got[:2] == want[:2]
 
 
 def test_no_integrable_laplace_variant_takes_the_certified_series():
@@ -601,13 +719,21 @@ def test_no_integrable_laplace_variant_takes_the_certified_series():
 def test_no_laplace_variant_and_no_series_takes_raising_steps(name, params,
                                                               w):
     # alpha = 0 degenerates the connection series, and no Laplace integral
-    # converges: U_{th,al} = (w + (1+th-al)/2) U_{th+2,al} - w U'_{th+2,al}
+    # converges: U_{th,al} = (w + (1+th-al)/2) U_{th+2,al} - w U'_{th+2,al}.
+    # Auto takes the continued fraction where it converges; the quadrature
+    # takes the raising steps (at -infinity on U_{-th,al}(-w), 1f1:sym:03)
     mp = pytest.importorskip("mpmath")
     value, route, _ = _ROUTED[name](*params, w, 1e-11)
     if params[1] == 0.0:
-        assert route == "quadrature"
+        assert route in ("cf", "quadrature")
     ref = _solution_reference(mp, name, params, w)
     assert abs(value - ref) <= 1e-13 * abs(ref)
+    th, al = params
+    if name == "tricomi":
+        quad = Q.tricomi_solution(th, al, w, 1e-11)
+    else:
+        quad = cmath.exp(w) * Q.tricomi_solution(-th, al, -w, 1e-11)
+    assert abs(quad - ref) <= 1e-13 * abs(ref)
 
 
 def test_raising_steps_on_a_jet_follow_the_chain_rule():
@@ -728,6 +854,26 @@ def test_hermite_SI_scaling():
 
 def _det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def test_2f1_inf_route_reads_row_0_of_the_matrix_bitwise():
+    # the route builds only row 0 of connection_matrix_2f1, with the same
+    # expressions: over the perfbench 2f1_inf box (1.8 < |w| < 6 off the
+    # positive axis, parameters 0.1 to 0.45 in modulus) it is bitwise the
+    # full-matrix form
+    rng = random.Random(701)
+    for _ in range(240):
+        al, be, mu = (rng.choice((-1, 1)) * rng.uniform(0.1, 0.45)
+                      for _ in range(3))
+        w = cmath.rect(rng.uniform(1.8, 6.0),
+                       rng.uniform(0.45, 2 * math.pi - 0.45))
+        A = N.connection_matrix_2f1(al, be, mu)
+        f1 = N._kummer_term("atinf_1", 0, al, be, mu, w, N._series_or_pfaff) \
+            * N.rgamma(1 + mu)
+        f2 = N._kummer_term("atinf_2", 0, al, be, mu, w, N._series_or_pfaff) \
+            * N.rgamma(1 - mu)
+        full = (A[0][0] * f1 + A[0][1] * f2) * N.gamma(1 + al)
+        assert N._eval_2f1_inf_route(al, be, mu, w) == full
 
 
 def test_connection_det_2f1_closed_form():

@@ -1105,9 +1105,9 @@ def _hermite_S(la, w, tol, forced=None):
     series cannot certify; and the series (`_certified`) first everywhere
     else, unless its terms do not fit a double (`_hermite_series_fits`).
     Then the sum where it holds, the continued fraction at Re w > 0, and
-    the quadrature route, which raises unless it meets `tol`.  `forced` ("asymptotic" or
-    "quadrature") runs that route wherever it holds: a forced asymptotic
-    sum on (-inf, 0] raises DomainError.
+    the quadrature route, which raises unless it meets `tol`.  `forced`
+    ("asymptotic" or "quadrature") runs that route wherever it holds: a
+    forced asymptotic sum on (-inf, 0] raises DomainError.
     """
     require_finite(la, w)
     la = _as_complex(la)
@@ -1266,8 +1266,9 @@ def _connection_row_2f1(al, be, mu):
     if abs(s) < 1e-300:
         raise DegeneracyError("sin(pi mu) = 0")
     f = math.pi / s
-    return [-f * rgamma((1 + al + be - mu) / 2) * rgamma((1 + al - be - mu) / 2),
-            f * rgamma((1 + al + be + mu) / 2) * rgamma((1 + al - be + mu) / 2)]
+    return [
+        -f * rgamma((1 + al + be - mu) / 2) * rgamma((1 + al - be - mu) / 2),
+        f * rgamma((1 + al + be + mu) / 2) * rgamma((1 + al - be + mu) / 2)]
 
 
 def connection_matrix_2f1(al, be, mu):

@@ -960,6 +960,9 @@ def _certified(fn, args, w, tol, route="series"):
 
 
 _CF_MAX_TERMS = 200
+# Re sqrt z below which e^{-2 Re sqrt(z) sqrt(n)}, the decay of the steps
+# for large n, cannot reach _EPS within _CF_MAX_TERMS steps (about 1.27)
+_CF_MIN_RE_SQRT = -math.log(_EPS) / (2 * math.sqrt(_CF_MAX_TERMS))
 
 
 def _tricomi_cf(th, al, z):
@@ -974,10 +977,22 @@ def _tricomi_cf(th, al, z):
     over U(a, b, z), so U = z^-a / s.  It stops once a step moves s by
     less than _EPS |s|, and raises ConvergenceError where s stops being
     finite first (the coefficients grow like n!, so at small |z| or near
-    the cut, about 170 steps in) or after _CF_MAX_TERMS steps.  The
-    estimate, in units of _EPS, is (8 + steps) times the sum of the |step|
-    over |s|, plus the rounding of z^-a."""
+    the cut, about 170 steps in) or after _CF_MAX_TERMS steps.
+
+    For large n the steps fall like e^{-2 x sqrt n}, x = Re sqrt z; before
+    that they can dip below _EPS |s| and rise again, so that near the cut
+    (x below 0.2) a stop missed the value by up to 170 times its estimate.
+    So it raises at once where x < _CF_MIN_RE_SQRT, and the estimate
+    bounds the tail after a stop at step i by |step| sqrt(i) / x, the sum of
+    that decay.  The estimate, in units of _EPS, is (8 + steps) times the
+    sum of the |step| over |s|, plus that tail bound and the rounding of
+    z^-a."""
     z = _as_complex(z)
+    x = cmath.sqrt(z).real
+    if x < _CF_MIN_RE_SQRT:
+        raise ConvergenceError(
+            f"continued fraction cannot converge in {_CF_MAX_TERMS} steps "
+            f"at Re sqrt z = {x:.3g}")
     al = _as_complex(al)
     a = (1 + al + th) / 2
     b = 1 + al
@@ -1010,7 +1025,8 @@ def _tricomi_cf(th, al, z):
                 f"continued fraction overflowed after {i} steps")
         if t < _EPS * m:
             return jpow(z, -a) / s, _EPS * (
-                (8 + i) * moved / m + _pow_rounding(z, -a))
+                (8 + i) * moved / m + math.sqrt(i) / x
+                + _pow_rounding(z, -a))
     raise ConvergenceError(
         f"continued fraction did not converge in {_CF_MAX_TERMS} steps")
 
@@ -1097,17 +1113,19 @@ def _hermite_S(la, w, tol, forced=None):
     standing for (w^2)^{1/2}.  The asymptotic route, w^{-la-1/2}
     2F0(la/2+3/4, la/2+1/4; -; -1/w^2), holds off (-inf, 0] only; it is
     taken there at |w| >= ASYMPTOTIC_CROSSOVER when the estimate of its
-    2F0 sum meets `tol` relative to the sum.  At Re w > 0, where w^2 is off
-    the cut, Steed's continued fraction (`_tricomi_cf` at z = w^2, route
-    "cf") holds too.  Auto tries the continued fraction first at Re w > 0
-    and 2 <= |w| < ASYMPTOTIC_CROSSOVER, where it is the cheapest; the sum
-    first at |w| >= ASYMPTOTIC_CROSSOVER and |arg w| <= pi/4, where the
-    series cannot certify; and the series (`_certified`) first everywhere
-    else, unless its terms do not fit a double (`_hermite_series_fits`).
-    Then the sum where it holds, the continued fraction at Re w > 0, and
-    the quadrature route, which raises unless it meets `tol`.  `forced`
-    ("asymptotic" or "quadrature") runs that route wherever it holds: a
-    forced asymptotic sum on (-inf, 0] raises DomainError.
+    2F0 sum meets `tol` relative to the sum.  At Re w > 0 Steed's
+    continued fraction (`_tricomi_cf` at z = w^2, route "cf") holds too;
+    its steps fall like e^{-2 Re(w) sqrt n}, so it takes about
+    (18.4 / Re w)^2 steps.  Auto tries it first at Re w >= 2 and
+    |w| < ASYMPTOTIC_CROSSOVER, where that is at most about 85 steps and
+    costs no more than the series (at |w| >= 3 and small |arg w| the
+    series cannot certify).  Then the series (`_certified`), unless its
+    terms do not fit a double (`_hermite_series_fits`) or |w| >=
+    ASYMPTOTIC_CROSSOVER and |arg w| <= pi/4, where it cannot certify; the
+    sum where it holds; and the quadrature route, which raises unless it
+    meets `tol`.  `forced` ("asymptotic" or "quadrature") runs that route
+    wherever it holds: a forced asymptotic sum on (-inf, 0] raises
+    DomainError.
     """
     require_finite(la, w)
     la = _as_complex(la)
@@ -1116,15 +1134,12 @@ def _hermite_S(la, w, tol, forced=None):
     if forced == "asymptotic" and not in_sector:
         raise DomainError("asymptotic sum of S_lambda evaluated on "
                           "(-inf, 0]")
-    r = abs(w0)
-    large = r >= ASYMPTOTIC_CROSSOVER
+    large = abs(w0) >= ASYMPTOTIC_CROSSOVER
     z = w0 * w0
-    cf = forced is None and w0.real > 0
-    if cf and r >= 2.0 and not large:
+    if forced is None and w0.real >= 2.0 and not large:
         got = _certified(_tricomi_cf, (la, -0.5, z), w, tol, "cf")
         if got is not None:
             return got
-        cf = False
     if forced is None and not (large and w0.real >= abs(w0.imag)) \
             and _hermite_series_fits(la, z):
         got = _certified(_tricomi_series, (la, -0.5, z, w0), w, tol)
@@ -1135,10 +1150,6 @@ def _hermite_S(la, w, tol, forced=None):
                                   -1 / (w * w), tol)
         if forced or _try_asymptotic(got, tol) is not None:
             return jpow(w, -la - 0.5) * got[0], "asymptotic", got[1]
-    if cf:
-        got = _certified(_tricomi_cf, (la, -0.5, z), w, tol, "cf")
-        if got is not None:
-            return got
     from . import quadrature
     return quadrature.hermite_S_solution(la, w, tol), "quadrature", tol
 
@@ -1153,7 +1164,9 @@ def _0f1_tilde(al, w, tol):
     """`eval_0f1_tilde` with its route and relative estimate, as
     `_tricomi`; the quadrature route needs Re w > 0.  The continued
     fraction (`_0f1_tilde_cf`) holds on the whole cut plane, because
-    4 sqrt w lies in the right half-plane."""
+    4 sqrt w lies in the right half-plane, except where the real part of
+    the root of 4 sqrt w is below _CF_MIN_RE_SQRT (|w| < 0.17 on the
+    positive axis, < 0.66 near the cut)."""
     require_finite(al, w)
     al = _as_complex(al)
     w0 = jvalue(w)

@@ -413,8 +413,8 @@ def test_hermite_series_route_against_mpmath():
                     ref = _hermite_reference(mp, la, w)
                     assert abs(value - ref) <= est * abs(ref), (la, w, est)
                     assert est <= 1e-11
-    assert routes["series"] > 500 and routes["cf"] > 100
-    assert routes["quadrature"] > 20
+    assert routes["series"] > 500 and routes["cf"] > 30
+    assert routes["quadrature"] > 50
 
 
 @pytest.mark.parametrize("w", [-5 + 0.1j, -10 + 1j, -20 + 0.5j, 5j,
@@ -619,15 +619,51 @@ def test_tricomi_cf_within_its_estimate_over_a_wide_box():
     assert certified > 150 and aside > 30
 
 
+def test_tricomi_cf_within_its_estimate_near_the_cut():
+    # |arg z| >= 2.9, a in [-6, 6] x [-4, 4]: where Re sqrt z is small the
+    # steps can dip below _EPS |s| and rise again, and a stop there missed
+    # the value by 86 times its estimate (a = -5.8 + 3.9i, b = -1.1 + 1.1i,
+    # z = -18.5 - 0.26i, Re sqrt z = 0.03).  Such points raise before the
+    # first step; every value certified, out to |z| = 2000, lies within its
+    # estimate
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(1802)
+    certified = 0
+    for k in range(1000):
+        a = complex(rng.uniform(-6, 6), rng.uniform(-4, 4))
+        b = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
+        r = rng.uniform(0.5, 60.0) if k % 2 else \
+            math.exp(rng.uniform(math.log(0.5), math.log(2000.0)))
+        z = cmath.rect(r, rng.choice((-1, 1)) * rng.uniform(2.9, 3.14))
+        al = b - 1
+        try:
+            value, est = N._tricomi_cf(2 * a - 1 - al, al, z)
+        except N.ConvergenceError as err:
+            if cmath.sqrt(z).real < N._CF_MIN_RE_SQRT:
+                assert "at Re sqrt z" in str(err)
+            continue
+        assert cmath.sqrt(z).real >= N._CF_MIN_RE_SQRT
+        if est > 1e-11:
+            continue
+        certified += 1
+        with mp.workdps(30):
+            ref = complex(mp.hyperu(a, b, z))
+        assert abs(value - ref) <= est * abs(ref), (a, b, z, est)
+    assert certified > 50
+
+
 @pytest.mark.parametrize("z", [0.5, 0.5j, 1.2 + 0.7j, -9.9 + 1.4j,
-                               -60 - 2.5j])
+                               -60 - 2.5j, 1.7])
 def test_tricomi_cf_raises_where_it_cannot_converge(z):
-    # at small |z| and near the cut s overflows before a step falls below
-    # _EPS |s|: a typed error within the step cap, never NaN, and
-    # _certified steps aside
+    # at small |z| and near the cut Re sqrt z < _CF_MIN_RE_SQRT, and it
+    # raises before the first step; at 1.7, just past that bound, s
+    # overflows after 171 steps, before a step falls below _EPS |s|: a
+    # typed error within the step cap, never NaN, and _certified steps aside
     with pytest.raises(N.NumericsError) as info:
         N._tricomi_cf(0.3, 0.2, z)
     assert _cf_steps(info.value) <= N._CF_MAX_TERMS
+    if z != 1.7:
+        assert "at Re sqrt z" in str(info.value)
     assert N._certified(N._tricomi_cf, (0.3, 0.2, z), z, 1e-11, "cf") is None
 
 
@@ -646,7 +682,7 @@ def test_cf_takes_alpha_zero_and_never_a_jet():
     mp = pytest.importorskip("mpmath")
     for name, params, w in (("0f1_tilde", (0.0,), 1.2 + 0.7j),
                             ("tricomi", (-3.5, 0.0), 2 - 1j),
-                            ("conf_minus_inf", (0.99, 0.0), -1 - 1j)):
+                            ("conf_minus_inf", (0.99, 0.0), -2 - 1j)):
         value, route, est = _ROUTED[name](*params, w, 1e-11)
         assert route == "cf" and est <= 1e-11
         ref = _solution_reference(mp, name, params, w)
@@ -654,7 +690,7 @@ def test_cf_takes_alpha_zero_and_never_a_jet():
         jet = _ROUTED[name](*params, Jet.variable(w, 2), 1e-11)
         assert jet[1] == "quadrature"
         assert abs(jet[0].coeffs[0] - value) < 1e-10 * abs(value)
-    # Hermite at 2 <= |w| < 4 takes it first, but not on a Jet
+    # Hermite at Re w >= 2 and |w| < 4 takes it first, but not on a Jet
     w = 2.5 + 0.5j
     value, route, est = N._hermite_S(0.3, w, 1e-11)
     assert route == "cf"
@@ -663,6 +699,27 @@ def test_cf_takes_alpha_zero_and_never_a_jet():
     jet = N._hermite_S(0.3, Jet.variable(w, 2), 1e-11)
     assert jet[1] == "quadrature"
     assert abs(jet[0].coeffs[0] - value) < 1e-10 * abs(value)
+
+
+def test_hermite_tries_the_cf_first_only_at_re_w_at_least_2(monkeypatch):
+    # the continued fraction takes about (18.4 / Re w)^2 steps: at Re w >= 2
+    # and |w| < 4 it goes first, elsewhere in 2 <= |w| < 4 the series
+    # certifies and no attempt is paid before it
+    calls = []
+    cf = N._tricomi_cf
+
+    def counted(*args):
+        calls.append(args)
+        return cf(*args)
+
+    monkeypatch.setattr(N, "_tricomi_cf", counted)
+    for w, route, tried in ((2.5 + 0.5j, "cf", 1), (3.9 + 0.3j, "cf", 1),
+                            (cmath.rect(2.5, 1.2), "series", 0),
+                            (cmath.rect(3.5, -1.0), "series", 0),
+                            (1.9 + 0.2j, "series", 0)):
+        del calls[:]
+        assert N._hermite_S(0.3, w, 1e-11)[1] == route, w
+        assert len(calls) == tried, w
 
 
 @pytest.mark.parametrize("w", [27j, 100j, 300j, 1000j, -40 + 1j])

@@ -23,11 +23,11 @@ that BENCHMARK.json bounds with its median and quartiles, the operations
 attempted and failed, and for each metric the number of pairs in which the
 change read better.
 
-When the eval workload runs, three traced eval runs per side follow its
-pairs (``--trace 1``, seeds FIRST+10 to FIRST+12, alternating as the
-pairs do), because a single traced run is too noisy for a per-layer
-claim.  The result file holds every per-layer metric of them under
-``traced_eval``, with each side's runs and median.
+Three traced runs per side follow each workload's pairs (``--trace 1``,
+seeds FIRST+10 to FIRST+12, alternating as the pairs do), because a
+single traced run is too noisy for a per-layer claim.  The result file
+holds every per-layer metric of workload W's traced runs under
+``traced_W``, with each side's runs and median.
 """
 
 from __future__ import annotations
@@ -155,18 +155,19 @@ def alternating(i: int) -> tuple:
     return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
-def traced_eval(parent: str, change: str, first_seed: int,
-                seconds: float) -> dict:
-    """``TRACED_RUNS`` traced eval runs per side, alternating, and per
-    per-layer metric each side's runs and median."""
+def traced(parent: str, change: str, workload: str, first_seed: int,
+           seconds: float) -> dict:
+    """``TRACED_RUNS`` traced runs of ``workload`` per side, alternating,
+    and per per-layer metric each side's runs and median."""
     seeds = list(range(first_seed, first_seed + TRACED_RUNS))
     runs = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):
         for side in alternating(i):
             root = parent if side == "parent" else change
-            runs[side].append(run_once(root, "eval", seed, seconds, trace=1))
-            print(f"traced eval {i + 1}/{TRACED_RUNS} seed {seed} {side}",
-                  flush=True)
+            runs[side].append(run_once(root, workload, seed, seconds,
+                                       trace=1))
+            print(f"traced {workload} {i + 1}/{TRACED_RUNS} seed {seed} "
+                  f"{side}", flush=True)
     metrics = {}
     for name, spec in runs["parent"][0]["metrics"].items():
         got = {side: [r["metrics"][name]["value"] for r in runs[side]]
@@ -175,12 +176,12 @@ def traced_eval(parent: str, change: str, first_seed: int,
                          "parent_median": statistics.median(got["parent"]),
                          "change_median": statistics.median(got["change"])}
     return {
-        "command": f"python3 perfbench/run.py --workload eval --seed S "
+        "command": f"python3 perfbench/run.py --workload {workload} --seed S "
                    f"--seconds {seconds} --trace 1",
         "seeds": seeds,
-        "method": f"{TRACED_RUNS} traced eval runs per side after the "
-                  f"eval pairs, alternating as they do, each side from its "
-                  f"own checkout",
+        "method": f"{TRACED_RUNS} traced {workload} runs per side after the "
+                  f"{workload} pairs, alternating as they do, each side from "
+                  f"its own checkout",
         "metrics": metrics,
     }
 
@@ -252,9 +253,9 @@ def main(argv=None) -> int:
             "change_better_pairs": better_pairs(runs["parent"],
                                                 runs["change"], bounds),
         }
-        if workload == "eval":
-            record["traced_eval"] = traced_eval(
-                args.parent, args.change, args.first_seed + PAIRS, seconds)
+        record[f"traced_{workload}"] = traced(
+            args.parent, args.change, workload, args.first_seed + PAIRS,
+            seconds)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -399,13 +399,6 @@ class MultiPoly:
             out += t
         return out
 
-    def content(self) -> Fraction:
-        """Positive rational content: gcd of numerators over lcm of
-        denominators of all real/imag coefficient parts."""
-        if not self.terms:
-            return Fraction(1)
-        return Fraction(*_content(self.terms.values()))
-
     # -- comparison / display ---------------------------------------------
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussRational)):

@@ -6,13 +6,12 @@ Engines
   segment with algebraic endpoint singularities;
 * ``exp_sinh``   — double-exponential quadrature on a ray [0, inf) with an
   algebraic singularity at 0 and exponential or algebraic decay;
-* loop contours around the negative axis (keyhole / double-ray), where the
-  branch factor t^gamma collapses the two lips into a sine factor, plus an
-  explicitly parametrized circle.
+* ``loop_0``     — a loop around the negative axis (keyhole or double ray),
+  where the branch factor t^gamma collapses the two lips into a sine
+  factor, plus a circle around 0 parametrized by its angle.
 
-Circles and arcs use one composite 16-point Gauss-Legendre rule
-(`_gl_doubling`), whose nodes come from Newton's method on P_16, so the
-module needs nothing beyond the standard library.
+Every contour, circles included, runs on the two double-exponential rules,
+so the module needs nothing beyond the standard library.
 
 The solution evaluators (`tricomi_solution`, `hermite_S_solution`,
 `bessel_tilde_solution`) raise `QuadratureError` when the value is not
@@ -27,10 +26,12 @@ contour, with the signs c_j that pick the branches there: `power_integral`
 sends a segment to `segment_power_integrand` and `tanh_sinh`, a ray to
 `ray_power_integrand` and `exp_sinh`.  The Hankel loop around 0 and w
 (1f1:int:01) is three such pieces: rays from -inf below and above both
-points, joined by a segment right of them.  The four loop rows with a
-circle or arc around 0 keep their own evaluators.  Each row also carries
-its parameter constraint, admissible domain and an expected value computed
-independently from series/connection formulas in `numerics`.
+points, joined by a segment right of them.  The keyhole and double-ray
+rows (1f1:int:07, 0f1:int:01, 0f1:int:02) are `loop_0` contours, and the
+real axis bypassing 0 below (herm:int:04) is two segments through -i/2.
+Each row also carries its parameter constraint, admissible domain and an
+expected value computed independently from series/connection formulas in
+`numerics`.
 
 All segment/ray integrands may close over a Jet argument, in which case the
 result is a Jet (differentiation under the integral sign).
@@ -381,94 +382,37 @@ def power_integral(path, factors, tol: float,
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre panels (for circles / smooth pieces)
-# ---------------------------------------------------------------------------
-
-_GL_CACHE = {}
-
-
-def _gl(n: int = 16):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: Newton's
-    method on P_n, evaluated by the three-term recurrence, from the
-    Chebyshev-like guesses cos(pi (i + 3/4) / (n + 1/2)); the negative
-    half mirrors the positive one, so the rule is exactly symmetric."""
-    if n not in _GL_CACHE:
-        half = []
-        for i in range(n // 2, n):
-            x = -math.cos(math.pi * (i + 0.75) / (n + 0.5))
-            for _ in range(100):
-                p0, p1 = 1.0, x
-                for k in range(2, n + 1):
-                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-                dp = n * (x * p1 - p0) / (x * x - 1.0)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) <= 1e-16:
-                    break
-            half.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
-        nodes = [(-x, w) for x, w in reversed(half[n % 2:])] + half
-        _GL_CACHE[n] = (tuple(x for x, _ in nodes), tuple(w for _, w in nodes))
-    return _GL_CACHE[n]
-
-
-def _gl_doubling(f: Callable, a: float, b: float, panels: int,
-                 tol: float, max_doublings: int = 6):
-    """Integral of f over the real interval [a, b] by the composite 16-point
-    Gauss-Legendre rule on equal panels, their number doubled until two
-    successive rules agree to tol relative.  Returns (value, difference)."""
-    x, w = _gl(16)
-
-    def rule(m):
-        half = 0.5 * (b - a) / m
-        return sum(wi * half * f(a + (2 * p + 1) * half + half * xi)
-                   for p in range(m) for xi, wi in zip(x, w))
-
-    value = rule(panels)
-    err = float("inf")
-    for _ in range(max_doublings):
-        panels *= 2
-        new = rule(panels)
-        err = jabs(new - value)
-        value = new
-        if err <= tol * max(jabs(value), 1e-300):
-            return value, err
-    return value, err
-
-
-# ---------------------------------------------------------------------------
 # Loop contours around the negative axis
 # ---------------------------------------------------------------------------
 
 def _circle0(fn: Callable, gam: complex, rho: float, tol: float):
     """Integral over the full circle |t| = rho, counterclockwise from -pi
-    to pi, of t^gam fn(t) with the phase of t^gam tracked continuously."""
+    to pi, of t^gam fn(t) with the phase of t^gam tracked continuously:
+    `tanh_sinh` over the angle in two halves, split at phi = 0, the point
+    nearest a branch point of fn on the positive axis."""
 
     def g(phi):
         t = rho * cmath.exp(1j * phi)
         tpow = cmath.exp(gam * (math.log(rho) + 1j * phi))
         return 1j * t * tpow * fn(t)
 
-    return _gl_doubling(g, -math.pi, math.pi, 8, tol)
+    lower, e1 = tanh_sinh(g, -math.pi, 0.0, tol)
+    upper, e2 = tanh_sinh(g, 0.0, math.pi, tol)
+    return lower + upper, e1 + e2
 
 
-def keyhole_0(fn: Callable, gam: complex, rho: float, tol: float = 1e-11):
-    """Contour departing 0 along the lower lip of the negative axis,
-    encircling 0 counterclockwise at radius rho, returning on the upper
-    lip: integral of t^gam fn(t).  fn must vanish fast enough at 0-."""
-    lips, e1 = tanh_sinh(lambda s: s ** gam * fn(-s), 0.0, rho, tol)
-    lips = 2j * cmath.sin(math.pi * gam) * lips
+def loop_0(fn: Callable, gam: complex, rho: float, end: float,
+           tol: float = 1e-11):
+    """Integral of t^gam fn(t) over the loop from -end along the lower lip
+    of the negative axis, counterclockwise around 0 at radius rho, and back
+    to -end on the upper lip: end = 0 is a keyhole (fn must vanish fast
+    enough at 0-), end = R > rho a double ray.  The lips add up to
+    2i sin(pi gam) int_end^rho s^gam fn(-s) ds; their error estimate is
+    scaled by the same factor.  Returns (value, error_estimate)."""
+    lips, e1 = tanh_sinh(lambda s: s ** gam * fn(-s), end, rho, tol)
+    sine = 2j * cmath.sin(math.pi * gam)
     circ, e2 = _circle0(fn, gam, rho, tol)
-    return lips + circ, abs(e1) * 2 + abs(e2)
-
-
-def double_ray_0(fn: Callable, gam: complex, rho: float, R: float,
-                 tol: float = 1e-11):
-    """Contour from -R along the lower lip of the negative axis, around 0
-    counterclockwise at radius rho, back to -R on the upper lip."""
-    lips, e1 = tanh_sinh(lambda s: s ** gam * fn(-s), rho, R, tol)
-    lips = -2j * cmath.sin(math.pi * gam) * lips
-    circ, e2 = _circle0(fn, gam, rho, tol)
-    return lips + circ, abs(e1) * 2 + abs(e2)
+    return sine * lips + circ, abs(sine) * e1 + e2
 
 
 # ---------------------------------------------------------------------------
@@ -1011,8 +955,8 @@ def _build_conf_rows():
 
     def ev7(params, w, tol):
         _, (et, e1), _ = _conf_b(params, w)
-        val, err = keyhole_0(lambda t: cmath.exp(w / t) * (1 - t) ** e1,
-                             et, 0.7, tol)
+        val, err = loop_0(lambda t: cmath.exp(w / t) * (1 - t) ** e1,
+                          et, 0.7, 0.0, tol)
         return val / (2j * math.pi), err / (2 * math.pi)
 
     row(7, "keyhole (0-0)^+ -> w^-al bold-F(th,-al)(w)",
@@ -1097,22 +1041,15 @@ def _build_herm_rows():
         (5 + 1j, 4.7 + 2j, 6 + 0.5j))
 
     def ev4(params, w, tol):
+        # below 0 by -X -> -i/2 -> X: the cut of (it)^{la-1/2} is the
+        # positive imaginary axis, so principal branches serve
         points, (g,), extra = _herm_b(params, w)
         factors = ((1j, points[0], g),)     # (it)^{la-1/2}
         X = math.sqrt(45.0) + 2 * abs(w)
-        r = 0.5
-        left, e1 = power_integral(("seg", -X, -r), factors, tol, extra)
-        right, e2 = power_integral(("seg", r, X), factors, tol, extra)
-
-        def arc(phi):
-            t = r * cmath.exp(1j * phi)
-            ex = -t * t - 2 * t * w
-            return 1j * t * cmath.exp(complex(g)
-                                      * (math.log(r) + 1j * (phi + math.pi / 2))
-                                      + ex)
-
-        mid, e3 = _gl_doubling(arc, -math.pi, 0.0, 8, tol)
-        return left + right + mid, e1 + e2 + e3
+        (left, e1), (right, e2) = (
+            power_integral(("seg", a, b), factors, tol, extra)
+            for a, b in ((-X, -0.5j), (-0.5j, X)))
+        return left + right, e1 + e2
 
     row(4, "real axis bypassing 0 below of e^{-t^2-2tw}(it)^{la-1/2} "
            "-> sqrt(pi) e^{w^2} S_{-la}(-iw)",
@@ -1160,8 +1097,7 @@ def _build_0f1_rows():
 
     def ev1(params, w, tol):
         _, (gam,), extra = _bessel_0f1(params, w)
-        val, err = double_ray_0(extra, gam, max(1.0, abs(w)), 40.0 + abs(w),
-                                tol)
+        val, err = loop_0(extra, gam, max(1.0, abs(w)), 40.0 + abs(w), tol)
         return val / (2j * math.pi), err / (2 * math.pi)
 
     row(1, "double ray around 0 of e^t e^{w/t} t^{-al-1} / 2 pi i "
@@ -1174,7 +1110,7 @@ def _build_0f1_rows():
 
     def ev2(params, w, tol):
         _, (gam,), extra = _bessel_0f1(params, w)
-        val, err = keyhole_0(extra, gam, max(1.0, abs(w)), tol)
+        val, err = loop_0(extra, gam, max(1.0, abs(w)), 0.0, tol)
         return val / (2j * math.pi), err / (2 * math.pi)
 
     row(2, "keyhole (0-0)^+ of e^t e^{w/t} t^{-al-1} / 2 pi i "

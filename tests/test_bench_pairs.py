@@ -125,3 +125,31 @@ def test_traced_eval_runs_follow_the_eval_pairs(bench_pairs, tmp_path,
     assert got["change"] == [2.0 + s / 100 for s in record["seeds"]]
     assert got["parent_median"] == 1.0 + (first + 1) / 100
     assert got["change_median"] == 2.0 + (first + 1) / 100
+
+
+def test_every_workload_gets_its_traced_runs(bench_pairs, tmp_path,
+                                             monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_run(calls))
+    spec = dict(_SPEC, workloads=[{"name": "verify"}, {"name": "eval"}])
+    parent = _checkout(tmp_path / "parent", "print(1)\n", spec)
+    change = _checkout(tmp_path / "change", "print(1)\n", spec)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([parent, change, "--first-seed", "5",
+                             "--out", str(out)]) == 0
+    # each workload's pairs, then its own traced runs
+    per_workload = 2 * (bench_pairs.PAIRS + bench_pairs.TRACED_RUNS)
+    assert len(calls) == 2 * per_workload
+    for k, workload in enumerate(("verify", "eval")):
+        block = calls[k * per_workload:(k + 1) * per_workload]
+        assert {c[1] for c in block} == {workload}
+        assert [c[4] for c in block] == [0] * (2 * bench_pairs.PAIRS) \
+            + [1] * (2 * bench_pairs.TRACED_RUNS)
+    record = json.loads(out.read_text())
+    first = 5 + bench_pairs.PAIRS
+    for workload in ("verify", "eval"):
+        got = record[f"traced_{workload}"]
+        assert got["seeds"] == [first, first + 1, first + 2]
+        assert f"--workload {workload} " in got["command"]
+        assert got["metrics"]["quadrature.tricomi_us"]["change_median"] \
+            == 2.0 + (first + 1) / 100

@@ -163,7 +163,7 @@ def test_power_integral_dispatch(monkeypatch):
 def test_double_ray_hankel():
     # (1/2 pi i) oint e^t t^{-z} dt = 1/Gamma(z) on the Hankel contour
     z = 0.7 + 0.3j
-    val, _ = Q.double_ray_0(lambda t: cmath.exp(t), -z, 0.8, 40.0)
+    val, _ = Q.loop_0(lambda t: cmath.exp(t), -z, 0.8, 40.0)
     got = val / (2j * math.pi)
     expected = N.rgamma(z)
     assert abs(got - expected) < 1e-12 * abs(expected)
@@ -174,9 +174,19 @@ def test_keyhole_radius_invariance():
     # which exercises the phase bookkeeping of the lip reduction
     g = -0.4
     fn = lambda t: cmath.exp(t) * (2 - t) ** -0.3
-    v1, _ = Q.keyhole_0(fn, g, 0.5)
-    v2, _ = Q.keyhole_0(fn, g, 0.9)
+    v1, _ = Q.loop_0(fn, g, 0.5, 0.0)
+    v2, _ = Q.loop_0(fn, g, 0.9, 0.0)
     assert abs(v1 - v2) < 1e-11 * max(abs(v1), 1.0)
+
+
+def test_loop_estimate_carries_the_sine_factor():
+    # the lips enter the loop times 2i sin(pi g), |2 sin(pi g)| ~ 111 at
+    # this complex g, and so must their error estimate
+    g = -0.4 + 1.5j
+    fn = lambda t: cmath.exp(t) * (2 - t) ** -0.3
+    _, e_lips = Q.tanh_sinh(lambda s: s ** g * fn(-s), 0.0, 0.5)
+    _, est = Q.loop_0(fn, g, 0.5, 0.0)
+    assert est >= abs(2 * cmath.sin(math.pi * g)) * e_lips > 0
 
 
 def test_power_integral_closed_loop_residue():
@@ -226,6 +236,43 @@ def test_hankel_loop_row_on_the_imaginary_axis(w):
         expected = complex(mpmath.hyp1f1((1 + al + th) / 2, 1 + al, w)
                            * mpmath.rgamma(1 + al))
     assert abs(val - expected) <= 1e-14 * abs(expected)
+    assert est <= 1e-10 * abs(val)
+
+
+_CONF_COMPLEX = ((0.3 + 0.4j, 0.2 - 0.5j), (-0.4 - 0.3j, -0.3 + 0.6j))
+_HERM_COMPLEX = ((0.2 + 0.5j,), (-0.3 - 0.4j,))
+_0F1_COMPLEX = ((0.3 + 0.5j,), (-0.4 - 0.7j,))
+
+
+@pytest.mark.parametrize("row_id, ps, w", [
+    # arg w -> +-pi/2 and, for 1f1:int:07, |w| -> 0.5 (the domains are
+    # Re w > 0 and |w| < 0.5); a keyhole's lips near 0 oscillate like
+    # e^{-i Im w / s}, so the keyholes stop at |arg w| = 1.4
+    *(("1f1:int:07", ps, w) for ps in _CONF_COMPLEX
+      for w in (0.49, cmath.rect(0.49, 1.4), cmath.rect(0.49, -1.4),
+                cmath.rect(0.3, 1.4), cmath.rect(0.3, -1.4))),
+    *(("0f1:int:01", ps, w) for ps in _0F1_COMPLEX
+      for w in (cmath.rect(0.5, 1.55), cmath.rect(2, -1.55),
+                cmath.rect(8, 1.5), cmath.rect(8, -1.5), 5 + 0.5j)),
+    *(("0f1:int:02", ps, w) for ps in _0F1_COMPLEX
+      for w in (cmath.rect(0.5, 1.4), cmath.rect(0.5, -1.4),
+                cmath.rect(2, 1.4), cmath.rect(4, -1.4), 5 + 0.5j)),
+    # Re w <= -5, Im w of both signs
+    *(("herm:int:04", ps, w) for ps in _HERM_COMPLEX
+      for w in (-5 + 0.3j, -5 - 0.3j, -5 + 1j, -5 - 1j, -9 + 0.5j,
+                -9 - 0.5j, -12 + 0.2j)),
+])
+def test_loop_rows_beyond_their_samples(row_id, ps, w):
+    # the three loop_0 rows and the Hermite bypass below 0 at complex
+    # parameters, so that the exponent at 0 is complex, near the edges of
+    # their domains
+    row = {r.id: r for f in ("1f1", "hermite", "0f1")
+           for r in Q.integral_rep_rows(f)}[row_id]
+    w = complex(w)
+    assert row.domain(w)
+    val, est = row.evaluate(ps, w, 1e-11)
+    expected = row.expected(ps, w)
+    assert abs(val - expected) <= 1e-12 * abs(expected)
     assert est <= 1e-10 * abs(val)
 
 
@@ -583,31 +630,6 @@ def test_solutions_match_the_per_node_reference_bitwise(quad, ref, params,
     for w in _arguments(*ws):
         assert _value_bits(quad(*params, w)) \
             == _value_bits(ref(*params, w)), (params, w)
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Legendre panels
-# ---------------------------------------------------------------------------
-
-def test_gauss_legendre_exactness():
-    x, w = Q._gl(16)
-    assert len(x) == len(w) == 16
-    assert list(x) == sorted(x)
-    assert all(x[i] == -x[15 - i] and w[i] == w[15 - i] for i in range(16))
-    assert abs(sum(w) - 2) < 1e-15
-    # a 16-point rule integrates every polynomial of degree <= 31 exactly
-    for k in range(32):
-        exact = 0.0 if k % 2 else 2.0 / (k + 1)
-        got = sum(wi * xi ** k for xi, wi in zip(x, w))
-        assert abs(got - exact) < 1e-15, k
-
-
-def test_gauss_legendre_matches_numpy():
-    np = pytest.importorskip("numpy")
-    x, w = Q._gl(16)
-    ref_x, ref_w = np.polynomial.legendre.leggauss(16)
-    assert max(abs(a - float(b)) for a, b in zip(x, ref_x)) < 1e-15
-    assert max(abs(a - float(b)) for a, b in zip(w, ref_w)) < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -619,14 +619,6 @@ class DiffOperator:
     def identity(var: str) -> "DiffOperator":
         return DiffOperator(var, [RF_ONE])
 
-    @staticmethod
-    def d(var: str) -> "DiffOperator":
-        return DiffOperator(var, [RF_ZERO, RF_ONE])
-
-    @staticmethod
-    def mult(var: str, f) -> "DiffOperator":
-        return DiffOperator(var, [RatFun.of(f)])
-
     # -- queries -----------------------------------------------------------
     def order(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else 0

@@ -11,11 +11,13 @@ Families (working in the Lie-algebraic parameters):
 
 Catalogs are data: every transmutation, factorization, discrete symmetry,
 recurrence and quadratic link is a record with a self-describing location
-string, interpreted (and checked) by the verify module.  Each root r of a
-family's symmetry algebra acts by one first-order operator A_r, and the
-transmutation rows are the one transcription of it (operator, weight and
-target p + r).  The recurrence and factorization rows are built from them
-and transcribe only their own coefficient or constant.
+string, interpreted (and checked) by the verify module.  The records are
+transcribed, except the 24 2F1 symmetry rows: those are generated from the
+W(D3) table of numerics, which also drives Kummer's 24 solutions.  Each
+root r of a family's symmetry algebra acts by one first-order operator A_r,
+and the transmutation rows are the one transcription of it (operator,
+weight and target p + r).  The recurrence and factorization rows are built
+from them and transcribe only their own coefficient or constant.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .exactalg import (
     RatFun,
     Substitution,
 )
+from .numerics import _KUMMER
 
 FAMILIES = ("2f1", "gegenbauer", "1f1", "2f0", "hermite", "0f1")
 
@@ -51,6 +54,7 @@ BE = MultiPoly.var("beta")
 MU = MultiPoly.var("mu")
 TH = MultiPoly.var("theta")
 LA = MultiPoly.var("lam")
+V = MultiPoly.var("v")
 HALF = Fraction(1, 2)
 
 
@@ -343,18 +347,60 @@ def _w() -> MultiPoly:
     return MultiPoly.var("w")
 
 
-def _v() -> MultiPoly:
-    return MultiPoly.var("v")
+# The symmetry rows are the 24 W(D3) elements of numerics._KUMMER: the
+# substitutions w = v, 1-v, 1/v, (v-1)/v, 1/(1-v), v/(v-1), named by the
+# permutation pi of their elements, each with the even sign patterns.
+_PERMS_2F1 = ((0, 1, 2), (1, 0, 2), (2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1))
+_SIGNS_2F1 = ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1))
+# the linear forms a*v + b in those maps, keyed by (a, b)
+_LINEAR_TEXT = {(1, 0): "v", (0, 1): "1", (-1, 1): "1-v", (1, -1): "v-1"}
 
 
-def _pow_mv(gamma) -> Multiplier:
-    """(-v)^gamma."""
-    return Multiplier.power("v", -1, 0, gamma)
+def _moebius_text(p, q, r, s) -> str:
+    """(p*v + q)/(r*v + s) as text, for an anharmonic map."""
+    num, den = _LINEAR_TEXT[p, q], _LINEAR_TEXT[r, s]
+    if den == "1":
+        return num
+    return "/".join(t if len(t) == 1 else f"({t})" for t in (num, den))
 
 
-def _pow_vm1(gamma) -> Multiplier:
-    """(v-1)^gamma."""
-    return Multiplier.power("v", 1, -1, gamma)
+def _symmetries_2f1() -> tuple[SymmetryRow, ...]:
+    """F_p(w = sub(v)) = prefactor * m F_{p'}(v) m^{-1} for each element
+    F_p(w) = w^x (1-w)^y F_{p'}(z(w)) of the table.
+
+    sub inverts z: it sends v = 0, 1, infinity to pi(0), pi(1), pi(2).
+    With e(0) = x, e(1) = y and e(infinity) = -(x + y), the multiplier m is
+    (-v)^e(pi(0)) (v-1)^e(pi(1)); the prefactor w(1-w) (dv/dw)^2 / (v(1-v))
+    is -v, v-1 or 1 as w = infinity comes from v = 0, 1 or infinity."""
+    factors = {el[0]: el[2] for els in _KUMMER.values() for el in els}
+    signed = (C(1), AL, BE, MU, -MU, -BE, -AL)    # signed[k] for a slot k
+    names = ("", "a", "b", "m", "-m", "-b", "-a")
+    points = ((0, 1), (1, 1), (1, 0))             # 0, 1, infinity as [x:y]
+    prefactors = (RatFun(-V), RatFun(V - C(1)), RatFun(C(1)))
+    rows = []
+    for pi in _PERMS_2F1:
+        # sub's columns, the images [p:r] of v = infinity and [q:s] of
+        # v = 0, add up to its image of v = 1, as [0:1] + [1:0] = [1:1]
+        c_inf, c_0 = (1 if 1 in (pi[i], pi[1]) else -1 for i in (2, 0))
+        (p, r), (q, s) = points[pi[2]], points[pi[0]]
+        data = (c_inf * p, c_0 * q, c_inf * r, c_0 * s)
+        sub, text = Substitution.moebius("w", "v", *data), _moebius_text(*data)
+        for signs in _SIGNS_2F1:
+            slots = tuple(sg * (k + 1) for sg, k in zip(signs, pi))
+            e = [MultiPoly(), MultiPoly(), None]
+            for j, _, d0, ks in factors[slots]:
+                e[j] = sum((signed[k] for k in ks), C(d0)).scale(HALF)
+            e[2] = -(e[0] + e[1])
+            mult = Multiplier("v", [
+                LinFactor(GaussRational(a), GaussRational(b), e[point])
+                for (a, b), point in zip(((-1, 0), (1, -1)), pi)
+                if not e[point].is_zero()])
+            rows.append(SymmetryRow(
+                f"2f1:sym:{len(rows) + 1:02d}",
+                f"w={text}, ({','.join(names[k] for k in slots)})", sub,
+                tuple(signed[k] for k in slots), mult,
+                prefactors[pi.index(2)]))
+    return tuple(rows)
 
 
 def _build_2f1() -> IdentityCatalog:
@@ -438,72 +484,6 @@ def _build_2f1() -> IdentityCatalog:
          "(1-w)F = ((w-1)d+(a+b-m-1)/2) o (w(w-1)d+w(a+b+m+1)/2-a) + (a+b-m-1)(a-b-m-1)/4"),
     )
 
-    ident = Substitution.moebius("w", "v", 1, 0, 0, 1)
-    one_minus = Substitution.moebius("w", "v", -1, 1, 0, 1)
-    inv = Substitution.moebius("w", "v", 0, 1, 1, 0)
-    vm1_over_v = Substitution.moebius("w", "v", 1, -1, 1, 0)
-    inv_1mv = Substitution.moebius("w", "v", 0, 1, -1, 1)
-    v_over_vm1 = Substitution.moebius("w", "v", 1, 0, 1, -1)
-
-    mv = RatFun(-_v())
-    vm1 = RatFun(_v() - MultiPoly.const(1))
-    rf1 = RatFun(MultiPoly.const(1))
-    m1 = Multiplier.one("v")
-    g_p = (AL + BE + MU + 1).scale(HALF)
-    g_m = (AL + BE - MU + 1).scale(HALF)
-
-    def s(i, sub, tgt, mult, pref, desc):
-        return SymmetryRow(f"2f1:sym:{i:02d}", desc, sub, tgt, mult, pref)
-
-    sym = (
-        s(1, ident, (AL, BE, MU), m1, rf1, "w=v identity"),
-        s(2, ident, (-AL, -BE, MU), _pow_mv(-AL) * _pow_vm1(-BE), rf1,
-          "w=v with (-v)^-a (v-1)^-b sandwich, (-a,-b,m)"),
-        s(3, ident, (AL, -BE, -MU), _pow_vm1(-BE), rf1,
-          "w=v with (v-1)^-b sandwich, (a,-b,-m)"),
-        s(4, ident, (-AL, BE, -MU), _pow_mv(-AL), rf1,
-          "w=v with (-v)^-a sandwich, (-a,b,-m)"),
-        s(5, one_minus, (BE, AL, MU), m1, rf1, "w=1-v, (b,a,m)"),
-        s(6, one_minus, (-BE, -AL, MU), _pow_vm1(-AL) * _pow_mv(-BE), rf1,
-          "w=1-v with (v-1)^-a (-v)^-b sandwich, (-b,-a,m)"),
-        s(7, one_minus, (BE, -AL, -MU), _pow_vm1(-AL), rf1,
-          "w=1-v with (v-1)^-a sandwich, (b,-a,-m)"),
-        s(8, one_minus, (-BE, AL, -MU), _pow_mv(-BE), rf1,
-          "w=1-v with (-v)^-b sandwich, (-b,a,-m)"),
-        s(9, inv, (MU, BE, AL), _pow_mv(g_p), mv,
-          "w=1/v, (-v)^((a+b+m+1)/2) sandwich of (-v)F_(m,b,a)"),
-        s(10, inv, (-MU, -BE, AL), _pow_mv(g_m) * _pow_vm1(-BE), mv,
-          "w=1/v, extra (v-1)^-b, (-m,-b,a)"),
-        s(11, inv, (MU, -BE, -AL), _pow_mv(g_p) * _pow_vm1(-BE), mv,
-          "w=1/v, extra (v-1)^-b, (m,-b,-a)"),
-        s(12, inv, (-MU, BE, -AL), _pow_mv(g_m), mv,
-          "w=1/v, (-v)^((a+b-m+1)/2) sandwich, (-m,b,-a)"),
-        s(13, vm1_over_v, (MU, AL, BE), _pow_mv(g_p), mv,
-          "w=(v-1)/v, (m,a,b)"),
-        s(14, vm1_over_v, (-MU, -AL, BE), _pow_mv(g_m) * _pow_vm1(-AL), mv,
-          "w=(v-1)/v, extra (v-1)^-a, (-m,-a,b)"),
-        s(15, vm1_over_v, (MU, -AL, -BE), _pow_mv(g_p) * _pow_vm1(-AL), mv,
-          "w=(v-1)/v, extra (v-1)^-a, (m,-a,-b)"),
-        s(16, vm1_over_v, (-MU, AL, -BE), _pow_mv(g_m), mv,
-          "w=(v-1)/v, (-m,a,-b)"),
-        s(17, inv_1mv, (BE, MU, AL), _pow_vm1(g_p), vm1,
-          "w=1/(1-v), (b,m,a)"),
-        s(18, inv_1mv, (-BE, -MU, AL), _pow_mv(-BE) * _pow_vm1(g_m), vm1,
-          "w=1/(1-v), extra (-v)^-b, (-b,-m,a)"),
-        s(19, inv_1mv, (BE, -MU, -AL), _pow_vm1(g_m), vm1,
-          "w=1/(1-v), (b,-m,-a)"),
-        s(20, inv_1mv, (-BE, MU, -AL), _pow_mv(-BE) * _pow_vm1(g_p), vm1,
-          "w=1/(1-v), extra (-v)^-b, (-b,m,-a)"),
-        s(21, v_over_vm1, (AL, MU, BE), _pow_vm1(g_p), vm1,
-          "w=v/(v-1), (a,m,b)"),
-        s(22, v_over_vm1, (-AL, -MU, BE), _pow_mv(-AL) * _pow_vm1(g_m), vm1,
-          "w=v/(v-1), extra (-v)^-a, (-a,-m,b)"),
-        s(23, v_over_vm1, (AL, -MU, -BE), _pow_vm1(g_m), vm1,
-          "w=v/(v-1), (a,-m,-b)"),
-        s(24, v_over_vm1, (-AL, MU, -BE), _pow_mv(-AL) * _pow_vm1(g_p), vm1,
-          "w=v/(v-1), extra (-v)^-a, (-a,m,-b)"),
-    )
-
     # (coeff, location); A and target are the transmutation row's.  Rows 2,
     # 4, 7 and 8 apply minus the operator of their location strings, so
     # their coefficients are negated.
@@ -527,7 +507,7 @@ def _build_2f1() -> IdentityCatalog:
     )
 
     return IdentityCatalog("2f1", trans, _factorizations("2f1", trans, fact),
-                           sym, _recurrences(trans, "I", rec))
+                           _symmetries_2f1(), _recurrences(trans, "I", rec))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +577,7 @@ def _build_gegenbauer() -> IdentityCatalog:
     neg = Substitution.moebius("w", "v", -1, 0, 0, 1)
     rf1 = RatFun(MultiPoly.const(1))
     m1 = Multiplier.one("v")
-    v2m1 = RatFun(_v() * _v() - MultiPoly.const(1))
+    v2m1 = RatFun(V * V - MultiPoly.const(1))
 
     sym = (
         SymmetryRow("geg:sym:01", "w=v identity", ident, (AL, LA), m1, rf1),
@@ -839,7 +819,6 @@ def catalog(family: str) -> IdentityCatalog:
 
 def quadratic_links() -> tuple[QuadraticLink, ...]:
     """The six exact quadratic/Moebius links between families."""
-    v = _v()
     one = MultiPoly.const(1)
     rf1 = RatFun(one)
     m1 = Multiplier.one("v")
@@ -872,7 +851,7 @@ def quadratic_links() -> tuple[QuadraticLink, ...]:
             Substitution.moebius("w", "v", 0, -1, 1, 0),   # w = -1/v
             "2f0", (TH, AL),
             Multiplier.power("v", -1, 0, -(TH + AL + one).scale(HALF)),
-            RatFun(-v)),
+            RatFun(-V)),
         QuadraticLink(
             "link:0f1-1f1",
             "F0F1(a) in w equals (4/v) e^{-v/2} F1F1(0,2a) e^{v/2}, w=(v/4)^2",
@@ -880,5 +859,5 @@ def quadratic_links() -> tuple[QuadraticLink, ...]:
             Substitution.quadratic("w", "v", Fraction(1, 16), 0),
             "1f1", (MultiPoly(), AL.scale(2)),
             Multiplier.exp("v", 0, HALF, 0),
-            RatFun(MultiPoly.const(4), v)),
+            RatFun(MultiPoly.const(4), V)),
     )

@@ -85,12 +85,12 @@ def _as_complex(z: Number) -> complex:
     return complex(z)
 
 
-def is_nonpositive_integer(z: Number, tol: float = 1e-12) -> bool:
+def is_nonpositive_integer(z: Number) -> bool:
     z = _as_complex(z)
-    if abs(z.imag) > tol:
+    if abs(z.imag) > 1e-12:
         return False
     r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= tol
+    return r <= 0 and abs(z.real - r) <= 1e-12
 
 
 def gamma(z: Number) -> complex:
@@ -453,7 +453,7 @@ _MOEBIUS = {
 
 
 def _kummer_element(slots) -> tuple:
-    """(slots, z(w), ((base, d_0, ks), ...)) for a W(D3) element.
+    """(slots, z(w), ((j, base, d_0, ks), ...)) for a W(D3) element.
 
     S_j(q), the sum of the local exponents of F_q at the point j, is -alpha,
     -beta and 1+alpha+beta of q at 0, 1 and infinity.  The prefactor moves
@@ -463,7 +463,8 @@ def _kummer_element(slots) -> tuple:
     of the parameters to add to it, one slot per unit of a coefficient: x =
     (-1 - al - be + mu)/2 is (-1, (-1, -2, 3)), summed in that order as
     written, and x = -al is (0, (-1, -1)).  A zero exponent is left out.
-    The base of w^x is -w when pi(0) is infinity."""
+    j is the point of the factor, 0 for w^x and 1 for (1-w)^y; the base of
+    w^x is -w when pi(0) is infinity."""
     perm = tuple(abs(k) - 1 for k in slots)
     al, be, _ = ([k // abs(k) if i == abs(k) else 0 for i in range(4)]
                  for k in slots)
@@ -474,7 +475,7 @@ def _kummer_element(slots) -> tuple:
     for j, base in enumerate(bases):
         d = [-(i == j + 1) - s for i, s in enumerate(sums[perm.index(j)])]
         if any(d):
-            factors.append((base, d[0], tuple(
+            factors.append((j, base, d[0], tuple(
                 k if c > 0 else -k for k, c in enumerate(d) if k
                 for _ in range(abs(c)))))
     return slots, _MOEBIUS[perm], tuple(factors)
@@ -490,7 +491,7 @@ def _kummer_term(key, row, al, be, mu, w, inner, lead=None):
     slots, moebius, factors = _KUMMER[key][row]
     al, be, mu = _as_complex(al), _as_complex(be), _as_complex(mu)
     p = (None, al, be, mu, -mu, -be, -al)    # p[k] for a signed slot k
-    for base, e, ks in factors:
+    for _, base, e, ks in factors:
         for k in ks:
             e = e + p[k]
         f = jpow(base(w), e / 2)
@@ -503,22 +504,24 @@ def _kummer_term(key, row, al, be, mu, w, inner, lead=None):
 SERIES_RADIUS = 0.6
 INNER_RADIUS = 0.75
 _DEGENERACY_EPS = 1e-6
+_TAYLOR_ORDER = 48      # Taylor coefficients per step of the 2F1 continuation
 
 
-def _near_integer(z: complex, eps: float = _DEGENERACY_EPS) -> bool:
+def _near_integer(z: complex) -> bool:
     z = _as_complex(z)
-    return abs(z.imag) < eps and abs(z.real - round(z.real)) < eps
+    return abs(z.imag) < _DEGENERACY_EPS \
+        and abs(z.real - round(z.real)) < _DEGENERACY_EPS
 
 
-def _series_or_pfaff(al, be, mu, z, radius=INNER_RADIUS):
+def _series_or_pfaff(al, be, mu, z):
     """2F1 via direct series or Pfaff, requiring one of the two arguments
-    to have modulus <= radius."""
+    to have modulus <= INNER_RADIUS."""
     z0 = jvalue(z)
     r_direct = abs(z0)
     r_pfaff = abs(z0 / (z0 - 1)) if z0 != 1 else float("inf")
-    if r_direct <= min(r_pfaff, radius):
+    if r_direct <= min(r_pfaff, INNER_RADIUS):
         return _series_2f1(al, be, mu, z)
-    if r_pfaff <= radius:
+    if r_pfaff <= INNER_RADIUS:
         # Pfaff: F_{al,be,mu}(z) = (1-z)^{(-1-al-be-mu)/2} F_{al,mu,be}(z/(z-1))
         return _kummer_term("at0_1", 3, al, be, mu, z, _series_2f1)
     raise DomainError(f"inner 2F1 argument {z0} out of range")
@@ -574,7 +577,7 @@ def _cut_distance(z: complex) -> float:
     return abs(z - 1)
 
 
-def _eval_2f1_taylor_fallback(al, be, mu, w, order: int = 48):
+def _eval_2f1_taylor_fallback(al, be, mu, w):
     """Analytic continuation by Taylor stepping along a straight path.
 
     Works for any parameters (no gamma factors involved) and any w off
@@ -593,19 +596,19 @@ def _eval_2f1_taylor_fallback(al, be, mu, w, order: int = 48):
         dist = _cut_distance(z)
         remaining = w0 - z
         max_step = 0.38 * dist
-        cs = _taylor_coeffs_2f1(a, b, c, z, f0, f1, order)
+        cs = _taylor_coeffs_2f1(a, b, c, z, f0, f1, _TAYLOR_ORDER)
         if abs(remaining) <= max_step:
             if is_jet(w):
                 h = w - z
                 total = Jet.constant(0.0, w.center, w.order)
                 power = Jet.constant(1.0, w.center, w.order)
-                for k in range(order + 1):
+                for k in range(_TAYLOR_ORDER + 1):
                     total = total + power * cs[k]
                     power = power * h
                 return total
             total = 0.0j
             power = 1.0 + 0.0j
-            for k in range(order + 1):
+            for k in range(_TAYLOR_ORDER + 1):
                 total += cs[k] * power
                 power *= remaining
             return total
@@ -613,9 +616,9 @@ def _eval_2f1_taylor_fallback(al, be, mu, w, order: int = 48):
         nf0 = 0.0j
         nf1 = 0.0j
         power = 1.0 + 0.0j
-        for k in range(order + 1):
+        for k in range(_TAYLOR_ORDER + 1):
             nf0 += cs[k] * power
-            if k + 1 <= order:
+            if k + 1 <= _TAYLOR_ORDER:
                 nf1 += (k + 1) * cs[k + 1] * power
             power *= h
         z = z + h
@@ -1380,6 +1383,15 @@ def eval_kummer_expression(sol_key: str, row: int, al, be, mu, w):
     return _kummer_term(sol_key, row, al, be, mu, w, eval_2F1)
 
 
+def _one_minus_square(w):
+    """1 - w^2, the argument of the Gegenbauer expressions that are even in
+    w: they equal the solution at 1 only at Re w > 0, and Re w = 0 puts
+    1 - w^2 on the cut [1, inf)."""
+    if jvalue(w).real <= 0:
+        raise DomainError("the expression in 1 - w^2 needs Re w > 0")
+    return 1 - w * w
+
+
 def standard_solutions(family: str, params) -> tuple:
     """Standard solutions of a family with their alternative expressions.
 
@@ -1400,18 +1412,21 @@ def standard_solutions(family: str, params) -> tuple:
         return tuple(out)
     if family == "gegenbauer":
         al, la = params
+        domain = ("w off (-inf,-1] and [1,inf); the expression in 1-w^2 "
+                  "needs Re w > 0")
         out.append(SolutionDescriptor(
             "gegenbauer", "at1_1", "~1 at 1", params,
             (lambda w, tol=1e-11: eval_2F1(al, al, 2 * la, (1 - w) / 2),
-             lambda w, tol=1e-11: eval_2F1(al, -0.5, la, 1 - w * w)),
-            "w off (-inf,-1] and [1,inf)"))
+             lambda w, tol=1e-11:
+             eval_2F1(al, -0.5, la, _one_minus_square(w))),
+            domain))
         out.append(SolutionDescriptor(
             "gegenbauer", "at1_2", "~2^-alpha (1-w)^-alpha at 1", params,
             (lambda w, tol=1e-11: jpow(2, -al) * jpow(1 - w, -al)
              * eval_2F1(-al, al, -2 * la, (1 - w) / 2),
-             lambda w, tol=1e-11: jpow(1 - w * w, -al)
+             lambda w, tol=1e-11: jpow(_one_minus_square(w), -al)
              * eval_2F1(-al, -0.5, -la, 1 - w * w)),
-            "w off (-inf,-1] and [1,inf)"))
+            domain))
         out.append(SolutionDescriptor(
             "gegenbauer", "atinf_1", "~w^-a at infinity", params,
             (lambda w, tol=1e-11: jpow(1 + w, -0.5 - al + la)

@@ -238,28 +238,22 @@ def check_quadratic_link_symbolic(link) -> bool:
 # Numeric building blocks
 # ---------------------------------------------------------------------------
 
-def _param_assign(family: str, params=None) -> dict:
-    params = NUMERIC_PARAMS[family] if params is None else params
-    return dict(zip(fam.PARAM_NAMES[family], params))
+def _param_assign(family: str) -> dict:
+    return dict(zip(fam.PARAM_NAMES[family], NUMERIC_PARAMS[family]))
 
 
-def transmutation_kernel_residual(family: str, row, params=None,
-                                  w0=None, composed=None) -> float:
-    """|(weight*F_target)(A f)| / scale for f in the kernel of F_source.
+def transmutation_kernel_residual(family: str, C: DiffOperator) -> float:
+    """|C f| / scale for f in the kernel of F_source, where C is the
+    composition (weight*F_target) o A of a transmutation row, the second
+    of :func:`transmutation_sides`.
 
-    By the intertwining identity this composition annihilates every
-    kernel element of the source operator; the residual measures how
-    well the numerically evaluated solution satisfies that.  `composed`
-    is (weight*F_target) o A when the caller has built it already (the
-    second of :func:`transmutation_sides`).
+    By the intertwining identity C annihilates every kernel element of
+    the source operator; the residual measures how well the numerically
+    evaluated solution satisfies that.
     """
-    w0 = TRANSMUTATION_POINT[family] if w0 is None else w0
-    assign = _param_assign(family, params)
+    w0 = TRANSMUTATION_POINT[family]
+    assign = _param_assign(family)
     pvals = tuple(assign[n] for n in fam.PARAM_NAMES[family])
-    C = composed
-    if C is None:
-        Ftgt = fam.make_operator_expr(family, "w", row.target)
-        C = op_compose(Ftgt.scale(RatFun(row.weight)), row.A)
     f = N.NORMALIZED[family, "plain"](*pvals,
                                       Jet.variable(w0, C.order() + 1))
     assign["w"] = w0
@@ -267,16 +261,15 @@ def transmutation_kernel_residual(family: str, row, params=None,
     return abs(total) / scale
 
 
-def recurrence_residual(family: str, row, params=None, points=None) -> float:
+def recurrence_residual(family: str, row) -> float:
     """Worst relative error of  A f_norm = coeff * f_norm(shifted)."""
-    assign0 = _param_assign(family, params)
-    points = RECURRENCE_POINTS[family] if points is None else points
+    assign0 = _param_assign(family)
     norm = N.NORMALIZED[family, row.normalization]
     pvals = tuple(assign0[n] for n in fam.PARAM_NAMES[family])
     tvals = tuple(t.eval_numeric(assign0) for t in row.target)
     coeff = row.coeff.eval_numeric(assign0)
     worst = 0.0
-    for w0 in points:
+    for w0 in RECURRENCE_POINTS[family]:
         f = norm(*pvals, Jet.variable(w0, max(2, row.A.order() + 1)))
         assign = dict(assign0, w=w0)
         lhs, scale = jet_apply(row.A, f, assign)
@@ -286,8 +279,7 @@ def recurrence_residual(family: str, row, params=None, points=None) -> float:
     return worst
 
 
-def symmetry_algebraic_residual(family: str, row, params=None,
-                                points=None, exponents=None) -> float:
+def symmetry_algebraic_residual(family: str, row) -> float:
     """Numeric check of the algebraic (square-root) symmetries.
 
     The substitution is w = s*v/sqrt(v^2-1) (s = row.algebraic_sign),
@@ -298,14 +290,12 @@ def symmetry_algebraic_residual(family: str, row, params=None,
     """
     if family != "gegenbauer":
         raise ValueError("algebraic symmetry rows exist only for gegenbauer")
-    assign0 = _param_assign(family, params)
-    points = SYMMETRY_POINTS_GEG if points is None else points
-    exponents = SYMMETRY_TEST_EXPONENTS if exponents is None else exponents
+    assign0 = _param_assign(family)
     sgn = row.algebraic_sign
     Fsrc = fam.make_operator_expr(family, "w", fam.symbolic_params(family))
     Ftgt = fam.make_operator_expr(family, "v", row.target)
     worst = 0.0
-    for v0 in points:
+    for v0 in SYMMETRY_POINTS_GEG:
         s0 = cmath.sqrt(v0 * v0 - 1)
         w0 = sgn * v0 / s0
         # local inverse branch: v = sgn*w/(eps*sqrt(w^2-1)) with
@@ -327,7 +317,7 @@ def symmetry_algebraic_residual(family: str, row, params=None,
         pref = row.prefactor.eval_numeric(dict(assign0, v=v0)) * row.sign
         assign_w = dict(assign0, w=w0)
         assign_v = dict(assign0, v=v0)
-        for c in exponents:
+        for c in SYMMETRY_TEST_EXPONENTS:
             ghat = jexp(vjet_of_w * c)          # (g o phi^{-1})(w)
             lhs, scale_l = jet_apply(Fsrc, ghat, assign_w)
             # rows encode substitute(F) = sign*pref * m F_target m^{-1}
@@ -428,8 +418,7 @@ def suite_transmutations(family=None, seed=0, tol=1e-8) -> SuiteReport:
                                       "pass" if lhs == rhs else "fail"))
             checks.append(_numeric_check(
                 row.id + ":kernel", row.location,
-                lambda f=f, row=row, rhs=rhs:
-                transmutation_kernel_residual(f, row, composed=rhs),
+                lambda f=f, rhs=rhs: transmutation_kernel_residual(f, rhs),
                 tol))
     return SuiteReport("transmutations", family or "all", seed, checks)
 

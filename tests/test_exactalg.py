@@ -264,8 +264,8 @@ def test_op_compose_matches_term_by_term_generated(A, B):
 
 def test_op_compose_product_rule():
     w = MultiPoly.var("w")
-    D = DiffOperator.d("w")
-    Mw = DiffOperator.mult("w", RatFun(w))
+    D = _op("w", MultiPoly(), MultiPoly.const(1))
+    Mw = _op("w", w)
     # [d, w] = 1
     comm = op_compose(D, Mw) - op_compose(Mw, D)
     assert comm == DiffOperator.identity("w")
@@ -292,7 +292,7 @@ def test_op_conjugate_power_multiplier():
 def test_op_conjugate_exp_multiplier():
     # e^{-x} o d o e^{x} = d + 1
     m = Multiplier.exp("w", 0, 1, 0)
-    conj = op_conjugate(DiffOperator.d("w"), m)
+    conj = op_conjugate(_op("w", MultiPoly(), MultiPoly.const(1)), m)
     assert conj == _op("w", MultiPoly.const(1), MultiPoly.const(1))
 
 

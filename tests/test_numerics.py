@@ -1027,3 +1027,25 @@ def test_solution_expressions_agree_spot():
     v0 = N.eval_solution(d, w, 0)
     v1 = N.eval_solution(d, w, 1)
     assert abs(v0 - v1) < 1e-10 * abs(v0)
+
+
+@pytest.mark.parametrize("family", sorted(SOLUTION_COUNTS))
+def test_solution_expressions_agree_at_the_residual_points(family):
+    """Every two expressions of a standard solution agree at the residual
+    suite's sample points, or one of them raises a typed error."""
+    from hyperclass.verify import _residual_point_sampler
+    for d in N.standard_solutions(family, SOLUTION_PARAMS[family]):
+        for seed in (0, 1, 3):
+            sampler = _residual_point_sampler(
+                family, d.key, random.Random((seed, family, d.key).__repr__()))
+            for _ in range(20):
+                w = sampler()
+                vals = []
+                for expr in range(len(d.expressions)):
+                    try:
+                        vals.append(N.eval_solution(d, w, expr))
+                    except N.NumericsError:
+                        pass
+                for v in vals[1:]:
+                    assert abs(v - vals[0]) <= 1e-9 * abs(vals[0]), \
+                        (d.key, w, v, vals[0])

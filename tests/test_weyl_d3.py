@@ -1,7 +1,7 @@
 """The W(D3) table of numerics, which generates Kummer's 24 solutions of
-the 2F1 equation and its continuation routes: a group of signed
-permutations acting on w through the anharmonic maps, and the same 24
-elements as the transcribed symmetry rows of the families catalog."""
+the 2F1 equation, its continuation routes and the symmetry rows of the
+families catalog: a group of signed permutations acting on w through the
+anharmonic maps, and on the roots of D3, the transmutation shifts."""
 
 from fractions import Fraction
 from itertools import product
@@ -11,7 +11,7 @@ from hyperclass.exactalg import GaussRational, MultiPoly
 from hyperclass.families import catalog
 
 ELEMENTS = [e for elems in N._W_D3.values() for e in elems]
-# signed slots -> (slots, z(w), prefactor), as numerics derives them
+# signed slots -> (slots, z(w), prefactor factors), as numerics derives them
 DERIVED = {el[0]: el for els in N._KUMMER.values() for el in els}
 # rational points off 0, 1 and the poles of every anharmonic map
 POINTS = (Fraction(2, 7), Fraction(-5, 3), Fraction(9, 4))
@@ -70,7 +70,7 @@ def test_moebius_map_is_a_homomorphism_onto_the_anharmonic_maps():
 
 
 # ---------------------------------------------------------------------------
-# The transcribed symmetry rows as the oracle
+# The symmetry rows generated from the table
 # ---------------------------------------------------------------------------
 
 SYMBOLS = (MultiPoly.const(1),) + tuple(
@@ -84,21 +84,15 @@ def target(e) -> tuple:
 def prefactor_exponents(element) -> tuple:
     """The exponents at w = 0, 1 and infinity of the prefactor
     (+-w)^x (1-w)^y of a _KUMMER element: x, y and -(x + y), as MultiPoly,
-    read exactly from the table's doubled form (d_0, signed slots).  The
-    base of the w-factor is -w when the element takes infinity to 0."""
-    slots, _, factors = element
-    x = y = MultiPoly()
-    w = Fraction(2, 7)
-    for base, d0, ks in factors:
-        poly = MultiPoly.const(Fraction(d0, 2))
+    read exactly from the table's doubled form (d_0, signed slots) at the
+    point, 0 or 1, that the table records for each factor."""
+    at = [MultiPoly(), MultiPoly()]
+    for j, _, d0, ks in element[2]:
+        at[j] = MultiPoly.const(Fraction(d0, 2))
         for k in ks:
-            poly = poly + SYMBOLS[abs(k)].scale(Fraction(1 if k > 0 else -1, 2))
-        if base(w) == 1 - w:
-            y = poly
-        else:
-            assert base(w) == (-w if perm(slots)[0] == 2 else w)
-            x = poly
-    return x, y, -(x + y)
+            half = Fraction(1 if k > 0 else -1, 2)
+            at[j] = at[j] + SYMBOLS[abs(k)].scale(half)
+    return at[0], at[1], -(at[0] + at[1])
 
 
 def multiplier_exponents(row) -> tuple:
@@ -136,3 +130,44 @@ def test_symmetry_rows_are_the_table_elements():
         # v = 0 and v = 1 are the images of w = pi(0) and w = pi(1)
         at = prefactor_exponents(element)
         assert multiplier_exponents(row) == (at[pi[0]], at[pi[1]]), row.id
+
+
+def test_symmetry_row_ids_run_over_substitutions_then_signs():
+    rows = catalog("2f1").symmetries
+    assert [row.location for row in rows[:4]] == [
+        "w=v, (a,b,m)", "w=v, (-a,-b,m)", "w=v, (a,-b,-m)", "w=v, (-a,b,-m)"]
+    assert [row.location for row in rows[::4]] == [
+        "w=v, (a,b,m)", "w=1-v, (b,a,m)", "w=1/v, (m,b,a)",
+        "w=(v-1)/v, (m,a,b)", "w=1/(1-v), (b,m,a)", "w=v/(v-1), (a,m,b)"]
+
+
+
+# ---------------------------------------------------------------------------
+# The roots
+# ---------------------------------------------------------------------------
+
+def roots() -> set:
+    """The shifts target - p of the 2F1 transmutation rows."""
+    p = SYMBOLS[1:]
+    return {tuple((t - x).eval_numeric({}) for t, x in zip(row.target, p))
+            for row in catalog("2f1").transmutations}
+
+
+def test_transmutation_shifts_are_the_roots_of_d3():
+    expected = set()
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for si, sj in product((1, -1), repeat=2):
+            r = [0, 0, 0]
+            r[i], r[j] = si, sj
+            expected.add(tuple(r))
+    assert roots() == expected
+
+
+def test_symmetry_rows_map_the_roots_onto_themselves():
+    # a row's target is its signed permutation of (alpha, beta, mu)
+    shifts = roots()
+    assert len(shifts) == 12
+    for row in catalog("2f1").symmetries:
+        image = {tuple(t.eval_numeric(dict(zip(("alpha", "beta", "mu"), r)))
+                       for t in row.target) for r in shifts}
+        assert image == shifts, row.id

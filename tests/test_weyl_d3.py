@@ -141,7 +141,6 @@ def test_symmetry_row_ids_run_over_substitutions_then_signs():
         "w=(v-1)/v, (m,a,b)", "w=1/(1-v), (b,m,a)", "w=v/(v-1), (a,m,b)"]
 
 
-
 # ---------------------------------------------------------------------------
 # The roots
 # ---------------------------------------------------------------------------

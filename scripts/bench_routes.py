@@ -1,0 +1,246 @@
+"""Compare the routed evaluators of two revisions in one process, per route.
+
+    python3 scripts/bench_routes.py [--parent HEAD~] [--change REV]
+        [--seeds 1 2 701 702 703] [--out FILE]
+
+The parent's ``src/`` is unpacked with ``git archive`` into a scratch
+directory; the change is the working tree's ``src/``, or REV's unpacked the
+same way (``--change HEAD~`` against ``--parent HEAD~`` is an A/A run).
+Both packages are loaded in this process under their own names, so that a
+per-route timing does not carry the noise of two processes.  Each side is
+loaded COPIES times: in A/A runs with one copy per side, two copies of
+the same source read a route up to 2% apart, and the interval below takes
+that spread in.
+
+Every ``perfbench/inputs.eval_points(seed)`` point whose evaluator is a
+routed function (``_eval_2F1_routed``, also under ``eval_geg_S``;
+``_tricomi``, ``_conf_minus_inf``, ``_hermite_S`` and ``_0f1_tilde`` at
+tol 1e-11, the public evaluators' default) runs on both sides.  Its
+outcome, the (value, route, estimate) triple or the raised exception's
+type and message, must be bitwise the same: a parent's 2F1 pair (value,
+route) counts as (value, route, None).  Then each point runs on every
+pair of copies, twice on each side in the order ABBA or BAAB, and its
+ratio is the geometric mean over the pairs of the change's time over the
+parent's.
+
+The report groups the points by the function and the route the change
+took, e.g. ``tricomi/series``: the point count, the number of outcomes
+that are not bitwise equal, each side's median time, the median ratio and
+a 95% bootstrap interval of that median, which resamples the copy pairs
+and the points.  Standard library only; it reads ``perfbench/`` and
+changes nothing there.  Exits 1 if any outcome differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import json
+import math
+import os
+import random
+import statistics
+import struct
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOL = 1e-11
+BOOTSTRAP = 2000
+COPIES = 4
+
+
+def unpack_src(rev: str, dest: str) -> str:
+    """``git archive`` of REV's ``src/`` into ``dest``; returns the src
+    directory."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+    return os.path.join(dest, "src")
+
+
+def load_package(alias: str, src: str):
+    """The ``hyperclass`` package under ``src`` imported as ``alias``, with
+    its numerics module: its relative imports resolve inside it."""
+    pkg = os.path.join(src, "hyperclass")
+    spec = importlib.util.spec_from_file_location(
+        alias, os.path.join(pkg, "__init__.py"),
+        submodule_search_locations=[pkg])
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = mod
+    spec.loader.exec_module(mod)
+    return importlib.import_module(alias + ".numerics")
+
+
+def load_inputs():
+    path = os.path.join(ROOT, "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("_bench_inputs", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+# public evaluator -> (name, routed call on a numerics module)
+ROUTED = {
+    "eval_2F1": ("2f1", lambda N, p, w: N._eval_2F1_routed(*p, w)),
+    "eval_geg_S": ("geg", lambda N, p, w:
+                   N._eval_2F1_routed(*N._geg_2f1_args(*p, w))),
+    "eval_tricomi": ("tricomi", lambda N, p, w: N._tricomi(*p, w, TOL)),
+    "eval_conf_minus_inf": ("conf_minus_inf",
+                            lambda N, p, w: N._conf_minus_inf(*p, w, TOL)),
+    "eval_hermite_S": ("hermite", lambda N, p, w: N._hermite_S(*p, w, TOL)),
+    "eval_0f1_tilde": ("0f1_tilde", lambda N, p, w: N._0f1_tilde(*p, w, TOL)),
+}
+
+
+def _bits(x):
+    """A key that is equal only for bitwise equal values: floats and
+    complex numbers by their IEEE bytes, so -0.0 and NaN count."""
+    if isinstance(x, complex):
+        return struct.pack("<dd", x.real, x.imag)
+    if isinstance(x, float):
+        return struct.pack("<d", x)
+    return x
+
+
+def outcome(call, N, params, w):
+    """(route, bitwise key) of one routed call; a raised NumericsError or
+    ArithmeticError is the route "error" and its type and message."""
+    try:
+        got = tuple(call(N, params, w))
+    except (N.NumericsError, ArithmeticError) as exc:
+        return "error", (type(exc).__name__, str(exc))
+    if len(got) == 2:
+        got += (None,)
+    return got[1], tuple(map(_bits, got))
+
+
+def _time(call, N, params, w) -> float:
+    t0 = time.perf_counter()
+    try:
+        call(N, params, w)
+    except (N.NumericsError, ArithmeticError):
+        pass
+    return time.perf_counter() - t0
+
+
+def points(inputs, seeds):
+    """(group name, call, params, w) of every routed eval point."""
+    out = []
+    for seed in seeds:
+        for pt in inputs.eval_points(seed):
+            if pt["fn"] in ROUTED:
+                name, call = ROUTED[pt["fn"]]
+                out.append((name, call, [inputs.cval(p) for p in pt["params"]],
+                            inputs.cval(pt["w"])))
+    return out
+
+
+def bootstrap(logs, rng, n=BOOTSTRAP):
+    """The 2.5% and 97.5% quantiles of the median ratio when the copy
+    pairs and then the points are resampled with replacement ``n`` times;
+    ``logs[i][k]`` is the log ratio of point i on copy pair k."""
+    copies = len(logs[0])
+    means = {}
+    meds = []
+    for _ in range(n):
+        pick = tuple(sorted(rng.choices(range(copies), k=copies)))
+        if pick not in means:
+            means[pick] = [sum(row[k] for k in pick) / copies for row in logs]
+        meds.append(statistics.median(
+            rng.choices(means[pick], k=len(logs))))
+    meds.sort()
+    return math.exp(meds[int(0.025 * n)]), math.exp(meds[int(0.975 * n) - 1])
+
+
+def compare(parents, changes, pts, seed: int = 0) -> dict:
+    """The per-route report over ``pts`` of two sides, each a list of
+    numerics modules loaded from one source."""
+    groups = {}
+    for name, call, params, w in pts:
+        route, want = outcome(call, parents[0], params, w)
+        route, got = outcome(call, changes[0], params, w)
+        groups.setdefault(f"{name}/{route}", []).append(
+            (call, params, w, got != want))
+    rng = random.Random(seed)
+    report = {}
+    gc.disable()
+    try:
+        for key in sorted(groups):
+            logs, spent = [], ([], [])
+            for i, (call, params, w, _) in enumerate(groups[key]):
+                row, total = [], [0.0, 0.0]
+                for k, pair in enumerate(zip(parents, changes)):
+                    t = [0.0, 0.0]
+                    for side in ((0, 1, 1, 0), (1, 0, 0, 1))[(i + k) % 2]:
+                        t[side] += _time(call, pair[side], params, w)
+                    row.append(math.log(t[1] / t[0]))
+                    total = [total[0] + t[0], total[1] + t[1]]
+                logs.append(row)
+                for side in (0, 1):
+                    spent[side].append(total[side] / (2 * len(row)))
+            lo, hi = bootstrap(logs, rng)
+            report[key] = {
+                "points": len(logs),
+                "not_bitwise_equal": sum(g[3] for g in groups[key]),
+                "parent_us": 1e6 * statistics.median(spent[0]),
+                "change_us": 1e6 * statistics.median(spent[1]),
+                "median_ratio": math.exp(statistics.median(
+                    sum(row) / len(row) for row in logs)),
+                "interval": [lo, hi]}
+    finally:
+        gc.enable()
+    return report
+
+
+def table(report: dict) -> str:
+    lines = [f"{'route':26s} {'points':>6s} {'unequal':>7s} {'parent':>7s} "
+             f"{'change':>7s} {'ratio':>6s}  95% interval"]
+    for key, r in report.items():
+        lo, hi = r["interval"]
+        lines.append(f"{key:26s} {r['points']:6d} "
+                     f"{r['not_bitwise_equal']:7d} {r['parent_us']:5.1f}us "
+                     f"{r['change_us']:5.1f}us {r['median_ratio']:6.3f}"
+                     f"  [{lo:.3f}, {hi:.3f}]")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", default="HEAD~")
+    ap.add_argument("--change", default=None,
+                    help="a revision; the working tree's src/ if omitted")
+    ap.add_argument("--seeds", type=int, nargs="+",
+                    default=[1, 2, 701, 702, 703])
+    ap.add_argument("--out", default=None, help="JSON file for the report")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        sources = []
+        for side, rev in (("parent", args.parent), ("change", args.change)):
+            os.mkdir(os.path.join(scratch, side))
+            sources.append(os.path.join(ROOT, "src") if rev is None
+                           else unpack_src(rev, os.path.join(scratch, side)))
+        # the two sides' copies load in turn, so neither sits in one block
+        sides = ([], [])
+        for k in range(COPIES):
+            for side, name in enumerate(("parent", "change")):
+                sides[side].append(load_package(f"hyperclass_{name}_{k}",
+                                                sources[side]))
+        report = compare(*sides, points(load_inputs(), args.seeds))
+    print(table(report))
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump({"parent": args.parent,
+                       "change": args.change or "working tree",
+                       "seeds": args.seeds, "copies": COPIES,
+                       "routes": report}, fh, indent=1)
+            fh.write("\n")
+    return 1 if any(r["not_bitwise_equal"] for r in report.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

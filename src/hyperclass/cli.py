@@ -172,14 +172,14 @@ def cmd_eval(args) -> int:
         print(f"method: normalized({args.norm})")
         print(f"error: {1e-13 * abs(v):.2e}")
         return EXIT_OK
-    methods = N.EVALUATORS[family]
+    run, methods, nominal = N.EVALUATORS[family]
     if args.method not in methods:
         raise UsageError(
             f"method {args.method!r} is not available for {family}")
-    v, route, err = methods[args.method](lie, w, tol)
+    v, route, est = run(lie, w, tol, args.method)
     print(fmt_complex(v))
     print(f"method: {route}")
-    print(f"error: {err:.2e}")
+    print(f"error: {(nominal if est is None else est) * abs(v):.2e}")
     return EXIT_OK
 
 
@@ -288,10 +288,11 @@ def cmd_plotdata(args) -> int:
     if n < 1:
         raise UsageError("--n must be at least 1")
     tol = 1e-11 * _tol_scale()
+    run = N.EVALUATORS[family][0]
     for k in range(n):
         t = 0 if n == 1 else k / (n - 1)
         w = z0 + (z1 - z0) * t
-        v = complex(N.EVALUATORS[family]["auto"](lie, w, tol)[0])
+        v = complex(run(lie, w, tol, "auto")[0])
         print(f"{w.real:.15g},{w.imag:.15g},{v.real:.15g},{v.imag:.15g}")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .jet import Jet, _jet
 
@@ -177,9 +177,60 @@ def require_finite(*args) -> None:
     quadrature drops a NaN node as a failed one and would return 0 or NaN
     without an error."""
     for x in args:
-        for c in (x.coeffs if type(x) is Jet else (x,)):
+        if type(x) is not Jet:
+            if not cmath.isfinite(x):
+                raise DomainError(f"non-finite argument {x}")
+            continue
+        for c in x.coeffs:
             if not cmath.isfinite(c):
                 raise DomainError(f"non-finite argument {c}")
+
+
+class _Step(NamedTuple):
+    """A route of a routed evaluator; `fn(*args, tol)` returns (value,
+    relative estimate or None)."""
+    route: str
+    fn: Callable
+    guard: Optional[Callable] = None
+    scalar: bool = False
+
+
+def _ladder(steps, args, tol, method="auto", check=None):
+    """(value, route, relative estimate) at `args` (w last) by the first
+    of `steps` that accepts them, once they are finite and `check(*args)`
+    has passed.  Auto skips a step whose guard(*args, tol) is false, or a
+    `scalar` one on a Jet, and rejects one that raises NumericsError or
+    ArithmeticError or whose estimate exceeds tol; the last failure
+    propagates.  Another `method` runs only that step, without guard or
+    gate: a ConvergenceError with an `estimate` gives its `best`."""
+    require_finite(*args)
+    if check is not None:
+        check(*args)
+    if method != "auto":
+        (fn,) = [s.fn for s in steps if s.route == method]
+        try:
+            value, est = fn(*args, tol)
+        except ConvergenceError as exc:
+            if exc.estimate is None:
+                raise
+            value, est = exc.best, exc.estimate
+        return value, method, est
+    jet = type(args[-1]) is Jet
+    failure = None
+    call = args + (tol,)
+    for route, fn, guard, scalar in steps:
+        if scalar and jet or guard is not None and not guard(*call):
+            continue
+        try:
+            value, est = fn(*call)
+        except (NumericsError, ArithmeticError) as exc:
+            failure = exc
+            continue
+        if est is None or est <= tol:
+            return value, route, est
+        failure = ConvergenceError(f"{route} estimate {est:.2e} misses tol",
+                                   best=value, estimate=est)
+    raise failure or DomainError("no route applies")
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +564,10 @@ def _near_integer(z: complex) -> bool:
         and abs(z.real - round(z.real)) < _DEGENERACY_EPS
 
 
+def _series_2f1(al, be, mu, w):
+    return hyp2f1_series(*_lie_abc(al, be, mu), w)
+
+
 def _series_or_pfaff(al, be, mu, z):
     """2F1 via direct series or Pfaff, requiring one of the two arguments
     to have modulus <= INNER_RADIUS."""
@@ -581,9 +636,8 @@ def _eval_2f1_taylor_fallback(al, be, mu, w):
     """Analytic continuation by Taylor stepping along a straight path.
 
     Works for any parameters (no gamma factors involved) and any w off
-    the cut [1, +infinity).  Used when the closed-form continuation
-    routes are unavailable (argument ring |w| ~ |1-w| ~ 1) or degenerate
-    (integer parameters).
+    the cut [1, +infinity): the argument ring |w| ~ |1-w| ~ 1, and the
+    connections that degenerate at integer parameters.
     """
     a, b, c = _lie_abc(al, be, mu)
     w0 = jvalue(w)
@@ -598,19 +652,12 @@ def _eval_2f1_taylor_fallback(al, be, mu, w):
         max_step = 0.38 * dist
         cs = _taylor_coeffs_2f1(a, b, c, z, f0, f1, _TAYLOR_ORDER)
         if abs(remaining) <= max_step:
-            if is_jet(w):
-                h = w - z
-                total = Jet.constant(0.0, w.center, w.order)
-                power = Jet.constant(1.0, w.center, w.order)
-                for k in range(_TAYLOR_ORDER + 1):
-                    total = total + power * cs[k]
-                    power = power * h
-                return total
+            h = w - z           # the last step, a complex number or a Jet
             total = 0.0j
             power = 1.0 + 0.0j
             for k in range(_TAYLOR_ORDER + 1):
                 total += cs[k] * power
-                power *= remaining
+                power *= h
             return total
         h = remaining / abs(remaining) * max_step
         nf0 = 0.0j
@@ -626,37 +673,41 @@ def _eval_2f1_taylor_fallback(al, be, mu, w):
     raise ConvergenceError("Taylor continuation did not reach the target")
 
 
-def _eval_2F1_routed(al, be, mu, w):
-    """`eval_2F1` with its route: "series", "pfaff", "inf" (the basis at
-    infinity), "one" (the basis at 1) or "taylor" (Taylor stepping, also
-    the fallback after a degenerate connection)."""
-    w0 = jvalue(w)
-    a, b, c = _lie_abc(al, be, mu)
-    if is_nonpositive_integer(c):
+def _far_bounds_2f1(w0):
+    """min(1/|w|, 1/|1-w|) and min(|1-w|, |1-w|/|w|), the moduli of the
+    inner arguments at infinity and at 1, without a division by zero."""
+    return 1 / max(abs(w0), abs(1 - w0)), abs(1 - w0) / max(abs(w0), 1)
+
+
+def _2f1_check(al, be, mu, w):
+    if is_nonpositive_integer(1 + _as_complex(al)):
         raise GammaPoleError("lower parameter c is a non-positive integer")
-    if abs(w0) <= SERIES_RADIUS:
-        return hyp2f1_series(a, b, c, w), "series"
-    if w0 != 1 and abs(w0 / (w0 - 1)) <= SERIES_RADIUS:
-        return _series_or_pfaff(al, be, mu, w), "pfaff"
-    if abs(w0 - 1) < 1e-13:
+    if abs(jvalue(w) - 1) < 1e-13:
         raise DomainError("argument at the singular point 1")
-    b_inf = min(1 / abs(w0), 1 / abs(1 - w0))
-    b_one = min(abs(1 - w0), abs(1 - w0) / abs(w0))
-    routes = sorted((("inf", b_inf), ("one", b_one)), key=lambda kv: kv[1])
-    for name, bound in routes:
-        if bound > INNER_RADIUS:
-            continue
-        try:
-            if name == "inf":
-                if w0.imag == 0 and w0.real >= 0:
-                    raise DomainError("infinity route needs w off [0, inf)")
-                return _eval_2f1_inf_route(al, be, mu, w), name
-            return _eval_2f1_one_route(al, be, mu, w), name
-        except (DegeneracyError, DomainError):
-            pass
-    # universal fallback: ODE-based Taylor stepping (handles the ring
-    # |w| ~ |1-w| ~ 1 and integer-parameter degeneracies alike)
-    return _eval_2f1_taylor_fallback(al, be, mu, w), "taylor"
+
+
+# a = (al, be, mu, w, tol); inf and one where their inner argument is
+# within INNER_RADIUS, and inf off [0, inf)
+_2F1_STEPS = (
+    _Step("series", lambda *a: (_series_2f1(*a[:4]), None),
+          lambda *a: jabs(a[3]) <= SERIES_RADIUS),
+    _Step("pfaff", lambda *a: (_series_or_pfaff(*a[:4]), None),
+          lambda *a: abs(jvalue(a[3]) / (jvalue(a[3]) - 1)) <= SERIES_RADIUS),
+    _Step("inf", lambda *a: (_eval_2f1_inf_route(*a[:4]), None),
+          lambda *a: _far_bounds_2f1(jvalue(a[3]))[0] <= INNER_RADIUS
+          and not jvalue(a[3]).imag == 0 <= jvalue(a[3]).real),
+    _Step("one", lambda *a: (_eval_2f1_one_route(*a[:4]), None),
+          lambda *a: _far_bounds_2f1(jvalue(a[3]))[1] <= INNER_RADIUS),
+    _Step("taylor", lambda *a: (_eval_2f1_taylor_fallback(*a[:4]), None)))
+_2F1_STEPS_ONE_FIRST = tuple(_2F1_STEPS[i] for i in (0, 1, 3, 2, 4))
+
+
+def _eval_2F1_routed(al, be, mu, w, method="auto"):
+    """`eval_2F1` with its route and estimate (None) by `_ladder`, with
+    inf and one in the order of their bounds."""
+    b_inf, b_one = _far_bounds_2f1(jvalue(w))
+    return _ladder(_2F1_STEPS_ONE_FIRST if b_one < b_inf else _2F1_STEPS,
+                   (al, be, mu, w), None, method, _2f1_check)
 
 
 def eval_2F1(al, be, mu, w):
@@ -792,9 +843,31 @@ ASYMPTOTIC_CROSSOVER = 4.0
 _EPS = 2.0 ** -52
 
 
-def _try_asymptotic(value_err, tol):
-    value, err = value_err
-    return (value, err) if err <= tol * max(jabs(value), 1e-300) else None
+def _asymptotic(power, sum_err, tol):
+    """power times a 2F0 sum with the sum's estimate, if that meets tol
+    relative to the sum; else a ConvergenceError that carries both."""
+    total, err = sum_err
+    value = power * total
+    if err <= tol * max(jabs(total), 1e-300):
+        return value, err
+    raise ConvergenceError("asymptotic sum misses tol", best=value,
+                           estimate=err)
+
+
+def _quadrature(name):
+    """The step that integrates by `quadrature.<name>(*args, tol)`, with
+    tol as its estimate; the module is imported only where it runs."""
+    def fn(*args):
+        from . import quadrature
+        return getattr(quadrature, name)(*args), args[-1]
+    return _Step("quadrature", fn)
+
+
+def _off_the_cut(*args):
+    """A `_ladder` check: DomainError where w lies on the cut (-inf, 0]."""
+    w0 = jvalue(args[-1])
+    if w0.imag == 0 and w0.real <= 0:
+        raise DomainError("solution evaluated on its cut")
 
 
 def _sinpi_rounding(z) -> float:
@@ -942,26 +1015,6 @@ def _0f1_tilde_series(al, w):
     return value, _estimate(value, err, al)
 
 
-def _certified(fn, args, w, tol, route="series"):
-    """(value, route, relative estimate) of `fn(*args)` if its estimate
-    meets `tol`, else None; None at a Jet w too, so that the verify suites,
-    which evaluate on jets, still exercise the quadrature.
-
-    The solutions at infinity try the asymptotic sum, then the connection
-    series and Steed's continued fraction (`_tricomi_cf`, route "cf"),
-    each through here, then their quadrature (at -infinity, the Tricomi
-    solution's under 1f1:sym:03)."""
-    if type(w) is Jet:
-        return None
-    try:
-        value, est = fn(*args)
-    except (NumericsError, ArithmeticError):
-        # a degenerate point (sin(pi al) = 0, a gamma pole), or terms that
-        # do not fit a double
-        return None
-    return (value, route, est) if est <= tol else None
-
-
 _CF_MAX_TERMS = 200
 # Re sqrt z below which e^{-2 Re sqrt(z) sqrt(n)}, the decay of the steps
 # for large n, cannot reach _EPS within _CF_MAX_TERMS steps (about 1.27)
@@ -982,13 +1035,11 @@ def _tricomi_cf(th, al, z):
     finite first (the coefficients grow like n!, so at small |z| or near
     the cut, about 170 steps in) or after _CF_MAX_TERMS steps.
 
-    For large n the steps fall like e^{-2 x sqrt n}, x = Re sqrt z; before
-    that they can dip below _EPS |s| and rise again, so that near the cut
-    (x below 0.2) a stop missed the value by up to 170 times its estimate.
-    So it raises at once where x < _CF_MIN_RE_SQRT, and the estimate
-    bounds the tail after a stop at step i by |step| sqrt(i) / x, the sum of
-    that decay.  The estimate, in units of _EPS, is (8 + steps) times the
-    sum of the |step| over |s|, plus that tail bound and the rounding of
+    For large n the steps fall like e^{-2 x sqrt n}, x = Re sqrt z, but
+    before that they can dip below _EPS |s| and rise again: it raises at
+    once where x < _CF_MIN_RE_SQRT.  The estimate, in units of _EPS, is
+    (8 + steps) times the sum of the |step| over |s|, plus |step| sqrt(i)
+    / x, a bound on the tail after a stop at step i, and the rounding of
     z^-a."""
     z = _as_complex(z)
     x = cmath.sqrt(z).real
@@ -1047,25 +1098,20 @@ def _0f1_tilde_cf(al, w):
         _pow_rounding(2, e) + abs(x) + 3)
 
 
+_TRICOMI_STEPS = (
+    _Step("asymptotic", lambda th, al, w, tol: _asymptotic(
+        jpow(w, (-1 - th - al) / 2), tilde_F_2f0(th, al, -1 / w, tol), tol),
+        lambda th, al, w, tol: jabs(w) >= ASYMPTOTIC_CROSSOVER),
+    _Step("series", lambda th, al, w, tol: _tricomi_series(th, al, w),
+          scalar=True),
+    _Step("cf", lambda th, al, w, tol: _tricomi_cf(th, al, w), scalar=True),
+    _quadrature("tricomi_solution"))
+
+
 def _tricomi(th, al, w, tol):
-    """`eval_tricomi` with its route ("asymptotic", "series", "cf" or
-    "quadrature") and relative estimate (`_certified`)."""
-    require_finite(th, al, w)
-    th = _as_complex(th)
-    al = _as_complex(al)
-    w0 = jvalue(w)
-    if w0.imag == 0 and w0.real <= 0:
-        raise DomainError("Tricomi solution evaluated on its cut")
-    if abs(w0) >= ASYMPTOTIC_CROSSOVER:
-        got = _try_asymptotic(tilde_F_2f0(th, al, -1 / w, tol), tol)
-        if got is not None:
-            return jpow(w, (-1 - th - al) / 2) * got[0], "asymptotic", got[1]
-    got = _certified(_tricomi_series, (th, al, w), w, tol) \
-        or _certified(_tricomi_cf, (th, al, w0), w, tol, "cf")
-    if got is not None:
-        return got
-    from . import quadrature
-    return quadrature.tricomi_solution(th, al, w, tol), "quadrature", tol
+    """`eval_tricomi` with its route and relative estimate."""
+    return _ladder(_TRICOMI_STEPS, (_as_complex(th), _as_complex(al), w), tol,
+                   check=_off_the_cut)
 
 
 def eval_tricomi(th, al, w, tol: float = 1e-11):
@@ -1077,11 +1123,8 @@ def eval_tricomi(th, al, w, tol: float = 1e-11):
 def _conf_minus_inf(th, al, w, tol):
     """`eval_conf_minus_inf` with its route and relative estimate: the
     image e^w U_{-th,al}(-w) of `_tricomi` under the sign symmetry
-    1f1:sym:03 (w = -v, target (-th, al), multiplier e^-v)."""
-    require_finite(th, al, w)
-    w0 = jvalue(w)
-    if w0.imag == 0 and w0.real >= 0:
-        raise DomainError("solution evaluated on its cut [0, inf)")
+    1f1:sym:03 (w = -v, target (-th, al), multiplier e^-v), whose cut
+    [0, inf) is the image of the Tricomi solution's."""
     value, route, est = _tricomi(-th, al, -w, tol)
     return jexp(w) * value, route, est
 
@@ -1106,55 +1149,40 @@ def _hermite_series_fits(la, z) -> bool:
     return x <= 1.0 or x + (s * la.real - 0.25) * math.log(x) <= 715.0
 
 
-def _hermite_S(la, w, tol, forced=None):
-    """S_lambda(w) with its route and a relative error estimate.
-
-    S_lambda is entire: the Hermite equation has no finite singular
-    point.  Under the quadratic link (link:herm-1f1) it is the Tricomi
-    solution at (theta, alpha) = (lambda, -1/2) and z = w^2, whose
-    connection series (`_tricomi_series`) holds on the whole plane with w
-    standing for (w^2)^{1/2}.  The asymptotic route, w^{-la-1/2}
-    2F0(la/2+3/4, la/2+1/4; -; -1/w^2), holds off (-inf, 0] only; it is
-    taken there at |w| >= ASYMPTOTIC_CROSSOVER when the estimate of its
-    2F0 sum meets `tol` relative to the sum.  At Re w > 0 Steed's
-    continued fraction (`_tricomi_cf` at z = w^2, route "cf") holds too;
-    its steps fall like e^{-2 Re(w) sqrt n}, so it takes about
-    (18.4 / Re w)^2 steps.  Auto tries it first at Re w >= 2 and
-    |w| < ASYMPTOTIC_CROSSOVER, where that is at most about 85 steps and
-    costs no more than the series (at |w| >= 3 and small |arg w| the
-    series cannot certify).  Then the series (`_certified`), unless its
-    terms do not fit a double (`_hermite_series_fits`) or |w| >=
-    ASYMPTOTIC_CROSSOVER and |arg w| <= pi/4, where it cannot certify; the
-    sum where it holds; and the quadrature route, which raises unless it
-    meets `tol`.  `forced` ("asymptotic" or "quadrature") runs that route
-    wherever it holds: a forced asymptotic sum on (-inf, 0] raises
-    DomainError.
-    """
-    require_finite(la, w)
-    la = _as_complex(la)
+def _hermite_asymptotic(la, w, tol):
     w0 = jvalue(w)
-    in_sector = w0.imag != 0 or w0.real > 0
-    if forced == "asymptotic" and not in_sector:
+    if w0.imag == 0 and w0.real <= 0:
         raise DomainError("asymptotic sum of S_lambda evaluated on "
                           "(-inf, 0]")
-    large = abs(w0) >= ASYMPTOTIC_CROSSOVER
-    z = w0 * w0
-    if forced is None and w0.real >= 2.0 and not large:
-        got = _certified(_tricomi_cf, (la, -0.5, z), w, tol, "cf")
-        if got is not None:
-            return got
-    if forced is None and not (large and w0.real >= abs(w0.imag)) \
-            and _hermite_series_fits(la, z):
-        got = _certified(_tricomi_series, (la, -0.5, z, w0), w, tol)
-        if got is not None:
-            return got
-    if forced == "asymptotic" or (forced is None and in_sector and large):
-        got = eval_2F0_asymptotic(la / 2 + 0.75, la / 2 + 0.25,
-                                  -1 / (w * w), tol)
-        if forced or _try_asymptotic(got, tol) is not None:
-            return jpow(w, -la - 0.5) * got[0], "asymptotic", got[1]
-    from . import quadrature
-    return quadrature.hermite_S_solution(la, w, tol), "quadrature", tol
+    return _asymptotic(jpow(w, -la - 0.5), eval_2F0_asymptotic(
+        la / 2 + 0.75, la / 2 + 0.25, -1 / (w * w), tol), tol)
+
+
+# cf takes about (18.4 / Re w)^2 steps, at most about 85 where it is tried;
+# the series cannot certify at |w| >= 4 and |arg w| <= pi/4
+_HERMITE_STEPS = (
+    _Step("cf", lambda la, w, tol:
+          _tricomi_cf(la, -0.5, jvalue(w) * jvalue(w)),
+          lambda la, w, tol: jvalue(w).real >= 2.0
+          and jabs(w) < ASYMPTOTIC_CROSSOVER, scalar=True),
+    _Step("series", lambda la, w, tol:
+          _tricomi_series(la, -0.5, jvalue(w) * jvalue(w), jvalue(w)),
+          lambda la, w, tol: not (jabs(w) >= ASYMPTOTIC_CROSSOVER
+                                  and jvalue(w).real >= abs(jvalue(w).imag))
+          and _hermite_series_fits(la, jvalue(w) * jvalue(w)), scalar=True),
+    _Step("asymptotic", _hermite_asymptotic,
+          lambda la, w, tol: jabs(w) >= ASYMPTOTIC_CROSSOVER),
+    _quadrature("hermite_S_solution"))
+
+
+def _hermite_S(la, w, tol, method="auto"):
+    """S_lambda(w) with its route and relative estimate; `method` forces a
+    step.  S_lambda is entire, and under link:herm-1f1 it is the Tricomi
+    solution at (lambda, -1/2) and z = w^2: the connection series holds on
+    the whole plane, with w for (w^2)^{1/2}, and the continued fraction at
+    Re w > 0.  The asymptotic sum holds off (-inf, 0] only, forced or not.
+    The quadrature returns tol as its estimate (ROADMAP item 1(a))."""
+    return _ladder(_HERMITE_STEPS, (_as_complex(la), w), tol, method)
 
 
 def eval_hermite_S(la, w, tol: float = 1e-11):
@@ -1163,41 +1191,31 @@ def eval_hermite_S(la, w, tol: float = 1e-11):
     return _hermite_S(la, w, tol)[0]
 
 
+def _0f1_tilde_asymptotic(al, w, tol):
+    sq = jsqrt(w)
+    return _asymptotic(jexp(-2 * sq) * jpow(w, -al / 2 - 0.25),
+                       tilde_F_2f0(0, 2 * al, -1 / (4 * sq), tol), tol)
+
+
+# At Re w > 0 the series' two terms cancel by about e^{4 Re sqrt w} (its
+# estimate was e^{3.2} to e^{4.7} times _EPS e^{4 Re sqrt w} over the
+# perfbench box): it cannot certify where _EPS e^{4 Re sqrt w + 3} misses
+# tol (capped below overflow).  cf needs |w| >= 0.17 to 0.66.
+_0F1_TILDE_STEPS = (
+    _Step("asymptotic", _0f1_tilde_asymptotic,
+          lambda al, w, tol: 4 * abs(cmath.sqrt(jvalue(w))) >= 25.0),
+    _Step("series", lambda al, w, tol: _0f1_tilde_series(al, w),
+          lambda al, w, tol: jvalue(w).real <= 0 or _EPS * math.exp(
+              min(4 * cmath.sqrt(jvalue(w)).real + 3, 700.0)) <= tol,
+          scalar=True),
+    _Step("cf", lambda al, w, tol: _0f1_tilde_cf(al, jvalue(w)), scalar=True),
+    _quadrature("bessel_tilde_solution"))
+
+
 def _0f1_tilde(al, w, tol):
-    """`eval_0f1_tilde` with its route and relative estimate, as
-    `_tricomi`; the quadrature route needs Re w > 0.  The continued
-    fraction (`_0f1_tilde_cf`) holds on the whole cut plane, because
-    4 sqrt w lies in the right half-plane, except where the real part of
-    the root of 4 sqrt w is below _CF_MIN_RE_SQRT (|w| < 0.17 on the
-    positive axis, < 0.66 near the cut)."""
-    require_finite(al, w)
-    al = _as_complex(al)
-    w0 = jvalue(w)
-    if w0.imag == 0 and w0.real <= 0:
-        raise DomainError("tilde solution evaluated on its cut")
-    if 4 * abs(cmath.sqrt(w0)) >= 25.0:
-        sq = jsqrt(w)
-        got = _try_asymptotic(tilde_F_2f0(0, 2 * al, -1 / (4 * sq), tol), tol)
-        if got is not None:
-            return jexp(-2 * sq) * jpow(w, -al / 2 - 0.25) * got[0], \
-                "asymptotic", got[1]
-    # at Re w > 0 the two terms of the series cancel by about
-    # e^{4 Re sqrt w}; over the perfbench box its estimate was e^{3.2} to
-    # e^{4.7} times _EPS e^{4 Re sqrt w}.  Where _EPS e^{4 Re sqrt w + 3}
-    # misses tol it cannot certify, so skip it (the exponent is capped
-    # below overflow, which a large alpha reaches past the asymptotic sum)
-    if w0.real <= 0 or _EPS * math.exp(
-            min(4 * cmath.sqrt(w0).real + 3, 700.0)) <= tol:
-        got = _certified(_0f1_tilde_series, (al, w), w, tol)
-        if got is not None:
-            return got
-    got = _certified(_0f1_tilde_cf, (al, w0), w, tol, "cf")
-    if got is not None:
-        return got
-    if w0.real <= 0:
-        raise DomainError("quadrature route needs Re w > 0")
-    from . import quadrature
-    return quadrature.bessel_tilde_solution(al, w, tol), "quadrature", tol
+    """`eval_0f1_tilde` with its route and relative estimate."""
+    return _ladder(_0F1_TILDE_STEPS, (_as_complex(al), w), tol,
+                   check=_off_the_cut)
 
 
 def eval_0f1_tilde(al, w, tol: float = 1e-11):
@@ -1210,45 +1228,25 @@ def eval_0f1_tilde(al, w, tol: float = 1e-11):
 # Evaluators by family: the routes that can be run, and the normalizations
 # ---------------------------------------------------------------------------
 
-def _evaluation(value, route, rel: float):
-    return value, route, rel * abs(value)
+_1F1_STEPS = (_Step("series", lambda th, al, w, tol: (eval_1F1(th, al, w),
+                                                      None)),)
+_0F1_STEPS = (_Step("series", lambda al, w, tol: (eval_0F1(al, w), None)),)
 
-
-def _series_2f1(al, be, mu, w):
-    return hyp2f1_series(*_lie_abc(al, be, mu), w)
-
-
-def _series(fn, rel: float):
-    return lambda p, w, tol: _evaluation(fn(*p, w), "series", rel)
-
-
-def _hermite(forced):
-    return lambda p, w, tol: _evaluation(*_hermite_S(*p, w, tol, forced))
-
-
-# family -> method -> fn(Lie parameters, w, tol) -> (value, route, error).
-# "auto" is the family's own choice of route, which the evaluator reports;
-# any other method forces that route wherever w lies (a forced asymptotic
-# sum reports its estimate rather than raising).  `error` is the 2F0
-# estimate times |value| on the asymptotic route, the connection series' or
-# the continued fraction's estimate times |value| on Hermite's series and
-# cf routes and tol * |value| on the quadrature route; on the other routes
-# it is a nominal multiple of |value|.
+# family -> (fn(Lie parameters, w, tol, method) -> (value, route, relative
+# estimate or None), its methods: auto and the steps that can be forced,
+# the nominal relative error of a route without an estimate)
 EVALUATORS = {
-    "2f1": {
-        "auto": lambda p, w, tol: _evaluation(*_eval_2F1_routed(*p, w), 1e-13),
-        "series": _series(_series_2f1, 1e-15),
-    },
-    "gegenbauer": {
-        "auto": lambda p, w, tol: _evaluation(
-            *_eval_2F1_routed(*_geg_2f1_args(*p, w)), 1e-13),
-        "series": lambda p, w, tol: _evaluation(
-            _series_2f1(*_geg_2f1_args(*p, w)), "series", 1e-13),
-    },
-    "1f1": dict.fromkeys(("auto", "series"), _series(eval_1F1, 1e-14)),
-    "hermite": {"auto": _hermite(None), "asymptotic": _hermite("asymptotic"),
-                "quadrature": _hermite("quadrature")},
-    "0f1": dict.fromkeys(("auto", "series"), _series(eval_0F1, 1e-15)),
+    "2f1": (lambda p, w, tol, m: _eval_2F1_routed(*p, w, m),
+            ("auto", "series"), 1e-13),
+    "gegenbauer": (lambda p, w, tol, m:
+                   _eval_2F1_routed(*_geg_2f1_args(*p, w), m),
+                   ("auto", "series"), 1e-13),
+    "1f1": (lambda p, w, tol, m: _ladder(_1F1_STEPS, (*p, w), tol, m),
+            ("auto", "series"), 1e-14),
+    "hermite": (lambda p, w, tol, m: _hermite_S(*p, w, tol, m),
+                ("auto", "asymptotic", "quadrature"), None),
+    "0f1": (lambda p, w, tol, m: _ladder(_0F1_STEPS, (*p, w), tol, m),
+            ("auto", "series"), 1e-15),
 }
 
 # (family, normalization) -> fn(*Lie parameters, w), jet-capable: "plain" is

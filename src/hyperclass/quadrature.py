@@ -16,7 +16,9 @@ so the module needs nothing beyond the standard library.
 The solution evaluators (`tricomi_solution`, `hermite_S_solution`,
 `bessel_tilde_solution`) raise `QuadratureError` when the value is not
 finite or the error estimate misses the requested tolerance by a wide
-margin; the confluent one at -infinity is `tricomi_solution` by 1f1:sym:03.
+margin, and `bessel_tilde_solution` raises `DomainError` at Re w <= 0,
+where its integral diverges; the confluent one at -infinity is
+`tricomi_solution` by 1f1:sym:03.
 
 On top of the engines sits the catalog of every printed integral
 representation (`integral_rep_rows`).  Each family states its integrands
@@ -557,6 +559,8 @@ def bessel_tilde_solution(al, w, tol: float = 1e-11):
     al = complex(al)
     w0 = jvalue(w)
     xr = w0.real
+    if xr <= 0:
+        raise N.DomainError("quadrature route needs Re w > 0")
     e = -al - 1
     lin = _linear_jet(w)
     if lin is not None:

@@ -1,0 +1,119 @@
+"""scripts/bench_routes.py: two revisions in one process, per route."""
+
+import importlib.util
+import math
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SCRIPT = _ROOT / "scripts" / "bench_routes.py"
+
+
+@pytest.fixture
+def bench_routes():
+    spec = importlib.util.spec_from_file_location("bench_routes", _SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _package(root: Path, value: str) -> str:
+    """A src/ tree whose hyperclass.numerics imports a sibling module."""
+    pkg = root / "src" / "hyperclass"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "jet.py").write_text(f"VALUE = {value!r}\n")
+    (pkg / "numerics.py").write_text("from .jet import VALUE\n")
+    return str(root / "src")
+
+
+def test_two_copies_load_under_two_names(bench_routes, tmp_path):
+    a = bench_routes.load_package("bench_a", _package(tmp_path / "a", "a"))
+    b = bench_routes.load_package("bench_b", _package(tmp_path / "b", "b"))
+    try:
+        assert (a.__name__, a.VALUE) == ("bench_a.numerics", "a")
+        assert (b.__name__, b.VALUE) == ("bench_b.numerics", "b")
+        assert sys.modules["bench_a.jet"].__file__.startswith(
+            str(tmp_path / "a"))
+    finally:
+        for name in ("bench_a", "bench_a.jet", "bench_a.numerics",
+                     "bench_b", "bench_b.jet", "bench_b.numerics"):
+            sys.modules.pop(name, None)
+
+
+def test_unpack_src_takes_a_revision(bench_routes, tmp_path):
+    if subprocess.run(["git", "-C", str(_ROOT), "rev-parse", "HEAD"],
+                      capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    src = bench_routes.unpack_src("HEAD", str(tmp_path))
+    assert (Path(src) / "hyperclass" / "numerics.py").is_file()
+    assert not (tmp_path / "tests").exists()
+
+
+def test_points_are_the_routed_eval_points(bench_routes):
+    inputs = bench_routes.load_inputs()
+    fns = {fn for _, fn in inputs.SERIES_REGIONS + inputs.QUADRATURE_REGIONS}
+    assert set(bench_routes.ROUTED) <= fns
+    pts = bench_routes.points(inputs, [1])
+    want = [p for p in inputs.eval_points(1) if p["fn"] in bench_routes.ROUTED]
+    assert len(pts) == len(want) > 0
+    assert {name for name, *_ in pts} \
+        == {name for name, _ in bench_routes.ROUTED.values()}
+
+
+class _Error(Exception):
+    pass
+
+
+def _numerics(route_of):
+    """A stand-in numerics module whose `_tricomi` returns (w, route,
+    estimate), raises at w = 0, and whose 2F1 gives the parent's pair."""
+    def tricomi(th, al, w, tol):
+        if w == 0:
+            raise _Error("on the cut")
+        return w, route_of(w), 1e-12
+    return types.SimpleNamespace(
+        NumericsError=_Error, _tricomi=tricomi,
+        _eval_2F1_routed=lambda al, be, mu, w: (w, "series"))
+
+
+def test_report_counts_outcomes_that_are_not_bitwise_equal(bench_routes):
+    tricomi = bench_routes.ROUTED["eval_tricomi"][1]
+    pts = [("tricomi", tricomi, [0.1, 0.2], w)
+           for w in (1 + 1j, 2 + 0j, complex(-0.0, 1.0), 0j)] \
+        + [("2f1", bench_routes.ROUTED["eval_2F1"][1], [0.1, 0.2, 0.3],
+            0.3 + 0j)]
+    parent = _numerics(lambda w: "series")
+    change = _numerics(lambda w: "cf" if w == 2 else "series")
+    # -0.0 against 0.0 in the real part is not bitwise equal
+    change_tricomi = change._tricomi
+    change._tricomi = lambda th, al, w, tol: (
+        (complex(abs(w.real), w.imag), *change_tricomi(th, al, w, tol)[1:])
+        if w else change_tricomi(th, al, w, tol))
+    report = bench_routes.compare([parent, parent], [change, change], pts)
+    assert list(report) == ["2f1/series", "tricomi/cf", "tricomi/error",
+                            "tricomi/series"]
+    counts = {k: (r["points"], r["not_bitwise_equal"])
+              for k, r in report.items()}
+    assert counts == {"2f1/series": (1, 0), "tricomi/cf": (1, 1),
+                      "tricomi/error": (1, 0), "tricomi/series": (2, 1)}
+    for r in report.values():
+        lo, hi = r["interval"]
+        assert 0 < lo <= hi < math.inf
+        assert r["parent_us"] > 0 and r["change_us"] > 0
+        assert 0 < r["median_ratio"] < math.inf
+    table = bench_routes.table(report).splitlines()
+    assert len(table) == 1 + len(report)
+    assert table[2].split()[:3] == ["tricomi/cf", "1", "1"]
+
+
+def test_bits_tell_signed_zeros_and_nans_apart(bench_routes):
+    bits = bench_routes._bits
+    assert bits(0.0) != bits(-0.0)
+    assert bits(complex(0.0, 1.0)) != bits(complex(-0.0, 1.0))
+    assert bits(math.nan) == bits(math.nan)
+    assert bits(None) is None and bits("series") == "series"

@@ -185,16 +185,41 @@ def test_eval_hermite_auto_sums_the_asymptotic_series_once(capsys,
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("w", ["6", "9,-3", "12,5"])
-def test_eval_hermite_forced_asymptotic_is_the_auto_route(capsys, w):
-    # where auto takes the asymptotic route, forcing it prints the same
-    # value, route and error
-    _, auto, _ = run(capsys, "eval", "hermite", "--lam", "0.3", "--w", w)
-    code, forced, _ = run(capsys, "eval", "hermite", "--lam", "0.3",
-                          "--w", w, "--method", "asymptotic")
+# (family, forcible method, parameters, w) at points where auto takes the
+# step of that method
+_FORCED_AS_AUTO = [
+    ("2f1", "series", ("--alpha", "0.1", "--beta", "0.2", "--mu", "0.3"),
+     "0.3,0.1"),
+    ("gegenbauer", "series", ("--alpha", "0.2", "--lam", "0.1"), "0.3"),
+    ("1f1", "series", ("--theta", "0.2", "--alpha", "0.3"), "0.4"),
+    ("0f1", "series", ("--alpha", "0.3"), "0.3,0.2"),
+    ("hermite", "asymptotic", ("--lam", "0.3"), "6"),
+    ("hermite", "asymptotic", ("--lam", "0.3"), "9,-3"),
+    ("hermite", "asymptotic", ("--lam", "0.3"), "12,5"),
+    # |w| = 4 and arg w = 0: neither the series nor the 2F0 sum certifies
+    ("hermite", "quadrature", ("--lam", "0.05"), "4"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, method, params, w", _FORCED_AS_AUTO,
+    ids=[f"{f}-{m}-{w}" for f, m, _, w in _FORCED_AS_AUTO])
+def test_eval_forced_method_is_the_auto_route(capsys, family, method,
+                                              params, w):
+    # a forced method runs the step that auto takes there: the same value,
+    # route and error
+    _, auto, _ = run(capsys, "eval", family, *params, "--w", w)
+    code, forced, _ = run(capsys, "eval", family, *params, "--w", w,
+                          "--method", method)
     assert code == 0
-    assert auto.splitlines()[1] == "method: asymptotic"
+    assert auto.splitlines()[1] == f"method: {method}"
     assert forced == auto
+
+
+def test_forced_as_auto_covers_every_forcible_method():
+    assert {(f, m) for f, m, _, _ in _FORCED_AS_AUTO} == {
+        (f, m) for f, (_, methods, _) in N.EVALUATORS.items()
+        for m in methods if m != "auto"}
 
 
 def test_eval_forced_series_runs_the_series(capsys):
@@ -327,11 +352,23 @@ def test_eval_gamma_pole_exit_code(capsys):
     ("hermite", "--lam", "0.3", "--w", "nan", "--method", "quadrature"),
     ("hermite", "--lam", "nan", "--w", "1.5"),
     ("hermite", "--lam", "0.3", "--w", "1,inf"),
+    ("2f1", "--alpha", "nan", "--beta", "0.2", "--mu", "0.3", "--w", "0.3"),
+    ("2f1", "--alpha", "0.1", "--beta", "0.2", "--mu", "0.3", "--w=inf"),
+    ("2f1", "--alpha", "0.1", "--beta", "0.2", "--mu", "0.3", "--w=nan",
+     "--method", "series"),
+    ("gegenbauer", "--alpha", "0.2", "--lam", "inf", "--w", "0.3"),
+    ("gegenbauer", "--alpha", "0.2", "--lam", "0.1", "--w=nan"),
+    ("1f1", "--theta", "inf", "--alpha", "0.3", "--w", "0.4"),
+    ("1f1", "--theta", "0.2", "--alpha", "0.3", "--w=nan"),
+    ("0f1", "--alpha", "inf", "--w", "0.3"),
+    ("0f1", "--alpha", "nan", "--w", "0.3", "--method", "series"),
+    ("0f1", "--alpha", "0.3", "--w", "0.5,inf"),
 ])
 def test_eval_non_finite_solution_input_exit_code(capsys, argv):
+    # every family refuses a non-finite parameter or w before any route
     code, out, err = run(capsys, "eval", *argv)
     assert code == 3, out
-    assert "DomainError" in err
+    assert "DomainError: non-finite argument" in err
 
 
 def test_bad_tol_env(capsys, monkeypatch):

@@ -658,13 +658,17 @@ def test_tricomi_cf_raises_where_it_cannot_converge(z):
     # at small |z| and near the cut Re sqrt z < _CF_MIN_RE_SQRT, and it
     # raises before the first step; at 1.7, just past that bound, s
     # overflows after 171 steps, before a step falls below _EPS |s|: a
-    # typed error within the step cap, never NaN, and _certified steps aside
+    # typed error within the step cap, never NaN, and the ladder rejects
+    # the cf step for the one after it
     with pytest.raises(N.NumericsError) as info:
         N._tricomi_cf(0.3, 0.2, z)
     assert _cf_steps(info.value) <= N._CF_MAX_TERMS
     if z != 1.7:
         assert "at Re sqrt z" in str(info.value)
-    assert N._certified(N._tricomi_cf, (0.3, 0.2, z), z, 1e-11, "cf") is None
+    steps = [s for s in N._TRICOMI_STEPS if s.route in ("cf", "quadrature")]
+    value, route, _ = N._ladder(steps, (0.3, 0.2, z), 1e-11)
+    assert route == "quadrature"
+    assert value == Q.tricomi_solution(0.3, 0.2, z, 1e-11)
 
 
 def test_tricomi_cf_step_cap_bounds_a_failed_attempt(monkeypatch):
@@ -814,6 +818,91 @@ def test_raising_steps_on_a_jet_follow_the_chain_rule():
     want = (lin[0], 2 * lin[1], lin[1] / 2 + 4 * lin[2])
     for k, (g, r) in enumerate(zip(got, want)):
         assert abs(g - r) <= 1e-14 * abs(r), k
+
+
+# ---------------------------------------------------------------------------
+# The route ladder
+# ---------------------------------------------------------------------------
+
+def _routes(steps):
+    return [s.route for s in steps]
+
+
+def test_route_order_is_data():
+    # the order in which auto tries each evaluator's routes
+    assert _routes(N._TRICOMI_STEPS) == _routes(N._0F1_TILDE_STEPS) \
+        == ["asymptotic", "series", "cf", "quadrature"]
+    assert _routes(N._HERMITE_STEPS) \
+        == ["cf", "series", "asymptotic", "quadrature"]
+    assert _routes(N._2F1_STEPS) == ["series", "pfaff", "inf", "one", "taylor"]
+    assert _routes(N._2F1_STEPS_ONE_FIRST) \
+        == ["series", "pfaff", "one", "inf", "taylor"]
+
+
+@pytest.mark.parametrize("w, order", [
+    (2 + 0.5j, ["inf", "one"]),       # bounds 0.485 at infinity, 0.542 at 1
+    (1.5 + 0.5j, ["one", "inf"]),     # bounds 0.632 at infinity, 0.447 at 1
+])
+def test_2f1_tries_inf_and_one_in_the_order_of_their_bounds(monkeypatch, w,
+                                                           order):
+    tried = []
+
+    def degenerate(route):
+        def fn(*args):
+            tried.append(route)
+            raise N.DegeneracyError(route)
+        return fn
+
+    monkeypatch.setattr(N, "_eval_2f1_inf_route", degenerate("inf"))
+    monkeypatch.setattr(N, "_eval_2f1_one_route", degenerate("one"))
+    assert N._eval_2F1_routed(0.2, 0.1, 0.3, w)[1:] == ("taylor", None)
+    assert tried == order
+
+
+@pytest.mark.parametrize("steps, params", [
+    (N._TRICOMI_STEPS, (0.3, 0.2)), (N._HERMITE_STEPS, (0.3,)),
+    (N._0F1_TILDE_STEPS, (0.3,))])
+def test_ladder_runs_only_steps_that_are_not_scalar_only_on_a_jet(steps,
+                                                                  params):
+    # every step fails here, so each one auto tries runs, and the last
+    # step's exception propagates
+    ran = []
+
+    def failing(route):
+        def fn(*args):
+            ran.append(route)
+            raise N.ConvergenceError(route)
+        return fn
+
+    spied = [s._replace(fn=failing(s.route), guard=None) for s in steps]
+    jet = Jet.variable(1.5 + 0.5j, 2)
+    for w, want in ((1.5 + 0.5j, _routes(steps)),
+                    (jet, ["asymptotic", "quadrature"])):
+        del ran[:]
+        with pytest.raises(N.ConvergenceError, match="quadrature"):
+            N._ladder(spied, (*params, w), 1e-11)
+        assert ran == want
+    assert [s.route for s in steps if not s.scalar] \
+        == ["asymptotic", "quadrature"]
+
+
+def test_ladder_gates_and_forces():
+    steps = (N._Step("a", lambda w, tol: (1.0, 2 * tol)),
+             N._Step("b", lambda w, tol: (2.0, None), lambda w, tol: False),
+             N._Step("c", lambda w, tol: (3.0, tol)))
+    # a misses tol and b's guard is false
+    assert N._ladder(steps, (0.5,), 1e-11) == (3.0, "c", 1e-11)
+    # a forced step runs without its guard and the estimate gate
+    assert N._ladder(steps, (0.5,), 1e-11, "a") == (1.0, "a", 2e-11)
+    assert N._ladder(steps, (0.5,), 1e-11, "b") == (2.0, "b", None)
+    for bad in (math.nan, complex(0.5, math.inf)):
+        with pytest.raises(N.DomainError, match="non-finite"):
+            N._ladder(steps, (bad,), 1e-11, "b")
+    # the 2F0 sum refuses its own result where it misses tol relative to
+    # the sum: auto goes on, a forced method reports it with its estimate
+    value, route, est = N._hermite_S(0.3, 4.5, 1e-11, "asymptotic")
+    assert route == "asymptotic" and est > 1e-11
+    assert N._hermite_S(0.3, 4.5, 1e-11)[1] == "quadrature"
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,11 @@ pair of copies, twice on each side in the order ABBA or BAAB, and its
 ratio is the geometric mean over the pairs of the change's time over the
 parent's.
 
+At every point of a family's evaluator, ``eval_1F1`` and ``eval_0F1``
+included, each named normalized function of that family (``bold_F_2f1``,
+``FI_2f1``, ...) must also give a bitwise equal value or the same
+exception on both sides; these calls are not timed.
+
 The report groups the points by the function and the route the change
 took, e.g. ``tricomi/series``: the point count, the number of outcomes
 that are not bitwise equal, each side's median time, the median ratio and
@@ -97,6 +102,16 @@ ROUTED = {
 }
 
 
+# public evaluator -> the named normalized functions of its family
+NORMALIZED = {
+    "eval_2F1": ("bold_F_2f1", "FI_2f1"),
+    "eval_geg_S": ("bold_S_geg", "SI_geg"),
+    "eval_1F1": ("bold_F_1f1", "FI_1f1"),
+    "eval_hermite_S": ("SI_hermite",),
+    "eval_0F1": ("bold_F_0f1",),
+}
+
+
 def _bits(x):
     """A key that is equal only for bitwise equal values: floats and
     complex numbers by their IEEE bytes, so -0.0 and NaN count."""
@@ -119,6 +134,15 @@ def outcome(call, N, params, w):
     return got[1], tuple(map(_bits, got))
 
 
+def value_outcome(N, name, params, w):
+    """Bitwise key of ``N.<name>(*params, w)``, or the type and message of
+    the NumericsError or ArithmeticError it raises."""
+    try:
+        return _bits(getattr(N, name)(*params, w))
+    except (N.NumericsError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 def _time(call, N, params, w) -> float:
     t0 = time.perf_counter()
     try:
@@ -138,6 +162,27 @@ def points(inputs, seeds):
                 out.append((name, call, [inputs.cval(p) for p in pt["params"]],
                             inputs.cval(pt["w"])))
     return out
+
+
+def normalized_points(inputs, seeds):
+    """(function name, params, w) at every eval point of a family's
+    evaluator, once for each named normalized function of that family."""
+    return [(name, [inputs.cval(p) for p in pt["params"]],
+             inputs.cval(pt["w"]))
+            for seed in seeds for pt in inputs.eval_points(seed)
+            for name in NORMALIZED.get(pt["fn"], ())]
+
+
+def compare_normalized(parent, change, pts) -> dict:
+    """Per named function: its points and the outcomes that are not
+    bitwise equal between the two numerics modules."""
+    report = {}
+    for name, params, w in pts:
+        r = report.setdefault(name, {"points": 0, "not_bitwise_equal": 0})
+        r["points"] += 1
+        r["not_bitwise_equal"] += value_outcome(parent, name, params, w) \
+            != value_outcome(change, name, params, w)
+    return dict(sorted(report.items()))
 
 
 def bootstrap(logs, rng, n=BOOTSTRAP):
@@ -230,16 +275,24 @@ def main(argv=None) -> int:
             for side, name in enumerate(("parent", "change")):
                 sides[side].append(load_package(f"hyperclass_{name}_{k}",
                                                 sources[side]))
-        report = compare(*sides, points(load_inputs(), args.seeds))
+        inputs = load_inputs()
+        report = compare(*sides, points(inputs, args.seeds))
+        normalized = compare_normalized(
+            sides[0][0], sides[1][0], normalized_points(inputs, args.seeds))
     print(table(report))
+    print(f"\n{'normalized':26s} {'points':>6s} {'unequal':>7s}")
+    for name, r in normalized.items():
+        print(f"{name:26s} {r['points']:6d} {r['not_bitwise_equal']:7d}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump({"parent": args.parent,
                        "change": args.change or "working tree",
                        "seeds": args.seeds, "copies": COPIES,
-                       "routes": report}, fh, indent=1)
+                       "routes": report, "normalized": normalized},
+                      fh, indent=1)
             fh.write("\n")
-    return 1 if any(r["not_bitwise_equal"] for r in report.values()) else 0
+    return 1 if any(r["not_bitwise_equal"] for r in
+                    [*report.values(), *normalized.values()]) else 0
 
 
 if __name__ == "__main__":

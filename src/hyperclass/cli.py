@@ -13,11 +13,12 @@ parameter flags and --w only for the kummer suite (all three 2F1
 parameters); elsewhere they are a usage error rather than being ignored.
 
 `eval` prints the value, `method:`, the route the evaluator took (series,
-pfaff, inf, one, taylor, asymptotic, cf, quadrature or normalized(bold|I)),
-and `error:`, a nominal multiple of |value| outside the asymptotic, Hermite
-series, cf (continued fraction) and quadrature routes.  A --method other
-than auto runs that route wherever w lies; it is a usage error where the
-family has no such route or with --norm bold|I.
+pfaff, inf, one, taylor, asymptotic, cf or quadrature), and `error:`, a
+nominal multiple of |value| outside the asymptotic, Hermite series, cf
+(continued fraction) and quadrature routes.  --norm bold|I multiplies the
+value by its prefactor in the parameters and prints the same route and
+relative error.  A --method other than auto runs that route wherever w
+lies; it is a usage error where the family has no such route.
 
 Each command imports only the modules it runs: `eval` and `plotdata` load
 `numerics` (and `quadrature` where a route integrates), and reach the
@@ -158,25 +159,15 @@ def cmd_eval(args) -> int:
     if args.w is None:
         raise UsageError("eval needs --w")
     w = parse_complex(args.w)
-    tol = 1e-11 * _tol_scale()
-    if args.norm != "plain":
-        key = (family, args.norm)
-        if key not in N.NORMALIZED:
-            raise UsageError(
-                f"normalization {args.norm!r} is not defined for {family}")
-        if args.method != "auto":
-            raise UsageError(f"--norm {args.norm} evaluates by the auto "
-                             f"method; --method {args.method} does not apply")
-        v = N.NORMALIZED[key](*lie, w)
-        print(fmt_complex(v))
-        print(f"method: normalized({args.norm})")
-        print(f"error: {1e-13 * abs(v):.2e}")
-        return EXIT_OK
-    run, methods, nominal = N.EVALUATORS[family]
+    if args.norm != "plain" and (family, args.norm) not in N.NORMALIZED:
+        raise UsageError(
+            f"normalization {args.norm!r} is not defined for {family}")
+    _, methods, nominal = N.EVALUATORS[family]
     if args.method not in methods:
         raise UsageError(
             f"method {args.method!r} is not available for {family}")
-    v, route, est = run(lie, w, tol, args.method)
+    v, route, est = N.evaluate(family, lie, w, args.norm,
+                               1e-11 * _tol_scale(), args.method)
     print(fmt_complex(v))
     print(f"method: {route}")
     print(f"error: {(nominal if est is None else est) * abs(v):.2e}")
@@ -288,11 +279,10 @@ def cmd_plotdata(args) -> int:
     if n < 1:
         raise UsageError("--n must be at least 1")
     tol = 1e-11 * _tol_scale()
-    run = N.EVALUATORS[family][0]
     for k in range(n):
         t = 0 if n == 1 else k / (n - 1)
         w = z0 + (z1 - z0) * t
-        v = complex(run(lie, w, tol, "auto")[0])
+        v = complex(N.evaluate(family, lie, w, tol=tol)[0])
         print(f"{w.real:.15g},{w.imag:.15g},{v.real:.15g},{v.imag:.15g}")
     return EXIT_OK
 

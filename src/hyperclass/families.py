@@ -221,7 +221,7 @@ class RecurrenceRow:
 
     A and target are those of the transmutation row with the same number;
     coeff is the row's own.  `normalization` is "plain", "bold" or "I", as
-    in `numerics.NORMALIZED`."""
+    `numerics.evaluate` takes it."""
     id: str
     location: str
     A: DiffOperator

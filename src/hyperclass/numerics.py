@@ -636,13 +636,12 @@ def _eval_2f1_taylor_fallback(al, be, mu, w):
     """Analytic continuation by Taylor stepping along a straight path.
 
     Works for any parameters (no gamma factors involved) and any w off
-    the cut [1, +infinity): the argument ring |w| ~ |1-w| ~ 1, and the
-    connections that degenerate at integer parameters.
+    the cut [1, +infinity), which `_2f1_check` refuses: the argument ring
+    |w| ~ |1-w| ~ 1, and the connections that degenerate at integer
+    parameters.
     """
     a, b, c = _lie_abc(al, be, mu)
     w0 = jvalue(w)
-    if w0.imag == 0 and w0.real >= 1:
-        raise DomainError("argument on the cut [1, inf)")
     z = 0.45 * w0 / max(abs(w0), 1e-300)
     seed = hyp2f1_series(a, b, c, Jet.variable(z, 1))
     f0, f1 = seed.coeffs[0], seed.coeffs[1]
@@ -682,32 +681,41 @@ def _far_bounds_2f1(w0):
 def _2f1_check(al, be, mu, w):
     if is_nonpositive_integer(1 + _as_complex(al)):
         raise GammaPoleError("lower parameter c is a non-positive integer")
-    if abs(jvalue(w) - 1) < 1e-13:
+    w0 = jvalue(w)
+    if abs(w0 - 1) < 1e-13:
         raise DomainError("argument at the singular point 1")
+    if w0.imag == 0 and w0.real > 1:
+        raise DomainError("argument on the cut [1, inf)")
 
 
-# a = (al, be, mu, w, tol); inf and one where their inner argument is
-# within INNER_RADIUS, and inf off [0, inf)
+def _one_step(first):
+    """The route at 1 where its inner argument is within INNER_RADIUS:
+    before inf (`first`) where its bound is the smaller, else after it."""
+    def guard(*a):
+        b_inf, b_one = _far_bounds_2f1(jvalue(a[3]))
+        return b_one <= INNER_RADIUS and (b_one < b_inf) == first
+    return _Step("one", lambda *a: (_eval_2f1_one_route(*a[:4]), None), guard)
+
+
+# a = (al, be, mu, w, tol); inf where its inner argument is within
+# INNER_RADIUS, off [0, inf).  The bounds are computed only in the guards
+# that auto reaches, past series and pfaff.
 _2F1_STEPS = (
     _Step("series", lambda *a: (_series_2f1(*a[:4]), None),
           lambda *a: jabs(a[3]) <= SERIES_RADIUS),
     _Step("pfaff", lambda *a: (_series_or_pfaff(*a[:4]), None),
           lambda *a: abs(jvalue(a[3]) / (jvalue(a[3]) - 1)) <= SERIES_RADIUS),
+    _one_step(True),
     _Step("inf", lambda *a: (_eval_2f1_inf_route(*a[:4]), None),
           lambda *a: _far_bounds_2f1(jvalue(a[3]))[0] <= INNER_RADIUS
           and not jvalue(a[3]).imag == 0 <= jvalue(a[3]).real),
-    _Step("one", lambda *a: (_eval_2f1_one_route(*a[:4]), None),
-          lambda *a: _far_bounds_2f1(jvalue(a[3]))[1] <= INNER_RADIUS),
+    _one_step(False),
     _Step("taylor", lambda *a: (_eval_2f1_taylor_fallback(*a[:4]), None)))
-_2F1_STEPS_ONE_FIRST = tuple(_2F1_STEPS[i] for i in (0, 1, 3, 2, 4))
 
 
 def _eval_2F1_routed(al, be, mu, w, method="auto"):
-    """`eval_2F1` with its route and estimate (None) by `_ladder`, with
-    inf and one in the order of their bounds."""
-    b_inf, b_one = _far_bounds_2f1(jvalue(w))
-    return _ladder(_2F1_STEPS_ONE_FIRST if b_one < b_inf else _2F1_STEPS,
-                   (al, be, mu, w), None, method, _2f1_check)
+    """`eval_2F1` with its route and estimate (None) by `_ladder`."""
+    return _ladder(_2F1_STEPS, (al, be, mu, w), None, method, _2f1_check)
 
 
 def eval_2F1(al, be, mu, w):
@@ -760,37 +768,8 @@ def tilde_F_2f0(th, al, z, tol: float = 1e-15):
 
 
 # ---------------------------------------------------------------------------
-# Normalized variants (bold / superscript-I normalizations)
+# Gegenbauer (Lie parameters)
 # ---------------------------------------------------------------------------
-
-def bold_F_2f1(al, be, mu, w):
-    """F_{al,be,mu}(w) / Gamma(1+al)."""
-    return rgamma(1 + _as_complex(al)) * eval_2F1(al, be, mu, w)
-
-
-def FI_2f1(al, be, mu, w):
-    """Gamma((1+al+be-mu)/2) Gamma((1+al-be+mu)/2) * bold_F_2f1."""
-    al = _as_complex(al)
-    be = _as_complex(be)
-    mu = _as_complex(mu)
-    return gamma((1 + al + be - mu) / 2) * gamma((1 + al - be + mu) / 2) \
-        * bold_F_2f1(al, be, mu, w)
-
-
-def bold_F_1f1(th, al, w):
-    return rgamma(1 + _as_complex(al)) * eval_1F1(th, al, w)
-
-
-def FI_1f1(th, al, w):
-    th = _as_complex(th)
-    al = _as_complex(al)
-    return gamma((1 + al + th) / 2) * gamma((1 + al - th) / 2) \
-        * rgamma(1 + al) * eval_1F1(th, al, w)
-
-
-def bold_F_0f1(al, w):
-    return rgamma(1 + _as_complex(al)) * eval_0F1(al, w)
-
 
 def _geg_2f1_args(al, la, w):
     """S_{al,la}(w) = F_{al,al,2la}((1-w)/2): the arguments of that F."""
@@ -804,17 +783,6 @@ def eval_geg_S(al, la, w):
     return eval_2F1(*_geg_2f1_args(al, la, w))
 
 
-def bold_S_geg(al, la, w):
-    return rgamma(1 + _as_complex(al)) * eval_geg_S(al, la, w)
-
-
-def SI_geg(al, la, w):
-    al = _as_complex(al)
-    la = _as_complex(la)
-    return 2 ** complex(-0.5 - al - la) * gamma(0.5 + al + la) \
-        * gamma(0.5 - la) * rgamma(1 + al) * eval_geg_S(al, la, w)
-
-
 def SII_geg(al, la, w):
     al = _as_complex(al)
     la = _as_complex(la)
@@ -826,12 +794,6 @@ def S0_geg(al, la, w):
     al = _as_complex(al)
     return math.sqrt(math.pi) * gamma(0.5 + al) * rgamma(1 + al) \
         * eval_geg_S(al, la, w)
-
-
-def SI_hermite(la, w, tol: float = 1e-12):
-    """S^I_lambda(w) = 2^{-la-1/2} Gamma(la+1/2) S_lambda(w)."""
-    la = _as_complex(la)
-    return 2 ** (-la - 0.5) * gamma(la + 0.5) * eval_hermite_S(la, w, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1249,24 +1211,55 @@ EVALUATORS = {
             ("auto", "series"), 1e-15),
 }
 
-# (family, normalization) -> fn(*Lie parameters, w), jet-capable: "plain" is
-# the family's function, "bold" divides it by Gamma(1+alpha) and "I" is
-# the paper's superscript-I normalization.
+# (family, normalization) -> (prefactor(*Lie parameters, as complex numbers),
+# the normalization it multiplies): "bold" divides the family's function by
+# Gamma(1+alpha), and "I" is the paper's superscript-I normalization, which
+# for 2F1 multiplies bold.
 NORMALIZED = {
-    ("2f1", "plain"): eval_2F1,
-    ("2f1", "bold"): bold_F_2f1,
-    ("2f1", "I"): FI_2f1,
-    ("gegenbauer", "plain"): eval_geg_S,
-    ("gegenbauer", "bold"): bold_S_geg,
-    ("gegenbauer", "I"): SI_geg,
-    ("1f1", "plain"): eval_1F1,
-    ("1f1", "bold"): bold_F_1f1,
-    ("1f1", "I"): FI_1f1,
-    ("hermite", "plain"): eval_hermite_S,
-    ("hermite", "I"): SI_hermite,
-    ("0f1", "plain"): eval_0F1,
-    ("0f1", "bold"): bold_F_0f1,
+    ("2f1", "bold"): (lambda al, be, mu: rgamma(1 + al), "plain"),
+    ("2f1", "I"): (lambda al, be, mu: gamma((1 + al + be - mu) / 2)
+                   * gamma((1 + al - be + mu) / 2), "bold"),
+    ("gegenbauer", "bold"): (lambda al, la: rgamma(1 + al), "plain"),
+    ("gegenbauer", "I"): (lambda al, la: 2 ** complex(-0.5 - al - la)
+                          * gamma(0.5 + al + la) * gamma(0.5 - la)
+                          * rgamma(1 + al), "plain"),
+    ("1f1", "bold"): (lambda th, al: rgamma(1 + al), "plain"),
+    ("1f1", "I"): (lambda th, al: gamma((1 + al + th) / 2)
+                   * gamma((1 + al - th) / 2) * rgamma(1 + al), "plain"),
+    ("hermite", "I"): (lambda la: 2 ** (-la - 0.5) * gamma(la + 0.5),
+                       "plain"),
+    ("0f1", "bold"): (lambda al: rgamma(1 + al), "plain"),
 }
+
+
+def evaluate(family, params, w, norm="plain", tol=1e-11, method="auto"):
+    """(value, route, relative estimate or None) of the family's function
+    at (params, w) by `EVALUATORS[family]`, in normalization `norm`: the
+    value times the prefactors of `NORMALIZED`, which are computed first.
+    The estimate is relative, so a prefactor leaves it as it is."""
+    factors = []
+    while norm != "plain":
+        prefactor, norm = NORMALIZED[family, norm]
+        factors.append(prefactor(*map(_as_complex, params)))
+    value, route, est = EVALUATORS[family][0](params, w, tol, method)
+    for factor in reversed(factors):
+        value = factor * value
+    return value, route, est
+
+
+def _in_norm(family, norm):
+    """The family's function in normalization `norm`, fn(*params, w)."""
+    return lambda *args: evaluate(family, args[:-1], args[-1], norm)[0]
+
+
+bold_F_2f1 = _in_norm("2f1", "bold")
+FI_2f1 = _in_norm("2f1", "I")
+bold_S_geg = _in_norm("gegenbauer", "bold")
+SI_geg = _in_norm("gegenbauer", "I")
+bold_F_1f1 = _in_norm("1f1", "bold")
+FI_1f1 = _in_norm("1f1", "I")
+SI_hermite = _in_norm("hermite", "I")
+bold_F_0f1 = _in_norm("0f1", "bold")
 
 
 # ---------------------------------------------------------------------------

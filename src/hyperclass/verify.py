@@ -254,8 +254,7 @@ def transmutation_kernel_residual(family: str, C: DiffOperator) -> float:
     w0 = TRANSMUTATION_POINT[family]
     assign = _param_assign(family)
     pvals = tuple(assign[n] for n in fam.PARAM_NAMES[family])
-    f = N.NORMALIZED[family, "plain"](*pvals,
-                                      Jet.variable(w0, C.order() + 1))
+    f = N.evaluate(family, pvals, Jet.variable(w0, C.order() + 1))[0]
     assign["w"] = w0
     total, scale = jet_apply(C, f, assign)
     return abs(total) / scale
@@ -264,16 +263,17 @@ def transmutation_kernel_residual(family: str, C: DiffOperator) -> float:
 def recurrence_residual(family: str, row) -> float:
     """Worst relative error of  A f_norm = coeff * f_norm(shifted)."""
     assign0 = _param_assign(family)
-    norm = N.NORMALIZED[family, row.normalization]
     pvals = tuple(assign0[n] for n in fam.PARAM_NAMES[family])
     tvals = tuple(t.eval_numeric(assign0) for t in row.target)
     coeff = row.coeff.eval_numeric(assign0)
     worst = 0.0
     for w0 in RECURRENCE_POINTS[family]:
-        f = norm(*pvals, Jet.variable(w0, max(2, row.A.order() + 1)))
+        f = N.evaluate(family, pvals,
+                       Jet.variable(w0, max(2, row.A.order() + 1)),
+                       row.normalization)[0]
         assign = dict(assign0, w=w0)
         lhs, scale = jet_apply(row.A, f, assign)
-        rhs = coeff * norm(*tvals, w0)
+        rhs = coeff * N.evaluate(family, tvals, w0, row.normalization)[0]
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), scale * 1e-4,
                                                 1e-300))
     return worst

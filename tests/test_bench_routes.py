@@ -117,3 +117,44 @@ def test_bits_tell_signed_zeros_and_nans_apart(bench_routes):
     assert bits(complex(0.0, 1.0)) != bits(complex(-0.0, 1.0))
     assert bits(math.nan) == bits(math.nan)
     assert bits(None) is None and bits("series") == "series"
+
+
+def test_normalized_names_are_the_table_of_numerics(bench_routes):
+    # one named function per (family, norm) key of numerics.NORMALIZED, at
+    # the points of that family's evaluator
+    from hyperclass import numerics as N
+    inputs = bench_routes.load_inputs()
+    fns = {fn for _, fn in inputs.SERIES_REGIONS + inputs.QUADRATURE_REGIONS}
+    assert set(bench_routes.NORMALIZED) <= fns
+    names = [n for ns in bench_routes.NORMALIZED.values() for n in ns]
+    assert len(set(names)) == len(names) == len(N.NORMALIZED)
+    assert all(callable(getattr(N, n)) for n in names)
+    pts = bench_routes.normalized_points(inputs, [1])
+    want = [p for p in inputs.eval_points(1)
+            if p["fn"] in ("eval_1F1", "eval_0F1")]
+    assert len(want) > 0
+    assert sum(name in ("bold_F_1f1", "bold_F_0f1") for name, *_ in pts) \
+        == len(want)
+
+
+def test_normalized_report_counts_values_and_exceptions(bench_routes):
+    def numerics(shift):
+        def bold(th, al, w):
+            if w == 0:
+                raise _Error(f"at {shift}")
+            return w + shift if w == 2 else w
+        return types.SimpleNamespace(NumericsError=_Error, bold_F_1f1=bold,
+                                     bold_F_0f1=lambda al, w: -w)
+    pts = [("bold_F_1f1", [0.1, 0.2], w) for w in (1 + 1j, 2 + 0j, 0j)] \
+        + [("bold_F_0f1", [0.1], w) for w in (0j, 1 + 0j)]
+    same = bench_routes.compare_normalized(numerics(0), numerics(0), pts)
+    assert same == {"bold_F_0f1": {"points": 2, "not_bitwise_equal": 0},
+                    "bold_F_1f1": {"points": 3, "not_bitwise_equal": 0}}
+    # the value at 2 differs, and so does the message at 0; -0.0 is not 0.0
+    report = bench_routes.compare_normalized(numerics(0), numerics(1), pts)
+    assert report["bold_F_1f1"] == {"points": 3, "not_bitwise_equal": 2}
+    assert report["bold_F_0f1"] == {"points": 2, "not_bitwise_equal": 0}
+    signed = bench_routes.compare_normalized(
+        numerics(0), types.SimpleNamespace(
+            NumericsError=_Error, bold_F_0f1=lambda al, w: w), pts[3:])
+    assert signed["bold_F_0f1"]["not_bitwise_equal"] == 2

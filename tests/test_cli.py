@@ -239,16 +239,83 @@ def test_eval_forced_series_runs_the_series(capsys):
     assert out.splitlines()[1] == "method: series"
 
 
+# family -> (Lie parameters, w) for the --norm tests: 2F1 and Gegenbauer
+# at a point of the route at infinity, Hermite where auto integrates
+_NORM_POINTS = {
+    "2f1": ((0.1, 0.2, 0.3), "2,0.5"),
+    "gegenbauer": ((0.2, 0.1), "5"),
+    "1f1": ((0.2, 0.3), "0.4"),
+    "hermite": ((0.3,), "4.2"),
+    "0f1": ((0.3,), "0.3,0.2"),
+}
+
+
+def _lie_flags(family, lie):
+    return [f for name, p in zip(cli.FAMILY_FLAGS[family][1], lie)
+            for f in (f"--{name}", repr(p))]
+
+
+def _prefactor_times(family, norm, lie, v):
+    """v, the family's function at lie, times the prefactors of norm."""
+    if norm == "plain":
+        return v
+    prefactor, base = N.NORMALIZED[family, norm]
+    return prefactor(*map(complex, lie)) \
+        * _prefactor_times(family, base, lie, v)
+
+
+@pytest.mark.parametrize("family, norm", sorted(N.NORMALIZED))
+def test_eval_norm_prints_the_route_and_estimate_of_the_evaluator(
+        capsys, family, norm):
+    # --norm multiplies the value by its prefactor and keeps the route and
+    # the relative error of the plain command
+    lie, w = _NORM_POINTS[family]
+    argv = ("eval", family, *_lie_flags(family, lie), "--w", w)
+    _, plain, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--norm", norm)
+    assert code == 0
+    evaluator, _, nominal = N.EVALUATORS[family]
+    v, route, est = evaluator(tuple(map(complex, lie)), cli.parse_complex(w),
+                              1e-11, "auto")
+    pv = _prefactor_times(family, norm, lie, v)
+    assert plain.splitlines()[1] == f"method: {route}"
+    assert out.splitlines() == [
+        cli.fmt_complex(pv), f"method: {route}",
+        f"error: {(nominal if est is None else est) * abs(pv):.2e}"]
+
+
+def test_eval_norm_runs_at_the_scaled_tol(capsys, monkeypatch):
+    # at HYPERCLASS_TOL=1e6 the 2F0 sum meets tol at w = 4.2, with or
+    # without --norm
+    monkeypatch.setenv("HYPERCLASS_TOL", "1e6")
+    argv = ("eval", "hermite", "--lam", "0.3", "--w", "4.2")
+    _, plain, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--norm", "I")
+    assert code == 0
+    assert out.splitlines()[1] == plain.splitlines()[1] \
+        == "method: asymptotic"
+
+
 @pytest.mark.parametrize("norm,method", [
     ("bold", "series"), ("I", "series"), ("I", "quadrature"),
     ("bold", "asymptotic")])
 def test_eval_norm_with_forced_method_usage_error(capsys, norm, method):
-    code, out, err = run(capsys, "eval", "1f1", "--theta", "0.2", "--alpha",
-                         "0.3", "--w", "0.4", "--norm", norm,
-                         "--method", method)
-    assert code == 2
-    assert out == ""
-    assert "usage error" in err and f"--method {method}" in err
+    # --norm with a forced method runs that step where the family has it,
+    # and is the plain command's usage error where it has not
+    for family in sorted({f for f, n in N.NORMALIZED if n == norm}):
+        argv = ("eval", family, *_lie_flags(family, _NORM_POINTS[family][0]),
+                "--w", "0.4", "--method", method)
+        code, out, err = run(capsys, *argv, "--norm", norm)
+        if method in N.EVALUATORS[family][1]:
+            _, plain, _ = run(capsys, *argv)
+            assert code == 0
+            assert out.splitlines()[1] == plain.splitlines()[1] \
+                == f"method: {method}"
+        else:
+            assert code == 2
+            assert out == ""
+            assert f"usage error: method {method!r} is not available " \
+                f"for {family}" in err
 
 
 @pytest.mark.parametrize("w", ["-0.52,0.10", "-0.52+0.1i", "-0.52"])
@@ -347,6 +414,15 @@ def test_eval_gamma_pole_exit_code(capsys):
     assert "numeric error" in err
 
 
+# a real w on the cut of the 2F1 at w or at (1 - w)/2
+_ON_THE_CUT = [
+    ("2f1", "--alpha", "0.1", "--beta", "0.2", "--mu", "0.3", "--w", "2"),
+    ("2f1", "--alpha", "0.1", "--beta", "0.2", "--mu", "0.3", "--w", "5"),
+    ("gegenbauer", "--alpha", "0.1", "--lam", "0.2", "--w=-1.5"),
+    ("gegenbauer", "--alpha", "0.1", "--lam", "0.2", "--w=-9"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("hermite", "--lam", "0.3", "--w", "nan"),
     ("hermite", "--lam", "0.3", "--w", "nan", "--method", "quadrature"),
@@ -363,12 +439,15 @@ def test_eval_gamma_pole_exit_code(capsys):
     ("0f1", "--alpha", "inf", "--w", "0.3"),
     ("0f1", "--alpha", "nan", "--w", "0.3", "--method", "series"),
     ("0f1", "--alpha", "0.3", "--w", "0.5,inf"),
-])
+] + _ON_THE_CUT)
 def test_eval_non_finite_solution_input_exit_code(capsys, argv):
-    # every family refuses a non-finite parameter or w before any route
+    # every family refuses a non-finite parameter or w before any route,
+    # and 2F1 and Gegenbauer a w on their cut, wherever it lies on it
     code, out, err = run(capsys, "eval", *argv)
     assert code == 3, out
-    assert "DomainError: non-finite argument" in err
+    reason = "argument on the cut [1, inf)" if argv in _ON_THE_CUT \
+        else "non-finite argument"
+    assert f"DomainError: {reason}" in err
 
 
 def test_bad_tol_env(capsys, monkeypatch):
@@ -622,9 +701,12 @@ EXACT_LAYER = ("hyperclass.exactalg", "hyperclass.families",
      EXACT_LAYER + ("hyperclass.quadrature",)),
     (["eval", "gegenbauer", "--alpha", "0.2", "--lam", "0.1", "--w", "0.3",
       "--method", "series"], EXACT_LAYER + ("hyperclass.quadrature",)),
+    (["eval", "hermite", "--lam", "0.3", "--w", "6", "--norm", "I"],
+     EXACT_LAYER + ("hyperclass.quadrature",)),
     (["catalog", "gegenbauer"], ("hyperclass.verify",)),
 ], ids=["build_parser", "eval_2f1", "eval_hermite_quadrature",
-        "eval_hermite_asymptotic", "eval_gegenbauer_series", "catalog"])
+        "eval_hermite_asymptotic", "eval_gegenbauer_series",
+        "eval_hermite_norm_I", "catalog"])
 def test_command_loads_only_what_it_runs(argv, absent):
     # -S: no site hooks, so sys.modules holds what the command imported
     script = textwrap.dedent("""

@@ -834,9 +834,14 @@ def test_route_order_is_data():
         == ["asymptotic", "series", "cf", "quadrature"]
     assert _routes(N._HERMITE_STEPS) \
         == ["cf", "series", "asymptotic", "quadrature"]
-    assert _routes(N._2F1_STEPS) == ["series", "pfaff", "inf", "one", "taylor"]
-    assert _routes(N._2F1_STEPS_ONE_FIRST) \
-        == ["series", "pfaff", "one", "inf", "taylor"]
+    # one is listed before and after inf, and its guards let it run once,
+    # in the order of the bounds (see the test below)
+    assert _routes(N._2F1_STEPS) \
+        == ["series", "pfaff", "one", "inf", "one", "taylor"]
+    for w, order in ((2 + 0.5j, ["inf", "one", "taylor"]),
+                     (1.5 + 0.5j, ["one", "inf", "taylor"])):
+        assert _routes(s for s in N._2F1_STEPS if s.guard is None
+                       or s.guard(0.2, 0.1, 0.3, w, None)) == order
 
 
 @pytest.mark.parametrize("w, order", [
@@ -857,6 +862,20 @@ def test_2f1_tries_inf_and_one_in_the_order_of_their_bounds(monkeypatch, w,
     monkeypatch.setattr(N, "_eval_2f1_one_route", degenerate("one"))
     assert N._eval_2F1_routed(0.2, 0.1, 0.3, w)[1:] == ("taylor", None)
     assert tried == order
+
+
+def test_2f1_orders_inf_and_one_only_past_series_and_pfaff(monkeypatch):
+    # the bounds that order inf and one are not computed where series or
+    # pfaff answers
+    calls = []
+    bounds = N._far_bounds_2f1
+    monkeypatch.setattr(N, "_far_bounds_2f1",
+                        lambda w0: calls.append(w0) or bounds(w0))
+    for w, route in ((0.3 + 0.1j, "series"), (-1.0, "pfaff"),
+                     (2 + 0.5j, "inf")):
+        del calls[:]
+        assert N._eval_2F1_routed(0.2, 0.1, 0.3, w)[1] == route
+        assert (len(calls) > 0) == (route == "inf")
 
 
 @pytest.mark.parametrize("steps, params", [

@@ -209,6 +209,18 @@ def _jet(center: complex, coeffs) -> Jet:
     return j
 
 
+def taylor_compose(cs, z: Jet) -> Jet:
+    """The jet of sum_k cs[k] (x - z0)^k at x = z, z0 the value of z and
+    cs one coefficient per order of z: Horner in z - z0, whose
+    coefficients are (0, z_1, ..., z_K), skipping the zero ones."""
+    dz = [(j, zj) for j, zj in enumerate(z.coeffs) if j and zj != 0]
+    out = [cs[-1]] + [0j] * (len(cs) - 1)
+    for c in reversed(cs[:-1]):
+        out = [c] + [sum((zj * out[k - j] for j, zj in dz if j <= k), 0j)
+                     for k in range(1, len(cs))]
+    return _jet(z.center, out)
+
+
 def _jet_mul(x: tuple, y: tuple) -> list:
     """Truncated product of two coefficient tuples of one length."""
     n = len(x)

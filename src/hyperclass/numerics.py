@@ -18,7 +18,7 @@ import cmath
 import math
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .jet import Jet, _jet
+from .jet import Jet, taylor_compose
 
 Number = Union[int, float, complex]
 
@@ -192,18 +192,27 @@ class _Step(NamedTuple):
     route: str
     fn: Callable
     guard: Optional[Callable] = None
-    scalar: bool = False
 
 
-def _ladder(steps, args, tol, method="auto", check=None):
+class _Root(NamedTuple):
+    """The root of a solution at infinity whose shift is its derivative:
+    f_p' = factor(*p) f_{shift(*p)} for the Lie parameters p."""
+    shift: Callable
+    factor: Callable
+
+
+def _ladder(steps, args, tol, method="auto", check=None, root=None):
     """(value, route, relative estimate) at `args` (w last) by the first
     of `steps` that accepts them, once they are finite and `check(*args)`
-    has passed.  Auto skips a step whose guard(*args, tol) is false, or a
-    `scalar` one on a Jet, and rejects one that raises NumericsError or
-    ArithmeticError or whose estimate exceeds tol; the last failure
-    propagates.  Another `method` runs only that step, without guard or
-    gate: a ConvergenceError with an `estimate` gives its `best`."""
+    has passed.  Auto skips a step whose guard(*args, tol) is false, and
+    rejects one that raises NumericsError or ArithmeticError or whose
+    estimate exceeds tol; the last failure propagates.  Another `method`
+    runs only that step, without guard or gate: a ConvergenceError with
+    an `estimate` gives its `best`.  With a `root`, a Jet w takes
+    `_root_jet`, so that no step sees a Jet."""
     require_finite(*args)
+    if root is not None and type(args[-1]) is Jet:
+        return _root_jet(steps, args, tol, method, check, root)
     if check is not None:
         check(*args)
     if method != "auto":
@@ -215,11 +224,10 @@ def _ladder(steps, args, tol, method="auto", check=None):
                 raise
             value, est = exc.best, exc.estimate
         return value, method, est
-    jet = type(args[-1]) is Jet
     failure = None
     call = args + (tol,)
-    for route, fn, guard, scalar in steps:
-        if scalar and jet or guard is not None and not guard(*call):
+    for route, fn, guard in steps:
+        if guard is not None and not guard(*call):
             continue
         try:
             value, est = fn(*call)
@@ -231,6 +239,35 @@ def _ladder(steps, args, tol, method="auto", check=None):
         failure = ConvergenceError(f"{route} estimate {est:.2e} misses tol",
                                    best=value, estimate=est)
     raise failure or DomainError("no route applies")
+
+
+def _root_jet(steps, args, tol, method, check, root):
+    """`_ladder` at a Jet w = args[-1] of order K from the root shifts of
+    the parameters p = args[:-1]: the k-th Taylor coefficient at w0 is
+    f_{p_k}(w0) times root.factor(p_j) over j < k, over k!, where p_k is p
+    shifted k times by the root and f_{p_k}(w0) comes from the scalar
+    ladder; `taylor_compose` composes the coefficients with w (as
+    `pfq_series` composes those of DLMF 16.3.1).  The route is that of
+    the value, the estimate the largest of the coefficients'; a zero
+    factor (a polynomial solution) makes every later coefficient 0."""
+    *params, w = args
+    w0 = w.coeffs[0]
+    cs = []
+    pref = 1.0 + 0.0j
+    route = None
+    worst = 0.0
+    for k in range(len(w.coeffs)):
+        if k:
+            pref = pref * root.factor(*params) / k
+            params = root.shift(*params)
+        if pref == 0:
+            cs.append(0j)
+            continue
+        value, got, est = _ladder(steps, (*params, w0), tol, method, check)
+        route = route or got
+        worst = max(worst, est)
+        cs.append(pref * value)
+    return taylor_compose(cs, w), route, worst
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +322,7 @@ def pfq_series(num: Sequence[Number], den: Sequence[Number], z,
                              zc[0], tol, max_terms)
         converged = converged and ok
         cs.append(pref * total)
-    # Horner in z - z0, whose coefficients are (0, z_1, ..., z_K)
-    dz = [(j, zj) for j, zj in enumerate(zc) if j and zj != 0]
-    out = [cs[-1]] + [0j] * (len(cs) - 1)
-    for c in reversed(cs[:-1]):
-        out = [c] + [sum((zj * out[k - j] for j, zj in dz if j <= k), 0j)
-                     for k in range(1, len(cs))]
-    out = _jet(z.center, out)
+    out = taylor_compose(cs, z)
     if not converged:
         raise ConvergenceError("series did not converge", best=out)
     return out
@@ -678,14 +709,25 @@ def _far_bounds_2f1(w0):
     return 1 / max(abs(w0), abs(1 - w0)), abs(1 - w0) / max(abs(w0), 1)
 
 
-def _2f1_check(al, be, mu, w):
-    if is_nonpositive_integer(1 + _as_complex(al)):
-        raise GammaPoleError("lower parameter c is a non-positive integer")
-    w0 = jvalue(w)
-    if abs(w0 - 1) < 1e-13:
-        raise DomainError("argument at the singular point 1")
-    if w0.imag == 0 and w0.real > 1:
-        raise DomainError("argument on the cut [1, inf)")
+def _2f1_checker(point: str, cut: str):
+    """A `_ladder` check of the 2F1 arguments that no route takes: the
+    pole of Gamma(c), and an argument at 1 or real past 1.  Its errors
+    name that point and cut as `point` and `cut`, so that Gegenbauer's S,
+    whose 2F1 argument is (1 - w)/2, names its own -1 and (-inf, -1]."""
+    def check(al, be, mu, w):
+        if is_nonpositive_integer(1 + _as_complex(al)):
+            raise GammaPoleError("lower parameter c is a non-positive "
+                                 "integer")
+        w0 = jvalue(w)
+        if abs(w0 - 1) < 1e-13:
+            raise DomainError(f"argument at the singular point {point}")
+        if w0.imag == 0 and w0.real > 1:
+            raise DomainError(f"argument on the cut {cut}")
+    return check
+
+
+_2f1_check = _2f1_checker("1", "[1, inf)")
+_geg_check = _2f1_checker("-1", "(-inf, -1]")
 
 
 def _one_step(first):
@@ -713,9 +755,9 @@ _2F1_STEPS = (
     _Step("taylor", lambda *a: (_eval_2f1_taylor_fallback(*a[:4]), None)))
 
 
-def _eval_2F1_routed(al, be, mu, w, method="auto"):
+def _eval_2F1_routed(al, be, mu, w, method="auto", check=_2f1_check):
     """`eval_2F1` with its route and estimate (None) by `_ladder`."""
-    return _ladder(_2F1_STEPS, (al, be, mu, w), None, method, _2f1_check)
+    return _ladder(_2F1_STEPS, (al, be, mu, w), None, method, check)
 
 
 def eval_2F1(al, be, mu, w):
@@ -779,8 +821,9 @@ def _geg_2f1_args(al, la, w):
 
 
 def eval_geg_S(al, la, w):
-    """Gegenbauer solution S_{al,la}(w) = F_{al,al,2la}((1-w)/2)."""
-    return eval_2F1(*_geg_2f1_args(al, la, w))
+    """Gegenbauer solution S_{al,la}(w) = F_{al,al,2la}((1-w)/2); the cut
+    is (-inf, -1]."""
+    return _eval_2F1_routed(*_geg_2f1_args(al, la, w), check=_geg_check)[0]
 
 
 def SII_geg(al, la, w):
@@ -1064,16 +1107,19 @@ _TRICOMI_STEPS = (
     _Step("asymptotic", lambda th, al, w, tol: _asymptotic(
         jpow(w, (-1 - th - al) / 2), tilde_F_2f0(th, al, -1 / w, tol), tol),
         lambda th, al, w, tol: jabs(w) >= ASYMPTOTIC_CROSSOVER),
-    _Step("series", lambda th, al, w, tol: _tricomi_series(th, al, w),
-          scalar=True),
-    _Step("cf", lambda th, al, w, tol: _tricomi_cf(th, al, w), scalar=True),
+    _Step("series", lambda th, al, w, tol: _tricomi_series(th, al, w)),
+    _Step("cf", lambda th, al, w, tol: _tricomi_cf(th, al, w)),
     _quadrature("tricomi_solution"))
+
+# U_{th,al}' = -a U_{th+1,al+1}, a = (1+th+al)/2 (DLMF 13.3.22)
+_TRICOMI_ROOT = _Root(lambda th, al: (th + 1, al + 1),
+                      lambda th, al: -(1 + th + al) / 2)
 
 
 def _tricomi(th, al, w, tol):
     """`eval_tricomi` with its route and relative estimate."""
     return _ladder(_TRICOMI_STEPS, (_as_complex(th), _as_complex(al), w), tol,
-                   check=_off_the_cut)
+                   check=_off_the_cut, root=_TRICOMI_ROOT)
 
 
 def eval_tricomi(th, al, w, tol: float = 1e-11):
@@ -1120,21 +1166,31 @@ def _hermite_asymptotic(la, w, tol):
         la / 2 + 0.75, la / 2 + 0.25, -1 / (w * w), tol), tol)
 
 
-# cf takes about (18.4 / Re w)^2 steps, at most about 85 where it is tried;
-# the series cannot certify at |w| >= 4 and |arg w| <= pi/4
+def _hermite_cf(first):
+    """The continued fraction at z = w^2 and Re w >= 2: before the series
+    (`first`) at |w| < 4, after the asymptotic sum at |w| >= 4."""
+    return _Step("cf", lambda la, w, tol:
+                 _tricomi_cf(la, -0.5, jvalue(w) * jvalue(w)),
+                 lambda la, w, tol: jvalue(w).real >= 2.0
+                 and (jabs(w) < ASYMPTOTIC_CROSSOVER) == first)
+
+
+# cf takes about (18.4 / Re w)^2 steps, at most about 85 where it is tried
+# first; the series cannot certify at |w| >= 4 and |arg w| <= pi/4
 _HERMITE_STEPS = (
-    _Step("cf", lambda la, w, tol:
-          _tricomi_cf(la, -0.5, jvalue(w) * jvalue(w)),
-          lambda la, w, tol: jvalue(w).real >= 2.0
-          and jabs(w) < ASYMPTOTIC_CROSSOVER, scalar=True),
+    _hermite_cf(True),
     _Step("series", lambda la, w, tol:
           _tricomi_series(la, -0.5, jvalue(w) * jvalue(w), jvalue(w)),
           lambda la, w, tol: not (jabs(w) >= ASYMPTOTIC_CROSSOVER
                                   and jvalue(w).real >= abs(jvalue(w).imag))
-          and _hermite_series_fits(la, jvalue(w) * jvalue(w)), scalar=True),
+          and _hermite_series_fits(la, jvalue(w) * jvalue(w))),
     _Step("asymptotic", _hermite_asymptotic,
           lambda la, w, tol: jabs(w) >= ASYMPTOTIC_CROSSOVER),
+    _hermite_cf(False),
     _quadrature("hermite_S_solution"))
+
+# S_la' = -(la + 1/2) S_{la+1}, from the Laplace integral
+_HERMITE_ROOT = _Root(lambda la: (la + 1,), lambda la: -(la + 0.5))
 
 
 def _hermite_S(la, w, tol, method="auto"):
@@ -1144,7 +1200,8 @@ def _hermite_S(la, w, tol, method="auto"):
     the whole plane, with w for (w^2)^{1/2}, and the continued fraction at
     Re w > 0.  The asymptotic sum holds off (-inf, 0] only, forced or not.
     The quadrature returns tol as its estimate (ROADMAP item 1(a))."""
-    return _ladder(_HERMITE_STEPS, (_as_complex(la), w), tol, method)
+    return _ladder(_HERMITE_STEPS, (_as_complex(la), w), tol, method,
+                   root=_HERMITE_ROOT)
 
 
 def eval_hermite_S(la, w, tol: float = 1e-11):
@@ -1168,16 +1225,18 @@ _0F1_TILDE_STEPS = (
           lambda al, w, tol: 4 * abs(cmath.sqrt(jvalue(w))) >= 25.0),
     _Step("series", lambda al, w, tol: _0f1_tilde_series(al, w),
           lambda al, w, tol: jvalue(w).real <= 0 or _EPS * math.exp(
-              min(4 * cmath.sqrt(jvalue(w)).real + 3, 700.0)) <= tol,
-          scalar=True),
-    _Step("cf", lambda al, w, tol: _0f1_tilde_cf(al, jvalue(w)), scalar=True),
+              min(4 * cmath.sqrt(jvalue(w)).real + 3, 700.0)) <= tol),
+    _Step("cf", lambda al, w, tol: _0f1_tilde_cf(al, jvalue(w))),
     _quadrature("bessel_tilde_solution"))
+
+# T_al' = -T_{al+1} (DLMF 10.29.4)
+_0F1_TILDE_ROOT = _Root(lambda al: (al + 1,), lambda al: -1.0)
 
 
 def _0f1_tilde(al, w, tol):
     """`eval_0f1_tilde` with its route and relative estimate."""
     return _ladder(_0F1_TILDE_STEPS, (_as_complex(al), w), tol,
-                   check=_off_the_cut)
+                   check=_off_the_cut, root=_0F1_TILDE_ROOT)
 
 
 def eval_0f1_tilde(al, w, tol: float = 1e-11):
@@ -1201,7 +1260,7 @@ EVALUATORS = {
     "2f1": (lambda p, w, tol, m: _eval_2F1_routed(*p, w, m),
             ("auto", "series"), 1e-13),
     "gegenbauer": (lambda p, w, tol, m:
-                   _eval_2F1_routed(*_geg_2f1_args(*p, w), m),
+                   _eval_2F1_routed(*_geg_2f1_args(*p, w), m, _geg_check),
                    ("auto", "series"), 1e-13),
     "1f1": (lambda p, w, tol, m: _ladder(_1F1_STEPS, (*p, w), tol, m),
             ("auto", "series"), 1e-14),

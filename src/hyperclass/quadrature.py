@@ -47,7 +47,7 @@ import math
 from array import array
 from typing import Callable, NamedTuple, Optional
 
-from .jet import Jet, _jet, _jet_scale
+from .jet import Jet, _jet, _jet_scale, taylor_compose
 from . import numerics as N
 from .numerics import (jabs, jexp, jpow, jsqrt, jvalue, rgamma, gamma,
                        NumericsError)
@@ -418,8 +418,9 @@ def loop_0(fn: Callable, gam: complex, rho: float, end: float,
 
 
 # ---------------------------------------------------------------------------
-# Solution evaluators used by `numerics` at moderate |w| where its connection
-# series is not certified, and on jets
+# Solution evaluators used by `numerics` at a scalar w where no certified
+# route answers (on a jet `numerics` composes scalar values instead); they
+# run on jets for their own raising steps (`_raised`)
 # ---------------------------------------------------------------------------
 
 def _checked(value, err, tol: float):
@@ -471,11 +472,7 @@ def _raised(solution, w, step):
     v = Jet.variable(w0, n + 1)
     f = solution(v)
     res = step(f, f.deriv(), v).coeffs
-    d = w - w0
-    out = res[n]
-    for c in reversed(res[:n]):
-        out = out * d + c
-    return out
+    return taylor_compose(res[:n + 1], w) if n else res[0]
 
 
 def tricomi_solution(th, al, w, tol: float = 1e-11):

@@ -196,8 +196,9 @@ _FORCED_AS_AUTO = [
     ("hermite", "asymptotic", ("--lam", "0.3"), "6"),
     ("hermite", "asymptotic", ("--lam", "0.3"), "9,-3"),
     ("hermite", "asymptotic", ("--lam", "0.3"), "12,5"),
-    # |w| = 4 and arg w = 0: neither the series nor the 2F0 sum certifies
-    ("hermite", "quadrature", ("--lam", "0.05"), "4"),
+    # |w| = 4.45 and Re w < 2: the series and the 2F0 sum do not certify,
+    # and the continued fraction is not tried
+    ("hermite", "quadrature", ("--lam", "0.05"), "1.95,4"),
 ]
 
 
@@ -414,13 +415,20 @@ def test_eval_gamma_pole_exit_code(capsys):
     assert "numeric error" in err
 
 
-# a real w on the cut of the 2F1 at w or at (1 - w)/2
-_ON_THE_CUT = [
-    ("2f1", "--alpha", "0.1", "--beta", "0.2", "--mu", "0.3", "--w", "2"),
-    ("2f1", "--alpha", "0.1", "--beta", "0.2", "--mu", "0.3", "--w", "5"),
-    ("gegenbauer", "--alpha", "0.1", "--lam", "0.2", "--w=-1.5"),
-    ("gegenbauer", "--alpha", "0.1", "--lam", "0.2", "--w=-9"),
-]
+# a real w on the cut of the 2F1 at w or at (1 - w)/2, or at its singular
+# point, with the refusal in the family's own terms
+_ON_THE_CUT = {
+    ("2f1", "--alpha", "0.1", "--beta", "0.2", "--mu", "0.3", "--w", "2"):
+    "argument on the cut [1, inf)",
+    ("2f1", "--alpha", "0.1", "--beta", "0.2", "--mu", "0.3", "--w", "5"):
+    "argument on the cut [1, inf)",
+    ("gegenbauer", "--alpha", "0.1", "--lam", "0.2", "--w=-1.5"):
+    "argument on the cut (-inf, -1]",
+    ("gegenbauer", "--alpha", "0.1", "--lam", "0.2", "--w=-9"):
+    "argument on the cut (-inf, -1]",
+    ("gegenbauer", "--alpha", "0.1", "--lam", "0.2", "--w=-1"):
+    "argument at the singular point -1",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -439,14 +447,13 @@ _ON_THE_CUT = [
     ("0f1", "--alpha", "inf", "--w", "0.3"),
     ("0f1", "--alpha", "nan", "--w", "0.3", "--method", "series"),
     ("0f1", "--alpha", "0.3", "--w", "0.5,inf"),
-] + _ON_THE_CUT)
+] + list(_ON_THE_CUT))
 def test_eval_non_finite_solution_input_exit_code(capsys, argv):
     # every family refuses a non-finite parameter or w before any route,
     # and 2F1 and Gegenbauer a w on their cut, wherever it lies on it
     code, out, err = run(capsys, "eval", *argv)
     assert code == 3, out
-    reason = "argument on the cut [1, inf)" if argv in _ON_THE_CUT \
-        else "non-finite argument"
+    reason = _ON_THE_CUT.get(argv, "non-finite argument")
     assert f"DomainError: {reason}" in err
 
 

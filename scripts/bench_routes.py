@@ -30,10 +30,15 @@ exception on both sides; these calls are not timed.
 
 The report groups the points by the function and the route the change
 took, e.g. ``tricomi/series``: the point count, the number of outcomes
-that are not bitwise equal, each side's median time, the median ratio and
-a 95% bootstrap interval of that median, which resamples the copy pairs
-and the points.  Standard library only; it reads ``perfbench/`` and
-changes nothing there.  Exits 1 if any outcome differs.
+that are not bitwise equal, the largest relative difference of the two
+sides' values over those (infinite where one side raises), the routes the
+parent took where they differ from the change's (e.g. ``taylor`` under
+``2f1/lopez_temme``) with their counts, each side's median time, the
+median ratio and a 95% bootstrap interval of that median, which resamples
+the copy pairs and the points.  The normalized functions report their
+unequal count and largest relative difference the same way.  Standard
+library only; it reads ``perfbench/`` and changes nothing there.  Exits 1
+if any outcome differs.
 """
 
 from __future__ import annotations
@@ -123,24 +128,44 @@ def _bits(x):
 
 
 def outcome(call, N, params, w):
-    """(route, bitwise key) of one routed call; a raised NumericsError or
-    ArithmeticError is the route "error" and its type and message."""
+    """(route, bitwise key, value) of one routed call; a raised
+    NumericsError or ArithmeticError is the route "error", its type and
+    message, and the value None."""
     try:
         got = tuple(call(N, params, w))
     except (N.NumericsError, ArithmeticError) as exc:
-        return "error", (type(exc).__name__, str(exc))
+        return "error", (type(exc).__name__, str(exc)), None
     if len(got) == 2:
         got += (None,)
-    return got[1], tuple(map(_bits, got))
+    return got[1], tuple(map(_bits, got)), got[0]
 
 
 def value_outcome(N, name, params, w):
-    """Bitwise key of ``N.<name>(*params, w)``, or the type and message of
-    the NumericsError or ArithmeticError it raises."""
+    """(bitwise key, value) of ``N.<name>(*params, w)``, or the type and
+    message of the NumericsError or ArithmeticError it raises and None."""
     try:
-        return _bits(getattr(N, name)(*params, w))
+        value = getattr(N, name)(*params, w)
     except (N.NumericsError, ArithmeticError) as exc:
-        return type(exc).__name__, str(exc)
+        return (type(exc).__name__, str(exc)), None
+    return _bits(value), value
+
+
+def relative_difference(want, got) -> float:
+    """|got - want| / |want| of two values, 0 where they are equal, and
+    infinite where either is None (a raised exception)."""
+    if want is None or got is None:
+        return math.inf
+    if got == want:
+        return 0.0
+    return abs(got - want) / abs(want) if want else math.inf
+
+
+def _unequal(report: dict, want, got) -> None:
+    """Count an unequal outcome in ``report`` and keep its largest
+    relative difference."""
+    report["not_bitwise_equal"] += 1
+    report["max_rel_diff"] = max(report["max_rel_diff"] or 0.0,
+                                 relative_difference(want, got))
 
 
 def _time(call, N, params, w) -> float:
@@ -178,10 +203,13 @@ def compare_normalized(parent, change, pts) -> dict:
     bitwise equal between the two numerics modules."""
     report = {}
     for name, params, w in pts:
-        r = report.setdefault(name, {"points": 0, "not_bitwise_equal": 0})
+        r = report.setdefault(name, {"points": 0, "not_bitwise_equal": 0,
+                                     "max_rel_diff": None})
         r["points"] += 1
-        r["not_bitwise_equal"] += value_outcome(parent, name, params, w) \
-            != value_outcome(change, name, params, w)
+        want, want_value = value_outcome(parent, name, params, w)
+        got, got_value = value_outcome(change, name, params, w)
+        if got != want:
+            _unequal(r, want_value, got_value)
     return dict(sorted(report.items()))
 
 
@@ -206,18 +234,26 @@ def compare(parents, changes, pts, seed: int = 0) -> dict:
     """The per-route report over ``pts`` of two sides, each a list of
     numerics modules loaded from one source."""
     groups = {}
+    outcomes = {}
     for name, call, params, w in pts:
-        route, want = outcome(call, parents[0], params, w)
-        route, got = outcome(call, changes[0], params, w)
-        groups.setdefault(f"{name}/{route}", []).append(
-            (call, params, w, got != want))
+        was, want, want_value = outcome(call, parents[0], params, w)
+        route, got, got_value = outcome(call, changes[0], params, w)
+        key = f"{name}/{route}"
+        groups.setdefault(key, []).append((call, params, w))
+        r = outcomes.setdefault(key, {"not_bitwise_equal": 0,
+                                      "max_rel_diff": None,
+                                      "parent_routes": {}})
+        if got != want:
+            _unequal(r, want_value, got_value)
+        if was != route:
+            r["parent_routes"][was] = r["parent_routes"].get(was, 0) + 1
     rng = random.Random(seed)
     report = {}
     gc.disable()
     try:
         for key in sorted(groups):
             logs, spent = [], ([], [])
-            for i, (call, params, w, _) in enumerate(groups[key]):
+            for i, (call, params, w) in enumerate(groups[key]):
                 row, total = [], [0.0, 0.0]
                 for k, pair in enumerate(zip(parents, changes)):
                     t = [0.0, 0.0]
@@ -231,7 +267,7 @@ def compare(parents, changes, pts, seed: int = 0) -> dict:
             lo, hi = bootstrap(logs, rng)
             report[key] = {
                 "points": len(logs),
-                "not_bitwise_equal": sum(g[3] for g in groups[key]),
+                **outcomes[key],
                 "parent_us": 1e6 * statistics.median(spent[0]),
                 "change_us": 1e6 * statistics.median(spent[1]),
                 "median_ratio": math.exp(statistics.median(
@@ -242,15 +278,23 @@ def compare(parents, changes, pts, seed: int = 0) -> dict:
     return report
 
 
+def _max_rel(r: dict) -> str:
+    return "-" if r["max_rel_diff"] is None else f"{r['max_rel_diff']:.1e}"
+
+
 def table(report: dict) -> str:
-    lines = [f"{'route':26s} {'points':>6s} {'unequal':>7s} {'parent':>7s} "
-             f"{'change':>7s} {'ratio':>6s}  95% interval"]
+    lines = [f"{'route':26s} {'points':>6s} {'unequal':>7s} {'max rel':>7s} "
+             f"{'parent':>7s} {'change':>7s} {'ratio':>6s}  95% interval"
+             f"      parent routes"]
     for key, r in report.items():
         lo, hi = r["interval"]
+        was = " ".join(f"{route}:{n}" for route, n in
+                       sorted(r["parent_routes"].items()))
         lines.append(f"{key:26s} {r['points']:6d} "
-                     f"{r['not_bitwise_equal']:7d} {r['parent_us']:5.1f}us "
-                     f"{r['change_us']:5.1f}us {r['median_ratio']:6.3f}"
-                     f"  [{lo:.3f}, {hi:.3f}]")
+                     f"{r['not_bitwise_equal']:7d} {_max_rel(r):>7s} "
+                     f"{r['parent_us']:5.1f}us {r['change_us']:5.1f}us "
+                     f"{r['median_ratio']:6.3f}  [{lo:.3f}, {hi:.3f}]"
+                     f"  {was}".rstrip())
     return "\n".join(lines)
 
 
@@ -280,9 +324,11 @@ def main(argv=None) -> int:
         normalized = compare_normalized(
             sides[0][0], sides[1][0], normalized_points(inputs, args.seeds))
     print(table(report))
-    print(f"\n{'normalized':26s} {'points':>6s} {'unequal':>7s}")
+    print(f"\n{'normalized':26s} {'points':>6s} {'unequal':>7s} "
+          f"{'max rel':>7s}")
     for name, r in normalized.items():
-        print(f"{name:26s} {r['points']:6d} {r['not_bitwise_equal']:7d}")
+        print(f"{name:26s} {r['points']:6d} {r['not_bitwise_equal']:7d} "
+              f"{_max_rel(r):>7s}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump({"parent": args.parent,

@@ -13,12 +13,13 @@ parameter flags and --w only for the kummer suite (all three 2F1
 parameters); elsewhere they are a usage error rather than being ignored.
 
 `eval` prints the value, `method:`, the route the evaluator took (series,
-pfaff, inf, one, taylor, asymptotic, cf or quadrature), and `error:`, a
-nominal multiple of |value| outside the asymptotic, Hermite series, cf
-(continued fraction) and quadrature routes.  --norm bold|I multiplies the
-value by its prefactor in the parameters and prints the same route and
-relative error.  A --method other than auto runs that route wherever w
-lies; it is a usage error where the family has no such route.
+pfaff, inf, one, lopez_temme, taylor, asymptotic, cf or quadrature), and
+`error:`, a nominal multiple of |value| outside the asymptotic, Hermite
+series, cf (continued fraction) and quadrature routes.  --norm bold|I
+multiplies the value by its prefactor in the parameters and prints the
+same route and relative error.  A --method other than auto runs that
+route wherever w lies; it is a usage error where the family has no such
+route.
 
 Each command imports only the modules it runs: `eval` and `plotdata` load
 `numerics` (and `quadrature` where a route integrates), and reach the

@@ -303,6 +303,19 @@ def pfq_series(num: Sequence[Number], den: Sequence[Number], z,
         if not converged:
             raise ConvergenceError("series did not converge", best=total)
         return total
+    out, converged = _contiguity_jet(
+        num, den, z, lambda num, den, z0:
+        _pfq_sum(num, den, z0, tol, max_terms))
+    if not converged:
+        raise ConvergenceError("series did not converge", best=out)
+    return out
+
+
+def _contiguity_jet(num, den, z, kernel):
+    """(the Jet of pFq(num; den; z) at a Jet z, whether every scalar sum
+    converged) from `kernel(num, den, z0)` -> (pFq(num; den; z0),
+    converged), by contiguity (DLMF 16.3.1): c_n = prod (a)_n / prod (b)_n
+    / n! pFq(a+n; b+n; z0), composed with z - z0 by Horner."""
     zc = z.coeffs
     cs = []
     converged = True
@@ -318,14 +331,10 @@ def pfq_series(num: Sequence[Number], den: Sequence[Number], z,
             # a polynomial series: this and every higher derivative vanish
             cs.append(0j)
             continue
-        total, ok = _pfq_sum([p + n for p in num], [q + n for q in den],
-                             zc[0], tol, max_terms)
+        total, ok = kernel([p + n for p in num], [q + n for q in den], zc[0])
         converged = converged and ok
         cs.append(pref * total)
-    out = taylor_compose(cs, z)
-    if not converged:
-        raise ConvergenceError("series did not converge", best=out)
-    return out
+    return taylor_compose(cs, z), converged
 
 
 def _pfq_sum(num, den, z: complex, tol: float, max_terms: int):
@@ -656,6 +665,60 @@ def _taylor_coeffs_2f1(a, b, c, z0, f0, f1, order):
     return cs
 
 
+def _sum_lopez_temme(a, b, c, z, tol, max_terms):
+    """(2F1(a, b; c; z), converged) at Re z < 1 by the series of López and
+    Temme (Adv. Comput. Math. 39 (2013) 349-365),
+
+        (1 - z/2)^-a sum_n (a)_n / n! phi_n zeta^n,  zeta = z / (z - 2),
+
+    which converges wherever |zeta| < 1, that is Re z < 1.  phi_n =
+    2F1(-n, b; c; 2) comes from the contiguous relation in the first
+    parameter at 2, (c+n-1) phi_n = (n-1) phi_{n-2} - (2b-c) phi_{n-1}
+    from phi_0 = 1; the sum is compensated and stops as `_sum_2f1`'s."""
+    zeta = z / (z - 2)
+    d = 2 * b - c
+    u = 1.0 + 0.0j              # (a)_n / n! zeta^n
+    prev, phi = 0.0j, 1.0 + 0.0j
+    total = 1.0 + 0.0j
+    comp = 0.0j
+    small = 0
+    converged = False
+    for n in range(1, max_terms + 1):
+        u = u * zeta * (a + (n - 1)) / n
+        prev, phi = phi, ((n - 1) * prev - d * phi) / (c + (n - 1))
+        term = u * phi
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        m = abs(total)
+        if abs(term) < tol * (1e-300 if m < 1e-300 else m):
+            small += 1
+            if small >= 3:
+                converged = True
+                break
+        else:
+            small = 0
+    return jpow(1 - z / 2, -a) * total, converged
+
+
+def _eval_2f1_lopez_temme(al, be, mu, w):
+    """Gauss 2F1 at Re w < 1 by `_sum_lopez_temme`; the Taylor
+    coefficients of a Jet w by contiguity, as `pfq_series`'s."""
+    a, b, c = _lie_abc(al, be, mu)
+    if type(w) is Jet:
+        value, converged = _contiguity_jet(
+            (a, b), (c,), w, lambda num, den, z0:
+            _sum_lopez_temme(*num, *den, z0, 1e-17, MAX_SERIES_TERMS))
+    else:
+        value, converged = _sum_lopez_temme(a, b, c, jvalue(w), 1e-17,
+                                            MAX_SERIES_TERMS)
+    if not converged:
+        raise ConvergenceError("López-Temme series did not converge",
+                               best=value)
+    return value
+
+
 def _cut_distance(z: complex) -> float:
     """Distance from z to the cut [1, +infinity)."""
     if z.real >= 1:
@@ -667,9 +730,10 @@ def _eval_2f1_taylor_fallback(al, be, mu, w):
     """Analytic continuation by Taylor stepping along a straight path.
 
     Works for any parameters (no gamma factors involved) and any w off
-    the cut [1, +infinity), which `_2f1_check` refuses: the argument ring
-    |w| ~ |1-w| ~ 1, and the connections that degenerate at integer
-    parameters.
+    the cut [1, +infinity), which `_2f1_check` refuses.  Auto reaches it
+    only where no other route answers: where the connection at infinity
+    or at 1 degenerates at an integer mu or beta, and w lies outside the
+    guard of `lopez_temme` (Re w >= 1 or |w/(w-2)| > INNER_RADIUS).
     """
     a, b, c = _lie_abc(al, be, mu)
     w0 = jvalue(w)
@@ -752,6 +816,9 @@ _2F1_STEPS = (
           lambda *a: _far_bounds_2f1(jvalue(a[3]))[0] <= INNER_RADIUS
           and not jvalue(a[3]).imag == 0 <= jvalue(a[3]).real),
     _one_step(False),
+    _Step("lopez_temme", lambda *a: (_eval_2f1_lopez_temme(*a[:4]), None),
+          lambda *a: jvalue(a[3]).real < 1
+          and abs(jvalue(a[3]) / (jvalue(a[3]) - 2)) <= INNER_RADIUS),
     _Step("taylor", lambda *a: (_eval_2f1_taylor_fallback(*a[:4]), None)))
 
 

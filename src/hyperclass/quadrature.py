@@ -559,25 +559,12 @@ def bessel_tilde_solution(al, w, tol: float = 1e-11):
     if xr <= 0:
         raise N.DomainError("quadrature route needs Re w > 0")
     e = -al - 1
-    lin = _linear_jet(w)
-    if lin is not None:
-        # -w / s as Jet division rounds it, then its exponential in closed
-        # form
-        center, w1, order = lin
-
-        def expo(s):
-            inv = 1.0 / complex(s)
-            return _exp_linear(center, -w0 * inv, -w1 * inv, order)
-    else:
-        exp = jexp if N.is_jet(w) else cmath.exp
-
-        def expo(s):
-            return exp(-w / s)
+    exp = jexp if N.is_jet(w) else cmath.exp
 
     def g(s):
         if s > 700.0 or xr / s > 700.0:
             return 0.0j
-        return math.exp(-s) * expo(s) * s ** e
+        return math.exp(-s) * exp(-w / s) * s ** e
 
     val, err = exp_sinh(g, tol, scale=max(1.0, math.sqrt(abs(w0))))
     return _checked(val, err, tol) / SQRT_PI

@@ -101,6 +101,12 @@ def test_report_counts_outcomes_that_are_not_bitwise_equal(bench_routes):
               for k, r in report.items()}
     assert counts == {"2f1/series": (1, 0), "tricomi/cf": (1, 1),
                       "tricomi/error": (1, 0), "tricomi/series": (2, 1)}
+    # the parent took series at the point where the change took cf; the
+    # values differ only in the route (0) or the sign of a zero (0 too)
+    assert {k: (r["parent_routes"], r["max_rel_diff"])
+            for k, r in report.items()} \
+        == {"2f1/series": ({}, None), "tricomi/cf": ({"series": 1}, 0.0),
+            "tricomi/error": ({}, None), "tricomi/series": ({}, 0.0)}
     for r in report.values():
         lo, hi = r["interval"]
         assert 0 < lo <= hi < math.inf
@@ -108,7 +114,40 @@ def test_report_counts_outcomes_that_are_not_bitwise_equal(bench_routes):
         assert 0 < r["median_ratio"] < math.inf
     table = bench_routes.table(report).splitlines()
     assert len(table) == 1 + len(report)
-    assert table[2].split()[:3] == ["tricomi/cf", "1", "1"]
+    assert table[2].split()[:4] == ["tricomi/cf", "1", "1", "0.0e+00"]
+    assert table[2].split()[-1] == "series:1"
+    assert table[1].split()[3] == "-"
+
+
+def test_report_names_moved_routes_and_their_largest_difference(
+        bench_routes):
+    # a change that moves two of three points to a new route, off by 1e-13
+    # and 3e-13 relative, and makes the third raise
+    tricomi = bench_routes.ROUTED["eval_tricomi"][1]
+    pts = [("tricomi", tricomi, [0.1, 0.2], w) for w in (1.0, 2.0, 3.0)]
+    parent = _numerics(lambda w: "series")
+    change = _numerics(lambda w: "new")
+    change._tricomi = lambda th, al, w, tol: (
+        (w * (1 + 1e-13 * w * w), "new", None) if w < 3
+        else parent._tricomi(th, al, 0.0, tol))
+    report = bench_routes.compare([parent], [change], pts)
+    assert list(report) == ["tricomi/error", "tricomi/new"]
+    new = report["tricomi/new"]
+    assert (new["points"], new["not_bitwise_equal"], new["parent_routes"]) \
+        == (2, 2, {"series": 2})
+    assert new["max_rel_diff"] == pytest.approx(4e-13, rel=1e-3)
+    error = report["tricomi/error"]
+    assert (error["parent_routes"], error["max_rel_diff"]) \
+        == ({"series": 1}, math.inf)
+    line = bench_routes.table(report).splitlines()[2].split()
+    assert line[3] == "4.0e-13" and line[-1] == "series:2"
+
+
+def test_relative_difference(bench_routes):
+    rel = bench_routes.relative_difference
+    assert rel(2.0, 2.0) == 0.0 == rel(0j, 0j)
+    assert rel(2.0, 2.5) == 0.25
+    assert rel(None, 1.0) == rel(1.0, None) == rel(0j, 1e-300) == math.inf
 
 
 def test_bits_tell_signed_zeros_and_nans_apart(bench_routes):
@@ -148,12 +187,20 @@ def test_normalized_report_counts_values_and_exceptions(bench_routes):
     pts = [("bold_F_1f1", [0.1, 0.2], w) for w in (1 + 1j, 2 + 0j, 0j)] \
         + [("bold_F_0f1", [0.1], w) for w in (0j, 1 + 0j)]
     same = bench_routes.compare_normalized(numerics(0), numerics(0), pts)
-    assert same == {"bold_F_0f1": {"points": 2, "not_bitwise_equal": 0},
-                    "bold_F_1f1": {"points": 3, "not_bitwise_equal": 0}}
-    # the value at 2 differs, and so does the message at 0; -0.0 is not 0.0
+    assert same == {"bold_F_0f1": {"points": 2, "not_bitwise_equal": 0,
+                                   "max_rel_diff": None},
+                    "bold_F_1f1": {"points": 3, "not_bitwise_equal": 0,
+                                   "max_rel_diff": None}}
+    # the value at 2 differs, by 1/2 relative, and so does the message at
+    # 0, where no value is compared; -0.0 is not 0.0
     report = bench_routes.compare_normalized(numerics(0), numerics(1), pts)
-    assert report["bold_F_1f1"] == {"points": 3, "not_bitwise_equal": 2}
-    assert report["bold_F_0f1"] == {"points": 2, "not_bitwise_equal": 0}
+    assert report["bold_F_1f1"] == {"points": 3, "not_bitwise_equal": 2,
+                                    "max_rel_diff": math.inf}
+    assert report["bold_F_0f1"] == {"points": 2, "not_bitwise_equal": 0,
+                                    "max_rel_diff": None}
+    moved = bench_routes.compare_normalized(numerics(0), numerics(1),
+                                            pts[1:2])
+    assert moved["bold_F_1f1"]["max_rel_diff"] == 0.5
     signed = bench_routes.compare_normalized(
         numerics(0), types.SimpleNamespace(
             NumericsError=_Error, bold_F_0f1=lambda al, w: w), pts[3:])

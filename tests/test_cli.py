@@ -131,6 +131,7 @@ _2F1_ROUTE_FUNCTIONS = {
     "_series_or_pfaff": "pfaff",
     "_eval_2f1_inf_route": "inf",
     "_eval_2f1_one_route": "one",
+    "_eval_2f1_lopez_temme": "lopez_temme",
     "_eval_2f1_taylor_fallback": "taylor",
 }
 
@@ -140,8 +141,10 @@ _2F1_ROUTE_FUNCTIONS = {
     ("0.3", "-1", "pfaff"),
     ("0.3", "-3,1", "inf"),
     ("0.3", "0.7", "one"),
-    ("0.3", "0.5,0.9", "taylor"),
-    ("2", "-3,1", "taylor"),       # the inf route degenerates at integer mu
+    ("0.3", "0.5,0.9", "lopez_temme"),
+    ("2", "-3,1", "lopez_temme"),  # the inf route degenerates at integer mu
+    # inf degenerates, the bound at 1 is 0.91, and Re w >= 1
+    ("2", "1.5,3", "taylor"),
 ])
 def test_eval_2f1_method_names_the_route_that_ran(capsys, monkeypatch, mu,
                                                    w, route):

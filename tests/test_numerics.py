@@ -859,9 +859,11 @@ def test_route_order_is_data():
     # one is listed before and after inf, and its guards let it run once,
     # in the order of the bounds (see the test below)
     assert _routes(N._2F1_STEPS) \
-        == ["series", "pfaff", "one", "inf", "one", "taylor"]
+        == ["series", "pfaff", "one", "inf", "one", "lopez_temme", "taylor"]
+    # lopez_temme needs Re w < 1
     for w, order in ((2 + 0.5j, ["inf", "one", "taylor"]),
-                     (1.5 + 0.5j, ["one", "inf", "taylor"])):
+                     (1.5 + 0.5j, ["one", "inf", "taylor"]),
+                     (0.5 + 0.9j, ["lopez_temme", "taylor"])):
         assert _routes(s for s in N._2F1_STEPS if s.guard is None
                        or s.guard(0.2, 0.1, 0.3, w, None)) == order
 
@@ -898,6 +900,87 @@ def test_2f1_orders_inf_and_one_only_past_series_and_pfaff(monkeypatch):
         del calls[:]
         assert N._eval_2F1_routed(0.2, 0.1, 0.3, w)[1] == route
         assert (len(calls) > 0) == (route == "inf")
+
+
+def _ring_point(rng):
+    """A w on the ring |w| ~ |1 - w| ~ 1 around e^{+-i pi/3}, where every
+    Moebius argument of Kummer's solutions has modulus near 1."""
+    return complex(rng.uniform(0.3, 0.7),
+                   rng.choice((-1, 1)) * rng.uniform(0.7, 1.2))
+
+
+def _lopez_temme_point(rng):
+    """A w with Re w < 1 and |w / (w - 2)| <= 0.75."""
+    while True:
+        w = complex(rng.uniform(-4.0, 1.0), rng.uniform(-4.0, 4.0))
+        if w.real < 1 and abs(w / (w - 2)) <= N.INNER_RADIUS:
+            return w
+
+
+def _lopez_temme_cases(rng):
+    """(al, be, mu, w): the ring, integer mu and beta, and |alpha| up to
+    2.5, 40 of each."""
+    def lie(r):
+        return complex(rng.uniform(-r, r), rng.uniform(-0.3, 0.3))
+    for _ in range(40):
+        yield lie(1.0), lie(1.0), lie(1.0), _ring_point(rng)
+    for _ in range(40):
+        yield (lie(1.5), float(rng.choice((-1, 0, 1))),
+               float(rng.randint(-2, 2)), _lopez_temme_point(rng))
+    for _ in range(40):
+        yield lie(2.5), lie(2.5), lie(2.5), _lopez_temme_point(rng)
+
+
+def test_lopez_temme_against_mpmath():
+    # each value of the new step lies within 1e-12 relative of mpmath; on
+    # the ring, auto takes it where inf and one are out of range and
+    # |w / (w - 2)| <= INNER_RADIUS.  (0.2, 0.1, 2, -3+i) is the point
+    # where Taylor stepping was off by 1.1e-12 against its nominal 1e-13
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(2401)
+    cases = [(0.2, 0.1, 2.0, -3 + 1j)] + list(_lopez_temme_cases(rng))
+    routed = []
+    with mp.workdps(30):
+        for k, (al, be, mu, w) in enumerate(cases):
+            got = N._eval_2f1_lopez_temme(al, be, mu, w)
+            want = complex(mp.hyp2f1(*N._lie_abc(al, be, mu), w))
+            assert abs(got - want) <= 1e-12 * abs(want), (al, be, mu, w)
+            if k <= 40 and abs(w / (w - 2)) <= N.INNER_RADIUS \
+                    < min(N._far_bounds_2f1(w)):
+                assert N._eval_2F1_routed(al, be, mu, w) \
+                    == (got, "lopez_temme", None)
+                routed.append(w)
+    assert len(routed) >= 20
+
+
+def test_lopez_temme_agrees_with_taylor_stepping_on_the_ring():
+    rng = random.Random(2402)
+    for _ in range(40):
+        al, be, mu = (complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
+                      for _ in range(3))
+        w = _ring_point(rng)
+        got = N._eval_2f1_lopez_temme(al, be, mu, w)
+        want = N._eval_2f1_taylor_fallback(al, be, mu, w)
+        assert abs(got - want) <= 1e-11 * abs(want), (al, be, mu, w)
+
+
+def test_lopez_temme_jet_against_mpmath():
+    # each coefficient of an order-3 Jet through the new step, by
+    # contiguity, lies within 1e-11 relative of mpmath's derivative
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(2403)
+    with mp.workdps(30):
+        for _ in range(8):
+            al, be, mu = (complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
+                          for _ in range(3))
+            w = _ring_point(rng)
+            got = N._eval_2f1_lopez_temme(al, be, mu, Jet.variable(w, 3))
+            a, b, c = N._lie_abc(al, be, mu)
+            want = [d / mp.factorial(k) for k, d in enumerate(
+                mp.diffs(lambda x: mp.hyp2f1(a, b, c, x), mp.mpc(w), 3))]
+            for k, (g, x) in enumerate(zip(got.coeffs, want)):
+                assert abs(g - complex(x)) <= 1e-11 * abs(x), (al, be, mu,
+                                                               w, k)
 
 
 @pytest.mark.parametrize("steps, root, params", [

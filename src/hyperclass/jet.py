@@ -1,10 +1,10 @@
 """Truncated complex Taylor jets.
 
 A `Jet` carries a function's value and its first few Taylor coefficients
-at one point, so that evaluators written for complex numbers return
-derivatives along with the value.  The numeric layer (`numerics`,
-`quadrature`) runs on jets without loading the exact operator algebra;
-`exactalg.jet_apply` applies an exact operator to one.
+at one point.  `numerics` builds the jets of its functions from scalar
+values (`taylor_compose`) and composes them with elementary functions,
+without loading the exact operator algebra; `exactalg.jet_apply` applies
+an exact operator to one.
 """
 
 from __future__ import annotations

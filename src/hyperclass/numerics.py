@@ -8,8 +8,14 @@ alternative expressions for cross-checking), the gamma-matrix connection
 coefficients, and normalized variants whose recurrence coefficients are
 polynomial.
 
-All evaluators are jet-polymorphic: the argument may be a complex number
-or a `jet.Jet`, in which case derivatives come along for free.
+The argument of an evaluator may be a complex number or a `jet.Jet`.  The
+derivative d/dw is a root operator of each family (its first transmutation
+row), so the k-th Taylor coefficient of a function is a value at parameters
+shifted k times by that root.  The evaluators with a `_Root` (2F1,
+Gegenbauer and the solutions at infinity) take a Jet's coefficients from
+their scalar route steps at shifted parameters (`_root_jet`), the bare
+series from their contiguous sums (`pfq_series`); no route step of the
+former and no quadrature sees a Jet.
 """
 
 from __future__ import annotations
@@ -128,10 +134,6 @@ def sinpi(z: Number) -> complex:
 # `type(x) is Jet` and `type(x) is complex` are tested inline: these run
 # once or more per quadrature node and series term.
 
-def is_jet(x) -> bool:
-    return type(x) is Jet
-
-
 def jexp(x):
     t = type(x)
     if t is Jet:
@@ -154,7 +156,7 @@ def jpow(x, e):
 
 
 def jsqrt(x):
-    return x.sqrt() if is_jet(x) else cmath.sqrt(_as_complex(x))
+    return x.sqrt() if type(x) is Jet else cmath.sqrt(_as_complex(x))
 
 
 def jvalue(x) -> complex:
@@ -162,13 +164,6 @@ def jvalue(x) -> complex:
     if t is Jet:
         return x.coeffs[0]
     return x if t is complex else _as_complex(x)
-
-
-def jabs(x) -> float:
-    t = type(x)
-    if t is Jet:
-        return abs(x.coeffs[0])
-    return abs(x if t is complex else _as_complex(x))
 
 
 def require_finite(*args) -> None:
@@ -195,8 +190,8 @@ class _Step(NamedTuple):
 
 
 class _Root(NamedTuple):
-    """The root of a solution at infinity whose shift is its derivative:
-    f_p' = factor(*p) f_{shift(*p)} for the Lie parameters p."""
+    """The root of a family whose shift is its derivative: f_p' =
+    factor(*p) f_{shift(*p)} for the Lie parameters p."""
     shift: Callable
     factor: Callable
 
@@ -207,16 +202,18 @@ def _ladder(steps, args, tol, method="auto", check=None, root=None):
     has passed.  Auto skips a step whose guard(*args, tol) is false, and
     rejects one that raises NumericsError or ArithmeticError or whose
     estimate exceeds tol; the last failure propagates.  Another `method`
-    runs only that step, without guard or gate: a ConvergenceError with
-    an `estimate` gives its `best`.  With a `root`, a Jet w takes
-    `_root_jet`, so that no step sees a Jet."""
+    runs the first step of that name, without guard or gate: a
+    ConvergenceError with an `estimate` gives its `best`.  With a `root`,
+    a Jet w takes `_root_jet`, so that no step sees a Jet."""
     require_finite(*args)
     if root is not None and type(args[-1]) is Jet:
         return _root_jet(steps, args, tol, method, check, root)
     if check is not None:
         check(*args)
     if method != "auto":
-        (fn,) = [s.fn for s in steps if s.route == method]
+        fn = next((s.fn for s in steps if s.route == method), None)
+        if fn is None:
+            raise ValueError(f"no route {method!r} among the steps")
         try:
             value, est = fn(*args, tol)
         except ConvergenceError as exc:
@@ -248,14 +245,15 @@ def _root_jet(steps, args, tol, method, check, root):
     shifted k times by the root and f_{p_k}(w0) comes from the scalar
     ladder; `taylor_compose` composes the coefficients with w (as
     `pfq_series` composes those of DLMF 16.3.1).  The route is that of
-    the value, the estimate the largest of the coefficients'; a zero
-    factor (a polynomial solution) makes every later coefficient 0."""
+    the value, the estimate the largest of the coefficients', None if one
+    of them is None; a zero factor (a polynomial solution) makes every
+    later coefficient 0."""
     *params, w = args
     w0 = w.coeffs[0]
     cs = []
     pref = 1.0 + 0.0j
     route = None
-    worst = 0.0
+    ests = []
     for k in range(len(w.coeffs)):
         if k:
             pref = pref * root.factor(*params) / k
@@ -265,9 +263,9 @@ def _root_jet(steps, args, tol, method, check, root):
             continue
         value, got, est = _ladder(steps, (*params, w0), tol, method, check)
         route = route or got
-        worst = max(worst, est)
+        ests.append(est)
         cs.append(pref * value)
-    return taylor_compose(cs, w), route, worst
+    return taylor_compose(cs, w), route, None if None in ests else max(ests)
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +301,6 @@ def pfq_series(num: Sequence[Number], den: Sequence[Number], z,
         if not converged:
             raise ConvergenceError("series did not converge", best=total)
         return total
-    out, converged = _contiguity_jet(
-        num, den, z, lambda num, den, z0:
-        _pfq_sum(num, den, z0, tol, max_terms))
-    if not converged:
-        raise ConvergenceError("series did not converge", best=out)
-    return out
-
-
-def _contiguity_jet(num, den, z, kernel):
-    """(the Jet of pFq(num; den; z) at a Jet z, whether every scalar sum
-    converged) from `kernel(num, den, z0)` -> (pFq(num; den; z0),
-    converged), by contiguity (DLMF 16.3.1): c_n = prod (a)_n / prod (b)_n
-    / n! pFq(a+n; b+n; z0), composed with z - z0 by Horner."""
     zc = z.coeffs
     cs = []
     converged = True
@@ -331,10 +316,14 @@ def _contiguity_jet(num, den, z, kernel):
             # a polynomial series: this and every higher derivative vanish
             cs.append(0j)
             continue
-        total, ok = kernel([p + n for p in num], [q + n for q in den], zc[0])
+        total, ok = _pfq_sum([p + n for p in num], [q + n for q in den],
+                             zc[0], tol, max_terms)
         converged = converged and ok
         cs.append(pref * total)
-    return taylor_compose(cs, z), converged
+    out = taylor_compose(cs, z)
+    if not converged:
+        raise ConvergenceError("series did not converge", best=out)
+    return out
 
 
 def _pfq_sum(num, den, z: complex, tol: float, max_terms: int):
@@ -473,23 +462,19 @@ def eval_2F0_asymptotic(a, b, z, tol: float = 1e-15):
     """Optimally truncated asymptotic sum of 2F0(a,b;-;z).
 
     Returns (value, error_estimate); the estimate is the magnitude of the
-    first omitted term.  Works for complex or Jet `z`.
+    first omitted term.
     """
     a = _as_complex(a)
     b = _as_complex(b)
-    z0 = jvalue(z)
-    if is_jet(z):
-        term = Jet.constant(1.0, z.center, z.order)
-    else:
-        term = 1.0 + 0.0j
-        z = _as_complex(z)
+    z = _as_complex(z)
+    term = 1.0 + 0.0j
     total = term
     prev = 1.0
     best_err = None
     for k in range(400):
         nxt = term * z * ((a + k) * (b + k) / (k + 1))
-        mag = jabs(nxt)
-        if mag < tol * max(jabs(total), 1e-300):
+        mag = abs(nxt)
+        if mag < tol * max(abs(total), 1e-300):
             return total + nxt, mag
         if mag > prev and k >= 1:
             # divergence onset: stop before adding the growing term
@@ -611,15 +596,14 @@ def _series_2f1(al, be, mu, w):
 def _series_or_pfaff(al, be, mu, z):
     """2F1 via direct series or Pfaff, requiring one of the two arguments
     to have modulus <= INNER_RADIUS."""
-    z0 = jvalue(z)
-    r_direct = abs(z0)
-    r_pfaff = abs(z0 / (z0 - 1)) if z0 != 1 else float("inf")
+    r_direct = abs(z)
+    r_pfaff = abs(z / (z - 1)) if z != 1 else float("inf")
     if r_direct <= min(r_pfaff, INNER_RADIUS):
         return _series_2f1(al, be, mu, z)
     if r_pfaff <= INNER_RADIUS:
         # Pfaff: F_{al,be,mu}(z) = (1-z)^{(-1-al-be-mu)/2} F_{al,mu,be}(z/(z-1))
         return _kummer_term("at0_1", 3, al, be, mu, z, _series_2f1)
-    raise DomainError(f"inner 2F1 argument {z0} out of range")
+    raise DomainError(f"inner 2F1 argument {z} out of range")
 
 
 def _eval_2f1_inf_route(al, be, mu, w):
@@ -703,16 +687,9 @@ def _sum_lopez_temme(a, b, c, z, tol, max_terms):
 
 
 def _eval_2f1_lopez_temme(al, be, mu, w):
-    """Gauss 2F1 at Re w < 1 by `_sum_lopez_temme`; the Taylor
-    coefficients of a Jet w by contiguity, as `pfq_series`'s."""
-    a, b, c = _lie_abc(al, be, mu)
-    if type(w) is Jet:
-        value, converged = _contiguity_jet(
-            (a, b), (c,), w, lambda num, den, z0:
-            _sum_lopez_temme(*num, *den, z0, 1e-17, MAX_SERIES_TERMS))
-    else:
-        value, converged = _sum_lopez_temme(a, b, c, jvalue(w), 1e-17,
-                                            MAX_SERIES_TERMS)
+    """Gauss 2F1 at Re w < 1 by `_sum_lopez_temme`."""
+    value, converged = _sum_lopez_temme(*_lie_abc(al, be, mu), w, 1e-17,
+                                        MAX_SERIES_TERMS)
     if not converged:
         raise ConvergenceError("López-Temme series did not converge",
                                best=value)
@@ -736,17 +713,16 @@ def _eval_2f1_taylor_fallback(al, be, mu, w):
     guard of `lopez_temme` (Re w >= 1 or |w/(w-2)| > INNER_RADIUS).
     """
     a, b, c = _lie_abc(al, be, mu)
-    w0 = jvalue(w)
-    z = 0.45 * w0 / max(abs(w0), 1e-300)
+    z = 0.45 * w / max(abs(w), 1e-300)
     seed = hyp2f1_series(a, b, c, Jet.variable(z, 1))
     f0, f1 = seed.coeffs[0], seed.coeffs[1]
     for _ in range(300):
         dist = _cut_distance(z)
-        remaining = w0 - z
+        remaining = w - z
         max_step = 0.38 * dist
         cs = _taylor_coeffs_2f1(a, b, c, z, f0, f1, _TAYLOR_ORDER)
         if abs(remaining) <= max_step:
-            h = w - z           # the last step, a complex number or a Jet
+            h = remaining
             total = 0.0j
             power = 1.0 + 0.0j
             for k in range(_TAYLOR_ORDER + 1):
@@ -782,10 +758,9 @@ def _2f1_checker(point: str, cut: str):
         if is_nonpositive_integer(1 + _as_complex(al)):
             raise GammaPoleError("lower parameter c is a non-positive "
                                  "integer")
-        w0 = jvalue(w)
-        if abs(w0 - 1) < 1e-13:
+        if abs(w - 1) < 1e-13:
             raise DomainError(f"argument at the singular point {point}")
-        if w0.imag == 0 and w0.real > 1:
+        if w.imag == 0 and w.real > 1:
             raise DomainError(f"argument on the cut {cut}")
     return check
 
@@ -798,33 +773,41 @@ def _one_step(first):
     """The route at 1 where its inner argument is within INNER_RADIUS:
     before inf (`first`) where its bound is the smaller, else after it."""
     def guard(*a):
-        b_inf, b_one = _far_bounds_2f1(jvalue(a[3]))
+        b_inf, b_one = _far_bounds_2f1(a[3])
         return b_one <= INNER_RADIUS and (b_one < b_inf) == first
     return _Step("one", lambda *a: (_eval_2f1_one_route(*a[:4]), None), guard)
 
 
-# a = (al, be, mu, w, tol); inf where its inner argument is within
-# INNER_RADIUS, off [0, inf).  The bounds are computed only in the guards
-# that auto reaches, past series and pfaff.
+# a = (al, be, mu, w, tol), w complex; inf where its inner argument is
+# within INNER_RADIUS, off [0, inf).  The bounds are computed only in the
+# guards that auto reaches, past series and pfaff.
 _2F1_STEPS = (
     _Step("series", lambda *a: (_series_2f1(*a[:4]), None),
-          lambda *a: jabs(a[3]) <= SERIES_RADIUS),
+          lambda *a: abs(a[3]) <= SERIES_RADIUS),
     _Step("pfaff", lambda *a: (_series_or_pfaff(*a[:4]), None),
-          lambda *a: abs(jvalue(a[3]) / (jvalue(a[3]) - 1)) <= SERIES_RADIUS),
+          lambda *a: abs(a[3] / (a[3] - 1)) <= SERIES_RADIUS),
     _one_step(True),
     _Step("inf", lambda *a: (_eval_2f1_inf_route(*a[:4]), None),
-          lambda *a: _far_bounds_2f1(jvalue(a[3]))[0] <= INNER_RADIUS
-          and not jvalue(a[3]).imag == 0 <= jvalue(a[3]).real),
+          lambda *a: _far_bounds_2f1(a[3])[0] <= INNER_RADIUS
+          and not a[3].imag == 0 <= a[3].real),
     _one_step(False),
     _Step("lopez_temme", lambda *a: (_eval_2f1_lopez_temme(*a[:4]), None),
-          lambda *a: jvalue(a[3]).real < 1
-          and abs(jvalue(a[3]) / (jvalue(a[3]) - 2)) <= INNER_RADIUS),
+          lambda *a: a[3].real < 1 and abs(a[3] / (a[3] - 2)) <= INNER_RADIUS),
     _Step("taylor", lambda *a: (_eval_2f1_taylor_fallback(*a[:4]), None)))
+
+# F_{al,be,mu}' = ab/c F_{al+1,be+1,mu}, (a, b, c) -> (a+1, b+1, c+1)
+# (DLMF 15.5.1; the row 2f1:trans:01)
+_2F1_ROOT = _Root(lambda al, be, mu: (al + 1, be + 1, mu),
+                  lambda *p: (lambda a, b, c: a * b / c)(*_lie_abc(*p)))
 
 
 def _eval_2F1_routed(al, be, mu, w, method="auto", check=_2f1_check):
-    """`eval_2F1` with its route and estimate (None) by `_ladder`."""
-    return _ladder(_2F1_STEPS, (al, be, mu, w), None, method, check)
+    """`eval_2F1` with its route and estimate (None) by `_ladder`; a scalar
+    w is taken as complex."""
+    if type(w) is not Jet:
+        w = _as_complex(w)
+    return _ladder(_2F1_STEPS, (al, be, mu, w), None, method, check,
+                   _2F1_ROOT)
 
 
 def eval_2F1(al, be, mu, w):
@@ -920,7 +903,7 @@ def _asymptotic(power, sum_err, tol):
     relative to the sum; else a ConvergenceError that carries both."""
     total, err = sum_err
     value = power * total
-    if err <= tol * max(jabs(total), 1e-300):
+    if err <= tol * max(abs(total), 1e-300):
         return value, err
     raise ConvergenceError("asymptotic sum misses tol", best=value,
                            estimate=err)
@@ -937,8 +920,8 @@ def _quadrature(name):
 
 def _off_the_cut(*args):
     """A `_ladder` check: DomainError where w lies on the cut (-inf, 0]."""
-    w0 = jvalue(args[-1])
-    if w0.imag == 0 and w0.real <= 0:
+    w = args[-1]
+    if w.imag == 0 and w.real <= 0:
         raise DomainError("solution evaluated on its cut")
 
 
@@ -1001,7 +984,7 @@ def _bold_1f1_rounded(th, al, w):
     a = (1 + al + th) / 2
     c = 1 + al
     r = rgamma(c)
-    if jvalue(w).real < 0:
+    if w.real < 0:
         e = jexp(w)
         total, bound = _series_rounded((c - a,), (c,), _as_complex(-w))
         value = r * (e * total)
@@ -1173,7 +1156,7 @@ def _0f1_tilde_cf(al, w):
 _TRICOMI_STEPS = (
     _Step("asymptotic", lambda th, al, w, tol: _asymptotic(
         jpow(w, (-1 - th - al) / 2), tilde_F_2f0(th, al, -1 / w, tol), tol),
-        lambda th, al, w, tol: jabs(w) >= ASYMPTOTIC_CROSSOVER),
+        lambda th, al, w, tol: abs(w) >= ASYMPTOTIC_CROSSOVER),
     _Step("series", lambda th, al, w, tol: _tricomi_series(th, al, w)),
     _Step("cf", lambda th, al, w, tol: _tricomi_cf(th, al, w)),
     _quadrature("tricomi_solution"))
@@ -1225,8 +1208,7 @@ def _hermite_series_fits(la, z) -> bool:
 
 
 def _hermite_asymptotic(la, w, tol):
-    w0 = jvalue(w)
-    if w0.imag == 0 and w0.real <= 0:
+    if w.imag == 0 and w.real <= 0:
         raise DomainError("asymptotic sum of S_lambda evaluated on "
                           "(-inf, 0]")
     return _asymptotic(jpow(w, -la - 0.5), eval_2F0_asymptotic(
@@ -1238,8 +1220,8 @@ def _hermite_cf(first):
     (`first`) at |w| < 4, after the asymptotic sum at |w| >= 4."""
     return _Step("cf", lambda la, w, tol:
                  _tricomi_cf(la, -0.5, jvalue(w) * jvalue(w)),
-                 lambda la, w, tol: jvalue(w).real >= 2.0
-                 and (jabs(w) < ASYMPTOTIC_CROSSOVER) == first)
+                 lambda la, w, tol: w.real >= 2.0
+                 and (abs(w) < ASYMPTOTIC_CROSSOVER) == first)
 
 
 # cf takes about (18.4 / Re w)^2 steps, at most about 85 where it is tried
@@ -1248,11 +1230,11 @@ _HERMITE_STEPS = (
     _hermite_cf(True),
     _Step("series", lambda la, w, tol:
           _tricomi_series(la, -0.5, jvalue(w) * jvalue(w), jvalue(w)),
-          lambda la, w, tol: not (jabs(w) >= ASYMPTOTIC_CROSSOVER
-                                  and jvalue(w).real >= abs(jvalue(w).imag))
-          and _hermite_series_fits(la, jvalue(w) * jvalue(w))),
+          lambda la, w, tol: not (abs(w) >= ASYMPTOTIC_CROSSOVER
+                                  and w.real >= abs(w.imag))
+          and _hermite_series_fits(la, w * w)),
     _Step("asymptotic", _hermite_asymptotic,
-          lambda la, w, tol: jabs(w) >= ASYMPTOTIC_CROSSOVER),
+          lambda la, w, tol: abs(w) >= ASYMPTOTIC_CROSSOVER),
     _hermite_cf(False),
     _quadrature("hermite_S_solution"))
 
@@ -1289,11 +1271,11 @@ def _0f1_tilde_asymptotic(al, w, tol):
 # tol (capped below overflow).  cf needs |w| >= 0.17 to 0.66.
 _0F1_TILDE_STEPS = (
     _Step("asymptotic", _0f1_tilde_asymptotic,
-          lambda al, w, tol: 4 * abs(cmath.sqrt(jvalue(w))) >= 25.0),
+          lambda al, w, tol: 4 * abs(cmath.sqrt(w)) >= 25.0),
     _Step("series", lambda al, w, tol: _0f1_tilde_series(al, w),
-          lambda al, w, tol: jvalue(w).real <= 0 or _EPS * math.exp(
-              min(4 * cmath.sqrt(jvalue(w)).real + 3, 700.0)) <= tol),
-    _Step("cf", lambda al, w, tol: _0f1_tilde_cf(al, jvalue(w))),
+          lambda al, w, tol: w.real <= 0 or _EPS * math.exp(
+              min(4 * cmath.sqrt(w).real + 3, 700.0)) <= tol),
+    _Step("cf", lambda al, w, tol: _0f1_tilde_cf(al, w)),
     _quadrature("bessel_tilde_solution"))
 
 # T_al' = -T_{al+1} (DLMF 10.29.4)

@@ -35,8 +35,9 @@ Each row also carries its parameter constraint, admissible domain and an
 expected value computed independently from series/connection formulas in
 `numerics`.
 
-All segment/ray integrands may close over a Jet argument, in which case the
-result is a Jet (differentiation under the integral sign).
+Everything here runs on complex numbers only: `numerics` takes the
+derivatives of a solution from its values at root-shifted parameters, and
+the raising steps of the solution evaluators are scalar root shifts too.
 """
 
 from __future__ import annotations
@@ -47,10 +48,8 @@ import math
 from array import array
 from typing import Callable, NamedTuple, Optional
 
-from .jet import Jet, _jet, _jet_scale, taylor_compose
 from . import numerics as N
-from .numerics import (jabs, jexp, jpow, jsqrt, jvalue, rgamma, gamma,
-                       NumericsError)
+from .numerics import jpow, jsqrt, rgamma, gamma, NumericsError
 
 
 class QuadratureError(NumericsError):
@@ -165,14 +164,8 @@ def _level_sum(f, sides):
     A node where f raises an arithmetic error, returns None or a value
     that is not finite is skipped; a side ends after four nodes in a row
     whose |w f| falls below 1e-18 of the largest so far.
-
-    Jet values accumulate into one coefficient list (`acc`), rounded as
-    the sums ``w * val + total`` of Jets would round them; the scalar
-    values before the first Jet sum in `total`.
     """
     total = 0.0j
-    acc = None
-    center = None
     scale = 0.0
     isfinite = math.isfinite
     for side in sides:
@@ -184,22 +177,10 @@ def _level_sum(f, sides):
                 continue
             if val is None:
                 continue
-            is_jet = type(val) is Jet
-            size = abs(val.coeffs[0]) if is_jet else abs(val)
+            size = abs(val)
             if not isfinite(size):
                 continue
-            if is_jet:
-                wc = _jet_scale(val.coeffs, complex(wgt))
-                if acc is None:
-                    center = val.center
-                    acc = [wc[0] + total] + [a + 0j for a in wc[1:]]
-                else:
-                    acc = [a + b for a, b in zip(wc, acc)]
-            elif acc is None:
-                total = wgt * val + total
-            else:
-                acc[0] = acc[0] + wgt * val
-                acc[1:] = [a + 0j for a in acc[1:]]
+            total = wgt * val + total
             mag = abs(wgt) * size
             if mag > scale:
                 scale = mag
@@ -209,7 +190,7 @@ def _level_sum(f, sides):
                     break
             else:
                 misses = 0
-    return total if acc is None else _jet(center, acc)
+    return total
 
 
 def _de_integrate(level_nodes, f, tol: float, max_level: int = 9):
@@ -225,9 +206,9 @@ def _de_integrate(level_nodes, f, tol: float, max_level: int = 9):
         h *= 0.5
         total = total + _level_sum(f, level_nodes(level))
         new_value = total * h
-        err = jabs(new_value - value)
+        err = abs(new_value - value)
         value = new_value
-        scale = max(jabs(value), 1e-300)
+        scale = max(abs(value), 1e-300)
         if err <= tol * scale and prev is not None:
             return value, err
         prev = err
@@ -237,12 +218,12 @@ def _de_integrate(level_nodes, f, tol: float, max_level: int = 9):
 def tanh_sinh(f: Callable, za, zb, tol: float = 1e-11, max_level: int = 9):
     """Integral of f over the straight segment [za, zb].
 
-    Endpoint singularities of algebraic type are handled; f may return a
-    Jet.  If f carries the attribute ``endpoint_aware`` it is called as
-    f(t, side, off) with side 0/1 naming the nearer endpoint (za/zb) and
-    off the exact complex offset from it (t = za + off or zb - off), so
-    singular factors keep full relative accuracy arbitrarily close to the
-    endpoints.  Returns (value, error_estimate).
+    Endpoint singularities of algebraic type are handled.  If f carries
+    the attribute ``endpoint_aware`` it is called as f(t, side, off) with
+    side 0/1 naming the nearer endpoint (za/zb) and off the exact complex
+    offset from it (t = za + off or zb - off), so singular factors keep
+    full relative accuracy arbitrarily close to the endpoints.  Returns
+    (value, error_estimate).
     """
     za = complex(za)
     zb = complex(zb)
@@ -344,14 +325,13 @@ def ray_power_integrand(z0, d, factors, extra: Optional[Callable] = None):
 
     exp_sinh(g) integrates over s in (0, inf) with no Jacobian d, so the
     ray (-inf, 0] (z0 = 0, d = -1) gives int f(-s) ds.  A factor whose p_j
-    is z0 is evaluated from the exact offset c_j d s.  A complex base is
-    raised by x ** g_j, a Jet base (a Jet p_j) by jpow.  extra runs first,
-    as in `segment_power_integrand`."""
+    is z0 is evaluated from the exact offset c_j d s.  A base is raised by
+    x ** g_j.  extra runs first, as in `segment_power_integrand`."""
     z0 = complex(z0)
     d = complex(d)
     # each factor with c_j d if p_j is the start z0, else None
-    started = tuple((c * d if type(p) is not Jet and complex(p) == z0
-                     else None, c, p, e) for c, p, e in factors)
+    started = tuple((c * d if complex(p) == z0 else None, c, p, e)
+                    for c, p, e in factors)
 
     def g(s):
         t = z0 + d * s
@@ -362,7 +342,7 @@ def ray_power_integrand(z0, d, factors, extra: Optional[Callable] = None):
         out = 1.0 + 0.0j
         for cd, c, p, e in started:
             lv = c * (t - p) if cd is None else cd * s
-            out = out * (jpow(lv, e) if type(lv) is Jet else lv ** e)
+            out = out * lv ** e
         return out if extra is None else out * ex
 
     return g
@@ -419,15 +399,14 @@ def loop_0(fn: Callable, gam: complex, rho: float, end: float,
 
 # ---------------------------------------------------------------------------
 # Solution evaluators used by `numerics` at a scalar w where no certified
-# route answers (on a jet `numerics` composes scalar values instead); they
-# run on jets for their own raising steps (`_raised`)
+# route answers (on a jet `numerics` composes scalar values instead)
 # ---------------------------------------------------------------------------
 
 def _checked(value, err, tol: float):
     """The quadrature value, unless it is not finite or its error estimate
     misses the requested tolerance by a wide margin: then QuadratureError
     carries both."""
-    size = jabs(value)
+    size = abs(value)
     if not (math.isfinite(size) and err <= max(10 * tol * max(size, 1.0),
                                                1e-6)):
         raise QuadratureError("quadrature tolerance unreachable",
@@ -438,41 +417,12 @@ def _checked(value, err, tol: float):
 _EXP_MAX = 709.782712893384   # log of the largest double
 
 
-def _linear_jet(w):
-    """(center, first coefficient, order) of a Jet w with no coefficient
-    past the first, else None."""
-    if type(w) is not Jet or any(w.coeffs[2:]):
-        return None
-    return w.center, (w.coeffs[1] if w.order else 0j), w.order
-
-
-def _exp_linear(center, a: complex, b: complex, order: int) -> Jet:
-    """The Jet of exp(a + b (z - center)): c_k = e^a b^k / k!, by
-    c_k = b c_{k-1} / k in O(order) with no intermediate Jet; `Jet.exp` of
-    the linear jet gives the same c_k by its O(order^2) recurrence."""
-    out = [cmath.exp(a)]
-    for k in range(1, order + 1):
-        out.append(b * out[-1] / k)
-    return _jet(center, out)
-
-
 def _cpow(x, e: complex):
-    """`jpow` for a scalar base: the integrands of the solution evaluators
-    bind it in place of `jpow` once per call when w is not a Jet."""
+    """`jpow` for a scalar base and a complex exponent, without its type
+    tests: the Tricomi integrand calls it once per node."""
     if x == 0:
         return 0.0j if e.real > 0 else cmath.inf
     return cmath.exp(e * cmath.log(x))
-
-
-def _raised(solution, w, step):
-    """A raising step step(f, f', v), f = solution(v) at the variable jet v
-    one order above w (a scalar is order 0), composed with w."""
-    w0 = jvalue(w)
-    n = w.order if N.is_jet(w) else 0
-    v = Jet.variable(w0, n + 1)
-    f = solution(v)
-    res = step(f, f.deriv(), v).coeffs
-    return taylor_compose(res[:n + 1], w) if n else res[0]
 
 
 def tricomi_solution(th, al, w, tol: float = 1e-11):
@@ -485,20 +435,19 @@ def tricomi_solution(th, al, w, tol: float = 1e-11):
     # giving the larger margin (the target function is even in alpha)
     margins = [(1 + th - s * al).real for s in (1, -1)]
     if max(margins) <= 0.02:
-        # U_{th,al} = (w + (1+th-al)/2) U_{th+2,al} - w U'_{th+2,al}
-        # (DLMF 13.3.9, 13.3.10 and 13.3.22)
-        return _raised(lambda v: tricomi_solution(th + 2, al, v, tol), w,
-                       lambda f, df, v: (v + (1 + th - al) / 2) * f - v * df)
+        # U_{th,al} = (w + (1+th-al)/2) U_{th+2,al} - w U'_{th+2,al} (DLMF
+        # 13.3.10), with U'_{th+2,al} = -(3+th+al)/2 U_{th+3,al+1} (13.3.22)
+        return (w + (1 + th - al) / 2) * tricomi_solution(th + 2, al, w, tol) \
+            + w * (3 + th + al) / 2 * tricomi_solution(th + 3, al + 1, w, tol)
     sgn = 1 if margins[0] >= margins[1] else -1
     a2 = sgn * al
     p = (-1 + th - a2) / 2
     r = (-1 - th - a2) / 2
-    power = jpow if N.is_jet(w) else _cpow
 
     def g(s):
         if s > 700.0:
             return 0.0j
-        return (s ** p) * math.exp(-s) * power(w + s, r)
+        return (s ** p) * math.exp(-s) * _cpow(w + s, r)
 
     out = _checked(*exp_sinh(g, tol), tol) * rgamma((1 + th - a2) / 2)
     if sgn < 0:
@@ -512,27 +461,13 @@ def hermite_S_solution(la, w, tol: float = 1e-11):
     N.require_finite(la, w)
     la = complex(la)
     if la.real <= -0.49:
-        # S_la = -(S'_{la+1} - 2 w S_{la+1}) / 2
-        return _raised(lambda v: hermite_S_solution(la + 1, v, tol), w,
-                       lambda f, df, v: (-0.5) * (df - 2 * v * f))
-    w0 = jvalue(w)
-    xr = w0.real
+        # S_la = -(S'_{la+1} - 2 w S_{la+1}) / 2, with S'_{la+1} =
+        # -(la+3/2) S_{la+2} (the Laplace integral)
+        return w * hermite_S_solution(la + 1, w, tol) \
+            + (la + 1.5) / 2 * hermite_S_solution(la + 2, w, tol)
+    xr = w.real
     e = la - 0.5
-    lin = _linear_jet(w)
-    if lin is not None:
-        # the exponent is linear in w: its exponential in closed form
-        center, w1, order = lin
-
-        def expo(s):
-            return _exp_linear(center, -s * s - 2 * s * w0, -2 * s * w1,
-                               order)
-    elif N.is_jet(w) or w0.imag:
-        exp = jexp if N.is_jet(w) else cmath.exp
-
-        def expo(s):
-            return exp(-s * s - 2 * s * w)
-    else:
-        expo = None
+    real = not w.imag
 
     def g(s):
         ex = -s * s - 2 * s * xr
@@ -541,9 +476,9 @@ def hermite_S_solution(la, w, tol: float = 1e-11):
         if ex > _EXP_MAX:
             raise N.DomainError("S_lambda: the Laplace integrand overflows "
                                 "(Re w too far below 0)")
-        if expo is None:
+        if real:
             return (s ** e) * math.exp(ex)
-        return (s ** e) * expo(s)
+        return (s ** e) * cmath.exp(-s * s - 2 * s * w)
 
     return (2 ** (la + 0.5)) * rgamma(la + 0.5) \
         * _checked(*exp_sinh(g, tol), tol)
@@ -554,19 +489,17 @@ def bessel_tilde_solution(al, w, tol: float = 1e-11):
     = sqrt(pi) tilde-F_alpha(w), Re w > 0."""
     N.require_finite(al, w)
     al = complex(al)
-    w0 = jvalue(w)
-    xr = w0.real
+    xr = w.real
     if xr <= 0:
         raise N.DomainError("quadrature route needs Re w > 0")
     e = -al - 1
-    exp = jexp if N.is_jet(w) else cmath.exp
 
     def g(s):
         if s > 700.0 or xr / s > 700.0:
             return 0.0j
-        return math.exp(-s) * exp(-w / s) * s ** e
+        return math.exp(-s) * cmath.exp(-w / s) * s ** e
 
-    val, err = exp_sinh(g, tol, scale=max(1.0, math.sqrt(abs(w0))))
+    val, err = exp_sinh(g, tol, scale=max(1.0, math.sqrt(abs(w))))
     return _checked(val, err, tol) / SQRT_PI
 
 

@@ -374,9 +374,11 @@ def test_hermite_on_the_negative_axis():
                                Jet.variable(-28.0, 2)])
 def test_hermite_overflowing_integrand_raises(w):
     # past Re w ~ -26.6 e^{-s^2-2sw} overflows a double at some node: a
-    # typed error, not a sum over the nodes that did not overflow
-    with pytest.raises(N.DomainError, match="overflows"):
-        Q.hermite_S_solution(0.3, w)
+    # typed error, not a sum over the nodes that did not overflow.  A Jet
+    # reaches the quadrature through the root, as scalars
+    if not isinstance(w, Jet):
+        with pytest.raises(N.DomainError, match="overflows"):
+            Q.hermite_S_solution(0.3, w)
     with pytest.raises(N.DomainError, match="overflows"):
         N._hermite_S(0.3, w, 1e-11, "quadrature")
 
@@ -813,26 +815,22 @@ def test_no_laplace_variant_and_no_series_takes_raising_steps(name, params,
     assert abs(quad - ref) <= 1e-13 * abs(ref)
 
 
-def test_raising_steps_on_a_jet_follow_the_chain_rule():
-    # d/dz U(a, b, z) = -a U(a+1, b+1, z); the jet w(h) = w + 2h + h^2/2
-    # gives f(w(h)) = f + 2 f' h + (f'/2 + 2 f'') h^2
+def test_raising_steps_against_mpmath():
+    # the raising steps are scalar root shifts: U_{th,al} from U_{th+2,al}
+    # and U_{th+3,al+1} (DLMF 13.3.10 and 13.3.22) at margins <= 0.02, and
+    # S_la from S_{la+1} and S_{la+2} at Re la <= -0.49, where S_la(w) =
+    # U(la/2 + 1/4, 1/2, w^2) at Re w > 0
     mp = pytest.importorskip("mpmath")
     th, al, w = -0.99, 0.0, 1 + 1j
-    got = Q.tricomi_solution(th, al, Jet(w, [w, 2.0, 0.5]), 1e-12).coeffs
+    got = Q.tricomi_solution(th, al, w, 1e-12)
     with mp.workdps(30):
-        a, b = (1 + al + th) / 2, 1 + al
-        d1 = complex(-a * mp.hyperu(a + 1, b + 1, w))
-        d2 = complex(a * (a + 1) * mp.hyperu(a + 2, b + 2, w))
-        want = (complex(mp.hyperu(a, b, w)), 2 * d1, d1 / 2 + 2 * d2)
-    for k, (g, r) in enumerate(zip(got, want)):
-        assert abs(g - r) <= 1e-11 * abs(r), k
-    # the same composition in the Hermite raising step
-    la = -0.8
-    lin = Q.hermite_S_solution(la, Jet.variable(w, 2)).coeffs
-    got = Q.hermite_S_solution(la, Jet(w, [w, 2.0, 0.5])).coeffs
-    want = (lin[0], 2 * lin[1], lin[1] / 2 + 4 * lin[2])
-    for k, (g, r) in enumerate(zip(got, want)):
-        assert abs(g - r) <= 1e-14 * abs(r), k
+        want = complex(mp.hyperu((1 + al + th) / 2, 1 + al, w))
+    assert abs(got - want) <= 1e-11 * abs(want)
+    for la in (-0.8, -1.7 + 0.3j):
+        got = Q.hermite_S_solution(la, w)
+        with mp.workdps(30):
+            want = complex(mp.hyperu(la / 2 + 0.25, 0.5, w * w))
+        assert abs(got - want) <= 1e-11 * abs(want), la
 
 
 # ---------------------------------------------------------------------------
@@ -965,28 +963,39 @@ def test_lopez_temme_agrees_with_taylor_stepping_on_the_ring():
 
 
 def test_lopez_temme_jet_against_mpmath():
-    # each coefficient of an order-3 Jet through the new step, by
-    # contiguity, lies within 1e-11 relative of mpmath's derivative
+    # each coefficient of an order-3 Jet on the ring, from the root shifts
+    # through the López-Temme step, lies within 1e-11 relative of
+    # mpmath's derivative; it is eval_2F1's Jet where auto takes the step
     mp = pytest.importorskip("mpmath")
     rng = random.Random(2403)
+    taken = 0
     with mp.workdps(30):
         for _ in range(8):
             al, be, mu = (complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
                           for _ in range(3))
             w = _ring_point(rng)
-            got = N._eval_2f1_lopez_temme(al, be, mu, Jet.variable(w, 3))
+            got, route, _ = N._eval_2F1_routed(al, be, mu, Jet.variable(w, 3),
+                                               "lopez_temme")
+            assert route == "lopez_temme"
+            auto = N._eval_2F1_routed(al, be, mu, Jet.variable(w, 3))
+            if auto[1] == "lopez_temme":
+                assert N.eval_2F1(al, be, mu, Jet.variable(w, 3)).coeffs \
+                    == got.coeffs
+                taken += 1
             a, b, c = N._lie_abc(al, be, mu)
             want = [d / mp.factorial(k) for k, d in enumerate(
                 mp.diffs(lambda x: mp.hyp2f1(a, b, c, x), mp.mpc(w), 3))]
             for k, (g, x) in enumerate(zip(got.coeffs, want)):
                 assert abs(g - complex(x)) <= 1e-11 * abs(x), (al, be, mu,
                                                                w, k)
+    assert taken >= 5
 
 
 @pytest.mark.parametrize("steps, root, params", [
     (N._TRICOMI_STEPS, N._TRICOMI_ROOT, (0.3, 0.2)),
     (N._HERMITE_STEPS, N._HERMITE_ROOT, (0.3,)),
-    (N._0F1_TILDE_STEPS, N._0F1_TILDE_ROOT, (0.3,))])
+    (N._0F1_TILDE_STEPS, N._0F1_TILDE_ROOT, (0.3,)),
+    (N._2F1_STEPS, N._2F1_ROOT, (0.2, 0.1, 0.3))])
 def test_ladder_runs_every_step_at_the_value_of_a_jet(steps, root, params):
     # every step fails here, so each one auto tries runs, and the last
     # step's exception propagates; with its root, the ladder runs a Jet's
@@ -1002,7 +1011,7 @@ def test_ladder_runs_every_step_at_the_value_of_a_jet(steps, root, params):
     spied = [s._replace(fn=failing(s.route), guard=None) for s in steps]
     for w in (1.5 + 0.5j, Jet.variable(1.5 + 0.5j, 2)):
         del ran[:]
-        with pytest.raises(N.ConvergenceError, match="quadrature"):
+        with pytest.raises(N.ConvergenceError, match=steps[-1].route):
             N._ladder(spied, (*params, w), 1e-11, root=root)
         assert ran == [(route, complex) for route in _routes(steps)]
 
@@ -1061,28 +1070,106 @@ def test_order_3_jets_against_mpmath(name):
             assert abs(g - x) <= 1e-11 * abs(x), (params, w, k)
 
 
-def test_a_residuals_run_hands_no_jet_to_the_quadrature(monkeypatch):
-    # the residual suite evaluates every solution at infinity on Jets; the
-    # quadrature steps of their ladders see scalars only
+def _jet_2f1_reference(mp, abc, z0, dz, order):
+    """The Taylor coefficients of x -> 2F1(a, b; c; z0 + dz (x - x0)) at
+    x0 from mpmath at 30 digits: dz^k (a)_k (b)_k / ((c)_k k!) 2F1(a+k,
+    b+k; c+k; z0) (DLMF 15.5.2), so that the degenerate parameters of the
+    taylor route cost four sums, not a numerical differentiation."""
+    a, b, c = (mp.mpc(p) for p in abc)
+    with mp.workdps(30):
+        return [complex(mp.mpc(dz) ** k * mp.rf(a, k) * mp.rf(b, k)
+                        / (mp.rf(c, k) * mp.factorial(k))
+                        * mp.hyp2f1(a + k, b + k, c + k, z0))
+                for k in range(order + 1)]
+
+
+# one argument of 2F1 per route; taylor at an integer beta, where the
+# route at 1 degenerates and no other route applies
+_2F1_ROUTE_POINTS = (("series", 0.3 + 0.1j), ("pfaff", -0.8 + 0.3j),
+                     ("one", 0.8 - 0.3j), ("inf", 2 + 1j),
+                     ("lopez_temme", 0.5 + 0.85j), ("taylor", 0.9 + 0.4j))
+
+
+@pytest.mark.parametrize("route, z", _2F1_ROUTE_POINTS)
+def test_order_3_jets_of_2f1_and_gegenbauer_against_mpmath(route, z):
+    # each coefficient of a Jet of eval_2F1 and eval_geg_S, composed from
+    # the root shifts (a, b, c) -> (a+1, b+1, c+1), lies within 1e-11
+    # relative of mpmath's; S_{al,la}(w) = F_{al,al,2la}(z) at w = 1 - 2z
+    # takes the route of z
+    mp = pytest.importorskip("mpmath")
+    be = 1.0 if route == "taylor" else 0.13
+    al = 1.0 if route == "taylor" else 0.2
+    for family, params, x0, dz, fn in (
+            ("2f1", (0.2, be, 0.31), z, 1, N.eval_2F1),
+            ("gegenbauer", (al, 0.155), 1 - 2 * z, -0.5, N.eval_geg_S)):
+        jet = Jet.variable(x0, 3)
+        got = fn(*params, jet)
+        value, *rest = N.evaluate(family, params, jet)
+        assert (value.coeffs, rest) == (got.coeffs, [route, None])
+        lie = N._geg_2f1_args(*params, x0)[:3] \
+            if family == "gegenbauer" else params
+        want = _jet_2f1_reference(mp, N._lie_abc(*lie), z, dz, 3)
+        for k, (g, x) in enumerate(zip(got.coeffs, want)):
+            assert abs(g - x) <= 1e-11 * abs(x), (family, k)
+
+
+def test_root_jet_over_steps_without_estimates_reports_none():
+    # d/dw e^{pw} = p e^{pw}: the root shifts nothing and multiplies by p
+    steps = (N._Step("exp", lambda p, w, tol: (cmath.exp(p * w), None)),)
+    root = N._Root(lambda p: (p,), lambda p: p)
+    p, w = 0.5 + 0.25j, 0.3 - 0.2j
+    value, route, est = N._ladder(steps, (p, Jet.variable(w, 3)), 1e-11,
+                                  root=root)
+    assert (route, est) == ("exp", None)
+    want = (cmath.exp(p * w), p * cmath.exp(p * w),
+            p * p / 2 * cmath.exp(p * w), p ** 3 / 6 * cmath.exp(p * w))
+    for g, x in zip(value.coeffs, want):
+        assert abs(g - x) <= 1e-15 * abs(x)
+
+
+# every ladder of the library; those with a root never run a step on a Jet
+_LADDERS = ("_2F1_STEPS", "_TRICOMI_STEPS", "_HERMITE_STEPS",
+            "_0F1_TILDE_STEPS", "_1F1_STEPS", "_0F1_STEPS")
+
+
+def test_the_suites_hand_no_jet_to_a_routed_step(monkeypatch):
+    # residuals, transmutations and recurrences evaluate every family on
+    # Jets.  No step or guard of a ladder with a root sees one; 1F1 and
+    # 0F1 run their bare series, whose Jets take their coefficients from
+    # the contiguous sums of pfq_series (the same root shifts)
     from hyperclass import verify
-    seen = []
+    seen = {name: set() for name in _LADDERS}
 
-    def spied(step):
+    def spied(name, step):
         def fn(*args):
-            seen.append(type(args[-2]))
+            seen[name].add(type(args[-2]))
             return step.fn(*args)
-        return step._replace(fn=fn)
 
-    for name in ("_TRICOMI_STEPS", "_HERMITE_STEPS", "_0F1_TILDE_STEPS"):
+        def guard(*args):
+            seen[name].add(type(args[-2]))
+            return step.guard(*args)
+        return step._replace(fn=fn, guard=step.guard and guard)
+
+    for name in _LADDERS:
         monkeypatch.setattr(N, name, tuple(
-            spied(s) if s.route == "quadrature" else s
-            for s in getattr(N, name)))
-    for family in ("1f1", "hermite", "0f1"):
-        assert verify.suite_residuals(family, seed=1).ok
-    assert Jet not in seen
-    # the spies are in place: a scalar point that integrates reaches one
-    assert N._hermite_S(0.05, 1.95 + 4j, 1e-11)[1] == "quadrature"
-    assert seen[-1] is complex
+            spied(name, s) for s in getattr(N, name)))
+    for family in ("2f1", "gegenbauer", "1f1", "hermite", "0f1"):
+        for suite in (verify.suite_residuals, verify.suite_transmutations,
+                      verify.suite_recurrences):
+            assert suite(family, seed=1).ok, (family, suite.__name__)
+    # the spies are in place: every ladder ran
+    assert all(seen.values())
+    assert [name for name in _LADDERS if Jet in seen[name]] \
+        == ["_1F1_STEPS", "_0F1_STEPS"]
+    # and the quadrature layer has no Jet code to run
+    import ast
+    import inspect
+    tree = ast.parse(inspect.getsource(Q))
+    imported = {n.module for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom)}
+    imported |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                 for a in n.names}
+    assert not any(m and m.rsplit(".", 1)[-1] == "jet" for m in imported)
 
 
 def test_ladder_gates_and_forces():
@@ -1103,6 +1190,21 @@ def test_ladder_gates_and_forces():
     value, route, est = N._hermite_S(0.3, 4.5, 1e-11, "asymptotic")
     assert route == "asymptotic" and est > 1e-11
     assert N._hermite_S(0.3, 4.5, 1e-11)[1] == "cf"
+
+
+def test_a_forced_method_runs_the_first_step_of_its_name():
+    steps = (N._Step("a", lambda w, tol: (1.0, None)),
+             N._Step("b", lambda w, tol: (2.0, None)),
+             N._Step("a", lambda w, tol: (3.0, None)))
+    assert N._ladder(steps, (0.5,), 1e-11, "a") == (1.0, "a", None)
+    # the 2F1 route at 1 is listed before and after inf
+    assert _routes(N._2F1_STEPS).count("one") == 2
+    args = (0.2, 0.1, 0.3, 0.7)
+    assert N._ladder(N._2F1_STEPS, args, None, "one", N._2f1_check) \
+        == (N._eval_2f1_one_route(*args), "one", None)
+    # a name that no step has is a ValueError that names it
+    with pytest.raises(ValueError, match="'nowhere'"):
+        N._ladder(N._2F1_STEPS, args, None, "nowhere", N._2f1_check)
 
 
 # ---------------------------------------------------------------------------

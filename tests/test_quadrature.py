@@ -90,22 +90,6 @@ def test_ray_power_integrand_exact_start_offset():
     assert [_bits(x) for x in got] == [_bits(x) for x in want]
 
 
-def test_ray_power_integrand_jet_factor():
-    # d/dw of int_0^inf s^{-0.3} (s+w)^{-0.4} e^{-s} ds under the integral
-    w0, h = 0.8 + 0.5j, 1e-5
-
-    def integral(w):
-        g = Q.ray_power_integrand(0.0, 1.0, ((1, 0.0, -0.3), (1, -w, -0.4)),
-                                  extra=lambda t: cmath.exp(-t))
-        return Q.exp_sinh(g, 1e-13)[0]
-
-    j = integral(Jet.variable(w0, 1))
-    assert isinstance(j, Jet)
-    assert abs(j.value() - integral(w0)) < 1e-14 * abs(j.value())
-    num = (integral(w0 + h) - integral(w0 - h)) / (2 * h)
-    assert abs(j.derivative_value(1) - num) < 1e-7 * abs(num)
-
-
 def test_ray_power_integrand_imaginary_direction():
     # t = z0 + i s: (-i(t-z0))^{a-1} (-i(t-z0+i))^b e^{i(t-z0)}
     # = s^{a-1} (1+s)^b e^{-s}, and with b = 0 the integral is Gamma(a)
@@ -357,8 +341,6 @@ def _ref_level_sum(node_fn, f, h, only_odd):
                 val = None
             if val is None:
                 size = math.nan
-            elif isinstance(val, Jet):
-                size = abs(val.value())
             else:
                 size = abs(complex(val))
             if math.isfinite(size):
@@ -386,9 +368,9 @@ def _ref_de_integrate(node_fn, f, tol, max_level=9):
         h *= 0.5
         total = total + _ref_level_sum(node_fn, f, h, only_odd=True)
         new_value = total * h
-        err = N.jabs(new_value - value)
+        err = abs(new_value - value)
         value = new_value
-        scale = max(N.jabs(value), 1e-300)
+        scale = max(abs(value), 1e-300)
         if err <= tol * scale and prev is not None:
             return value, err
         prev = err
@@ -429,8 +411,6 @@ def _ref_exp_sinh(g, tol=1e-11, max_level=9, scale=1.0):
 
 
 def _value_bits(v):
-    if isinstance(v, Jet):
-        return ("jet", _bits(v.center), tuple(_bits(c) for c in v.coeffs))
     return _bits(complex(v))
 
 
@@ -465,13 +445,8 @@ def _faulty(f):
 
 
 def _ts_cases():
-    wj = Jet.variable(0.3 + 0.2j, 3)
     beta = Q.segment_power_integrand(0.0, 1.0,
                                      ((1, 0.0, -0.7), (-1, 1.0, -0.4)))
-    jet_beta = Q.segment_power_integrand(
-        0.2 - 0.1j, 1.5 + 0.4j, ((1, 0.2 - 0.1j, -0.3), (-1, 1.5 + 0.4j, 0.6),
-                                 (1, 2.0, 0.25)),
-        extra=lambda t: N.jexp(wj * t))
     aware_faulty = Q.EndpointAware(_faulty(
         lambda t, side, off: beta.fn(t, side, off)))
     # far from 0, so that t - za and zb - t round differently from the
@@ -492,28 +467,19 @@ def _ts_cases():
          {"tol": 1e-14}),
         (lambda t: 1.0, 2.0, -1 + 3j, {"max_level": 4}),
         (beta, 0.0, 1.0, {}),
-        (jet_beta, 0.2 - 0.1j, 1.5 + 0.4j, {}),
-        (lambda t: N.jpow(wj - t, -0.3) if t.real > 0.5 else 0.0j,
-         0.0, 2.0, {}),
         (_faulty(lambda t: cmath.exp(-t) * t ** -0.3), 0.0, 2 + 1j, {}),
         (aware_faulty, 0.0, 1.0, {"tol": 1e-13}),
-        (_faulty(lambda t: N.jexp(wj * t)), -1.0, 1.0, {}),
     ]
 
 
 def _es_cases():
-    wj = Jet.variable(2.0 + 1.0j, 2)
     return [
         (lambda s: math.exp(-s) - 2 * math.exp(-2 * s), {}),
         (lambda s: math.exp(-s) * math.sin(3 * s), {"scale": 0.6}),
         (lambda s: math.exp(-s) * s ** -0.7, {}),
         (lambda s: math.exp(-s / 100), {"scale": 100.0}),
         (lambda s: math.exp(-s * s) * s ** 0.3, {"scale": 0.3, "tol": 1e-14}),
-        (lambda s: s ** -0.2 * math.exp(-s) * N.jpow(wj + s, -0.4), {}),
-        (lambda s: 0.0j if s > 30.0 else math.exp(-s) * N.jexp(-wj / s),
-         {"scale": 2.5}),
         (_faulty(lambda s: cmath.exp(-s) * s ** (-0.5 + 0.2j)), {}),
-        (_faulty(lambda s: N.jpow(s + wj, -2.5)), {"scale": 1.7}),
         (lambda s: 1.0 / (1.0 + s * s), {"max_level": 9, "tol": 1e-30}),
     ]
 
@@ -547,9 +513,8 @@ def test_exp_sinh_table_matches_the_node_table():
 
 
 # The three Laplace-type solution evaluators as they were before their
-# integrands bound a scalar power per call, hoisted their exponents and
-# took the exponential of a linear jet in closed form: jpow/jexp at every
-# node, summed by the per-node reference rule.
+# integrands bound a scalar power per call and hoisted their exponents:
+# jpow/jexp at every node, summed by the per-node reference rule.
 
 def _ref_tricomi(th, al, w, tol=1e-11):
     th, al = complex(th), complex(al)
@@ -570,14 +535,13 @@ def _ref_tricomi(th, al, w, tol=1e-11):
 
 def _ref_hermite(la, w, tol=1e-11):
     la = complex(la)
-    w0 = N.jvalue(w)
-    complex_exp = N.is_jet(w) or w0.imag
+    w0 = complex(w)
 
     def g(s):
         ex = -s * s - 2 * s * w0.real
         if ex < -700.0:
             return 0.0j
-        if complex_exp:
+        if w0.imag:
             return (s ** (la - 0.5)) * N.jexp(-s * s - 2 * s * w)
         return (s ** (la - 0.5)) * math.exp(ex)
 
@@ -587,7 +551,7 @@ def _ref_hermite(la, w, tol=1e-11):
 
 def _ref_bessel_tilde(al, w, tol=1e-11):
     al = complex(al)
-    w0 = N.jvalue(w)
+    w0 = complex(w)
 
     def g(s):
         if s > 700.0 or w0.real / s > 700.0:
@@ -596,15 +560,6 @@ def _ref_bessel_tilde(al, w, tol=1e-11):
 
     val, err = _ref_exp_sinh(g, tol, scale=max(1.0, math.sqrt(abs(w0))))
     return Q._checked(val, err, tol) / SQRT_PI
-
-
-def _arguments(*ws):
-    """Each w as given, as a linear jet of order 3 and as a jet with a
-    second-order coefficient (the Jet.exp path)."""
-    for w in ws:
-        yield w
-        yield Jet.variable(w, 3)
-        yield Jet(w, [w, 1.0, 0.25 - 0.5j])
 
 
 _REFERENCE_SOLUTIONS = [
@@ -627,7 +582,7 @@ _REFERENCE_SOLUTIONS = [
                          ids=lambda x: getattr(x, "__name__", None))
 def test_solutions_match_the_per_node_reference_bitwise(quad, ref, params,
                                                         ws):
-    for w in _arguments(*ws):
+    for w in ws:
         assert _value_bits(quad(*params, w)) \
             == _value_bits(ref(*params, w)), (params, w)
 
@@ -662,16 +617,6 @@ def test_bessel_tilde_at_half_integer():
     cp, cm = N.connection_coeffs_0f1(al)
     rhs = cp * N.bold_F_0f1(al, w) + cm * w ** (-al) * N.bold_F_0f1(-al, w)
     assert abs(lhs - rhs) < 1e-9 * abs(rhs)
-
-
-def test_tricomi_solution_jet():
-    # jet evaluation: first derivative matches central differences
-    th, al, w = 0.23, -0.31, 2.5 + 1.5j
-    j = Q.tricomi_solution(th, al, Jet.variable(w, 1), 1e-12)
-    h = 1e-5
-    num = (Q.tricomi_solution(th, al, w + h, 1e-13)
-           - Q.tricomi_solution(th, al, w - h, 1e-13)) / (2 * h)
-    assert abs(j.derivative_value(1) - num) < 1e-6 * abs(num)
 
 
 _NON_FINITE = [complex(math.nan, 0.0), complex(1.0, math.nan),
@@ -794,5 +739,3 @@ def test_quadrature_error_carries_value():
     for bad in (complex(math.inf, 0.0), complex(1.0, math.nan)):
         with pytest.raises(Q.QuadratureError):
             Q._checked(bad, 0.0, 1e-11)
-        with pytest.raises(Q.QuadratureError):
-            Q._checked(Jet(1.0, [bad, 1.0]), 0.0, 1e-11)

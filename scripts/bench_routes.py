@@ -37,8 +37,10 @@ parent took where they differ from the change's (e.g. ``taylor`` under
 median ratio and a 95% bootstrap interval of that median, which resamples
 the copy pairs and the points.  The normalized functions report their
 unequal count and largest relative difference the same way.  Standard
-library only; it reads ``perfbench/`` and changes nothing there.  Exits 1
-if any outcome differs.
+library only; it reads ``perfbench/`` and changes nothing there.  The
+``--out`` report names each side by its commit hash (``git rev-parse``),
+the working tree as ``working tree on <hash of HEAD>``.  Exits 1 if any
+outcome differs.
 """
 
 from __future__ import annotations
@@ -71,6 +73,19 @@ def unpack_src(rev: str, dest: str) -> str:
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
     return os.path.join(dest, "src")
+
+
+def revisions(parent: str, change) -> dict:
+    """The commit hashes of the two sides for the report: ``git rev-parse``
+    of each revision, and ``working tree on <hash of HEAD>`` where the
+    change is the working tree (``change`` None)."""
+    def resolve(rev):
+        return subprocess.run(
+            ["git", "-C", ROOT, "rev-parse", "--verify", rev + "^{commit}"],
+            check=True, capture_output=True, text=True).stdout.strip()
+    return {"parent": resolve(parent),
+            "change": resolve(change) if change is not None
+            else f"working tree on {resolve('HEAD')}"}
 
 
 def load_package(alias: str, src: str):
@@ -307,6 +322,7 @@ def main(argv=None) -> int:
                     default=[1, 2, 701, 702, 703])
     ap.add_argument("--out", default=None, help="JSON file for the report")
     args = ap.parse_args(argv)
+    revs = revisions(args.parent, args.change)
     with tempfile.TemporaryDirectory() as scratch:
         sources = []
         for side, rev in (("parent", args.parent), ("change", args.change)):
@@ -331,9 +347,7 @@ def main(argv=None) -> int:
               f"{_max_rel(r):>7s}")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump({"parent": args.parent,
-                       "change": args.change or "working tree",
-                       "seeds": args.seeds, "copies": COPIES,
+            json.dump({**revs, "seeds": args.seeds, "copies": COPIES,
                        "routes": report, "normalized": normalized},
                       fh, indent=1)
             fh.write("\n")

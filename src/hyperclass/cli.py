@@ -24,7 +24,9 @@ route.
 Each command imports only the modules it runs: `eval` and `plotdata` load
 `numerics` (and `quadrature` where a route integrates), and reach the
 exact layer (`families`, `exactalg`) only to convert classical parameters;
-`verify` loads `verify`, and `catalog` loads `families`.
+`verify` loads `verify`, and `catalog` loads `families` with `exactalg`,
+`numerics` (for `families`' Kummer table `_KUMMER`) and `quadrature` (for
+the integral representations).
 """
 
 from __future__ import annotations

@@ -205,3 +205,18 @@ def test_normalized_report_counts_values_and_exceptions(bench_routes):
         numerics(0), types.SimpleNamespace(
             NumericsError=_Error, bold_F_0f1=lambda al, w: w), pts[3:])
     assert signed["bold_F_0f1"]["not_bitwise_equal"] == 2
+
+
+def test_report_names_each_side_by_its_commit(bench_routes):
+    head = subprocess.run(["git", "-C", str(_ROOT), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    if head.returncode:
+        pytest.skip("not a git checkout")
+    head = head.stdout.strip()
+    assert len(head) == 40
+    assert bench_routes.revisions("HEAD", None) \
+        == {"parent": head, "change": f"working tree on {head}"}
+    assert bench_routes.revisions(head[:12], "HEAD") \
+        == {"parent": head, "change": head}
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_routes.revisions("no-such-revision", None)

@@ -46,6 +46,74 @@ def test_gamma_pole():
     assert N.rgamma(-3) == 0
 
 
+@pytest.mark.parametrize("x", [171.5, 172, 200, -171.5, -200.5])
+@pytest.mark.parametrize("fn", [N.gamma, N.rgamma])
+def test_real_gamma_at_the_edge_of_the_double_range(fn, x):
+    # a finite normal double or OverflowError, never inf, nan, 0, a
+    # subnormal or ZeroDivisionError: of these only Gamma(171.5) fits
+    if (fn, x) == (N.gamma, 171.5):
+        assert fn(x) == math.gamma(x) == pytest.approx(9.4834e307, rel=1e-4)
+    else:
+        with pytest.raises(OverflowError):
+            fn(x)
+
+
+def _real_gamma_grid():
+    rng = random.Random(2701)
+    near_poles = [-k + d for k in range(8) for e in (1e-11, 1e-6, 1e-3)
+                  for d in (e, -e)]
+    return [rng.uniform(-170, 171) for _ in range(400)] + near_poles
+
+
+def test_real_gamma_against_mpmath():
+    # Gamma and 1/Gamma at a real x within the bound that the connection
+    # estimates charge for them
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for x in _real_gamma_grid():
+            ref = mp.gamma(x)
+            bound = N._EPS * N._gamma_rounding(complex(x), 0)
+            g, r = N.gamma(x), N.rgamma(x)
+            assert g.imag == 0 == r.imag
+            assert abs((g.real - ref) / ref) <= bound, x
+            assert abs((r.real - 1 / ref) * ref) <= bound, x
+
+
+def _lanczos_gamma_reference(z):
+    """gamma by the Lanczos sum and the reflection formula on the whole
+    plane, as it was before the real axis went to math.gamma: the
+    reference that every complex argument must reproduce bitwise."""
+    z = complex(z)
+    if N.is_nonpositive_integer(z):
+        raise N.GammaPoleError(f"gamma pole at {z}")
+    if z.real < 0.5:
+        return math.pi / (cmath.sin(math.pi * z)
+                          * _lanczos_gamma_reference(1.0 - z))
+    z -= 1.0
+    s = N._LANCZOS_C[0]
+    for k in range(1, len(N._LANCZOS_C)):
+        s += N._LANCZOS_C[k] / (z + k)
+    t = z + N._LANCZOS_G + 0.5
+    return N._SQRT_2PI * t ** (z + 0.5) * cmath.exp(-t) * s
+
+
+def test_complex_gamma_is_the_lanczos_sum_bitwise():
+    rng = random.Random(2702)
+    zs = [complex(rng.uniform(-40, 40), rng.uniform(-10, 10))
+          for _ in range(300)]
+    zs += [complex(-k + rng.uniform(-0.5, 0.5),
+                   s * 10.0 ** -rng.randint(1, 11))
+           for k in range(8) for s in (1, -1)]
+    for z in zs:
+        ref = _lanczos_gamma_reference(z)
+        assert _bits(N.gamma(z)) == _bits(ref), z
+        assert _bits(N.rgamma(z)) == _bits(1.0 / ref), z
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
 def test_sinpi():
     assert abs(N.sinpi(1)) < 1e-15
     assert abs(N.sinpi(7)) < 1e-13

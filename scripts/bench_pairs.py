@@ -1,7 +1,7 @@
 """Run perfbench from two source checkouts in alternating pairs.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --first-seed 3601 \\
-        --out BENCH_8.json [--workload cli eval verify]
+        --out BENCH_8.json [--workload cli eval verify] [--routes FILE]
 
 PARENT and CHANGE are directories that each hold a full checkout (``src``
 and ``perfbench``).  For each workload W (by default every workload in
@@ -28,6 +28,11 @@ seeds FIRST+10 to FIRST+12, alternating as the pairs do), because a
 single traced run is too noisy for a per-layer claim.  The result file
 holds every per-layer metric of workload W's traced runs under
 ``traced_W``, with each side's runs and median.
+
+With ``--routes FILE``, the report that ``scripts/bench_routes.py --out
+FILE`` wrote goes under ``routes`` in the result file as it is.  It is
+read before any run, and the script exits with status 2 if it is not such
+a report.
 """
 
 from __future__ import annotations
@@ -98,6 +103,25 @@ def workload_digest(root: str) -> str:
         paths += (os.path.relpath(os.path.join(d, f), root) for f in files)
     return _digest(root, sorted(paths),
                    b"verify operations\0" + verify_operations(root))
+
+
+# the keys of every scripts/bench_routes.py report
+_ROUTES_KEYS = ("parent", "change", "seeds", "copies", "routes",
+                "normalized")
+
+
+def routes_report(path: str):
+    """The bench_routes.py report in the JSON file ``path``, or None if the
+    file cannot be read or lacks one of its keys."""
+    try:
+        with open(path) as fh:
+            report = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(report, dict) or any(k not in report
+                                           for k in _ROUTES_KEYS):
+        return None
+    return report
 
 
 def git_commit(root: str):
@@ -195,6 +219,9 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", nargs="+",
                     help="workloads to run (default: every workload in "
                          "BENCHMARK.json)")
+    ap.add_argument("--routes", metavar="FILE",
+                    help="a scripts/bench_routes.py --out report to store "
+                         "under routes")
     args = ap.parse_args(argv)
 
     workload = {side: workload_digest(root)
@@ -205,6 +232,13 @@ def main(argv=None) -> int:
               f"differ between {args.parent} and {args.change}: {workload}",
               file=sys.stderr)
         return 2
+    routes = None
+    if args.routes is not None:
+        routes = routes_report(args.routes)
+        if routes is None:
+            print(f"{args.routes} is not a scripts/bench_routes.py report",
+                  file=sys.stderr)
+            return 2
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     bounds = {m["name"]: m for m in spec["end_to_end"]}
@@ -256,6 +290,8 @@ def main(argv=None) -> int:
         record[f"traced_{workload}"] = traced(
             args.parent, args.change, workload, args.first_seed + PAIRS,
             seconds)
+    if routes is not None:
+        record["routes"] = routes
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -879,6 +879,17 @@ class Substitution:
     def __setattr__(self, name, value):
         raise AttributeError("Substitution is immutable")
 
+    def _value(self) -> tuple:
+        return (self.kind, self.data, self.source, self.target)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Substitution):
+            return self._value() == other._value()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._value())
+
     @staticmethod
     def moebius(source: str, target: str, p, q, r, s) -> "Substitution":
         return Substitution("moebius", (p, q, r, s), source, target)

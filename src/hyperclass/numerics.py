@@ -113,6 +113,23 @@ def _real_gamma(x: float) -> float:
     return g
 
 
+def _real_rgamma_reflected(x: float) -> float:
+    """1/Gamma(x) at a negative x where Gamma(x) is not a normal double,
+    as (-x)*Gamma(-x)*sin(pi x)/pi: the sine at x - round(x), which is
+    exact, and the product taken so that only its last factor can
+    overflow.  Raises OverflowError where |1/Gamma(x)| passes the double
+    range (x below about -171.6)."""
+    n = round(x)
+    s = math.sin(math.pi * (x - n)) / math.pi
+    try:
+        r = math.gamma(-x) * (-s if n % 2 else s) * -x
+    except OverflowError:
+        r = math.inf
+    if math.isinf(r):
+        raise OverflowError(f"1/gamma({x}) is not a normal double")
+    return r
+
+
 def _complex_gamma(z: complex) -> complex:
     """The Lanczos sum at Re z >= 1/2, the reflection formula below; z is
     not a pole."""
@@ -144,7 +161,12 @@ def rgamma(z: Number) -> complex:
     if is_nonpositive_integer(z):
         return 0.0 + 0.0j
     if z.imag == 0:
-        r = 1.0 / _real_gamma(z.real)
+        try:
+            r = 1.0 / _real_gamma(z.real)
+        except OverflowError:
+            if z.real > 0:
+                raise
+            return complex(_real_rgamma_reflected(z.real))
         if abs(r) < _TINY:
             raise OverflowError(f"1/gamma({z.real}) is not a normal double")
         return complex(r)

@@ -183,6 +183,17 @@ def _numeric_check(cid, ref, fn, tol) -> CheckResult:
     return CheckResult(cid, ref, "numeric", status, error=err)
 
 
+def _once(shared, key, compute):
+    """compute() once per key of the dict `shared`, which one suite call
+    makes and drops when it returns; with `shared` None, compute() fresh.
+    A compute() that raises stores nothing, so it runs and raises again."""
+    if shared is None:
+        return compute()
+    if key not in shared:
+        shared[key] = compute()
+    return shared[key]
+
+
 # ---------------------------------------------------------------------------
 # Symbolic building blocks
 # ---------------------------------------------------------------------------
@@ -216,9 +227,14 @@ def check_darboux_pair(family: str, row, partner) -> bool:
     return pl == row.right and pr == row.left
 
 
-def check_symmetry_symbolic(family: str, row) -> bool:
-    Fsym = fam.make_operator_expr(family, "w", fam.symbolic_params(family))
-    lhs = op_substitute(Fsym, row.sub)
+def check_symmetry_symbolic(family: str, row, shared=None) -> bool:
+    """substitute(F) == sign*prefactor * m F_target m^{-1} for a symbolic
+    symmetry row.  `shared` (see `_once`) holds F at symbolic parameters
+    per family and its substitution per value of `row.sub` across rows."""
+    Fsym = _once(shared, ("F", family), lambda: fam.make_operator_expr(
+        family, "w", fam.symbolic_params(family)))
+    lhs = _once(shared, ("F", family, row.sub),
+                lambda: op_substitute(Fsym, row.sub))
     Ftgt = fam.make_operator_expr(family, "v", row.target)
     pref = row.prefactor * RatFun(MultiPoly.const(row.sign))
     rhs = op_conjugate(Ftgt, row.mult.inverse()).scale(pref)
@@ -242,38 +258,45 @@ def _param_assign(family: str) -> dict:
     return dict(zip(fam.PARAM_NAMES[family], NUMERIC_PARAMS[family]))
 
 
-def transmutation_kernel_residual(family: str, C: DiffOperator) -> float:
+def transmutation_kernel_residual(family: str, C: DiffOperator,
+                                  shared=None) -> float:
     """|C f| / scale for f in the kernel of F_source, where C is the
     composition (weight*F_target) o A of a transmutation row, the second
     of :func:`transmutation_sides`.
 
     By the intertwining identity C annihilates every kernel element of
     the source operator; the residual measures how well the numerically
-    evaluated solution satisfies that.
+    evaluated solution satisfies that.  `shared` (see `_once`) holds the
+    solution's jet per (family, order) across rows.
     """
     w0 = TRANSMUTATION_POINT[family]
     assign = _param_assign(family)
     pvals = tuple(assign[n] for n in fam.PARAM_NAMES[family])
-    f = N.evaluate(family, pvals, Jet.variable(w0, C.order() + 1))[0]
+    order = C.order() + 1
+    f = _once(shared, (family, order), lambda: N.evaluate(
+        family, pvals, Jet.variable(w0, order))[0])
     assign["w"] = w0
     total, scale = jet_apply(C, f, assign)
     return abs(total) / scale
 
 
-def recurrence_residual(family: str, row) -> float:
-    """Worst relative error of  A f_norm = coeff * f_norm(shifted)."""
+def recurrence_residual(family: str, row, shared=None) -> float:
+    """Worst relative error of  A f_norm = coeff * f_norm(shifted).
+    `shared` (see `_once`) holds the solution jets per (family, point,
+    order, normalization) across rows."""
     assign0 = _param_assign(family)
     pvals = tuple(assign0[n] for n in fam.PARAM_NAMES[family])
     tvals = tuple(t.eval_numeric(assign0) for t in row.target)
     coeff = row.coeff.eval_numeric(assign0)
+    order = max(2, row.A.order() + 1)
+    norm = row.normalization
     worst = 0.0
     for w0 in RECURRENCE_POINTS[family]:
-        f = N.evaluate(family, pvals,
-                       Jet.variable(w0, max(2, row.A.order() + 1)),
-                       row.normalization)[0]
+        f = _once(shared, (family, w0, order, norm), lambda: N.evaluate(
+            family, pvals, Jet.variable(w0, order), norm)[0])
         assign = dict(assign0, w=w0)
         lhs, scale = jet_apply(row.A, f, assign)
-        rhs = coeff * N.evaluate(family, tvals, w0, row.normalization)[0]
+        rhs = coeff * N.evaluate(family, tvals, w0, norm)[0]
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), scale * 1e-4,
                                                 1e-300))
     return worst
@@ -330,11 +353,20 @@ def symmetry_algebraic_residual(family: str, row) -> float:
 
 
 def kummer_pair_residual(al, be, mu, sol_key: str, r1: int, r2: int,
-                         points=KUMMER_POINTS) -> float:
+                         points=KUMMER_POINTS, shared=None) -> float:
+    """Worst relative difference of expressions r1 and r2 of Kummer's
+    solution `sol_key` over `points`.  `shared` (see `_once`) holds each
+    expression's value per (parameters, solution, row, point) across
+    pairs."""
+    def value(r, w):
+        return _once(shared, (al, be, mu, sol_key, r, w),
+                     lambda: N.eval_kummer_expression(sol_key, r, al, be,
+                                                      mu, w))
+
     worst = 0.0
     for w in points:
-        v1 = N.eval_kummer_expression(sol_key, r1, al, be, mu, w)
-        v2 = N.eval_kummer_expression(sol_key, r2, al, be, mu, w)
+        v1 = value(r1, w)
+        v2 = value(r2, w)
         worst = max(worst, abs(v1 - v2) / max(abs(v1), abs(v2), 1e-300))
     return worst
 
@@ -408,6 +440,7 @@ def _counts_check(family: str, section: str, actual: int) -> CheckResult:
 
 def suite_transmutations(family=None, seed=0, tol=1e-8) -> SuiteReport:
     checks = []
+    shared = {}
     for f in _families(family):
         cat = fam.catalog(f)
         checks.append(_counts_check(f, "transmutations",
@@ -418,7 +451,8 @@ def suite_transmutations(family=None, seed=0, tol=1e-8) -> SuiteReport:
                                       "pass" if lhs == rhs else "fail"))
             checks.append(_numeric_check(
                 row.id + ":kernel", row.location,
-                lambda f=f, rhs=rhs: transmutation_kernel_residual(f, rhs),
+                lambda f=f, rhs=rhs:
+                transmutation_kernel_residual(f, rhs, shared),
                 tol))
     return SuiteReport("transmutations", family or "all", seed, checks)
 
@@ -444,12 +478,13 @@ def suite_factorizations(family=None, seed=0, tol=None) -> SuiteReport:
 
 def suite_symmetries(family=None, seed=0, tol=1e-9) -> SuiteReport:
     checks = []
+    shared = {}
     for f in _families(family):
         cat = fam.catalog(f)
         checks.append(_counts_check(f, "symmetries", len(cat.symmetries)))
         for row in cat.symmetries:
             if row.mode == "symbolic":
-                ok = check_symmetry_symbolic(f, row)
+                ok = check_symmetry_symbolic(f, row, shared)
                 checks.append(CheckResult(row.id, row.location, "symbolic",
                                           "pass" if ok else "fail"))
             else:
@@ -475,13 +510,15 @@ def suite_quadratic(family=None, seed=0, tol=None) -> SuiteReport:
 
 def suite_recurrences(family=None, seed=0, tol=1e-10) -> SuiteReport:
     checks = []
+    shared = {}
     for f in _families(family):
         cat = fam.catalog(f)
         checks.append(_counts_check(f, "recurrences", len(cat.recurrences)))
         for row in cat.recurrences:
             checks.append(_numeric_check(
                 row.id, row.location,
-                lambda f=f, row=row: recurrence_residual(f, row), tol))
+                lambda f=f, row=row: recurrence_residual(f, row, shared),
+                tol))
     return SuiteReport("recurrences", family or "all", seed, checks)
 
 
@@ -490,6 +527,7 @@ def suite_kummer(family=None, seed=0, tol=1e-10, params=None,
     """The 36 pairwise checks of Kummer's table at the 2F1 parameters
     `params` (default NUMERIC_PARAMS["2f1"]) and the sample `points`."""
     checks = []
+    shared = {}
     if family in (None, "all", "2f1"):
         al, be, mu = NUMERIC_PARAMS["2f1"] if params is None else params
         for key in N._W_D3:
@@ -500,7 +538,7 @@ def suite_kummer(family=None, seed=0, tol=1e-10, params=None,
                         f"expressions {r1} and {r2} of the solution {key}",
                         lambda key=key, r1=r1, r2=r2:
                         kummer_pair_residual(al, be, mu, key, r1, r2,
-                                             points),
+                                             points, shared),
                         tol))
     return SuiteReport("kummer", family or "all", seed, checks)
 

@@ -153,3 +153,46 @@ def test_every_workload_gets_its_traced_runs(bench_pairs, tmp_path,
         assert f"--workload {workload} " in got["command"]
         assert got["metrics"]["quadrature.tricomi_us"]["change_median"] \
             == 2.0 + (first + 1) / 100
+
+
+_ROUTES = {"parent": "abc", "change": "working tree on abc", "seeds": [1],
+           "copies": 4, "routes": {"2f1/series": {"points": 3}},
+           "normalized": {}}
+
+
+def test_routes_report_goes_under_routes(bench_pairs, tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_run([]))
+    parent = _checkout(tmp_path / "parent", "print(1)\n")
+    change = _checkout(tmp_path / "change", "print(1)\n")
+    routes = tmp_path / "routes.json"
+    routes.write_text(json.dumps(_ROUTES))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([parent, change, "--first-seed", "5",
+                             "--out", str(out), "--routes", str(routes)]) == 0
+    assert json.loads(out.read_text())["routes"] == _ROUTES
+    assert bench_pairs.main([parent, change, "--first-seed", "5",
+                             "--out", str(out)]) == 0
+    assert "routes" not in json.loads(out.read_text())
+
+
+def test_a_bad_routes_report_exits_before_any_run(bench_pairs, tmp_path,
+                                                  monkeypatch):
+    def no_run(*args):
+        raise AssertionError("perfbench must not run")
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    parent = _checkout(tmp_path / "parent", "print(1)\n")
+    change = _checkout(tmp_path / "change", "print(1)\n")
+    out = tmp_path / "bench.json"
+    bad = {"missing": tmp_path / "none.json",
+           "not json": tmp_path / "text.json",
+           "a list": tmp_path / "list.json",
+           "no normalized": tmp_path / "part.json"}
+    bad["not json"].write_text("routes\n")
+    bad["a list"].write_text("[]\n")
+    bad["no normalized"].write_text(json.dumps(
+        {k: v for k, v in _ROUTES.items() if k != "normalized"}))
+    for name, path in bad.items():
+        assert bench_pairs.main([parent, change, "--first-seed", "1",
+                                 "--out", str(out), "--routes",
+                                 str(path)]) == 2, name
+    assert not out.exists()

@@ -332,6 +332,20 @@ def test_op_substitute_quadratic_numeric():
     assert abs(lhs - v0 / 2 * 3 * cmath.exp(3 * v0)) < 1e-12
 
 
+def test_substitutions_are_equal_by_value():
+    sub = Substitution.moebius("w", "v", -1, 1, 0, 1)
+    same = Substitution("moebius", (GaussRational.of(-1), Fraction(1), 0, 1),
+                        "w", "v")
+    assert sub == same and hash(sub) == hash(same)
+    assert len({sub, same, sub.inverse().inverse()}) == 1
+    for other in (Substitution.moebius("w", "v", -1, 1, 0, 2),
+                  Substitution.moebius("w", "u", -1, 1, 0, 1),
+                  Substitution.moebius("v", "w", -1, 1, 0, 1),
+                  Substitution.quadratic("w", "v", -1, 1)):
+        assert sub != other
+    assert sub != repr(sub)
+
+
 # ---------------------------------------------------------------------------
 # Jets
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import struct
+import sys
 
 import pytest
 
@@ -56,6 +57,23 @@ def test_real_gamma_at_the_edge_of_the_double_range(fn, x):
     else:
         with pytest.raises(OverflowError):
             fn(x)
+
+
+@pytest.mark.parametrize("x", [-170.55, -170.6, -170.9, -171.3, -171.55])
+def test_real_rgamma_where_gamma_is_not_a_normal_double(x):
+    # Gamma(x) is subnormal from about -170.6 down, where 1/Gamma(x) is a
+    # normal double until it passes the double range (at -171.3, -171.55)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = 1 / mp.gamma(x)
+        if abs(ref) > sys.float_info.max:
+            with pytest.raises(OverflowError):
+                N.rgamma(x)
+            return
+        r = N.rgamma(x)
+        assert r.imag == 0
+        bound = N._EPS * N._gamma_rounding(complex(x), 0)
+        assert abs((r.real - ref) / ref) <= bound
 
 
 def _real_gamma_grid():

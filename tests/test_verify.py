@@ -53,6 +53,105 @@ def test_transmutation_suite_composes_twice_per_row(family, monkeypatch):
     assert len(calls) == 2 * len(fam.catalog(family).transmutations)
 
 
+def _count_shared_traffic(monkeypatch):
+    """Patch the four shared computations of the suites to log their
+    arguments; returns the log of (kind, key)."""
+    from hyperclass import numerics as N
+    from hyperclass.jet import Jet
+    log = []
+    kummer, evaluate, substitute = (N.eval_kummer_expression, N.evaluate,
+                                    V.op_substitute)
+
+    def counting_kummer(*args):
+        log.append(("kummer", args))
+        return kummer(*args)
+
+    def counting_evaluate(family, params, w, *args, **kwargs):
+        if isinstance(w, Jet):
+            log.append(("jet", (family, params, w.center, w.order) + args))
+        return evaluate(family, params, w, *args, **kwargs)
+
+    def counting_substitute(F, sub):
+        log.append(("substitute", (repr(F), sub)))
+        return substitute(F, sub)
+
+    monkeypatch.setattr(N, "eval_kummer_expression", counting_kummer)
+    monkeypatch.setattr(N, "evaluate", counting_evaluate)
+    monkeypatch.setattr(V, "op_substitute", counting_substitute)
+    return log
+
+
+# distinct shared values of one run of each suite over its families: the
+# 24 Kummer expressions at the 5 points, the solution jets of the
+# recurrence rows and of the transmutation kernels, and the substitutions
+# of F by the symbolic symmetry rows
+_SHARED_TRAFFIC = (("kummer", "2f1", "kummer", 120),
+                   ("recurrences", None, "jet", 25),
+                   ("transmutations", None, "jet", 5),
+                   ("symmetries", None, "substitute", 15))
+
+
+@pytest.mark.parametrize("suite, family, kind, distinct", _SHARED_TRAFFIC)
+def test_a_suite_run_computes_each_shared_value_once(suite, family, kind,
+                                                     distinct, monkeypatch):
+    log = _count_shared_traffic(monkeypatch)
+    for _ in range(2):
+        # nothing outlives a call: the second makes the same calls again
+        log.clear()
+        _assert_clean(V.run_suite(suite, family=family, seed=1))
+        keys = [key for k, key in log if k == kind]
+        assert len(keys) == len(set(keys)) == distinct
+
+
+def test_a_failing_shared_value_is_computed_again(monkeypatch):
+    from hyperclass import numerics as N
+    kummer = N.eval_kummer_expression
+    bad = next(iter(N._W_D3))
+    calls = []
+
+    def failing(sol_key, row, *args):
+        if (sol_key, row) == (bad, 0):
+            calls.append(args)
+            raise N.DegeneracyError("no value")
+        return kummer(sol_key, row, *args)
+
+    monkeypatch.setattr(N, "eval_kummer_expression", failing)
+    checks = V.run_suite("kummer", family="2f1").checks
+    skipped = [c for c in checks if c.status == "skipped"]
+    # each pair (0, r2) raises at its first point, the same error
+    assert [c.id for c in skipped] == [f"kummer:{bad}:0{r}"
+                                       for r in (1, 2, 3)]
+    assert {c.reason for c in skipped} == {"DegeneracyError: no value"}
+    assert calls == [(*V.NUMERIC_PARAMS["2f1"], V.KUMMER_POINTS[0])] * 3
+
+
+def test_helpers_agree_with_and_without_shared_values():
+    al, be, mu = V.NUMERIC_PARAMS["2f1"]
+    shared = {}
+    for key in V.N._W_D3:
+        for r1 in range(4):
+            for r2 in range(r1 + 1, 4):
+                args = (al, be, mu, key, r1, r2)
+                assert V.kummer_pair_residual(*args) \
+                    == V.kummer_pair_residual(*args, shared=shared)
+    for f in V.ALL_FAMILIES:
+        cat = fam.catalog(f)
+        shared = {}
+        for row in cat.recurrences:
+            assert V.recurrence_residual(f, row) \
+                == V.recurrence_residual(f, row, shared)
+        shared = {}
+        for row in cat.transmutations:
+            C = V.transmutation_sides(f, row)[1]
+            assert V.transmutation_kernel_residual(f, C) \
+                == V.transmutation_kernel_residual(f, C, shared)
+        shared = {}
+        for row in cat.symmetries:
+            if row.mode == "symbolic":
+                assert V.check_symmetry_symbolic(f, row) \
+                    is V.check_symmetry_symbolic(f, row, shared) is True
+
+
 def test_unknown_suite_and_family():
     with pytest.raises(ValueError):
         V.run_suite("nope")

@@ -1,7 +1,7 @@
 """Compare the routed evaluators of two revisions in one process, per route.
 
     python3 scripts/bench_routes.py [--parent HEAD~] [--change REV]
-        [--seeds 1 2 701 702 703] [--out FILE]
+        [--seeds 1 2 701 702 703] [--suite NAME] [--out FILE]
 
 The parent's ``src/`` is unpacked with ``git archive`` into a scratch
 directory; the change is the working tree's ``src/``, or REV's unpacked the
@@ -37,10 +37,19 @@ parent took where they differ from the change's (e.g. ``taylor`` under
 median ratio and a 95% bootstrap interval of that median, which resamples
 the copy pairs and the points.  The normalized functions report their
 unequal count and largest relative difference the same way.  Standard
-library only; it reads ``perfbench/`` and changes nothing there.  The
-``--out`` report names each side by its commit hash (``git rev-parse``),
-the working tree as ``working tree on <hash of HEAD>``.  Exits 1 if any
-outcome differs.
+library only; it reads ``perfbench/`` and changes nothing there.
+
+With ``--suite NAME`` each point is instead one run of that verify suite,
+``verify.run_suite(NAME, family, seed)``, for every family that yields
+checks and every seed, timed on the same copies in the same ABBA order and
+grouped as ``NAME/family``.  The two sides must give the same check ids and
+statuses in the same order (else the outcome counts as unequal); the report
+gives the largest move of a check's ``error`` field, |change - parent|
+(infinite where one side has none), and each side's median time in ms.
+
+The ``--out`` report names each side by its commit hash (``git
+rev-parse``), the working tree as ``working tree on <hash of HEAD>``.
+Exits 1 if any outcome differs.
 """
 
 from __future__ import annotations
@@ -88,9 +97,10 @@ def revisions(parent: str, change) -> dict:
             else f"working tree on {resolve('HEAD')}"}
 
 
-def load_package(alias: str, src: str):
+def load_package(alias: str, src: str, module: str = "numerics"):
     """The ``hyperclass`` package under ``src`` imported as ``alias``, with
-    its numerics module: its relative imports resolve inside it."""
+    its ``module`` (numerics by default): its relative imports resolve
+    inside it."""
     pkg = os.path.join(src, "hyperclass")
     spec = importlib.util.spec_from_file_location(
         alias, os.path.join(pkg, "__init__.py"),
@@ -98,7 +108,7 @@ def load_package(alias: str, src: str):
     mod = importlib.util.module_from_spec(spec)
     sys.modules[alias] = mod
     spec.loader.exec_module(mod)
-    return importlib.import_module(alias + ".numerics")
+    return importlib.import_module(f"{alias}.{module}")
 
 
 def load_inputs():
@@ -183,10 +193,10 @@ def _unequal(report: dict, want, got) -> None:
                                  relative_difference(want, got))
 
 
-def _time(call, N, params, w) -> float:
+def _time(call, N, args) -> float:
     t0 = time.perf_counter()
     try:
-        call(N, params, w)
+        call(N, *args)
     except (N.NumericsError, ArithmeticError):
         pass
     return time.perf_counter() - t0
@@ -245,6 +255,46 @@ def bootstrap(logs, rng, n=BOOTSTRAP):
     return math.exp(meds[int(0.025 * n)]), math.exp(meds[int(0.975 * n) - 1])
 
 
+def timed(parents, changes, groups: dict, outcomes: dict,
+          seed: int = 0) -> dict:
+    """The report of each group of ``groups``, name -> [(call, args)], in
+    name order: its point count, its ``outcomes`` entry, each side's
+    median time and the median ratio with its bootstrap interval.  Each
+    point runs on every pair of copies, twice on each side in the order
+    ABBA or BAAB.  The cyclic garbage collector runs before each group and
+    is off while the group is timed."""
+    rng = random.Random(seed)
+    report = {}
+    for key in sorted(groups):
+        logs, spent = [], ([], [])
+        gc.collect()
+        gc.disable()
+        try:
+            for i, (call, args) in enumerate(groups[key]):
+                row, total = [], [0.0, 0.0]
+                for k, pair in enumerate(zip(parents, changes)):
+                    t = [0.0, 0.0]
+                    for side in ((0, 1, 1, 0), (1, 0, 0, 1))[(i + k) % 2]:
+                        t[side] += _time(call, pair[side], args)
+                    row.append(math.log(t[1] / t[0]))
+                    total = [total[0] + t[0], total[1] + t[1]]
+                logs.append(row)
+                for side in (0, 1):
+                    spent[side].append(total[side] / (2 * len(row)))
+        finally:
+            gc.enable()
+        lo, hi = bootstrap(logs, rng)
+        report[key] = {
+            "points": len(logs),
+            **outcomes[key],
+            "parent_us": 1e6 * statistics.median(spent[0]),
+            "change_us": 1e6 * statistics.median(spent[1]),
+            "median_ratio": math.exp(statistics.median(
+                sum(row) / len(row) for row in logs)),
+            "interval": [lo, hi]}
+    return report
+
+
 def compare(parents, changes, pts, seed: int = 0) -> dict:
     """The per-route report over ``pts`` of two sides, each a list of
     numerics modules loaded from one source."""
@@ -254,7 +304,7 @@ def compare(parents, changes, pts, seed: int = 0) -> dict:
         was, want, want_value = outcome(call, parents[0], params, w)
         route, got, got_value = outcome(call, changes[0], params, w)
         key = f"{name}/{route}"
-        groups.setdefault(key, []).append((call, params, w))
+        groups.setdefault(key, []).append((call, (params, w)))
         r = outcomes.setdefault(key, {"not_bitwise_equal": 0,
                                       "max_rel_diff": None,
                                       "parent_routes": {}})
@@ -262,35 +312,49 @@ def compare(parents, changes, pts, seed: int = 0) -> dict:
             _unequal(r, want_value, got_value)
         if was != route:
             r["parent_routes"][was] = r["parent_routes"].get(was, 0) + 1
-    rng = random.Random(seed)
-    report = {}
-    gc.disable()
-    try:
-        for key in sorted(groups):
-            logs, spent = [], ([], [])
-            for i, (call, params, w) in enumerate(groups[key]):
-                row, total = [], [0.0, 0.0]
-                for k, pair in enumerate(zip(parents, changes)):
-                    t = [0.0, 0.0]
-                    for side in ((0, 1, 1, 0), (1, 0, 0, 1))[(i + k) % 2]:
-                        t[side] += _time(call, pair[side], params, w)
-                    row.append(math.log(t[1] / t[0]))
-                    total = [total[0] + t[0], total[1] + t[1]]
-                logs.append(row)
-                for side in (0, 1):
-                    spent[side].append(total[side] / (2 * len(row)))
-            lo, hi = bootstrap(logs, rng)
-            report[key] = {
-                "points": len(logs),
-                **outcomes[key],
-                "parent_us": 1e6 * statistics.median(spent[0]),
-                "change_us": 1e6 * statistics.median(spent[1]),
-                "median_ratio": math.exp(statistics.median(
-                    sum(row) / len(row) for row in logs)),
-                "interval": [lo, hi]}
-    finally:
-        gc.enable()
-    return report
+    return timed(parents, changes, groups, outcomes, seed)
+
+
+def run_suite(V, suite, family, seed):
+    return V.run_suite(suite, family, seed=seed)
+
+
+def suite_points(V, suite, seeds):
+    """(group name, suite, family, seed) at each seed for every family
+    whose run of ``suite`` in the verify module ``V`` yields checks."""
+    return [(f"{suite}/{family}", suite, family, seed)
+            for family in V.ALL_FAMILIES
+            if V.run_suite(suite, family, seed=seeds[0]).checks
+            for seed in seeds]
+
+
+def error_move(want, got) -> float:
+    """|got - want| of two checks' error fields, 0 where both are None and
+    infinite where only one is."""
+    if want is None or got is None:
+        return 0.0 if want is got else math.inf
+    return abs(got - want)
+
+
+def compare_suites(parents, changes, pts, seed: int = 0) -> dict:
+    """The per-(suite, family) report over ``pts`` of two sides, each a
+    list of verify modules loaded from one source: an outcome is unequal
+    where the check ids or statuses differ."""
+    groups = {}
+    outcomes = {}
+    for name, suite, family, s in pts:
+        want, got = (run_suite(side[0], suite, family, s).checks
+                     for side in (parents, changes))
+        r = outcomes.setdefault(name, {"unequal": 0, "max_error_move": 0.0})
+        if [(c.id, c.status) for c in want] \
+                != [(c.id, c.status) for c in got]:
+            r["unequal"] += 1
+        else:
+            r["max_error_move"] = max(
+                r["max_error_move"],
+                *(error_move(a.error, b.error) for a, b in zip(want, got)))
+        groups.setdefault(name, []).append((run_suite, (suite, family, s)))
+    return timed(parents, changes, groups, outcomes, seed)
 
 
 def _max_rel(r: dict) -> str:
@@ -313,6 +377,20 @@ def table(report: dict) -> str:
     return "\n".join(lines)
 
 
+def suite_table(report: dict) -> str:
+    lines = [f"{'suite/family':26s} {'points':>6s} {'unequal':>7s} "
+             f"{'max error move':>14s} {'parent':>8s} {'change':>8s} "
+             f"{'ratio':>6s}  95% interval"]
+    for key, r in report.items():
+        lo, hi = r["interval"]
+        lines.append(f"{key:26s} {r['points']:6d} {r['unequal']:7d} "
+                     f"{r['max_error_move']:14.1e} "
+                     f"{r['parent_us'] / 1e3:6.2f}ms "
+                     f"{r['change_us'] / 1e3:6.2f}ms "
+                     f"{r['median_ratio']:6.3f}  [{lo:.3f}, {hi:.3f}]")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD~")
@@ -320,6 +398,8 @@ def main(argv=None) -> int:
                     help="a revision; the working tree's src/ if omitted")
     ap.add_argument("--seeds", type=int, nargs="+",
                     default=[1, 2, 701, 702, 703])
+    ap.add_argument("--suite", default=None,
+                    help="time this verify suite instead of the routes")
     ap.add_argument("--out", default=None, help="JSON file for the report")
     args = ap.parse_args(argv)
     revs = revisions(args.parent, args.change)
@@ -330,15 +410,29 @@ def main(argv=None) -> int:
             sources.append(os.path.join(ROOT, "src") if rev is None
                            else unpack_src(rev, os.path.join(scratch, side)))
         # the two sides' copies load in turn, so neither sits in one block
+        module = "numerics" if args.suite is None else "verify"
         sides = ([], [])
         for k in range(COPIES):
             for side, name in enumerate(("parent", "change")):
                 sides[side].append(load_package(f"hyperclass_{name}_{k}",
-                                                sources[side]))
-        inputs = load_inputs()
-        report = compare(*sides, points(inputs, args.seeds))
-        normalized = compare_normalized(
-            sides[0][0], sides[1][0], normalized_points(inputs, args.seeds))
+                                                sources[side], module))
+        if args.suite is not None:
+            report = compare_suites(*sides, suite_points(
+                sides[0][0], args.suite, args.seeds))
+        else:
+            inputs = load_inputs()
+            report = compare(*sides, points(inputs, args.seeds))
+            normalized = compare_normalized(
+                sides[0][0], sides[1][0],
+                normalized_points(inputs, args.seeds))
+    if args.suite is not None:
+        print(suite_table(report))
+        if args.out:
+            with open(args.out, "w") as fh:
+                json.dump({**revs, "seeds": args.seeds, "copies": COPIES,
+                           "suites": report}, fh, indent=1)
+                fh.write("\n")
+        return 1 if any(r["unequal"] for r in report.values()) else 0
     print(table(report))
     print(f"\n{'normalized':26s} {'points':>6s} {'unequal':>7s} "
           f"{'max rel':>7s}")

@@ -1273,12 +1273,16 @@ def _hermite_asymptotic(la, w, tol):
 
 
 def _hermite_cf(first):
-    """The continued fraction at z = w^2 and Re w >= 2: before the series
-    (`first`) at |w| < 4, after the asymptotic sum at |w| >= 4."""
+    """The continued fraction at z = w^2, where Re sqrt z = |Re w|: before
+    the series (`first`) at Re w >= 2 and |w| < 4, after the asymptotic
+    sum at every other Re w >= _CF_MIN_RE_SQRT (below it cf cannot
+    converge)."""
+    def guard(la, w, tol):
+        early = w.real >= 2.0 and abs(w) < ASYMPTOTIC_CROSSOVER
+        return early if first else not early and w.real >= _CF_MIN_RE_SQRT
+
     return _Step("cf", lambda la, w, tol:
-                 _tricomi_cf(la, -0.5, jvalue(w) * jvalue(w)),
-                 lambda la, w, tol: w.real >= 2.0
-                 and (abs(w) < ASYMPTOTIC_CROSSOVER) == first)
+                 _tricomi_cf(la, -0.5, jvalue(w) * jvalue(w)), guard)
 
 
 # cf takes about (18.4 / Re w)^2 steps, at most about 85 where it is tried

@@ -8,7 +8,8 @@ Engines
   algebraic singularity at 0 and exponential or algebraic decay;
 * ``loop_0``     — a loop around the negative axis (keyhole or double ray),
   where the branch factor t^gamma collapses the two lips into a sine
-  factor, plus a circle around 0 parametrized by its angle.
+  factor, plus a circle around 0 parametrized by its angle; it takes the
+  integrand by its logarithm, as the power integrands below do.
 
 Every contour, circles included, runs on the two double-exponential rules,
 so the module needs nothing beyond the standard library.
@@ -22,8 +23,11 @@ where its integral diverges; the confluent one at -infinity is
 
 On top of the engines sits the catalog of every printed integral
 representation (`integral_rep_rows`).  Each family states its integrands
-once, as the points, exponents and extra factor of
-prod (c_j (t - p_j))^{g_j} extra(t).  A row takes one of them over one
+once, as the points p_j, exponents g_j and the exponent extra of
+prod (c_j (t - p_j))^{g_j} e^{extra(t)}; every extra factor of the catalog
+is an exponential.  An integrand is one exponential a node,
+exp(extra(t) + sum g_j log(c_j (t - p_j))), and an exact 0 where that
+exponent's real part is below -700.  A row takes one of them over one
 contour, with the signs c_j that pick the branches there: `power_integral`
 sends a segment to `segment_power_integrand` and `tanh_sinh`, a ray to
 `ray_power_integrand` and `exp_sinh`.  The Hankel loop around 0 and w
@@ -158,60 +162,81 @@ def _es_level(level: int):
     return tuple(sides)
 
 
-def _level_sum(f, sides):
-    """Sum of w f(x) over the (x, w) of each side, outward from 0.
+def _de_integrate(f, tol: float, max_level: int, ends=None,
+                  scale: float = 1.0):
+    """The doubling trapezoid of both rules: `tanh_sinh` on the segment
+    ends = (za, zb, aware), `exp_sinh` at `scale` where ends is None.
 
-    A node where f raises an arithmetic error, returns None or a value
-    that is not finite is skipped; a side ends after four nodes in a row
-    whose |w f| falls below 1e-18 of the largest so far.
-    """
-    total = 0.0j
-    scale = 0.0
-    isfinite = math.isfinite
-    for side in sides:
-        misses = 0
-        for x, wgt in side:
-            try:
-                val = f(x)
-            except (OverflowError, ZeroDivisionError, ValueError):
-                continue
-            if val is None:
-                continue
-            size = abs(val)
-            if not isfinite(size):
-                continue
-            total = wgt * val + total
-            mag = abs(wgt) * size
-            if mag > scale:
-                scale = mag
-            if scale > 0 and mag < 1e-18 * scale:
-                misses += 1
-                if misses >= 4:
-                    break
-            else:
-                misses = 0
-    return total
-
-
-def _de_integrate(level_nodes, f, tol: float, max_level: int = 9):
-    """Generic doubling trapezoid over a double-exponential map;
-    level_nodes(level) gives that level's sides as `_level_sum` takes
-    them."""
+    Level by level, h = 0.5 / 2**level, it sums w f(x) over that level's
+    nodes, each side outward from 0, and adds the sum to the total.  A
+    node where f raises an arithmetic error, returns None or a value that
+    is not finite is skipped; a side ends after four nodes in a row whose
+    |w f| falls below 1e-18 of the largest in the level so far.  From
+    level 2 on it stops at the first level that moves h * total by at most
+    tol of its size, and returns (value, that last move)."""
+    if ends is not None:
+        za, zb, aware = ends
+        d = zb - za
+    inf = err = math.inf
+    pi = math.pi
     h = 0.5
-    total = _level_sum(f, level_nodes(0))
-    value = total * h
-    prev = None
-    err = float("inf")
-    for level in range(1, max_level + 1):
+    total = value = None
+    for level in range(max_level + 1):
+        part = 0.0j
+        top = floor = 0.0
+        for side in (_es_level(level) if ends is None
+                     else map(_triples, _de_level(_ts_node, level))):
+            misses = 0
+            # tanh-sinh: (u, near, weight); exp-sinh: (e^v, weight at
+            # scale 1, cosh u), see `_ts_node` and `_es_level`
+            for u, a, b in (side if ends is not None else zip(*side)):
+                try:
+                    if ends is None:
+                        if scale == 1.0:
+                            wgt = a
+                        else:
+                            u = scale * u
+                            wgt = u * 0.5 * pi * b
+                        val = f(u)
+                    else:
+                        off = d * a
+                        wgt = b * d
+                        if u > 0:
+                            val = f(zb - off, 1, off) if aware \
+                                else f(zb - off)
+                        else:
+                            val = f(za + off, 0, off) if aware \
+                                else f(za + off)
+                except (OverflowError, ZeroDivisionError, ValueError):
+                    continue
+                if val is None:
+                    continue
+                size = abs(val)
+                if not size < inf:
+                    continue
+                part = wgt * val + part
+                mag = abs(wgt) * size
+                if mag > top:
+                    top = mag
+                    floor = 1e-18 * mag
+                    misses = 0
+                elif mag < floor:
+                    misses += 1
+                    if misses >= 4:
+                        break
+                else:
+                    misses = 0
+        if total is None:
+            total = part
+            value = total * h
+            continue
         h *= 0.5
-        total = total + _level_sum(f, level_nodes(level))
+        total = total + part
         new_value = total * h
         err = abs(new_value - value)
         value = new_value
-        scale = max(abs(value), 1e-300)
-        if err <= tol * scale and prev is not None:
+        if err <= tol * max(abs(value), 1e-300) and level > 1:
             return value, err
-        prev = err
     return value, err
 
 
@@ -225,32 +250,10 @@ def tanh_sinh(f: Callable, za, zb, tol: float = 1e-11, max_level: int = 9):
     full relative accuracy arbitrarily close to the endpoints.  Returns
     (value, error_estimate).
     """
-    za = complex(za)
-    zb = complex(zb)
-    d = zb - za
     aware = getattr(f, "endpoint_aware", False)
-
-    def mapped(side):
-        for u, near, wgt in _triples(side):
-            off = d * near
-            if u > 0:
-                t = zb - off
-                yield ((t, 1, off) if aware else t), wgt * d
-            else:
-                t = za + off
-                yield ((t, 0, off) if aware else t), wgt * d
-
-    if aware:
-        # call an EndpointAware's function itself: one frame less a node
-        fn = f.fn if type(f) is EndpointAware else f
-
-        def call(args):
-            return fn(*args)
-    else:
-        call = f
-    return _de_integrate(
-        lambda level: map(mapped, _de_level(_ts_node, level)),
-        call, tol, max_level)
+    if type(f) is EndpointAware:
+        f = f.fn        # one frame less a node
+    return _de_integrate(f, tol, max_level, (complex(za), complex(zb), aware))
 
 
 def exp_sinh(g: Callable, tol: float = 1e-11, max_level: int = 9,
@@ -260,21 +263,9 @@ def exp_sinh(g: Callable, tol: float = 1e-11, max_level: int = 9,
     `scale` rescales the abscissas (s -> scale * s) to centre the map on
     the integrand's natural length; at scale 1 the (s, weight) pairs are
     read from the cached `_es_level` tables, at any other scale computed
-    from them per call.  Returns (value, error_estimate).
+    from them per node.  Returns (value, error_estimate).
     """
-    if scale == 1.0:
-        def nodes(side):
-            ev, wgt, _ = side
-            return zip(ev, wgt)
-    else:
-        def nodes(side):
-            ev, _, ch = side
-            for e, c in zip(ev, ch):
-                s = scale * e
-                yield s, s * 0.5 * math.pi * c
-
-    return _de_integrate(lambda level: map(nodes, _es_level(level)),
-                         g, tol, max_level)
+    return _de_integrate(g, tol, max_level, None, scale)
 
 
 class EndpointAware:
@@ -289,70 +280,73 @@ class EndpointAware:
 
 
 def segment_power_integrand(za, zb, factors, extra: Optional[Callable] = None):
-    """Integrand prod (c_j (t - p_j))^{g_j} * extra(t) on the segment
-    [za, zb], with factors whose p_j coincides with an endpoint evaluated
-    from the exact offset (full relative accuracy at the singularity).
+    """Integrand prod (c_j (t - p_j))^{g_j} * e^{extra(t)} on the segment
+    [za, zb], as one exponential: exp(extra(t) + sum g_j log(c_j (t -
+    p_j))), with principal logarithms.  A factor whose p_j coincides with
+    an endpoint is evaluated from the exact offset (full relative accuracy
+    at the singularity).
 
-    extra runs first: an exact zero from it (an underflow guard) is the
-    node's value, so the node counts as a zero even where a factor would
-    overflow."""
+    A node whose exponent has real part below -700 is an exact zero (an
+    underflow guard), so it counts as a zero even where one factor alone
+    would overflow.  A factor that is exactly 0 makes the node 0 if its
+    Re g_j > 0 and skips it otherwise, as `jpow` would."""
     za = complex(za)
     zb = complex(zb)
     # per side (0: za, 1: zb), each factor with whether p_j is that endpoint
-    sided = tuple(tuple((c, p, g, complex(p) == end) for c, p, g in factors)
-                  for end in (za, zb))
+    sided = tuple(tuple((c, p, complex(g), complex(p) == end)
+                        for c, p, g in factors) for end in (za, zb))
+    log = cmath.log
+    exp = cmath.exp
 
     def fn(t, side, off):
-        if extra is not None:
-            ex = extra(t)
-            if not ex:
-                return ex
-        out = 1.0 + 0.0j
-        for c, p, g, at_end in sided[1 if side else 0]:
-            if at_end:
-                lv = c * off if side == 0 else -(c * off)
-            else:
-                lv = c * (t - p)
-            out = out * jpow(lv, g)
-        return out if extra is None else out * ex
+        ex = 0.0j if extra is None else extra(t)
+        try:
+            for c, p, g, at_end in sided[1 if side else 0]:
+                if at_end:
+                    lv = c * off if side == 0 else -(c * off)
+                else:
+                    lv = c * (t - p)
+                ex = ex + g * log(lv)
+        except ValueError:          # lv == 0
+            return 0.0j if g.real > 0 else None
+        return 0.0j if ex.real < -700.0 else exp(ex)
 
     return EndpointAware(fn)
 
 
 def ray_power_integrand(z0, d, factors, extra: Optional[Callable] = None):
-    """g(s) = prod (c_j (t - p_j))^{g_j} * extra(t) at t = z0 + d s, the ray
-    sibling of `segment_power_integrand`.
-
-    exp_sinh(g) integrates over s in (0, inf) with no Jacobian d, so the
+    """g(s) = prod (c_j (t - p_j))^{g_j} * e^{extra(t)} at t = z0 + d s, the
+    ray sibling of `segment_power_integrand`, one exponential in the same
+    way.  exp_sinh(g) integrates over s in (0, inf) with no Jacobian d, so the
     ray (-inf, 0] (z0 = 0, d = -1) gives int f(-s) ds.  A factor whose p_j
-    is z0 is evaluated from the exact offset c_j d s.  A base is raised by
-    x ** g_j.  extra runs first, as in `segment_power_integrand`."""
+    is z0 is evaluated from the exact offset c_j d s."""
     z0 = complex(z0)
     d = complex(d)
     # each factor with c_j d if p_j is the start z0, else None
-    started = tuple((c * d if complex(p) == z0 else None, c, p, e)
+    started = tuple((c * d if complex(p) == z0 else None, c, p, complex(e))
                     for c, p, e in factors)
+    log = cmath.log
+    exp = cmath.exp
 
     def g(s):
         t = z0 + d * s
-        if extra is not None:
-            ex = extra(t)
-            if not ex:
-                return ex
-        out = 1.0 + 0.0j
-        for cd, c, p, e in started:
-            lv = c * (t - p) if cd is None else cd * s
-            out = out * lv ** e
-        return out if extra is None else out * ex
+        ex = 0.0j if extra is None else extra(t)
+        try:
+            for cd, c, p, e in started:
+                ex = ex + e * log(c * (t - p) if cd is None else cd * s)
+        except ValueError:          # a factor is 0
+            return 0.0j if e.real > 0 else None
+        return 0.0j if ex.real < -700.0 else exp(ex)
 
     return g
 
 
 def power_integral(path, factors, tol: float,
                    extra: Optional[Callable] = None):
-    """Integral of prod (c_j (t - p_j))^{g_j} * extra(t) along path, either
-    ("seg", za, zb) by `tanh_sinh` or ("ray", z0, d) by `exp_sinh` in the
-    convention of `ray_power_integrand`.  Returns (value, error_estimate).
+    """Integral of prod (c_j (t - p_j))^{g_j} * e^{extra(t)} along path,
+    either ("seg", za, zb) by `tanh_sinh` or ("ray", z0, d) by `exp_sinh`
+    in the convention of `ray_power_integrand`.  Returns (value,
+    error_estimate).
     """
     kind, a, b = path
     if kind == "seg":
@@ -367,34 +361,39 @@ def power_integral(path, factors, tol: float,
 # Loop contours around the negative axis
 # ---------------------------------------------------------------------------
 
-def _circle0(fn: Callable, gam: complex, rho: float, tol: float):
-    """Integral over the full circle |t| = rho, counterclockwise from -pi
-    to pi, of t^gam fn(t) with the phase of t^gam tracked continuously:
-    `tanh_sinh` over the angle in two halves, split at phi = 0, the point
-    nearest a branch point of fn on the positive axis."""
-
-    def g(phi):
-        t = rho * cmath.exp(1j * phi)
-        tpow = cmath.exp(gam * (math.log(rho) + 1j * phi))
-        return 1j * t * tpow * fn(t)
-
-    lower, e1 = tanh_sinh(g, -math.pi, 0.0, tol)
-    upper, e2 = tanh_sinh(g, 0.0, math.pi, tol)
-    return lower + upper, e1 + e2
-
-
-def loop_0(fn: Callable, gam: complex, rho: float, end: float,
+def loop_0(log_fn: Callable, gam: complex, rho: float, end: float,
            tol: float = 1e-11):
     """Integral of t^gam fn(t) over the loop from -end along the lower lip
     of the negative axis, counterclockwise around 0 at radius rho, and back
     to -end on the upper lip: end = 0 is a keyhole (fn must vanish fast
-    enough at 0-), end = R > rho a double ray.  The lips add up to
-    2i sin(pi gam) int_end^rho s^gam fn(-s) ds; their error estimate is
-    scaled by the same factor.  Returns (value, error_estimate)."""
-    lips, e1 = tanh_sinh(lambda s: s ** gam * fn(-s), end, rho, tol)
+    enough at 0-), end = R > rho a double ray.  fn is given by a logarithm
+    log_fn, and each node is one exponential with the underflow guard of
+    `segment_power_integrand`.  The lips add up to 2i sin(pi gam)
+    int_end^rho s^gam fn(-s) ds; their error estimate is scaled by the same
+    factor.  The circle is `tanh_sinh` over the angle from -pi to pi, with
+    the phase of t^gam tracked continuously, in two halves split at 0, the
+    point nearest a branch point of fn on the positive axis.  Returns
+    (value, error_estimate)."""
+    gam = complex(gam)
+    log_rho = math.log(rho)
+    log = cmath.log
+    exp = cmath.exp
+
+    def lip(s):
+        ex = gam * log(s) + log_fn(-s)
+        return 0.0j if ex.real < -700.0 else exp(ex)
+
+    def arc(phi):
+        phi = phi.real              # tanh_sinh passes a complex angle
+        t = cmath.rect(rho, phi)
+        ex = gam * complex(log_rho, phi) + log_fn(t)
+        return 0.0j if ex.real < -700.0 else 1j * t * exp(ex)
+
+    lips, e1 = tanh_sinh(lip, end, rho, tol)
+    lower, e2 = tanh_sinh(arc, -math.pi, 0.0, tol)
+    upper, e3 = tanh_sinh(arc, 0.0, math.pi, tol)
     sine = 2j * cmath.sin(math.pi * gam)
-    circ, e2 = _circle0(fn, gam, rho, tol)
-    return sine * lips + circ, abs(sine) * e1 + e2
+    return sine * lips + (lower + upper), abs(sine) * e1 + (e2 + e3)
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +537,10 @@ def _row_adder(rows: list, prefix: str, family: str, param_samples):
 
 def _power_row(integrand, path, *signs):
     """The evaluator of a row whose integrand is prod (c_j (t - p_j))^{g_j}
-    * extra(t): integrand(params, w) gives the points p_j, the exponents g_j
-    and extra (or None), the signs c_j pick each factor's branch on this
-    row's contour, and path(w) is the contour (see `power_integral`)."""
+    * e^{extra(t)}: integrand(params, w) gives the points p_j, the
+    exponents g_j and the exponent extra (or None), the signs c_j pick each
+    factor's branch on this row's contour, and path(w) is the contour (see
+    `power_integral`)."""
 
     def evaluate(params, w, tol):
         points, exps, extra = integrand(params, w)
@@ -548,11 +548,6 @@ def _power_row(integrand, path, *signs):
                               extra)
 
     return evaluate
-
-
-def _exp0(x):
-    """e^x, or an exact zero once Re x < -700 (an underflow guard)."""
-    return 0.0j if x.real < -700.0 else cmath.exp(x)
 
 
 def _off_cut(w: complex, *cuts) -> bool:
@@ -794,13 +789,13 @@ def _build_geg_rows():
 def _conf_a(ps, w):
     """Type a, t^p (t-w)^r e^t: points 0, w."""
     th, al = ps
-    return (0.0, w), ((-1 + th - al) / 2, (-1 - th - al) / 2), cmath.exp
+    return (0.0, w), ((-1 + th - al) / 2, (-1 - th - al) / 2), lambda t: t
 
 
 def _conf_b(ps, w):
     """Type b, t^{-1-al} (1-t)^{(-1-th+al)/2} e^{w/t}: points 0, 1."""
     th, al = ps
-    return (0.0, 1.0), (-1 - al, (-1 - th + al) / 2), lambda t: _exp0(w / t)
+    return (0.0, 1.0), (-1 - al, (-1 - th + al) / 2), lambda t: w / t
 
 
 _CONF_PARAM_SAMPLES = (
@@ -820,14 +815,14 @@ def _build_conf_rows():
         # from -inf up to lo below 0 and w, up to hi right of them, back to
         # -inf (a ray with d = -1 runs from -inf to its start): the cuts of
         # t^p and (t-w)^r lie between the rays, so principal branches serve
-        points, exps, _ = _conf_a(params, w)
+        points, exps, extra = _conf_a(params, w)
         factors = tuple(zip((1, 1), points, exps))
         x = max(1.0, w.real + 1.0)
         lo = complex(x, -max(1.0, 1.0 - w.imag))
         hi = complex(x, max(1.0, w.imag + 1.0))
         pieces = (("ray", lo, -1.0), ("seg", lo, hi), ("ray", hi, -1.0))
         (v1, e1), (v2, e2), (v3, e3) = (
-            power_integral(path, factors, tol, _exp0) for path in pieces)
+            power_integral(path, factors, tol, extra) for path in pieces)
         return (v1 + v2 - v3) / (2j * math.pi), (e1 + e2 + e3) / (2 * math.pi)
 
     row(1, "loop around 0 and w of t^p e^t (t-w)^r / 2 pi i -> bold-F(th,al)(w)",
@@ -876,7 +871,7 @@ def _build_conf_rows():
 
     def ev7(params, w, tol):
         _, (et, e1), _ = _conf_b(params, w)
-        val, err = loop_0(lambda t: cmath.exp(w / t) * (1 - t) ** e1,
+        val, err = loop_0(lambda t: w / t + e1 * cmath.log(1 - t),
                           et, 0.7, 0.0, tol)
         return val / (2j * math.pi), err / (2 * math.pi)
 
@@ -911,13 +906,13 @@ def _build_conf_rows():
 def _herm_a(ps, w):
     """e^{t^2} (w-t)^{-la-1/2}: point w."""
     (la,) = ps
-    return (w,), (-la - 0.5,), lambda t: _exp0(t * t)
+    return (w,), (-la - 0.5,), lambda t: t * t
 
 
 def _herm_b(ps, w):
     """e^{-t^2-2tw} t^{la-1/2}: point 0."""
     (la,) = ps
-    return (0.0,), (la - 0.5,), lambda t: _exp0(-t * t - 2 * t * w)
+    return (0.0,), (la - 0.5,), lambda t: -t * t - 2 * t * w
 
 
 _HERM_PARAM_SAMPLES = ((2 / 7,), (-1 / 7,), (5 / 13,))
@@ -989,14 +984,14 @@ def _build_herm_rows():
 def _bessel_0f1(ps, w):
     """e^t e^{w/t} t^{-al-1}: point 0."""
     (al,) = ps
-    return (0.0,), (-al - 1,), lambda t: _exp0(t + w / t)
+    return (0.0,), (-al - 1,), lambda t: t + w / t
 
 
 def _poisson(ps, w):
     """Poisson's (1-t^2)^{al-1/2} e^{2t sqrt w}: points 1, -1."""
     (al,) = ps
     sq = cmath.sqrt(w)
-    return (1.0, -1.0), (al - 0.5, al - 0.5), lambda t: _exp0(2 * t * sq)
+    return (1.0, -1.0), (al - 0.5, al - 0.5), lambda t: 2 * t * sq
 
 
 def _poisson_w(ps, w):
@@ -1004,7 +999,7 @@ def _poisson_w(ps, w):
     (w-t^2)^{-al-1/2} e^{2t}: points sqrt w, -sqrt w."""
     (al,) = ps
     sq = cmath.sqrt(w)
-    return (sq, -sq), (-al - 0.5, -al - 0.5), lambda t: _exp0(2 * t)
+    return (sq, -sq), (-al - 0.5, -al - 0.5), lambda t: 2 * t
 
 
 _0F1_PARAM_SAMPLES = ((2 / 7,), (-3 / 13,), (1 / 11,))

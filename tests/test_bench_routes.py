@@ -220,3 +220,52 @@ def test_report_names_each_side_by_its_commit(bench_routes):
         == {"parent": head, "change": head}
     with pytest.raises(subprocess.CalledProcessError):
         bench_routes.revisions("no-such-revision", None)
+
+
+def _verify(errors):
+    """A stand-in verify module: run_suite(suite, family, seed) gives one
+    check per entry of errors[family], (id, status, error), and none for a
+    family it does not name."""
+    def run_suite(suite, family, seed=0):
+        return types.SimpleNamespace(checks=[
+            types.SimpleNamespace(id=f"{suite}:{family}:{cid}",
+                                  status=status, error=error)
+            for cid, status, error in errors.get(family, ())])
+    return types.SimpleNamespace(ALL_FAMILIES=("a", "b", "c"),
+                                 run_suite=run_suite)
+
+
+def test_suite_report_compares_ids_statuses_and_error_moves(bench_routes):
+    parent = _verify({"a": [(1, "pass", 1e-12), (2, "pass", None)],
+                      "b": [(1, "pass", 3e-11)]})
+    change = _verify({"a": [(1, "pass", 4e-12), (2, "pass", None)],
+                      "b": [(1, "fail", 3e-6)]})
+    # a family without checks (c) is no point; one point per seed
+    pts = bench_routes.suite_points(parent, "integrals", [1, 3])
+    assert pts == [("integrals/a", "integrals", "a", 1),
+                   ("integrals/a", "integrals", "a", 3),
+                   ("integrals/b", "integrals", "b", 1),
+                   ("integrals/b", "integrals", "b", 3)]
+    report = bench_routes.compare_suites([parent, parent], [change, change],
+                                         pts)
+    assert list(report) == ["integrals/a", "integrals/b"]
+    a, b = report["integrals/a"], report["integrals/b"]
+    assert (a["points"], a["unequal"]) == (2, 0)
+    assert a["max_error_move"] == pytest.approx(3e-12)
+    # a status that differs is an unequal outcome, and no error move
+    assert (b["points"], b["unequal"], b["max_error_move"]) == (2, 2, 0.0)
+    for r in report.values():
+        lo, hi = r["interval"]
+        assert 0 < lo <= hi < math.inf
+        assert r["parent_us"] > 0 and r["change_us"] > 0
+    lines = bench_routes.suite_table(report).splitlines()
+    assert len(lines) == 3
+    assert lines[1].split()[:4] == ["integrals/a", "2", "0", "3.0e-12"]
+    assert lines[2].split()[:3] == ["integrals/b", "2", "2"]
+
+
+def test_error_move(bench_routes):
+    move = bench_routes.error_move
+    assert move(None, None) == 0.0 and move(1e-12, 1e-12) == 0.0
+    assert move(1e-12, 3e-12) == pytest.approx(2e-12)
+    assert move(None, 1e-12) == move(1e-12, None) == math.inf

@@ -199,9 +199,9 @@ _FORCED_AS_AUTO = [
     ("hermite", "asymptotic", ("--lam", "0.3"), "6"),
     ("hermite", "asymptotic", ("--lam", "0.3"), "9,-3"),
     ("hermite", "asymptotic", ("--lam", "0.3"), "12,5"),
-    # |w| = 4.45 and Re w < 2: the series and the 2F0 sum do not certify,
-    # and the continued fraction is not tried
-    ("hermite", "quadrature", ("--lam", "0.05"), "1.95,4"),
+    # Re w < 0 and |w| < 4: the series does not certify, and neither the
+    # 2F0 sum nor the continued fraction is tried (ROADMAP item 14)
+    ("hermite", "quadrature", ("--lam", "0.05"), "-2.5,3"),
 ]
 
 

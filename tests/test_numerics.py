@@ -829,6 +829,24 @@ def test_hermite_takes_the_cf_after_the_2f0_sum(w):
     assert abs(value - ref) <= est * abs(ref)
 
 
+@pytest.mark.parametrize("la, w", [
+    (0.05, 1.95 + 4j),
+    (1.5795 + 0.3263j, 1.7185 - 0.6584j),
+    (1.7302 - 0.672j, 1.8517 - 0.116j),
+    (-0.3957 + 0.9472j, 1.7282 - 4.2217j),
+])
+def test_hermite_takes_the_cf_before_the_quadrature(la, w):
+    # at _CF_MIN_RE_SQRT <= Re w < 2, where the cf is not tried first and
+    # neither sum certifies, it is tried before the quadrature, which
+    # would report tol as its estimate (ROADMAP item 15's Hermite box)
+    mp = pytest.importorskip("mpmath")
+    assert N._CF_MIN_RE_SQRT <= w.real < 2.0
+    value, route, est = N._hermite_S(la, w, 1e-11)
+    assert route == "cf" and est <= 1e-12
+    ref = _hermite_reference(mp, la, w)
+    assert abs(value - ref) <= est * abs(ref)
+
+
 @pytest.mark.parametrize("w", [27j, 100j, 300j, 1000j, -40 + 1j])
 def test_hermite_skips_a_series_whose_terms_do_not_fit(monkeypatch, w):
     # there the 1F1 terms of the connection series overflow and it ran to
@@ -931,13 +949,16 @@ def test_route_order_is_data():
     # the order in which auto tries each evaluator's routes
     assert _routes(N._TRICOMI_STEPS) == _routes(N._0F1_TILDE_STEPS) \
         == ["asymptotic", "series", "cf", "quadrature"]
-    # Hermite's continued fraction goes first at |w| < 4 and after the 2F0
-    # sum at |w| >= 4, both at Re w >= 2: its guards let it run once
+    # Hermite's continued fraction goes first at Re w >= 2 and |w| < 4,
+    # and after the 2F0 sum at every other Re w >= _CF_MIN_RE_SQRT (about
+    # 1.27): its guards let it run once
     assert _routes(N._HERMITE_STEPS) \
         == ["cf", "series", "asymptotic", "cf", "quadrature"]
     for w, order in ((3 + 1j, ["cf", "series", "quadrature"]),
                      (4.5 + 1j, ["asymptotic", "cf", "quadrature"]),
-                     (1.5 + 4j, ["series", "asymptotic", "quadrature"])):
+                     (1.5 + 4j, ["series", "asymptotic", "cf", "quadrature"]),
+                     (1.5 + 1j, ["series", "cf", "quadrature"]),
+                     (1.2 + 4j, ["series", "asymptotic", "quadrature"])):
         assert _routes(s for s in N._HERMITE_STEPS if s.guard is None
                        or s.guard(0.3, w, None)) == order
     # one is listed before and after inf, and its guards let it run once,

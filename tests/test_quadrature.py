@@ -30,12 +30,14 @@ def test_tanh_sinh_endpoint_singularity():
 
 
 def test_tanh_sinh_beta_integral():
-    # B(p+1, q+1) with singular endpoints on both sides
-    p, q = -0.7, -0.4
-    f = Q.segment_power_integrand(0.0, 1.0, ((1, 0.0, p), (-1, 1.0, q)))
-    val, _ = Q.tanh_sinh(f, 0.0, 1.0)
-    expected = N.gamma(p + 1) * N.gamma(q + 1) / N.gamma(p + q + 2)
-    assert abs(val - expected) < 1e-12 * abs(expected)
+    # B(p+1, q+1) with singular endpoints on both sides, at complex
+    # exponents down to -0.95 too
+    for p, q in ((-0.7, -0.4), (-0.95 + 0.3j, -0.6 - 0.4j),
+                 (-0.3 - 0.7j, -0.95 + 0.1j), (0.4 + 0.2j, -0.95)):
+        f = Q.segment_power_integrand(0.0, 1.0, ((1, 0.0, p), (-1, 1.0, q)))
+        val, _ = Q.tanh_sinh(f, 0.0, 1.0)
+        expected = N.gamma(p + 1) * N.gamma(q + 1) / N.gamma(p + q + 2)
+        assert abs(val - expected) < 1e-12 * abs(expected), (p, q)
 
 
 def test_tanh_sinh_complex_segment():
@@ -73,15 +75,17 @@ def test_ray_power_integrand_exact_start_offset():
     # far from 0, so that t - z0 rounds away from the offset s
     z0, p = 1000.1 + 0.3j, 999.6 - 0.2j
     g = Q.ray_power_integrand(z0, 1.0, ((1, z0, -0.45), (1, p, 0.3)),
-                              extra=lambda t: cmath.exp(z0 - t))
+                              extra=lambda t: z0 - t)
 
     def by_hand(s):
         t = z0 + s
-        return s ** -0.45 * (t - p) ** 0.3 * cmath.exp(z0 - t)
+        return cmath.exp(z0 - t + -0.45 * cmath.log(s)
+                         + 0.3 * cmath.log(t - p))
 
     def naive(s):
         t = z0 + s
-        return (t - z0) ** -0.45 * (t - p) ** 0.3 * cmath.exp(z0 - t)
+        return cmath.exp(z0 - t + -0.45 * cmath.log(t - z0)
+                         + 0.3 * cmath.log(t - p))
 
     nodes = (1e-12, 3.7e-9, 1e-6, 0.3, 2.0, 7.5)
     assert [_bits(g(s)) for s in nodes] == [_bits(by_hand(s)) for s in nodes]
@@ -96,20 +100,23 @@ def test_ray_power_integrand_imaginary_direction():
     z0, a, b = -0.4 + 2.0j, 0.35, -0.6
     g = Q.ray_power_integrand(
         z0, 1j, ((-1j, z0, a - 1), (-1j, z0 - 1j, b)),
-        extra=lambda t: cmath.exp(1j * (t - z0)))
+        extra=lambda t: 1j * (t - z0))
     val, _ = Q.exp_sinh(g)
     ref, _ = Q.exp_sinh(lambda s: s ** (a - 1) * (1 + s) ** b * math.exp(-s))
     assert abs(val - ref) < 1e-13 * abs(ref)
-    gam = Q.ray_power_integrand(z0, 1j, ((-1j, z0, a - 1),),
-                                extra=lambda t: cmath.exp(1j * (t - z0)))
-    assert abs(Q.exp_sinh(gam)[0] - N.gamma(a)) < 1e-12 * abs(N.gamma(a))
+    for a in (a, 0.7 + 0.6j, 1.8 - 0.9j):
+        gam = Q.ray_power_integrand(z0, 1j, ((-1j, z0, a - 1),),
+                                    extra=lambda t: 1j * (t - z0))
+        assert abs(Q.exp_sinh(gam)[0] - N.gamma(a)) \
+            < 1e-12 * abs(N.gamma(a)), a
 
 
 def test_power_integrands_return_a_guard_zero():
-    # an underflow guard's zero is the node's value, although s^-1.5 would
-    # overflow there: the node counts as a zero instead of being skipped
+    # the underflow guard on the whole exponent, -1/t - 1.5 log t, gives
+    # the node's value, although s^-1.5 alone would overflow there: the
+    # node counts as a zero instead of being skipped
     def extra(t):
-        return 0.0j if t.real < 1e-3 else cmath.exp(-1 / t)
+        return -1 / t
 
     factors = ((1, 0.0, -1.5),)
     g = Q.ray_power_integrand(0.0, 1.0, factors, extra)
@@ -118,6 +125,33 @@ def test_power_integrands_return_a_guard_zero():
         complex(1e-300) ** -1.5
     assert g(1e-300) == 0 and f(1e-300 + 0j, 0, 1e-300 + 0j) == 0
     assert abs(g(0.5) - 0.5 ** -1.5 * math.exp(-2)) < 1e-15
+
+
+def test_segment_power_integrand_far_from_the_origin():
+    # the skew segment: (t-za)^a (zb-t)^b over [za, zb] is
+    # d^{a+b+1} B(a+1, b+1), d = zb - za, with principal powers of d
+    za, zb = 1000.1 + 0.3j, 1000.7 - 0.2j
+    d = zb - za
+    for a, b in ((-0.45, 0.3), (-0.95 + 0.2j, -0.5 - 0.3j)):
+        f = Q.segment_power_integrand(za, zb, ((1, za, a), (-1, zb, b)))
+        val, _ = Q.tanh_sinh(f, za, zb)
+        want = cmath.exp((a + b + 1) * cmath.log(d)) \
+            * N.gamma(a + 1) * N.gamma(b + 1) / N.gamma(a + b + 2)
+        assert abs(val - want) < 1e-12 * abs(want), (a, b)
+
+
+def test_power_integrands_keep_a_node_whose_factor_overflows():
+    # s^-1.5 s^1.2 at s = 1e-300: the first factor alone overflows a
+    # double and the second underflows, but the product s^-0.3 = 1e90 is
+    # a normal double, and the one exponential returns it (a power per
+    # factor raised OverflowError, and the node was skipped)
+    with pytest.raises(OverflowError):
+        complex(1e-300) ** -1.5
+    factors = ((1, 0.0, -1.5), (1, 0.0, 1.2))
+    g = Q.ray_power_integrand(0.0, 1.0, factors)
+    f = Q.segment_power_integrand(0.0, 1.0, factors)
+    for got in (g(1e-300), f(1e-300 + 0j, 0, 1e-300 + 0j)):
+        assert abs(got - 1e90) < 1e-13 * 1e90
 
 
 def test_power_integral_dispatch(monkeypatch):
@@ -138,7 +172,7 @@ def test_power_integral_dispatch(monkeypatch):
     assert calls == ["tanh_sinh"] and abs(seg - 2) < 1e-12
     calls.clear()
     ray, _ = Q.power_integral(("ray", 0.0, 1.0), factors, 1e-12,
-                              extra=lambda t: cmath.exp(-t))
+                              extra=lambda t: -t)
     assert calls == ["exp_sinh"] and abs(ray - SQRT_PI) < 1e-12
     with pytest.raises(ValueError):
         Q.power_integral(("arc", 0.0, 1.0), factors, 1e-12)
@@ -147,7 +181,7 @@ def test_power_integral_dispatch(monkeypatch):
 def test_double_ray_hankel():
     # (1/2 pi i) oint e^t t^{-z} dt = 1/Gamma(z) on the Hankel contour
     z = 0.7 + 0.3j
-    val, _ = Q.loop_0(lambda t: cmath.exp(t), -z, 0.8, 40.0)
+    val, _ = Q.loop_0(lambda t: t, -z, 0.8, 40.0)
     got = val / (2j * math.pi)
     expected = N.rgamma(z)
     assert abs(got - expected) < 1e-12 * abs(expected)
@@ -157,9 +191,9 @@ def test_keyhole_radius_invariance():
     # the loop value is invariant under deforming the circle radius,
     # which exercises the phase bookkeeping of the lip reduction
     g = -0.4
-    fn = lambda t: cmath.exp(t) * (2 - t) ** -0.3
-    v1, _ = Q.loop_0(fn, g, 0.5, 0.0)
-    v2, _ = Q.loop_0(fn, g, 0.9, 0.0)
+    log_fn = lambda t: t - 0.3 * cmath.log(2 - t)
+    v1, _ = Q.loop_0(log_fn, g, 0.5, 0.0)
+    v2, _ = Q.loop_0(log_fn, g, 0.9, 0.0)
     assert abs(v1 - v2) < 1e-11 * max(abs(v1), 1.0)
 
 
@@ -167,9 +201,10 @@ def test_loop_estimate_carries_the_sine_factor():
     # the lips enter the loop times 2i sin(pi g), |2 sin(pi g)| ~ 111 at
     # this complex g, and so must their error estimate
     g = -0.4 + 1.5j
-    fn = lambda t: cmath.exp(t) * (2 - t) ** -0.3
-    _, e_lips = Q.tanh_sinh(lambda s: s ** g * fn(-s), 0.0, 0.5)
-    _, est = Q.loop_0(fn, g, 0.5, 0.0)
+    log_fn = lambda t: t - 0.3 * cmath.log(2 - t)
+    _, e_lips = Q.tanh_sinh(
+        lambda s: cmath.exp(g * cmath.log(s) + log_fn(-s)), 0.0, 0.5)
+    _, est = Q.loop_0(log_fn, g, 0.5, 0.0)
     assert est >= abs(2 * cmath.sin(math.pi * g)) * e_lips > 0
 
 
@@ -453,7 +488,7 @@ def _ts_cases():
     # offsets that the endpoint-aware integrand receives
     za, zb = 1000.1 + 0.3j, 1000.7 - 0.2j
     skew = Q.segment_power_integrand(za, zb, ((1, za, -0.45), (-1, zb, 0.3)),
-                                     extra=lambda t: cmath.exp(3 * (t - za)))
+                                     extra=lambda t: 3 * (t - za))
     return [
         # sums that cancel to ~0, so every tail node's bits count
         (lambda t: t * cmath.exp(-t * t), -1.0, 1.0, {}),

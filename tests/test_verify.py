@@ -20,6 +20,18 @@ def _assert_clean(report):
 # Individual suites
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("seed", [1, 3])
+def test_integral_rows_keep_their_digits(seed):
+    # the suite passes a row to 1e-7, but every row meets 1e-10 (the worst
+    # is geg:int:08 at about 3.8e-11): a quadrature change that loses
+    # digits fails here before it fails the suite
+    rows = [c for c in V.run_suite("integrals", seed=seed).checks
+            if ":int:" in c.id]
+    assert len(rows) == 10 + 8 + 9 + 4 + 7
+    worst = max(rows, key=lambda c: c.error)
+    assert worst.error <= 1e-10, (worst.id, worst.error)
+
+
 @pytest.mark.parametrize("suite", V.SUITES)
 def test_suite_green(suite):
     report = V.run_suite(suite)

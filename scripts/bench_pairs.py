@@ -30,9 +30,9 @@ holds every per-layer metric of workload W's traced runs under
 ``traced_W``, with each side's runs and median.
 
 With ``--routes FILE``, the report that ``scripts/bench_routes.py --out
-FILE`` wrote goes under ``routes`` in the result file as it is.  It is
-read before any run, and the script exits with status 2 if it is not such
-a report.
+FILE`` wrote, per route or with ``--suite`` per verify suite, goes under
+``routes`` in the result file as it is.  It is read before any run, and
+the script exits with status 2 if it is not such a report.
 """
 
 from __future__ import annotations
@@ -105,9 +105,10 @@ def workload_digest(root: str) -> str:
                    b"verify operations\0" + verify_operations(root))
 
 
-# the keys of every scripts/bench_routes.py report
-_ROUTES_KEYS = ("parent", "change", "seeds", "copies", "routes",
-                "normalized")
+# the keys of every scripts/bench_routes.py report, and those of its two
+# shapes: per route, and per verify suite (--suite)
+_ROUTES_KEYS = ("parent", "change", "seeds", "copies")
+_ROUTES_SHAPES = (("routes", "normalized"), ("suites",))
 
 
 def routes_report(path: str):
@@ -120,6 +121,8 @@ def routes_report(path: str):
         return None
     if not isinstance(report, dict) or any(k not in report
                                            for k in _ROUTES_KEYS):
+        return None
+    if not any(all(k in report for k in shape) for shape in _ROUTES_SHAPES):
         return None
     return report
 

@@ -11,11 +11,9 @@ polynomial.
 The argument of an evaluator may be a complex number or a `jet.Jet`.  The
 derivative d/dw is a root operator of each family (its first transmutation
 row), so the k-th Taylor coefficient of a function is a value at parameters
-shifted k times by that root.  The evaluators with a `_Root` (2F1,
-Gegenbauer and the solutions at infinity) take a Jet's coefficients from
-their scalar route steps at shifted parameters (`_root_jet`), the bare
-series from their contiguous sums (`pfq_series`); no route step of the
-former and no quadrature sees a Jet.
+shifted k times by that root.  Every evaluator has a `_Root` and takes a
+Jet's coefficients from its scalar route steps at shifted parameters
+(`_root_jet`): no route step, series or quadrature sees a Jet.
 """
 
 from __future__ import annotations
@@ -293,11 +291,11 @@ def _root_jet(steps, args, tol, method, check, root):
     the parameters p = args[:-1]: the k-th Taylor coefficient at w0 is
     f_{p_k}(w0) times root.factor(p_j) over j < k, over k!, where p_k is p
     shifted k times by the root and f_{p_k}(w0) comes from the scalar
-    ladder; `taylor_compose` composes the coefficients with w (as
-    `pfq_series` composes those of DLMF 16.3.1).  The route is that of
-    the value, the estimate the largest of the coefficients', None if one
-    of them is None; a zero factor (a polynomial solution) makes every
-    later coefficient 0."""
+    ladder; `taylor_compose` composes the coefficients with w, which may
+    itself be a composed Jet such as 4 sqrt(w).  The route is that of the
+    value, the estimate the largest of the coefficients', None if one of
+    them is None; a zero factor (a polynomial solution) makes every later
+    coefficient 0."""
     *params, w = args
     w0 = w.coeffs[0]
     cs = []
@@ -325,55 +323,25 @@ def _root_jet(steps, args, tol, method, check, root):
 MAX_SERIES_TERMS = 10000
 
 
-def pfq_series(num: Sequence[Number], den: Sequence[Number], z,
-               tol: float = 1e-17, max_terms: int = MAX_SERIES_TERMS):
-    """Generalized hypergeometric series sum_k prod(num)_k / prod(den)_k z^k/k!.
+def pfq_series(num: Sequence[Number], den: Sequence[Number], z: Number):
+    """Generalized hypergeometric series sum_k prod(num)_k / prod(den)_k z^k/k!
+    at a scalar z.
 
     Sums use compensated (Kahan) summation.  Raises ConvergenceError if
-    `max_terms` is hit before three consecutive terms fall below
-    tol * |sum|.
-
-    On a Jet `z` the result is always a Jet.  Its Taylor coefficients at
-    z0 come from contiguity, d/dz pFq(a; b; z) = (prod a / prod b)
-    pFq(a+1; b+1; z) (DLMF 16.3.1): c_n = prod (a)_n / prod (b)_n / n!
-    pFq(a+n; b+n; z0), each summed as a scalar series, and the c_n are
-    composed with z - z0 by Horner.  If any of the sums fails to converge,
-    the ConvergenceError's `best` is the Jet composed from their best
-    values.
+    MAX_SERIES_TERMS terms pass before three consecutive terms fall below
+    1e-17 |sum|.  A Jet reaches it only as scalar values at parameters
+    shifted by a root (`_root_jet`).
     """
     num = [_as_complex(p) for p in num]
     den = [_as_complex(q) for q in den]
     for q in den:
         if is_nonpositive_integer(q):
             raise GammaPoleError(f"series denominator parameter {q}")
-    if type(z) is not Jet:
-        total, converged = _pfq_sum(num, den, _as_complex(z), tol, max_terms)
-        if not converged:
-            raise ConvergenceError("series did not converge", best=total)
-        return total
-    zc = z.coeffs
-    cs = []
-    converged = True
-    pref = 1.0 + 0.0j
-    for n in range(len(zc)):
-        if n:
-            for p in num:
-                pref *= p + (n - 1)
-            for q in den:
-                pref /= q + (n - 1)
-            pref /= n
-        if pref == 0:
-            # a polynomial series: this and every higher derivative vanish
-            cs.append(0j)
-            continue
-        total, ok = _pfq_sum([p + n for p in num], [q + n for q in den],
-                             zc[0], tol, max_terms)
-        converged = converged and ok
-        cs.append(pref * total)
-    out = taylor_compose(cs, z)
+    total, converged = _pfq_sum(num, den, _as_complex(z), 1e-17,
+                                MAX_SERIES_TERMS)
     if not converged:
-        raise ConvergenceError("series did not converge", best=out)
-    return out
+        raise ConvergenceError("series did not converge", best=total)
+    return total
 
 
 def _pfq_sum(num, den, z: complex, tol: float, max_terms: int):
@@ -765,8 +733,8 @@ def _eval_2f1_taylor_fallback(al, be, mu, w):
     """
     a, b, c = _lie_abc(al, be, mu)
     z = 0.45 * w / max(abs(w), 1e-300)
-    seed = hyp2f1_series(a, b, c, Jet.variable(z, 1))
-    f0, f1 = seed.coeffs[0], seed.coeffs[1]
+    f0 = hyp2f1_series(a, b, c, z)
+    f1 = a * b / c * hyp2f1_series(a + 1, b + 1, c + 1, z)  # DLMF 15.5.1
     for _ in range(300):
         dist = _cut_distance(z)
         remaining = w - z
@@ -881,21 +849,57 @@ def hyp2f1(a, b, c, z):
 # Confluent / 0F1 evaluators (Lie parameters)
 # ---------------------------------------------------------------------------
 
-def eval_1F1(th, al, w):
-    """Kummer's function F_{theta,alpha}(w) = 1F1((1+al+th)/2; 1+al; w)."""
-    th = _as_complex(th)
-    al = _as_complex(al)
+def _kummer_1f1(th, al, w):
+    """F_{th,al}(w) at a scalar w by its series, after the first Kummer
+    transformation at Re w < 0, which avoids its cancellation there."""
     a = (1 + al + th) / 2
     c = 1 + al
-    if jvalue(w).real < 0:
-        # 1st Kummer transformation avoids cancellation for Re w < 0
-        return jexp(w) * hyp1f1_series(c - a, c, -w)
+    if w.real < 0:
+        return cmath.exp(w) * hyp1f1_series(c - a, c, -w)
     return hyp1f1_series(a, c, w)
+
+
+_1F1_STEPS = (_Step("series", lambda th, al, w, tol:
+                    (_kummer_1f1(th, al, w), None)),)
+_1F1_SERIES_STEPS = (_Step("series", lambda th, al, w, tol: (
+    hyp1f1_series((1 + al + th) / 2, 1 + al, w), None)),)
+_0F1_STEPS = (_Step("series", lambda al, w, tol:
+                    (hyp0f1_series(1 + al, w), None)),)
+
+# F_{th,al}' = a/c F_{th+1,al+1}, (a, c) -> (a+1, c+1) (DLMF 13.3.15; the
+# row 1f1:trans:01)
+_1F1_ROOT = _Root(lambda th, al: (th + 1, al + 1),
+                  lambda th, al: (1 + al + th) / (2 * (1 + al)))
+# 0F1(1+al; w)' = 0F1(2+al; w) / (1+al) (DLMF 16.3.1; the row 0f1:trans:01)
+_0F1_ROOT = _Root(lambda al: (al + 1,), lambda al: 1 / (1 + al))
+
+
+def _eval_1F1_routed(th, al, w, method="auto"):
+    """`eval_1F1` with its route and estimate (None) by `_ladder`."""
+    return _ladder(_1F1_STEPS, (_as_complex(th), _as_complex(al), w), None,
+                   method, root=_1F1_ROOT)
+
+
+def eval_1F1(th, al, w):
+    """Kummer's function F_{theta,alpha}(w) = 1F1((1+al+th)/2; 1+al; w)."""
+    return _eval_1F1_routed(th, al, w)[0]
+
+
+def _1f1_series(th, al, w):
+    """F_{th,al}(w) by its series alone, without the Kummer transformation
+    of `eval_1F1`: the expressions of the 1F1 solutions at 0."""
+    return _ladder(_1F1_SERIES_STEPS, (th, al, w), None, root=_1F1_ROOT)[0]
+
+
+def _eval_0F1_routed(al, w, method="auto"):
+    """`eval_0F1` with its route and estimate (None) by `_ladder`."""
+    return _ladder(_0F1_STEPS, (_as_complex(al), w), None, method,
+                   root=_0F1_ROOT)
 
 
 def eval_0F1(al, w):
     """0F1(1+al; w)."""
-    return hyp0f1_series(1 + _as_complex(al), w)
+    return _eval_0F1_routed(al, w)[0]
 
 
 def tilde_F_2f0(th, al, z, tol: float = 1e-15):
@@ -1042,7 +1046,7 @@ def _bold_1f1_rounded(th, al, w):
     c = 1 + al
     r = rgamma(c)
     if w.real < 0:
-        e = jexp(w)
+        e = cmath.exp(w)
         total, bound = _series_rounded((c - a,), (c,), _as_complex(-w))
         value = r * (e * total)
         return value, abs(r * e) * bound \
@@ -1281,16 +1285,14 @@ def _hermite_cf(first):
         early = w.real >= 2.0 and abs(w) < ASYMPTOTIC_CROSSOVER
         return early if first else not early and w.real >= _CF_MIN_RE_SQRT
 
-    return _Step("cf", lambda la, w, tol:
-                 _tricomi_cf(la, -0.5, jvalue(w) * jvalue(w)), guard)
+    return _Step("cf", lambda la, w, tol: _tricomi_cf(la, -0.5, w * w), guard)
 
 
 # cf takes about (18.4 / Re w)^2 steps, at most about 85 where it is tried
 # first; the series cannot certify at |w| >= 4 and |arg w| <= pi/4
 _HERMITE_STEPS = (
     _hermite_cf(True),
-    _Step("series", lambda la, w, tol:
-          _tricomi_series(la, -0.5, jvalue(w) * jvalue(w), jvalue(w)),
+    _Step("series", lambda la, w, tol: _tricomi_series(la, -0.5, w * w, w),
           lambda la, w, tol: not (abs(w) >= ASYMPTOTIC_CROSSOVER
                                   and w.real >= abs(w.imag))
           and _hermite_series_fits(la, w * w)),
@@ -1321,8 +1323,8 @@ def eval_hermite_S(la, w, tol: float = 1e-11):
 
 
 def _0f1_tilde_asymptotic(al, w, tol):
-    sq = jsqrt(w)
-    return _asymptotic(jexp(-2 * sq) * jpow(w, -al / 2 - 0.25),
+    sq = cmath.sqrt(w)
+    return _asymptotic(cmath.exp(-2 * sq) * jpow(w, -al / 2 - 0.25),
                        tilde_F_2f0(0, 2 * al, -1 / (4 * sq), tol), tol)
 
 
@@ -1359,10 +1361,6 @@ def eval_0f1_tilde(al, w, tol: float = 1e-11):
 # Evaluators by family: the routes that can be run, and the normalizations
 # ---------------------------------------------------------------------------
 
-_1F1_STEPS = (_Step("series", lambda th, al, w, tol: (eval_1F1(th, al, w),
-                                                      None)),)
-_0F1_STEPS = (_Step("series", lambda al, w, tol: (eval_0F1(al, w), None)),)
-
 # family -> (fn(Lie parameters, w, tol, method) -> (value, route, relative
 # estimate or None), its methods: auto and the steps that can be forced,
 # the nominal relative error of a route without an estimate)
@@ -1372,11 +1370,11 @@ EVALUATORS = {
     "gegenbauer": (lambda p, w, tol, m:
                    _eval_2F1_routed(*_geg_2f1_args(*p, w), m, _geg_check),
                    ("auto", "series"), 1e-13),
-    "1f1": (lambda p, w, tol, m: _ladder(_1F1_STEPS, (*p, w), tol, m),
+    "1f1": (lambda p, w, tol, m: _eval_1F1_routed(*p, w, m),
             ("auto", "series"), 1e-14),
     "hermite": (lambda p, w, tol, m: _hermite_S(*p, w, tol, m),
                 ("auto", "asymptotic", "quadrature"), None),
-    "0f1": (lambda p, w, tol, m: _ladder(_0F1_STEPS, (*p, w), tol, m),
+    "0f1": (lambda p, w, tol, m: _eval_0F1_routed(*p, w, m),
             ("auto", "series"), 1e-15),
 }
 
@@ -1606,16 +1604,14 @@ def standard_solutions(family: str, params) -> tuple:
         th, al = params
         out.append(SolutionDescriptor(
             "1f1", "at0_1", "~1 at 0", params,
-            (lambda w, tol=1e-11: hyp1f1_series((1 + al + th) / 2, 1 + al, w),
-             lambda w, tol=1e-11: jexp(w)
-             * hyp1f1_series((1 + al - th) / 2, 1 + al, -w)),
+            (lambda w, tol=1e-11: _1f1_series(th, al, w),
+             lambda w, tol=1e-11: jexp(w) * _1f1_series(-th, al, -w)),
             "entire"))
         out.append(SolutionDescriptor(
             "1f1", "at0_2", "~w^-alpha at 0", params,
-            (lambda w, tol=1e-11: jpow(w, -al)
-             * hyp1f1_series((1 - al + th) / 2, 1 - al, w),
+            (lambda w, tol=1e-11: jpow(w, -al) * _1f1_series(th, -al, w),
              lambda w, tol=1e-11: jpow(w, -al) * jexp(w)
-             * hyp1f1_series((1 - al - th) / 2, 1 - al, -w)),
+             * _1f1_series(-th, -al, -w)),
             "w off (-inf, 0]"))
         out.append(SolutionDescriptor(
             "1f1", "atinf", "~w^-a at +infinity", params,
@@ -1647,7 +1643,7 @@ def standard_solutions(family: str, params) -> tuple:
         (al,) = params
         out.append(SolutionDescriptor(
             "0f1", "at0_1", "~1 at 0", params,
-            (lambda w, tol=1e-11: hyp0f1_series(1 + al, w),
+            (lambda w, tol=1e-11: eval_0F1(al, w),
              lambda w, tol=1e-11: jexp(-2 * jsqrt(w))
              * eval_1F1(0, 2 * al, 4 * jsqrt(w)),
              lambda w, tol=1e-11: jexp(2 * jsqrt(w))
@@ -1655,7 +1651,7 @@ def standard_solutions(family: str, params) -> tuple:
             "entire (composed expressions need w off (-inf,0])"))
         out.append(SolutionDescriptor(
             "0f1", "at0_2", "~w^-alpha at 0", params,
-            (lambda w, tol=1e-11: jpow(w, -al) * hyp0f1_series(1 - al, w),
+            (lambda w, tol=1e-11: jpow(w, -al) * eval_0F1(-al, w),
              lambda w, tol=1e-11: jpow(w, -al) * jexp(-2 * jsqrt(w))
              * eval_1F1(0, -2 * al, 4 * jsqrt(w))),
             "w off (-inf, 0]"))

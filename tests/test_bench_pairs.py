@@ -160,16 +160,23 @@ _ROUTES = {"parent": "abc", "change": "working tree on abc", "seeds": [1],
            "normalized": {}}
 
 
+# a bench_routes.py --suite report
+_SUITES = {"parent": "abc", "change": "working tree on abc", "seeds": [1],
+           "copies": 4, "suites": {"residuals/1f1": {"points": 1}}}
+
+
 def test_routes_report_goes_under_routes(bench_pairs, tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "run_once", _fake_run([]))
     parent = _checkout(tmp_path / "parent", "print(1)\n")
     change = _checkout(tmp_path / "change", "print(1)\n")
     routes = tmp_path / "routes.json"
-    routes.write_text(json.dumps(_ROUTES))
     out = tmp_path / "bench.json"
-    assert bench_pairs.main([parent, change, "--first-seed", "5",
-                             "--out", str(out), "--routes", str(routes)]) == 0
-    assert json.loads(out.read_text())["routes"] == _ROUTES
+    for report in (_ROUTES, _SUITES):
+        routes.write_text(json.dumps(report))
+        assert bench_pairs.main([parent, change, "--first-seed", "5",
+                                 "--out", str(out), "--routes",
+                                 str(routes)]) == 0
+        assert json.loads(out.read_text())["routes"] == report
     assert bench_pairs.main([parent, change, "--first-seed", "5",
                              "--out", str(out)]) == 0
     assert "routes" not in json.loads(out.read_text())
@@ -186,11 +193,14 @@ def test_a_bad_routes_report_exits_before_any_run(bench_pairs, tmp_path,
     bad = {"missing": tmp_path / "none.json",
            "not json": tmp_path / "text.json",
            "a list": tmp_path / "list.json",
-           "no normalized": tmp_path / "part.json"}
+           "no normalized": tmp_path / "part.json",
+           "no suites": tmp_path / "nosuites.json"}
     bad["not json"].write_text("routes\n")
     bad["a list"].write_text("[]\n")
     bad["no normalized"].write_text(json.dumps(
         {k: v for k, v in _ROUTES.items() if k != "normalized"}))
+    bad["no suites"].write_text(json.dumps(
+        {k: v for k, v in _SUITES.items() if k != "suites"}))
     for name, path in bad.items():
         assert bench_pairs.main([parent, change, "--first-seed", "1",
                                  "--out", str(out), "--routes",

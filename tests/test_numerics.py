@@ -175,16 +175,16 @@ def test_series_divergence_raises():
         N.hyp2f1_series(0.3, 0.4, 1.2, 1.5)
 
 
-def _ref_pfq_jet(num, den, z, tol=1e-17, max_terms=N.MAX_SERIES_TERMS):
-    """The series summed term by term as a loop over Jet objects, as the
-    Jet branch of pfq_series did before it took its coefficients from
-    contiguity."""
+def _ref_pfq_jet(num, den, z):
+    """The series summed term by term as a loop over Jet objects: an oracle
+    for the Jets of eval_1F1 and eval_0F1, which take their coefficients
+    from root shifts."""
     num = [complex(p) for p in num]
     den = [complex(q) for q in den]
     term = Jet.constant(1.0, z.center, z.order)
     total = term
     small = 0
-    for k in range(max_terms):
+    for k in range(N.MAX_SERIES_TERMS):
         fac = 1.0 + 0.0j
         for p in num:
             fac *= p + k
@@ -193,7 +193,7 @@ def _ref_pfq_jet(num, den, z, tol=1e-17, max_terms=N.MAX_SERIES_TERMS):
         term = term * z * (fac / (k + 1))
         total = total + term
         scale = max(abs(total.value()), 1e-300)
-        if abs(term.value()) < tol * scale:
+        if abs(term.value()) < 1e-17 * scale:
             small += 1
             if small >= 3:
                 return total
@@ -202,25 +202,25 @@ def _ref_pfq_jet(num, den, z, tol=1e-17, max_terms=N.MAX_SERIES_TERMS):
     raise N.ConvergenceError("series did not converge", best=total)
 
 
-def _jet_outcome(fn, *args, **kwargs):
-    """("converged" or "diverged", the Jet returned or carried as best)."""
-    try:
-        got = fn(*args, **kwargs)
-    except N.ConvergenceError as exc:
-        got = exc.best
-        assert isinstance(got, Jet)
-        return "diverged", got
-    assert isinstance(got, Jet)
-    return "converged", got
-
-
-_SERIES_SHAPES = (((0.3, 0.4), (1.2,)), ((0.7 - 0.2j,), (1.6 + 0.1j,)),
-                  ((), (0.45,)), ((-2.0, 0.5), (1.5,)),
-                  ((1.1, -0.3j), (2.5,)))
+# Lie parameters of 1F1 (theta, alpha) and 0F1 (alpha); (-5.5, 0.5) is the
+# polynomial 1F1(-2; 1.5; w)
+_SERIES_SHAPES = ((0.4, 0.2), (-0.2 - 0.5j, 0.6 + 0.1j), (-0.55,),
+                  (-5.5, 0.5), (0.2 - 0.3j, 1.5))
 
 _SERIES_SPECIAL = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), -1.0 + 0j,
                    complex(math.inf, 0.0), complex(math.nan, 1.0),
                    1e300 + 1e300j]
+
+
+def _series_shape(lie):
+    """The evaluator of the Lie parameters `lie`, fn(w), and the (num, den)
+    of its series."""
+    if len(lie) == 2:
+        th, al = lie
+        return (lambda w: N.eval_1F1(th, al, w),
+                (((1 + al + th) / 2,), (1 + al,)))
+    (al,) = lie
+    return lambda w: N.eval_0F1(al, w), ((), (1 + al,))
 
 
 def _series_jet(rng, order, special_rate):
@@ -252,38 +252,56 @@ def _normwise(got, ref):
     return max(abs(g - r) for g, r in zip(got, ref)) / max(map(abs, ref))
 
 
-def test_pfq_series_jet_matches_mpmath_taylor_coefficients():
+def test_series_jets_match_mpmath_taylor_coefficients():
+    # every third Jet is composed, 4 sqrt(w) as in the 0F1 solutions' 1F1
+    # expressions, whose coefficients past the first are all nonzero
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(61018)
     worst = 0.0
     with mpmath.workdps(40):
         for trial in range(60):
-            num, den = _SERIES_SHAPES[trial % len(_SERIES_SHAPES)]
+            fn, (num, den) = _series_shape(
+                _SERIES_SHAPES[trial % len(_SERIES_SHAPES)])
             z = _series_jet(rng, trial % 5, special_rate=0.0)
-            got = N.pfq_series(num, den, z)
+            if trial % 3 == 0:
+                z = 4 * N.jsqrt(z + 1)
+            got = fn(z)
             assert isinstance(got, Jet) and got.center == z.center
             ref = _mp_pfq_jet(mpmath, num, den, z)
             worst = max(worst, float(_normwise(got.coeffs, ref)))
     assert worst <= 1e-14, worst
 
 
-def test_pfq_series_jet_special_values_match_reference_outcome():
+def test_series_jets_match_the_term_by_term_reference():
+    # a Jet with a non-finite coefficient is refused; a finite one matches
+    # the term-by-term oracle wherever the oracle's coefficients are finite
     rng = random.Random(61018)
+    refused = 0
     for trial in range(150):
-        num, den = _SERIES_SHAPES[trial % len(_SERIES_SHAPES)]
+        lie = _SERIES_SHAPES[trial % len(_SERIES_SHAPES)]
+        fn, (num, den) = _series_shape(lie)
         z = _series_jet(rng, trial % 5, special_rate=0.2)
-        max_terms = 5 if trial % 7 == 0 else N.MAX_SERIES_TERMS
-        got = _jet_outcome(N.pfq_series, num, den, z, max_terms=max_terms)
-        ref = _jet_outcome(_ref_pfq_jet, num, den, z, max_terms=max_terms)
-        assert got[0] == ref[0], (num, den, z)
-        assert got[1].center == z.center and got[1].order == z.order
+        if not all(map(cmath.isfinite, z.coeffs)):
+            refused += 1
+            with pytest.raises(N.DomainError, match="non-finite"):
+                fn(z)
+            continue
+        got = fn(z)
+        assert got.center == z.center and got.order == z.order
+        ref = _ref_pfq_jet(num, den, z).coeffs
+        finite = [k for k, c in enumerate(ref) if cmath.isfinite(c)]
+        assert _normwise([got.coeffs[k] for k in finite],
+                         [ref[k] for k in finite]) <= 1e-14, (lie, z)
+    assert refused
 
 
-def test_pfq_series_jet_of_order_zero_is_a_jet():
+def test_series_jet_of_order_zero_is_a_jet():
     z = Jet(0.25 + 0.1j, [0.25 + 0.1j])
-    got = N.pfq_series((0.3, 0.4), (1.2,), z)
-    assert isinstance(got, Jet) and got.order == 0
-    assert got.coeffs[0] == N.pfq_series((0.3, 0.4), (1.2,), 0.25 + 0.1j)
+    for lie in _SERIES_SHAPES:
+        fn, _ = _series_shape(lie)
+        got = fn(z)
+        assert isinstance(got, Jet) and got.order == 0
+        assert got.coeffs[0] == fn(0.25 + 0.1j)
 
 
 def _sum_outcome(got):
@@ -1234,18 +1252,26 @@ def test_root_jet_over_steps_without_estimates_reports_none():
         assert abs(g - x) <= 1e-15 * abs(x)
 
 
-# every ladder of the library; those with a root never run a step on a Jet
+# every ladder of the library, each run with a root: the six evaluators'
+# and the bare 1F1 series of the standard solutions at 0
 _LADDERS = ("_2F1_STEPS", "_TRICOMI_STEPS", "_HERMITE_STEPS",
-            "_0F1_TILDE_STEPS", "_1F1_STEPS", "_0F1_STEPS")
+            "_0F1_TILDE_STEPS", "_1F1_STEPS", "_0F1_STEPS",
+            "_1F1_SERIES_STEPS")
 
 
 def test_the_suites_hand_no_jet_to_a_routed_step(monkeypatch):
-    # residuals, transmutations and recurrences evaluate every family on
-    # Jets.  No step or guard of a ladder with a root sees one; 1F1 and
-    # 0F1 run their bare series, whose Jets take their coefficients from
-    # the contiguous sums of pfq_series (the same root shifts)
+    # a round of every suite and family, in which residuals,
+    # transmutations and recurrences evaluate every family on Jets.  No
+    # step or guard of any ladder sees one, and no series: a Jet takes its
+    # coefficients from root shifts (`_root_jet`)
     from hyperclass import verify
     seen = {name: set() for name in _LADDERS}
+    series = set()
+    pfq_series = N.pfq_series
+
+    def spied_series(num, den, z):
+        series.add(type(z))
+        return pfq_series(num, den, z)
 
     def spied(name, step):
         def fn(*args):
@@ -1260,14 +1286,14 @@ def test_the_suites_hand_no_jet_to_a_routed_step(monkeypatch):
     for name in _LADDERS:
         monkeypatch.setattr(N, name, tuple(
             spied(name, s) for s in getattr(N, name)))
-    for family in ("2f1", "gegenbauer", "1f1", "hermite", "0f1"):
-        for suite in (verify.suite_residuals, verify.suite_transmutations,
-                      verify.suite_recurrences):
-            assert suite(family, seed=1).ok, (family, suite.__name__)
-    # the spies are in place: every ladder ran
-    assert all(seen.values())
-    assert [name for name in _LADDERS if Jet in seen[name]] \
-        == ["_1F1_STEPS", "_0F1_STEPS"]
+    monkeypatch.setattr(N, "pfq_series", spied_series)
+    for family in verify.ALL_FAMILIES:
+        for suite in verify.SUITES:
+            assert verify.run_suite(suite, family, seed=1).ok, (family, suite)
+    # the spies are in place: every ladder and the series ran
+    assert all(seen.values()) and series
+    assert [name for name in _LADDERS if Jet in seen[name]] == []
+    assert Jet not in series
     # and the quadrature layer has no Jet code to run
     import ast
     import inspect

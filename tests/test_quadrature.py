@@ -660,13 +660,16 @@ _NON_FINITE = [complex(math.nan, 0.0), complex(1.0, math.nan),
 
 # (evaluator, parameters); each also reached through the numerics front end.
 # The solution at -infinity has no quadrature of its own: its front end maps
-# onto tricomi_solution.
+# onto tricomi_solution.  eval_1F1 and eval_0F1 sum a series, which would
+# return NaN or fail to converge on a non-finite input.
 _SOLUTIONS = [
     (Q.tricomi_solution, N.eval_tricomi, (0.3, 0.2)),
     (None, N.eval_conf_minus_inf, (0.3, 0.2)),
     (Q.hermite_S_solution, N.eval_hermite_S, (0.3,)),
     (Q.hermite_S_solution, N.eval_hermite_S, (-0.8,)),
     (Q.bessel_tilde_solution, N.eval_0f1_tilde, (0.3,)),
+    (None, N.eval_1F1, (0.3, 0.2)),
+    (None, N.eval_0F1, (0.3,)),
 ]
 
 

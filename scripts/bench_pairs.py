@@ -30,9 +30,10 @@ holds every per-layer metric of workload W's traced runs under
 ``traced_W``, with each side's runs and median.
 
 With ``--routes FILE``, the report that ``scripts/bench_routes.py --out
-FILE`` wrote, per route or with ``--suite`` per verify suite, goes under
-``routes`` in the result file as it is.  It is read before any run, and
-the script exits with status 2 if it is not such a report.
+FILE`` wrote, per route, with ``--suite`` per verify suite or with
+``--cli`` per command of the cli mix, goes under ``routes`` in the result
+file as it is.  It is read before any run, and the script exits with
+status 2 if it is not such a report.
 """
 
 from __future__ import annotations
@@ -105,10 +106,10 @@ def workload_digest(root: str) -> str:
                    b"verify operations\0" + verify_operations(root))
 
 
-# the keys of every scripts/bench_routes.py report, and those of its two
-# shapes: per route, and per verify suite (--suite)
+# the keys of every scripts/bench_routes.py report, and those of its three
+# shapes: per route, per verify suite (--suite) and per command (--cli)
 _ROUTES_KEYS = ("parent", "change", "seeds", "copies")
-_ROUTES_SHAPES = (("routes", "normalized"), ("suites",))
+_ROUTES_SHAPES = (("routes", "normalized"), ("suites",), ("cli",))
 
 
 def routes_report(path: str):

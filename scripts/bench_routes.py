@@ -1,7 +1,7 @@
 """Compare the routed evaluators of two revisions in one process, per route.
 
     python3 scripts/bench_routes.py [--parent HEAD~] [--change REV]
-        [--seeds 1 2 701 702 703] [--suite NAME] [--out FILE]
+        [--seeds 1 2 701 702 703] [--suite NAME | --cli] [--out FILE]
 
 The parent's ``src/`` is unpacked with ``git archive`` into a scratch
 directory; the change is the working tree's ``src/``, or REV's unpacked the
@@ -47,6 +47,16 @@ statuses in the same order (else the outcome counts as unequal); the report
 gives the largest move of a check's ``error`` field, |change - parent|
 (infinite where one side has none), and each side's median time in ms.
 
+With ``--cli`` each point is instead one command of perfbench's cli mix,
+``perfbench/inputs.cli_commands(seed)`` at every seed, run as a fresh
+``python -m hyperclass.cli`` process on each side's ``src/`` (with the
+environment as it is, ``PYTHONDONTWRITEBYTECODE`` included), on COPIES
+pairs of runs in the same ABBA order, and grouped by the command's kind
+(``catalog``, ``eval``, ...).  Its time is the child's CPU time
+(``RUSAGE_CHILDREN``).  The two sides must print byte-identical stdout
+with the same exit code (else the outcome counts as unequal); the report
+gives each side's median CPU time in ms.
+
 The ``--out`` report names each side by its commit hash (``git
 rev-parse``), the working tree as ``working tree on <hash of HEAD>``.
 Exits 1 if any outcome differs.
@@ -62,6 +72,7 @@ import json
 import math
 import os
 import random
+import resource
 import statistics
 import struct
 import subprocess
@@ -73,6 +84,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOL = 1e-11
 BOOTSTRAP = 2000
 COPIES = 4
+CLI_TIMEOUT_S = 60
 
 
 def unpack_src(rev: str, dest: str) -> str:
@@ -256,13 +268,14 @@ def bootstrap(logs, rng, n=BOOTSTRAP):
 
 
 def timed(parents, changes, groups: dict, outcomes: dict,
-          seed: int = 0) -> dict:
+          seed: int = 0, clock=_time) -> dict:
     """The report of each group of ``groups``, name -> [(call, args)], in
     name order: its point count, its ``outcomes`` entry, each side's
     median time and the median ratio with its bootstrap interval.  Each
     point runs on every pair of copies, twice on each side in the order
-    ABBA or BAAB.  The cyclic garbage collector runs before each group and
-    is off while the group is timed."""
+    ABBA or BAAB, and ``clock(call, side, args)`` gives its seconds.  The
+    cyclic garbage collector runs before each group and is off while the
+    group is timed."""
     rng = random.Random(seed)
     report = {}
     for key in sorted(groups):
@@ -275,7 +288,7 @@ def timed(parents, changes, groups: dict, outcomes: dict,
                 for k, pair in enumerate(zip(parents, changes)):
                     t = [0.0, 0.0]
                     for side in ((0, 1, 1, 0), (1, 0, 0, 1))[(i + k) % 2]:
-                        t[side] += _time(call, pair[side], args)
+                        t[side] += clock(call, pair[side], args)
                     row.append(math.log(t[1] / t[0]))
                     total = [total[0] + t[0], total[1] + t[1]]
                 logs.append(row)
@@ -357,6 +370,46 @@ def compare_suites(parents, changes, pts, seed: int = 0) -> dict:
     return timed(parents, changes, groups, outcomes, seed)
 
 
+def cli_points(inputs, seeds):
+    """(kind, argv) of every command of the cli mix at each seed."""
+    return [(cmd["kind"], cmd["argv"])
+            for seed in seeds for cmd in inputs.cli_commands(seed)]
+
+
+def run_cli(src, argv):
+    """(exit code, stdout bytes, child CPU seconds) of one fresh
+    ``python -m hyperclass.cli`` process on the package under ``src``."""
+    env = dict(os.environ, PYTHONPATH=src)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, "-m", "hyperclass.cli", *argv],
+                          cwd=src, env=env, capture_output=True,
+                          timeout=CLI_TIMEOUT_S)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime + after.ru_stime) \
+        - (before.ru_utime + before.ru_stime)
+    return proc.returncode, proc.stdout, cpu
+
+
+def _child_cpu(call, src, args) -> float:
+    return call(src, *args)[2]
+
+
+def compare_cli(parent, change, pts, seed: int = 0,
+                copies: int = COPIES) -> dict:
+    """The per-kind report over ``pts`` of two ``src`` directories: an
+    outcome is unequal where the exit codes or the stdout bytes of one
+    untimed run on each side differ."""
+    groups = {}
+    outcomes = {}
+    for kind, argv in pts:
+        want, got = (run_cli(src, argv)[:2] for src in (parent, change))
+        r = outcomes.setdefault(kind, {"unequal": 0})
+        r["unequal"] += got != want
+        groups.setdefault(kind, []).append((run_cli, (argv,)))
+    return timed([parent] * copies, [change] * copies, groups, outcomes,
+                 seed, _child_cpu)
+
+
 def _max_rel(r: dict) -> str:
     return "-" if r["max_rel_diff"] is None else f"{r['max_rel_diff']:.1e}"
 
@@ -391,6 +444,18 @@ def suite_table(report: dict) -> str:
     return "\n".join(lines)
 
 
+def cli_table(report: dict) -> str:
+    lines = [f"{'command':26s} {'points':>6s} {'unequal':>7s} "
+             f"{'parent':>8s} {'change':>8s} {'ratio':>6s}  95% interval"]
+    for key, r in report.items():
+        lo, hi = r["interval"]
+        lines.append(f"{key:26s} {r['points']:6d} {r['unequal']:7d} "
+                     f"{r['parent_us'] / 1e3:6.1f}ms "
+                     f"{r['change_us'] / 1e3:6.1f}ms "
+                     f"{r['median_ratio']:6.3f}  [{lo:.3f}, {hi:.3f}]")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD~")
@@ -398,8 +463,11 @@ def main(argv=None) -> int:
                     help="a revision; the working tree's src/ if omitted")
     ap.add_argument("--seeds", type=int, nargs="+",
                     default=[1, 2, 701, 702, 703])
-    ap.add_argument("--suite", default=None,
-                    help="time this verify suite instead of the routes")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--suite", default=None,
+                      help="time this verify suite instead of the routes")
+    mode.add_argument("--cli", action="store_true",
+                      help="time the cli mix as fresh processes instead")
     ap.add_argument("--out", default=None, help="JSON file for the report")
     args = ap.parse_args(argv)
     revs = revisions(args.parent, args.change)
@@ -409,6 +477,17 @@ def main(argv=None) -> int:
             os.mkdir(os.path.join(scratch, side))
             sources.append(os.path.join(ROOT, "src") if rev is None
                            else unpack_src(rev, os.path.join(scratch, side)))
+        if args.cli:
+            report = compare_cli(*sources,
+                                 cli_points(load_inputs(), args.seeds))
+            print(cli_table(report))
+            if args.out:
+                with open(args.out, "w") as fh:
+                    json.dump({**revs, "seeds": args.seeds,
+                               "copies": COPIES, "cli": report},
+                              fh, indent=1)
+                    fh.write("\n")
+            return 1 if any(r["unequal"] for r in report.values()) else 0
         # the two sides' copies load in turn, so neither sits in one block
         module = "numerics" if args.suite is None else "verify"
         sides = ([], [])

@@ -22,11 +22,12 @@ route wherever w lies; it is a usage error where the family has no such
 route.
 
 Each command imports only the modules it runs: `eval` and `plotdata` load
-`numerics` (and `quadrature` where a route integrates), and reach the
-exact layer (`families`, `exactalg`) only to convert classical parameters;
-`verify` loads `verify`, and `catalog` loads `families` with `exactalg`,
-`numerics` (for `families`' Kummer table `_KUMMER`) and `quadrature` (for
-the integral representations).
+`numerics` and `jet` (and `quadrature` where a route integrates), and
+reach the exact layer (`families`, `exactalg`) only to convert classical
+parameters; `verify` loads `verify`, which loads the exact and the numeric
+layer; `catalog` loads `families` with `exactalg` and `tables` (the W(D3)
+table and the integral representations' ids), and no numeric code.  The
+typed errors that exit 3 come from `errors`, which every command loads.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import os
 import re
 import sys
 
-from . import numerics as N
+from .errors import NumericsError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -157,6 +158,7 @@ def _tol_scale() -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
+    from . import numerics as N
     family = args.family
     lie = lie_params_from_args(family, args)
     if args.w is None:
@@ -274,6 +276,7 @@ def cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_plotdata(args) -> int:
+    from . import numerics as N
     family = args.family
     lie = lie_params_from_args(family, args)
     z0 = parse_complex(args.from_)
@@ -373,7 +376,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except N.NumericsError as exc:
+    except NumericsError as exc:
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

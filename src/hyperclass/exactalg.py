@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import add as _add
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import (TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence,
+                    Union)
 
 if TYPE_CHECKING:
     from .jet import Jet
@@ -729,19 +729,22 @@ def op_compose(A: DiffOperator, B: DiffOperator) -> DiffOperator:
 # Multiplier
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinFactor:
-    """(a*x + b)^gamma with a, b Gaussian rationals and gamma a polynomial of
-    degree <= 1 in the parameter symbols."""
+class _LinFactor(NamedTuple):
     a: GaussRational
     b: GaussRational
     gamma: MultiPoly
 
-    def __post_init__(self):
-        g = self.gamma
-        if g.total_degree() > 1 or g.symbols_used() & {"w", "v"}:
+
+class LinFactor(_LinFactor):
+    """(a*x + b)^gamma with a, b Gaussian rationals and gamma a polynomial of
+    degree <= 1 in the parameter symbols."""
+    __slots__ = ()
+
+    def __new__(cls, a: GaussRational, b: GaussRational, gamma: MultiPoly):
+        if gamma.total_degree() > 1 or gamma.symbols_used() & {"w", "v"}:
             raise ValueError(
                 "multiplier exponent must be linear in parameter symbols")
+        return super().__new__(cls, a, b, gamma)
 
 
 class Multiplier:

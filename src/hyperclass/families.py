@@ -13,18 +13,20 @@ Catalogs are data: every transmutation, factorization, discrete symmetry,
 recurrence and quadratic link is a record with a self-describing location
 string, interpreted (and checked) by the verify module.  The records are
 transcribed, except the 24 2F1 symmetry rows: those are generated from the
-W(D3) table of numerics, which also drives Kummer's 24 solutions.  Each
-root r of a family's symmetry algebra acts by one first-order operator A_r,
-and the transmutation rows are the one transcription of it (operator,
-weight and target p + r).  The recurrence and factorization rows are built
-from them and transcribe only their own coefficient or constant.
+W(D3) table of `tables`, which also drives Kummer's 24 solutions in
+`numerics`.  Each root r of a family's symmetry algebra acts by one
+first-order operator A_r, and the transmutation rows are the one
+transcription of it (operator, weight and target p + r).  The recurrence
+and factorization rows are built from them and transcribe only their own
+coefficient or constant.  The integral representations are listed by
+their ids and locations in `tables`, so a catalog loads no numeric code;
+`quadrature` evaluates them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exactalg import (
     DiffOperator,
@@ -35,7 +37,7 @@ from .exactalg import (
     RatFun,
     Substitution,
 )
-from .numerics import _KUMMER
+from .tables import _KUMMER, INTEGRAL_REPS
 
 FAMILIES = ("2f1", "gegenbauer", "1f1", "2f0", "hermite", "0f1")
 
@@ -80,25 +82,28 @@ def _first(var: str, c1, c0) -> DiffOperator:
 # Parameter records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyParams:
+class _FamilyParams(NamedTuple):
+    family: str
+    values: tuple
+
+
+class FamilyParams(_FamilyParams):
     """Lie-algebraic parameters of one family member.
 
     Values are exact rationals (Fraction) for symbolic work or complex
     numbers for numeric work, keyed in the family's canonical order.
     """
-    family: str
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if len(self.values) != len(PARAM_NAMES[self.family]):
+    def __new__(cls, family: str, values: tuple):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if len(values) != len(PARAM_NAMES[family]):
             raise ValueError("wrong number of parameters for family")
+        return super().__new__(cls, family, values)
 
 
-@dataclass(frozen=True)
-class ClassicalParams:
+class ClassicalParams(NamedTuple):
     """Classical parameters (a, b, c as applicable) of one family member."""
     family: str
     values: dict
@@ -168,8 +173,7 @@ def symbolic_params(family: str) -> tuple[MultiPoly, ...]:
 # Catalog row types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransmutationRow:
+class TransmutationRow(NamedTuple):
     """A * (weight * F_source) = (weight * F_target) * A."""
     id: str
     location: str
@@ -178,8 +182,7 @@ class TransmutationRow:
     target: tuple[MultiPoly, ...]
 
 
-@dataclass(frozen=True)
-class FactorizationRow:
+class FactorizationRow(NamedTuple):
     """weight * F = left o right + constant.
 
     Built from the transmutation row j of the right factor, with root r:
@@ -197,8 +200,7 @@ class FactorizationRow:
     pair: Optional[tuple[str, tuple[MultiPoly, ...]]] = None
 
 
-@dataclass(frozen=True)
-class SymmetryRow:
+class SymmetryRow(NamedTuple):
     """substitute(F_source, sub) = sign * prefactor * m^{-1} F_target m.
 
     Rational rows are checked symbolically.  The Gegenbauer rows with
@@ -215,8 +217,7 @@ class SymmetryRow:
     algebraic_sign: int = 0
 
 
-@dataclass(frozen=True)
-class RecurrenceRow:
+class RecurrenceRow(NamedTuple):
     """A applied to the normalized function = coeff * shifted function.
 
     A and target are those of the transmutation row with the same number;
@@ -230,8 +231,7 @@ class RecurrenceRow:
     normalization: str
 
 
-@dataclass(frozen=True)
-class QuadraticLink:
+class QuadraticLink(NamedTuple):
     """substitute(scale * F_source(w), sub) = prefactor * m^{-1} F_target(v) m."""
     id: str
     location: str
@@ -245,8 +245,7 @@ class QuadraticLink:
     prefactor: RatFun
 
 
-@dataclass(frozen=True)
-class IdentityCatalog:
+class IdentityCatalog(NamedTuple):
     family: str
     transmutations: tuple[TransmutationRow, ...]
     factorizations: tuple[FactorizationRow, ...]
@@ -254,9 +253,10 @@ class IdentityCatalog:
     recurrences: tuple[RecurrenceRow, ...]
 
     @property
-    def integral_reps(self):
-        from . import quadrature
-        return quadrature.integral_rep_rows(self.family)
+    def integral_reps(self) -> tuple:
+        """The (id, location) rows of the family's integral
+        representations, in the order of `quadrature.integral_rep_rows`."""
+        return INTEGRAL_REPS[self.family]
 
 
 # Expected row counts (an invariant of the transcription).
@@ -347,7 +347,7 @@ def _w() -> MultiPoly:
     return MultiPoly.var("w")
 
 
-# The symmetry rows are the 24 W(D3) elements of numerics._KUMMER: the
+# The symmetry rows are the 24 W(D3) elements of tables._KUMMER: the
 # substitutions w = v, 1-v, 1/v, (v-1)/v, 1/(1-v), v/(v-1), named by the
 # permutation pi of their elements, each with the even sign patterns.
 _PERMS_2F1 = ((0, 1, 2), (1, 0, 2), (2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1))

@@ -14,6 +14,9 @@ row), so the k-th Taylor coefficient of a function is a value at parameters
 shifted k times by that root.  Every evaluator has a `_Root` and takes a
 Jet's coefficients from its scalar route steps at shifted parameters
 (`_root_jet`): no route step, series or quadrature sees a Jet.
+
+The typed errors (`NumericsError` and its subclasses) are defined in
+`errors` and re-exported here.
 """
 
 from __future__ import annotations
@@ -22,38 +25,12 @@ import cmath
 import math
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
+from .errors import (ConvergenceError, DegeneracyError, DomainError,
+                     GammaPoleError, NumericsError)
 from .jet import Jet, taylor_compose
+from .tables import _KUMMER, _W_D3
 
 Number = Union[int, float, complex]
-
-
-# ---------------------------------------------------------------------------
-# Exceptions
-# ---------------------------------------------------------------------------
-
-class NumericsError(Exception):
-    """Base class for numeric evaluation failures."""
-
-
-class GammaPoleError(NumericsError):
-    """Gamma evaluated at a non-positive integer."""
-
-
-class DegeneracyError(NumericsError):
-    """A connection/continuation formula degenerates (integer parameter)."""
-
-
-class ConvergenceError(NumericsError):
-    """A series failed to converge to the requested tolerance."""
-
-    def __init__(self, message, best=None, estimate=None):
-        super().__init__(message)
-        self.best = best
-        self.estimate = estimate
-
-
-class DomainError(NumericsError):
-    """Argument outside the admissible domain of the evaluation."""
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +272,8 @@ def _root_jet(steps, args, tol, method, check, root):
     itself be a composed Jet such as 4 sqrt(w).  The route is that of the
     value, the estimate the largest of the coefficients', None if one of
     them is None; a zero factor (a polynomial solution) makes every later
-    coefficient 0."""
+    coefficient 0.  A composed Jet with a non-finite coefficient, as a
+    large coefficient of w can give, raises DomainError."""
     *params, w = args
     w0 = w.coeffs[0]
     cs = []
@@ -313,7 +291,10 @@ def _root_jet(steps, args, tol, method, check, root):
         route = route or got
         ests.append(est)
         cs.append(pref * value)
-    return taylor_compose(cs, w), route, None if None in ests else max(ests)
+    value = taylor_compose(cs, w)
+    if not all(map(cmath.isfinite, value.coeffs)):
+        raise DomainError(f"non-finite Taylor coefficient at {w!r}")
+    return value, route, None if None in ests else max(ests)
 
 
 # ---------------------------------------------------------------------------
@@ -518,70 +499,10 @@ def _lie_abc(al, be, mu):
     return ((1 + al + be + mu) / 2, (1 + al + be - mu) / 2, 1 + al)
 
 
-# --- W(D3): Kummer's 24 solutions -------------------------------------------
-# The discrete symmetries of the 2F1 equation are the Weyl group W(D3), the 24
-# signed permutations of p = (alpha, beta, mu) with an even number of sign
-# changes.  An element lists the slots of p' = sigma(p): +-k puts +-p_k there
-# (1: alpha, 2: beta, 3: mu), so slot j holds +-p_{pi(j)}.  It gives the
-# solution F_p(w) = w^x (1-w)^y F_{p'}(z), where z(w) is the anharmonic map
-# sending the singular point pi(j) to j (slots 0, 1, 2 are the points 0, 1,
-# infinity).  Four per solution, as in Kummer's table (DLMF 15.10(ii)).
-_W_D3 = {
-    "at0_1": ((1, 2, 3), (1, -2, -3), (1, -3, -2), (1, 3, 2)),
-    "at0_2": ((-1, 2, -3), (-1, -2, 3), (-1, -3, 2), (-1, 3, -2)),
-    "at1_1": ((2, 1, 3), (2, -1, -3), (2, -3, -1), (2, 3, 1)),
-    "at1_2": ((-2, 1, -3), (-2, -1, 3), (-2, 3, -1), (-2, -3, 1)),
-    "atinf_1": ((3, 2, 1), (3, -2, -1), (3, 1, 2), (3, -1, -2)),
-    "atinf_2": ((-3, 2, -1), (-3, -2, 1), (-3, 1, -2), (-3, -1, 2)),
-}
-
-# pi, as the points held by slots 0-2 (2 is infinity) -> z(w)
-_MOEBIUS = {
-    (0, 1, 2): lambda w: w,
-    (0, 2, 1): lambda w: w / (w - 1),
-    (1, 0, 2): lambda w: 1 - w,
-    (1, 2, 0): lambda w: 1 - 1 / w,
-    (2, 1, 0): lambda w: 1 / w,
-    (2, 0, 1): lambda w: 1 / (1 - w),
-}
-
-
-def _kummer_element(slots) -> tuple:
-    """(slots, z(w), ((j, base, d_0, ks), ...)) for a W(D3) element.
-
-    S_j(q), the sum of the local exponents of F_q at the point j, is -alpha,
-    -beta and 1+alpha+beta of q at 0, 1 and infinity.  The prefactor moves
-    it at w = 0 from S_{pi^-1(0)}(p') to S_0(p), and likewise at w = 1, so
-    x = (S_0(p) - S_{pi^-1(0)}(p'))/2 and y = (S_1(p) - S_{pi^-1(1)}(p'))/2.
-    An exponent is held doubled, as the integer d_0 and the signed slots ks
-    of the parameters to add to it, one slot per unit of a coefficient: x =
-    (-1 - al - be + mu)/2 is (-1, (-1, -2, 3)), summed in that order as
-    written, and x = -al is (0, (-1, -1)).  A zero exponent is left out.
-    j is the point of the factor, 0 for w^x and 1 for (1-w)^y; the base of
-    w^x is -w when pi(0) is infinity."""
-    perm = tuple(abs(k) - 1 for k in slots)
-    al, be, _ = ([k // abs(k) if i == abs(k) else 0 for i in range(4)]
-                 for k in slots)
-    sums = ([-c for c in al], [-c for c in be],
-            [(i == 0) + a + b for i, (a, b) in enumerate(zip(al, be))])
-    bases = ((lambda w: -w) if perm[0] == 2 else (lambda w: w), lambda w: 1 - w)
-    factors = []
-    for j, base in enumerate(bases):
-        d = [-(i == j + 1) - s for i, s in enumerate(sums[perm.index(j)])]
-        if any(d):
-            factors.append((j, base, d[0], tuple(
-                k if c > 0 else -k for k, c in enumerate(d) if k
-                for _ in range(abs(c)))))
-    return slots, _MOEBIUS[perm], tuple(factors)
-
-
-_KUMMER = {key: tuple(map(_kummer_element, elems))
-           for key, elems in _W_D3.items()}
-
-
 def _kummer_term(key, row, al, be, mu, w, inner, lead=None):
-    """lead * prefactor * inner(*p', z) for the element _KUMMER[key][row],
-    F_p(w) = prefactor * F_{p'}(z); a lead of None is 1."""
+    """lead * prefactor * inner(*p', z) for the element _KUMMER[key][row]
+    of the W(D3) table in `tables`, F_p(w) = prefactor * F_{p'}(z); a lead
+    of None is 1."""
     slots, moebius, factors = _KUMMER[key][row]
     al, be, mu = _as_complex(al), _as_complex(be), _as_complex(mu)
     p = (None, al, be, mu, -mu, -be, -al)    # p[k] for a signed slot k

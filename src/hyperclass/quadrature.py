@@ -22,7 +22,9 @@ where its integral diverges; the confluent one at -infinity is
 `tricomi_solution` by 1f1:sym:03.
 
 On top of the engines sits the catalog of every printed integral
-representation (`integral_rep_rows`).  Each family states its integrands
+representation (`integral_rep_rows`).  A row's id and paper location are
+its entry of `tables.INTEGRAL_REPS`, which `families` lists without
+loading this module.  Each family states its integrands
 once, as the points p_j, exponents g_j and the exponent extra of
 prod (c_j (t - p_j))^{g_j} e^{extra(t)}; every extra factor of the catalog
 is an exponential.  An integrand is one exponential a node,
@@ -54,6 +56,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import numerics as N
 from .numerics import jpow, jsqrt, rgamma, gamma, NumericsError
+from .tables import INTEGRAL_REPS
 
 
 class QuadratureError(NumericsError):
@@ -522,15 +525,16 @@ class RepRow(NamedTuple):
     samples: tuple
 
 
-def _row_adder(rows: list, prefix: str, family: str, param_samples):
-    """row(i, desc, constraint, domain, ev, exp, ws) appends the RepRow
-    "<prefix>:int:<i>", sampled at every parameter sample times every w in
-    ws."""
+def _row_adder(rows: list, family: str, param_samples):
+    """row(i, constraint, domain, ev, exp, ws) appends the RepRow of the
+    family's i-th entry of `tables.INTEGRAL_REPS`, with its id and
+    location, sampled at every parameter sample times every w in ws."""
 
-    def row(i, desc, constraint, domain, ev, exp, ws):
+    def row(i, constraint, domain, ev, exp, ws):
         samples = tuple((ps, w) for ps in param_samples for w in ws)
-        rows.append(RepRow(f"{prefix}:int:{i:02d}", family, desc, constraint,
-                           domain, ev, exp, samples))
+        rid, desc = INTEGRAL_REPS[family][i - 1]
+        rows.append(RepRow(rid, family, desc, constraint, domain, ev, exp,
+                           samples))
 
     return row
 
@@ -581,79 +585,69 @@ _2F1_PARAM_SAMPLES = (
 
 def _build_2f1_rows():
     rows = []
-    row = _row_adder(rows, "2f1", "2f1", _2F1_PARAM_SAMPLES)
+    row = _row_adder(rows, "2f1", _2F1_PARAM_SAMPLES)
     euler = functools.partial(_power_row, _euler_2f1)
 
-    row(1, "[1,inf) Euler integral -> FI(al,be,mu)(w)",
-        lambda ps: (1 + ps[0]) > abs(ps[1] - ps[2]),
+    row(1, lambda ps: (1 + ps[0]) > abs(ps[1] - ps[2]),
         lambda w: _off_cut(w, ("ge", 1.0)),
         euler(lambda w: ("ray", 1.0, 1.0), 1, 1, 1),
         lambda ps, w: N.FI_2f1(ps[0], ps[1], ps[2], w),
         (0.3 + 0.4j, -0.5 + 0.2j, 0.4))
 
-    row(2, "[0,w] integral -> w^-al FI(-al,be,-mu)(w)",
-        lambda ps: (1 - ps[0]) > abs(ps[1] - ps[2]),
+    row(2, lambda ps: (1 - ps[0]) > abs(ps[1] - ps[2]),
         lambda w: _off_cut(w, ("le", 0.0), ("ge", 1.0)),
         euler(lambda w: ("seg", 0.0, w), 1, -1, -1),
         lambda ps, w: jpow(w, -ps[0]) * N.FI_2f1(-ps[0], ps[1], -ps[2], w),
         (0.3 + 0.4j, 0.6 + 0.1j, 0.5))
 
-    row(3, "[w,0] integral -> (-w)^-al FI(-al,be,-mu)(w)",
-        lambda ps: (1 - ps[0]) > abs(ps[1] - ps[2]),
+    row(3, lambda ps: (1 - ps[0]) > abs(ps[1] - ps[2]),
         lambda w: _off_cut(w, ("ge", 0.0)),
         euler(lambda w: ("seg", w, 0.0), -1, -1, 1),
         lambda ps, w: jpow(-w, -ps[0]) * N.FI_2f1(-ps[0], ps[1], -ps[2], w),
         (-0.5, -0.3 + 0.5j, -1.2 + 0.4j))
 
-    row(4, "(-inf,0] integral -> FI(be,al,mu)(1-w)",
-        lambda ps: (1 + ps[1]) > abs(ps[0] - ps[2]),
+    row(4, lambda ps: (1 + ps[1]) > abs(ps[0] - ps[2]),
         lambda w: _off_cut(w, ("le", 0.0)),
         euler(lambda w: ("ray", 0.0, -1.0), -1, -1, -1),
         lambda ps, w: N.FI_2f1(ps[1], ps[0], ps[2], 1 - w),
         (0.4 + 0.3j, 2 + 1j, 0.7))
 
-    row(5, "[w,1] integral -> (1-w)^-be FI(-be,al,-mu)(1-w)",
-        lambda ps: (1 - ps[1]) > abs(ps[0] + ps[2]),
+    row(5, lambda ps: (1 - ps[1]) > abs(ps[0] + ps[2]),
         lambda w: _off_cut(w, ("le", 0.0), ("ge", 1.0)),
         euler(lambda w: ("seg", w, 1.0), 1, -1, 1),
         lambda ps, w: jpow(1 - w, -ps[1])
         * N.FI_2f1(-ps[1], ps[0], -ps[2], 1 - w),
         (0.3 + 0.2j, 0.5, 0.7 + 0.1j))
 
-    row(6, "[1,w] integral -> (w-1)^-be FI(-be,al,-mu)(1-w)",
-        lambda ps: (1 - ps[1]) > abs(ps[0] + ps[2]),
+    row(6, lambda ps: (1 - ps[1]) > abs(ps[0] + ps[2]),
         lambda w: _off_cut(w, ("le", 1.0)),
         euler(lambda w: ("seg", 1.0, w), 1, 1, -1),
         lambda ps, w: jpow(w - 1, -ps[1])
         * N.FI_2f1(-ps[1], ps[0], -ps[2], 1 - w),
         (1.5 + 0.5j, 2 + 1j, 1.2 + 0.3j))
 
-    row(7, "[w,inf) integral -> w^((-1-al-be+mu)/2) FI(-mu,be,-al)(1/w)",
-        lambda ps: (1 - ps[2]) > abs(ps[0] + ps[1]),
+    row(7, lambda ps: (1 - ps[2]) > abs(ps[0] + ps[1]),
         lambda w: _off_cut(w, ("le", 1.0)),
         euler(lambda w: ("ray", w, 1.0), 1, 1, 1),
         lambda ps, w: jpow(w, (-1 - ps[0] - ps[1] + ps[2]) / 2)
         * N.FI_2f1(-ps[2], ps[1], -ps[0], 1 / w),
         (1.5 + 0.5j, 3 + 1j, 2.5))
 
-    row(8, "(-inf,w] integral -> (-w)^((-1-al-be+mu)/2) FI(-mu,be,-al)(1/w)",
-        lambda ps: (1 - ps[2]) > abs(ps[0] + ps[1]),
+    row(8, lambda ps: (1 - ps[2]) > abs(ps[0] + ps[1]),
         lambda w: _off_cut(w, ("ge", 0.0)),
         euler(lambda w: ("ray", w, -1.0), -1, -1, -1),
         lambda ps, w: jpow(-w, (-1 - ps[0] - ps[1] + ps[2]) / 2)
         * N.FI_2f1(-ps[2], ps[1], -ps[0], 1 / w),
         (-0.5, -1 + 0.5j, -0.3 + 0.8j))
 
-    row(9, "[0,1] integral -> (-w)^((-1-al-be-mu)/2) FI(mu,be,al)(1/w)",
-        lambda ps: (1 + ps[2]) > abs(ps[0] - ps[1]),
+    row(9, lambda ps: (1 + ps[2]) > abs(ps[0] - ps[1]),
         lambda w: _off_cut(w, ("ge", 0.0)),
         euler(lambda w: ("seg", 0.0, 1.0), 1, -1, 1),
         lambda ps, w: jpow(-w, (-1 - ps[0] - ps[1] - ps[2]) / 2)
         * N.FI_2f1(ps[2], ps[1], ps[0], 1 / w),
         (-0.5, -1 + 0.5j, -0.3 + 0.8j))
 
-    row(10, "[0,1] integral -> w^((-1-al-be-mu)/2) FI(mu,be,al)(1/w)",
-        lambda ps: (1 + ps[2]) > abs(ps[0] - ps[1]),
+    row(10, lambda ps: (1 + ps[2]) > abs(ps[0] - ps[1]),
         lambda w: _off_cut(w, ("le", 1.0)),
         euler(lambda w: ("seg", 0.0, 1.0), 1, -1, -1),
         lambda ps, w: jpow(w, (-1 - ps[0] - ps[1] - ps[2]) / 2)
@@ -705,43 +699,38 @@ _GEG_PARAM_SAMPLES = (
 
 def _build_geg_rows():
     rows = []
-    row = _row_adder(rows, "geg", "gegenbauer", _GEG_PARAM_SAMPLES)
+    row = _row_adder(rows, "gegenbauer", _GEG_PARAM_SAMPLES)
     a = functools.partial(_power_row, _geg_a)
     b_plus = functools.partial(_power_row, _geg_b(1))
     b_minus = functools.partial(_power_row, _geg_b(-1))
 
-    row(1, "type a, (-inf,-1] -> SI(al,la)(w)",
-        lambda ps: 0.5 > ps[1] > -0.5 - ps[0],
+    row(1, lambda ps: 0.5 > ps[1] > -0.5 - ps[0],
         lambda w: _off_cut(w, ("le", -1.0)),
         a(lambda w: ("ray", -1.0, -1.0), -1, -1, -1),
         lambda ps, w: N.SI_geg(ps[0], ps[1], w),
         (0.5 + 0.5j, 2 + 1j, -0.3 + 0.6j))
 
-    row(2, "type a, [w,1] with (t-w)^(-1/2-al+la) -> (1-w^2)^-al SI(-al,la)(w)",
-        lambda ps: 0.5 > ps[1] > -0.5 + ps[0],
+    row(2, lambda ps: 0.5 > ps[1] > -0.5 + ps[0],
         lambda w: _off_cut(w, ("le", -1.0), ("ge", 1.0)) and w.imag != 0,
         a(lambda w: ("seg", w, 1.0), -1, 1, 1),
         lambda ps, w: jpow(1 - w * w, -ps[0]) * N.SI_geg(-ps[0], ps[1], w),
         (0.3 + 0.4j, -0.5 + 0.3j, 0.6 - 0.2j))
 
-    row(3, "type a, [-1,1] -> (w^2-1)^((-1-2al+2la)/4) S0(-la,al)(w/sqrt(w^2-1))",
-        lambda ps: 0.5 > ps[1],
+    row(3, lambda ps: 0.5 > ps[1],
         lambda w: _off_cut(w, ("le", 1.0)),
         a(lambda w: ("seg", -1.0, 1.0), -1, 1, -1),
         lambda ps, w: jpow(w * w - 1, (-1 - 2 * ps[0] + 2 * ps[1]) / 4)
         * N.S0_geg(-ps[1], ps[0], w / jsqrt(w * w - 1)),
         (1.5 + 0.8j, 2 + 0.5j, 2.5))
 
-    row(4, "type a, [w,inf) -> (w^2-1)^((-1-2al-2la)/4) SII(la,al)(w/sqrt(w^2-1))",
-        lambda ps: ps[1] + 0.5 > abs(ps[0]),
+    row(4, lambda ps: ps[1] + 0.5 > abs(ps[0]),
         lambda w: _off_cut(w, ("le", 1.0)),
         a(lambda w: ("ray", w, 1.0), 1, 1, 1),
         lambda ps, w: jpow(w * w - 1, (-1 - 2 * ps[0] - 2 * ps[1]) / 4)
         * N.SII_geg(ps[1], ps[0], w / jsqrt(w * w - 1)),
         (1.5 + 0.8j, 2 + 0.5j, 2.5))
 
-    row(5, "type b, [0,inf) -> SII(al,la)(w)",
-        lambda ps: ps[0] + 0.5 > abs(ps[1]),
+    row(5, lambda ps: ps[0] + 0.5 > abs(ps[1]),
         lambda w: _off_cut(w, ("le", -1.0)),
         b_plus(lambda w: ("ray", 0.0, 1.0), 1, 1, 1),
         lambda ps, w: N.SII_geg(ps[0], ps[1], w),
@@ -757,24 +746,21 @@ def _build_geg_rows():
         tau = -t1.imag / d.imag
         return not (0.0 < tau < 1.0 and (t1 + tau * d).real > 0.0)
 
-    row(6, "type b, between the roots -> i (1-w^2)^-al S0(-al,-la)(w)",
-        lambda ps: 0.5 > ps[0],
+    row(6, lambda ps: 0.5 > ps[0],
         _b2_domain,
         b_plus(_between_roots, 1, 1, -1),
         lambda ps, w: 1j * jpow(1 - w * w, -ps[0])
         * N.S0_geg(-ps[0], -ps[1], w),
         (0.3 + 0.2j, 0.2 - 0.3j, 0.5 + 0.6j))
 
-    row(7, "type b, [root,0] -> (w^2-1)^((-1-2al+2la)/4) SI(-la,al)(w/sqrt(w^2-1))",
-        lambda ps: (-ps[1] + 0.5 > -ps[0]) and (-ps[0] > -0.5),
+    row(7, lambda ps: (-ps[1] + 0.5 > -ps[0]) and (-ps[0] > -0.5),
         lambda w: _off_cut(w, ("le", 1.0)),
         b_minus(lambda w: ("seg", _geg_roots(w)[0], 0.0), 1, 1, -1),
         lambda ps, w: jpow(w * w - 1, (-1 - 2 * ps[0] + 2 * ps[1]) / 4)
         * N.SI_geg(-ps[1], ps[0], w / jsqrt(w * w - 1)),
         (1.5 + 0.8j, 2 + 0.5j, 2.5 + 1j))
 
-    row(8, "type b, (-inf,-root] -> (w^2-1)^(-1/4-al/2-la/2) SI(la,al)(w/sqrt(w^2-1))",
-        lambda ps: (ps[1] + 0.5 > -ps[0]) and (-ps[0] > -0.5),
+    row(8, lambda ps: (ps[1] + 0.5 > -ps[0]) and (-ps[0] > -0.5),
         lambda w: _off_cut(w, ("le", 1.0)),
         b_minus(lambda w: ("ray", _geg_roots(w)[1], -1.0), -1, -1, -1),
         lambda ps, w: jpow(w * w - 1, -0.25 - ps[0] / 2 - ps[1] / 2)
@@ -807,7 +793,7 @@ _CONF_PARAM_SAMPLES = (
 
 def _build_conf_rows():
     rows = []
-    row = _row_adder(rows, "1f1", "1f1", _CONF_PARAM_SAMPLES)
+    row = _row_adder(rows, "1f1", _CONF_PARAM_SAMPLES)
     a = functools.partial(_power_row, _conf_a)
     b = functools.partial(_power_row, _conf_b)
 
@@ -825,45 +811,39 @@ def _build_conf_rows():
             power_integral(path, factors, tol, extra) for path in pieces)
         return (v1 + v2 - v3) / (2j * math.pi), (e1 + e2 + e3) / (2 * math.pi)
 
-    row(1, "loop around 0 and w of t^p e^t (t-w)^r / 2 pi i -> bold-F(th,al)(w)",
-        lambda ps: True,
+    row(1, lambda ps: True,
         lambda w: w.imag != 0,
         ev1,
         lambda ps, w: N.bold_F_1f1(ps[0], ps[1], w),
         (0.5 + 0.8j, 1 + 1j, -0.6 + 0.7j))
 
-    row(2, "[0,w] -> w^-al FI(th,-al)(w)",
-        lambda ps: 1 - ps[1] > abs(ps[0]),
+    row(2, lambda ps: 1 - ps[1] > abs(ps[0]),
         lambda w: _off_cut(w, ("le", 0.0)),
         a(lambda w: ("seg", 0.0, w), 1, -1),
         lambda ps, w: jpow(w, -ps[1]) * N.FI_1f1(ps[0], -ps[1], w),
         (0.5, 0.4 + 0.6j, 1 + 0.3j))
 
-    row(3, "[w,0] -> (-w)^-al FI(th,-al)(w)",
-        lambda ps: 1 - ps[1] > abs(ps[0]),
+    row(3, lambda ps: 1 - ps[1] > abs(ps[0]),
         lambda w: _off_cut(w, ("ge", 0.0)),
         a(lambda w: ("seg", w, 0.0), -1, 1),
         lambda ps, w: jpow(-w, -ps[1]) * N.FI_1f1(ps[0], -ps[1], w),
         (-0.5, -0.4 + 0.6j, -1 + 0.5j))
 
-    row(4, "(-inf,0] Laplace -> w^((-1-th-al)/2) tilde-FI(th,al)(-1/w)",
-        lambda ps: 1 + ps[0] - ps[1] > 0,
+    row(4, lambda ps: 1 + ps[0] - ps[1] > 0,
         lambda w: _off_cut(w, ("le", 0.0)),
         a(lambda w: ("ray", 0.0, -1.0), -1, -1),
         lambda ps, w: gamma((1 + ps[0] - ps[1]) / 2)
         * N._tricomi_series(ps[0], ps[1], w)[0],
         (0.8, 1.5 + 1j, 0.5 + 0.5j))
 
-    row(5, "(-inf,w] Laplace -> e^w (-w)^((-1+th-al)/2) tilde-FI(-th,al)(1/w)",
-        lambda ps: 1 - ps[0] - ps[1] > 0,
+    row(5, lambda ps: 1 - ps[0] - ps[1] > 0,
         lambda w: _off_cut(w, ("ge", 0.0)),
         a(lambda w: ("ray", w, -1.0), -1, -1),
         lambda ps, w: gamma((1 - ps[0] - ps[1]) / 2)
         * cmath.exp(w) * N._tricomi_series(-ps[0], ps[1], -w)[0],
         (-0.8, -1 + 1j, -0.5 + 0.5j))
 
-    row(6, "[1,inf) -> FI(th,al)(w)",
-        lambda ps: 1 + ps[1] > abs(ps[0]),
+    row(6, lambda ps: 1 + ps[1] > abs(ps[0]),
         lambda w: True,
         b(lambda w: ("ray", 1.0, 1.0), 1, 1),
         lambda ps, w: N.FI_1f1(ps[0], ps[1], w),
@@ -875,23 +855,20 @@ def _build_conf_rows():
                           et, 0.7, 0.0, tol)
         return val / (2j * math.pi), err / (2 * math.pi)
 
-    row(7, "keyhole (0-0)^+ -> w^-al bold-F(th,-al)(w)",
-        lambda ps: True,
+    row(7, lambda ps: True,
         lambda w: w.real > 0 and abs(w) < 0.5,
         ev7,
         lambda ps, w: jpow(w, -ps[1]) * N.bold_F_1f1(ps[0], -ps[1], w),
         (0.3, 0.25 + 0.2j, 0.4 + 0.1j))
 
-    row(8, "(-inf,0] -> w^((-1-th-al)/2) tilde-FI(th,-al)(-1/w)",
-        lambda ps: 1 + ps[0] + ps[1] > 0,
+    row(8, lambda ps: 1 + ps[0] + ps[1] > 0,
         lambda w: w.real > 0,
         b(lambda w: ("ray", 0.0, -1.0), -1, -1),
         lambda ps, w: gamma((1 + ps[0] + ps[1]) / 2)
         * N._tricomi_series(ps[0], ps[1], w)[0],
         (0.8, 1.5 + 1j, 0.5 + 0.5j))
 
-    row(9, "[0,1] -> e^w (-w)^((-1+th-al)/2) tilde-FI(-th,-al)(1/w)",
-        lambda ps: 1 - ps[0] + ps[1] > 0,
+    row(9, lambda ps: 1 - ps[0] + ps[1] > 0,
         lambda w: w.real < 0,
         b(lambda w: ("seg", 0.0, 1.0), 1, -1),
         lambda ps, w: gamma((1 - ps[0] + ps[1]) / 2)
@@ -920,7 +897,7 @@ _HERM_PARAM_SAMPLES = ((2 / 7,), (-1 / 7,), (5 / 13,))
 
 def _build_herm_rows():
     rows = []
-    row = _row_adder(rows, "herm", "hermite", _HERM_PARAM_SAMPLES)
+    row = _row_adder(rows, "hermite", _HERM_PARAM_SAMPLES)
     a = functools.partial(_power_row, _herm_a)
 
     def ev1(params, w, tol):
@@ -932,15 +909,13 @@ def _build_herm_rows():
                                   tuple(zip((-1,), points, exps)), tol, extra)
         return -1j * val, err
 
-    row(1, "vertical line left of w of e^{t^2}(w-t)^{-la-1/2} -> sqrt(pi) S_la(w)",
-        lambda ps: True,
+    row(1, lambda ps: True,
         lambda w: _off_cut(w, ("le", 0.0)),
         ev1,
         lambda ps, w: SQRT_PI * N.eval_hermite_S(ps[0], w),
         (5 + 1j, 4.5 + 2j, 6 + 0.5j))
 
-    row(2, "[w, i inf) of e^{t^2}(-i(t-w))^{-la-1/2} -> e^{w^2} S^I_{-la}(-iw)",
-        lambda ps: ps[0] < 0.5,
+    row(2, lambda ps: ps[0] < 0.5,
         lambda w: _off_cut(w, ("ge", 0.0)),
         a(lambda w: ("ray", w, 1j), -1j),
         lambda ps, w: cmath.exp(w * w)
@@ -948,8 +923,7 @@ def _build_herm_rows():
         * N.eval_hermite_S(-ps[0], -1j * w),
         (-3 + 4.5j, 2 + 5j, -5 + 2.5j))
 
-    row(3, "[0,inf) of e^{-t^2-2tw} t^{la-1/2} -> S^I_la(w)",
-        lambda ps: ps[0] > -0.5,
+    row(3, lambda ps: ps[0] > -0.5,
         lambda w: _off_cut(w, ("le", 0.0)),
         _power_row(_herm_b, lambda w: ("ray", 0.0, 1.0), 1),
         lambda ps, w: 2 ** (-ps[0] - 0.5) * gamma(ps[0] + 0.5)
@@ -967,9 +941,7 @@ def _build_herm_rows():
             for a, b in ((-X, -0.5j), (-0.5j, X)))
         return left + right, e1 + e2
 
-    row(4, "real axis bypassing 0 below of e^{-t^2-2tw}(it)^{la-1/2} "
-           "-> sqrt(pi) e^{w^2} S_{-la}(-iw)",
-        lambda ps: True,
+    row(4, lambda ps: True,
         lambda w: _off_cut(w, ("ge", 0.0)),
         ev4,
         lambda ps, w: SQRT_PI * cmath.exp(w * w)
@@ -1007,7 +979,7 @@ _0F1_PARAM_SAMPLES = ((2 / 7,), (-3 / 13,), (1 / 11,))
 
 def _build_0f1_rows():
     rows = []
-    row = _row_adder(rows, "0f1", "0f1", _0F1_PARAM_SAMPLES)
+    row = _row_adder(rows, "0f1", _0F1_PARAM_SAMPLES)
     poisson = functools.partial(_power_row, _poisson)
     poisson_w = functools.partial(_power_row, _poisson_w)
 
@@ -1016,9 +988,7 @@ def _build_0f1_rows():
         val, err = loop_0(extra, gam, max(1.0, abs(w)), 40.0 + abs(w), tol)
         return val / (2j * math.pi), err / (2 * math.pi)
 
-    row(1, "double ray around 0 of e^t e^{w/t} t^{-al-1} / 2 pi i "
-           "-> bold-F_al(w)",
-        lambda ps: True,
+    row(1, lambda ps: True,
         lambda w: w.real > 0,
         ev1,
         lambda ps, w: N.bold_F_0f1(ps[0], w),
@@ -1029,47 +999,39 @@ def _build_0f1_rows():
         val, err = loop_0(extra, gam, max(1.0, abs(w)), 0.0, tol)
         return val / (2j * math.pi), err / (2 * math.pi)
 
-    row(2, "keyhole (0-0)^+ of e^t e^{w/t} t^{-al-1} / 2 pi i "
-           "-> w^-al bold-F_{-al}(w)",
-        lambda ps: True,
+    row(2, lambda ps: True,
         lambda w: w.real > 0,
         ev2,
         lambda ps, w: jpow(w, -ps[0]) * N.bold_F_0f1(-ps[0], w),
         (0.5, 1 + 0.8j, 2 + 0.5j))
 
-    row(3, "(-inf,0] of e^t e^{w/t}(-t)^{-al-1} -> sqrt(pi) tilde-F_al(w)",
-        lambda ps: True,
+    row(3, lambda ps: True,
         lambda w: w.real > 0,
         _power_row(_bessel_0f1, lambda w: ("ray", 0.0, -1.0), -1),
         lambda ps, w: SQRT_PI * N._0f1_tilde_series(ps[0], w)[0],
         (0.5, 1 + 0.5j, 2))
 
-    row(4, "Poisson [-1,1] -> Gamma(al+1/2) sqrt(pi) bold-F_al(w)",
-        lambda ps: ps[0] > -0.5,
+    row(4, lambda ps: ps[0] > -0.5,
         lambda w: _off_cut(w, ("le", 0.0)),
         poisson(lambda w: ("seg", -1.0, 1.0), -1, 1),
         lambda ps, w: gamma(ps[0] + 0.5) * SQRT_PI * N.bold_F_0f1(ps[0], w),
         (0.4, 1 + 1j, 2 + 0.5j))
 
-    row(5, "Poisson [-sqrt w, sqrt w] -> Gamma(-al+1/2) sqrt(pi) w^-al "
-           "bold-F_{-al}(w)",
-        lambda ps: ps[0] < 0.5,
+    row(5, lambda ps: ps[0] < 0.5,
         lambda w: _off_cut(w, ("le", 0.0)),
         poisson_w(lambda w: ("seg", -cmath.sqrt(w), cmath.sqrt(w)), -1, 1),
         lambda ps, w: gamma(-ps[0] + 0.5) * SQRT_PI * jpow(w, -ps[0])
         * N.bold_F_0f1(-ps[0], w),
         (0.4, 1 + 1j, 2 + 0.5j))
 
-    row(6, "Poisson (-inf,-1] -> (1/2) Gamma(al+1/2) tilde-F_al(w)",
-        lambda ps: ps[0] > -0.5,
+    row(6, lambda ps: ps[0] > -0.5,
         lambda w: _off_cut(w, ("le", 0.0)),
         poisson(lambda w: ("ray", -1.0, -1.0), -1, -1),
         lambda ps, w: 0.5 * gamma(ps[0] + 0.5)
         * N._0f1_tilde_series(ps[0], w)[0],
         (0.4, 1 + 1j, 2 + 0.5j))
 
-    row(7, "Poisson (-inf,-sqrt w] -> (1/2) Gamma(-al+1/2) tilde-F_al(w)",
-        lambda ps: ps[0] < 0.5,
+    row(7, lambda ps: ps[0] < 0.5,
         lambda w: _off_cut(w, ("le", 0.0)),
         poisson_w(lambda w: ("ray", -cmath.sqrt(w), -1.0), -1, -1),
         lambda ps, w: 0.5 * gamma(-ps[0] + 0.5)

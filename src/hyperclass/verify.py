@@ -17,11 +17,9 @@ than silently passed.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import families as fam
 from . import numerics as N
@@ -107,8 +105,7 @@ TRANSMUTATION_POINT = {
 # Results
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     paper_ref: str
     kind: str                 # "symbolic" | "numeric"
@@ -129,8 +126,7 @@ class CheckResult:
         }
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     family: str
     seed: int
@@ -762,13 +758,12 @@ def _mutation_candidates():
         cat = fam.catalog(f)
         for row in cat.transmutations:
             def run(f=f, row=row):
-                bad = dataclasses.replace(
-                    row, A=row.A + DiffOperator("w", [RatFun(one)]))
+                bad = row._replace(A=row.A + DiffOperator("w", [RatFun(one)]))
                 return not check_transmutation_symbolic(f, bad)
             out.append((f"mut:{row.id}:A+1", run))
         for row in cat.factorizations:
             def run(f=f, row=row):
-                bad = dataclasses.replace(row, constant=row.constant + one)
+                bad = row._replace(constant=row.constant + one)
                 return not check_factorization_symbolic(f, bad)
             out.append((f"mut:{row.id}:const+1", run))
         for row in cat.symmetries:
@@ -776,20 +771,19 @@ def _mutation_candidates():
                 continue
 
             def run(f=f, row=row):
-                bad = dataclasses.replace(
-                    row, prefactor=row.prefactor
-                    * RatFun(MultiPoly.const(2)))
+                bad = row._replace(
+                    prefactor=row.prefactor * RatFun(MultiPoly.const(2)))
                 return not check_symmetry_symbolic(f, bad)
             out.append((f"mut:{row.id}:pref*2", run))
         for row in cat.recurrences:
             def run(f=f, row=row):
-                bad = dataclasses.replace(row, coeff=row.coeff + one)
+                bad = row._replace(coeff=row.coeff + one)
                 return recurrence_residual(f, bad) > 1e-10
             out.append((f"mut:{row.id}:coeff+1", run))
     for link in fam.quadratic_links():
         def run(link=link):
-            bad = dataclasses.replace(
-                link, prefactor=link.prefactor * RatFun(MultiPoly.const(2)))
+            bad = link._replace(
+                prefactor=link.prefactor * RatFun(MultiPoly.const(2)))
             return not check_quadratic_link_symbolic(bad)
         out.append((f"mut:{link.id}:pref*2", run))
     return out

@@ -164,6 +164,10 @@ _ROUTES = {"parent": "abc", "change": "working tree on abc", "seeds": [1],
 _SUITES = {"parent": "abc", "change": "working tree on abc", "seeds": [1],
            "copies": 4, "suites": {"residuals/1f1": {"points": 1}}}
 
+# a bench_routes.py --cli report
+_CLI = {"parent": "abc", "change": "working tree on abc", "seeds": [1],
+        "copies": 4, "cli": {"catalog": {"points": 1}}}
+
 
 def test_routes_report_goes_under_routes(bench_pairs, tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "run_once", _fake_run([]))
@@ -171,7 +175,7 @@ def test_routes_report_goes_under_routes(bench_pairs, tmp_path, monkeypatch):
     change = _checkout(tmp_path / "change", "print(1)\n")
     routes = tmp_path / "routes.json"
     out = tmp_path / "bench.json"
-    for report in (_ROUTES, _SUITES):
+    for report in (_ROUTES, _SUITES, _CLI):
         routes.write_text(json.dumps(report))
         assert bench_pairs.main([parent, change, "--first-seed", "5",
                                  "--out", str(out), "--routes",

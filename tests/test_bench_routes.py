@@ -269,3 +269,56 @@ def test_error_move(bench_routes):
     assert move(None, None) == 0.0 and move(1e-12, 1e-12) == 0.0
     assert move(1e-12, 3e-12) == pytest.approx(2e-12)
     assert move(None, 1e-12) == move(1e-12, None) == math.inf
+
+
+def _cli_package(root: Path, moved=(), failing=()) -> str:
+    """A src/ tree whose `python -m hyperclass.cli ARGV` prints ARGV, or
+    "moved" for a command in `moved`, and exits with 1 for a command in
+    `failing`, else 0."""
+    pkg = root / "src" / "hyperclass"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(
+        "import sys\n"
+        "argv = sys.argv[1:]\n"
+        f"print('moved' if argv[0] in {tuple(moved)!r} else ' '.join(argv))\n"
+        f"sys.exit(argv[0] in {tuple(failing)!r})\n")
+    return str(root / "src")
+
+
+def test_cli_points_are_the_cli_mix(bench_routes):
+    inputs = bench_routes.load_inputs()
+    want = [(c["kind"], c["argv"])
+            for s in (1, 2) for c in inputs.cli_commands(s)]
+    assert bench_routes.cli_points(inputs, [1, 2]) == want
+    assert {kind for kind, _ in want} >= {"catalog", "eval"}
+
+
+def test_cli_runs_the_sides_package(bench_routes, tmp_path, monkeypatch):
+    # the package on the caller's PYTHONPATH is not the one that runs
+    monkeypatch.setenv("PYTHONPATH", _cli_package(tmp_path / "other",
+                                                  moved=("eval",)))
+    src = _cli_package(tmp_path / "side", failing=("verify",))
+    assert bench_routes.run_cli(src, ["eval", "x"])[:2] == (0, b"eval x\n")
+    code, out, cpu = bench_routes.run_cli(src, ["verify", "y"])
+    assert (code, out) == (1, b"verify y\n") and cpu > 0
+
+
+def test_cli_report_compares_stdout_and_exit_codes(bench_routes, tmp_path):
+    parent = _cli_package(tmp_path / "a")
+    change = _cli_package(tmp_path / "b", moved=("eval",),
+                          failing=("verify",))
+    pts = [("catalog", ["catalog", "1"]), ("eval", ["eval", "1"]),
+           ("verify", ["verify", "1"]), ("catalog", ["catalog", "2"])]
+    report = bench_routes.compare_cli(parent, change, pts, copies=1)
+    assert list(report) == ["catalog", "eval", "verify"]
+    assert {k: (r["points"], r["unequal"]) for k, r in report.items()} \
+        == {"catalog": (2, 0), "eval": (1, 1), "verify": (1, 1)}
+    for r in report.values():
+        lo, hi = r["interval"]
+        assert 0 < lo <= hi < math.inf
+        assert r["parent_us"] > 0 and r["change_us"] > 0
+    lines = bench_routes.cli_table(report).splitlines()
+    assert len(lines) == 4
+    assert lines[1].split()[:3] == ["catalog", "2", "0"]
+    assert lines[2].split()[:3] == ["eval", "1", "1"]

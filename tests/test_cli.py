@@ -696,28 +696,36 @@ def _python(script: str, *args: str, flags=()) -> str:
     return proc.stdout.strip()
 
 
-# the exact layer and the standard modules only it needs
+# the exact layer and the standard module only it needs; the numeric layer
 EXACT_LAYER = ("hyperclass.exactalg", "hyperclass.families",
-               "hyperclass.verify", "fractions", "dataclasses")
+               "hyperclass.verify", "fractions")
+NUMERIC_LAYER = ("hyperclass.numerics", "hyperclass.jet",
+                 "hyperclass.quadrature")
+EVAL = ("hyperclass.numerics", "hyperclass.jet")
 
 
-@pytest.mark.parametrize("argv,absent", [
-    (None, EXACT_LAYER),                       # cli.build_parser() alone
+@pytest.mark.parametrize("argv,required,absent", [
+    (None, (), EXACT_LAYER + NUMERIC_LAYER),   # cli.build_parser() alone
     (["eval", "2f1", "--alpha", "0.2", "--beta", "0.1", "--mu", "0.3",
-      "--w", "0.7"], EXACT_LAYER),
+      "--w", "0.7"], EVAL, EXACT_LAYER),
     (["eval", "hermite", "--lam", "0.3", "--w", "1.2",
-      "--method", "quadrature"], EXACT_LAYER),
+      "--method", "quadrature"], NUMERIC_LAYER, EXACT_LAYER),
     (["eval", "hermite", "--lam", "0.3", "--w", "6"],
-     EXACT_LAYER + ("hyperclass.quadrature",)),
+     EVAL, EXACT_LAYER + ("hyperclass.quadrature",)),
     (["eval", "gegenbauer", "--alpha", "0.2", "--lam", "0.1", "--w", "0.3",
-      "--method", "series"], EXACT_LAYER + ("hyperclass.quadrature",)),
+      "--method", "series"], EVAL, EXACT_LAYER + ("hyperclass.quadrature",)),
     (["eval", "hermite", "--lam", "0.3", "--w", "6", "--norm", "I"],
-     EXACT_LAYER + ("hyperclass.quadrature",)),
-    (["catalog", "gegenbauer"], ("hyperclass.verify",)),
+     EVAL, EXACT_LAYER + ("hyperclass.quadrature",)),
+    (["catalog", "gegenbauer"],
+     ("hyperclass.families", "hyperclass.exactalg", "hyperclass.tables"),
+     ("hyperclass.verify",) + NUMERIC_LAYER),
+    # verify loads both layers (its suites mix them), still no dataclasses
+    (["verify", "quadratic"], ("hyperclass.verify", "hyperclass.numerics"),
+     ()),
 ], ids=["build_parser", "eval_2f1", "eval_hermite_quadrature",
         "eval_hermite_asymptotic", "eval_gegenbauer_series",
-        "eval_hermite_norm_I", "catalog"])
-def test_command_loads_only_what_it_runs(argv, absent):
+        "eval_hermite_norm_I", "catalog", "verify_quadratic"])
+def test_command_loads_only_what_it_runs(argv, required, absent):
     # -S: no site hooks, so sys.modules holds what the command imported
     script = textwrap.dedent("""
         import contextlib, io, json, sys
@@ -731,5 +739,5 @@ def test_command_loads_only_what_it_runs(argv, absent):
         print(json.dumps(sorted(sys.modules)))
     """)
     loaded = json.loads(_python(script, json.dumps(argv), flags=("-S",)))
-    assert "hyperclass.numerics" in loaded
-    assert [m for m in absent if m in loaded] == []
+    assert [m for m in required if m not in loaded] == []
+    assert [m for m in absent + ("dataclasses",) if m in loaded] == []

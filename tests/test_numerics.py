@@ -273,26 +273,30 @@ def test_series_jets_match_mpmath_taylor_coefficients():
 
 
 def test_series_jets_match_the_term_by_term_reference():
-    # a Jet with a non-finite coefficient is refused; a finite one matches
-    # the term-by-term oracle wherever the oracle's coefficients are finite
+    # a Jet with a non-finite coefficient is refused, and so is a finite
+    # one where the oracle's coefficients overflow, as at the fixed point;
+    # every other one matches the term-by-term oracle
+    with pytest.raises(N.DomainError, match="non-finite"):
+        N.evaluate("1f1", (0.4, 0.2),
+                   Jet(0, [0.3 + 0.2j, 1e300 + 1e300j, 1.0]))
     rng = random.Random(61018)
-    refused = 0
+    refused = overflowed = 0
     for trial in range(150):
         lie = _SERIES_SHAPES[trial % len(_SERIES_SHAPES)]
         fn, (num, den) = _series_shape(lie)
         z = _series_jet(rng, trial % 5, special_rate=0.2)
-        if not all(map(cmath.isfinite, z.coeffs)):
-            refused += 1
+        finite = all(map(cmath.isfinite, z.coeffs))
+        ref = _ref_pfq_jet(num, den, z).coeffs if finite else None
+        if not finite or not all(map(cmath.isfinite, ref)):
+            refused += not finite
+            overflowed += finite
             with pytest.raises(N.DomainError, match="non-finite"):
                 fn(z)
             continue
         got = fn(z)
         assert got.center == z.center and got.order == z.order
-        ref = _ref_pfq_jet(num, den, z).coeffs
-        finite = [k for k, c in enumerate(ref) if cmath.isfinite(c)]
-        assert _normwise([got.coeffs[k] for k in finite],
-                         [ref[k] for k in finite]) <= 1e-14, (lie, z)
-    assert refused
+        assert _normwise(got.coeffs, ref) <= 1e-14, (lie, z)
+    assert refused and overflowed
 
 
 def test_series_jet_of_order_zero_is_a_jet():

@@ -702,6 +702,9 @@ def test_rep_row_counts(family):
     assert len(rows) == ROW_COUNTS[family]
     ids = [r.id for r in rows]
     assert len(ids) == len(set(ids))
+    for r in rows:
+        assert r.family == family
+        assert len(r.samples) >= 3
 
 
 @pytest.mark.parametrize("family", sorted(ROW_COUNTS))

@@ -1,6 +1,5 @@
 """Verification suites: green on the shipped catalog, red under corruption."""
 
-import dataclasses
 import json
 
 import pytest
@@ -293,5 +292,5 @@ def test_darboux_check_catches_a_wrong_partner_id():
     by_id = {r.id: r for r in fam.catalog(f).factorizations}
     row = by_id["2f1:fact:02"]
     assert V.check_darboux_pair(f, row, by_id[row.pair[0]])
-    bad = dataclasses.replace(row, pair=("2f1:fact:03", row.pair[1]))
+    bad = row._replace(pair=("2f1:fact:03", row.pair[1]))
     assert not V.check_darboux_pair(f, bad, by_id["2f1:fact:03"])

@@ -1,4 +1,4 @@
-"""The W(D3) table of numerics, which generates Kummer's 24 solutions of
+"""The W(D3) table of `tables`, which generates Kummer's 24 solutions of
 the 2F1 equation, its continuation routes and the symmetry rows of the
 families catalog: a group of signed permutations acting on w through the
 anharmonic maps, and on the roots of D3, the transmutation shifts."""
@@ -6,13 +6,13 @@ anharmonic maps, and on the roots of D3, the transmutation shifts."""
 from fractions import Fraction
 from itertools import product
 
-from hyperclass import numerics as N
+from hyperclass import tables as T
 from hyperclass.exactalg import GaussRational, MultiPoly
 from hyperclass.families import catalog
 
-ELEMENTS = [e for elems in N._W_D3.values() for e in elems]
-# signed slots -> (slots, z(w), prefactor factors), as numerics derives them
-DERIVED = {el[0]: el for els in N._KUMMER.values() for el in els}
+ELEMENTS = [e for elems in T._W_D3.values() for e in elems]
+# signed slots -> (slots, z(w), prefactor factors), as tables derives them
+DERIVED = {el[0]: el for els in T._KUMMER.values() for el in els}
 # rational points off 0, 1 and the poles of every anharmonic map
 POINTS = (Fraction(2, 7), Fraction(-5, 3), Fraction(9, 4))
 ANHARMONIC = (lambda w: w, lambda w: 1 - w, lambda w: 1 / w,

@@ -23,11 +23,10 @@ that BENCHMARK.json bounds with its median and quartiles, the operations
 attempted and failed, and for each metric the number of pairs in which the
 change read better.
 
-Three traced runs per side follow each workload's pairs (``--trace 1``,
-seeds FIRST+10 to FIRST+12, alternating as the pairs do), because a
-single traced run is too noisy for a per-layer claim.  The result file
-holds every per-layer metric of workload W's traced runs under
-``traced_W``, with each side's runs and median.
+The script takes no traced runs: on a 2-core host their per-layer
+metrics could not resolve a change (``BENCH_20.json``).
+``scripts/bench_routes.py`` times each route, verify suite and cli
+command A/B in one process instead.
 
 With ``--routes FILE``, the report that ``scripts/bench_routes.py --out
 FILE`` wrote, per route, with ``--suite`` per verify suite or with
@@ -49,7 +48,6 @@ import sys
 
 RUN_TIMEOUT_S = 1800
 PAIRS = 10
-TRACED_RUNS = 3
 
 
 # the verify workload's operations, as the library of a checkout defines them
@@ -134,13 +132,11 @@ def git_commit(root: str):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float,
-             trace: int = 0) -> dict:
-    """The JSON result line of one perfbench run from checkout ``root``:
-    the end-to-end metrics, or the per-layer ones with ``trace`` 1."""
+def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON result line of one untraced perfbench run from checkout
+    ``root``: its end-to-end metrics."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace",
-           str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
@@ -181,37 +177,6 @@ def alternating(i: int) -> tuple:
     """The order of the two sides in pair ``i``: the parent first in even
     pairs."""
     return ("parent", "change") if i % 2 == 0 else ("change", "parent")
-
-
-def traced(parent: str, change: str, workload: str, first_seed: int,
-           seconds: float) -> dict:
-    """``TRACED_RUNS`` traced runs of ``workload`` per side, alternating,
-    and per per-layer metric each side's runs and median."""
-    seeds = list(range(first_seed, first_seed + TRACED_RUNS))
-    runs = {"parent": [], "change": []}
-    for i, seed in enumerate(seeds):
-        for side in alternating(i):
-            root = parent if side == "parent" else change
-            runs[side].append(run_once(root, workload, seed, seconds,
-                                       trace=1))
-            print(f"traced {workload} {i + 1}/{TRACED_RUNS} seed {seed} "
-                  f"{side}", flush=True)
-    metrics = {}
-    for name, spec in runs["parent"][0]["metrics"].items():
-        got = {side: [r["metrics"][name]["value"] for r in runs[side]]
-               for side in runs}
-        metrics[name] = {"unit": spec["unit"], **got,
-                         "parent_median": statistics.median(got["parent"]),
-                         "change_median": statistics.median(got["change"])}
-    return {
-        "command": f"python3 perfbench/run.py --workload {workload} --seed S "
-                   f"--seconds {seconds} --trace 1",
-        "seeds": seeds,
-        "method": f"{TRACED_RUNS} traced {workload} runs per side after the "
-                  f"{workload} pairs, alternating as they do, each side from "
-                  f"its own checkout",
-        "metrics": metrics,
-    }
 
 
 def main(argv=None) -> int:
@@ -291,9 +256,6 @@ def main(argv=None) -> int:
             "change_better_pairs": better_pairs(runs["parent"],
                                                 runs["change"], bounds),
         }
-        record[f"traced_{workload}"] = traced(
-            args.parent, args.change, workload, args.first_seed + PAIRS,
-            seconds)
     if routes is not None:
         record["routes"] = routes
     with open(args.out, "w") as fh:

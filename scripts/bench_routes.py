@@ -147,7 +147,7 @@ ROUTED = {
 # public evaluator -> the named normalized functions of its family
 NORMALIZED = {
     "eval_2F1": ("bold_F_2f1", "FI_2f1"),
-    "eval_geg_S": ("bold_S_geg", "SI_geg"),
+    "eval_geg_S": ("bold_S_geg", "SI_geg", "SII_geg", "S0_geg"),
     "eval_1F1": ("bold_F_1f1", "FI_1f1"),
     "eval_hermite_S": ("SI_hermite",),
     "eval_0F1": ("bold_F_0f1",),

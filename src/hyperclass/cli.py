@@ -21,13 +21,15 @@ same route and relative error.  A --method other than auto runs that
 route wherever w lies; it is a usage error where the family has no such
 route.
 
-Each command imports only the modules it runs: `eval` and `plotdata` load
-`numerics` and `jet` (and `quadrature` where a route integrates), and
-reach the exact layer (`families`, `exactalg`) only to convert classical
-parameters; `verify` loads `verify`, which loads the exact and the numeric
-layer; `catalog` loads `families` with `exactalg` and `tables` (the W(D3)
-table and the integral representations' ids), and no numeric code.  The
-typed errors that exit 3 come from `errors`, which every command loads.
+Each command imports only the modules it runs.  Every command loads
+`tables`, the family table with the parameter names and the map from
+classical to Lie parameters, and `errors`, whose typed errors exit 3.
+`eval` and `plotdata` load `numerics` and `jet` (and `quadrature` where a
+route integrates), and never the exact layer (`families`, `exactalg`),
+with classical parameters too; `verify` loads `verify`, which loads the
+exact and the numeric layer; `catalog` loads `families` with `exactalg`
+(and from `tables` the W(D3) table and the integral representations'
+ids), and no numeric code.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import re
 import sys
 
 from .errors import NumericsError
+from .tables import FAMILIES, PARAMS, classical_to_lie
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -97,30 +100,21 @@ def fmt_complex(z: complex) -> str:
 # Parameter handling
 # ---------------------------------------------------------------------------
 
-FAMILY_CHOICES = ("2f1", "gegenbauer", "1f1", "hermite", "0f1")
-
-# (classical flag names, Lie flag names) per family
-FAMILY_FLAGS = {
-    "2f1": (("a", "b", "c"), ("alpha", "beta", "mu")),
-    "gegenbauer": (("a", "b"), ("alpha", "lam")),
-    "1f1": (("a", "c"), ("theta", "alpha")),
-    "hermite": (("a",), ("lam",)),
-    "0f1": (("c",), ("alpha",)),
-}
-
-ALL_PARAM_FLAGS = ("a", "b", "c", "alpha", "beta", "mu", "theta", "lam")
+# every parameter flag, classical and Lie, each once
+_PARAM_NAMES = tuple(dict.fromkeys(
+    n for p in PARAMS.values() for n in p.classical + p.lie))
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    for name in ("a", "b", "c", "alpha", "beta", "mu", "theta"):
-        p.add_argument(f"--{name}", type=str, default=None)
-    p.add_argument("--lam", "--lambda", dest="lam", type=str, default=None)
+    for name in _PARAM_NAMES:
+        flags = ("--lam", "--lambda") if name == "lam" else (f"--{name}",)
+        p.add_argument(*flags, dest=name, type=str, default=None)
 
 
 def lie_params_from_args(family: str, args) -> tuple:
     """Resolve the Lie parameters from either flag set (complex values)."""
-    classical, lie = FAMILY_FLAGS[family]
-    given = {n for n in ALL_PARAM_FLAGS if getattr(args, n, None) is not None}
+    lie, classical = PARAMS[family].lie, PARAMS[family].classical
+    given = {n for n in _PARAM_NAMES if getattr(args, n, None) is not None}
     c_given = given & set(classical)
     l_given = given & set(lie)
     # flags shared by both conventions (e.g. --alpha for 1f1) count once
@@ -132,10 +126,8 @@ def lie_params_from_args(family: str, args) -> tuple:
     if set(lie) <= given:
         return tuple(parse_complex(getattr(args, n)) for n in lie)
     if set(classical) <= given:
-        from . import families as fam
-        values = {n: parse_complex(getattr(args, n)) for n in classical}
-        p = fam.classical_to_lie(fam.ClassicalParams(family, values))
-        return tuple(p.values)
+        return classical_to_lie(
+            family, [parse_complex(getattr(args, n)) for n in classical])
     raise UsageError(
         f"family {family} needs parameters {classical} (classical) "
         f"or {lie} (Lie)")
@@ -201,7 +193,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown suite {args.suite!r}; the suites are "
                          f"{', '.join(V.SUITES)} and all")
     scale = _tol_scale()
-    custom = any(getattr(args, n) is not None for n in ALL_PARAM_FLAGS)
+    custom = any(getattr(args, n) is not None for n in _PARAM_NAMES)
     if args.suite != "kummer":
         if custom or args.w is not None:
             raise UsageError("parameter flags and --w apply only to the "
@@ -219,8 +211,9 @@ def cmd_verify(args) -> int:
         points = (V.KUMMER_POINTS if args.w is None
                   else (parse_complex(args.w),))
         tol = (args.tol if args.tol is not None
-               else V.DEFAULT_TOLS["kummer"] * scale)
-        report = V.suite_kummer(args.family, args.seed, tol, params, points)
+               else V.SUITE_TABLE["kummer"][1] * scale)
+        report = V.suite_kummer(args.family, args.seed, tol=tol,
+                                params=params, points=points)
     if not report.checks and args.suite != "all":
         covered = [f for f in V.ALL_FAMILIES
                    if V.run_suite(args.suite, family=f, seed=args.seed).checks]
@@ -305,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate a family's function")
-    pe.add_argument("family", choices=FAMILY_CHOICES)
+    pe.add_argument("family", choices=FAMILIES)
     _add_param_flags(pe)
     pe.add_argument("--w", type=str, default=None)
     pe.add_argument("--method", default="auto",
@@ -316,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", help="a verification suite, or all")
     pv.add_argument("--family", default=None,
-                    choices=FAMILY_CHOICES + ("all",))
+                    choices=FAMILIES + ("all",))
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--tol", type=float, default=None)
     pv.add_argument("--format", default="json", choices=("json", "text"))
@@ -325,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(fn=cmd_verify)
 
     pc = sub.add_parser("catalog", help="dump a family's identity catalog")
-    pc.add_argument("family", choices=FAMILY_CHOICES)
+    pc.add_argument("family", choices=FAMILIES)
     pc.add_argument("--format", default="text", choices=("json", "text"))
     pc.set_defaults(fn=cmd_catalog)
 
     pp = sub.add_parser("plotdata",
                         help="CSV samples of a function on a segment")
-    pp.add_argument("family", choices=FAMILY_CHOICES)
+    pp.add_argument("family", choices=FAMILIES)
     _add_param_flags(pp)
     pp.add_argument("--from", dest="from_", type=str, required=True)
     pp.add_argument("--to", type=str, required=True)
@@ -342,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Options whose value is a number literal, which may begin with "-".
 _NUMBER_OPTIONS = frozenset(
-    [f"--{n}" for n in ALL_PARAM_FLAGS] + ["--lambda", "--w", "--from", "--to"])
+    [f"--{n}" for n in _PARAM_NAMES] + ["--lambda", "--w", "--from", "--to"])
 _NEGATIVE_LITERAL = re.compile(r"-[0-9.i]")
 
 

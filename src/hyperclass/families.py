@@ -1,13 +1,16 @@
 """The five equation families and their machine-readable identity catalogs.
 
-Families (working in the Lie-algebraic parameters):
+Families (working in the Lie-algebraic parameters, named in
+`tables.PARAMS`):
 
 * ``2f1``        — Gauss hypergeometric operator  F_{alpha,beta,mu}
 * ``gegenbauer`` — Gegenbauer operator            S_{alpha,lam}
 * ``1f1``        — confluent (Kummer) operator    F_{theta,alpha}
-* ``2f0``        — the companion 2F0 operator     Ft_{theta,alpha}
 * ``hermite``    — Hermite operator               S_{lam}
 * ``0f1``        — 0F1 (Bessel-class) operator    F_{alpha}
+
+The companion 2F0 operator Ft_{theta,alpha} has no catalog of its own; it
+is the target of the 1F1 quadratic link.
 
 Catalogs are data: every transmutation, factorization, discrete symmetry,
 recurrence and quadratic link is a record with a self-describing location
@@ -37,18 +40,7 @@ from .exactalg import (
     RatFun,
     Substitution,
 )
-from .tables import _KUMMER, INTEGRAL_REPS
-
-FAMILIES = ("2f1", "gegenbauer", "1f1", "2f0", "hermite", "0f1")
-
-PARAM_NAMES: dict[str, tuple[str, ...]] = {
-    "2f1": ("alpha", "beta", "mu"),
-    "gegenbauer": ("alpha", "lam"),
-    "1f1": ("theta", "alpha"),
-    "2f0": ("theta", "alpha"),
-    "hermite": ("lam",),
-    "0f1": ("alpha",),
-}
+from .tables import _KUMMER, INTEGRAL_REPS, PARAMS
 
 # symbol shorthands used throughout the catalogs
 AL = MultiPoly.var("alpha")
@@ -76,56 +68,6 @@ def _op(var: str, c0, c1=None, c2=None) -> DiffOperator:
 def _first(var: str, c1, c0) -> DiffOperator:
     """First-order operator c1*d + c0."""
     return _op(var, c0, c1)
-
-
-# ---------------------------------------------------------------------------
-# Parameter records
-# ---------------------------------------------------------------------------
-
-class _FamilyParams(NamedTuple):
-    family: str
-    values: tuple
-
-
-class FamilyParams(_FamilyParams):
-    """Lie-algebraic parameters of one family member.
-
-    Values are exact rationals (Fraction) for symbolic work or complex
-    numbers for numeric work, keyed in the family's canonical order.
-    """
-    __slots__ = ()
-
-    def __new__(cls, family: str, values: tuple):
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
-        if len(values) != len(PARAM_NAMES[family]):
-            raise ValueError("wrong number of parameters for family")
-        return super().__new__(cls, family, values)
-
-
-class ClassicalParams(NamedTuple):
-    """Classical parameters (a, b, c as applicable) of one family member."""
-    family: str
-    values: dict
-
-
-def classical_to_lie(c: ClassicalParams) -> FamilyParams:
-    f = c.family
-    v = c.values
-    if f == "2f1":
-        return FamilyParams(f, (v["c"] - 1, v["a"] + v["b"] - v["c"], v["a"] - v["b"]))
-    if f == "gegenbauer":
-        return FamilyParams(f, ((v["a"] + v["b"] - 1) / 2, (v["b"] - v["a"]) / 2))
-    if f in ("1f1", "2f0"):
-        if "c" in v:
-            return FamilyParams(f, (2 * v["a"] - v["c"], v["c"] - 1))
-        return FamilyParams(f, (-1 + v["a"] + v["b"], v["a"] - v["b"]))
-    if f == "hermite":
-        half = Fraction(1, 2) if isinstance(v["a"], Fraction) else 0.5
-        return FamilyParams(f, (v["a"] - half,))
-    if f == "0f1":
-        return FamilyParams(f, (v["c"] - 1,))
-    raise ValueError(f)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +108,7 @@ def make_operator_expr(family: str, var: str, params: tuple[MultiPoly, ...]) -> 
 
 
 def symbolic_params(family: str) -> tuple[MultiPoly, ...]:
-    return tuple(MultiPoly.var(n) for n in PARAM_NAMES[family])
+    return tuple(MultiPoly.var(n) for n in PARAMS[family].lie)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +226,7 @@ def subs_params(op: DiffOperator, family: str,
 
     The symbols are replaced one after another, which for shifts is the
     simultaneous substitution; a symbol mapped to itself is skipped."""
-    subs = [(n, e) for n, e in zip(PARAM_NAMES[family], exprs)
+    subs = [(n, e) for n, e in zip(PARAMS[family].lie, exprs)
             if e != MultiPoly.var(n)]
 
     def sub_poly(p):

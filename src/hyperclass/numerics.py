@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from .errors import (ConvergenceError, DegeneracyError, DomainError,
                      GammaPoleError, NumericsError)
 from .jet import Jet, taylor_compose
-from .tables import _KUMMER, _W_D3
+from .tables import _KUMMER, _W_D3, classical_to_lie
 
 Number = Union[int, float, complex]
 
@@ -760,10 +760,8 @@ def eval_2F1(al, be, mu, w):
 
 def hyp2f1(a, b, c, z):
     """Gauss function in classical parameters (wrapper over eval_2F1)."""
-    a = _as_complex(a)
-    b = _as_complex(b)
-    c = _as_complex(c)
-    return eval_2F1(c - 1, a + b - c, a - b, z)
+    return eval_2F1(*classical_to_lie(
+        "2f1", [_as_complex(a), _as_complex(b), _as_complex(c)]), z)
 
 
 # ---------------------------------------------------------------------------
@@ -850,19 +848,6 @@ def eval_geg_S(al, la, w):
     """Gegenbauer solution S_{al,la}(w) = F_{al,al,2la}((1-w)/2); the cut
     is (-inf, -1]."""
     return _eval_2F1_routed(*_geg_2f1_args(al, la, w), check=_geg_check)[0]
-
-
-def SII_geg(al, la, w):
-    al = _as_complex(al)
-    la = _as_complex(la)
-    return gamma(0.5 + al - la) * gamma(0.5 + al + la) * rgamma(1 + 2 * al) \
-        * eval_geg_S(al, la, w)
-
-
-def S0_geg(al, la, w):
-    al = _as_complex(al)
-    return math.sqrt(math.pi) * gamma(0.5 + al) * rgamma(1 + al) \
-        * eval_geg_S(al, la, w)
 
 
 # ---------------------------------------------------------------------------
@@ -1301,8 +1286,8 @@ EVALUATORS = {
 
 # (family, normalization) -> (prefactor(*Lie parameters, as complex numbers),
 # the normalization it multiplies): "bold" divides the family's function by
-# Gamma(1+alpha), and "I" is the paper's superscript-I normalization, which
-# for 2F1 multiplies bold.
+# Gamma(1+alpha); "I", and for Gegenbauer "II" and "0", are the paper's
+# superscript normalizations, and 2F1's "I" multiplies bold.
 NORMALIZED = {
     ("2f1", "bold"): (lambda al, be, mu: rgamma(1 + al), "plain"),
     ("2f1", "I"): (lambda al, be, mu: gamma((1 + al + be - mu) / 2)
@@ -1311,6 +1296,11 @@ NORMALIZED = {
     ("gegenbauer", "I"): (lambda al, la: 2 ** complex(-0.5 - al - la)
                           * gamma(0.5 + al + la) * gamma(0.5 - la)
                           * rgamma(1 + al), "plain"),
+    ("gegenbauer", "II"): (lambda al, la: gamma(0.5 + al - la)
+                           * gamma(0.5 + al + la) * rgamma(1 + 2 * al),
+                           "plain"),
+    ("gegenbauer", "0"): (lambda al, la: math.sqrt(math.pi)
+                          * gamma(0.5 + al) * rgamma(1 + al), "plain"),
     ("1f1", "bold"): (lambda th, al: rgamma(1 + al), "plain"),
     ("1f1", "I"): (lambda th, al: gamma((1 + al + th) / 2)
                    * gamma((1 + al - th) / 2) * rgamma(1 + al), "plain"),
@@ -1344,6 +1334,8 @@ bold_F_2f1 = _in_norm("2f1", "bold")
 FI_2f1 = _in_norm("2f1", "I")
 bold_S_geg = _in_norm("gegenbauer", "bold")
 SI_geg = _in_norm("gegenbauer", "I")
+SII_geg = _in_norm("gegenbauer", "II")
+S0_geg = _in_norm("gegenbauer", "0")
 bold_F_1f1 = _in_norm("1f1", "bold")
 FI_1f1 = _in_norm("1f1", "I")
 SI_hermite = _in_norm("hermite", "I")

@@ -1,5 +1,8 @@
 """Tables that both the numeric layer and the exact catalog read.
 
+* ``FAMILIES`` and ``PARAMS`` — the five families, each with its Lie and
+  classical parameter names and ``classical_to_lie``, the map between
+  them.  The CLI, `numerics`, `families` and `verify` all read them.
 * ``_W_D3`` and ``_KUMMER`` — the Weyl group W(D3) of the 2F1 equation as
   Kummer's 24 solutions.  `numerics` evaluates them (Kummer's table and
   the 2F1 continuation routes); `families` generates the 2F1 symmetry rows
@@ -14,7 +17,46 @@ other, and a catalog listing loads no numeric code.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
+
+
+# --- The five families and their parameters ----------------------------------
+# The paper works in the Lie-algebraic parameters: a root shifts them by
+# integers and a Weyl element permutes them with signs (arXiv:1906.03512).
+# The classical a, b, c are affine images of them.
+class Params(NamedTuple):
+    """A family's Lie and classical parameter names, each in its order, and
+    the map from classical values to the Lie ones."""
+    lie: tuple
+    classical: tuple
+    to_lie: Callable
+
+
+# family -> its parameters, in the order the suites take the families
+PARAMS = {
+    "2f1": Params(("alpha", "beta", "mu"), ("a", "b", "c"),
+                  lambda a, b, c: (c - 1, a + b - c, a - b)),
+    "gegenbauer": Params(("alpha", "lam"), ("a", "b"),
+                         lambda a, b: ((a + b - 1) / 2, (b - a) / 2)),
+    "1f1": Params(("theta", "alpha"), ("a", "c"),
+                  lambda a, c: (2 * a - c, c - 1)),
+    "hermite": Params(("lam",), ("a",), lambda a: (a - 0.5,)),
+    "0f1": Params(("alpha",), ("c",), lambda c: (c - 1,)),
+}
+
+FAMILIES = tuple(PARAMS)
+
+
+def classical_to_lie(family: str, values) -> tuple:
+    """The Lie parameters of the family member whose classical parameters
+    are `values`, in the order of ``PARAMS[family].classical``.  An unknown
+    family raises KeyError and a wrong number of values ValueError."""
+    params = PARAMS[family]
+    if len(values) != len(params.classical):
+        raise ValueError(f"{family} takes the classical parameters "
+                         f"{params.classical}, got {len(values)} values")
+    return params.to_lie(*values)
+
 
 # --- W(D3): Kummer's 24 solutions -------------------------------------------
 # The discrete symmetries of the 2F1 equation are the Weyl group W(D3), the 24

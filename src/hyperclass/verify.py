@@ -34,20 +34,9 @@ from .exactalg import (
 )
 from .jet import Jet
 from .numerics import jexp, jpow, jsqrt
+from .tables import FAMILIES, PARAMS
 
-SUITES = (
-    "transmutations",
-    "factorizations",
-    "symmetries",
-    "quadratic",
-    "recurrences",
-    "kummer",
-    "connection",
-    "integrals",
-    "residuals",
-)
-
-ALL_FAMILIES = ("2f1", "gegenbauer", "1f1", "hermite", "0f1")
+ALL_FAMILIES = FAMILIES
 
 # Generic parameter values: rationals with coprime denominators so that no
 # integer degeneracy (gamma pole, logarithmic case, integer mu/alpha) can
@@ -91,6 +80,9 @@ SYMMETRY_TEST_EXPONENTS = (0.3, 1 + 0.2j, -0.7)
 SYMMETRY_POINTS_GEG = (1.5 + 0.2j, 1.8 - 0.3j, 2.2 + 0.5j, 1.3 + 0.6j,
                        2.5 - 0.4j, 1.7 + 0.15j, 2.0 + 0.8j, 3.0 - 0.6j,
                        1.4 - 0.5j, 2.8 + 0.25j)
+
+# random sample points per standard solution in the residuals suite
+RESIDUAL_POINTS = 20
 
 TRANSMUTATION_POINT = {
     "2f1": 0.4 + 0.3j,
@@ -251,7 +243,7 @@ def check_quadratic_link_symbolic(link) -> bool:
 # ---------------------------------------------------------------------------
 
 def _param_assign(family: str) -> dict:
-    return dict(zip(fam.PARAM_NAMES[family], NUMERIC_PARAMS[family]))
+    return dict(zip(PARAMS[family].lie, NUMERIC_PARAMS[family]))
 
 
 def transmutation_kernel_residual(family: str, C: DiffOperator,
@@ -267,7 +259,7 @@ def transmutation_kernel_residual(family: str, C: DiffOperator,
     """
     w0 = TRANSMUTATION_POINT[family]
     assign = _param_assign(family)
-    pvals = tuple(assign[n] for n in fam.PARAM_NAMES[family])
+    pvals = tuple(assign[n] for n in PARAMS[family].lie)
     order = C.order() + 1
     f = _once(shared, (family, order), lambda: N.evaluate(
         family, pvals, Jet.variable(w0, order))[0])
@@ -281,7 +273,7 @@ def recurrence_residual(family: str, row, shared=None) -> float:
     `shared` (see `_once`) holds the solution jets per (family, point,
     order, normalization) across rows."""
     assign0 = _param_assign(family)
-    pvals = tuple(assign0[n] for n in fam.PARAM_NAMES[family])
+    pvals = tuple(assign0[n] for n in PARAMS[family].lie)
     tvals = tuple(t.eval_numeric(assign0) for t in row.target)
     coeff = row.coeff.eval_numeric(assign0)
     order = max(2, row.A.order() + 1)
@@ -434,7 +426,7 @@ def _counts_check(family: str, section: str, actual: int) -> CheckResult:
                        error=None if ok else float(abs(actual - expected)))
 
 
-def suite_transmutations(family=None, seed=0, tol=1e-8) -> SuiteReport:
+def suite_transmutations(family=None, seed=0, *, tol) -> SuiteReport:
     checks = []
     shared = {}
     for f in _families(family):
@@ -472,7 +464,7 @@ def suite_factorizations(family=None, seed=0, tol=None) -> SuiteReport:
     return SuiteReport("factorizations", family or "all", seed, checks)
 
 
-def suite_symmetries(family=None, seed=0, tol=1e-9) -> SuiteReport:
+def suite_symmetries(family=None, seed=0, *, tol) -> SuiteReport:
     checks = []
     shared = {}
     for f in _families(family):
@@ -504,7 +496,7 @@ def suite_quadratic(family=None, seed=0, tol=None) -> SuiteReport:
     return SuiteReport("quadratic", family or "all", seed, checks)
 
 
-def suite_recurrences(family=None, seed=0, tol=1e-10) -> SuiteReport:
+def suite_recurrences(family=None, seed=0, *, tol) -> SuiteReport:
     checks = []
     shared = {}
     for f in _families(family):
@@ -518,7 +510,7 @@ def suite_recurrences(family=None, seed=0, tol=1e-10) -> SuiteReport:
     return SuiteReport("recurrences", family or "all", seed, checks)
 
 
-def suite_kummer(family=None, seed=0, tol=1e-10, params=None,
+def suite_kummer(family=None, seed=0, *, tol, params=None,
                  points=KUMMER_POINTS) -> SuiteReport:
     """The 36 pairwise checks of Kummer's table at the 2F1 parameters
     `params` (default NUMERIC_PARAMS["2f1"]) and the sample `points`."""
@@ -539,7 +531,7 @@ def suite_kummer(family=None, seed=0, tol=1e-10, params=None,
     return SuiteReport("kummer", family or "all", seed, checks)
 
 
-def suite_connection(family=None, seed=0, tol=1e-9) -> SuiteReport:
+def suite_connection(family=None, seed=0, *, tol) -> SuiteReport:
     checks = []
     wanted = _families(family)
     if "2f1" in wanted:
@@ -621,7 +613,7 @@ def _rep_row_residual(row, tol_quad=1e-11) -> float:
     return worst
 
 
-def suite_integrals(family=None, seed=0, tol=1e-7) -> SuiteReport:
+def suite_integrals(family=None, seed=0, *, tol) -> SuiteReport:
     from . import quadrature
     checks = []
     for f in _families(family):
@@ -657,15 +649,14 @@ def solution_residual(family: str, F: DiffOperator, d, w0,
                       tol: float = 1e-11) -> float:
     """Relative ODE residual of a standard solution at one point; F is the
     family operator with symbolic parameters."""
-    assign = dict(zip(fam.PARAM_NAMES[family], d.params))
+    assign = dict(zip(PARAMS[family].lie, d.params))
     assign["w"] = w0
     f = N.eval_solution(d, Jet.variable(w0, 2), tol=tol)
     total, scale = jet_apply(F, f, assign)
     return abs(total) / scale
 
 
-def suite_residuals(family=None, seed=0, tol=1e-9,
-                    points_per_solution=20) -> SuiteReport:
+def suite_residuals(family=None, seed=0, *, tol) -> SuiteReport:
     checks = []
     for f in _families(family):
         sols = N.standard_solutions(f, NUMERIC_PARAMS[f])
@@ -676,7 +667,7 @@ def suite_residuals(family=None, seed=0, tol=1e-9,
             def run(f=f, d=d, sampler=sampler):
                 F = fam.make_operator_expr(f, "w", fam.symbolic_params(f))
                 worst = 0.0
-                for _ in range(points_per_solution):
+                for _ in range(RESIDUAL_POINTS):
                     w0 = sampler()
                     worst = max(worst, solution_residual(f, F, d, w0))
                 return worst
@@ -691,32 +682,21 @@ def suite_residuals(family=None, seed=0, tol=1e-9,
 # Suite registry / runner
 # ---------------------------------------------------------------------------
 
-_SUITE_FUNCS = {
-    "transmutations": suite_transmutations,
-    "factorizations": suite_factorizations,
-    "symmetries": suite_symmetries,
-    "quadratic": suite_quadratic,
-    "recurrences": suite_recurrences,
-    "kummer": suite_kummer,
-    "connection": suite_connection,
-    "integrals": suite_integrals,
-    "residuals": suite_residuals,
+# name -> (suite, default tolerance of its numeric checks, None for the
+# exact suites), in the order "all" runs them
+SUITE_TABLE = {
+    "transmutations": (suite_transmutations, 1e-8),
+    "factorizations": (suite_factorizations, None),
+    "symmetries": (suite_symmetries, 1e-9),
+    "quadratic": (suite_quadratic, None),
+    "recurrences": (suite_recurrences, 1e-10),
+    "kummer": (suite_kummer, 1e-10),
+    "connection": (suite_connection, 1e-9),
+    "integrals": (suite_integrals, 1e-7),
+    "residuals": (suite_residuals, 1e-9),
 }
 
-
-# Default tolerance of the numeric checks of each suite (symbolic-only
-# suites have None; their checks are exact).
-DEFAULT_TOLS = {
-    "transmutations": 1e-8,
-    "factorizations": None,
-    "symmetries": 1e-9,
-    "quadratic": None,
-    "recurrences": 1e-10,
-    "kummer": 1e-10,
-    "connection": 1e-9,
-    "integrals": 1e-7,
-    "residuals": 1e-9,
-}
+SUITES = tuple(SUITE_TABLE)
 
 
 def run_suite(suite: str, family: Optional[str] = None, seed: int = 0,
@@ -734,14 +714,11 @@ def run_suite(suite: str, family: Optional[str] = None, seed: int = 0,
             sub = run_suite(name, family, seed, tol, tol_scale)
             checks.extend(sub.checks)
         return SuiteReport("all", family or "all", seed, checks)
-    if suite not in _SUITE_FUNCS:
+    if suite not in SUITE_TABLE:
         raise ValueError(f"unknown suite {suite!r}")
-    fn = _SUITE_FUNCS[suite]
-    default = DEFAULT_TOLS[suite]
+    fn, default = SUITE_TABLE[suite]
     if tol is None and default is not None:
         tol = default * tol_scale
-    if tol is None:
-        return fn(family=family, seed=seed)
     return fn(family=family, seed=seed, tol=tol)
 
 

@@ -35,7 +35,7 @@ def _assert_all_pass(checks, label):
 def test_symbolic_transmutations_exact_and_fast():
     t0 = time.monotonic()
     for family, n in ROW_COUNTS.items():
-        report = V.suite_transmutations(family=family)
+        report = V.suite_transmutations(family=family, tol=1e-8)
         sym = [c for c in _by_kind(report, "symbolic")
                if not c.id.startswith("counts:")]
         assert len(sym) == n, f"{family}: expected {n} symbolic rows"
@@ -195,7 +195,8 @@ def test_integral_representations():
 # ---------------------------------------------------------------------------
 
 def test_ode_residuals():
-    report = V.suite_residuals(tol=1e-9, points_per_solution=20)
+    report = V.suite_residuals(tol=1e-9)
+    assert V.RESIDUAL_POINTS == 20
     num = _by_kind(report, "numeric")
     assert len(num) == 19
     _assert_all_pass(num, "ODE residuals")

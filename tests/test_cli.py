@@ -13,6 +13,7 @@ import pytest
 from hyperclass import cli
 from hyperclass import numerics as N
 from hyperclass import quadrature as Q
+from hyperclass import tables
 
 
 def run(capsys, *argv, env=None, monkeypatch=None):
@@ -255,7 +256,7 @@ _NORM_POINTS = {
 
 
 def _lie_flags(family, lie):
-    return [f for name, p in zip(cli.FAMILY_FLAGS[family][1], lie)
+    return [f for name, p in zip(tables.PARAMS[family].lie, lie)
             for f in (f"--{name}", repr(p))]
 
 
@@ -268,7 +269,10 @@ def _prefactor_times(family, norm, lie, v):
         * _prefactor_times(family, base, lie, v)
 
 
-@pytest.mark.parametrize("family, norm", sorted(N.NORMALIZED))
+# the normalizations that `eval --norm` takes; Gegenbauer's "II" and "0"
+# are for quadrature's rows only
+@pytest.mark.parametrize("family, norm", sorted(
+    k for k in N.NORMALIZED if k[1] in ("bold", "I")))
 def test_eval_norm_prints_the_route_and_estimate_of_the_evaluator(
         capsys, family, norm):
     # --norm multiplies the value by its prefactor and keeps the route and
@@ -722,9 +726,15 @@ EVAL = ("hyperclass.numerics", "hyperclass.jet")
     # verify loads both layers (its suites mix them), still no dataclasses
     (["verify", "quadratic"], ("hyperclass.verify", "hyperclass.numerics"),
      ()),
+    # classical parameters are mapped by `tables`, not the exact layer
+    (["eval", "2f1", "--a", "1", "--b", "1", "--c", "2", "--w", "0.5"],
+     EVAL + ("hyperclass.tables",), EXACT_LAYER),
+    (["plotdata", "0f1", "--c", "1.5", "--from", "0", "--to", "1",
+      "--n", "3"], EVAL + ("hyperclass.tables",), EXACT_LAYER),
 ], ids=["build_parser", "eval_2f1", "eval_hermite_quadrature",
         "eval_hermite_asymptotic", "eval_gegenbauer_series",
-        "eval_hermite_norm_I", "catalog", "verify_quadratic"])
+        "eval_hermite_norm_I", "catalog", "verify_quadratic",
+        "eval_2f1_classical", "plotdata_0f1_classical"])
 def test_command_loads_only_what_it_runs(argv, required, absent):
     # -S: no site hooks, so sys.modules holds what the command imported
     script = textwrap.dedent("""

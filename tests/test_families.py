@@ -11,18 +11,14 @@ from hyperclass import quadrature
 from hyperclass.exactalg import jet_apply
 from hyperclass.families import (
     EXPECTED_COUNTS,
-    FAMILIES,
-    PARAM_NAMES,
-    ClassicalParams,
-    FamilyParams,
     _factorizations,
     catalog,
-    classical_to_lie,
     make_operator_expr,
     quadratic_links,
     symbolic_params,
 )
 from hyperclass.jet import Jet
+from hyperclass.tables import FAMILIES, PARAMS, classical_to_lie
 
 CATALOG_FAMILIES = tuple(EXPECTED_COUNTS)
 
@@ -31,57 +27,56 @@ CATALOG_FAMILIES = tuple(EXPECTED_COUNTS)
 # Parameter maps
 # ---------------------------------------------------------------------------
 
-def lie_to_classical(p: FamilyParams) -> ClassicalParams:
-    """The classical parameters of exact Lie parameters p, written out
-    independently of `classical_to_lie` so the round trip checks it."""
-    f, v, half = p.family, p.values, Fraction(1, 2)
-    if f == "2f1":
-        al, be, mu = v
-        vals = {"a": (1 + al + be + mu) / 2, "b": (1 + al + be - mu) / 2,
-                "c": 1 + al}
-    elif f == "gegenbauer":
-        al, la = v
-        vals = {"a": half + al - la, "b": half + al + la}
-    elif f in ("1f1", "2f0"):
-        th, al = v
-        vals = {"a": (1 + al + th) / 2, "b": (1 - al + th) / 2, "c": 1 + al}
-    elif f == "hermite":
-        vals = {"a": v[0] + half}
-    else:
-        vals = {"c": v[0] + 1}
-    return ClassicalParams(f, vals)
+def lie_to_classical(family: str, lie: tuple) -> tuple:
+    """The classical parameters of Lie parameters, in the order of
+    ``PARAMS[family].classical``, written out independently of
+    `classical_to_lie` so the round trip checks it."""
+    if family == "2f1":
+        al, be, mu = lie
+        return (1 + al + be + mu) / 2, (1 + al + be - mu) / 2, 1 + al
+    if family == "gegenbauer":
+        al, la = lie
+        return 0.5 + al - la, 0.5 + al + la
+    if family == "1f1":
+        th, al = lie
+        return (1 + al + th) / 2, 1 + al
+    if family == "hermite":
+        return (lie[0] + 0.5,)
+    return (lie[0] + 1,)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_param_roundtrip(family):
-    n = len(PARAM_NAMES[family])
-    vals = tuple(Fraction(k + 2, 7) for k in range(n))
-    p = FamilyParams(family, vals)
-    back = classical_to_lie(lie_to_classical(p))
-    assert back.family == family
-    assert tuple(back.values) == vals
+    # dyadic parts, so every step is exact in floats
+    lie = tuple(complex((k + 2) / 8, -k / 4)
+                for k in range(len(PARAMS[family].lie)))
+    classical = lie_to_classical(family, lie)
+    assert len(classical) == len(PARAMS[family].classical)
+    assert classical_to_lie(family, classical) == lie
 
 
 def test_classical_values_2f1():
-    p = FamilyParams("2f1", (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)))
-    c = lie_to_classical(p).values
-    assert c["c"] == 1 + Fraction(1, 3)
-    assert c["a"] + c["b"] == 1 + Fraction(1, 3) + Fraction(1, 5)
-    assert c["a"] - c["b"] == Fraction(1, 7)
+    al, be, mu = Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)
+    a, b, c = lie_to_classical("2f1", (al, be, mu))
+    assert c == 1 + Fraction(1, 3)
+    assert a + b == 1 + Fraction(1, 3) + Fraction(1, 5)
+    assert a - b == Fraction(1, 7)
 
 
 def test_classical_values_1f1():
-    p = FamilyParams("1f1", (Fraction(1, 7), Fraction(2, 11)))
-    c = lie_to_classical(p).values
-    assert 2 * c["a"] - c["c"] == Fraction(1, 7)
-    assert c["c"] == 1 + Fraction(2, 11)
+    a, c = lie_to_classical("1f1", (Fraction(1, 7), Fraction(2, 11)))
+    assert 2 * a - c == Fraction(1, 7)
+    assert c == 1 + Fraction(2, 11)
 
 
 def test_family_params_validation():
+    # an unknown family, or a missing or extra classical parameter, raises
+    with pytest.raises(KeyError):
+        classical_to_lie("nope", (1,))
     with pytest.raises(ValueError):
-        FamilyParams("nope", (1,))
+        classical_to_lie("2f1", (1, 2))
     with pytest.raises(ValueError):
-        FamilyParams("2f1", (1, 2))
+        classical_to_lie("hermite", (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +85,7 @@ def test_family_params_validation():
 
 def _annihilation_residual(family, lie, w0, fn):
     op = make_operator_expr(family, "w", symbolic_params(family))
-    assign = dict(zip(PARAM_NAMES[family], lie))
+    assign = dict(zip(PARAMS[family].lie, lie))
     assign["w"] = w0
     j = Jet.variable(w0, 2)
     f = fn(j)

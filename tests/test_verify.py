@@ -59,7 +59,7 @@ def test_transmutation_suite_composes_twice_per_row(family, monkeypatch):
         return compose(A, B)
 
     monkeypatch.setattr(V, "op_compose", counting)
-    report = V.suite_transmutations(family=family)
+    report = V.run_suite("transmutations", family=family)
     _assert_clean(report)
     assert len(calls) == 2 * len(fam.catalog(family).transmutations)
 
@@ -215,7 +215,7 @@ def test_connection_suite_is_independent_of_the_series_route(monkeypatch):
 
     monkeypatch.setattr(N, "connection_coeffs_0f1", bad_coeffs)
     monkeypatch.setattr(N, "connection_matrix_1f1", bad_matrix)
-    checks = V.suite_connection().checks
+    checks = V.run_suite("connection").checks
     for prefix, count in (("conn:0f1:id:", len(V.CONNECTION_POINTS_0F1)),
                           ("conn:1f1:id:", len(V.CONNECTION_POINTS_1F1))):
         got = [c for c in checks if c.id.startswith(prefix)]

@@ -26,10 +26,12 @@ Each command imports only the modules it runs.  Every command loads
 classical to Lie parameters, and `errors`, whose typed errors exit 3.
 `eval` and `plotdata` load `numerics` and `jet` (and `quadrature` where a
 route integrates), and never the exact layer (`families`, `exactalg`),
-with classical parameters too; `verify` loads `verify`, which loads the
-exact and the numeric layer; `catalog` loads `families` with `exactalg`
-(and from `tables` the W(D3) table and the integral representations'
-ids), and no numeric code.
+with classical parameters too; `verify` loads `verify` and the module of
+each suite it runs, which loads only the layers that suite checks with:
+the exact layer for factorizations and quadratic, the numeric layer for
+kummer, connection and integrals, both for the others; `catalog` loads
+`families` with `exactalg` (and from `tables` the W(D3) table and the
+integral representations' ids), and no numeric code.
 """
 
 from __future__ import annotations
@@ -212,8 +214,8 @@ def cmd_verify(args) -> int:
                   else (parse_complex(args.w),))
         tol = (args.tol if args.tol is not None
                else V.SUITE_TABLE["kummer"][1] * scale)
-        report = V.suite_kummer(args.family, args.seed, tol=tol,
-                                params=params, points=points)
+        report = V.load_suite("kummer")(args.family, args.seed, tol=tol,
+                                        params=params, points=points)
     if not report.checks and args.suite != "all":
         covered = [f for f in V.ALL_FAMILIES
                    if V.run_suite(args.suite, family=f, seed=args.seed).checks]

@@ -23,7 +23,7 @@ transcription of it (operator, weight and target p + r).  The recurrence
 and factorization rows are built from them and transcribe only their own
 coefficient or constant.  The integral representations are listed by
 their ids and locations in `tables`, so a catalog loads no numeric code;
-`quadrature` evaluates them.
+the rows of `rep_rows` evaluate them by `quadrature`.
 """
 
 from __future__ import annotations

@@ -226,10 +226,11 @@ def _ladder(steps, args, tol, method="auto", check=None, root=None):
     of `steps` that accepts them, once they are finite and `check(*args)`
     has passed.  Auto skips a step whose guard(*args, tol) is false, and
     rejects one that raises NumericsError or ArithmeticError or whose
-    estimate exceeds tol; the last failure propagates.  Another `method`
-    runs the first step of that name, without guard or gate: a
-    ConvergenceError with an `estimate` gives its `best`.  With a `root`,
-    a Jet w takes `_root_jet`, so that no step sees a Jet."""
+    estimate exceeds tol; the last failure propagates, an ArithmeticError
+    (a Gamma overflow) as DomainError.  Another `method` runs the first
+    step of that name, without guard or gate: a ConvergenceError with an
+    `estimate` gives its `best`, an ArithmeticError raises DomainError.
+    With a `root`, a Jet w takes `_root_jet`, so that no step sees a Jet."""
     require_finite(*args)
     if root is not None and type(args[-1]) is Jet:
         return _root_jet(steps, args, tol, method, check, root)
@@ -245,6 +246,8 @@ def _ladder(steps, args, tol, method="auto", check=None, root=None):
             if exc.estimate is None:
                 raise
             value, est = exc.best, exc.estimate
+        except ArithmeticError as exc:
+            raise DomainError(f"{method}: {exc}") from exc
         return value, method, est
     failure = None
     call = args + (tol,)
@@ -260,6 +263,8 @@ def _ladder(steps, args, tol, method="auto", check=None, root=None):
             return value, route, est
         failure = ConvergenceError(f"{route} estimate {est:.2e} misses tol",
                                    best=value, estimate=est)
+    if isinstance(failure, ArithmeticError):
+        raise DomainError(f"no route applies: {failure}") from failure
     raise failure or DomainError("no route applies")
 
 
@@ -1313,12 +1318,16 @@ NORMALIZED = {
 def evaluate(family, params, w, norm="plain", tol=1e-11, method="auto"):
     """(value, route, relative estimate or None) of the family's function
     at (params, w) by `EVALUATORS[family]`, in normalization `norm`: the
-    value times the prefactors of `NORMALIZED`, which are computed first.
-    The estimate is relative, so a prefactor leaves it as it is."""
+    value times the prefactors of `NORMALIZED`, which are computed first;
+    one that overflows raises DomainError.  The estimate is relative, so a
+    prefactor leaves it as it is."""
     factors = []
     while norm != "plain":
         prefactor, norm = NORMALIZED[family, norm]
-        factors.append(prefactor(*map(_as_complex, params)))
+        try:
+            factors.append(prefactor(*map(_as_complex, params)))
+        except ArithmeticError as exc:
+            raise DomainError(f"{family} prefactor: {exc}") from exc
     value, route, est = EVALUATORS[family][0](params, w, tol, method)
     for factor in reversed(factors):
         value = factor * value

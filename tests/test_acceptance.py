@@ -12,6 +12,9 @@ import pytest
 
 from hyperclass import numerics as N
 from hyperclass import verify as V
+from hyperclass import verify_exact as VE
+from hyperclass import verify_mixed as VM
+from hyperclass import verify_numeric as VN
 from hyperclass.families import EXPECTED_COUNTS
 
 ROW_COUNTS = {"2f1": 12, "gegenbauer": 8, "1f1": 6, "hermite": 4, "0f1": 2}
@@ -35,7 +38,7 @@ def _assert_all_pass(checks, label):
 def test_symbolic_transmutations_exact_and_fast():
     t0 = time.monotonic()
     for family, n in ROW_COUNTS.items():
-        report = V.suite_transmutations(family=family, tol=1e-8)
+        report = VM.suite_transmutations(family=family, tol=1e-8)
         sym = [c for c in _by_kind(report, "symbolic")
                if not c.id.startswith("counts:")]
         assert len(sym) == n, f"{family}: expected {n} symbolic rows"
@@ -50,7 +53,7 @@ def test_symbolic_transmutations_exact_and_fast():
 
 def test_symbolic_factorizations_exact():
     for family, n in ROW_COUNTS.items():
-        report = V.suite_factorizations(family=family)
+        report = VE.suite_factorizations(family=family)
         sym = [c for c in _by_kind(report, "symbolic")
                if not c.id.startswith("counts:")]
         rows = [c for c in sym if not c.id.endswith(":darboux")]
@@ -67,7 +70,7 @@ def test_symbolic_factorizations_exact():
 def test_discrete_symmetries():
     counts = {"2f1": 24, "gegenbauer": 8, "1f1": 4, "hermite": 4, "0f1": 1}
     for family, n in counts.items():
-        report = V.suite_symmetries(family=family, tol=1e-9)
+        report = VM.suite_symmetries(family=family, tol=1e-9)
         assert counts[family] == EXPECTED_COUNTS[family]["symmetries"]
         sym = [c for c in _by_kind(report, "symbolic")
                if not c.id.startswith("counts:")]
@@ -89,7 +92,7 @@ def test_discrete_symmetries():
 # ---------------------------------------------------------------------------
 
 def test_quadratic_links_exact():
-    report = V.suite_quadratic()
+    report = VE.suite_quadratic()
     sym = [c for c in _by_kind(report, "symbolic")
            if not c.id.startswith("counts:")]
     assert len(sym) == 6
@@ -103,7 +106,7 @@ def test_quadratic_links_exact():
 def test_kummer_table():
     assert len(V.KUMMER_POINTS) == 5
     assert all(complex(w).imag > 0 for w in V.KUMMER_POINTS)
-    report = V.suite_kummer(tol=1e-10)
+    report = VN.suite_kummer(tol=1e-10)
     assert len(report.checks) == 36
     _assert_all_pass(report.checks, "kummer")
     for c in report.checks:
@@ -118,7 +121,7 @@ def test_kummer_table():
 def test_recurrences():
     for family, n in ROW_COUNTS.items():
         assert len(V.RECURRENCE_POINTS[family]) == 5
-        report = V.suite_recurrences(family=family, tol=1e-10)
+        report = VM.suite_recurrences(family=family, tol=1e-10)
         num = _by_kind(report, "numeric")
         assert len(num) == n
         _assert_all_pass(num, f"recurrences[{family}]")
@@ -135,7 +138,7 @@ def test_connection_2f1_vector_identity():
     assert len(V.CONNECTION_POINTS_2F1) == 10
     al, be, mu = V.NUMERIC_PARAMS["2f1"]
     for w in V.CONNECTION_POINTS_2F1:
-        r = V.connection_residual_2f1(al, be, mu, w)
+        r = VN.connection_residual_2f1(al, be, mu, w)
         assert r <= 1e-9, f"2f1 connection residual {r} at w={w}"
 
 
@@ -154,7 +157,7 @@ def test_connection_2f1_det_and_inverse():
 def test_connection_1f1():
     th, al = V.NUMERIC_PARAMS["1f1"]
     for w in V.CONNECTION_POINTS_1F1:
-        r = V.connection_residual_1f1(th, al, w)
+        r = VN.connection_residual_1f1(th, al, w)
         assert r <= 1e-9, f"confluent connection residual {r} at w={w}"
     A = N.connection_matrix_1f1(th, al)
     Ainv = N.connection_matrix_1f1_inverse(th, al)
@@ -169,7 +172,7 @@ def test_connection_1f1():
 def test_connection_0f1():
     (al,) = V.NUMERIC_PARAMS["0f1"]
     for w in V.CONNECTION_POINTS_0F1:
-        r = V.connection_residual_0f1(al, w)
+        r = VN.connection_residual_0f1(al, w)
         assert r <= 1e-9, f"0f1 connection residual {r} at w={w}"
 
 
@@ -179,7 +182,7 @@ def test_connection_0f1():
 
 def test_integral_representations():
     t0 = time.monotonic()
-    report = V.suite_integrals(tol=1e-7)
+    report = VN.suite_integrals(tol=1e-7)
     elapsed = time.monotonic() - t0
     num = _by_kind(report, "numeric")
     assert len(num) == 10 + 8 + 9 + 4 + 7
@@ -195,7 +198,7 @@ def test_integral_representations():
 # ---------------------------------------------------------------------------
 
 def test_ode_residuals():
-    report = V.suite_residuals(tol=1e-9)
+    report = VM.suite_residuals(tol=1e-9)
     assert V.RESIDUAL_POINTS == 20
     num = _by_kind(report, "numeric")
     assert len(num) == 19

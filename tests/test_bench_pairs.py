@@ -2,11 +2,15 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_SCRIPT = _ROOT / "scripts" / "bench_pairs.py"
 
 
 @pytest.fixture
@@ -153,3 +157,34 @@ def test_a_bad_routes_report_exits_before_any_run(bench_pairs, tmp_path,
                                  "--out", str(out), "--routes",
                                  str(path)]) == 2, name
     assert not out.exists()
+
+
+def test_the_benchmark_reads_names_this_library_has(bench_pairs):
+    # bench_pairs hashes each side's verify operations, and perfbench's
+    # worker calls the library and the tracer's targets by name: a module
+    # move that breaks either fails here, not in a benchmark run
+    ops = json.loads(bench_pairs.verify_operations(str(_ROOT)))
+    assert [len(x) for x in ops] == [9, 5, 139]
+    r, w = os.pipe()
+    job = {"mode": "run", "workload": "verify", "seed": 1, "seconds": 0,
+           "trace": True, "min_rounds": 1, "ready_fd": w}
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(_ROOT / "perfbench" / "worker.py")],
+            input=json.dumps(job), capture_output=True, text=True,
+            cwd=_ROOT, env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")),
+            pass_fds=(w,), timeout=300)
+    finally:
+        os.close(w)
+        os.close(r)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout)
+    # the tracer still names quadrature.path_integral, long deleted
+    # (ROADMAP item 7); any other absent name is a broken target
+    assert (result["failed"], result["absent"]) == (0, ["path_integral"])
+    layer = result["layer"]
+    assert [s for s in ops[0] + ["mutation"]
+            if f"verify.{s}_ms" not in layer] == []
+    for name in ("exactalg.op_compose_calls", "numerics.pfq_series_calls",
+                 "quadrature.rule_calls"):
+        assert layer[name] > 0, name

@@ -422,6 +422,25 @@ def test_eval_gamma_pole_exit_code(capsys):
     assert "numeric error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "hermite", "--lam", "300", "--w", "2"),
+    ("eval", "hermite", "--lam", "300", "--w", "2", "--method", "quadrature"),
+    ("eval", "1f1", "--theta", "0.3", "--alpha", "200", "--w", "1",
+     "--norm", "bold"),
+    ("eval", "2f1", "--alpha", "200", "--beta", "0.1", "--mu", "0.3",
+     "--w", "0.5", "--norm", "bold"),
+    ("plotdata", "hermite", "--lam", "300", "--from", "1", "--to", "2",
+     "--n", "2"),
+], ids=["auto", "quadrature", "1f1_bold", "2f1_bold", "plotdata"])
+def test_a_gamma_overflow_exits_3_with_one_line(capsys, argv):
+    # Gamma past the double range inside a route or a prefactor is a typed
+    # refusal, not a traceback
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric error: DomainError: ")
+    assert err.count("\n") == 1
+
+
 # a real w on the cut of the 2F1 at w or at (1 - w)/2, or at its singular
 # point, with the refusal in the family's own terms
 _ON_THE_CUT = {
@@ -701,8 +720,8 @@ def _python(script: str, *args: str, flags=()) -> str:
 
 
 # the exact layer and the standard module only it needs; the numeric layer
-EXACT_LAYER = ("hyperclass.exactalg", "hyperclass.families",
-               "hyperclass.verify", "fractions")
+EXACT = ("hyperclass.exactalg", "hyperclass.families", "fractions")
+EXACT_LAYER = EXACT + ("hyperclass.verify",)
 NUMERIC_LAYER = ("hyperclass.numerics", "hyperclass.jet",
                  "hyperclass.quadrature")
 EVAL = ("hyperclass.numerics", "hyperclass.jet")
@@ -712,8 +731,10 @@ EVAL = ("hyperclass.numerics", "hyperclass.jet")
     (None, (), EXACT_LAYER + NUMERIC_LAYER),   # cli.build_parser() alone
     (["eval", "2f1", "--alpha", "0.2", "--beta", "0.1", "--mu", "0.3",
       "--w", "0.7"], EVAL, EXACT_LAYER),
+    # the rules and the solution evaluators, not the integral rows
     (["eval", "hermite", "--lam", "0.3", "--w", "1.2",
-      "--method", "quadrature"], NUMERIC_LAYER, EXACT_LAYER),
+      "--method", "quadrature"], NUMERIC_LAYER,
+     EXACT_LAYER + ("hyperclass.rep_rows",)),
     (["eval", "hermite", "--lam", "0.3", "--w", "6"],
      EVAL, EXACT_LAYER + ("hyperclass.quadrature",)),
     (["eval", "gegenbauer", "--alpha", "0.2", "--lam", "0.1", "--w", "0.3",
@@ -723,9 +744,13 @@ EVAL = ("hyperclass.numerics", "hyperclass.jet")
     (["catalog", "gegenbauer"],
      ("hyperclass.families", "hyperclass.exactalg", "hyperclass.tables"),
      ("hyperclass.verify",) + NUMERIC_LAYER),
-    # verify loads both layers (its suites mix them), still no dataclasses
-    (["verify", "quadratic"], ("hyperclass.verify", "hyperclass.numerics"),
-     ()),
+    # a verify suite loads only the layers it checks with
+    (["verify", "quadratic"], EXACT, NUMERIC_LAYER),
+    (["verify", "factorizations"], EXACT, NUMERIC_LAYER),
+    (["verify", "kummer", "--family", "2f1"], ("hyperclass.numerics",),
+     EXACT),
+    (["verify", "connection", "--family", "2f1"], ("hyperclass.numerics",),
+     EXACT),
     # classical parameters are mapped by `tables`, not the exact layer
     (["eval", "2f1", "--a", "1", "--b", "1", "--c", "2", "--w", "0.5"],
      EVAL + ("hyperclass.tables",), EXACT_LAYER),
@@ -734,6 +759,7 @@ EVAL = ("hyperclass.numerics", "hyperclass.jet")
 ], ids=["build_parser", "eval_2f1", "eval_hermite_quadrature",
         "eval_hermite_asymptotic", "eval_gegenbauer_series",
         "eval_hermite_norm_I", "catalog", "verify_quadratic",
+        "verify_factorizations", "verify_kummer", "verify_connection",
         "eval_2f1_classical", "plotdata_0f1_classical"])
 def test_command_loads_only_what_it_runs(argv, required, absent):
     # -S: no site hooks, so sys.modules holds what the command imported

@@ -59,6 +59,18 @@ def test_real_gamma_at_the_edge_of_the_double_range(fn, x):
             fn(x)
 
 
+def test_gamma_overflow_in_an_evaluator_is_a_domain_error():
+    # Gamma and 1/Gamma raise OverflowError, but an evaluator that meets
+    # one refuses with the typed error: every route, a forced route and a
+    # normalization prefactor
+    with pytest.raises(N.DomainError):
+        N.eval_hermite_S(300, 2)
+    with pytest.raises(N.DomainError):
+        N.evaluate("hermite", (300,), 2, method="quadrature")
+    with pytest.raises(N.DomainError):
+        N.evaluate("1f1", (0.3, 200), 1, "bold")
+
+
 @pytest.mark.parametrize("x", [-170.55, -170.6, -170.9, -171.3, -171.55])
 def test_real_rgamma_where_gamma_is_not_a_normal_double(x):
     # Gamma(x) is subnormal from about -170.6 down, where 1/Gamma(x) is a
@@ -407,6 +419,16 @@ def test_written_out_sums_track_the_largest_term(n_num):
 # ---------------------------------------------------------------------------
 
 ABC = (0.27 + 0.05j, 0.63 - 0.1j, 1.4 + 0.08j)
+
+
+@pytest.mark.parametrize("p", [(0.25 + 0.5j, -1.5 + 0.125j, 3.75 - 2j),
+                               (-0.5j, 2.0, -0.375 + 1.25j),
+                               (0j, 0j, 0j)])
+def test_lie_abc_inverts_the_family_table(p):
+    # numerics' Lie -> classical map is the inverse of the table's
+    # classical -> Lie map; dyadic parameters make the round trip exact
+    from hyperclass.tables import PARAMS
+    assert PARAMS["2f1"].to_lie(*N._lie_abc(*p)) == p
 
 
 @pytest.mark.parametrize("z", [0.55 + 0.3j, -2.5 + 1j, 0.9 + 0.05j,

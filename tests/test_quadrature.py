@@ -8,6 +8,7 @@ import pytest
 
 from hyperclass import numerics as N
 from hyperclass import quadrature as Q
+from hyperclass import rep_rows
 from hyperclass.jet import Jet
 
 SQRT_PI = math.sqrt(math.pi)
@@ -738,7 +739,7 @@ def three_way_split_residual(al, be, mu, w, sign=1, tol=1e-10):
     w = complex(w)
     if w.imag >= 0:
         raise N.DomainError("the split is stated for Im w < 0")
-    points, exps, _ = Q._euler_2f1(
+    points, exps, _ = rep_rows._euler_2f1(
         (complex(al), complex(be), sign * complex(mu)), w)
 
     def piece(path, *signs):

@@ -6,6 +6,9 @@ import pytest
 
 from hyperclass import families as fam
 from hyperclass import verify as V
+from hyperclass import verify_exact as VE
+from hyperclass import verify_mixed as VM
+from hyperclass import verify_numeric as VN
 from hyperclass.families import EXPECTED_COUNTS
 
 
@@ -52,13 +55,13 @@ def test_single_family_filter(family):
 def test_transmutation_suite_composes_twice_per_row(family, monkeypatch):
     # the symbolic check and the kernel residual share (weight*F_tgt) o A
     calls = []
-    compose = V.op_compose
+    compose = VE.op_compose
 
     def counting(A, B):
         calls.append((A, B))
         return compose(A, B)
 
-    monkeypatch.setattr(V, "op_compose", counting)
+    monkeypatch.setattr(VE, "op_compose", counting)
     report = V.run_suite("transmutations", family=family)
     _assert_clean(report)
     assert len(calls) == 2 * len(fam.catalog(family).transmutations)
@@ -71,7 +74,7 @@ def _count_shared_traffic(monkeypatch):
     from hyperclass.jet import Jet
     log = []
     kummer, evaluate, substitute = (N.eval_kummer_expression, N.evaluate,
-                                    V.op_substitute)
+                                    VE.op_substitute)
 
     def counting_kummer(*args):
         log.append(("kummer", args))
@@ -88,7 +91,7 @@ def _count_shared_traffic(monkeypatch):
 
     monkeypatch.setattr(N, "eval_kummer_expression", counting_kummer)
     monkeypatch.setattr(N, "evaluate", counting_evaluate)
-    monkeypatch.setattr(V, "op_substitute", counting_substitute)
+    monkeypatch.setattr(VE, "op_substitute", counting_substitute)
     return log
 
 
@@ -139,28 +142,28 @@ def test_a_failing_shared_value_is_computed_again(monkeypatch):
 def test_helpers_agree_with_and_without_shared_values():
     al, be, mu = V.NUMERIC_PARAMS["2f1"]
     shared = {}
-    for key in V.N._W_D3:
+    for key in VN.N._W_D3:
         for r1 in range(4):
             for r2 in range(r1 + 1, 4):
                 args = (al, be, mu, key, r1, r2)
-                assert V.kummer_pair_residual(*args) \
-                    == V.kummer_pair_residual(*args, shared=shared)
+                assert VN.kummer_pair_residual(*args) \
+                    == VN.kummer_pair_residual(*args, shared=shared)
     for f in V.ALL_FAMILIES:
         cat = fam.catalog(f)
         shared = {}
         for row in cat.recurrences:
-            assert V.recurrence_residual(f, row) \
-                == V.recurrence_residual(f, row, shared)
+            assert VM.recurrence_residual(f, row) \
+                == VM.recurrence_residual(f, row, shared)
         shared = {}
         for row in cat.transmutations:
-            C = V.transmutation_sides(f, row)[1]
-            assert V.transmutation_kernel_residual(f, C) \
-                == V.transmutation_kernel_residual(f, C, shared)
+            C = VE.transmutation_sides(f, row)[1]
+            assert VM.transmutation_kernel_residual(f, C) \
+                == VM.transmutation_kernel_residual(f, C, shared)
         shared = {}
         for row in cat.symmetries:
             if row.mode == "symbolic":
-                assert V.check_symmetry_symbolic(f, row) \
-                    is V.check_symmetry_symbolic(f, row, shared) is True
+                assert VE.check_symmetry_symbolic(f, row) \
+                    is VE.check_symmetry_symbolic(f, row, shared) is True
 
 
 def test_unknown_suite_and_family():
@@ -291,6 +294,6 @@ def test_darboux_check_catches_a_wrong_partner_id():
     f = "2f1"
     by_id = {r.id: r for r in fam.catalog(f).factorizations}
     row = by_id["2f1:fact:02"]
-    assert V.check_darboux_pair(f, row, by_id[row.pair[0]])
+    assert VE.check_darboux_pair(f, row, by_id[row.pair[0]])
     bad = row._replace(pair=("2f1:fact:03", row.pair[1]))
-    assert not V.check_darboux_pair(f, bad, by_id["2f1:fact:03"])
+    assert not VE.check_darboux_pair(f, bad, by_id["2f1:fact:03"])

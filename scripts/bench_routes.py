@@ -4,8 +4,9 @@
         [--seeds 1 2 701 702 703] [--suite NAME | --cli] [--out FILE]
 
 The parent's ``src/`` is unpacked with ``git archive`` into a scratch
-directory; the change is the working tree's ``src/``, or REV's unpacked the
-same way (``--change HEAD~`` against ``--parent HEAD~`` is an A/A run).
+directory; the change is a copy of the working tree's ``src/`` without its
+``__pycache__``, or REV's unpacked the same way (``--change HEAD~`` against
+``--parent HEAD~`` is an A/A run), so neither side loads stale bytecode.
 Both packages are loaded in this process under their own names, so that a
 per-route timing does not carry the noise of two processes.  Each side is
 loaded COPIES times: in A/A runs with one copy per side, two copies of
@@ -73,6 +74,7 @@ import math
 import os
 import random
 import resource
+import shutil
 import statistics
 import struct
 import subprocess
@@ -94,6 +96,19 @@ def unpack_src(rev: str, dest: str) -> str:
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
     return os.path.join(dest, "src")
+
+
+def side_src(rev, dest: str, root: str = ROOT) -> str:
+    """One side's ``src/`` under ``dest``: REV's from ``unpack_src``, or
+    with ``rev`` None a copy of the working tree's ``src/`` in ``root``
+    without its ``__pycache__``, so that, like the unpacked side, it
+    compiles every module it loads."""
+    if rev is not None:
+        return unpack_src(rev, dest)
+    src = os.path.join(dest, "src")
+    shutil.copytree(os.path.join(root, "src"), src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return src
 
 
 def revisions(parent: str, change) -> dict:
@@ -475,8 +490,7 @@ def main(argv=None) -> int:
         sources = []
         for side, rev in (("parent", args.parent), ("change", args.change)):
             os.mkdir(os.path.join(scratch, side))
-            sources.append(os.path.join(ROOT, "src") if rev is None
-                           else unpack_src(rev, os.path.join(scratch, side)))
+            sources.append(side_src(rev, os.path.join(scratch, side)))
         if args.cli:
             report = compare_cli(*sources,
                                  cli_points(load_inputs(), args.seeds))

@@ -196,26 +196,23 @@ def cmd_verify(args) -> int:
                          f"{', '.join(V.SUITES)} and all")
     scale = _tol_scale()
     custom = any(getattr(args, n) is not None for n in _PARAM_NAMES)
-    if args.suite != "kummer":
-        if custom or args.w is not None:
-            raise UsageError("parameter flags and --w apply only to the "
-                             "kummer suite")
-        report = V.run_suite(args.suite, family=args.family, seed=args.seed,
-                             tol=args.tol, tol_scale=scale)
-    else:
+    options = {}
+    if args.suite == "kummer":
         # Kummer's table is a 2F1 table: custom parameters are 2F1 ones
-        params = lie_params_from_args("2f1", args) if custom else None
-        if params is None and args.w is not None:
+        if custom:
+            options["params"] = lie_params_from_args("2f1", args)
+        elif args.w is not None:
             raise UsageError("kummer --w needs the 2f1 parameters as well")
-        if params is not None and args.family not in (None, "all", "2f1"):
+        if custom and args.family not in (None, "all", "2f1"):
             raise UsageError("kummer parameters are 2f1 parameters, "
                              f"not {args.family} ones")
-        points = (V.KUMMER_POINTS if args.w is None
-                  else (parse_complex(args.w),))
-        tol = (args.tol if args.tol is not None
-               else V.SUITE_TABLE["kummer"][1] * scale)
-        report = V.load_suite("kummer")(args.family, args.seed, tol=tol,
-                                        params=params, points=points)
+        if args.w is not None:
+            options["points"] = (parse_complex(args.w),)
+    elif custom or args.w is not None:
+        raise UsageError("parameter flags and --w apply only to the "
+                         "kummer suite")
+    report = V.run_suite(args.suite, family=args.family, seed=args.seed,
+                         tol=args.tol, tol_scale=scale, **options)
     if not report.checks and args.suite != "all":
         covered = [f for f in V.ALL_FAMILIES
                    if V.run_suite(args.suite, family=f, seed=args.seed).checks]

@@ -130,20 +130,6 @@ class GaussRational:
     def __rtruediv__(self, other):
         return GaussRational.of(other) / self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("integer exponent required")
-        if n < 0:
-            return GaussRational(1) / (self ** (-n))
-        out = GaussRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- conversion / comparison ------------------------------------------
     def __complex__(self) -> complex:
         p, q, d = self._t
@@ -913,12 +899,6 @@ class Substitution:
 
     def phi_prime(self) -> RatFun:
         return self.phi().deriv(self.target)
-
-    def inverse(self) -> "Substitution":
-        if self.kind != "moebius":
-            raise ValueError("only Moebius substitutions are invertible here")
-        p, q, r, s = self.data
-        return Substitution("moebius", (s, -q, -r, p), self.target, self.source)
 
     def __repr__(self):
         if self.kind == "moebius":

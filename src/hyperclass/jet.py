@@ -128,18 +128,6 @@ class Jet:
             out[k] = s / k
         return _jet(self.center, out)
 
-    def log(self) -> "Jet":
-        if self.coeffs[0] == 0:
-            raise ValueError("jet log at zero")
-        n = self.order
-        out = [cmath.log(self.coeffs[0])] + [0j] * n
-        for k in range(1, n + 1):
-            s = k * self.coeffs[k]
-            for j in range(1, k):
-                s -= j * out[j] * self.coeffs[k - j]
-            out[k] = s / (k * self.coeffs[0])
-        return _jet(self.center, out)
-
     def pow(self, e: complex) -> "Jet":
         """Principal-branch complex power.
 
@@ -175,13 +163,6 @@ class Jet:
 
     def sqrt(self) -> "Jet":
         return self.pow(0.5)
-
-    def deriv(self) -> "Jet":
-        """Jet of the derivative (one order lower, padded with 0)."""
-        n = self.order
-        out = [(k + 1) * self.coeffs[k + 1] for k in range(n)]
-        out.append(0j)
-        return _jet(self.center, out)
 
     def derivative_value(self, k: int) -> complex:
         """f^{(k)} at the center."""

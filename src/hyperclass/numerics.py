@@ -1430,7 +1430,7 @@ def connection_coeffs_0f1(al):
 class SolutionDescriptor(NamedTuple):
     """One standard solution with its alternative expressions.
 
-    `expressions` is a tuple of callables (params, w, tol) -> value;
+    `expressions` is a tuple of callables w -> value;
     expression 0 is the primary evaluation route.
     """
     family: str
@@ -1483,7 +1483,7 @@ def standard_solutions(family: str, params) -> tuple:
         al, be, mu = params
         for key in _W_D3:
             exprs = tuple(
-                (lambda k, r: lambda w, tol=1e-11:
+                (lambda k, r: lambda w:
                  eval_kummer_expression(k, r, al, be, mu, w))(key, r)
                 for r in range(4))
             out.append(SolutionDescriptor(
@@ -1496,29 +1496,29 @@ def standard_solutions(family: str, params) -> tuple:
                   "needs Re w > 0")
         out.append(SolutionDescriptor(
             "gegenbauer", "at1_1", "~1 at 1", params,
-            (lambda w, tol=1e-11: eval_2F1(al, al, 2 * la, (1 - w) / 2),
-             lambda w, tol=1e-11:
+            (lambda w: eval_2F1(al, al, 2 * la, (1 - w) / 2),
+             lambda w:
              eval_2F1(al, -0.5, la, _one_minus_square(w))),
             domain))
         out.append(SolutionDescriptor(
             "gegenbauer", "at1_2", "~2^-alpha (1-w)^-alpha at 1", params,
-            (lambda w, tol=1e-11: jpow(2, -al) * jpow(1 - w, -al)
+            (lambda w: jpow(2, -al) * jpow(1 - w, -al)
              * eval_2F1(-al, al, -2 * la, (1 - w) / 2),
-             lambda w, tol=1e-11: jpow(_one_minus_square(w), -al)
+             lambda w: jpow(_one_minus_square(w), -al)
              * eval_2F1(-al, -0.5, -la, 1 - w * w)),
             domain))
         out.append(SolutionDescriptor(
             "gegenbauer", "atinf_1", "~w^-a at infinity", params,
-            (lambda w, tol=1e-11: jpow(1 + w, -0.5 - al + la)
+            (lambda w: jpow(1 + w, -0.5 - al + la)
              * eval_2F1(-2 * la, al, -al, 2 / (1 + w)),
-             lambda w, tol=1e-11: jpow(w, -0.5 - al + la)
+             lambda w: jpow(w, -0.5 - al + la)
              * eval_2F1(-la, al, 0.5, 1 / (w * w))),
             "w off (-inf, 1]"))
         out.append(SolutionDescriptor(
             "gegenbauer", "atinf_2", "~w^-b at infinity", params,
-            (lambda w, tol=1e-11: jpow(1 + w, -0.5 - al - la)
+            (lambda w: jpow(1 + w, -0.5 - al - la)
              * eval_2F1(2 * la, al, al, 2 / (1 + w)),
-             lambda w, tol=1e-11: jpow(w, -0.5 - al - la)
+             lambda w: jpow(w, -0.5 - al - la)
              * eval_2F1(la, al, 0.5, 1 / (w * w))),
             "w off (-inf, 1]"))
         return tuple(out)
@@ -1526,25 +1526,25 @@ def standard_solutions(family: str, params) -> tuple:
         th, al = params
         out.append(SolutionDescriptor(
             "1f1", "at0_1", "~1 at 0", params,
-            (lambda w, tol=1e-11: _1f1_series(th, al, w),
-             lambda w, tol=1e-11: jexp(w) * _1f1_series(-th, al, -w)),
+            (lambda w: _1f1_series(th, al, w),
+             lambda w: jexp(w) * _1f1_series(-th, al, -w)),
             "entire"))
         out.append(SolutionDescriptor(
             "1f1", "at0_2", "~w^-alpha at 0", params,
-            (lambda w, tol=1e-11: jpow(w, -al) * _1f1_series(th, -al, w),
-             lambda w, tol=1e-11: jpow(w, -al) * jexp(w)
+            (lambda w: jpow(w, -al) * _1f1_series(th, -al, w),
+             lambda w: jpow(w, -al) * jexp(w)
              * _1f1_series(-th, -al, -w)),
             "w off (-inf, 0]"))
         out.append(SolutionDescriptor(
             "1f1", "atinf", "~w^-a at +infinity", params,
-            (lambda w, tol=1e-11: eval_tricomi(th, al, w, tol),
-             lambda w, tol=1e-11: eval_tricomi(th, -al, w, tol)
+            (lambda w: eval_tricomi(th, al, w),
+             lambda w: eval_tricomi(th, -al, w)
              * jpow(w, -al)),
             "w off (-inf, 0]"))
         out.append(SolutionDescriptor(
             "1f1", "atminf", "~(-w)^{b-1} e^w at -infinity", params,
-            (lambda w, tol=1e-11: eval_conf_minus_inf(th, al, w, tol),
-             lambda w, tol=1e-11: eval_conf_minus_inf(th, -al, w, tol)
+            (lambda w: eval_conf_minus_inf(th, al, w),
+             lambda w: eval_conf_minus_inf(th, -al, w)
              * jpow(-w, -al)),
             "w off [0, inf)"))
         return tuple(out)
@@ -1552,40 +1552,40 @@ def standard_solutions(family: str, params) -> tuple:
         (la,) = params
         out.append(SolutionDescriptor(
             "hermite", "atinf", "~w^{-lambda-1/2} at +infinity", params,
-            (lambda w, tol=1e-11: eval_hermite_S(la, w, tol),),
+            (lambda w: eval_hermite_S(la, w),),
             "w off (-inf, 0]"))
         out.append(SolutionDescriptor(
             "hermite", "atiinf", "~(-iw)^{lambda-1/2} e^{w^2} at +i inf",
             params,
-            (lambda w, tol=1e-11: jexp(w * w)
-             * eval_hermite_S(-la, w * complex(0, -1), tol),),
+            (lambda w: jexp(w * w)
+             * eval_hermite_S(-la, w * complex(0, -1)),),
             "w off i*[0, inf)"))
         return tuple(out)
     if family == "0f1":
         (al,) = params
         out.append(SolutionDescriptor(
             "0f1", "at0_1", "~1 at 0", params,
-            (lambda w, tol=1e-11: eval_0F1(al, w),
-             lambda w, tol=1e-11: jexp(-2 * jsqrt(w))
+            (lambda w: eval_0F1(al, w),
+             lambda w: jexp(-2 * jsqrt(w))
              * eval_1F1(0, 2 * al, 4 * jsqrt(w)),
-             lambda w, tol=1e-11: jexp(2 * jsqrt(w))
+             lambda w: jexp(2 * jsqrt(w))
              * eval_1F1(0, 2 * al, -4 * jsqrt(w))),
             "entire (composed expressions need w off (-inf,0])"))
         out.append(SolutionDescriptor(
             "0f1", "at0_2", "~w^-alpha at 0", params,
-            (lambda w, tol=1e-11: jpow(w, -al) * eval_0F1(-al, w),
-             lambda w, tol=1e-11: jpow(w, -al) * jexp(-2 * jsqrt(w))
+            (lambda w: jpow(w, -al) * eval_0F1(-al, w),
+             lambda w: jpow(w, -al) * jexp(-2 * jsqrt(w))
              * eval_1F1(0, -2 * al, 4 * jsqrt(w))),
             "w off (-inf, 0]"))
         out.append(SolutionDescriptor(
             "0f1", "atinf", "~e^{-2 sqrt w} w^{-alpha/2-1/4} at +infinity",
             params,
-            (lambda w, tol=1e-11: eval_0f1_tilde(al, w, tol),),
+            (lambda w: eval_0f1_tilde(al, w),),
             "w off (-inf, 0]"))
         return tuple(out)
     raise ValueError(f"no standard solutions catalogued for {family!r}")
 
 
-def eval_solution(d: SolutionDescriptor, w, expr: int = 0, tol: float = 1e-11):
+def eval_solution(d: SolutionDescriptor, w, expr: int = 0):
     """Evaluate a standard solution (or one of its alternative expressions)."""
-    return d.expressions[expr](w, tol)
+    return d.expressions[expr](w)

@@ -1,6 +1,8 @@
 """Verification suites for the identity catalogs.
 
-Every suite returns a :class:`SuiteReport` whose checks are either
+A suite is a generator ``suite_<name>(families, seed, tol, shared,
+**options)`` that yields its checks, and :func:`run_suite` collects them
+into a :class:`SuiteReport`.  The checks are either
 
 * ``symbolic`` — an exact operator identity checked in the in-house CAS
   (equality of :class:`~hyperclass.exactalg.DiffOperator` with rational
@@ -172,6 +174,12 @@ def _families(family: Optional[str]) -> tuple:
     return (family,)
 
 
+def _symbolic(cid, ref, ok, error=None) -> CheckResult:
+    """An exact check: it passes iff ok."""
+    return CheckResult(cid, ref, "symbolic", "pass" if ok else "fail",
+                       error=error)
+
+
 def _numeric_check(cid, ref, fn, tol) -> CheckResult:
     """Run fn() -> worst relative error, with degeneracy skipping."""
     try:
@@ -184,8 +192,9 @@ def _numeric_check(cid, ref, fn, tol) -> CheckResult:
 
 
 def _once(shared, key, compute):
-    """compute() once per key of the dict `shared`, which one suite call
-    makes and drops when it returns; with `shared` None, compute() fresh.
+    """compute() once per key of the dict `shared`, which `run_suite`
+    makes per suite run and drops when it returns; with `shared` None,
+    compute() fresh.
     A compute() that raises stores nothing, so it runs and raises again."""
     if shared is None:
         return compute()
@@ -215,33 +224,31 @@ SUITE_TABLE = {
 SUITES = tuple(SUITE_TABLE)
 
 
-def load_suite(suite: str):
-    """The function of a named suite, its module imported on first use."""
-    module = importlib.import_module(f".{SUITE_TABLE[suite][0]}", __package__)
-    return getattr(module, f"suite_{suite}")
-
-
 def run_suite(suite: str, family: Optional[str] = None, seed: int = 0,
-              tol: Optional[float] = None,
-              tol_scale: float = 1.0) -> SuiteReport:
+              tol: Optional[float] = None, tol_scale: float = 1.0,
+              **options) -> SuiteReport:
     """Run one named suite (or "all") and return its report.
 
     `tol` overrides the suite's default numeric tolerance outright;
     `tol_scale` multiplies the per-suite defaults (used by the CLI's
-    global tolerance scaling).
+    global tolerance scaling).  `options` go to the suite itself; only
+    kummer takes any (`params`, `points`).
     """
     if suite == "all":
         checks = []
         for name in SUITES:
-            sub = run_suite(name, family, seed, tol, tol_scale)
+            sub = run_suite(name, family, seed, tol, tol_scale, **options)
             checks.extend(sub.checks)
         return SuiteReport("all", family or "all", seed, checks)
     if suite not in SUITE_TABLE:
         raise ValueError(f"unknown suite {suite!r}")
-    default = SUITE_TABLE[suite][1]
+    module, default = SUITE_TABLE[suite]
     if tol is None and default is not None:
         tol = default * tol_scale
-    return load_suite(suite)(family=family, seed=seed, tol=tol)
+    run = getattr(importlib.import_module(f".{module}", __package__),
+                  f"suite_{suite}")
+    checks = list(run(_families(family), seed, tol, {}, **options))
+    return SuiteReport(suite, family or "all", seed, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +266,6 @@ def run_mutation_checks(seed: int = 0, n: int = 20) -> SuiteReport:
     rng = random.Random(seed)
     cands = _mutation_candidates()
     picks = rng.sample(cands, n)
-    checks = []
-    for label, run in picks:
-        detected = run()
-        checks.append(CheckResult(label, "mutated identity must fail",
-                                  "symbolic", "pass" if detected else "fail"))
+    checks = [_symbolic(label, "mutated identity must fail", run())
+              for label, run in picks]
     return SuiteReport("mutation", "all", seed, checks)

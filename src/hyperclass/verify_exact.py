@@ -7,7 +7,7 @@ from __future__ import annotations
 from . import families as fam
 from .exactalg import (DiffOperator, MultiPoly, RatFun, op_compose,
                        op_conjugate, op_substitute)
-from .verify import CheckResult, SuiteReport, _families, _once
+from .verify import _once, _symbolic
 
 
 def transmutation_sides(family: str, row) -> tuple:
@@ -62,42 +62,30 @@ def check_quadratic_link_symbolic(link) -> bool:
     return lhs == rhs
 
 
-def _counts_check(family: str, section: str, actual: int) -> CheckResult:
+def _counts_check(family: str, section: str, actual: int):
     expected = fam.EXPECTED_COUNTS[family][section]
-    ok = actual == expected
-    return CheckResult(f"counts:{family}:{section}",
-                       f"catalog has {expected} {section} rows",
-                       "symbolic", "pass" if ok else "fail",
-                       error=None if ok else float(abs(actual - expected)))
+    miss = abs(actual - expected)
+    return _symbolic(f"counts:{family}:{section}",
+                     f"catalog has {expected} {section} rows",
+                     not miss, float(miss) if miss else None)
 
 
-def suite_factorizations(family=None, seed=0, tol=None) -> SuiteReport:
-    checks = []
-    for f in _families(family):
+def suite_factorizations(families, seed, tol, shared):
+    for f in families:
         cat = fam.catalog(f)
-        checks.append(_counts_check(f, "factorizations",
-                                    len(cat.factorizations)))
+        yield _counts_check(f, "factorizations", len(cat.factorizations))
         by_id = {r.id: r for r in cat.factorizations}
         for row in cat.factorizations:
-            ok = check_factorization_symbolic(f, row)
-            checks.append(CheckResult(row.id, row.location, "symbolic",
-                                      "pass" if ok else "fail"))
+            yield _symbolic(row.id, row.location,
+                            check_factorization_symbolic(f, row))
             if row.pair is not None:
-                ok = check_darboux_pair(f, row, by_id[row.pair[0]])
-                checks.append(CheckResult(
-                    row.id + ":darboux", f"factor swap with {row.pair[0]}",
-                    "symbolic", "pass" if ok else "fail"))
-    return SuiteReport("factorizations", family or "all", seed, checks)
+                yield _symbolic(row.id + ":darboux",
+                                f"factor swap with {row.pair[0]}",
+                                check_darboux_pair(f, row, by_id[row.pair[0]]))
 
 
-def suite_quadratic(family=None, seed=0, tol=None) -> SuiteReport:
-    checks = []
-    wanted = _families(family)
+def suite_quadratic(families, seed, tol, shared):
     for link in fam.quadratic_links():
-        if link.source_family not in wanted \
-                and link.target_family not in wanted:
-            continue
-        ok = check_quadratic_link_symbolic(link)
-        checks.append(CheckResult(link.id, link.location, "symbolic",
-                                  "pass" if ok else "fail"))
-    return SuiteReport("quadratic", family or "all", seed, checks)
+        if link.source_family in families or link.target_family in families:
+            yield _symbolic(link.id, link.location,
+                            check_quadratic_link_symbolic(link))

@@ -16,8 +16,8 @@ from .tables import PARAMS
 from .verify import (ALL_FAMILIES, NUMERIC_PARAMS, RECURRENCE_POINTS,
                      RESIDUAL_POINTS, SYMMETRY_POINTS_GEG,
                      SYMMETRY_TEST_EXPONENTS, TRANSMUTATION_POINT,
-                     CheckResult, SuiteReport, _families, _numeric_check,
-                     _once, _residual_point_sampler)
+                     _numeric_check, _once, _residual_point_sampler,
+                     _symbolic)
 from .verify_exact import (_counts_check, check_factorization_symbolic,
                            check_quadratic_link_symbolic,
                            check_symmetry_symbolic,
@@ -122,91 +122,70 @@ def symmetry_algebraic_residual(family: str, row) -> float:
     return worst
 
 
-def suite_transmutations(family=None, seed=0, *, tol) -> SuiteReport:
-    checks = []
-    shared = {}
-    for f in _families(family):
+def suite_transmutations(families, seed, tol, shared):
+    for f in families:
         cat = fam.catalog(f)
-        checks.append(_counts_check(f, "transmutations",
-                                    len(cat.transmutations)))
+        yield _counts_check(f, "transmutations", len(cat.transmutations))
         for row in cat.transmutations:
             lhs, rhs = transmutation_sides(f, row)
-            checks.append(CheckResult(row.id, row.location, "symbolic",
-                                      "pass" if lhs == rhs else "fail"))
-            checks.append(_numeric_check(
+            yield _symbolic(row.id, row.location, lhs == rhs)
+            yield _numeric_check(
                 row.id + ":kernel", row.location,
-                lambda f=f, rhs=rhs:
-                transmutation_kernel_residual(f, rhs, shared),
-                tol))
-    return SuiteReport("transmutations", family or "all", seed, checks)
+                lambda: transmutation_kernel_residual(f, rhs, shared), tol)
 
 
-def suite_symmetries(family=None, seed=0, *, tol) -> SuiteReport:
-    checks = []
-    shared = {}
-    for f in _families(family):
+def suite_symmetries(families, seed, tol, shared):
+    for f in families:
         cat = fam.catalog(f)
-        checks.append(_counts_check(f, "symmetries", len(cat.symmetries)))
+        yield _counts_check(f, "symmetries", len(cat.symmetries))
         for row in cat.symmetries:
             if row.mode == "symbolic":
-                ok = check_symmetry_symbolic(f, row, shared)
-                checks.append(CheckResult(row.id, row.location, "symbolic",
-                                          "pass" if ok else "fail"))
+                yield _symbolic(row.id, row.location,
+                                check_symmetry_symbolic(f, row, shared))
             else:
-                checks.append(_numeric_check(
+                yield _numeric_check(
                     row.id, row.location,
-                    lambda f=f, row=row: symmetry_algebraic_residual(f, row),
-                    tol))
-    return SuiteReport("symmetries", family or "all", seed, checks)
+                    lambda: symmetry_algebraic_residual(f, row), tol)
 
 
-def suite_recurrences(family=None, seed=0, *, tol) -> SuiteReport:
-    checks = []
-    shared = {}
-    for f in _families(family):
+def suite_recurrences(families, seed, tol, shared):
+    for f in families:
         cat = fam.catalog(f)
-        checks.append(_counts_check(f, "recurrences", len(cat.recurrences)))
+        yield _counts_check(f, "recurrences", len(cat.recurrences))
         for row in cat.recurrences:
-            checks.append(_numeric_check(
+            yield _numeric_check(
                 row.id, row.location,
-                lambda f=f, row=row: recurrence_residual(f, row, shared),
-                tol))
-    return SuiteReport("recurrences", family or "all", seed, checks)
+                lambda: recurrence_residual(f, row, shared), tol)
 
 
 # --- ODE residuals ---------------------------------------------------------
 
-def solution_residual(family: str, F: DiffOperator, d, w0,
-                      tol: float = 1e-11) -> float:
+def solution_residual(family: str, F: DiffOperator, d, w0) -> float:
     """Relative ODE residual of a standard solution at one point; F is the
     family operator with symbolic parameters."""
     assign = dict(zip(PARAMS[family].lie, d.params))
     assign["w"] = w0
-    f = N.eval_solution(d, Jet.variable(w0, 2), tol=tol)
+    f = N.eval_solution(d, Jet.variable(w0, 2))
     total, scale = jet_apply(F, f, assign)
     return abs(total) / scale
 
 
-def suite_residuals(family=None, seed=0, *, tol) -> SuiteReport:
-    checks = []
-    for f in _families(family):
-        sols = N.standard_solutions(f, NUMERIC_PARAMS[f])
-        for d in sols:
+def suite_residuals(families, seed, tol, shared):
+    for f in families:
+        F = fam.make_operator_expr(f, "w", fam.symbolic_params(f))
+        for d in N.standard_solutions(f, NUMERIC_PARAMS[f]):
             rng = random.Random((seed, f, d.key).__repr__())
             sampler = _residual_point_sampler(f, d.key, rng)
 
-            def run(f=f, d=d, sampler=sampler):
-                F = fam.make_operator_expr(f, "w", fam.symbolic_params(f))
+            def run():
                 worst = 0.0
                 for _ in range(RESIDUAL_POINTS):
-                    w0 = sampler()
-                    worst = max(worst, solution_residual(f, F, d, w0))
+                    worst = max(worst, solution_residual(f, F, d, sampler()))
                 return worst
 
-            checks.append(_numeric_check(
+            yield _numeric_check(
                 f"res:{f}:{d.key}", f"ODE residual of the solution {d.behavior}",
-                run, tol))
-    return SuiteReport("residuals", family or "all", seed, checks)
+                run, tol)
 
 
 def mutation_candidates():

@@ -8,7 +8,7 @@ from . import numerics as N
 from .numerics import jexp, jpow
 from .verify import (CONNECTION_POINTS_0F1, CONNECTION_POINTS_1F1,
                      CONNECTION_POINTS_2F1, KUMMER_POINTS, NUMERIC_PARAMS,
-                     SuiteReport, _families, _numeric_check, _once)
+                     _numeric_check, _once)
 
 
 def kummer_pair_residual(al, be, mu, sol_key: str, r1: int, r2: int,
@@ -84,44 +84,40 @@ def connection_residual_0f1(al, w) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
-def suite_kummer(family=None, seed=0, *, tol, params=None,
-                 points=KUMMER_POINTS) -> SuiteReport:
+def suite_kummer(families, seed, tol, shared, params=None,
+                 points=KUMMER_POINTS):
     """The 36 pairwise checks of Kummer's table at the 2F1 parameters
     `params` (default NUMERIC_PARAMS["2f1"]) and the sample `points`."""
-    checks = []
-    shared = {}
-    if family in (None, "all", "2f1"):
-        al, be, mu = NUMERIC_PARAMS["2f1"] if params is None else params
-        for key in N._W_D3:
-            for r1 in range(4):
-                for r2 in range(r1 + 1, 4):
-                    checks.append(_numeric_check(
-                        f"kummer:{key}:{r1}{r2}",
-                        f"expressions {r1} and {r2} of the solution {key}",
-                        lambda key=key, r1=r1, r2=r2:
-                        kummer_pair_residual(al, be, mu, key, r1, r2,
-                                             points, shared),
-                        tol))
-    return SuiteReport("kummer", family or "all", seed, checks)
+    if "2f1" not in families:
+        return
+    al, be, mu = NUMERIC_PARAMS["2f1"] if params is None else params
+    for key in N._W_D3:
+        for r1 in range(4):
+            for r2 in range(r1 + 1, 4):
+                yield _numeric_check(
+                    f"kummer:{key}:{r1}{r2}",
+                    f"expressions {r1} and {r2} of the solution {key}",
+                    lambda: kummer_pair_residual(al, be, mu, key, r1, r2,
+                                                 points, shared),
+                    tol)
 
 
-def suite_connection(family=None, seed=0, *, tol) -> SuiteReport:
-    checks = []
-    wanted = _families(family)
-    if "2f1" in wanted:
+def suite_connection(families, seed, tol, shared):
+    if "2f1" in families:
         al, be, mu = NUMERIC_PARAMS["2f1"]
         for i, w in enumerate(CONNECTION_POINTS_2F1, 1):
-            checks.append(_numeric_check(
+            yield _numeric_check(
                 f"conn:2f1:id:{i:02d}",
                 f"basis-at-0 = A * basis-at-infinity at w={w}",
-                lambda w=w: connection_residual_2f1(al, be, mu, w), tol))
+                lambda: connection_residual_2f1(al, be, mu, w), tol)
 
         def det_2f1():
             A = N.connection_matrix_2f1(al, be, mu)
             return abs(_det2(A) - N.connection_det_2f1(al, be, mu))
 
-        checks.append(_numeric_check(
-            "conn:2f1:det", "det A = -sin(pi a)/sin(pi m)", det_2f1, 1e-12))
+        yield _numeric_check(
+            "conn:2f1:det", "det A = -sin(pi a)/sin(pi m)", det_2f1,
+            tol / 1000)
 
         def inv_2f1():
             Ai = _inv2(N.connection_matrix_2f1(al, be, mu))
@@ -129,16 +125,16 @@ def suite_connection(family=None, seed=0, *, tol) -> SuiteReport:
             return max(abs(Ai[i][j] - B[i][j])
                        for i in range(2) for j in range(2))
 
-        checks.append(_numeric_check(
+        yield _numeric_check(
             "conn:2f1:inverse", "A^-1 equals A with (a <-> m)", inv_2f1,
-            1e-10))
-    if "1f1" in wanted:
+            tol / 10)
+    if "1f1" in families:
         th, al = NUMERIC_PARAMS["1f1"]
         for i, w in enumerate(CONNECTION_POINTS_1F1, 1):
-            checks.append(_numeric_check(
+            yield _numeric_check(
                 f"conn:1f1:id:{i:02d}",
                 f"recessive solutions = A * basis-at-0 at w={w}",
-                lambda w=w: connection_residual_1f1(th, al, w), tol))
+                lambda: connection_residual_1f1(th, al, w), tol)
 
         def inv_1f1():
             A = N.connection_matrix_1f1(th, al)
@@ -148,24 +144,23 @@ def suite_connection(family=None, seed=0, *, tol) -> SuiteReport:
             return max(abs(P[i][j] - (1 if i == j else 0))
                        for i in range(2) for j in range(2))
 
-        checks.append(_numeric_check(
+        yield _numeric_check(
             "conn:1f1:inverse", "closed-form inverse times A is identity",
-            inv_1f1, tol))
+            inv_1f1, tol)
 
         def det_1f1():
             A = N.connection_matrix_1f1(th, al)
             return abs(_det2(A) - N.connection_det_1f1(th, al))
 
-        checks.append(_numeric_check(
-            "conn:1f1:det", "det A closed form", det_1f1, tol))
-    if "0f1" in wanted:
+        yield _numeric_check(
+            "conn:1f1:det", "det A closed form", det_1f1, tol)
+    if "0f1" in families:
         (al0,) = NUMERIC_PARAMS["0f1"]
         for i, w in enumerate(CONNECTION_POINTS_0F1, 1):
-            checks.append(_numeric_check(
+            yield _numeric_check(
                 f"conn:0f1:id:{i:02d}",
                 f"decaying solution via the two-term connection at w={w}",
-                lambda w=w: connection_residual_0f1(al0, w), tol))
-    return SuiteReport("connection", family or "all", seed, checks)
+                lambda: connection_residual_0f1(al0, w), tol)
 
 
 def _rep_row_residual(row, tol_quad=1e-11) -> float:
@@ -187,12 +182,9 @@ def _rep_row_residual(row, tol_quad=1e-11) -> float:
     return worst
 
 
-def suite_integrals(family=None, seed=0, *, tol) -> SuiteReport:
+def suite_integrals(families, seed, tol, shared):
     from . import quadrature
-    checks = []
-    for f in _families(family):
+    for f in families:
         for row in quadrature.integral_rep_rows(f):
-            checks.append(_numeric_check(
-                row.id, row.location,
-                lambda row=row: _rep_row_residual(row), tol))
-    return SuiteReport("integrals", family or "all", seed, checks)
+            yield _numeric_check(row.id, row.location,
+                                 lambda: _rep_row_residual(row), tol)

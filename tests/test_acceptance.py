@@ -12,8 +12,6 @@ import pytest
 
 from hyperclass import numerics as N
 from hyperclass import verify as V
-from hyperclass import verify_exact as VE
-from hyperclass import verify_mixed as VM
 from hyperclass import verify_numeric as VN
 from hyperclass.families import EXPECTED_COUNTS
 
@@ -38,7 +36,7 @@ def _assert_all_pass(checks, label):
 def test_symbolic_transmutations_exact_and_fast():
     t0 = time.monotonic()
     for family, n in ROW_COUNTS.items():
-        report = VM.suite_transmutations(family=family, tol=1e-8)
+        report = V.run_suite("transmutations", family=family, tol=1e-8)
         sym = [c for c in _by_kind(report, "symbolic")
                if not c.id.startswith("counts:")]
         assert len(sym) == n, f"{family}: expected {n} symbolic rows"
@@ -53,7 +51,7 @@ def test_symbolic_transmutations_exact_and_fast():
 
 def test_symbolic_factorizations_exact():
     for family, n in ROW_COUNTS.items():
-        report = VE.suite_factorizations(family=family)
+        report = V.run_suite("factorizations", family=family)
         sym = [c for c in _by_kind(report, "symbolic")
                if not c.id.startswith("counts:")]
         rows = [c for c in sym if not c.id.endswith(":darboux")]
@@ -70,7 +68,7 @@ def test_symbolic_factorizations_exact():
 def test_discrete_symmetries():
     counts = {"2f1": 24, "gegenbauer": 8, "1f1": 4, "hermite": 4, "0f1": 1}
     for family, n in counts.items():
-        report = VM.suite_symmetries(family=family, tol=1e-9)
+        report = V.run_suite("symmetries", family=family, tol=1e-9)
         assert counts[family] == EXPECTED_COUNTS[family]["symmetries"]
         sym = [c for c in _by_kind(report, "symbolic")
                if not c.id.startswith("counts:")]
@@ -92,7 +90,7 @@ def test_discrete_symmetries():
 # ---------------------------------------------------------------------------
 
 def test_quadratic_links_exact():
-    report = VE.suite_quadratic()
+    report = V.run_suite("quadratic")
     sym = [c for c in _by_kind(report, "symbolic")
            if not c.id.startswith("counts:")]
     assert len(sym) == 6
@@ -106,7 +104,7 @@ def test_quadratic_links_exact():
 def test_kummer_table():
     assert len(V.KUMMER_POINTS) == 5
     assert all(complex(w).imag > 0 for w in V.KUMMER_POINTS)
-    report = VN.suite_kummer(tol=1e-10)
+    report = V.run_suite("kummer", tol=1e-10)
     assert len(report.checks) == 36
     _assert_all_pass(report.checks, "kummer")
     for c in report.checks:
@@ -121,7 +119,8 @@ def test_kummer_table():
 def test_recurrences():
     for family, n in ROW_COUNTS.items():
         assert len(V.RECURRENCE_POINTS[family]) == 5
-        report = VM.suite_recurrences(family=family, tol=1e-10)
+        report = V.run_suite("recurrences", family=family,
+                             tol=1e-10)
         num = _by_kind(report, "numeric")
         assert len(num) == n
         _assert_all_pass(num, f"recurrences[{family}]")
@@ -182,7 +181,7 @@ def test_connection_0f1():
 
 def test_integral_representations():
     t0 = time.monotonic()
-    report = VN.suite_integrals(tol=1e-7)
+    report = V.run_suite("integrals", tol=1e-7)
     elapsed = time.monotonic() - t0
     num = _by_kind(report, "numeric")
     assert len(num) == 10 + 8 + 9 + 4 + 7
@@ -198,7 +197,7 @@ def test_integral_representations():
 # ---------------------------------------------------------------------------
 
 def test_ode_residuals():
-    report = VM.suite_residuals(tol=1e-9)
+    report = V.run_suite("residuals", tol=1e-9)
     assert V.RESIDUAL_POINTS == 20
     num = _by_kind(report, "numeric")
     assert len(num) == 19

@@ -45,6 +45,22 @@ def test_two_copies_load_under_two_names(bench_routes, tmp_path):
             sys.modules.pop(name, None)
 
 
+def test_working_tree_side_comes_without_bytecode(bench_routes, tmp_path):
+    # PYTHONDONTWRITEBYTECODE stops writing .pyc files, not reading them:
+    # the change side must compile its modules as the unpacked parent does
+    tree = tmp_path / "tree"
+    _package(tree, "a")
+    cache = tree / "src" / "hyperclass" / "__pycache__"
+    cache.mkdir()
+    (cache / "numerics.cpython-311.pyc").write_bytes(b"stale")
+    (tmp_path / "change").mkdir()
+    src = Path(bench_routes.side_src(None, str(tmp_path / "change"),
+                                     root=str(tree)))
+    assert src == tmp_path / "change" / "src"
+    assert sorted(p.name for p in (src / "hyperclass").iterdir()) \
+        == ["__init__.py", "jet.py", "numerics.py"]
+
+
 def test_unpack_src_takes_a_revision(bench_routes, tmp_path):
     if subprocess.run(["git", "-C", str(_ROOT), "rev-parse", "HEAD"],
                       capture_output=True).returncode:

@@ -538,6 +538,15 @@ def test_verify_strict_tol_fails(capsys, monkeypatch):
     assert json.loads(out)["failed"] > 0
 
 
+def test_tol_env_reaches_the_connection_matrix_checks(capsys, monkeypatch):
+    # det and inverse take tol/1000 and tol/10, so the scale reaches them
+    monkeypatch.setenv("HYPERCLASS_TOL", "1e-20")
+    code, out, _ = run(capsys, "verify", "connection", "--family", "2f1")
+    assert code == 1
+    status = {c["id"]: c["status"] for c in json.loads(out)["checks"]}
+    assert status["conn:2f1:det"] == status["conn:2f1:inverse"] == "fail"
+
+
 def test_verify_explicit_tol_flag(capsys):
     code, out, _ = run(capsys, "verify", "recurrences", "--tol", "1e-18")
     assert code == 1

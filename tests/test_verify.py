@@ -173,6 +173,23 @@ def test_unknown_suite_and_family():
         V.run_suite("transmutations", family="legendre")
 
 
+def test_kummer_refuses_an_unknown_family():
+    # kummer checks only 2f1, but it still refuses an unknown family
+    with pytest.raises(ValueError):
+        V.run_suite("kummer", family="legendre")
+
+
+def test_only_kummer_takes_options():
+    with pytest.raises(TypeError):
+        V.run_suite("connection", family="2f1", params=(0.1, 0.2, 0.3))
+    with pytest.raises(TypeError):
+        V.run_suite("quadratic", points=(0.5j,))
+    report = V.run_suite("kummer", params=(0.21, 0.13, 0.34),
+                         points=(0.4 + 0.6j,))
+    assert len(report.checks) == 36
+    _assert_clean(report)
+
+
 def test_symbolic_checks_exact():
     # symbolic checks carry no numeric residual (exact pass/fail)
     report = V.run_suite("factorizations", family="2f1")
@@ -259,6 +276,16 @@ def test_all_suite_concatenates():
 def test_tol_override_fails_suite():
     report = V.run_suite("recurrences", family="2f1", tol=1e-18)
     assert report.failed > 0
+
+
+@pytest.mark.parametrize(
+    "suite", [s for s in V.SUITES if V.SUITE_TABLE[s][1] is not None])
+def test_every_numeric_check_takes_the_given_tol(suite):
+    # no error is below a negative tolerance, so no numeric check passes
+    checks = V.run_suite(suite, tol=-1.0).checks
+    numeric = [c for c in checks if c.kind == "numeric"]
+    assert numeric
+    assert not [c.id for c in numeric if c.status == "pass"]
 
 
 def test_tol_scale_loosens():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import gcd, lcm
 from operator import add as _add
 from typing import (TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence,
@@ -23,11 +23,15 @@ if TYPE_CHECKING:
     from .jet import Jet
 
 # Fixed, ordered symbol universe.  The first two are working variables, the
-# rest are parameter symbols.  Exponent vectors are tuples of this length.
+# rest are parameter symbols.  Exponent vectors are tuples of this length;
+# a MultiPoly packs each into one int, 8 bits per symbol.
 SYMBOLS: tuple[str, ...] = ("w", "v", "alpha", "beta", "mu", "theta", "lam")
-_SYM_INDEX = {s: i for i, s in enumerate(SYMBOLS)}
 NVARS = len(SYMBOLS)
-_ZERO_EXP = (0,) * NVARS
+_SHIFTS = tuple(8 * (NVARS - 1 - i) for i in range(NVARS))
+_SHIFT = dict(zip(SYMBOLS, _SHIFTS))
+_DEG = 8 * NVARS                # the total degree's field
+_DEG1 = 1 << _DEG               # total degree 1
+_CAP = 1 << (_DEG + 8)          # total degree 256
 
 Rationalish = Union[int, Fraction]
 
@@ -48,9 +52,6 @@ class GaussRational:
     __slots__ = ("_t",)
 
     def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
-        if type(re) is int and type(im) is int:
-            _set_t(self, (re, im, 1))
-            return
         re = Fraction(re)
         im = Fraction(im)
         dr, di = re.denominator, im.denominator
@@ -87,21 +88,17 @@ class GaussRational:
     def __add__(self, other):
         p1, q1, d1 = self._t
         p2, q2, d2 = _triple(other)
-        if d1 == d2:
-            return _gr(p1 + p2, q1 + q2, d1)
         return _gr(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
         p, q, d = self._t
-        return _reduced(-p, -q, d)
+        return _gr(-p, -q, d)
 
     def __sub__(self, other):
         p1, q1, d1 = self._t
         p2, q2, d2 = _triple(other)
-        if d1 == d2:
-            return _gr(p1 - p2, q1 - q2, d1)
         return _gr(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2)
 
     def __rsub__(self, other):
@@ -110,10 +107,6 @@ class GaussRational:
     def __mul__(self, other):
         p1, q1, d1 = self._t
         p2, q2, d2 = _triple(other)
-        if q2 == 0:
-            return _gr(p1 * p2, q1 * p2, d1 * d2)
-        if q1 == 0:
-            return _gr(p1 * p2, p1 * q2, d1 * d2)
         return _gr(p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
 
     __rmul__ = __mul__
@@ -160,19 +153,12 @@ _set_t = GaussRational._t.__set__
 _new = object.__new__
 
 
-def _reduced(p: int, q: int, d: int) -> GaussRational:
-    """(p + q*i)/d from a triple already in lowest terms, d > 0."""
-    z = _new(GaussRational)
-    _set_t(z, (p, q, d))
-    return z
-
-
 def _gr(p: int, q: int, d: int) -> GaussRational:
     """(p + q*i)/d for integers with d > 0, brought to lowest terms."""
     g = gcd(p, q, d)
-    if g != 1:
-        return _reduced(p // g, q // g, d // g)
-    return _reduced(p, q, d)
+    z = _new(GaussRational)
+    _set_t(z, (p // g, q // g, d // g) if g != 1 else (p, q, d))
+    return z
 
 
 def _triple(x) -> tuple:
@@ -193,28 +179,44 @@ HALF = Fraction(1, 2)
 # MultiPoly
 # ---------------------------------------------------------------------------
 
-def _grlex_key(exp: tuple) -> tuple:
-    return (sum(exp), exp)
+def _pack(exp: Sequence[int]) -> int:
+    """The packed monomial of an exponent vector over ``SYMBOLS``."""
+    m = sum(exp)
+    if not 0 <= m < 256:
+        raise OverflowError("total degree above 255")
+    for k in exp:
+        m = m << 8 | k
+    return m
+
+
+@cache
+def _powers(m: int) -> tuple:
+    """The (symbol index, exponent) pairs of monomial m, in symbol order."""
+    return tuple((i, m >> s & 255) for i, s in enumerate(_SHIFTS)
+                 if m >> s & 255)
 
 
 class MultiPoly:
     """Sparse multivariate polynomial over GaussRational.
 
-    Exponent vectors run over the fixed symbol universe ``SYMBOLS``.
-    Zero coefficients are never stored; the term order used for display and
-    leading-term queries is graded lexicographic.
+    Gaussian integers over one denominator: ``_n`` maps each packed
+    monomial to a nonzero ``(p, q)``, and the value is the sum of
+    (p + q*i)/``_d`` times each monomial.  The gcd of every p, q and d is
+    1, so equal polynomials have equal ``(_d, _n)``; zero is ``({}, 1)``.
+    A monomial packs 8 bits per symbol, w highest, under an 8-bit total
+    degree, so a product of monomials is a sum of ints and graded lex
+    order is int order.  A total degree above 255 raises OverflowError.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, terms: Mapping[tuple, GaussRational] | None = None):
-        clean = {}
-        if terms:
-            for exp, c in terms.items():
-                c = GaussRational.of(c)
-                if not c.is_zero():
-                    clean[tuple(exp)] = c
-        object.__setattr__(self, "terms", clean)
+        ts = [(_pack(e), _triple(c)) for e, c in (terms or {}).items()]
+        d = lcm(*[t[2] for _, t in ts])
+        p = _mp({m: (p * (d // e), q * (d // e))
+                 for m, (p, q, e) in ts if p or q}, d)
+        _set_n(self, p._n)
+        _set_d(self, p._d)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -222,13 +224,12 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def const(c: Union[GaussRational, Rationalish]) -> "MultiPoly":
-        return MultiPoly({_ZERO_EXP: GaussRational.of(c)})
+        p, q, d = _triple(c)
+        return _mp({0: (p, q)} if p or q else {}, d)
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        exp = [0] * NVARS
-        exp[_SYM_INDEX[name]] = 1
-        return MultiPoly({tuple(exp): GR_ONE})
+        return _mp({_DEG1 | 1 << _SHIFT[name]: (1, 0)}, 1)
 
     @staticmethod
     def of(x) -> "MultiPoly":
@@ -240,49 +241,54 @@ class MultiPoly:
 
     # -- predicates / queries ---------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._n
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self._n, default=0) >> _DEG
 
     def degree_in(self, name: str) -> int:
-        i = _SYM_INDEX[name]
-        return max((e[i] for e in self.terms), default=0)
+        s = _SHIFT[name]
+        return max((m >> s & 255 for m in self._n), default=0)
 
     def symbols_used(self) -> set[str]:
-        out = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    out.add(SYMBOLS[i])
-        return out
+        return {SYMBOLS[i] for m in self._n for i, _ in _powers(m)}
 
     def leading_term(self) -> tuple[tuple, GaussRational]:
-        if not self.terms:
-            return _ZERO_EXP, GR_ZERO
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        if not self._n:
+            return (0,) * NVARS, GR_ZERO
+        m = max(self._n)
+        return (tuple(m >> s & 255 for s in _SHIFTS),
+                _gr(*self._n[m], self._d))
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
+        # the terms of other are added to self's in their order: a sum that
+        # cancels is deleted, and a new monomial is appended
         other = MultiPoly.of(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-                continue
-            s = s + c
-            if s.is_zero():
-                del out[e]
-            else:
-                out[e] = s
-        return _poly(out)
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        if not n2:
+            return self
+        d = d1 if d1 == d2 else lcm(d1, d2)
+        k1, k2 = d // d1, d // d2
+        out = dict(n1) if k1 == 1 else {m: (p * k1, q * k1)
+                                        for m, (p, q) in n1.items()}
+        for m, (p, q) in n2.items():
+            p *= k2
+            q *= k2
+            s = out.get(m)
+            if s is not None:
+                p += s[0]
+                q += s[1]
+                if not (p or q):
+                    del out[m]
+                    continue
+            out[m] = (p, q)
+        return _mp(out, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly({e: -c for e, c in self.terms.items()})
+        return _mp({m: (-p, -q) for m, (p, q) in self._n.items()}, self._d)
 
     def __sub__(self, other):
         return self + (-MultiPoly.of(other))
@@ -292,19 +298,19 @@ class MultiPoly:
 
     def __mul__(self, other):
         other = MultiPoly.of(other)
-        t1, t2 = self.terms, other.terms
-        if len(t2) == 1 and _ZERO_EXP in t2:
-            return self.scale(t2[_ZERO_EXP])
-        if len(t1) == 1 and _ZERO_EXP in t1:
-            return other.scale(t1[_ZERO_EXP])
-        # Gaussian integers over one denominator per factor: the products
-        # and sums below are integer operations, reduced once at the end
-        n1, d1 = _over_common_den(t1)
-        n2, d2 = _over_common_den(t2)
-        acc: dict[tuple, tuple] = {}
-        for e1, p1, q1 in n1:
-            for e2, p2, q2 in n2:
-                e = tuple(map(_add, e1, e2))
+        n1, n2 = self._n, other._n
+        if len(n2) == 1 and 0 in n2:
+            return _scaled(self, *n2[0], other._d)
+        if len(n1) == 1 and 0 in n1:
+            return _scaled(other, *n1[0], self._d)
+        if not (n1 and n2):
+            return P_ZERO
+        if max(n1) + max(n2) >= _CAP:
+            raise OverflowError("total degree above 255")
+        acc: dict[int, tuple] = {}
+        for e1, (p1, q1) in n1.items():
+            for e2, (p2, q2) in n2.items():
+                e = e1 + e2
                 p = p1 * p2 - q1 * q2
                 q = p1 * q2 + q1 * p2
                 s = acc.get(e)
@@ -315,56 +321,48 @@ class MultiPoly:
                         del acc[e]
                         continue
                 acc[e] = (p, q)
-        d = d1 * d2
-        return _poly({e: _gr(p, q, d) for e, (p, q) in acc.items()})
+        return _mp(acc, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("nonnegative integer exponent required")
-        out = MultiPoly.const(1)
-        base = self
+        out, base = P_ONE, self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def scale(self, c) -> "MultiPoly":
-        c = GaussRational.of(c)
-        if c._t == _ONE_T:
-            return self
-        if c.is_zero():
-            return P_ZERO
-        return _poly({e: k * c for e, k in self.terms.items()})
+        p, q, d = _triple(c)
+        return _scaled(self, p, q, d) if p or q else P_ZERO
 
     # -- calculus ----------------------------------------------------------
     def deriv(self, name: str) -> "MultiPoly":
-        i = _SYM_INDEX[name]
+        s = _SHIFT[name]
+        drop = _DEG1 | 1 << s
         out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            out[tuple(ne)] = c * e[i]
-        return _poly(out)
+        for m, (p, q) in self._n.items():
+            k = m >> s & 255
+            if k:
+                out[m - drop] = (p * k, q * k)
+        return _mp(out, self._d)
 
     # -- substitution / evaluation ----------------------------------------
     def coeffs_in(self, name: str) -> list["MultiPoly"]:
         """Coefficients [c0, c1, ...] of powers of `name`, as polynomials
         in the remaining symbols."""
-        i = _SYM_INDEX[name]
-        d = self.degree_in(name)
-        buckets: list[dict] = [dict() for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            ne = list(e)
-            k = ne[i]
-            ne[i] = 0
-            buckets[k][tuple(ne)] = c
-        return [_poly(b) for b in buckets]
+        s = _SHIFT[name]
+        drop = _DEG1 | 1 << s
+        buckets: list[dict] = [dict() for _ in range(self.degree_in(name) + 1)]
+        for m, c in self._n.items():
+            k = m >> s & 255
+            buckets[k][m - k * drop] = c
+        return [_mp(b, self._d) for b in buckets]
 
     def subs_poly(self, name: str, value: "MultiPoly") -> "MultiPoly":
         """Exact substitution of a polynomial for a symbol (Horner)."""
@@ -377,11 +375,11 @@ class MultiPoly:
     def eval_numeric(self, assign: Mapping[str, complex]) -> complex:
         out = 0j
         vals = [complex(assign.get(s, 0.0)) for s in SYMBOLS]
-        for e, c in self.terms.items():
-            t = complex(c)
-            for i, k in enumerate(e):
-                if k:
-                    t *= vals[i] ** k
+        d = self._d
+        for m, (p, q) in self._n.items():
+            t = complex(p / d, q / d)
+            for i, k in _powers(m):
+                t *= vals[i] ** k
             out += t
         return out
 
@@ -391,53 +389,58 @@ class MultiPoly:
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self._d, frozenset(self._n.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._n:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                f"{SYMBOLS[i]}^{k}" if k > 1 else SYMBOLS[i]
-                for i, k in enumerate(e) if k
-            )
-            if mono:
-                parts.append(f"{c!r}*{mono}" if c != GR_ONE else mono)
-            else:
-                parts.append(repr(c))
+        for m in sorted(self._n, reverse=True):
+            c = _gr(*self._n[m], self._d)
+            mono = "*".join(f"{SYMBOLS[i]}^{k}" if k > 1 else SYMBOLS[i]
+                            for i, k in _powers(m))
+            parts.append(mono if c == GR_ONE and mono
+                         else f"{c!r}*{mono}" if mono else repr(c))
         return " + ".join(parts)
 
 
-_set_terms = MultiPoly.terms.__set__
-_ONE_T = (1, 0, 1)
+_set_n = MultiPoly._n.__set__
+_set_d = MultiPoly._d.__set__
 
 
-def _poly(terms: dict) -> MultiPoly:
-    """MultiPoly that takes `terms` as is: tuple exponents, nonzero
-    GaussRational coefficients, not copied."""
-    p = _new(MultiPoly)
-    _set_terms(p, terms)
-    return p
+def _gcd(g: int, n: dict) -> int:
+    """The gcd of g and every Gaussian integer of n."""
+    for p, q in n.values():
+        g = gcd(g, p, q)
+        if g == 1:
+            break
+    return g
 
 
-def _over_common_den(terms: Mapping) -> tuple[list, int]:
-    """([(exp, p, q)], D): each coefficient as (p + q*i)/D, one D for all."""
-    ts = [(e, c._t) for e, c in terms.items()]
-    D = lcm(*[t[2] for _, t in ts])
-    return [(e, p * (D // d), q * (D // d)) for e, (p, q, d) in ts], D
+def _mp(n: dict, d: int) -> MultiPoly:
+    """The MultiPoly of nonzero `n` over d > 0, reduced; `n` not copied."""
+    g = _gcd(d, n) if d != 1 else 1
+    if g != 1:
+        n = {m: (p // g, q // g) for m, (p, q) in n.items()}
+        d //= g
+    out = _new(MultiPoly)
+    _set_n(out, n)
+    _set_d(out, d)
+    return out
 
 
-def _content(coeffs: Iterable[GaussRational]) -> tuple[int, int]:
-    """(g, L) with g/L the content of nonzero `coeffs`: the real and
-    imaginary parts generate the integer multiples of g/L."""
-    ts = [c._t for c in coeffs]
-    L = lcm(*[d for _, _, d in ts])
-    return gcd(*[gcd(p, q) * (L // d) for p, q, d in ts]), L
+def _scaled(a: MultiPoly, p: int, q: int, d: int) -> MultiPoly:
+    """a times the nonzero scalar (p + q*i)/d."""
+    if q == 0:
+        if p == d:
+            return a
+        n = {m: (x * p, y * p) for m, (x, y) in a._n.items()}
+    else:
+        n = {m: (x * p - y * q, x * q + y * p) for m, (x, y) in a._n.items()}
+    return _mp(n, a._d * d)
 
 
 P_ZERO = MultiPoly()
@@ -470,19 +473,20 @@ class RatFun:
         if num.is_zero():
             den = P_ONE
         else:
-            _, lead = den.leading_term()
-            p, q, d = lead._t
-            if q == 0:
-                # content(num/lead) = content(num)*d/|p|, so the factor
-                # (1/lead)/content(num/lead) is sign(p)*L/g
-                g, L = _content(num.terms.values())
-                f = _gr(L if p > 0 else -L, 0, g)
-            else:
-                inv = GR_ONE / lead
-                g, L = _content([c * inv for c in num.terms.values()])
-                f = inv * _gr(L, 0, g)
-            if f._t != _ONE_T:
+            p, q = den._n[max(den._n)]
+            f = GR_ONE
+            if q:
+                f = GR_ONE / _gr(p, q, den._d)
                 num = num.scale(f)
+            # content(num) is g/d for the gcd g of num's Gaussian integers;
+            # under a real lead the factor is sign(lead)/content(num)
+            s = 1 if q or p > 0 else -1
+            g = _gcd(0, num._n)
+            if s * num._d != 1 or g != 1:
+                f = f * _gr(s * num._d, 0, g)
+                num = _mp({m: (x * s // g, y * s // g)
+                           for m, (x, y) in num._n.items()}, 1)
+            if f._t != GR_ONE._t:
                 den = den.scale(f)
         _set_num(self, num)
         _set_den(self, den)
@@ -661,13 +665,9 @@ class DiffOperator:
 
 
 def _summed(var: str, columns: Sequence[list]) -> DiffOperator:
-    """The operator whose k-th coefficient is the sum of columns[k].
-
-    Each column is added left to right and the operator is built once, so
-    the result is the one that adding the terms as one-term operators in
-    the same order would give, without renormalizing every coefficient
-    once per term.
-    """
+    """The operator whose k-th coefficient is the sum of columns[k], added
+    left to right: what adding the terms as one-term operators in the same
+    order gives, without renormalizing every coefficient once per term."""
     return DiffOperator(var, [reduce(_add, col) if col else RF_ZERO
                               for col in columns])
 

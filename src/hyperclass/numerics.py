@@ -225,12 +225,14 @@ def _ladder(steps, args, tol, method="auto", check=None, root=None):
     """(value, route, relative estimate) at `args` (w last) by the first
     of `steps` that accepts them, once they are finite and `check(*args)`
     has passed.  Auto skips a step whose guard(*args, tol) is false, and
-    rejects one that raises NumericsError or ArithmeticError or whose
-    estimate exceeds tol; the last failure propagates, an ArithmeticError
-    (a Gamma overflow) as DomainError.  Another `method` runs the first
-    step of that name, without guard or gate: a ConvergenceError with an
-    `estimate` gives its `best`, an ArithmeticError raises DomainError.
-    With a `root`, a Jet w takes `_root_jet`, so that no step sees a Jet."""
+    rejects one that raises NumericsError or ArithmeticError, whose value
+    is not finite or whose estimate exceeds tol; the last failure
+    propagates, an ArithmeticError (a Gamma overflow) as DomainError.
+    Another `method` runs the first step of that name, without guard or
+    gate: a ConvergenceError with an `estimate` gives its `best`, and an
+    ArithmeticError or a value or estimate that is not finite raises
+    DomainError.  With a `root`, a Jet w takes `_root_jet`, so that no step
+    sees a Jet."""
     require_finite(*args)
     if root is not None and type(args[-1]) is Jet:
         return _root_jet(steps, args, tol, method, check, root)
@@ -248,6 +250,9 @@ def _ladder(steps, args, tol, method="auto", check=None, root=None):
             value, est = exc.best, exc.estimate
         except ArithmeticError as exc:
             raise DomainError(f"{method}: {exc}") from exc
+        if not (cmath.isfinite(value) and (est is None or math.isfinite(est))):
+            raise DomainError(f"{method}: non-finite value {value} or "
+                              f"estimate {est}")
         return value, method, est
     failure = None
     call = args + (tol,)
@@ -258,6 +263,9 @@ def _ladder(steps, args, tol, method="auto", check=None, root=None):
             value, est = fn(*call)
         except (NumericsError, ArithmeticError) as exc:
             failure = exc
+            continue
+        if not cmath.isfinite(value):
+            failure = DomainError(f"{route}: non-finite value {value}")
             continue
         if est is None or est <= tol:
             return value, route, est
@@ -1319,8 +1327,8 @@ def evaluate(family, params, w, norm="plain", tol=1e-11, method="auto"):
     """(value, route, relative estimate or None) of the family's function
     at (params, w) by `EVALUATORS[family]`, in normalization `norm`: the
     value times the prefactors of `NORMALIZED`, which are computed first;
-    one that overflows raises DomainError.  The estimate is relative, so a
-    prefactor leaves it as it is."""
+    one that overflows raises DomainError, as does a value that is not
+    finite.  The estimate is relative, so a prefactor leaves it as it is."""
     factors = []
     while norm != "plain":
         prefactor, norm = NORMALIZED[family, norm]
@@ -1331,6 +1339,9 @@ def evaluate(family, params, w, norm="plain", tol=1e-11, method="auto"):
     value, route, est = EVALUATORS[family][0](params, w, tol, method)
     for factor in reversed(factors):
         value = factor * value
+    if not all(map(cmath.isfinite,
+                   value.coeffs if type(value) is Jet else (value,))):
+        raise DomainError(f"{family}: non-finite value {value}")
     return value, route, est
 
 

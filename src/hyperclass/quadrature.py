@@ -440,16 +440,9 @@ def tricomi_solution(th, al, w, tol: float = 1e-11):
     return out
 
 
-def hermite_S_solution(la, w, tol: float = 1e-11):
+def _hermite_laplace(la: complex, w, tol: float):
     """S_lambda(w) from the Laplace integral int_0^inf e^{-t^2-2tw}
-    t^{lambda-1/2} dt (valid Re lambda > -1/2; else one raising step)."""
-    N.require_finite(la, w)
-    la = complex(la)
-    if la.real <= -0.49:
-        # S_la = -(S'_{la+1} - 2 w S_{la+1}) / 2, with S'_{la+1} =
-        # -(la+3/2) S_{la+2} (the Laplace integral)
-        return w * hermite_S_solution(la + 1, w, tol) \
-            + (la + 1.5) / 2 * hermite_S_solution(la + 2, w, tol)
+    t^{lambda-1/2} dt, valid at Re lambda > -1/2."""
     xr = w.real
     e = la - 0.5
     real = not w.imag
@@ -467,6 +460,39 @@ def hermite_S_solution(la, w, tol: float = 1e-11):
 
     return (2 ** (la + 0.5)) * rgamma(la + 0.5) \
         * _checked(*exp_sinh(g, tol), tol)
+
+
+_RAISE_MAX = 1000    # raising steps of hermite_S_solution
+
+
+def hermite_S_solution(la, w, tol: float = 1e-11):
+    """S_lambda(w) by its Laplace integral at Re lambda > -0.49.  Below,
+    the integrals at lambda+n and lambda+n+1 start the raising step
+    S_l = w S_{l+1} + (l+3/2)/2 S_{l+2}, run n times down to lambda; more
+    than _RAISE_MAX steps, or lambda + 1 == lambda, raise DomainError."""
+    N.require_finite(la, w)
+    la = complex(la)
+    n = 0
+    while (la + n).real <= -0.49:
+        if n == _RAISE_MAX or la + 1 == la:
+            raise N.DomainError(f"S_lambda: lambda = {la} is more than "
+                                f"{_RAISE_MAX} raising steps below -0.49")
+        n += 1
+    if n == 0:
+        return _hermite_laplace(la, w, tol)
+    # S_l = -(S'_{l+1} - 2 w S_{l+1}) / 2, with S'_{l+1} = -(l+3/2) S_{l+2}
+    # (the Laplace integral).  S_la is a*S_{la+n} + b*S_{la+n+1}: carrying
+    # a and b bounds its error by tol*(|a S_{la+n}| + |b S_{la+n+1}|).
+    top = _hermite_laplace(la + n, w, tol), \
+        _hermite_laplace(la + (n + 1), w, tol)
+    s1, s2 = top
+    a1, a2, b1, b2 = 1, 0, 0, 1
+    for k in range(n - 1, -1, -1):
+        c = (la + (k + 1.5)) / 2
+        s1, s2 = w * s1 + c * s2, s1
+        a1, a2 = w * a1 + c * a2, a1
+        b1, b2 = w * b1 + c * b2, b1
+    return _checked(s1, tol * (abs(a1 * top[0]) + abs(b1 * top[1])), tol)
 
 
 def bessel_tilde_solution(al, w, tol: float = 1e-11):

@@ -116,13 +116,13 @@ def _build_2f1_rows():
         lambda ps, w: N.FI_2f1(ps[0], ps[1], ps[2], w),
         (0.3 + 0.4j, -0.5 + 0.2j, 0.4))
 
-    row(2, lambda ps: (1 - ps[0]) > abs(ps[1] - ps[2]),
+    row(2, lambda ps: (1 - ps[0]) > abs(ps[1] + ps[2]),
         lambda w: _off_cut(w, ("le", 0.0), ("ge", 1.0)),
         euler(lambda w: ("seg", 0.0, w), 1, -1, -1),
         lambda ps, w: jpow(w, -ps[0]) * N.FI_2f1(-ps[0], ps[1], -ps[2], w),
         (0.3 + 0.4j, 0.6 + 0.1j, 0.5))
 
-    row(3, lambda ps: (1 - ps[0]) > abs(ps[1] - ps[2]),
+    row(3, lambda ps: (1 - ps[0]) > abs(ps[1] + ps[2]),
         lambda w: _off_cut(w, ("ge", 0.0)),
         euler(lambda w: ("seg", w, 0.0), -1, -1, 1),
         lambda ps, w: jpow(-w, -ps[0]) * N.FI_2f1(-ps[0], ps[1], -ps[2], w),

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -481,6 +482,52 @@ def test_eval_non_finite_solution_input_exit_code(capsys, argv):
     assert code == 3, out
     reason = _ON_THE_CUT.get(argv, "non-finite argument")
     assert f"DomainError: {reason}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("2f1", "--alpha=-200.5", "--beta=-200.5,170",
+     "--mu=42.52706785516645", "--w=-47.72140604583558"),
+    ("gegenbauer", "--alpha=-44.1845983772362,-40.5", "--lam=0,7.5",
+     "--w=100000000,-0.058350743104435665"),
+])
+def test_eval_non_finite_value_exit_code(capsys, argv):
+    # the Taylor continuation returns NaN here: no route gives a value
+    code, out, err = run(capsys, "eval", *argv)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "DomainError: " in err
+
+
+def _cpu_capped(seconds, fn):
+    """fn() under a cap of `seconds` of this process's CPU time."""
+    def expire(*_):
+        raise TimeoutError(f"more than {seconds} s of CPU")
+    old = signal.signal(signal.SIGVTALRM, expire)
+    signal.setitimer(signal.ITIMER_VIRTUAL, seconds)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, old)
+
+
+def test_eval_hermite_lambda_that_one_does_not_move(capsys):
+    # lambda + 1 == lambda: the raising step would never reach Re > -0.49
+    code, out, err = _cpu_capped(5, lambda: run(
+        capsys, "eval", "hermite", "--lam=-1e300,-3",
+        "--w=170,-4.610786697314346"))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "DomainError: " in err
+
+
+def test_eval_hermite_many_raising_steps_end(capsys):
+    # 41 raising steps, once each: a finite value or a typed error
+    code, out, err = _cpu_capped(5, lambda: run(
+        capsys, "eval", "hermite", "--lam=-40.5,40", "--w=1e-300,-1"))
+    assert code in (0, 3), err
+    if code == 0:
+        assert math.isfinite(abs(cli.parse_complex(out.split()[0])))
+    else:
+        assert out == "" and err.count("\n") == 1
 
 
 def test_bad_tol_env(capsys, monkeypatch):

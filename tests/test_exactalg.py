@@ -6,6 +6,7 @@ import math
 import random
 import struct
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 from hyperclass import families as fam
 from hyperclass.exactalg import (
+    NVARS,
     RF_ZERO,
+    SYMBOLS,
     DiffOperator,
     GaussRational,
     LinFactor,
@@ -177,6 +180,142 @@ def test_ratfun_arithmetic():
     assert r * RatFun(w) == RatFun(MultiPoly.const(1))
     v = (r + half).eval_numeric({"w": 4.0})
     assert v == pytest.approx(0.75)
+
+
+# ---------------------------------------------------------------------------
+# MultiPoly against a reference: exponent tuple -> (re, im) Fractions
+# ---------------------------------------------------------------------------
+
+_ZERO = (0,) * NVARS
+
+
+def _rp_clean(a):
+    return {e: c for e, c in a.items() if c != (0, 0)}
+
+
+def _rp_add(a, b, sign=1):
+    out = dict(a)
+    for e, (x, y) in b.items():
+        u, v = out.get(e, (0, 0))
+        out[e] = (u + sign * x, v + sign * y)
+    return _rp_clean(out)
+
+
+def _rp_mul(a, b):
+    out = {}
+    for e1, (x1, y1) in a.items():
+        for e2, (x2, y2) in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            u, v = out.get(e, (0, 0))
+            out[e] = (u + x1 * x2 - y1 * y2, v + x1 * y2 + y1 * x2)
+    return _rp_clean(out)
+
+
+def _rp_deriv(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: (x * e[i], y * e[i])
+            for e, (x, y) in a.items() if e[i]}
+
+
+def _rp_coeffs_in(a, i):
+    out = [{} for _ in range(max((e[i] for e in a), default=0) + 1)]
+    for e, c in a.items():
+        out[e[i]][e[:i] + (0,) + e[i + 1:]] = c
+    return out
+
+
+def _rp_subs(a, i, b):
+    out, power = {}, {_ZERO: (1, 0)}
+    for c in _rp_coeffs_in(a, i):
+        out = _rp_add(out, _rp_mul(c, power))
+        power = _rp_mul(power, b)
+    return out
+
+
+def _grlex(e):
+    return (sum(e), e)
+
+
+def _rp_lead(a):
+    if not a:
+        return _ZERO, GaussRational(0)
+    e = max(a, key=_grlex)
+    return e, GaussRational(*a[e])
+
+
+def _rp_repr(a):
+    parts = []
+    for e in sorted(a, key=_grlex, reverse=True):
+        c = GaussRational(*a[e])
+        mono = "*".join(f"{s}^{k}" if k > 1 else s
+                        for s, k in zip(SYMBOLS, e) if k)
+        parts.append(mono if mono and c == 1
+                     else f"{c!r}*{mono}" if mono else repr(c))
+    return " + ".join(parts) or "0"
+
+
+def _from_ref(a):
+    return MultiPoly({e: GaussRational(x, y) for e, (x, y) in a.items()})
+
+
+def _assert_matches(p, a):
+    assert p == _from_ref(a)
+    assert repr(p) == _rp_repr(a)
+    assert p.leading_term() == _rp_lead(a)
+    # canonical: no zero numerator, and one gcd of 1 over them and d
+    assert p._d > 0 and (0, 0) not in p._n.values()
+    assert math.gcd(p._d, *chain.from_iterable(p._n.values())) == 1
+
+
+ref_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * NVARS),
+    st.tuples(small_fracs, st.one_of(st.just(Fraction(0)), small_fracs)),
+    max_size=5).map(_rp_clean)
+
+
+@given(ref_polys, ref_polys, gaussians, st.sampled_from(SYMBOLS))
+@settings(max_examples=150, deadline=None)
+def test_multipoly_matches_reference(a, b, c, name):
+    p, q = _from_ref(a), _from_ref(b)
+    i = SYMBOLS.index(name)
+    _assert_matches(p, a)
+    _assert_matches(p + q, _rp_add(a, b))
+    _assert_matches(p - q, _rp_add(a, b, -1))
+    _assert_matches(p * q, _rp_mul(a, b))
+    _assert_matches(p.scale(c), _rp_mul(a, _rp_clean({_ZERO: (c.re,
+                                                                c.im)})))
+    _assert_matches(p.deriv(name), _rp_deriv(a, i))
+    cs, ref_cs = p.coeffs_in(name), _rp_coeffs_in(a, i)
+    assert len(cs) == len(ref_cs)
+    for got, want in zip(cs, ref_cs):
+        _assert_matches(got, want)
+    _assert_matches(p.subs_poly(name, q), _rp_subs(a, i, b))
+    assert (p == q) == (a == b)
+    assert hash(p + q) == hash(q + p) and hash(p) == hash(_from_ref(a))
+
+
+def test_multipoly_equal_values_hash_equal():
+    w = MultiPoly.var("w")
+    half = MultiPoly.const(Fraction(1, 2))
+    assert half * 2 == MultiPoly.const(1)
+    assert hash(half * 2) == hash(MultiPoly.const(1))
+    p = (w + half) * (w - half)
+    assert p == w * w - MultiPoly.const(Fraction(1, 4))
+    assert hash(p) == hash(w * w - MultiPoly.const(Fraction(1, 4)))
+
+
+def test_multipoly_total_degree_cap_raises_and_never_wraps():
+    w = MultiPoly.var("w")
+    top = w ** 255
+    assert top.total_degree() == top.degree_in("w") == 255
+    assert top.leading_term() == ((255,) + (0,) * (NVARS - 1), 1)
+    with pytest.raises(OverflowError):
+        w ** 256
+    with pytest.raises(OverflowError):
+        top * w
+    with pytest.raises(OverflowError):
+        MultiPoly.var("lam") ** 200 * (w ** 56 + MultiPoly.const(1))
+    with pytest.raises(OverflowError):
+        MultiPoly({(256,) + (0,) * (NVARS - 1): 1})
 
 
 # ---------------------------------------------------------------------------

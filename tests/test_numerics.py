@@ -1351,6 +1351,33 @@ def test_ladder_gates_and_forces():
     assert N._hermite_S(0.3, 4.5, 1e-11)[1] == "cf"
 
 
+def test_ladder_rejects_a_non_finite_value_or_estimate():
+    nan = complex(math.nan, math.nan)
+    steps = (N._Step("nan", lambda w, tol: (nan, nan.real)),
+             N._Step("inf", lambda w, tol: (1.0, math.inf)),
+             N._Step("c", lambda w, tol: (3.0, None)))
+    # auto passes a NaN value on, as it does a NumericsError
+    assert N._ladder(steps, (0.5,), 1e-11) == (3.0, "c", None)
+    with pytest.raises(N.DomainError, match="nan: non-finite value"):
+        N._ladder(steps[:1], (0.5,), 1e-11)
+    # a forced step raises, for a value or an estimate that is not finite
+    for method in ("nan", "inf"):
+        with pytest.raises(N.DomainError, match="non-finite"):
+            N._ladder(steps, (0.5,), 1e-11, method)
+
+
+@pytest.mark.parametrize("family, params, w", [
+    ("2f1", (-200.5, complex(-200.5, 170), 42.52706785516645),
+     -47.72140604583558),
+    ("gegenbauer", (complex(-44.1845983772362, -40.5), 7.5j),
+     complex(1e8, -0.058350743104435665)),
+])
+def test_evaluate_raises_where_no_route_is_finite(family, params, w):
+    # the Taylor continuation returns NaN here
+    with pytest.raises(N.DomainError, match="non-finite"):
+        N.evaluate(family, params, w)
+
+
 def test_a_forced_method_runs_the_first_step_of_its_name():
     steps = (N._Step("a", lambda w, tol: (1.0, None)),
              N._Step("b", lambda w, tol: (2.0, None)),

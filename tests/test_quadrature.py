@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import struct
 
 import pytest
@@ -721,6 +722,39 @@ def test_rep_rows_match_expected(family):
                 f"{row.id} at {ps}, {w}"
             checked += 1
         assert checked >= 3, f"{row.id}: fewer than 3 admissible samples"
+
+
+# The ends of each 2F1 row's contour among the Euler integrand's points 0,
+# 1 and w, and "inf" for a ray.
+_2F1_CONTOUR_ENDS = {
+    "2f1:int:01": (1, "inf"), "2f1:int:02": (0, "w"),
+    "2f1:int:03": ("w", 0), "2f1:int:04": (0, "inf"),
+    "2f1:int:05": ("w", 1), "2f1:int:06": (1, "w"),
+    "2f1:int:07": ("w", "inf"), "2f1:int:08": ("w", "inf"),
+    "2f1:int:09": (0, 1), "2f1:int:10": (0, 1),
+}
+
+
+def _euler_integrable(ends, ps):
+    """Whether the Euler integrand can be integrated over a contour with
+    these ends: Re of the exponent above -1 at each finite end, and Re of
+    the exponents' sum below -1 at infinity."""
+    _, exps, _ = rep_rows._euler_2f1(ps, 0.5j)
+    at = dict(zip((0, 1, "w"), exps))
+    return all(sum(exps).real < -1 if end == "inf" else at[end].real > -1
+               for end in ends)
+
+
+def test_2f1_rep_row_constraints_are_integrability():
+    rows = {r.id: r for r in Q.integral_rep_rows("2f1")}
+    assert sorted(rows) == sorted(_2F1_CONTOUR_ENDS)
+    rng = random.Random(26)
+    triples = [tuple(rng.uniform(-1.5, 1.5) for _ in range(3))
+               for _ in range(4000)]
+    for rid, ends in _2F1_CONTOUR_ENDS.items():
+        bad = [ps for ps in triples
+               if rows[rid].constraint(ps) != _euler_integrable(ends, ps)]
+        assert not bad, f"{rid}: {len(bad)} triples, e.g. {bad[0]}"
 
 
 def test_rep_row_rejects_inadmissible():
